@@ -1,13 +1,12 @@
 //! Experiment harness CLI: regenerates every table and figure of the
-//! NetClus paper (see EXPERIMENTS.md for the recorded results).
+//! NetClus paper.
 //!
 //! ```text
 //! experiments <id>|all [--scale S] [--seed N] [--threads T]
 //!                      [--memory-budget-mb M] [--out DIR] [--full]
 //!
 //!   <id>       one of: fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
-//!              table7 table8 table9 table10 table11 table12
-//!              service ingest query | all | list
+//!              table7 table8 table9 table10 table11 table12 | all | list
 //!   --scale    dataset scale multiplier        (default 0.25)
 //!   --full     shorthand for --scale 6 --memory-budget-mb 30000
 //!              (approximately the paper's Beijing corpus and RAM ceiling;

@@ -8,10 +8,6 @@ pub mod fig12;
 pub mod fig4;
 pub mod fig56;
 pub mod fig789;
-pub mod ingest;
-pub mod query;
-pub mod service;
-pub mod shard;
 pub mod table10;
 pub mod table11;
 pub mod table12;
@@ -106,30 +102,6 @@ pub fn all() -> Vec<Experiment> {
             id: "table12",
             description: "Table 12: Jaccard-similarity clustering baseline",
             run: table12::run,
-        },
-        Experiment {
-            id: "service",
-            description:
-                "Serving layer: closed-loop throughput with live updates (BENCH_SERVICE_THROUGHPUT)",
-            run: service::run,
-        },
-        Experiment {
-            id: "ingest",
-            description:
-                "Ingest layer: durable write-path throughput + WAL replay (BENCH_INGEST_THROUGHPUT)",
-            run: ingest::run,
-        },
-        Experiment {
-            id: "query",
-            description:
-                "Query hot path: provider build scaling + cached-provider latency (BENCH_QUERY_LATENCY)",
-            run: query::run,
-        },
-        Experiment {
-            id: "shard",
-            description:
-                "Sharded serving: per-shard build scaling + scatter-gather latency (BENCH_SHARD_SCALING)",
-            run: shard::run,
         },
     ]
 }

@@ -10,13 +10,15 @@
 //!
 //! Every experiment prints a paper-style table and writes
 //! `results/<id>.csv`. Scales, seeds and the Inc-Greedy memory budget (the
-//! stand-in for the paper's 32 GB testbed ceiling) are configurable; see
-//! EXPERIMENTS.md for the recorded paper-vs-measured comparison.
+//! stand-in for the paper's 32 GB testbed ceiling) are configurable.
+//!
+//! Everything the serving stack does (service, router, shard servers,
+//! ingest) is measured by the crate's other binary, `netclus_benchmark`,
+//! declared in the repository's `BENCHMARK.json`; see
+//! `src/bin/netclus_benchmark/README.md`.
 
-pub mod baseline;
 pub mod experiments;
 pub mod runners;
-pub mod schema;
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -86,23 +88,6 @@ impl Ctx {
     pub fn beijing(&mut self) -> Rc<Scenario> {
         let cfg = self.scenario_cfg();
         self.cached("beijing", move || netclus_datagen::beijing_like(&cfg))
-    }
-
-    /// The Beijing-Small scenario (cached; scale-independent, per paper).
-    pub fn beijing_small(&mut self) -> Rc<Scenario> {
-        let seed = self.cfg.seed;
-        self.cached("beijing-small", move || {
-            netclus_datagen::beijing_small(seed)
-        })
-    }
-
-    /// The multi-region sharding scenario: 4 city cores + corridors
-    /// (cached).
-    pub fn multi_region(&mut self) -> Rc<Scenario> {
-        let cfg = self.scenario_cfg();
-        self.cached("multi-region", move || {
-            netclus_datagen::multi_region(&cfg, 4)
-        })
     }
 
     /// One of the three MNTG-analogue cities: "nyk", "atl", "bng".
@@ -207,8 +192,8 @@ mod tests {
             out_dir: std::env::temp_dir().join("netclus-bench-test"),
             ..Default::default()
         });
-        let a = ctx.beijing_small();
-        let b = ctx.beijing_small();
+        let a = ctx.beijing();
+        let b = ctx.beijing();
         assert!(Rc::ptr_eq(&a, &b));
     }
 

@@ -164,6 +164,10 @@ fn pipeline_publishes_all_matched_records() {
         metrics.batches_published.load(Ordering::Relaxed),
         snap.epoch()
     );
+    // A graceful drain closed the ingest→visible clock of every published
+    // record and left nothing admitted but invisible.
+    assert_eq!(metrics.freshness.summary().count, matched);
+    assert_eq!(metrics.visibility_lag_us.load(Ordering::Relaxed), 0);
     // Every published trajectory is a connected on-network route.
     for (_, t) in snap.trajs().iter() {
         for w in t.nodes().windows(2) {

@@ -4,7 +4,7 @@
 //! Everything is lock-free atomics so the hot path pays a handful of
 //! relaxed increments per request. The report serializes to single-line
 //! JSON (hand-rolled — the workspace is dependency-free) so harness runs
-//! can be grepped and tracked over time (`BENCH_*` lines).
+//! can be grepped and tracked over time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -801,7 +801,7 @@ pub struct IngestReport {
 }
 
 impl IngestReport {
-    /// Serializes the report as one line of JSON (`BENCH_INGEST_*` style).
+    /// Serializes the report as one line of JSON.
     pub fn to_json_line(&self) -> String {
         let mut s = String::with_capacity(512);
         s.push('{');

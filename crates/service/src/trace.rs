@@ -183,7 +183,7 @@ impl Round1Source {
     }
 
     /// Whether the task ran without building or waiting on a provider
-    /// (the hot-lane criterion — a coalesced wait rides a build, so it
+    /// (the hot-lane condition — a coalesced wait rides a build, so it
     /// counts cold, matching the router's lane accounting).
     pub fn is_hot(self) -> bool {
         matches!(self, Round1Source::Memo | Round1Source::ProviderHit)

@@ -14,6 +14,8 @@
 //!    a full bit-exact answer or a degraded one carrying a sound
 //!    conservative utility bound; failures surface only through the
 //!    typed [`ShardFailure`](netclus_service::ShardFailure) taxonomy.
+//!    With two replicas per shard, a preferred replica that is merely
+//!    *slow* is hedged onto its sibling and the answer stays full.
 //! 3. **Frame corruption** — any byte truncation or flip of a valid
 //!    shard-protocol frame decodes to a typed error (io or
 //!    [`WireError`](netclus_service::shard_proto::WireError)), never a
@@ -287,6 +289,15 @@ fn chaos_fixture() -> (
     (net, trajs, sites, partition)
 }
 
+fn chaos_config() -> NetClusConfig {
+    NetClusConfig {
+        tau_min: 200.0,
+        tau_max: 3_000.0,
+        threads: 1,
+        ..Default::default()
+    }
+}
+
 /// Scripted socket faults — a stalled reply, a corrupted frame, a
 /// slammed connection, an injected error, and finally a hard server
 /// shutdown — all map onto the typed failure taxonomy: the router keeps
@@ -295,13 +306,7 @@ fn chaos_fixture() -> (
 #[test]
 fn socket_chaos_degrades_soundly_and_recovers() {
     let (net, trajs, sites, partition) = chaos_fixture();
-    let netclus_cfg = NetClusConfig {
-        tau_min: 200.0,
-        tau_max: 3_000.0,
-        threads: 1,
-        ..Default::default()
-    };
-    let build = || ShardedNetClusIndex::build(&net, &trajs, &sites, &partition, netclus_cfg);
+    let build = || ShardedNetClusIndex::build(&net, &trajs, &sites, &partition, chaos_config());
 
     // Fault-free in-process reference for exactness and bound checks.
     let reference = ShardRouter::start(Arc::clone(&net), build(), ShardRouterConfig::uncached())
@@ -452,6 +457,65 @@ fn socket_chaos_degrades_soundly_and_recovers() {
     remote.shutdown();
     reference.shutdown();
     for server in &mut servers {
+        server.shutdown();
+    }
+}
+
+/// Hedged round 1 over real sockets: the preferred replica of shard 0
+/// sits on every request longer than the hedge delay but well inside
+/// `io_timeout` (slow, not failed), so the hedge wave asks its sibling,
+/// the sibling's answer wins the lane, and the query stays full and
+/// bit-exact. The stalled query is the router's first, so no earlier win
+/// has moved a preferred-replica cursor off replica 0.
+#[test]
+fn hedge_over_sockets_beats_a_stalled_preferred_replica() {
+    let (net, trajs, sites, partition) = chaos_fixture();
+    let build = || ShardedNetClusIndex::build(&net, &trajs, &sites, &partition, chaos_config());
+    let reference = ShardRouter::start(Arc::clone(&net), build(), ShardRouterConfig::uncached())
+        .expect("start reference");
+    let q = TopsQuery::binary(3, 800.0);
+    let full = reference.query_blocking(q).expect("reference answer");
+
+    // Far above the 20 ms default hedge delay, far below the 5 s default
+    // io timeout.
+    let stall = Duration::from_millis(500);
+    assert!(stall < RemoteShardConfig::default().io_timeout);
+    let (mut preferred, preferred_addrs, remote_partition) =
+        spawn_cluster(&net, build(), |shard| ShardServerConfig {
+            fault_plan: (shard == 0).then(|| {
+                FaultPlan::new(9).with_rule(FaultRule::always(0, FaultAction::Stall(stall)))
+            }),
+            ..Default::default()
+        });
+    let (mut siblings, sibling_addrs, _) =
+        spawn_cluster(&net, build(), |_| ShardServerConfig::default());
+    let addr_sets: Vec<Vec<SocketAddr>> = preferred_addrs
+        .iter()
+        .zip(&sibling_addrs)
+        .map(|(&a, &b)| vec![a, b])
+        .collect();
+    let remote = ShardRouter::connect_replicated(
+        Arc::clone(&net),
+        remote_partition,
+        &addr_sets,
+        ShardRouterConfig::default(),
+        RemoteShardConfig::default(),
+    )
+    .expect("connect replicated remote router");
+    assert_eq!(remote.replica_counts(), vec![2; 4]);
+
+    let a = remote.query_blocking(q).expect("hedged answer");
+    assert!(!a.degraded && !a.stale, "missing: {:?}", a.shards_missing);
+    assert_eq!(a.sites, full.sites);
+    assert_eq!(a.utility.to_bits(), full.utility.to_bits());
+    let fault = remote.fault_report();
+    assert!(fault.hedged_requests >= 1, "{fault:?}");
+    assert!(fault.hedge_wins >= 1, "{fault:?}");
+    assert_eq!(fault.degraded_answers, 0, "{fault:?}");
+
+    remote.shutdown();
+    reference.shutdown();
+    for server in preferred.iter_mut().chain(&mut siblings) {
         server.shutdown();
     }
 }

@@ -205,7 +205,7 @@ fn main() {
         report.freshness.count
     );
 
-    println!("\nBENCH_INGEST_EXAMPLE {}", report.to_json_line());
+    println!("\n[json ] {}", report.to_json_line());
     let _ = std::fs::remove_dir_all(&wal_dir);
 }
 

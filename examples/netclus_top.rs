@@ -277,7 +277,7 @@ fn main() {
     }
     let _ = std::fs::remove_dir_all(&wal_dir);
     println!(
-        "\nBENCH_TOP_EXAMPLE {}",
+        "\n[json ] {}",
         metrics.report(started.elapsed()).to_json_line()
     );
 }

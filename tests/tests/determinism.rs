@@ -1,7 +1,7 @@
 //! Determinism: every stage of the pipeline — generation, clustering,
 //! indexing, queries — must be bit-reproducible under a fixed seed, and
 //! sensitive to seed changes. Reproducibility underpins every experiment
-//! in EXPERIMENTS.md.
+//! of the `experiments` harness and every workload of `netclus_benchmark`.
 
 use netclus::prelude::*;
 use netclus_datagen::{beijing_small, Scenario, ScenarioConfig};
