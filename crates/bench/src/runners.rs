@@ -3,8 +3,8 @@
 //! All four evaluated algorithms (paper Sec. 8.1) are exposed behind one
 //! result type so every table/figure scores them identically:
 //!
-//! * **INCG** — Inc-Greedy over exact coverage sets (`CoverageIndex`), the
-//!   paper's baseline;
+//! * **INCG** — the paper's Algorithm 1 ([`algorithm1_greedy`]) over exact
+//!   coverage sets (`CoverageIndex`, `TC` + `SC`), the paper's baseline;
 //! * **FMG** — the FM-sketch greedy over the same coverage sets;
 //! * **NETCLUS** — Inc-Greedy over cluster representatives from the
 //!   multi-resolution index;
@@ -105,14 +105,15 @@ pub fn incgreedy_on(
     tau: f64,
     pref: PreferenceFunction,
 ) -> AlgoRun {
-    let sol = inc_greedy(
+    let sol = algorithm1_greedy(
         cov,
         &GreedyConfig {
             k,
             tau,
             preference: pref,
-            lazy: false,
         },
+        &[],
+        None,
     );
     let (utility, covered) = score(s, &sol.sites, tau, pref);
     AlgoRun {

@@ -2,9 +2,9 @@
 //!
 //! Inc-Greedy and TOPS-Cluster both walk `(id, distance)` lists millions of
 //! times per query: `TC(s_i)` / `SC(T_j)` in [`crate::coverage`] and the
-//! `T̂C` / `ŜC` lists of [`crate::query::ClusteredProvider`]. The original
-//! `Vec<Vec<(TrajId, f64)>>` layout pays a 24-byte header plus a separate
-//! heap allocation per list and interleaves 4-byte ids with 8-byte
+//! `T̂C` rows of [`crate::query::ClusteredProvider`]. A
+//! `Vec<Vec<(TrajId, f64)>>` layout would pay a 24-byte header plus a
+//! separate heap allocation per list and interleave 4-byte ids with 8-byte
 //! distances (16 bytes per pair after padding). The arenas here store every
 //! list in three flat arrays instead:
 //!
@@ -21,7 +21,7 @@
 //!
 //! * [`PairArena`] — immutable, built once per coverage/provider build
 //!   (supports sharded parallel construction via [`PairArena::concat`] and
-//!   counting-sort inversion via [`PairArena::invert`]);
+//!   counting-sort inversion via [`PairArena::invert_threaded`]);
 //! * [`RowArena`] — append-friendly (rows addressed by `(start, len)`),
 //!   used for `CC(T_j)` in [`crate::cluster::ClusterInstance`], which the
 //!   dynamic-update path (paper Sec. 6) mutates row-wise. Dead space left
@@ -162,15 +162,12 @@ impl PairArena {
     /// row `j` lists `(r, dist)` for every source row `r` containing `j`,
     /// in ascending `r` — exactly the `SC` ordering the greedy relies on.
     /// Two passes (count, fill), no per-row vectors.
-    pub fn invert(&self, id_bound: usize) -> PairArena {
-        self.invert_threaded(id_bound, 1)
-    }
-
-    /// [`PairArena::invert`] with the fill pass sharded over `threads`
-    /// workers (bit-identical output). Each worker owns a contiguous range
-    /// of target ids — and therefore a contiguous output segment — and
-    /// scans the source pairs once, so parallelism costs no synchronization
-    /// on the output.
+    ///
+    /// The fill pass is sharded over `threads` workers (bit-identical
+    /// output for every count). Each worker owns a contiguous range of
+    /// target ids — and therefore a contiguous output segment — and scans
+    /// the source pairs once, so parallelism costs no synchronization on
+    /// the output.
     pub fn invert_threaded(&self, id_bound: usize, threads: usize) -> PairArena {
         // Pass 1: per-target counts → CSR offsets.
         let mut counts = vec![0u32; id_bound];
@@ -522,7 +519,7 @@ mod tests {
     #[test]
     fn invert_transposes_with_source_order() {
         let arena = PairArena::from_rows(&rows_fixture());
-        let inv = arena.invert(5);
+        let inv = arena.invert_threaded(5, 1);
         assert_eq!(inv.row_count(), 5);
         assert_eq!(inv.pair_count(), arena.pair_count());
         // Target 0 appears in rows 0 and 3 — ascending source order.
@@ -562,7 +559,7 @@ mod tests {
     #[test]
     fn balance_ranges_covers_everything_monotonically() {
         let arena = PairArena::from_rows(&rows_fixture());
-        let inv = arena.invert(5);
+        let inv = arena.invert_threaded(5, 1);
         for workers in 1..=6 {
             let b = balance_ranges(&inv.offsets, workers);
             assert_eq!(b[0], 0);
@@ -630,7 +627,7 @@ mod tests {
         assert_eq!(arena.row_count(), 3);
         assert_eq!(arena.pair_count(), 0);
         assert!(arena.row(2).is_empty());
-        let inv = arena.invert(2);
+        let inv = arena.invert_threaded(2, 1);
         assert_eq!(inv.row_count(), 2);
         assert_eq!(PairSlice::EMPTY.len(), 0);
     }

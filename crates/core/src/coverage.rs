@@ -1,25 +1,29 @@
 //! Query-time coverage sets `TC` / `SC` (paper Sec. 3.2).
 //!
-//! Given the threshold `τ` (known only at query time), Inc-Greedy needs, for
-//! every candidate site, the trajectories it covers with their detour
-//! distances (`TC(s_i)`, ascending), and for every trajectory the sites
-//! covering it (`SC(T_j)`). [`CoverageIndex::build`] computes both with one
-//! pair of `τ`-bounded Dijkstra runs per site, parallelized across sites.
-//! Both directions live in flat [`PairArena`]s (see [`crate::arena`]): `TC`
-//! is assembled shard-by-shard and concatenated deterministically; `SC` is
-//! derived by a two-pass counting-sort inversion instead of per-trajectory
-//! `Vec` pushes.
+//! Given the threshold `τ` (known only at query time), the paper's
+//! Inc-Greedy needs, for every candidate site, the trajectories it covers
+//! with their detour distances (`TC(s_i)`, ascending), and for every
+//! trajectory the sites covering it (`SC(T_j)`). [`CoverageIndex::build`]
+//! computes both with one pair of `τ`-bounded Dijkstra runs per site,
+//! parallelized across sites. Both directions live in flat [`PairArena`]s
+//! (see [`crate::arena`]): `TC` is assembled shard-by-shard and
+//! concatenated deterministically; `SC` is derived by a two-pass
+//! counting-sort inversion.
 //!
 //! The memory footprint of these sets is the reason Inc-Greedy fails at
 //! city scale (paper Sec. 3.4, Table 9) — [`CoverageIndex::heap_size_bytes`]
-//! exposes it so the benchmark harness can reproduce that behaviour. The
-//! arena layout also *shrinks* that footprint (12 bytes/pair instead of 16,
-//! no per-list headers), which Table 9/12 reproductions now report.
+//! exposes it, over both directions, so the experiments reproduce that
+//! behaviour.
 //!
 //! [`CoverageProvider`] abstracts "sites with covered-trajectory lists" so
-//! the same greedy implementations run on exact coverage (this module) and
-//! on NetClus's clustered approximation (`crate::query`), exactly as the
-//! paper runs Inc-Greedy over cluster representatives.
+//! the same solvers run on exact coverage (this module), on NetClus's
+//! clustered approximation (`crate::query`) and on the sharded round-2
+//! merge (`crate::shard`). It has **one direction**: every solver that
+//! serves queries reads `TC` rows alone. The inverted `SC` rows are the
+//! sub-trait [`InvertedCoverage`], required only by the paper's Algorithm 1
+//! ([`crate::greedy::algorithm1_greedy`]) and implemented only where that
+//! reference runs: the exact [`CoverageIndex`] and the
+//! [`ReferenceProvider`] oracle.
 
 use std::time::{Duration, Instant};
 
@@ -33,7 +37,8 @@ use crate::detour::{DetourEngine, DetourModel};
 ///
 /// Implementors: [`CoverageIndex`] (exact, site-level), the clustered view
 /// in [`crate::query`] (cluster representatives with estimated distances),
-/// and the differential-testing [`ReferenceProvider`].
+/// the merged round-2 view in [`crate::shard`], and the
+/// differential-testing [`ReferenceProvider`].
 ///
 /// Rows are exposed as [`PairSlice`] — parallel id/distance slices out of a
 /// flat arena — so the greedy inner loops scan contiguous memory and can
@@ -48,6 +53,11 @@ pub trait CoverageProvider {
     /// `TC(s_idx)`: covered trajectories (ids) with detour distances,
     /// ascending by distance.
     fn covered(&self, idx: usize) -> PairSlice<'_>;
+}
+
+/// A [`CoverageProvider`] that also carries the inverted `SC` rows — the
+/// bound of the paper's Algorithm 1, the one solver that walks them.
+pub trait InvertedCoverage: CoverageProvider {
     /// `SC(T_j)`: sites covering `tj` as `(site_idx, detour)` pairs,
     /// ascending by site index.
     fn covering(&self, tj: TrajId) -> PairSlice<'_>;
@@ -197,26 +207,19 @@ impl CoverageProvider for CoverageIndex {
     fn covered(&self, idx: usize) -> PairSlice<'_> {
         self.tc.row(idx)
     }
+}
 
+impl InvertedCoverage for CoverageIndex {
     fn covering(&self, tj: TrajId) -> PairSlice<'_> {
         self.sc.row(tj.index())
     }
 }
 
-/// The pre-arena per-list coverage layout, kept as (a) the
-/// differential-testing oracle the CSR providers are proptested against,
-/// (b) the mock provider for solver unit tests, and (c) the performance
-/// and memory baseline quantifying what the arena layout saves
-/// ([`ReferenceProvider::vec_layout_bytes`], the `arena_vs_reference`
-/// bench).
-///
-/// Every row is its own pair of heap-allocated vectors, so walking rows
-/// chases one pointer pair per list exactly like the legacy
-/// `Vec<Vec<(TrajId, f64)>>` — no backing arena anywhere. (The rows are
-/// per-row SoA rather than interleaved pairs, which is what lets the
-/// trait hand out [`PairSlice`]s; the modeled footprint of the original
-/// interleaved layout is what [`ReferenceProvider::vec_layout_bytes`]
-/// reports.)
+/// A provider over plain per-row vectors: the differential-testing oracle
+/// the CSR providers are proptested against, the mock provider of the
+/// solver unit tests, and — since it derives `SC` from whatever rows it is
+/// given — the way to run Algorithm 1 on the rows of a provider that
+/// carries no `SC` itself.
 #[derive(Clone, Debug)]
 pub struct ReferenceProvider {
     tc: Vec<(Vec<u32>, Vec<f64>)>,
@@ -228,7 +231,7 @@ pub struct ReferenceProvider {
 impl ReferenceProvider {
     /// Builds from per-site `(trajectory id, detour)` rows over
     /// `traj_id_bound` trajectories; `SC` is derived by per-trajectory
-    /// pushes (the legacy construction). Site `i` reports node `NodeId(i)`.
+    /// pushes. Site `i` reports node `NodeId(i)`.
     pub fn new(traj_id_bound: usize, tc: Vec<Vec<(u32, f64)>>) -> Self {
         let nodes = (0..tc.len() as u32).map(NodeId).collect();
         Self::with_nodes(traj_id_bound, tc, nodes)
@@ -264,23 +267,6 @@ impl ReferenceProvider {
             traj_id_bound,
         }
     }
-
-    /// Heap bytes of the modeled `Vec<Vec<(TrajId, f64)>>` layout: one
-    /// 24-byte `Vec` header per list plus 16 bytes per (padded) pair, both
-    /// directions — the quantity the flat arenas are measured against.
-    pub fn vec_layout_bytes(&self) -> usize {
-        let header = std::mem::size_of::<Vec<(TrajId, f64)>>();
-        let pair = std::mem::size_of::<(TrajId, f64)>();
-        self.tc
-            .iter()
-            .map(|(ids, _)| header + ids.len() * pair)
-            .sum::<usize>()
-            + self
-                .sc
-                .iter()
-                .map(|(ids, _)| header + ids.len() * pair)
-                .sum::<usize>()
-    }
 }
 
 impl CoverageProvider for ReferenceProvider {
@@ -300,7 +286,9 @@ impl CoverageProvider for ReferenceProvider {
         let (ids, dists) = &self.tc[idx];
         PairSlice { ids, dists }
     }
+}
 
+impl InvertedCoverage for ReferenceProvider {
     fn covering(&self, tj: TrajId) -> PairSlice<'_> {
         let (ids, dists) = &self.sc[tj.index()];
         PairSlice { ids, dists }
@@ -385,26 +373,6 @@ mod tests {
         let large = CoverageIndex::build(&net, &trajs, &sites, 800.0, DetourModel::RoundTrip, 1);
         assert!(large.pair_count() > small.pair_count());
         assert!(large.heap_size_bytes() >= small.heap_size_bytes());
-    }
-
-    #[test]
-    fn arena_footprint_beats_vec_of_vec_layout() {
-        // The accounting satellite: the flat arenas must report (and cost)
-        // strictly less than the legacy per-list layout on the same data.
-        let (net, trajs) = fixture();
-        let sites: Vec<NodeId> = net.nodes().collect();
-        let idx = CoverageIndex::build(&net, &trajs, &sites, 800.0, DetourModel::RoundTrip, 1);
-        let rows: Vec<Vec<(u32, f64)>> = (0..idx.site_count())
-            .map(|i| idx.covered(i).to_pairs())
-            .collect();
-        let reference = ReferenceProvider::new(trajs.id_bound(), rows);
-        let arena_bytes = idx.heap_size_bytes() - idx.sites().len() * 4;
-        assert!(
-            arena_bytes < reference.vec_layout_bytes(),
-            "arena {} B not smaller than Vec<Vec<_>> layout {} B",
-            arena_bytes,
-            reference.vec_layout_bytes()
-        );
     }
 
     #[test]

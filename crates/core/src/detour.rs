@@ -7,7 +7,7 @@
 //! dr(T_j, s_i) = min_{v_k, v_l ∈ T_j} { d(v_k, s_i) + d(s_i, v_l) − d(v_k, v_l) }
 //! ```
 //!
-//! Two engines are provided (DESIGN.md decision 1):
+//! Two engines are provided:
 //!
 //! * [`DetourModel::RoundTrip`] — the `v_k = v_l` specialization
 //!   `min_v d(v, s) + d(s, v)`. This is the quantity NetClus itself stores

@@ -314,7 +314,6 @@ mod tests {
                 k: 2,
                 tau: 1000.0,
                 preference: PreferenceFunction::LinearDecay,
-                lazy: false,
             },
         );
         assert!((g.utility - 0.9).abs() < 1e-9);

@@ -3,28 +3,39 @@
 //!
 //! The utility `U(Q) = Σ_j max_{s∈Q} ψ(T_j, s)` is monotone submodular
 //! (paper Th. 2), so iteratively adding the site of maximal marginal gain
-//! achieves `max{1 − 1/e, k/n}` of the optimum (Th. 3). The implementation
-//! follows the paper's Algorithm 1, including its tie-breaking (max gain →
-//! max weight → highest index), with one representational difference: the
-//! per-pair marginal values `α_ji` are recomputed from `ψ_ji` and `U_j` on
-//! the fly instead of being materialized (they are determined by those two
-//! numbers), saving the extra `O(mn)` array without changing any iterate.
+//! achieves `max{1 − 1/e, k/n}` of the optimum (Th. 3), breaking ties by
+//! max gain → max weight `w_i = Σ_j ψ(T_j, s_i)` → highest index.
 //!
-//! A CELF-style **lazy** evaluation mode (`GreedyConfig::lazy`) skips most
-//! marginal recomputations: submodularity makes stale heap priorities valid
-//! upper bounds, so only the current top of the heap is re-evaluated until
-//! it stays on top. Lazy mode applies the **same** tie-breaking rule as the
-//! eager path — equal gains fall back to the static site weight `w_i`, then
-//! to the highest provider index — so both modes select the *same site
-//! sequence*, not merely an equal-utility one
-//! (`crates/core/tests/lazy_greedy_proptests.rs` asserts site-for-site
-//! equality, including the seeded and existing-services entry points).
-//! Since PR 5 the sharded round-1 local greedy and the round-2 candidate
-//! merge run in lazy mode.
+//! **One solver serves every path.** [`inc_greedy`], [`inc_greedy_from`]
+//! and [`inc_greedy_seeded`] run the CELF evaluation of that greedy: each
+//! unselected site sits in a max-heap keyed by `(gain, w_i, index)` with the
+//! gain it had when last evaluated, and only the top of the heap is
+//! re-evaluated until a freshly evaluated entry stays on top. A stale entry
+//! is a valid upper bound on the site's current gain because trajectory
+//! utilities only grow as sites are added, so `Σ_j max(0, ψ_ji − U_j)` only
+//! shrinks (submodularity, Th. 2); a fresh entry that still beats every
+//! bound below it is therefore the true argmax, and a stale entry that ties
+//! it on gain but wins on weight or index is popped first, refreshed, and —
+//! its gain being unchanged on a genuine tie — selected first, exactly as
+//! the paper's argmax would. Gains are always recomputed from the `TC` row
+//! and the current utilities, in row order, so an answer's `gains` and
+//! `utility` bits depend only on the rows and the selection sequence —
+//! which is what makes "sharded ≡ monolithic" hold bit-for-bit for every ψ
+//! (`crates/core/tests/shard_proptests.rs`). The solver reads `TC` rows
+//! ([`CoverageProvider::covered`]) and nothing else.
 //!
-//! Because it is written against [`CoverageProvider`], this single
-//! implementation serves both exact TOPS (over [`CoverageIndex`]) and
-//! TOPS-Cluster (over cluster representatives, paper Sec. 5.1).
+//! **The paper's Algorithm 1 is the reference.** [`algorithm1_greedy`]
+//! keeps the pseudo-code as printed — a marginal-utility array decremented
+//! through the inverted `SC` lists after every pick (with `α_ji` recomputed
+//! from `ψ_ji` and `U_j` instead of materialized) — as the oracle that
+//! `crates/core/tests/lazy_greedy_proptests.rs` pins the solver to, site
+//! for site, and as the INCG baseline of the paper-figure experiments. It
+//! is the only reader of `SC`, hence its [`InvertedCoverage`] bound, and
+//! nothing on a served path calls it.
+//!
+//! Written against [`CoverageProvider`], the solver serves exact TOPS (over
+//! [`CoverageIndex`]), TOPS-Cluster (over cluster representatives, paper
+//! Sec. 5.1) and the sharded round-2 merge alike.
 //!
 //! [`CoverageIndex`]: crate::coverage::CoverageIndex
 
@@ -33,34 +44,12 @@ use std::time::Instant;
 
 use netclus_trajectory::TrajId;
 
-use crate::coverage::CoverageProvider;
-use crate::preference::PreferenceFunction;
+use crate::coverage::{CoverageProvider, InvertedCoverage};
+use crate::query::TopsQuery;
 use crate::solution::Solution;
 
-/// Parameters of a greedy TOPS run.
-#[derive(Clone, Debug)]
-pub struct GreedyConfig {
-    /// Number of sites to select (`k`).
-    pub k: usize,
-    /// Coverage threshold `τ` in meters (used to score detours).
-    pub tau: f64,
-    /// Preference function `ψ`.
-    pub preference: PreferenceFunction,
-    /// Use CELF-style lazy evaluation instead of the paper's eager updates.
-    pub lazy: bool,
-}
-
-impl GreedyConfig {
-    /// Binary-TOPS config with the paper's defaults in mind.
-    pub fn binary(k: usize, tau: f64) -> Self {
-        GreedyConfig {
-            k,
-            tau,
-            preference: PreferenceFunction::Binary,
-            lazy: false,
-        }
-    }
-}
+/// Parameters of a greedy TOPS run: the query `(k, τ, ψ)` itself.
+pub type GreedyConfig = TopsQuery;
 
 /// Runs Inc-Greedy over `provider`, selecting `cfg.k` sites.
 pub fn inc_greedy<P: CoverageProvider>(provider: &P, cfg: &GreedyConfig) -> Solution {
@@ -76,7 +65,7 @@ pub fn inc_greedy_from<P: CoverageProvider>(
     cfg: &GreedyConfig,
     existing: &[usize],
 ) -> Solution {
-    run_greedy(provider, cfg, existing, None)
+    run_greedy(provider, cfg, existing, None, celf_greedy)
 }
 
 /// Inc-Greedy seeded with per-trajectory baseline utilities — the general
@@ -94,27 +83,48 @@ pub fn inc_greedy_seeded<P: CoverageProvider>(
     cfg: &GreedyConfig,
     seed_utilities: &[f64],
 ) -> Solution {
-    assert_eq!(
-        seed_utilities.len(),
-        provider.traj_id_bound(),
-        "one seed utility per trajectory id required"
-    );
-    run_greedy(provider, cfg, &[], Some(seed_utilities))
+    run_greedy(provider, cfg, &[], Some(seed_utilities), celf_greedy)
 }
+
+/// The paper's Algorithm 1 as printed — the **reference implementation**
+/// the solver behind [`inc_greedy`] is tested against and the INCG baseline
+/// of the paper-figure experiments; see the module docs. `existing` and
+/// `seed_utilities` mean what they mean to [`inc_greedy_from`] and
+/// [`inc_greedy_seeded`] (pass `&[]` / `None` for the plain run).
+///
+/// # Panics
+/// Panics if `seed_utilities` is given with a length other than
+/// `provider.traj_id_bound()`.
+pub fn algorithm1_greedy<P: InvertedCoverage>(
+    provider: &P,
+    cfg: &GreedyConfig,
+    existing: &[usize],
+    seed_utilities: Option<&[f64]>,
+) -> Solution {
+    run_greedy(provider, cfg, existing, seed_utilities, eager_greedy)
+}
+
+/// A solver core: `(provider, cfg, existing, seed utilities)` to the
+/// selection it makes.
+type Solver<P> = fn(&P, &GreedyConfig, &[usize], Option<&[f64]>) -> GreedyState;
 
 fn run_greedy<P: CoverageProvider>(
     provider: &P,
     cfg: &GreedyConfig,
     existing: &[usize],
     seed_utilities: Option<&[f64]>,
+    solver: Solver<P>,
 ) -> Solution {
     assert!(cfg.preference.validate().is_ok(), "invalid preference");
+    if let Some(seed) = seed_utilities {
+        assert_eq!(
+            seed.len(),
+            provider.traj_id_bound(),
+            "one seed utility per trajectory id required"
+        );
+    }
     let start = Instant::now();
-    let state = if cfg.lazy {
-        lazy_greedy(provider, cfg, existing, seed_utilities)
-    } else {
-        eager_greedy(provider, cfg, existing, seed_utilities)
-    };
+    let state = solver(provider, cfg, existing, seed_utilities);
     let covered = state.utilities.iter().filter(|&&u| u > 0.0).count();
     Solution {
         sites: state
@@ -136,8 +146,156 @@ struct GreedyState {
     utilities: Vec<f64>,
 }
 
-/// The paper's Algorithm 1: eager marginal-utility maintenance.
-fn eager_greedy<P: CoverageProvider>(
+/// Site weights `w_i = Σ_j ψ(T_j, s_i)`: the static tie-breaking key and,
+/// while every utility is zero, the marginal gains. Summed over the
+/// distance array of each row alone, in row order.
+fn site_weights<P: CoverageProvider>(provider: &P, cfg: &GreedyConfig) -> Vec<f64> {
+    (0..provider.site_count())
+        .map(|i| {
+            provider
+                .covered(i)
+                .dists
+                .iter()
+                .map(|&d| cfg.preference.score(d, cfg.tau))
+                .sum()
+        })
+        .collect()
+}
+
+/// Marginal gain of site `i` under `utilities`: `Σ_j max(0, ψ_ji − U_j)`
+/// over its row, in row order.
+fn gain_of<P: CoverageProvider>(
+    provider: &P,
+    cfg: &GreedyConfig,
+    i: usize,
+    utilities: &[f64],
+) -> f64 {
+    provider
+        .covered(i)
+        .iter()
+        .map(|(tj, d)| (cfg.preference.score(d, cfg.tau) - utilities[tj as usize]).max(0.0))
+        .sum()
+}
+
+/// The solver: CELF evaluation of Inc-Greedy (see the module docs).
+///
+/// The heap orders by `(gain, static weight w_i, index)`, where `w_i` is
+/// the weight Algorithm 1 breaks ties on — **not** the initial marginal,
+/// which differs from `w_i` under seed utilities or existing services.
+fn celf_greedy<P: CoverageProvider>(
+    provider: &P,
+    cfg: &GreedyConfig,
+    existing: &[usize],
+    seed_utilities: Option<&[f64]>,
+) -> GreedyState {
+    #[derive(PartialEq)]
+    struct Entry {
+        gain: f64,
+        weight: f64,
+        idx: usize,
+        round: usize,
+    }
+    impl Eq for Entry {}
+    impl Ord for Entry {
+        fn cmp(&self, o: &Self) -> std::cmp::Ordering {
+            self.gain
+                .total_cmp(&o.gain)
+                .then(self.weight.total_cmp(&o.weight))
+                .then(self.idx.cmp(&o.idx))
+        }
+    }
+    impl PartialOrd for Entry {
+        fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(o))
+        }
+    }
+
+    let n = provider.site_count();
+    let mut utilities = match seed_utilities {
+        Some(seed) => seed.to_vec(),
+        None => vec![0.0f64; provider.traj_id_bound()],
+    };
+    let mut chosen = vec![false; n];
+
+    let weights = site_weights(provider, cfg);
+
+    // Folds a site into the solution: raise the utilities of its row.
+    let select = |i: usize, utilities: &mut [f64]| {
+        for (tj, d) in provider.covered(i).iter() {
+            let score = cfg.preference.score(d, cfg.tau);
+            if score > utilities[tj as usize] {
+                utilities[tj as usize] = score;
+            }
+        }
+    };
+
+    for &e in existing {
+        assert!(e < n, "existing site index {e} out of range");
+        if !chosen[e] {
+            chosen[e] = true;
+            select(e, &mut utilities);
+        }
+    }
+
+    // With no seed and no existing services every utility is zero, so the
+    // initial gain is exactly the weight ((ψ − 0).max(0) ≡ ψ, summed in
+    // the same row order) — skip the second full pass over the rows.
+    let warm_start = seed_utilities.is_none() && existing.is_empty();
+    let mut heap: BinaryHeap<Entry> = (0..n)
+        .filter(|&i| !chosen[i])
+        .map(|i| Entry {
+            gain: if warm_start {
+                weights[i]
+            } else {
+                gain_of(provider, cfg, i, &utilities)
+            },
+            weight: weights[i],
+            idx: i,
+            round: 0,
+        })
+        .collect();
+
+    // Algorithm 1's selection budget (it subtracts the raw `existing`
+    // length), so the solver and its reference stop after the same picks.
+    let budget = cfg.k.min(n.saturating_sub(existing.len()));
+    let mut selected = Vec::with_capacity(budget);
+    let mut gains = Vec::with_capacity(budget);
+    let mut round = 0usize;
+    while selected.len() < budget {
+        let Some(top) = heap.pop() else { break };
+        if chosen[top.idx] {
+            continue;
+        }
+        if top.round == round {
+            // Fresh value: select it.
+            chosen[top.idx] = true;
+            selected.push(top.idx);
+            gains.push(top.gain.max(0.0));
+            if top.gain > 0.0 {
+                select(top.idx, &mut utilities);
+            }
+            round += 1;
+        } else {
+            // Stale: refresh and push back.
+            heap.push(Entry {
+                gain: gain_of(provider, cfg, top.idx, &utilities),
+                weight: top.weight,
+                idx: top.idx,
+                round,
+            });
+        }
+    }
+
+    GreedyState {
+        selected,
+        gains,
+        utilities,
+    }
+}
+
+/// The reference: the paper's Algorithm 1, eager marginal-utility
+/// maintenance through `SC`.
+fn eager_greedy<P: InvertedCoverage>(
     provider: &P,
     cfg: &GreedyConfig,
     existing: &[usize],
@@ -148,31 +306,11 @@ fn eager_greedy<P: CoverageProvider>(
         Some(seed) => seed.to_vec(),
         None => vec![0.0f64; provider.traj_id_bound()],
     };
-    // Site weights w_i = Σ ψ(T_j, s_i): the tie-breaking key (and, absent
-    // seed utilities, the initial marginals). Only the distance array of
-    // each arena row is touched here.
-    let weights: Vec<f64> = (0..n)
-        .map(|i| {
-            provider
-                .covered(i)
-                .dists
-                .iter()
-                .map(|&d| cfg.preference.score(d, cfg.tau))
-                .sum()
-        })
-        .collect();
+    let weights = site_weights(provider, cfg);
     let mut marginal = match seed_utilities {
         None => weights.clone(),
         Some(_) => (0..n)
-            .map(|i| {
-                provider
-                    .covered(i)
-                    .iter()
-                    .map(|(tj, d)| {
-                        (cfg.preference.score(d, cfg.tau) - utilities[tj as usize]).max(0.0)
-                    })
-                    .sum()
-            })
+            .map(|i| gain_of(provider, cfg, i, &utilities))
             .collect(),
     };
     let mut chosen = vec![false; n];
@@ -227,7 +365,7 @@ fn eager_greedy<P: CoverageProvider>(
 /// Folds site `s` into the solution: raise trajectory utilities and push
 /// the marginal-utility deltas to all sites covering an improved trajectory
 /// (the paper's lines 11–17, with `α_ji` recomputed instead of stored).
-fn apply_selection<P: CoverageProvider>(
+fn apply_selection<P: InvertedCoverage>(
     provider: &P,
     cfg: &GreedyConfig,
     s: usize,
@@ -256,153 +394,11 @@ fn apply_selection<P: CoverageProvider>(
     }
 }
 
-/// CELF lazy greedy: stale heap priorities are upper bounds by
-/// submodularity; re-evaluate only the top until it stays on top.
-///
-/// Tie-breaking mirrors the eager path exactly: the heap orders by
-/// `(gain, static weight w_i, index)`, where `w_i = Σ ψ(T_j, s_i)` is the
-/// same weight the eager loop compares on — **not** the initial marginal,
-/// which differs from `w_i` under seed utilities or existing services. A
-/// stale entry that ties the fresh top on gain is popped first when its
-/// weight (or index) wins, refreshed, and — its refreshed gain being
-/// unchanged on a genuine tie — selected before it, exactly as the eager
-/// argmax would.
-fn lazy_greedy<P: CoverageProvider>(
-    provider: &P,
-    cfg: &GreedyConfig,
-    existing: &[usize],
-    seed_utilities: Option<&[f64]>,
-) -> GreedyState {
-    #[derive(PartialEq)]
-    struct Entry {
-        gain: f64,
-        weight: f64,
-        idx: usize,
-        round: usize,
-    }
-    impl Eq for Entry {}
-    impl Ord for Entry {
-        fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-            self.gain
-                .total_cmp(&o.gain)
-                .then(self.weight.total_cmp(&o.weight))
-                .then(self.idx.cmp(&o.idx))
-        }
-    }
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(o))
-        }
-    }
-
-    let n = provider.site_count();
-    let mut utilities = match seed_utilities {
-        Some(seed) => seed.to_vec(),
-        None => vec![0.0f64; provider.traj_id_bound()],
-    };
-    let mut chosen = vec![false; n];
-
-    // Static tie-breaking weights, computed exactly as the eager path does
-    // (over the distance array alone, in row order) so a gain tie resolves
-    // to the same site in both modes.
-    let weights: Vec<f64> = (0..n)
-        .map(|i| {
-            provider
-                .covered(i)
-                .dists
-                .iter()
-                .map(|&d| cfg.preference.score(d, cfg.tau))
-                .sum()
-        })
-        .collect();
-
-    let gain_of = |i: usize, utilities: &[f64]| -> f64 {
-        provider
-            .covered(i)
-            .iter()
-            .map(|(tj, d)| (cfg.preference.score(d, cfg.tau) - utilities[tj as usize]).max(0.0))
-            .sum()
-    };
-
-    for &e in existing {
-        assert!(e < n, "existing site index {e} out of range");
-        if !chosen[e] {
-            chosen[e] = true;
-            for (tj, d) in provider.covered(e).iter() {
-                let score = cfg.preference.score(d, cfg.tau);
-                if score > utilities[tj as usize] {
-                    utilities[tj as usize] = score;
-                }
-            }
-        }
-    }
-
-    // With no seed and no existing services every utility is zero, so the
-    // initial gain is exactly the weight ((ψ − 0).max(0) ≡ ψ, summed in
-    // the same row order) — skip the second full pass over the rows.
-    let warm_start = seed_utilities.is_none() && existing.is_empty();
-    let mut heap: BinaryHeap<Entry> = (0..n)
-        .filter(|&i| !chosen[i])
-        .map(|i| Entry {
-            gain: if warm_start {
-                weights[i]
-            } else {
-                gain_of(i, &utilities)
-            },
-            weight: weights[i],
-            idx: i,
-            round: 0,
-        })
-        .collect();
-
-    // Same selection budget as the eager loop (which subtracts the raw
-    // `existing` length), so both modes stop after identical iterations.
-    let budget = cfg.k.min(n.saturating_sub(existing.len()));
-    let mut selected = Vec::with_capacity(budget);
-    let mut gains = Vec::with_capacity(budget);
-    let mut round = 0usize;
-    while selected.len() < budget {
-        let Some(top) = heap.pop() else { break };
-        if chosen[top.idx] {
-            continue;
-        }
-        if top.round == round {
-            // Fresh value: select it.
-            chosen[top.idx] = true;
-            selected.push(top.idx);
-            gains.push(top.gain.max(0.0));
-            if top.gain > 0.0 {
-                for (tj, d) in provider.covered(top.idx).iter() {
-                    let score = cfg.preference.score(d, cfg.tau);
-                    if score > utilities[tj as usize] {
-                        utilities[tj as usize] = score;
-                    }
-                }
-            }
-            round += 1;
-        } else {
-            // Stale: refresh and push back.
-            let g = gain_of(top.idx, &utilities);
-            heap.push(Entry {
-                gain: g,
-                weight: top.weight,
-                idx: top.idx,
-                round,
-            });
-        }
-    }
-
-    GreedyState {
-        selected,
-        gains,
-        utilities,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coverage::ReferenceProvider;
+    use crate::preference::PreferenceFunction;
 
     /// The paper's Example 1 (Tables 2 & 3): ψ values realized through
     /// linear decay with τ = 1000:
@@ -425,7 +421,6 @@ mod tests {
             k,
             tau: 1000.0,
             preference: PreferenceFunction::LinearDecay,
-            lazy: false,
         }
     }
 
@@ -445,11 +440,13 @@ mod tests {
     #[test]
     fn example1_lazy_matches_eager() {
         let p = example1();
-        let mut cfg = linear_cfg(2);
-        cfg.lazy = true;
-        let sol = inc_greedy(&p, &cfg);
-        assert_eq!(sol.site_indices, vec![1, 0]);
-        assert!((sol.utility - 0.9).abs() < 1e-9);
+        let reference = algorithm1_greedy(&p, &linear_cfg(2), &[], None);
+        assert_eq!(reference.site_indices, vec![1, 0]);
+        assert!((reference.utility - 0.9).abs() < 1e-9);
+        assert_eq!(
+            inc_greedy(&p, &linear_cfg(2)).site_indices,
+            reference.site_indices
+        );
     }
 
     #[test]
@@ -570,13 +567,7 @@ mod tests {
         assert_eq!(sol.utility, 1.0);
         assert_eq!(sol.site_indices, vec![0]);
         // Graded seed: partial prior coverage leaves partial gain.
-        let cfg = GreedyConfig {
-            k: 1,
-            tau: 100.0,
-            preference: PreferenceFunction::Binary,
-            lazy: false,
-        };
-        let sol = inc_greedy_seeded(&p, &cfg, &[0.25, 0.5]);
+        let sol = inc_greedy_seeded(&p, &GreedyConfig::binary(1, 100.0), &[0.25, 0.5]);
         assert!((sol.utility - (0.75 + 0.5)).abs() < 1e-9);
     }
 
@@ -591,15 +582,9 @@ mod tests {
             ],
         );
         let seed = vec![0.2, 0.9, 0.0, 0.4];
-        let mut cfg = GreedyConfig {
-            k: 2,
-            tau: 1000.0,
-            preference: PreferenceFunction::LinearDecay,
-            lazy: false,
-        };
-        let eager = inc_greedy_seeded(&p, &cfg, &seed);
-        cfg.lazy = true;
-        let lazy = inc_greedy_seeded(&p, &cfg, &seed);
+        let eager = algorithm1_greedy(&p, &linear_cfg(2), &[], Some(&seed));
+        let lazy = inc_greedy_seeded(&p, &linear_cfg(2), &seed);
+        assert_eq!(eager.site_indices, lazy.site_indices);
         assert!((eager.utility - lazy.utility).abs() < 1e-9);
     }
 
@@ -644,16 +629,9 @@ mod tests {
                 })
                 .collect();
             let p = ReferenceProvider::new(m, tc);
-            let cfg = GreedyConfig {
-                k: rng.random_range(1..6),
-                tau: 1000.0,
-                preference: PreferenceFunction::LinearDecay,
-                lazy: false,
-            };
-            let eager = inc_greedy(&p, &cfg);
-            let mut lazy_cfg = cfg.clone();
-            lazy_cfg.lazy = true;
-            let lazy = inc_greedy(&p, &lazy_cfg);
+            let cfg = linear_cfg(rng.random_range(1..6));
+            let eager = algorithm1_greedy(&p, &cfg, &[], None);
+            let lazy = inc_greedy(&p, &cfg);
             assert!(
                 (eager.utility - lazy.utility).abs() < 1e-6,
                 "trial {trial}: eager {} vs lazy {}",

@@ -24,7 +24,8 @@
 //! | Preference family `ψ` (Def. 2, Sec. 7.4) | [`preference`] |
 //! | Detour distance `dr(T_j, s_i)` (Sec. 2) | [`detour`] |
 //! | Coverage sets `TC`/`SC` (Sec. 3.2) | [`coverage`] |
-//! | Inc-Greedy (Sec. 3.3, Alg. 1) | [`greedy`] |
+//! | Inc-Greedy (Sec. 3.3), CELF-evaluated: the one solver of every served path | [`greedy`] |
+//! | Algorithm 1 as printed: the reference the solver is tested against | [`greedy::algorithm1_greedy`] |
 //! | FM-sketch greedy (Sec. 3.5) | [`mod@fm_greedy`] |
 //! | Optimal solver (Sec. 3.1) | [`exact`] |
 //! | Greedy-GDSP clustering (Sec. 4.1) | [`gdsp`] |
@@ -133,18 +134,22 @@ pub mod prelude {
     pub use crate::capacity::{tops_capacity, CapacityConfig};
     pub use crate::cluster::RepresentativeStrategy;
     pub use crate::cost::{tops_cost, CostConfig};
-    pub use crate::coverage::{CoverageIndex, CoverageProvider, ReferenceProvider};
+    pub use crate::coverage::{
+        CoverageIndex, CoverageProvider, InvertedCoverage, ReferenceProvider,
+    };
     pub use crate::detour::{DetourEngine, DetourModel};
     pub use crate::exact::{exact_optimal, ExactConfig, ExactResult};
     pub use crate::fm_greedy::{
         build_site_sketches, fm_greedy, fm_greedy_prebuilt, FmGreedyConfig,
     };
     pub use crate::gdsp::{greedy_gdsp, GdspConfig, GdspMode};
-    pub use crate::greedy::{inc_greedy, inc_greedy_from, inc_greedy_seeded, GreedyConfig};
+    pub use crate::greedy::{
+        algorithm1_greedy, inc_greedy, inc_greedy_from, inc_greedy_seeded, GreedyConfig,
+    };
     pub use crate::index::{estimate_tau_range, NetClusConfig, NetClusIndex, NetworkClustering};
     pub use crate::jaccard::{jaccard_clustering, JaccardConfig};
     pub use crate::market::{tops_market_share, MarketShareConfig};
-    pub use crate::memory::{format_bytes, HeapSize};
+    pub use crate::memory::format_bytes;
     pub use crate::preference::PreferenceFunction;
     pub use crate::query::{
         quantize_tau, ClusteredProvider, NetClusAnswer, ProviderScratch, TopsQuery,

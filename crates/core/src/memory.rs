@@ -1,60 +1,11 @@
-//! Uniform memory accounting (DESIGN.md decision 8).
+//! Memory reporting for the paper's Tables 9 and 12.
 //!
-//! The paper's Table 9 and Table 12 compare the memory footprints of
-//! Inc-Greedy's coverage sets against the NetClus index. [`HeapSize`]
-//! exposes every measurable structure through one trait so the benchmark
-//! harness reports like against like: live heap bytes of the data
-//! structures themselves, independent of allocator or runtime overhead
-//! (the paper's JVM numbers include such overhead; relative ordering is
-//! what must reproduce).
-//!
-//! Coverage lists now live in flat CSR arenas ([`crate::arena`]): 12
-//! bytes per `(id, distance)` pair plus one 4-byte offset per row,
-//! replacing the 16-bytes-per-pair + 24-bytes-per-list `Vec<Vec<_>>`
-//! layout. The accounting here reports the arena layout's real (smaller)
-//! footprint; [`crate::coverage::ReferenceProvider::vec_layout_bytes`]
-//! models the legacy layout for before/after comparisons.
-
-use crate::arena::{PairArena, RowArena};
-use crate::coverage::CoverageIndex;
-use crate::index::NetClusIndex;
-use crate::query::ClusteredProvider;
-
-/// Approximate live heap bytes owned by a structure.
-pub trait HeapSize {
-    /// Heap bytes reachable from `self` (excluding `size_of::<Self>()`).
-    fn heap_size_bytes(&self) -> usize;
-}
-
-impl HeapSize for CoverageIndex {
-    fn heap_size_bytes(&self) -> usize {
-        CoverageIndex::heap_size_bytes(self)
-    }
-}
-
-impl HeapSize for NetClusIndex {
-    fn heap_size_bytes(&self) -> usize {
-        NetClusIndex::heap_size_bytes(self)
-    }
-}
-
-impl HeapSize for ClusteredProvider {
-    fn heap_size_bytes(&self) -> usize {
-        ClusteredProvider::heap_size_bytes(self)
-    }
-}
-
-impl HeapSize for PairArena {
-    fn heap_size_bytes(&self) -> usize {
-        PairArena::heap_size_bytes(self)
-    }
-}
-
-impl HeapSize for RowArena {
-    fn heap_size_bytes(&self) -> usize {
-        RowArena::heap_size_bytes(self)
-    }
-}
+//! Those tables compare the footprint of Inc-Greedy's coverage sets with
+//! the NetClus index. Every measurable structure has an inherent
+//! `heap_size_bytes` — live heap bytes of the data structure itself,
+//! independent of allocator or runtime overhead (the paper's JVM numbers
+//! include such overhead; relative ordering is what must reproduce) — and
+//! [`format_bytes`] prints them.
 
 /// Pretty-prints a byte count with binary units (e.g. `"3.22 GiB"`).
 pub fn format_bytes(bytes: usize) -> String {

@@ -22,29 +22,31 @@
 //!
 //! ## Hot-path layout and parallelism
 //!
-//! The provider's `T̂C`/`ŜC` lists live in flat [`PairArena`]s (see
+//! The provider's `T̂C` rows live in one flat [`PairArena`] (see
 //! [`crate::arena`]); per-representative rows are computed in parallel
 //! shards (each worker with its own stamped scratch, merged in cluster
-//! order — bit-identical to the sequential build) and `ŜC` is filled by a
-//! counting-sort inversion. Callers answering many queries should reuse a
+//! order — bit-identical to the sequential build). There is no inverted
+//! `ŜC`: the solvers that run on a provider read `T̂C` alone (see
+//! [`crate::coverage`]). Callers answering many queries should reuse a
 //! [`ProviderScratch`] across builds ([`ClusteredProvider::build_with`])
 //! so the stamped arrays are allocated once per worker, not per query.
 
 use std::time::{Duration, Instant};
 
 use netclus_roadnet::NodeId;
-use netclus_trajectory::{TrajId, TrajectorySet};
+use netclus_trajectory::TrajectorySet;
 
 use crate::arena::{PairArena, PairArenaBuilder, PairSlice};
 use crate::cluster::{Cluster, ClusterInstance};
 use crate::coverage::CoverageProvider;
 use crate::fm_greedy::{fm_greedy, FmGreedyConfig};
-use crate::greedy::{inc_greedy_from, GreedyConfig};
+use crate::greedy::{inc_greedy, inc_greedy_seeded};
 use crate::index::NetClusIndex;
 use crate::preference::PreferenceFunction;
 use crate::solution::Solution;
 
-/// A TOPS query `(k, τ, ψ)`.
+/// A TOPS query `(k, τ, ψ)` — also the whole configuration of a greedy run
+/// ([`crate::greedy::GreedyConfig`] is this type).
 #[derive(Clone, Copy, Debug)]
 pub struct TopsQuery {
     /// Number of service locations to select.
@@ -139,8 +141,6 @@ pub struct ClusteredProvider {
     rep_cluster: Vec<u32>,
     /// `T̂C` rows, ascending by estimated detour.
     tc: PairArena,
-    /// Inverted `ŜC` rows, ascending by provider index.
-    sc: PairArena,
     traj_id_bound: usize,
     build_time: Duration,
 }
@@ -166,7 +166,7 @@ impl ClusteredProvider {
     /// `scratch` across calls. The output is bit-identical for every
     /// thread count: representatives are sharded contiguously, each worker
     /// computes its rows independently, and the shards are concatenated in
-    /// cluster order before the counting-sort `ŜC` inversion.
+    /// cluster order.
     pub fn build_with(
         instance: &ClusterInstance,
         tau: f64,
@@ -219,13 +219,10 @@ impl ClusteredProvider {
             PairArena::concat(parts)
         };
 
-        let sc = tc.invert_threaded(traj_id_bound, workers);
-
         ClusteredProvider {
             reps,
             rep_cluster,
             tc,
-            sc,
             traj_id_bound,
             build_time: start.elapsed(),
         }
@@ -247,13 +244,10 @@ impl ClusteredProvider {
     }
 
     /// Approximate heap footprint in bytes (the query-time working set of
-    /// NetClus beyond the index itself) — flat arenas, see
+    /// NetClus beyond the index itself) — one flat arena, see
     /// [`crate::arena`].
     pub fn heap_size_bytes(&self) -> usize {
-        self.tc.heap_size_bytes()
-            + self.sc.heap_size_bytes()
-            + self.reps.capacity() * 4
-            + self.rep_cluster.capacity() * 4
+        self.tc.heap_size_bytes() + self.reps.capacity() * 4 + self.rep_cluster.capacity() * 4
     }
 }
 
@@ -322,10 +316,6 @@ impl CoverageProvider for ClusteredProvider {
     fn covered(&self, idx: usize) -> PairSlice<'_> {
         self.tc.row(idx)
     }
-
-    fn covering(&self, tj: TrajId) -> PairSlice<'_> {
-        self.sc.row(tj.index())
-    }
 }
 
 /// A NetClus query answer.
@@ -388,13 +378,7 @@ impl NetClusIndex {
         instance: usize,
         q: &TopsQuery,
     ) -> NetClusAnswer {
-        let cfg = GreedyConfig {
-            k: q.k,
-            tau: q.tau,
-            preference: q.preference,
-            lazy: false,
-        };
-        let solution = inc_greedy_from(provider, &cfg, &[]);
+        let solution = inc_greedy(provider, q);
         NetClusAnswer {
             representatives: provider.site_count(),
             instance,
@@ -465,13 +449,7 @@ impl NetClusIndex {
                 }
             }
         }
-        let cfg = GreedyConfig {
-            k: q.k,
-            tau: q.tau,
-            preference: q.preference,
-            lazy: false,
-        };
-        let mut solution = crate::greedy::inc_greedy_seeded(&provider, &cfg, &seed);
+        let mut solution = inc_greedy_seeded(&provider, q, &seed);
         solution.elapsed += provider.build_time();
         NetClusAnswer {
             representatives: provider.site_count(),
@@ -507,7 +485,7 @@ mod tests {
     use crate::index::{NetClusConfig, NetClusIndex};
     use crate::solution::evaluate_sites;
     use netclus_roadnet::{Point, RoadNetwork, RoadNetworkBuilder};
-    use netclus_trajectory::Trajectory;
+    use netclus_trajectory::{TrajId, Trajectory};
 
     /// Line network 0..30, 100 m apart, with bundles of trajectories on
     /// two separated segments.
@@ -595,14 +573,13 @@ mod tests {
                     &mut scratch,
                 );
                 assert_eq!(seq.site_count(), par.site_count());
+                assert_eq!(seq.pair_count(), par.pair_count());
+                // Every pair is accounted, at 12 bytes.
+                assert!(par.heap_size_bytes() >= 12 * par.pair_count());
                 for i in 0..seq.site_count() {
                     assert_eq!(seq.site_node(i), par.site_node(i));
                     assert_eq!(seq.cluster_of(i), par.cluster_of(i));
                     assert_eq!(seq.covered(i), par.covered(i), "τ={tau} row {i}");
-                }
-                for j in 0..trajs.id_bound() {
-                    let tj = TrajId(j as u32);
-                    assert_eq!(seq.covering(tj), par.covering(tj), "τ={tau} SC {j}");
                 }
             }
         }
@@ -781,21 +758,5 @@ mod tests {
         for tau in [0.0, 1e-4, 0.001, 0.37, 123.456, 99_999.999, 1.0e7] {
             assert_eq!(quantize_tau(quantize_tau(tau)), quantize_tau(tau));
         }
-    }
-
-    #[test]
-    fn provider_sc_inverts_tc() {
-        let (net, trajs, sites) = fixture();
-        let idx = index(&net, &trajs, &sites);
-        let provider = ClusteredProvider::build(idx.instance(1), 600.0, trajs.id_bound());
-        for i in 0..provider.site_count() {
-            for (tj, d) in provider.covered(i).iter() {
-                assert!(provider
-                    .covering(TrajId(tj))
-                    .iter()
-                    .any(|(si, d2)| si as usize == i && d2 == d));
-            }
-        }
-        assert!(provider.heap_size_bytes() > 0);
     }
 }

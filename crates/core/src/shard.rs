@@ -21,11 +21,11 @@
 //! Queries run the GreeDi-style two-round protocol of distributed
 //! submodular maximization (Mirzasoleiman et al., NIPS '13):
 //!
-//! 1. **Scatter** — each shard answers the query locally with the existing
-//!    arena-backed Inc-Greedy over its cluster representatives, producing
-//!    at most `k` local candidates together with their coverage rows.
-//! 2. **Gather** — exact Inc-Greedy re-runs over the union of the at most
-//!    `shards × k` candidates on the merged coverage view.
+//! 1. **Scatter** — each shard answers the query locally with
+//!    [`inc_greedy`] over its cluster representatives, producing at most
+//!    `k` local candidates together with their coverage rows.
+//! 2. **Gather** — the same [`inc_greedy`] re-runs over the union of the at
+//!    most `shards × k` candidates on the merged coverage view.
 //!
 //! Both rounds are `(1 − 1/e)`-greedy, so the composition carries the
 //! GreeDi `(1 − 1/e)²/ min(√k, #shards)`-flavored worst-case bound; in the
@@ -39,9 +39,12 @@
 //! max-gain → max-weight → highest-index rule over the same
 //! cluster-ordered candidates), so every monolithic pick reaches the
 //! round-2 union, where the same tie-breaking reproduces the monolithic
-//! sequence. `crates/core/tests/shard_proptests.rs` checks this for shard
-//! counts 1, 2 and 4 on random partition-respecting corpora, along with
-//! the replication invariants.
+//! sequence. The gains and the utility agree to the last bit as well, for
+//! every ψ: all three runs are the one solver, which recomputes a gain
+//! from the site's row and the utilities of the trajectories in it, and
+//! both are the same on either side. `crates/core/tests/shard_proptests.rs`
+//! checks this for shard counts 1, 2 and 4 and the three ψ on random
+//! partition-respecting corpora, along with the replication invariants.
 //!
 //! All shards share one [`NetworkClustering`] (the GDSP ladder is corpus-
 //! independent), so cluster ids are globally consistent — the round-2
@@ -51,11 +54,11 @@
 use std::time::{Duration, Instant};
 
 use netclus_roadnet::{NodeId, RegionPartition, RoadNetwork};
-use netclus_trajectory::{TrajId, Trajectory, TrajectorySet};
+use netclus_trajectory::{Trajectory, TrajectorySet};
 
 use crate::arena::{PairArena, PairArenaBuilder, PairSlice};
 use crate::coverage::CoverageProvider;
-use crate::greedy::{inc_greedy_from, GreedyConfig};
+use crate::greedy::inc_greedy;
 use crate::index::{NetClusConfig, NetClusIndex, NetworkClustering};
 use crate::query::{ClusteredProvider, ProviderScratch, TopsQuery};
 use crate::solution::Solution;
@@ -630,24 +633,13 @@ pub fn local_candidates(
 /// coverage rows. `instance` names the index instance the provider was
 /// built from; `elapsed` covers the solver + row copies only — the caller
 /// decides whether a (possibly cached) provider build counts.
-///
-/// The local greedy runs in CELF lazy mode — site-for-site identical to
-/// the eager Inc-Greedy under the paper's tie-breaking (see
-/// [`crate::greedy`]) but skipping most marginal recomputations, which is
-/// where warm round-1 latency goes once providers are cached.
 pub fn local_candidates_on(
     provider: &ClusteredProvider,
     instance: usize,
     q: &TopsQuery,
 ) -> ShardRoundOne {
     let start = Instant::now();
-    let cfg = GreedyConfig {
-        k: q.k,
-        tau: q.tau,
-        preference: q.preference,
-        lazy: true,
-    };
-    let solution = inc_greedy_from(provider, &cfg, &[]);
+    let solution = inc_greedy(provider, q);
     let solve_us = start.elapsed().as_micros() as u64;
     let candidates = solution
         .site_indices
@@ -682,7 +674,6 @@ pub fn local_candidates_on(
 pub struct MergedCandidateProvider {
     nodes: Vec<NodeId>,
     tc: PairArena,
-    sc: PairArena,
     traj_id_bound: usize,
 }
 
@@ -702,12 +693,9 @@ impl MergedCandidateProvider {
             nodes.push(c.node);
             b.push_row(c.row.iter().copied());
         }
-        let tc = b.finish();
-        let sc = tc.invert(traj_id_bound);
         MergedCandidateProvider {
             nodes,
-            tc,
-            sc,
+            tc: b.finish(),
             traj_id_bound,
         }
     }
@@ -729,15 +717,10 @@ impl CoverageProvider for MergedCandidateProvider {
     fn covered(&self, idx: usize) -> PairSlice<'_> {
         self.tc.row(idx)
     }
-
-    fn covering(&self, tj: TrajId) -> PairSlice<'_> {
-        self.sc.row(tj.index())
-    }
 }
 
 /// Round 2: exact greedy over the candidate union on the merged coverage
-/// view. Returns the solution and the union size. Runs in CELF lazy mode —
-/// site-for-site identical to the eager path (see [`crate::greedy`]).
+/// view. Returns the solution and the union size.
 pub fn merge_candidates(
     candidates: Vec<Candidate>,
     q: &TopsQuery,
@@ -750,7 +733,7 @@ pub fn merge_candidates(
 /// Wall-clock split of one round-2 merge (see [`merge_candidates_timed`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MergeTiming {
-    /// Building the merged coverage view (dedup + arena + inversion).
+    /// Building the merged coverage view (sort + dedup + arena).
     pub build_us: u64,
     /// The exact greedy over the merged view.
     pub solve_us: u64,
@@ -767,15 +750,9 @@ pub fn merge_candidates_timed(
     let t = Instant::now();
     let provider = MergedCandidateProvider::new(candidates, traj_id_bound);
     let build_us = t.elapsed().as_micros() as u64;
-    let cfg = GreedyConfig {
-        k: q.k,
-        tau: q.tau,
-        preference: q.preference,
-        lazy: true,
-    };
     let n = provider.site_count();
     let t = Instant::now();
-    let solution = inc_greedy_from(&provider, &cfg, &[]);
+    let solution = inc_greedy(&provider, q);
     let solve_us = t.elapsed().as_micros() as u64;
     (solution, n, MergeTiming { build_us, solve_us })
 }
@@ -1023,7 +1000,7 @@ mod tests {
     }
 
     #[test]
-    fn merged_provider_dedups_and_inverts() {
+    fn merged_provider_dedups_and_orders() {
         let c = |node: u32, cluster: u32, row: Vec<(u32, f64)>| Candidate {
             node: NodeId(node),
             cluster,
@@ -1042,11 +1019,7 @@ mod tests {
         assert_eq!(provider.site_node(0), NodeId(3));
         assert_eq!(provider.site_node(1), NodeId(7));
         assert_eq!(provider.covered(1).to_pairs(), vec![(0, 5.0), (1, 6.0)]);
-        assert_eq!(
-            provider.covering(TrajId(1)).to_pairs(),
-            vec![(0, 2.0), (1, 6.0)]
-        );
-        assert!(provider.covering(TrajId(2)).is_empty());
+        assert_eq!(provider.covered(0).to_pairs(), vec![(1, 2.0)]);
         assert_eq!(provider.traj_id_bound(), 3);
     }
 

@@ -1,29 +1,29 @@
-//! Property tests pinning the CELF lazy greedy to the eager Inc-Greedy
-//! **site for site** — the equivalence that lets the sharded round-1
-//! local greedy and the round-2 candidate merge run in lazy mode while
-//! the "bit-identical to the monolithic (eager) answer" contract of
-//! `netclus::shard` keeps holding.
+//! Property tests pinning the solver behind `inc_greedy` (the CELF lazy
+//! evaluation) to the paper's Algorithm 1 (`algorithm1_greedy`, the eager
+//! reference) **site for site** — what makes every served answer the
+//! paper's Inc-Greedy answer, tie-breaking included.
 //!
 //! Two value regimes make the assertions exact rather than
 //! approximately-equal:
 //!
 //! * **binary ψ** — scores are 0/1, so every weight, marginal and gain is
-//!   a small integer: the eager path's incremental marginal maintenance
-//!   and the lazy path's from-scratch recomputation produce *identical*
+//!   a small integer: Algorithm 1's incremental marginal maintenance and
+//!   the solver's from-scratch recomputation produce *identical*
 //!   floating-point values, and any selection divergence is a real
 //!   tie-breaking bug, not rounding noise;
 //! * **dyadic linear decay** — detours are multiples of ¼ against
 //!   τ = 1024, so `ψ = 1 − d/τ` carries at most 12 fractional bits and
-//!   every sum/difference the two paths compute stays exactly
-//!   representable. Graded scores exercise the `max-weight` tie-break
-//!   with real-valued gains, still bit-for-bit.
+//!   every sum/difference the two compute stays exactly representable.
+//!   Graded scores exercise the `max-weight` tie-break with real-valued
+//!   gains, still bit-for-bit.
 //!
 //! A third group checks the **greedy prefix property** (the `k'`-run is
-//! literally the first `k'` steps of the `k`-run, either mode) — the
-//! invariant the serving layer's round-1 candidate memo slices on — and a
-//! fourth replays the equivalence on real [`ClusteredProvider`] and
+//! literally the first `k'` steps of the `k`-run) — the invariant the
+//! serving layer's round-1 candidate memo slices on — and a fourth replays
+//! the equivalence on the rows of real [`ClusteredProvider`] and
 //! [`MergedCandidateProvider`] instances, the two provider shapes the
-//! sharded query path actually runs on.
+//! query paths actually run on. Those carry no `SC`, so the Algorithm 1
+//! side runs on a [`ReferenceProvider`] holding a copy of their rows.
 
 use netclus::prelude::*;
 use netclus::shard::{local_candidates, MergedCandidateProvider};
@@ -74,13 +74,23 @@ fn provider(inst: &Instance) -> ReferenceProvider {
     ReferenceProvider::new(inst.m, inst.rows.clone())
 }
 
-fn cfg(k: usize, preference: PreferenceFunction, lazy: bool) -> GreedyConfig {
+fn cfg(k: usize, preference: PreferenceFunction) -> GreedyConfig {
     GreedyConfig {
         k,
         tau: TAU,
         preference,
-        lazy,
     }
+}
+
+/// The rows and site nodes of `p`, copied into the provider Algorithm 1
+/// can run on.
+fn reference_copy<P: CoverageProvider>(p: &P) -> ReferenceProvider {
+    let n = p.site_count();
+    ReferenceProvider::with_nodes(
+        p.traj_id_bound(),
+        (0..n).map(|i| p.covered(i).to_pairs()).collect(),
+        (0..n).map(|i| p.site_node(i)).collect(),
+    )
 }
 
 /// Bitwise equality of two greedy runs: same sites in the same order,
@@ -103,8 +113,8 @@ proptest! {
     fn lazy_equals_eager_site_for_site(inst in instance_strategy(), k in 1usize..8) {
         let p = provider(&inst);
         for pref in [PreferenceFunction::Binary, PreferenceFunction::LinearDecay] {
-            let eager = inc_greedy(&p, &cfg(k, pref, false));
-            let lazy = inc_greedy(&p, &cfg(k, pref, true));
+            let eager = algorithm1_greedy(&p, &cfg(k, pref), &[], None);
+            let lazy = inc_greedy(&p, &cfg(k, pref));
             assert_identical(&eager, &lazy, "plain");
         }
     }
@@ -126,8 +136,8 @@ proptest! {
         existing.sort_unstable();
         existing.dedup();
         for pref in [PreferenceFunction::Binary, PreferenceFunction::LinearDecay] {
-            let eager = inc_greedy_from(&p, &cfg(k, pref, false), &existing);
-            let lazy = inc_greedy_from(&p, &cfg(k, pref, true), &existing);
+            let eager = algorithm1_greedy(&p, &cfg(k, pref), &existing, None);
+            let lazy = inc_greedy_from(&p, &cfg(k, pref), &existing);
             assert_identical(&eager, &lazy, "existing");
         }
     }
@@ -147,39 +157,43 @@ proptest! {
             .map(|j| seed_64ths[j % seed_64ths.len()] as f64 / 64.0)
             .collect();
         for pref in [PreferenceFunction::Binary, PreferenceFunction::LinearDecay] {
-            let eager = inc_greedy_seeded(&p, &cfg(k, pref, false), &seed);
-            let lazy = inc_greedy_seeded(&p, &cfg(k, pref, true), &seed);
+            let eager = algorithm1_greedy(&p, &cfg(k, pref), &[], Some(&seed));
+            let lazy = inc_greedy_seeded(&p, &cfg(k, pref), &seed);
             assert_identical(&eager, &lazy, "seeded");
         }
     }
 
-    /// The greedy prefix property, both modes: the `k'`-run is exactly
-    /// the first `k'` steps of the `k`-run. This is what lets a memoized
-    /// round-1 answer every smaller-`k` repeat by slicing.
+    /// The greedy prefix property, solver and reference: the `k'`-run is
+    /// exactly the first `k'` steps of the `k`-run. This is what lets a
+    /// memoized round-1 answer every smaller-`k` repeat by slicing.
     #[test]
     fn greedy_prefix_property(inst in instance_strategy(), k in 2usize..8) {
         let p = provider(&inst);
         for pref in [PreferenceFunction::Binary, PreferenceFunction::LinearDecay] {
-            for lazy in [false, true] {
-                let full = inc_greedy(&p, &cfg(k, pref, lazy));
+            let solver = |k| inc_greedy(&p, &cfg(k, pref));
+            let reference = |k| algorithm1_greedy(&p, &cfg(k, pref), &[], None);
+            let runs: [(&str, &dyn Fn(usize) -> Solution); 2] =
+                [("solver", &solver), ("reference", &reference)];
+            for (who, run) in runs {
+                let full = run(k);
                 for k_small in 1..k {
-                    let small = inc_greedy(&p, &cfg(k_small, pref, lazy));
+                    let small = run(k_small);
                     let keep = k_small.min(full.site_indices.len());
                     prop_assert_eq!(
                         &small.site_indices,
                         &full.site_indices[..keep].to_vec(),
-                        "prefix k'={} of k={} (lazy={})",
+                        "{}: prefix k'={} of k={}",
+                        who,
                         k_small,
-                        k,
-                        lazy
+                        k
                     );
                     for (i, (x, y)) in small.gains.iter().zip(&full.gains).enumerate() {
                         prop_assert_eq!(
                             x.to_bits(),
                             y.to_bits(),
-                            "prefix gain {} (lazy={})",
-                            i,
-                            lazy
+                            "{}: prefix gain {}",
+                            who,
+                            i
                         );
                     }
                 }
@@ -228,8 +242,8 @@ fn build_net(inst: &NetInstance) -> (netclus_roadnet::RoadNetwork, TrajectorySet
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Lazy ≡ eager on the two provider shapes of the sharded query path:
-    /// the per-shard [`ClusteredProvider`] (round 1) and the
+    /// Lazy ≡ eager on the two provider shapes of the query paths: the
+    /// [`ClusteredProvider`] (monolithic query, sharded round 1) and the
     /// [`MergedCandidateProvider`] over the round-1 union (round 2).
     /// Binary ψ keeps every value integral, so equality is exact.
     #[test]
@@ -253,9 +267,8 @@ proptest! {
         let tau = tau_steps as f64 * 100.0;
         let (_, provider) = index.build_provider(tau, trajs.id_bound());
         let q = TopsQuery::binary(k, tau);
-        let greedy_cfg = |lazy| GreedyConfig { k, tau, preference: q.preference, lazy };
-        let eager = inc_greedy(&provider, &greedy_cfg(false));
-        let lazy = inc_greedy(&provider, &greedy_cfg(true));
+        let eager = algorithm1_greedy(&reference_copy(&provider), &q, &[], None);
+        let lazy = inc_greedy(&provider, &q);
         assert_identical(&eager, &lazy, "clustered provider");
 
         // Round 2's provider: the merged candidate union of a round-1 run.
@@ -264,8 +277,8 @@ proptest! {
         prop_assert_eq!(&round.candidates.iter().map(|c| c.node).collect::<Vec<_>>(),
                         &eager.sites, "round 1 must reproduce the eager selection");
         let merged = MergedCandidateProvider::new(round.candidates, trajs.id_bound());
-        let eager_merge = inc_greedy(&merged, &greedy_cfg(false));
-        let lazy_merge = inc_greedy(&merged, &greedy_cfg(true));
+        let eager_merge = algorithm1_greedy(&reference_copy(&merged), &q, &[], None);
+        let lazy_merge = inc_greedy(&merged, &q);
         assert_identical(&eager_merge, &lazy_merge, "merged provider");
     }
 }

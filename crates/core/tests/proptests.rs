@@ -313,10 +313,6 @@ proptest! {
                 let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 prop_assert_eq!(bits(a.dists), bits(b.dists), "threads {} TC dists {}", threads, i);
             }
-            for j in 0..trajs.id_bound() {
-                let tj = TrajId(j as u32);
-                prop_assert_eq!(seq.covering(tj), par.covering(tj), "threads {} SC {}", threads, j);
-            }
             let q = TopsQuery::binary(k, tau);
             let a = index.query_on(&seq, p, &q);
             let b = index.query_on(&par, p, &q);

@@ -160,7 +160,10 @@ proptest! {
     }
 
     /// (b) Sharded top-k equals monolithic top-k on partition-respecting
-    /// corpora, for shard counts 1, 2, 4.
+    /// corpora, for shard counts 1, 2, 4 and the three ψ — sites, per-pick
+    /// gains and utility to the last bit: every run is the one solver, and
+    /// a gain is a function of the site's row and its trajectories'
+    /// utilities, which are the same on either side.
     #[test]
     fn sharded_topk_equals_monolithic_on_respecting_corpora(
         inst in instance_strategy(),
@@ -171,25 +174,44 @@ proptest! {
         let sites: Vec<NodeId> = net.nodes().collect();
         let cfg = netclus_config();
         let mono = NetClusIndex::build(&net, &trajs, &sites, cfg);
-        let q = TopsQuery::binary(k, tau);
-        let want = mono.query(&trajs, &q);
-        for shards in [1usize, 2, 4] {
-            let assignment: Vec<u32> = region_of.iter().map(|&r| r % shards as u32).collect();
-            let partition = RegionPartition::from_assignment(assignment, shards);
-            let sharded = ShardedNetClusIndex::build(&net, &trajs, &sites, &partition, cfg);
-            let got = sharded.query(&q);
-            prop_assert_eq!(
-                &got.solution.sites, &want.solution.sites,
-                "shards={} k={} tau={}: {:?} vs {:?}",
-                shards, k, tau, got.solution.sites, want.solution.sites
-            );
-            prop_assert!(
-                (got.solution.utility - want.solution.utility).abs() < 1e-9,
-                "shards={}: utility {} vs {}",
-                shards, got.solution.utility, want.solution.utility
-            );
-            prop_assert_eq!(got.instance, want.instance);
-            prop_assert!(got.candidates <= shards * k);
+        let sharded: Vec<ShardedNetClusIndex> = [1usize, 2, 4]
+            .iter()
+            .map(|&shards| {
+                let assignment: Vec<u32> =
+                    region_of.iter().map(|&r| r % shards as u32).collect();
+                let partition = RegionPartition::from_assignment(assignment, shards);
+                ShardedNetClusIndex::build(&net, &trajs, &sites, &partition, cfg)
+            })
+            .collect();
+        for preference in [
+            PreferenceFunction::Binary,
+            PreferenceFunction::LinearDecay,
+            PreferenceFunction::ConvexProbability { alpha: 2.0 },
+        ] {
+            let q = TopsQuery { k, tau, preference };
+            let want = mono.query(&trajs, &q);
+            let bits = |gains: &[f64]| gains.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+            for sharded in &sharded {
+                let shards = sharded.shard_count();
+                let got = sharded.query(&q);
+                prop_assert_eq!(
+                    &got.solution.sites, &want.solution.sites,
+                    "shards={} {:?}: {:?} vs {:?}",
+                    shards, q, got.solution.sites, want.solution.sites
+                );
+                prop_assert_eq!(
+                    bits(&got.solution.gains), bits(&want.solution.gains),
+                    "shards={} {:?}: gains {:?} vs {:?}",
+                    shards, q, got.solution.gains, want.solution.gains
+                );
+                prop_assert_eq!(
+                    got.solution.utility.to_bits(), want.solution.utility.to_bits(),
+                    "shards={} {:?}: utility {} vs {}",
+                    shards, q, got.solution.utility, want.solution.utility
+                );
+                prop_assert_eq!(got.instance, want.instance);
+                prop_assert!(got.candidates <= shards * k);
+            }
         }
     }
 }

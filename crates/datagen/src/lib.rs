@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates on the T-Drive Beijing taxi corpus and three
 //! MNTG-generated city workloads, none of which are redistributable. This
-//! crate generates topology-matched synthetic substitutes (DESIGN.md §5):
+//! crate generates topology-matched synthetic substitutes:
 //!
 //! * [`city`] — road-network generators: mesh (Atlanta-like), star
 //!   (New York-like), polycentric (Bangalore-like), ring-radial

@@ -10,7 +10,7 @@
 //!
 //! The real corpora are not redistributable; these presets generate
 //! topology-matched synthetic equivalents, scaled so that every experiment
-//! of the benchmark harness completes on one machine (see DESIGN.md §5/§7).
+//! of the benchmark harness completes on one machine.
 //! The `scale` knob multiplies both node and trajectory counts; `--full`
 //! in the harness requests paper scale.
 

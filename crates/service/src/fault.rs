@@ -360,8 +360,9 @@ enum BreakerPhase {
 }
 
 /// Per-shard circuit breaker: closed → open → half-open with
-/// single-probe admission. Outcomes are recorded by the gather (the one
-/// place every task's fate is known), so a task is counted exactly once.
+/// single-probe admission. A task is counted exactly once: a half-open
+/// probe by the worker that ends it (its gather may be long gone — the
+/// probe rides beside a healthy sibling), every other task by its gather.
 pub struct CircuitBreaker {
     cfg: BreakerConfig,
     phase: Mutex<BreakerPhase>,

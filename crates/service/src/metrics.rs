@@ -230,7 +230,7 @@ pub struct ProcessGauges {
     /// `/proc/self/statm` is unavailable, i.e. off Linux).
     pub rss_bytes: Option<u64>,
     /// Bytes resident in the published snapshot's index arenas, from the
-    /// existing footprint accounting ([`netclus::memory::HeapSize`]);
+    /// existing footprint accounting (`NetClusIndex::heap_size_bytes`);
     /// filled in by the service/router on top of [`ServiceMetrics::report`]
     /// (`None` until something fills it).
     pub arena_resident_bytes: Option<u64>,

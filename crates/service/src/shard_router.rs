@@ -408,16 +408,7 @@ impl ShardTransport for InProcessShard {
 
     fn round1(&self, query: &TopsQuery, ctx: &mut Round1Ctx<'_>) -> Result<Round1Ok, ShardFailure> {
         let snap = self.store.load();
-        Ok(resolve_round1(
-            &snap,
-            ctx.shard,
-            query,
-            ctx.providers,
-            ctx.rounds,
-            ctx.build_threads,
-            ctx.scratch,
-            ctx.provider_build,
-        ))
+        Ok(resolve_round1(&snap, query, ctx))
     }
 
     fn apply(&self, ops: &[RoutedOp]) -> Result<ShardApplyOutcome, ShardFailure> {
@@ -479,17 +470,20 @@ pub fn install_resync_snapshot(
 /// provider cache (single-flight build on a miss) → cold rebuild. Used
 /// by [`InProcessShard`] against the router's caches and by the shard
 /// server against its own.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn resolve_round1(
     snap: &Snapshot,
-    shard: u32,
     query: &TopsQuery,
-    providers: Option<&ShardProviderCache>,
-    rounds: Option<&RoundOneCache>,
-    build_threads: usize,
-    scratch: &mut ProviderScratch,
-    provider_build: &LatencyHistogram,
+    ctx: &mut Round1Ctx<'_>,
 ) -> Round1Ok {
+    let Round1Ctx {
+        shard,
+        providers,
+        rounds,
+        build_threads,
+        provider_build,
+        ..
+    } = *ctx;
+    let scratch = &mut *ctx.scratch;
     let epoch = snap.epoch();
     let bound = snap.trajs().id_bound();
     let memo_key = rounds.map(|_| RoundKey::new(epoch, shard, query.tau, &query.preference));
@@ -955,6 +949,10 @@ struct ShardTask {
     /// it with [`ShardFailure::TimedOut`] instead of computing an answer
     /// the gather has already given up on.
     deadline: Option<Instant>,
+    /// `Some(lockstep epoch at scatter)` iff this attempt is the replica's
+    /// half-open probe: the worker then settles the breaker itself (see
+    /// [`ReplyGuard`]).
+    probe: Option<u64>,
     reply: Sender<ShardReplyMsg>,
 }
 
@@ -1518,6 +1516,7 @@ impl ShardRouter {
                 replica,
                 query,
                 deadline,
+                probe: None,
                 reply: reply.clone(),
             });
             inner.clock.metrics.queue_enter();
@@ -1586,12 +1585,13 @@ impl ShardRouter {
                     });
                     continue;
                 }
-                for &(replica, _, _) in &fired {
+                for &(replica, probe, _) in &fired {
                     queue.tasks.push_back(ShardTask {
                         shard,
                         replica,
                         query,
                         deadline: round1_deadline,
+                        probe: probe.then_some(lockstep_epoch),
                         reply: tx.clone(),
                     });
                     inner.clock.metrics.queue_enter();
@@ -1700,11 +1700,14 @@ impl ShardRouter {
                 continue;
             };
             lane.fired[idx].2 = true;
+            // A probe's breaker was settled by the worker that ran it.
             let probe = lane.fired[idx].1;
             let resolved = outcomes[s].is_some();
             match result {
                 Ok(ok) if ok.epoch == lockstep_epoch => {
-                    inner.breakers[s][replica as usize].record_success(probe);
+                    if !probe {
+                        inner.breakers[s][replica as usize].record_success(false);
+                    }
                     if !resolved {
                         if lane.hedge_idx == Some(idx) {
                             inner.faultc.hedge_wins.fetch_add(1, Ordering::Relaxed);
@@ -1729,7 +1732,9 @@ impl ShardRouter {
                     } else {
                         inner.faultc.shard_failures.fetch_add(1, Ordering::Relaxed);
                     }
-                    inner.breakers[s][replica as usize].record_failure(Instant::now(), probe);
+                    if !probe {
+                        inner.breakers[s][replica as usize].record_failure(Instant::now(), false);
+                    }
                     if !resolved {
                         // Fail over to the next replica immediately; once
                         // none is left and nothing is in flight, the
@@ -1765,7 +1770,8 @@ impl ShardRouter {
         // Shards that never resolved: late (budget blown) or lost. Their
         // still-unanswered attempts are charged to their breakers;
         // attempts racing a shard that already resolved are cancelled
-        // losers and cost their replicas nothing.
+        // losers and cost their replicas nothing. A probe is charged by
+        // neither rule: whichever worker ends it settles its breaker.
         let verdict_at = Instant::now();
         for (s, slot) in outcomes.iter_mut().enumerate() {
             if slot.is_some() {
@@ -1783,7 +1789,9 @@ impl ShardRouter {
                     } else {
                         inner.faultc.shard_failures.fetch_add(1, Ordering::Relaxed);
                     }
-                    inner.breakers[s][replica as usize].record_failure(verdict_at, probe);
+                    if !probe {
+                        inner.breakers[s][replica as usize].record_failure(verdict_at, false);
+                    }
                 }
             }
             *slot = Some(Err(failure));
@@ -2555,19 +2563,47 @@ impl UpdateSink for ShardRouter {
 /// Guards one task's reply sender: however the task ends — normal reply,
 /// injected error, shed, or a panic unwinding through the worker — the
 /// gather hears something typed, or the drop is accounted.
+///
+/// It is also where a half-open probe settles its breaker. A probe rides
+/// beside a healthy sibling, so its gather has usually returned before the
+/// probe ends; settled anywhere but here, such a probe would leave its
+/// breaker half-open — skipped by every later scatter — for good.
 struct ReplyGuard<'a> {
     reply: Option<Sender<ShardReplyMsg>>,
     shard: u32,
     replica: u32,
+    /// The breaker awaiting this task's outcome and the lockstep epoch the
+    /// task was scattered at, iff the task is a half-open probe.
+    probe: Option<(&'a CircuitBreaker, u64)>,
     abandoned: &'a AtomicU64,
 }
 
 impl ReplyGuard<'_> {
+    /// Settles the breaker of a probe that ended with an answer at epoch
+    /// `answered_at`, or with none; a no-op for any other task. Runs before
+    /// the reply is sent, so a gather that hears the reply sees the settled
+    /// breaker.
+    ///
+    /// An answer older than the scatter epoch is a replica that missed an
+    /// apply (the gather demotes it to `EpochSkew`) and re-opens like a
+    /// failure; a newer one can only mean the gather is over and a batch
+    /// landed since.
+    fn settle_probe(&mut self, answered_at: Option<u64>) {
+        if let Some((breaker, scattered_at)) = self.probe.take() {
+            if answered_at.is_some_and(|epoch| epoch >= scattered_at) {
+                breaker.record_success(true);
+            } else {
+                breaker.record_failure(Instant::now(), true);
+            }
+        }
+    }
+
     /// Sends the task's outcome. A failed send means the gather stopped
     /// listening (deadline given up, client gone, or a hedged sibling
     /// already won) — counted as an abandoned gather instead of silently
     /// ignored.
     fn send(mut self, result: Result<Round1Ok, ShardFailure>) {
+        self.settle_probe(result.as_ref().ok().map(|ok| ok.epoch));
         if let Some(tx) = self.reply.take() {
             if tx.send((self.shard, self.replica, result)).is_err() {
                 self.abandoned.fetch_add(1, Ordering::Relaxed);
@@ -2579,6 +2615,7 @@ impl ReplyGuard<'_> {
     /// [`FaultAction::Drop`](crate::fault::FaultAction::Drop), which
     /// models exactly this.
     fn disarm(mut self) {
+        self.settle_probe(None);
         self.reply = None;
     }
 }
@@ -2589,6 +2626,7 @@ impl Drop for ReplyGuard<'_> {
         // through the task: convert the crash into a typed failure so the
         // gather never hangs on a dead worker.
         if let Some(tx) = self.reply.take() {
+            self.settle_probe(None);
             if tx
                 .send((self.shard, self.replica, Err(ShardFailure::Panicked)))
                 .is_err()
@@ -2629,7 +2667,7 @@ fn worker_entry(inner: &RouterInner) {
 /// 1. **candidate memo** — `(epoch, shard, τ, ψ)` with a memoized `k ≥`
 ///    the request: answer by prefix slicing, no provider touched;
 /// 2. **provider cache** — single-flight `get_or_build` per
-///    `(epoch, shard, instance, τ)`, then the lazy local greedy on it;
+///    `(epoch, shard, instance, τ)`, then the local greedy on it;
 /// 3. **cold build** — caches disabled: the original rebuild-per-query
 ///    path.
 ///
@@ -2664,6 +2702,7 @@ fn worker_loop(inner: &RouterInner) {
             replica,
             query,
             deadline,
+            probe,
             reply,
         } = task;
         let lane = shard as usize;
@@ -2675,6 +2714,7 @@ fn worker_loop(inner: &RouterInner) {
             reply: Some(reply),
             shard,
             replica,
+            probe: probe.map(|epoch| (&inner.breakers[lane][replica as usize], epoch)),
             abandoned: &inner.faultc.abandoned_gathers,
         };
         // Fault-injection hook: one relaxed load when disabled.
@@ -3146,12 +3186,14 @@ mod tests {
     fn slow_shard_degrades_within_the_budget() {
         let (router, ..) = router(2);
         let q = TopsQuery::binary(2, 800.0);
+        // A budget wide enough that the healthy shard and the merge make
+        // it on a loaded two-core host; the slow shard is 3× beyond it.
         router.set_fault_plan(Some(FaultPlan::new(5).with_rule(FaultRule::always(
             1,
-            FaultAction::Delay(Duration::from_millis(500)),
+            FaultAction::Delay(Duration::from_millis(1_500)),
         ))));
         let answer = router
-            .query(q, &QueryOptions::with_deadline(Duration::from_millis(150)))
+            .query(q, &QueryOptions::with_deadline(Duration::from_millis(500)))
             .unwrap();
         assert!(answer.degraded);
         assert_eq!(answer.shards_missing, vec![1]);
@@ -3317,9 +3359,10 @@ mod tests {
         router.shutdown();
     }
 
-    #[test]
-    fn half_open_probe_rides_alongside_the_healthy_replica() {
-        let router = replicated(
+    /// Two replicas a shard, breakers that trip on the first failure and
+    /// probe 40 ms later.
+    fn quick_tripping_pair() -> ShardRouter {
+        replicated(
             2,
             ShardRouterConfig {
                 breaker: BreakerConfig {
@@ -3328,11 +3371,33 @@ mod tests {
                 },
                 ..Default::default()
             },
-        );
+        )
+    }
+
+    /// `action` on every task of shard 0's replica `replica`.
+    fn fault_on(replica: u32, action: FaultAction) -> Option<FaultPlan> {
+        Some(FaultPlan::new(29).with_rule(FaultRule::always(0, action).on_replica(replica)))
+    }
+
+    /// The breaker of `(shard 0, replica)` once its in-flight probe, if
+    /// any, has been settled by the worker running it — which may be after
+    /// the probing query returned, when the sibling answered first.
+    fn settled(router: &ShardRouter, replica: usize) -> BreakerSnapshot {
+        let until = Instant::now() + Duration::from_secs(5);
+        loop {
+            let snap = router.replica_breaker_snapshots(0)[replica];
+            if snap.state != BreakerState::HalfOpen || Instant::now() >= until {
+                return snap;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn half_open_probe_rides_alongside_the_healthy_replica() {
+        let router = quick_tripping_pair();
         let q = TopsQuery::binary(2, 800.0);
-        router.set_fault_plan(Some(
-            FaultPlan::new(29).with_rule(FaultRule::always(0, FaultAction::Error).on_replica(0)),
-        ));
+        router.set_fault_plan(fault_on(0, FaultAction::Error));
         // Failure 1 trips replica (0,0)'s breaker; the sibling serves.
         let first = router.query_blocking(q).unwrap();
         assert!(!first.degraded);
@@ -3346,10 +3411,13 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         let probed = router.query_blocking(q).unwrap();
         assert!(!probed.degraded, "probe stole the healthy replica's slot");
-        let snaps = router.replica_breaker_snapshots(0);
-        assert_eq!(snaps[0].state, BreakerState::Open, "failed probe reopens");
-        assert!(snaps[0].probes >= 1);
-        assert_eq!(snaps[1].state, BreakerState::Closed);
+        let probe = settled(&router, 0);
+        assert_eq!(probe.state, BreakerState::Open, "failed probe reopens");
+        assert!(probe.probes >= 1);
+        assert_eq!(
+            router.replica_breaker_snapshots(0)[1].state,
+            BreakerState::Closed
+        );
         assert_eq!(router.fault_report().degraded_answers, 0);
         // Once the replica heals, its next probe closes the breaker and
         // the full set serves again.
@@ -3357,10 +3425,32 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         let healed = router.query_blocking(q).unwrap();
         assert!(!healed.degraded);
-        assert_eq!(
-            router.replica_breaker_snapshots(0)[0].state,
-            BreakerState::Closed
-        );
+        assert_eq!(settled(&router, 0).state, BreakerState::Closed);
+        router.shutdown();
+    }
+
+    #[test]
+    fn probe_outliving_its_gather_still_settles_the_breaker() {
+        let router = quick_tripping_pair();
+        let q = TopsQuery::binary(2, 800.0);
+        router.set_fault_plan(fault_on(0, FaultAction::Error));
+        assert!(!router.query_blocking(q).unwrap().degraded);
+        assert_eq!(settled(&router, 0).state, BreakerState::Open);
+        // Past the cooldown the replica answers again, but 30 ms late: its
+        // probe loses to the sibling, so the gather is over before the
+        // probe's reply exists.
+        router.set_fault_plan(fault_on(0, FaultAction::Delay(Duration::from_millis(30))));
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!router.query_blocking(q).unwrap().degraded);
+        router.set_fault_plan(None);
+        // The worker that ran the probe closes the breaker all the same...
+        let probe = settled(&router, 0);
+        assert_eq!(probe.state, BreakerState::Closed);
+        assert_eq!((probe.probes, probe.closes), (1, 1));
+        // ...so the replica serves again: with its sibling dead the shard
+        // still answers in full.
+        router.set_fault_plan(fault_on(1, FaultAction::Error));
+        assert!(!router.query_blocking(q).unwrap().degraded);
         router.shutdown();
     }
 

@@ -46,7 +46,7 @@ use crate::provider_cache::{RoundOneCache, ShardProviderCache};
 use crate::shard_proto::{
     preference_from_key, Request, RespError, Response, ResyncSnapshot, SHARD_PROTOCOL_VERSION,
 };
-use crate::shard_router::resolve_round1;
+use crate::shard_router::{resolve_round1, Round1Ctx};
 use crate::snapshot::SnapshotStore;
 use crate::telemetry::TelemetrySource;
 use crate::trace::LoadGauge;
@@ -496,6 +496,10 @@ fn handle_request(
             psi_param,
             variant,
         } => {
+            let mut answer = || {
+                let query = round1_query(shared, shard, k, tau_bits, psi_tag, psi_param, variant)?;
+                Some(round1_response(shared, &query, scratch))
+            };
             // The scripted fault hook sits where the in-process worker's
             // does: on the round-1 task path, sequenced per request.
             let fault = shared.fault_plan.as_ref().and_then(|plan| {
@@ -533,18 +537,14 @@ fn handle_request(
                 Some(FaultAction::CorruptFrame) => {
                     shared.injected_faults.fetch_add(1, Ordering::Relaxed);
                     // Compute the real answer, then break its frame.
-                    if let Some(resp) = round1_response(
-                        shared, shard, k, tau_bits, psi_tag, psi_param, variant, scratch,
-                    ) {
+                    if let Some(resp) = answer() {
                         return Delivery::Corrupt(resp);
                     }
                     return Delivery::Send(Response::Error(RespError::BadRequest));
                 }
                 None => {}
             }
-            match round1_response(
-                shared, shard, k, tau_bits, psi_tag, psi_param, variant, scratch,
-            ) {
+            match answer() {
                 Some(resp) => Delivery::Send(resp),
                 None => {
                     shared.bad_requests.fetch_add(1, Ordering::Relaxed);
@@ -613,10 +613,10 @@ fn handle_request(
     }
 }
 
-/// Validates and answers one round-1 request; `None` is a refusal
-/// (mis-routed shard, unknown ψ, hostile `k`, non-finite τ).
-#[allow(clippy::too_many_arguments)]
-fn round1_response(
+/// Validates the fields of one round-1 request into the query they name;
+/// `None` is a refusal (mis-routed shard, unknown ψ, hostile `k`,
+/// non-finite τ).
+fn round1_query(
     shared: &ServerShared,
     shard: u32,
     k: u64,
@@ -624,8 +624,7 @@ fn round1_response(
     psi_tag: u8,
     psi_param: u64,
     variant: u8,
-    scratch: &mut ProviderScratch,
-) -> Option<Response> {
+) -> Option<TopsQuery> {
     if shard != shared.shard || variant != 0 {
         return None;
     }
@@ -636,33 +635,40 @@ fn round1_response(
     if k == 0 || k > MAX_WIRE_CANDIDATES as u64 {
         return None;
     }
-    let preference = preference_from_key(psi_tag, psi_param)?;
-    let query = TopsQuery {
+    Some(TopsQuery {
         k: k as usize,
         tau,
-        preference,
-    };
+        preference: preference_from_key(psi_tag, psi_param)?,
+    })
+}
+
+/// Answers one validated round-1 request against the server's own caches.
+fn round1_response(
+    shared: &ServerShared,
+    query: &TopsQuery,
+    scratch: &mut ProviderScratch,
+) -> Response {
     let snap = shared.store.load();
     let started = std::time::Instant::now();
-    let ok = resolve_round1(
-        &snap,
-        shared.shard,
-        &query,
-        shared.providers.as_ref(),
-        shared.rounds.as_ref(),
-        shared.build_threads,
+    let mut ctx = Round1Ctx {
+        shard: shared.shard,
+        deadline: None,
+        providers: shared.providers.as_ref(),
+        rounds: shared.rounds.as_ref(),
+        build_threads: shared.build_threads,
         scratch,
-        &shared.provider_build,
-    );
+        provider_build: &shared.provider_build,
+    };
+    let ok = resolve_round1(&snap, query, &mut ctx);
     shared.round1_latency.record(started.elapsed());
     shared.round1_served.fetch_add(1, Ordering::Relaxed);
     shared.gauge.observe(ok.source);
-    Some(Response::Round1Ok {
+    Response::Round1Ok {
         epoch: ok.epoch,
         bound: ok.bound as u64,
         source: ok.source,
         round: ok.round,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The PR-5 exactness contract, end to end: a `ShardRouter` with the
-//! per-shard provider cache, the round-1 candidate memo and lazy greedy
-//! enabled returns answers **bit-identical** to
+//! per-shard provider cache and the round-1 candidate memo enabled
+//! returns answers **bit-identical** to
 //!
 //! 1. the cold uncached router (same code path, caches disabled), and
 //! 2. the monolithic `NetClusIndex` rebuilt from scratch at every epoch,
@@ -15,12 +15,19 @@
 //! first descending (prefix-slicing memo hits) then exceeding the
 //! memoized run (miss + provider-cache hit + memo upgrade) — so the
 //! equivalence is asserted *through* every cache path, not around them.
+//!
+//! A second property pins the two serving cores to each other: a 1-shard
+//! `ShardRouter` and a `NetClusService` over the same corpus agree to the
+//! last utility bit for all three ψ, before and after an update batch —
+//! both run the one solver on the same rows.
 
 use std::sync::Arc;
 
 use netclus::prelude::*;
 use netclus_roadnet::{NodeId, Point, RegionPartition, RoadNetwork, RoadNetworkBuilder};
-use netclus_service::{ShardRouter, ShardRouterConfig, UpdateOp};
+use netclus_service::{
+    NetClusService, ServiceConfig, ServiceRequest, ShardRouter, ShardRouterConfig, UpdateOp,
+};
 use netclus_trajectory::{TrajId, Trajectory, TrajectorySet};
 use proptest::prelude::*;
 
@@ -247,5 +254,64 @@ proptest! {
             hot.shutdown();
             cold.shutdown();
         }
+    }
+
+    #[test]
+    fn one_shard_router_is_bit_identical_to_the_service(inst in instance_strategy()) {
+        let (net, region_of) = build_net(&inst);
+        let sites: Vec<NodeId> = net.nodes().collect();
+        let cfg = netclus_config();
+        let mut trajs = TrajectorySet::for_network(&net);
+        for &w in &inst.walks {
+            trajs.add(walk_trajectory(&inst, w));
+        }
+        let partition = RegionPartition::from_assignment(vec![0; region_of.len()], 1);
+        let router = ShardRouter::start(
+            Arc::new(net.clone()),
+            ShardedNetClusIndex::build(&net, &trajs, &sites, &partition, cfg),
+            ShardRouterConfig::default(),
+        )
+        .expect("start router");
+        let index = NetClusIndex::build(&net, &trajs, &sites, cfg);
+        let service = NetClusService::start(net, trajs, index, ServiceConfig::default())
+            .expect("start service");
+
+        let (adds, remove_first) = &inst.phases[0];
+        let mut batch = Vec::new();
+        if *remove_first {
+            batch.push(UpdateOp::RemoveTrajectory(TrajId(0)));
+        }
+        batch.extend(adds.iter().map(|&w| UpdateOp::AddTrajectory(walk_trajectory(&inst, w))));
+
+        for epoch in 0..2u64 {
+            if epoch == 1 {
+                prop_assert_eq!(router.apply_updates(batch.clone()).epoch, 1);
+                prop_assert_eq!(service.apply_updates(batch.clone()).epoch, 1);
+            }
+            for preference in [
+                PreferenceFunction::Binary,
+                PreferenceFunction::LinearDecay,
+                PreferenceFunction::ConvexProbability { alpha: 2.0 },
+            ] {
+                for &tau in &inst.taus {
+                    for k in [4usize, 1, 6] {
+                        let q = TopsQuery { k, tau, preference };
+                        let a = router.query_blocking(q).expect("router answered");
+                        let b = service
+                            .query_blocking(ServiceRequest::greedy(q))
+                            .expect("service answered");
+                        prop_assert_eq!((a.epoch, b.epoch), (epoch, epoch));
+                        prop_assert_eq!(&a.sites, &b.sites, "epoch={} {:?}", epoch, q);
+                        prop_assert_eq!(
+                            a.utility.to_bits(), b.utility.to_bits(),
+                            "epoch={} {:?}: router {} vs service {}",
+                            epoch, q, a.utility, b.utility
+                        );
+                    }
+                }
+            }
+        }
+        router.shutdown();
+        service.shutdown();
     }
 }

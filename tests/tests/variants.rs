@@ -214,7 +214,6 @@ fn tops2_convex_preference_orders_with_binary() {
             k: 5,
             tau: 800.0,
             preference: PreferenceFunction::ConvexProbability { alpha: 2.0 },
-            lazy: false,
         },
     );
     assert!(convex.utility <= binary.utility + 1e-9);
