@@ -65,6 +65,15 @@ impl<'a> PairSlice<'a> {
         (self.ids[k], self.dists[k])
     }
 
+    /// The first `len` pairs of the row.
+    #[inline]
+    pub fn prefix(self, len: usize) -> PairSlice<'a> {
+        PairSlice {
+            ids: &self.ids[..len],
+            dists: &self.dists[..len],
+        }
+    }
+
     /// Iterates the row as `(id, dist)` pairs.
     #[inline]
     pub fn iter(self) -> impl Iterator<Item = (u32, f64)> + 'a {
@@ -252,6 +261,14 @@ impl PairArena {
     /// Approximate heap bytes of the three flat arrays.
     pub fn heap_size_bytes(&self) -> usize {
         self.offsets.capacity() * 4 + self.ids.capacity() * 4 + self.dists.capacity() * 8
+    }
+
+    /// Drops the capacity a growing build left beyond the pairs held, for
+    /// arenas that are retained rather than consumed by one query.
+    pub fn shrink_to_fit(&mut self) {
+        self.offsets.shrink_to_fit();
+        self.ids.shrink_to_fit();
+        self.dists.shrink_to_fit();
     }
 }
 

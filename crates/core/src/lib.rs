@@ -54,7 +54,7 @@
 //! | Epoch-based snapshots (`Arc`-swapped `NetClusIndex` + corpus; readers never block) | `netclus_service::snapshot` |
 //! | Worker pool, bounded admission, request batching, in-flight dedup | `netclus_service::executor` |
 //! | Sharded LRU result cache keyed `(k, τ, ψ, variant, epoch)` | `netclus_service::cache` |
-//! | Round-1 caches: single-flight provider cache (per `(epoch[, shard], instance, quantized τ)`) + candidate memo (prefix-sliced by `k`) | `netclus_service::provider_cache` |
+//! | Round-1 caches: single-flight provider cache (rows per `(epoch[, shard], instance, built τ)`, any τ in the band by prefix view) + candidate memo (prefix-sliced by `k`) | `netclus_service::provider_cache` |
 //! | Latency/throughput/queue/cache + ingest metrics | `netclus_service::metrics` |
 //! | Framed GPS record wire format (CRC-32, per-source seq) | `netclus_ingest::record` |
 //! | Backpressured intake + parallel map-matching pipeline | `netclus_ingest::pipeline` |
@@ -152,7 +152,7 @@ pub mod prelude {
     pub use crate::memory::format_bytes;
     pub use crate::preference::PreferenceFunction;
     pub use crate::query::{
-        quantize_tau, ClusteredProvider, NetClusAnswer, ProviderScratch, TopsQuery,
+        quantize_tau, ClusteredProvider, NetClusAnswer, ProviderRows, ProviderScratch, TopsQuery,
     };
     pub use crate::shard::{
         shards_of_trajectory, NetClusShard, ReplicationStats, ShardedAnswer, ShardedNetClusIndex,
@@ -178,14 +178,15 @@ fn thread_safety_audit() {
     assert_send_sync::<query::TopsQuery>();
     assert_send_sync::<query::NetClusAnswer>();
     assert_send_sync::<query::ClusteredProvider>();
+    assert_send_sync::<query::ProviderRows>();
     assert_send_sync::<preference::PreferenceFunction>();
     assert_send_sync::<solution::Solution>();
     assert_send_sync::<fm_greedy::FmGreedyConfig>();
     // Coverage structures shared by parallel builders.
     assert_send_sync::<coverage::CoverageIndex>();
     assert_send_sync::<cluster::ClusterInstance>();
-    // Arena layout: providers are shared across worker threads (e.g. the
-    // service-layer provider cache hands out `Arc<ClusteredProvider>`).
+    // Arena layout: provider rows are shared across worker threads (the
+    // service-layer provider cache hands out `Arc<ProviderRows>`).
     assert_send_sync::<arena::PairArena>();
     assert_send_sync::<arena::RowArena>();
 }

@@ -20,17 +20,50 @@
 //! [`CoverageProvider`], so the *same* Inc-Greedy / FM-greedy code that
 //! solves exact TOPS solves TOPS-Cluster, exactly as in the paper.
 //!
+//! ## Rows and views
+//!
+//! A provider is two things. [`ProviderRows`] are an instance's `T̂C`
+//! rows built at some threshold `built_tau`: representatives, their
+//! cluster ids and one flat [`PairArena`] (see [`crate::arena`]), each row
+//! sorted ascending by `(d̂r, trajectory id)`. A [`ClusteredProvider`] is
+//! an `Arc` of those rows plus, per row, the length of the prefix with
+//! `d̂r ≤ τ` — a view, not a copy. [`ClusteredProvider::build_with`] is
+//! "rows at τ, whole-row view"; [`ProviderRows::view`] cuts a view at any
+//! `τ ≤ built_tau` and is bit-identical to a build at that τ:
+//!
+//! * the estimate `d_traj + (d_centers + rep_distance)` of a trajectory
+//!   through a neighbor is computed from index data alone — τ is not an
+//!   operand, so the same pair gets the same bits at every threshold;
+//! * a trajectory's `d̂r` is the minimum of its estimates over the
+//!   neighbors, and the kernel keeps the minimum over those `≤ built_tau`.
+//!   If the true minimum is `≤ τ ≤ built_tau` both thresholds see it; if
+//!   it is `> τ` the trajectory is in neither the build at τ nor the
+//!   prefix;
+//! * rows are totally ordered by `(d̂r, id)`, so the pairs with `d̂r ≤ τ`
+//!   are exactly a prefix, in the order a build at τ would sort them, and
+//!   the cut is inclusive (`partition_point(|d| d <= τ)`) like the
+//!   kernel's filter;
+//! * the kernel's `break` on `base > τ` only skips neighbors whose every
+//!   estimate would fail the filter anyway (neighbors are sorted by center
+//!   distance) — an early exit, not a second condition.
+//!
+//! An instance `I_p` serves the band `τ ∈ [4R_p, 4R_p(1+γ))` and its
+//! neighbor lists reach exactly the band top
+//! ([`ClusterInstance::neighbor_limit`]), so rows built there once per
+//! epoch serve every τ in the band ([`ProviderRows::built_tau_for`]). The
+//! serving layers cache rows that way; the bare [`NetClusIndex::query`]
+//! family owns no cache and builds at the asked τ.
+//!
 //! ## Hot-path layout and parallelism
 //!
-//! The provider's `T̂C` rows live in one flat [`PairArena`] (see
-//! [`crate::arena`]); per-representative rows are computed in parallel
-//! shards (each worker with its own stamped scratch, merged in cluster
-//! order — bit-identical to the sequential build). There is no inverted
-//! `ŜC`: the solvers that run on a provider read `T̂C` alone (see
-//! [`crate::coverage`]). Callers answering many queries should reuse a
-//! [`ProviderScratch`] across builds ([`ClusteredProvider::build_with`])
+//! Per-representative rows are computed in parallel shards (each worker
+//! with its own stamped scratch, merged in cluster order — bit-identical
+//! to the sequential build). There is no inverted `ŜC`: the solvers that
+//! run on a provider read `T̂C` alone (see [`crate::coverage`]). Callers
+//! answering many queries should reuse a [`ProviderScratch`] across builds
 //! so the stamped arrays are allocated once per worker, not per query.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use netclus_roadnet::NodeId;
@@ -131,45 +164,57 @@ impl RepScratch {
     }
 }
 
-/// The clustered coverage view: cluster representatives with estimated
-/// detour distances.
-#[derive(Clone, Debug)]
-pub struct ClusteredProvider {
+/// One index instance's `T̂C` rows at a built threshold: representatives,
+/// their clusters and the row arena — everything about a provider that
+/// does not depend on the query's τ beyond "τ ≤ `built_tau`". Shared
+/// behind an `Arc` by every [`ClusteredProvider`] viewing it (module
+/// docs, "Rows and views").
+#[derive(Debug)]
+pub struct ProviderRows {
     /// Representative site per provider index.
     reps: Vec<NodeId>,
     /// Cluster index behind each provider index.
     rep_cluster: Vec<u32>,
-    /// `T̂C` rows, ascending by estimated detour.
+    /// `T̂C` rows, ascending by `(estimate, trajectory id)`.
     tc: PairArena,
     traj_id_bound: usize,
+    built_tau: f64,
     build_time: Duration,
 }
 
-impl ClusteredProvider {
-    /// Builds the clustered view of `instance` for threshold `tau`,
-    /// sequentially with fresh scratch. Prefer
-    /// [`ClusteredProvider::build_with`] on the serving path.
-    ///
-    /// Clusters without a representative (no candidate site among their
-    /// members) contribute trajectories only through their neighbors.
-    pub fn build(instance: &ClusterInstance, tau: f64, traj_id_bound: usize) -> Self {
-        Self::build_with(
-            instance,
-            tau,
-            traj_id_bound,
-            1,
-            &mut ProviderScratch::default(),
-        )
+impl ProviderRows {
+    /// The threshold a cache builds `instance`'s rows at so that they
+    /// serve `tau`: the top of the instance's τ band
+    /// ([`ClusterInstance::neighbor_limit`]), or `tau` itself when it lies
+    /// above that (the clamped last instance).
+    pub fn built_tau_for(instance: &ClusterInstance, tau: f64) -> f64 {
+        instance.neighbor_limit.max(tau)
     }
 
-    /// Builds the clustered view with up to `threads` workers, reusing
-    /// `scratch` across calls. The output is bit-identical for every
-    /// thread count: representatives are sharded contiguously, each worker
-    /// computes its rows independently, and the shards are concatenated in
-    /// cluster order.
+    /// Builds the rows of `instance` at `built_tau` for retention by a
+    /// cache: the [`ClusteredProvider::build_with`] kernel, then sized
+    /// exactly (`heap_size_bytes` is `12·pairs + 4·(rows + 1) + 8·rows`).
     pub fn build_with(
         instance: &ClusterInstance,
-        tau: f64,
+        built_tau: f64,
+        traj_id_bound: usize,
+        threads: usize,
+        scratch: &mut ProviderScratch,
+    ) -> Self {
+        let mut rows = Self::build_growing(instance, built_tau, traj_id_bound, threads, scratch);
+        rows.reps.shrink_to_fit();
+        rows.rep_cluster.shrink_to_fit();
+        rows.tc.shrink_to_fit();
+        rows
+    }
+
+    /// The one kernel entry: representatives in cluster order, then their
+    /// rows at `built_tau` on up to `threads` workers. Vectors keep the
+    /// capacity they grew to — the bare per-τ path drops them after one
+    /// query and must not pay a resize.
+    fn build_growing(
+        instance: &ClusterInstance,
+        built_tau: f64,
         traj_id_bound: usize,
         threads: usize,
         scratch: &mut ProviderScratch,
@@ -196,7 +241,7 @@ impl ClusteredProvider {
         let tc = if workers <= 1 {
             build_tc_shard(
                 instance,
-                tau,
+                built_tau,
                 traj_id_bound,
                 &rep_cluster,
                 &mut worker_scratch[0],
@@ -208,7 +253,9 @@ impl ClusteredProvider {
                     .chunks(chunk)
                     .zip(worker_scratch.iter_mut())
                     .map(|(shard, ws)| {
-                        scope.spawn(move || build_tc_shard(instance, tau, traj_id_bound, shard, ws))
+                        scope.spawn(move || {
+                            build_tc_shard(instance, built_tau, traj_id_bound, shard, ws)
+                        })
                     })
                     .collect();
                 handles
@@ -219,40 +266,144 @@ impl ClusteredProvider {
             PairArena::concat(parts)
         };
 
-        ClusteredProvider {
+        ProviderRows {
             reps,
             rep_cluster,
             tc,
             traj_id_bound,
+            built_tau,
             build_time: start.elapsed(),
         }
     }
 
-    /// Cluster index behind provider index `idx`.
-    pub fn cluster_of(&self, idx: usize) -> u32 {
-        self.rep_cluster[idx]
+    /// The provider for `tau ≤ built_tau` over these rows: per row, the
+    /// prefix of estimates `≤ tau` — bit-identical to
+    /// [`ClusteredProvider::build_with`] at `tau`, computing only the
+    /// cuts (`4·rows` bytes).
+    ///
+    /// # Panics
+    /// If `tau > built_tau`: the rows hold no estimate above it.
+    pub fn view(self: &Arc<Self>, tau: f64) -> ClusteredProvider {
+        assert!(
+            tau <= self.built_tau,
+            "view at τ={tau} over rows built at τ={}",
+            self.built_tau
+        );
+        let cuts = (tau < self.built_tau).then(|| {
+            (0..self.tc.row_count())
+                .map(|i| self.tc.row(i).dists.partition_point(|&d| d <= tau) as u32)
+                .collect()
+        });
+        ClusteredProvider {
+            rows: Arc::clone(self),
+            cuts,
+        }
     }
 
-    /// Time spent building the clustered view.
-    pub fn build_time(&self) -> Duration {
-        self.build_time
+    /// The threshold the rows were built at (the largest τ they serve).
+    pub fn built_tau(&self) -> f64 {
+        self.built_tau
     }
 
-    /// Total `(representative, trajectory)` pairs in the clustered view.
+    /// Number of representatives (rows).
+    pub fn site_count(&self) -> usize {
+        self.reps.len()
+    }
+
+    /// Total `(representative, trajectory)` pairs at `built_tau`.
     pub fn pair_count(&self) -> usize {
         self.tc.pair_count()
     }
 
-    /// Approximate heap footprint in bytes (the query-time working set of
-    /// NetClus beyond the index itself) — one flat arena, see
-    /// [`crate::arena`].
+    /// Heap footprint in bytes by `Vec` capacity: one flat arena (see
+    /// [`crate::arena`]) plus the representative arrays.
     pub fn heap_size_bytes(&self) -> usize {
         self.tc.heap_size_bytes() + self.reps.capacity() * 4 + self.rep_cluster.capacity() * 4
     }
 }
 
+/// The clustered coverage view: cluster representatives with estimated
+/// detour distances — shared [`ProviderRows`] plus, per row, how long a
+/// prefix of it lies within this provider's τ.
+#[derive(Clone, Debug)]
+pub struct ClusteredProvider {
+    rows: Arc<ProviderRows>,
+    /// Prefix length per row; `None` when τ is the rows' `built_tau` and
+    /// every row is whole.
+    cuts: Option<Box<[u32]>>,
+}
+
+impl ClusteredProvider {
+    /// Builds the clustered view of `instance` for threshold `tau`,
+    /// sequentially with fresh scratch. Prefer
+    /// [`ClusteredProvider::build_with`] on the serving path.
+    ///
+    /// Clusters without a representative (no candidate site among their
+    /// members) contribute trajectories only through their neighbors.
+    pub fn build(instance: &ClusterInstance, tau: f64, traj_id_bound: usize) -> Self {
+        Self::build_with(
+            instance,
+            tau,
+            traj_id_bound,
+            1,
+            &mut ProviderScratch::default(),
+        )
+    }
+
+    /// Builds the clustered view with up to `threads` workers, reusing
+    /// `scratch` across calls: rows built at `tau`, viewed whole. The
+    /// output is bit-identical for every thread count: representatives
+    /// are sharded contiguously, each worker computes its rows
+    /// independently, and the shards are concatenated in cluster order.
+    pub fn build_with(
+        instance: &ClusterInstance,
+        tau: f64,
+        traj_id_bound: usize,
+        threads: usize,
+        scratch: &mut ProviderScratch,
+    ) -> Self {
+        Arc::new(ProviderRows::build_growing(
+            instance,
+            tau,
+            traj_id_bound,
+            threads,
+            scratch,
+        ))
+        .view(tau)
+    }
+
+    /// Cluster index behind provider index `idx`.
+    pub fn cluster_of(&self, idx: usize) -> u32 {
+        self.rows.rep_cluster[idx]
+    }
+
+    /// Time spent building the rows this provider views.
+    pub fn build_time(&self) -> Duration {
+        self.rows.build_time
+    }
+
+    /// Total `(representative, trajectory)` pairs in the clustered view.
+    pub fn pair_count(&self) -> usize {
+        match &self.cuts {
+            None => self.rows.tc.pair_count(),
+            Some(cuts) => cuts.iter().map(|&c| c as usize).sum(),
+        }
+    }
+
+    /// Approximate heap footprint in bytes of what the provider keeps
+    /// alive (the query-time working set of NetClus beyond the index
+    /// itself): the rows — shared with every other view of them — plus
+    /// its own cuts.
+    pub fn heap_size_bytes(&self) -> usize {
+        self.rows.heap_size_bytes() + self.cuts.as_ref().map_or(0, |c| c.len() * 4)
+    }
+}
+
 /// Builds the `T̂C` rows of the representatives whose cluster indices are
-/// in `shard` (helper shared by the sequential path and each worker).
+/// in `shard` at threshold `tau` — the only place estimates are computed
+/// (shared by the sequential path and each worker). `tau` enters only as
+/// the filter `est ≤ tau`; see the module docs for why that makes the row
+/// at a smaller τ a prefix of this one.
 fn build_tc_shard(
     instance: &ClusterInstance,
     tau: f64,
@@ -302,19 +453,23 @@ fn build_tc_shard(
 
 impl CoverageProvider for ClusteredProvider {
     fn site_count(&self) -> usize {
-        self.reps.len()
+        self.rows.reps.len()
     }
 
     fn traj_id_bound(&self) -> usize {
-        self.traj_id_bound
+        self.rows.traj_id_bound
     }
 
     fn site_node(&self, idx: usize) -> NodeId {
-        self.reps[idx]
+        self.rows.reps[idx]
     }
 
     fn covered(&self, idx: usize) -> PairSlice<'_> {
-        self.tc.row(idx)
+        let row = self.rows.tc.row(idx);
+        match &self.cuts {
+            None => row,
+            Some(cuts) => row.prefix(cuts[idx] as usize),
+        }
     }
 }
 
@@ -583,6 +738,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn cached_rows_are_exact_size_and_a_view_adds_only_its_cuts() {
+        let (net, trajs, sites) = fixture();
+        let idx = index(&net, &trajs, &sites);
+        let mut scratch = ProviderScratch::default();
+        for inst in idx.instances() {
+            let ceiling = inst.neighbor_limit;
+            let rows = Arc::new(ProviderRows::build_with(
+                inst,
+                ceiling,
+                trajs.id_bound(),
+                1,
+                &mut scratch,
+            ));
+            let (pairs, n) = (rows.pair_count(), rows.site_count());
+            assert!(pairs > 0 && n > 0);
+            assert_eq!(rows.heap_size_bytes(), 12 * pairs + 4 * (n + 1) + 8 * n);
+            // The whole-row view shares everything; a cut view owns 4·η.
+            assert_eq!(rows.view(ceiling).heap_size_bytes(), rows.heap_size_bytes());
+            let view = rows.view(4.0 * inst.radius);
+            assert_eq!(view.heap_size_bytes(), rows.heap_size_bytes() + 4 * n);
+            assert!(view.pair_count() <= pairs);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rows built at")]
+    fn view_above_the_built_tau_is_refused() {
+        let (net, trajs, sites) = fixture();
+        let idx = index(&net, &trajs, &sites);
+        let rows = Arc::new(ProviderRows::build_with(
+            idx.instance(0),
+            300.0,
+            trajs.id_bound(),
+            1,
+            &mut ProviderScratch::default(),
+        ));
+        rows.view(300.001);
     }
 
     #[test]

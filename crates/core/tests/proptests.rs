@@ -9,6 +9,7 @@ use netclus::prelude::*;
 use netclus_roadnet::{NodeId, Point, RoadNetwork, RoadNetworkBuilder};
 use netclus_trajectory::{TrajId, Trajectory, TrajectorySet};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A random strongly-connected network: ring + chords, with edge weights in
 /// [50, 500] meters, plus random-walk trajectories.
@@ -80,6 +81,95 @@ fn build(inst: &Instance) -> (RoadNetwork, TrajectorySet) {
         trajs.add(Trajectory::new(nodes));
     }
     (net, trajs)
+}
+
+/// Asserts that the provider a cache serves for `tau` on `instance` —
+/// rows built at the band ceiling, viewed at `tau` — is the provider the
+/// bare path builds at `tau`: same representatives, clusters, `T̂C` ids
+/// and distance bits per row, same pair count, and the same Inc-Greedy
+/// sites, gains and utility bits under three preference functions.
+fn assert_view_equals_build(index: &NetClusIndex, instance: usize, tau: f64, traj_id_bound: usize) {
+    let inst = index.instance(instance);
+    let rows = Arc::new(ProviderRows::build_with(
+        inst,
+        ProviderRows::built_tau_for(inst, tau),
+        traj_id_bound,
+        1,
+        &mut ProviderScratch::default(),
+    ));
+    assert_providers_identical(
+        index,
+        instance,
+        tau,
+        &rows.view(tau),
+        &ClusteredProvider::build(inst, tau, traj_id_bound),
+    )
+}
+
+/// Row-for-row and answer-for-answer bit equality of two providers.
+fn assert_providers_identical(
+    index: &NetClusIndex,
+    instance: usize,
+    tau: f64,
+    a: &ClusteredProvider,
+    b: &ClusteredProvider,
+) {
+    let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    prop_assert_eq!(a.site_count(), b.site_count(), "p{} τ={}", instance, tau);
+    prop_assert_eq!(a.pair_count(), b.pair_count(), "p{} τ={}", instance, tau);
+    for i in 0..a.site_count() {
+        prop_assert_eq!(a.site_node(i), b.site_node(i));
+        prop_assert_eq!(a.cluster_of(i), b.cluster_of(i));
+        let (ra, rb) = (a.covered(i), b.covered(i));
+        prop_assert_eq!(ra.ids, rb.ids, "p{} τ={} T̂C ids row {}", instance, tau, i);
+        prop_assert_eq!(
+            bits(ra.dists),
+            bits(rb.dists),
+            "p{} τ={} T̂C dists row {}",
+            instance,
+            tau,
+            i
+        );
+    }
+    for preference in [
+        PreferenceFunction::Binary,
+        PreferenceFunction::LinearDecay,
+        PreferenceFunction::ConvexProbability { alpha: 2.0 },
+    ] {
+        let q = TopsQuery {
+            k: 3,
+            tau,
+            preference,
+        };
+        let (sa, sb) = (
+            index.query_on(a, instance, &q).solution,
+            index.query_on(b, instance, &q).solution,
+        );
+        prop_assert_eq!(
+            &sa.sites,
+            &sb.sites,
+            "p{} τ={} {:?}",
+            instance,
+            tau,
+            preference
+        );
+        prop_assert_eq!(
+            bits(&sa.gains),
+            bits(&sb.gains),
+            "p{} τ={} {:?}",
+            instance,
+            tau,
+            preference
+        );
+        prop_assert_eq!(
+            sa.utility.to_bits(),
+            sb.utility.to_bits(),
+            "p{} τ={} {:?}",
+            instance,
+            tau,
+            preference
+        );
+    }
 }
 
 proptest! {
@@ -317,6 +407,116 @@ proptest! {
             let a = index.query_on(&seq, p, &q);
             let b = index.query_on(&par, p, &q);
             prop_assert_eq!(a.solution.sites, b.solution.sites, "threads {}", threads);
+        }
+    }
+
+    /// On every ladder instance, rows built once at the band ceiling and
+    /// viewed at τ are the provider built at τ — for τ anywhere in the
+    /// band, τ equal to an estimate that occurs in a row (the cut is
+    /// inclusive), τ below `τ_min` (served by instance 0), and τ just
+    /// under and just over the ceiling.
+    #[test]
+    fn ceiling_rows_viewed_at_tau_equal_a_build_at_tau(
+        inst in instance_strategy(),
+        band_frac in 0.01f64..0.99,
+        pick in 0usize..100_000,
+    ) {
+        let (net, trajs) = build(&inst);
+        let sites: Vec<NodeId> = net.nodes().collect();
+        let index = NetClusIndex::build(&net, &trajs, &sites, NetClusConfig {
+            tau_min: 400.0, tau_max: 4_000.0, threads: 1, ..Default::default()
+        });
+        let bound = trajs.id_bound();
+        for p in 0..index.instances().len() {
+            let (floor, ceiling) = (4.0 * index.instance(p).radius, index.instance(p).neighbor_limit);
+            let in_band = floor + band_frac * (ceiling - floor);
+            prop_assert_eq!(index.instance_for(in_band), p, "band of p{} is not [4R, ceiling)", p);
+            let mut taus = vec![
+                floor,
+                in_band,
+                ceiling * (1.0 - 1e-9),
+                ceiling,
+                ceiling * (1.0 + 1e-9),
+            ];
+            if p == 0 {
+                taus.push(floor * (0.25 + 0.7 * band_frac));
+            }
+            // A positive estimate that occurs in some row at the ceiling.
+            let full = ClusteredProvider::build(index.instance(p), ceiling, bound);
+            let estimates: Vec<f64> = (0..full.site_count())
+                .flat_map(|i| full.covered(i).dists.to_vec())
+                .filter(|&d| d > 0.0)
+                .collect();
+            if !estimates.is_empty() {
+                taus.push(estimates[pick % estimates.len()]);
+            }
+            for tau in taus {
+                assert_view_equals_build(&index, p, tau, bound);
+            }
+        }
+    }
+
+    /// After each kind of dynamic update (`add_trajectory`,
+    /// `remove_trajectory`, `remove_site`, `add_site`), the rows built on
+    /// the incrementally updated index are the rows built on a
+    /// from-scratch rebuild of the same state, on every instance — so
+    /// rows rebuilt after a publish equal rows of a recovered store.
+    #[test]
+    fn rows_after_each_update_kind_equal_rows_of_a_rebuild(
+        inst in instance_strategy(),
+        extra in (0usize..64, prop::collection::vec(0usize..8, 1..10)),
+        victim in 0usize..64,
+        site in 0usize..64,
+    ) {
+        let (net, mut trajs) = build(&inst);
+        let cfg = NetClusConfig { tau_min: 400.0, tau_max: 4_000.0, threads: 1, ..Default::default() };
+        let mut sites: Vec<NodeId> = net.nodes().collect();
+        let mut index = NetClusIndex::build(&net, &trajs, &sites, cfg);
+        let site = NodeId((site % inst.n) as u32);
+        for kind in 0..4 {
+            match kind {
+                0 => {
+                    let mut nodes = vec![NodeId((extra.0 % inst.n) as u32)];
+                    for &choice in &extra.1 {
+                        let cur = *nodes.last().unwrap();
+                        let deg = net.out_degree(cur);
+                        nodes.push(net.out_edges(cur).nth(choice % deg).unwrap().0);
+                    }
+                    let t = Trajectory::new(nodes);
+                    let id = trajs.add(t.clone());
+                    index.add_trajectory(id, &t);
+                }
+                1 => {
+                    let id = TrajId((victim % trajs.id_bound()) as u32);
+                    if trajs.remove(id).is_some() {
+                        index.remove_trajectory(id);
+                    }
+                }
+                2 => {
+                    prop_assert!(index.remove_site(&trajs, site));
+                    sites.retain(|&v| v != site);
+                }
+                _ => {
+                    prop_assert!(index.add_site(&trajs, site));
+                    sites.push(site);
+                }
+            }
+            let rebuilt = NetClusIndex::build(&net, &trajs, &sites, cfg);
+            let bound = trajs.id_bound();
+            for p in 0..index.instances().len() {
+                let ceiling = index.instance(p).neighbor_limit;
+                prop_assert_eq!(ceiling.to_bits(), rebuilt.instance(p).neighbor_limit.to_bits());
+                let updated = ClusteredProvider::build(index.instance(p), ceiling, bound);
+                let fresh = ClusteredProvider::build(rebuilt.instance(p), ceiling, bound);
+                assert_providers_identical(&index, p, ceiling, &updated, &fresh);
+                // And the view the serving layer cuts from the updated
+                // index's rows is the bare build on the rebuilt one.
+                let tau = 4.0 * index.instance(p).radius * 1.3;
+                let rows = Arc::new(ProviderRows::build_with(
+                    index.instance(p), ceiling, bound, 1, &mut ProviderScratch::default()));
+                let bare = ClusteredProvider::build(rebuilt.instance(p), tau, bound);
+                assert_providers_identical(&index, p, tau, &rows.view(tau), &bare);
+            }
         }
     }
 }

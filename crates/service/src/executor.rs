@@ -31,7 +31,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use netclus::{FmGreedyConfig, ProviderScratch, TopsQuery};
+use netclus::{FmGreedyConfig, ProviderRows, ProviderScratch, TopsQuery};
 use netclus_roadnet::NodeId;
 use netclus_trajectory::TrajectorySet;
 
@@ -212,8 +212,9 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// Result-cache shard count.
     pub cache_shards: usize,
-    /// Provider-cache capacity (built `ClusteredProvider`s kept across
-    /// queries with the same `(epoch, instance, quantized τ)`).
+    /// Provider-cache capacity in entries (one instance's built rows
+    /// each, kept across every query of the epoch whose τ falls in that
+    /// instance's band).
     pub provider_cache_capacity: usize,
     /// Threads used to build one clustered provider on a cache miss.
     /// Workers already parallelize across queries, so the default of 1
@@ -638,17 +639,20 @@ fn worker_loop(inner: &Inner) {
                 Some(hit) => hit,
                 None => {
                     let t = Instant::now();
-                    // Provider first: cached per (epoch, instance, τ), so
-                    // any k/ψ/variant at a warm threshold skips the build.
+                    // Rows first: cached per (epoch, instance) at the top
+                    // of the instance's τ band, so any k/ψ/variant and any
+                    // τ in the band skips the build and cuts a prefix view.
                     // Single flight: workers racing the same cold key wait
                     // for one build instead of each burning their own.
                     let p = snap.index().instance_for(query.tau);
-                    let provider_key = ProviderKey::new(snap.epoch(), p, query.tau);
-                    let (provider, outcome) = inner.providers.get_or_build(provider_key, || {
+                    let instance = snap.index().instance(p);
+                    let built_tau = ProviderRows::built_tau_for(instance, query.tau);
+                    let provider_key = ProviderKey::new(snap.epoch(), p, built_tau);
+                    let (rows, outcome) = inner.providers.get_or_build(provider_key, || {
                         let build_start = Instant::now();
-                        let built = netclus::ClusteredProvider::build_with(
-                            snap.index().instance(p),
-                            query.tau,
+                        let built = ProviderRows::build_with(
+                            instance,
+                            built_tau,
                             snap.trajs().id_bound(),
                             inner.cfg.provider_build_threads.max(1),
                             &mut scratch,
@@ -656,6 +660,7 @@ fn worker_loop(inner: &Inner) {
                         metrics.provider_build.record(build_start.elapsed());
                         built
                     });
+                    let provider = rows.view(query.tau);
                     cursor = spans.stage(Stage::ProviderGet, cursor);
                     spans.detail(match outcome {
                         CacheOutcome::Hit => "hit",
@@ -854,7 +859,7 @@ mod tests {
             svc.query_blocking(ServiceRequest::greedy(TopsQuery::binary(k, 800.0)))
                 .unwrap();
         }
-        // FM at the same τ reuses the same provider.
+        // FM at the same τ reuses the same rows.
         svc.query_blocking(ServiceRequest::fm(TopsQuery::binary(2, 800.0), 30, 1))
             .unwrap();
         let report = svc.metrics_report();
@@ -870,10 +875,54 @@ mod tests {
         svc.query_blocking(ServiceRequest::greedy(TopsQuery::binary(5, 800.000_000_1)))
             .unwrap();
         assert_eq!(svc.metrics_report().providers.misses, 1);
-        // A different (quantized) τ is a genuine miss.
-        svc.query_blocking(ServiceRequest::greedy(TopsQuery::binary(1, 900.0)))
+        // Another τ in the same band (612.5–1071.9 m at γ = 0.75) is a
+        // prefix view of the resident rows, not a build.
+        let same_band = TopsQuery::binary(1, 900.0);
+        let served = svc
+            .query_blocking(ServiceRequest::greedy(same_band))
             .unwrap();
-        assert_eq!(svc.metrics_report().providers.misses, 2);
+        let report = svc.metrics_report();
+        assert_eq!(report.providers.misses, 1, "{:?}", report.providers);
+        assert_eq!(report.providers.entries, 1);
+        let snap = svc.snapshot();
+        let bare = snap.index().query(snap.trajs(), &same_band);
+        assert_eq!(served.sites, bare.solution.sites);
+        assert_eq!(served.utility.to_bits(), bare.solution.utility.to_bits());
+        // A τ in another band is a genuine miss.
+        svc.query_blocking(ServiceRequest::greedy(TopsQuery::binary(1, 1_200.0)))
+            .unwrap();
+        let report = svc.metrics_report();
+        assert_eq!(report.providers.misses, 2);
+        assert_eq!(report.provider_build.count, 2);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn concurrent_cold_taus_in_one_band_share_one_build() {
+        // Two clients released together at a cold epoch, different τ in
+        // one band: the rows are built once and the other client either
+        // waits on that build or finds it finished.
+        let svc = service(2);
+        let gate = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for tau in [700.0, 1_000.0] {
+                let (svc, gate) = (&svc, &gate);
+                scope.spawn(move || {
+                    gate.wait();
+                    svc.query_blocking(ServiceRequest::greedy(TopsQuery::binary(2, tau)))
+                        .expect("served");
+                });
+            }
+        });
+        let report = svc.metrics_report();
+        assert_eq!(report.provider_build.count, 1, "{:?}", report.providers);
+        assert_eq!(report.providers.misses, 1, "{:?}", report.providers);
+        assert_eq!(
+            report.providers.hits + report.providers.coalesced,
+            1,
+            "{:?}",
+            report.providers
+        );
         svc.shutdown();
     }
 

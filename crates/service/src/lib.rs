@@ -23,16 +23,17 @@
 //!   hit/miss/eviction counters feed the metrics report.
 //! * [`provider_cache`] — the round-1 caches: a generic **single-flight**
 //!   epoch-invalidated LRU of built
-//!   [`ClusteredProvider`](netclus::ClusteredProvider)s (keyed
-//!   `(epoch, instance, quantized τ)` in the executor,
-//!   `(epoch, shard, instance, quantized τ)` in the shard router —
+//!   [`ProviderRows`](netclus::ProviderRows) (keyed
+//!   `(epoch, instance, built τ)` in the executor,
+//!   `(epoch, shard, instance, built τ)` in the shard router —
 //!   concurrent misses coalesce onto one build) plus the round-1
 //!   **candidate memo** keyed `(epoch, shard, quantized τ, ψ)`, which
-//!   answers any smaller-`k` repeat by prefix slicing. The provider is the
-//!   expensive part of a NetClus query and depends on neither `k` nor ψ;
-//!   τ is quantized to millimeters at admission
-//!   ([`netclus::quantize_tau`], one shared definition for every cache
-//!   key) so keys and computation agree.
+//!   answers any smaller-`k` repeat by prefix slicing. The rows are the
+//!   expensive part of a NetClus query and depend on neither `k` nor ψ,
+//!   and rows built at the top of an instance's τ band serve every τ in
+//!   it as a prefix view; the query's τ is quantized to millimeters at
+//!   admission ([`netclus::quantize_tau`], one shared definition for
+//!   every cache key) so keys and computation agree.
 //! * [`metrics`] — latency histogram, throughput, queue depth, cache and
 //!   provider-cache statistics plus provider-build latency and process
 //!   gauges (uptime, RSS, arena bytes), exposed as a [`MetricsReport`]

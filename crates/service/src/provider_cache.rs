@@ -1,24 +1,29 @@
 //! Round-1 caches of the serving stack: a generic **single-flight**,
 //! epoch-invalidated LRU ([`FlightCache`]) instantiated for built
-//! [`ClusteredProvider`]s — per `(epoch, instance, τ)` in the monolithic
-//! executor, per `(epoch, shard, instance, τ)` in the shard router — and
-//! the round-1 **candidate memo** ([`RoundOneCache`]) keyed
+//! [`ProviderRows`] — per `(epoch, instance, built τ)` in the monolithic
+//! executor, per `(epoch, shard, instance, built τ)` in the shard router
+//! — and the round-1 **candidate memo** ([`RoundOneCache`]) keyed
 //! `(epoch, shard, τ, ψ)` that answers any `k' ≤ k` repeat by prefix
 //! slicing.
 //!
-//! Building the clustered view is the dominant cost of a NetClus query —
-//! the greedy itself runs over `η_p` representatives in microseconds. The
-//! provider depends only on the index instance (fixed per epoch) and the
-//! threshold `τ`, **not** on `k` or ψ, so one built provider serves every
-//! query shape at that threshold: dashboards that sweep `k` at a fixed τ,
-//! or A/B the preference function, skip the rebuild entirely.
+//! Building an instance's `T̂C` rows is the dominant cost of a cold
+//! NetClus query. The rows depend only on the index instance (fixed per
+//! epoch) and the threshold they were built at, **not** on `k` or ψ, and
+//! rows built at τ' answer every τ ≤ τ' by a per-row prefix
+//! ([`ProviderRows::view`]). So the key's τ is the **built τ**, not the
+//! query's: callers ask for rows at [`ProviderRows::built_tau_for`] — the
+//! top of the instance's τ band — and one entry per `(epoch, instance)`
+//! serves every `k`, ψ and τ in the band. Only a τ above the band top
+//! (the clamped last instance) keys an entry of its own.
 //!
 //! **Single flight.** Concurrent misses on the same key coalesce onto one
 //! builder: the first thread to miss marks the slot *building* and runs
 //! the closure outside the lock; every other thread parks on a condvar
 //! and receives the finished `Arc` — N workers racing a cold dashboard
 //! burst burn one build, not N. Coalesced waits are counted separately
-//! from hits so saturation on cold keys is observable.
+//! from hits so saturation on cold keys is observable. A build that
+//! finishes after its epoch was invalidated is handed to its caller and
+//! not retained.
 //!
 //! **Candidate memo.** By the greedy prefix property (the site chosen at
 //! step `i` never depends on `k`), a memoized [`ShardRoundOne`] computed
@@ -27,11 +32,11 @@
 //! needs no shard re-contact at all. A larger `k` re-runs and replaces
 //! the entry, monotonically growing what the memo can answer.
 //!
-//! τ is quantized to millimeters ([`netclus::quantize_tau`] — one shared
-//! definition for every cache key in the stack) before it reaches the
-//! solver *and* the keys, so bitwise-noisy but semantically identical
-//! thresholds (`800.0` vs `800.0000001`) share entries without ever
-//! serving a provider built for a different effective τ.
+//! The query's τ is quantized to millimeters ([`netclus::quantize_tau`]
+//! — one shared definition for every cache key in the stack) before it
+//! reaches the solver *and* the keys, so bitwise-noisy but semantically
+//! identical thresholds (`800.0` vs `800.0000001`) share memo entries
+//! and cut the same prefix.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -39,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use netclus::shard::ShardRoundOne;
-use netclus::{ClusteredProvider, PreferenceFunction};
+use netclus::{PreferenceFunction, ProviderRows};
 
 pub use netclus::quantize_tau;
 
@@ -52,21 +57,21 @@ pub trait EpochKeyed {
     fn epoch(&self) -> u64;
 }
 
-/// The executor's provider-cache key: epoch + index instance +
-/// quantized-τ bit pattern.
+/// The executor's provider-cache key: epoch + index instance + the bit
+/// pattern of the τ the rows were built at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ProviderKey {
-    /// Epoch of the snapshot the provider was built from.
+    /// Epoch of the snapshot the rows were built from.
     pub epoch: u64,
-    /// Index instance `p` serving the threshold.
+    /// Index instance `p` the rows belong to.
     pub instance: u32,
-    /// The quantized τ, as IEEE-754 bits.
+    /// The built τ, as IEEE-754 bits.
     pub tau_bits: u64,
 }
 
 impl ProviderKey {
-    /// Builds the key for `tau` (already quantized) against `epoch` and
-    /// instance `p`.
+    /// Builds the key for rows of instance `p` built at `tau` against
+    /// `epoch`.
     pub fn new(epoch: u64, instance: usize, tau: f64) -> Self {
         ProviderKey {
             epoch,
@@ -90,14 +95,15 @@ pub struct ShardProviderKey {
     pub epoch: u64,
     /// Shard id.
     pub shard: u32,
-    /// Index instance `p` serving the threshold.
+    /// Index instance `p` the rows belong to.
     pub instance: u32,
-    /// The quantized τ, as IEEE-754 bits.
+    /// The built τ, as IEEE-754 bits.
     pub tau_bits: u64,
 }
 
 impl ShardProviderKey {
-    /// Builds the key for `tau` (already quantized) on `shard` at `epoch`.
+    /// Builds the key for rows of instance `p` built at `tau` on `shard`
+    /// at `epoch`.
     pub fn new(epoch: u64, shard: u32, instance: usize, tau: f64) -> Self {
         ShardProviderKey {
             epoch,
@@ -130,7 +136,7 @@ pub enum CacheOutcome {
 pub struct ProviderCacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that missed (each miss is one provider build).
+    /// Lookups that missed (each miss is one build of an instance's rows).
     pub misses: u64,
     /// Lookups that waited on another thread's in-flight build instead of
     /// building themselves (single-flight coalescing).
@@ -157,6 +163,9 @@ enum Slot<V> {
 struct Inner<K, V> {
     map: HashMap<K, Slot<V>>,
     tick: u64,
+    /// Highest epoch ever passed to `invalidate_before`: a build keyed
+    /// below it finished after its epoch was purged and is not retained.
+    floor: u64,
 }
 
 /// A single-flight, epoch-invalidated LRU cache of `Arc<V>` values.
@@ -178,11 +187,11 @@ pub struct FlightCache<K, V> {
 }
 
 /// The monolithic executor's provider cache.
-pub type ProviderCache = FlightCache<ProviderKey, ClusteredProvider>;
+pub type ProviderCache = FlightCache<ProviderKey, ProviderRows>;
 
 /// The shard router's provider cache, shared by all router workers and
 /// keyed per shard.
-pub type ShardProviderCache = FlightCache<ShardProviderKey, ClusteredProvider>;
+pub type ShardProviderCache = FlightCache<ShardProviderKey, ProviderRows>;
 
 impl<K: Copy + Eq + Hash + EpochKeyed, V> FlightCache<K, V> {
     /// A cache holding at most `capacity` finished values (clamped ≥ 1).
@@ -191,6 +200,7 @@ impl<K: Copy + Eq + Hash + EpochKeyed, V> FlightCache<K, V> {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
                 tick: 0,
+                floor: 0,
             }),
             done: Condvar::new(),
             capacity: capacity.max(1),
@@ -207,7 +217,10 @@ impl<K: Copy + Eq + Hash + EpochKeyed, V> FlightCache<K, V> {
     /// in-flight build instead of repeating it; the outcome reports which
     /// path this call took (a caller that waited and then found the slot
     /// gone — evicted or invalidated mid-build — becomes the builder and
-    /// reports `Miss`).
+    /// reports `Miss`). A value whose key's epoch was invalidated while it
+    /// was being built is returned but not inserted: nothing can look it
+    /// up again, so caching it would only hold its memory until the next
+    /// purge.
     ///
     /// Panic-safe: if `build` unwinds, the in-flight marker is removed
     /// and every waiter is woken (the next caller becomes the builder) —
@@ -260,17 +273,19 @@ impl<K: Copy + Eq + Hash + EpochKeyed, V> FlightCache<K, V> {
         cleanup.armed = false;
 
         let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
         inner.map.remove(&key);
-        self.evict_to(&mut inner, self.capacity - 1);
-        inner.map.insert(
-            key,
-            Slot::Ready(Ready {
-                value: Arc::clone(&value),
-                last_used: tick,
-            }),
-        );
+        if key.epoch() >= inner.floor {
+            inner.tick += 1;
+            let tick = inner.tick;
+            self.evict_to(&mut inner, self.capacity - 1);
+            inner.map.insert(
+                key,
+                Slot::Ready(Ready {
+                    value: Arc::clone(&value),
+                    last_used: tick,
+                }),
+            );
+        }
         drop(inner);
         self.done.notify_all();
         (value, CacheOutcome::Miss)
@@ -317,11 +332,12 @@ impl<K: Copy + Eq + Hash + EpochKeyed, V> FlightCache<K, V> {
     }
 
     /// Purges every finished value built from an epoch older than `epoch`
-    /// (in-flight builds are left to finish; their stale results fall to
-    /// the next invalidation or LRU pressure). Returns the number of
+    /// (in-flight builds are left to finish; `get_or_build` hands a stale
+    /// one to its caller without caching it). Returns the number of
     /// entries removed.
     pub fn invalidate_before(&self, epoch: u64) -> usize {
         let mut inner = self.lock();
+        inner.floor = inner.floor.max(epoch);
         let before = inner.map.len();
         inner
             .map
@@ -599,7 +615,7 @@ mod tests {
     use netclus_roadnet::{NodeId, Point, RoadNetworkBuilder};
     use netclus_trajectory::{Trajectory, TrajectorySet};
 
-    fn provider() -> Arc<ClusteredProvider> {
+    fn rows() -> ProviderRows {
         let mut b = RoadNetworkBuilder::new();
         for i in 0..6 {
             b.add_node(Point::new(i as f64 * 100.0, 0.0));
@@ -622,8 +638,13 @@ mod tests {
                 ..Default::default()
             },
         );
-        let (_, p) = index.build_provider(400.0, trajs.id_bound());
-        Arc::new(p)
+        ProviderRows::build_with(
+            index.instance(index.instance_for(400.0)),
+            400.0,
+            trajs.id_bound(),
+            1,
+            &mut ProviderScratch::default(),
+        )
     }
 
     fn round(k: usize, gains: &[f64]) -> ShardRoundOne {
@@ -680,7 +701,7 @@ mod tests {
     #[test]
     fn hit_miss_lru_and_invalidation() {
         let cache: ProviderCache = FlightCache::new(2);
-        let p = provider();
+        let p = Arc::new(rows());
         let (k1, k2, k3) = (
             ProviderKey::new(0, 0, 400.0),
             ProviderKey::new(0, 0, 600.0),
@@ -709,11 +730,10 @@ mod tests {
     fn get_or_build_builds_once_and_reports_outcomes() {
         let cache: ProviderCache = FlightCache::new(4);
         let key = ProviderKey::new(0, 0, 400.0);
-        let p = provider();
         let built = std::sync::atomic::AtomicU64::new(0);
         let (a, outcome) = cache.get_or_build(key, || {
             built.fetch_add(1, Ordering::Relaxed);
-            ClusteredProvider::clone(&p)
+            rows()
         });
         assert_eq!(outcome, CacheOutcome::Miss);
         let (b, outcome) = cache.get_or_build(key, || unreachable!("must hit"));
@@ -729,7 +749,7 @@ mod tests {
         use std::sync::atomic::AtomicUsize;
         let cache: Arc<ProviderCache> = Arc::new(FlightCache::new(4));
         let key = ProviderKey::new(0, 0, 400.0);
-        let template = provider();
+        let sites = rows().site_count();
         let builds = Arc::new(AtomicUsize::new(0));
         let gate = Arc::new(std::sync::Barrier::new(4));
         std::thread::scope(|scope| {
@@ -737,16 +757,15 @@ mod tests {
                 let cache = Arc::clone(&cache);
                 let builds = Arc::clone(&builds);
                 let gate = Arc::clone(&gate);
-                let template = Arc::clone(&template);
                 scope.spawn(move || {
                     gate.wait();
                     let (value, _) = cache.get_or_build(key, || {
                         builds.fetch_add(1, Ordering::Relaxed);
                         // Widen the race window so late arrivals coalesce.
                         std::thread::sleep(std::time::Duration::from_millis(20));
-                        ClusteredProvider::clone(&template)
+                        rows()
                     });
-                    assert_eq!(value.site_count(), template.site_count());
+                    assert_eq!(value.site_count(), sites);
                 });
             }
         });
@@ -764,7 +783,6 @@ mod tests {
     fn panicking_build_unwedges_the_key_and_wakes_waiters() {
         let cache: Arc<ProviderCache> = Arc::new(FlightCache::new(4));
         let key = ProviderKey::new(0, 0, 400.0);
-        let template = provider();
         // A waiter parks on the in-flight build; the builder panics. The
         // waiter must wake, become the builder and succeed — the key must
         // not stay wedged in the Building state.
@@ -772,12 +790,11 @@ mod tests {
         let waiter = {
             let cache = Arc::clone(&cache);
             let gate = Arc::clone(&gate);
-            let template = Arc::clone(&template);
             std::thread::spawn(move || {
                 gate.wait();
                 // Give the panicking builder time to claim the slot.
                 std::thread::sleep(std::time::Duration::from_millis(10));
-                let (value, _) = cache.get_or_build(key, || ClusteredProvider::clone(&template));
+                let (value, _) = cache.get_or_build(key, rows);
                 value.site_count()
             })
         };
@@ -792,11 +809,32 @@ mod tests {
         assert!(panicker.join().is_err(), "builder must propagate its panic");
         assert_eq!(
             waiter.join().expect("waiter must not hang or panic"),
-            template.site_count()
+            rows().site_count()
         );
         // The retry produced a resident value; the cache stays usable.
         let (_, outcome) = cache.get_or_build(key, || unreachable!("must hit"));
         assert_eq!(outcome, CacheOutcome::Hit);
+    }
+
+    #[test]
+    fn build_that_outlives_its_epoch_is_returned_but_not_cached() {
+        let cache: ProviderCache = FlightCache::new(4);
+        let key = ProviderKey::new(1, 0, 400.0);
+        let (value, outcome) = cache.get_or_build(key, || {
+            // A publish lands while the epoch-1 build is in flight.
+            assert_eq!(cache.invalidate_before(2), 0);
+            rows()
+        });
+        assert_eq!(outcome, CacheOutcome::Miss);
+        assert_eq!(value.built_tau(), 400.0);
+        // Keys embed the epoch, so nothing could ever look the value up
+        // again: holding it would only pin a whole instance's rows.
+        assert_eq!(cache.stats().entries, 0, "stale build was cached");
+        // The cache still serves the live epoch.
+        let live = ProviderKey::new(2, 0, 400.0);
+        cache.get_or_build(live, rows);
+        assert_eq!(cache.get_or_build(live, rows).1, CacheOutcome::Hit);
+        assert_eq!(cache.stats().entries, 1);
     }
 
     #[test]

@@ -52,14 +52,16 @@
 //! ## Round-1 caches (the warm path)
 //!
 //! Dashboard traffic repeats `(k, τ)` shapes, and rebuilding each shard's
-//! [`ClusteredProvider`] per query is what
+//! [`ProviderRows`] per query is what
 //! kept the router ~350× slower than the monolithic executor. Two caches,
 //! both epoch-invalidated and shared by every router worker, close that
 //! gap:
 //!
 //! * a per-shard **provider cache** keyed `(epoch, shard, instance,
-//!   quantized τ)` with **single-flight** builds — concurrent misses on
-//!   one key coalesce onto one builder ([`crate::provider_cache`]);
+//!   built τ)` — an instance's rows built once at the top of its τ band,
+//!   every τ in the band served as a prefix view — with **single-flight**
+//!   builds: concurrent misses on one key coalesce onto one builder
+//!   ([`crate::provider_cache`]);
 //! * a round-1 **candidate memo** keyed `(epoch, shard, quantized τ, ψ)`
 //!   holding the largest-`k` [`ShardRoundOne`] seen: by the greedy prefix
 //!   property any `k' ≤ k` repeat is answered by slicing — candidates
@@ -128,7 +130,7 @@ use netclus::shard::{
     ShardRoundOne,
 };
 use netclus::{
-    ClusteredProvider, NetClusIndex, NetClusShard, ProviderScratch, ReplicationStats,
+    NetClusIndex, NetClusShard, ProviderRows, ProviderScratch, ReplicationStats,
     ShardedNetClusIndex, TopsQuery,
 };
 use netclus_roadnet::{NodeId, RegionPartition, RoadNetwork};
@@ -162,9 +164,10 @@ pub struct ShardRouterConfig {
     /// Worker threads executing round-1 shard tasks; 0 (the default)
     /// means one lane per shard.
     pub workers: usize,
-    /// Per-shard provider-cache capacity in built providers (shared by
-    /// all workers, keyed per shard); **0 disables** the cache — every
-    /// round-1 task rebuilds its provider, the cold reference path.
+    /// Provider-cache capacity in entries — one per `(shard, instance)`
+    /// whose rows are resident (shared by all workers, keyed per shard);
+    /// **0 disables** the cache — every round-1 task rebuilds its
+    /// provider at the query's τ, the cold reference path.
     pub provider_cache_capacity: usize,
     /// Round-1 candidate-memo capacity in memoized rounds; **0 disables**
     /// the memo.
@@ -497,12 +500,14 @@ pub(crate) fn resolve_round1(
             let (round, source) = match providers {
                 Some(providers) => {
                     let p = snap.index().instance_for(query.tau);
-                    let key = ShardProviderKey::new(epoch, shard, p, query.tau);
-                    let (provider, outcome) = providers.get_or_build(key, || {
+                    let instance = snap.index().instance(p);
+                    let built_tau = ProviderRows::built_tau_for(instance, query.tau);
+                    let key = ShardProviderKey::new(epoch, shard, p, built_tau);
+                    let (rows, outcome) = providers.get_or_build(key, || {
                         let build_start = Instant::now();
-                        let built = ClusteredProvider::build_with(
-                            snap.index().instance(p),
-                            query.tau,
+                        let built = ProviderRows::build_with(
+                            instance,
+                            built_tau,
                             bound,
                             build_threads,
                             scratch,
@@ -510,6 +515,7 @@ pub(crate) fn resolve_round1(
                         provider_build.record(build_start.elapsed());
                         built
                     });
+                    let provider = rows.view(query.tau);
                     let source = match outcome {
                         CacheOutcome::Hit => Round1Source::ProviderHit,
                         CacheOutcome::Coalesced => Round1Source::Coalesced,

@@ -160,11 +160,12 @@ impl StageStats {
 pub enum Round1Source {
     /// Candidate-memo hit (prefix slice); no provider touched.
     Memo,
-    /// Provider-cache hit; local greedy re-ran on the cached provider.
+    /// Provider-cache hit: the instance's rows were resident (built for
+    /// this τ or any other in its band); local greedy re-ran on a view.
     ProviderHit,
-    /// Waited on another worker's in-flight provider build.
+    /// Waited on another worker's in-flight build of the rows.
     Coalesced,
-    /// This task built the provider (cache miss).
+    /// This task built the instance's rows (cache miss).
     Built,
     /// Caches disabled: the full rebuild path.
     Cold,

@@ -22,7 +22,7 @@
 //!
 //! Run with: `cargo run --release --example sharded`
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use netclus::prelude::*;
@@ -184,10 +184,16 @@ fn main() {
         })
         .collect();
 
+    // The writer's first publish waits for each reader's first answer, so
+    // the round-1 caches hold something for an epoch advance to purge
+    // however the threads are scheduled.
+    let first_answers = Barrier::new(3);
     let t = Instant::now();
     std::thread::scope(|scope| {
         let writer_router = Arc::clone(&router);
+        let first_answers = &first_answers;
         scope.spawn(move || {
+            first_answers.wait();
             for batch in update_batches {
                 let receipt = writer_router.apply_updates(batch);
                 assert_eq!(receipt.rejected, 0, "update rejected");
@@ -198,7 +204,7 @@ fn main() {
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(0xFA_u64 + w);
                 let taus = [800.0, 1_600.0, 2_400.0];
-                for _ in 0..QUERIES / 2 {
+                for i in 0..QUERIES / 2 {
                     let q = TopsQuery::binary(
                         rng.random_range(1..10),
                         taus[rng.random_range(0..taus.len())],
@@ -209,6 +215,9 @@ fn main() {
                     assert!(answer.epoch <= UPDATE_BATCHES as u64);
                     assert!(!answer.sites.is_empty());
                     assert_eq!(answer.shard_micros.len(), SHARDS);
+                    if i == 0 {
+                        first_answers.wait();
+                    }
                 }
             });
         }
