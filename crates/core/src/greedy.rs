@@ -24,6 +24,19 @@
 //! (`crates/core/tests/shard_proptests.rs`). The solver reads `TC` rows
 //! ([`CoverageProvider::covered`]) and nothing else.
 //!
+//! **One solver, two inner loops, chosen once per solve.** What CELF does
+//! with a row — weigh it, re-evaluate its gain, fold it in — sits behind a
+//! private kernel. Graded ψ and every seeded run score each pair against an
+//! `f64` utility per trajectory, as above. Binary ψ without seed utilities
+//! is a count: a trajectory is served or it is not, so a row's weight is
+//! the length of its within-τ prefix (rows ascend by distance; a
+//! [`ClusteredProvider`](crate::query::ClusteredProvider) view hands over
+//! exactly that prefix, a longer row is cut by `partition_point`), its gain
+//! the number of unserved ids in it, coverage one flag per trajectory, and
+//! no distance is read once the weights are known. The count equals the
+//! scored sum bit for bit: every non-zero term of that sum is exactly `1.0`
+//! and adding ones is exact below 2⁵³. `existing` sites take the same path.
+//!
 //! **The paper's Algorithm 1 is the reference.** [`algorithm1_greedy`]
 //! keeps the pseudo-code as printed — a marginal-utility array decremented
 //! through the inverted `SC` lists after every pick (with `α_ji` recomputed
@@ -44,6 +57,7 @@ use std::time::Instant;
 
 use netclus_trajectory::TrajId;
 
+use crate::arena::PairSlice;
 use crate::coverage::{CoverageProvider, InvertedCoverage};
 use crate::query::TopsQuery;
 use crate::solution::Solution;
@@ -125,7 +139,6 @@ fn run_greedy<P: CoverageProvider>(
     }
     let start = Instant::now();
     let state = solver(provider, cfg, existing, seed_utilities);
-    let covered = state.utilities.iter().filter(|&&u| u > 0.0).count();
     Solution {
         sites: state
             .selected
@@ -135,7 +148,7 @@ fn run_greedy<P: CoverageProvider>(
         site_indices: state.selected,
         utility: state.gains.iter().sum(),
         gains: state.gains,
-        covered,
+        covered: state.covered,
         elapsed: start.elapsed(),
     }
 }
@@ -143,7 +156,8 @@ fn run_greedy<P: CoverageProvider>(
 struct GreedyState {
     selected: Vec<usize>,
     gains: Vec<f64>,
-    utilities: Vec<f64>,
+    /// Trajectories with positive utility, seeds and `existing` included.
+    covered: usize,
 }
 
 /// Site weights `w_i = Σ_j ψ(T_j, s_i)`: the static tie-breaking key and,
@@ -177,16 +191,160 @@ fn gain_of<P: CoverageProvider>(
         .sum()
 }
 
-/// The solver: CELF evaluation of Inc-Greedy (see the module docs).
-///
-/// The heap orders by `(gain, static weight w_i, index)`, where `w_i` is
-/// the weight Algorithm 1 breaks ties on — **not** the initial marginal,
-/// which differs from `w_i` under seed utilities or existing services.
+fn positive(utilities: &[f64]) -> usize {
+    utilities.iter().filter(|&&u| u > 0.0).count()
+}
+
+/// The inner loops of one solve: what [`celf`] does with a `TC` row.
+trait Kernel {
+    /// The marginal gain of site `i` over what is selected so far.
+    fn gain(&self, i: usize) -> f64;
+    /// Folds site `i` into the solution.
+    fn select(&mut self, i: usize);
+    /// Trajectories with positive utility.
+    fn covered(&self) -> usize;
+}
+
+/// The generic kernel: ψ scored per pair against an `f64` utility per
+/// trajectory. Serves every graded ψ and every seeded run.
+struct Scored<'a, P> {
+    provider: &'a P,
+    cfg: &'a GreedyConfig,
+    utilities: Vec<f64>,
+}
+
+impl<P: CoverageProvider> Kernel for Scored<'_, P> {
+    fn gain(&self, i: usize) -> f64 {
+        gain_of(self.provider, self.cfg, i, &self.utilities)
+    }
+
+    fn select(&mut self, i: usize) {
+        for (tj, d) in self.provider.covered(i).iter() {
+            let score = self.cfg.preference.score(d, self.cfg.tau);
+            if score > self.utilities[tj as usize] {
+                self.utilities[tj as usize] = score;
+            }
+        }
+    }
+
+    fn covered(&self) -> usize {
+        positive(&self.utilities)
+    }
+}
+
+/// The counting kernel for binary ψ without seed utilities (module docs):
+/// one served flag per trajectory, and no distance read after the weights.
+struct Counted<'a, P> {
+    provider: &'a P,
+    /// τ if some row runs past it; `None` when every row is whole.
+    cut_at: Option<f64>,
+    served: Vec<bool>,
+}
+
+/// The ids of `row` within `tau`. Rows ascend by distance: a view's row
+/// already ends within τ, a longer one is cut where a build at τ would
+/// end it.
+fn within(row: PairSlice<'_>, tau: f64) -> &[u32] {
+    let len = match row.dists.last() {
+        Some(&last) if last > tau => row.dists.partition_point(|&d| d <= tau),
+        _ => row.len(),
+    };
+    &row.ids[..len]
+}
+
+/// `count` as the `f64` [`Scored`] sums to over `row`: that many ones and
+/// otherwise zeros, added to `Sum`'s identity `-0.0` — which only a row
+/// holding no pair at all, within τ or past it, returns.
+fn count_as_sum(row: PairSlice<'_>, count: usize) -> f64 {
+    if row.is_empty() {
+        -0.0
+    } else {
+        count as f64
+    }
+}
+
+impl<'a, P: CoverageProvider> Counted<'a, P> {
+    /// The kernel and the site weights: each row's within-τ length.
+    fn new(provider: &'a P, tau: f64) -> (Self, Vec<f64>) {
+        let mut cut_at = None;
+        let weights = (0..provider.site_count())
+            .map(|i| {
+                let row = provider.covered(i);
+                let len = within(row, tau).len();
+                if len < row.len() {
+                    cut_at = Some(tau);
+                }
+                count_as_sum(row, len)
+            })
+            .collect();
+        let kernel = Counted {
+            provider,
+            cut_at,
+            served: vec![false; provider.traj_id_bound()],
+        };
+        (kernel, weights)
+    }
+
+    /// Row `i` and its within-τ ids.
+    fn row(&self, i: usize) -> (PairSlice<'a>, &'a [u32]) {
+        let row = self.provider.covered(i);
+        (row, self.cut_at.map_or(row.ids, |tau| within(row, tau)))
+    }
+}
+
+impl<P: CoverageProvider> Kernel for Counted<'_, P> {
+    fn gain(&self, i: usize) -> f64 {
+        let (row, ids) = self.row(i);
+        let unserved = ids.iter().filter(|&&tj| !self.served[tj as usize]);
+        count_as_sum(row, unserved.count())
+    }
+
+    fn select(&mut self, i: usize) {
+        for &tj in self.row(i).1 {
+            self.served[tj as usize] = true;
+        }
+    }
+
+    fn covered(&self) -> usize {
+        self.served.iter().filter(|&&s| s).count()
+    }
+}
+
+/// The solver: picks the kernel for this solve, then runs [`celf`] on it.
 fn celf_greedy<P: CoverageProvider>(
     provider: &P,
     cfg: &GreedyConfig,
     existing: &[usize],
     seed_utilities: Option<&[f64]>,
+) -> GreedyState {
+    if cfg.preference.is_binary() && seed_utilities.is_none() {
+        let (kernel, weights) = Counted::new(provider, cfg.tau);
+        return celf(kernel, &weights, cfg.k, existing, false);
+    }
+    let kernel = Scored {
+        provider,
+        cfg,
+        utilities: match seed_utilities {
+            Some(seed) => seed.to_vec(),
+            None => vec![0.0f64; provider.traj_id_bound()],
+        },
+    };
+    let weights = site_weights(provider, cfg);
+    celf(kernel, &weights, cfg.k, existing, seed_utilities.is_some())
+}
+
+/// CELF evaluation of Inc-Greedy (module docs), one site per entry of
+/// `weights`; `seeded` says the kernel starts from non-zero utilities.
+///
+/// The heap orders by `(gain, static weight w_i, index)`, where `w_i` is
+/// the weight Algorithm 1 breaks ties on — **not** the initial marginal,
+/// which differs from `w_i` under seed utilities or existing services.
+fn celf<K: Kernel>(
+    mut kernel: K,
+    weights: &[f64],
+    k: usize,
+    existing: &[usize],
+    seeded: bool,
 ) -> GreedyState {
     #[derive(PartialEq)]
     struct Entry {
@@ -210,45 +368,24 @@ fn celf_greedy<P: CoverageProvider>(
         }
     }
 
-    let n = provider.site_count();
-    let mut utilities = match seed_utilities {
-        Some(seed) => seed.to_vec(),
-        None => vec![0.0f64; provider.traj_id_bound()],
-    };
+    let n = weights.len();
     let mut chosen = vec![false; n];
-
-    let weights = site_weights(provider, cfg);
-
-    // Folds a site into the solution: raise the utilities of its row.
-    let select = |i: usize, utilities: &mut [f64]| {
-        for (tj, d) in provider.covered(i).iter() {
-            let score = cfg.preference.score(d, cfg.tau);
-            if score > utilities[tj as usize] {
-                utilities[tj as usize] = score;
-            }
-        }
-    };
-
     for &e in existing {
         assert!(e < n, "existing site index {e} out of range");
         if !chosen[e] {
             chosen[e] = true;
-            select(e, &mut utilities);
+            kernel.select(e);
         }
     }
 
     // With no seed and no existing services every utility is zero, so the
     // initial gain is exactly the weight ((ψ − 0).max(0) ≡ ψ, summed in
     // the same row order) — skip the second full pass over the rows.
-    let warm_start = seed_utilities.is_none() && existing.is_empty();
+    let warm = !seeded && existing.is_empty();
     let mut heap: BinaryHeap<Entry> = (0..n)
         .filter(|&i| !chosen[i])
         .map(|i| Entry {
-            gain: if warm_start {
-                weights[i]
-            } else {
-                gain_of(provider, cfg, i, &utilities)
-            },
+            gain: if warm { weights[i] } else { kernel.gain(i) },
             weight: weights[i],
             idx: i,
             round: 0,
@@ -257,31 +394,26 @@ fn celf_greedy<P: CoverageProvider>(
 
     // Algorithm 1's selection budget (it subtracts the raw `existing`
     // length), so the solver and its reference stop after the same picks.
-    let budget = cfg.k.min(n.saturating_sub(existing.len()));
+    let budget = k.min(n.saturating_sub(existing.len()));
     let mut selected = Vec::with_capacity(budget);
     let mut gains = Vec::with_capacity(budget);
     let mut round = 0usize;
     while selected.len() < budget {
         let Some(top) = heap.pop() else { break };
-        if chosen[top.idx] {
-            continue;
-        }
         if top.round == round {
             // Fresh value: select it.
-            chosen[top.idx] = true;
             selected.push(top.idx);
             gains.push(top.gain.max(0.0));
             if top.gain > 0.0 {
-                select(top.idx, &mut utilities);
+                kernel.select(top.idx);
             }
             round += 1;
         } else {
             // Stale: refresh and push back.
             heap.push(Entry {
-                gain: gain_of(provider, cfg, top.idx, &utilities),
-                weight: top.weight,
-                idx: top.idx,
+                gain: kernel.gain(top.idx),
                 round,
+                ..top
             });
         }
     }
@@ -289,7 +421,7 @@ fn celf_greedy<P: CoverageProvider>(
     GreedyState {
         selected,
         gains,
-        utilities,
+        covered: kernel.covered(),
     }
 }
 
@@ -358,7 +490,7 @@ fn eager_greedy<P: InvertedCoverage>(
     GreedyState {
         selected,
         gains,
-        utilities,
+        covered: positive(&utilities),
     }
 }
 
@@ -601,6 +733,112 @@ mod tests {
         let sol = inc_greedy(&p, &linear_cfg(0));
         assert!(sol.site_indices.is_empty());
         assert_eq!(sol.utility, 0.0);
+    }
+
+    /// Bitwise equality of two runs: sites in order, gains, utility and
+    /// coverage count.
+    fn assert_identical(a: &Solution, b: &Solution, what: &str) {
+        assert_eq!(a.site_indices, b.site_indices, "{what}: sites");
+        let bits = |s: &Solution| s.gains.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b), "{what}: gains");
+        assert_eq!(a.utility.to_bits(), b.utility.to_bits(), "{what}: utility");
+        assert_eq!(a.covered, b.covered, "{what}: covered");
+    }
+
+    /// Rows that run past τ = 100 (the `partition_point` cut, inclusive at
+    /// τ), an empty row, a row wholly past τ, and three sites of weight 2.
+    fn rows_past_tau() -> ReferenceProvider {
+        ReferenceProvider::new(
+            7,
+            vec![
+                vec![(0, 10.0), (1, 20.0), (2, 150.0)],
+                vec![],
+                vec![(2, 30.0), (3, 100.0), (4, 100.5)],
+                vec![(0, 5.0), (1, 6.0)],
+                vec![(5, 120.0), (6, 130.0)],
+            ],
+        )
+    }
+
+    #[test]
+    fn binary_counts_only_the_within_tau_prefix() {
+        let p = rows_past_tau();
+        let sol = inc_greedy(&p, &GreedyConfig::binary(9, 100.0));
+        // Weights 2, −0, 2, 2, 0 (whole rows would weigh 3, 0, 3, 2, 2):
+        // the three-way tie goes to the highest index, then site 2 still
+        // gains 2, then zero gains fall back on weight, then index.
+        assert_eq!(sol.site_indices, vec![3, 2, 0, 4, 1]);
+        assert_eq!(sol.gains[..3], [2.0, 2.0, 0.0]);
+        assert_eq!((sol.utility, sol.covered), (4.0, 4));
+    }
+
+    #[test]
+    fn binary_kernel_equals_algorithm1_on_rows_past_tau() {
+        let p = rows_past_tau();
+        for existing in [&[][..], &[3], &[2, 2, 0], &[1, 4]] {
+            for k in [1, 2, 3, 5, 9] {
+                let cfg = GreedyConfig::binary(k, 100.0);
+                let what = format!("k={k} existing={existing:?}");
+                let reference = algorithm1_greedy(&p, &cfg, existing, None);
+                assert_identical(&inc_greedy_from(&p, &cfg, existing), &reference, &what);
+            }
+        }
+    }
+
+    /// Random sorted rows over τ = 100 with distances up to 150; a
+    /// non-empty row keeps its nearest pair within τ.
+    fn random_rows_past_tau(rng: &mut impl rand::RngExt) -> ReferenceProvider {
+        let m: usize = rng.random_range(1..40);
+        let n = rng.random_range(1..25);
+        let tc = (0..n)
+            .map(|_| {
+                let mut row: Vec<(u32, f64)> = (0..m as u32)
+                    .filter_map(|t| {
+                        let d = rng.random_range(0u32..=600);
+                        (d <= 150).then_some((t, d as f64))
+                    })
+                    .collect();
+                row.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                if let Some(first) = row.first_mut() {
+                    first.1 = first.1.min(100.0);
+                }
+                row
+            })
+            .collect();
+        ReferenceProvider::new(m, tc)
+    }
+
+    #[test]
+    fn binary_kernel_equals_algorithm1_on_random_rows_past_tau() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(21);
+        for trial in 0..200 {
+            let p = random_rows_past_tau(&mut rng);
+            let n = p.site_count();
+            let cfg = GreedyConfig::binary(rng.random_range(1..n + 3), 100.0);
+            let existing: Vec<usize> = (0..rng.random_range(0..3))
+                .map(|_| rng.random_range(0..n))
+                .collect();
+            let reference = algorithm1_greedy(&p, &cfg, &existing, None);
+            let what = format!("trial {trial} k={} existing={existing:?}", cfg.k);
+            assert_identical(&inc_greedy_from(&p, &cfg, &existing), &reference, &what);
+        }
+    }
+
+    #[test]
+    fn binary_seeded_with_fractional_seeds_equals_algorithm1() {
+        // Seed utilities make binary ψ graded (gain 1 − U_j): the scored
+        // kernel's case. Dyadic seeds keep every sum exact.
+        let p = rows_past_tau();
+        let seed = [0.25, 0.0, 0.5, 1.0, 0.0, 0.75, 0.0];
+        for k in [1, 3, 9] {
+            let cfg = GreedyConfig::binary(k, 100.0);
+            let reference = algorithm1_greedy(&p, &cfg, &[], Some(&seed));
+            let seeded = inc_greedy_seeded(&p, &cfg, &seed);
+            assert_identical(&seeded, &reference, &format!("k={k}"));
+            assert_eq!(seeded.gains[0], 1.75, "T0 and T1 add 0.75 + 1");
+        }
     }
 
     #[test]

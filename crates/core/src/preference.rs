@@ -12,6 +12,14 @@
 //! (convex interception probability), TOPS3 (minimize inconvenience) — plus
 //! linear and exponential decays common in location-analysis literature.
 //! All scores are normalized to `[0, 1]`.
+//!
+//! **The quadratic TOPS2 model is a multiply.** `ConvexProbability` with
+//! `α = 2` evaluates `x · x` for `x = 1 − d/τ`: the correctly rounded
+//! square, and what the compiler folds `powf(x, 2.0)` to for a constant
+//! exponent. The C library's `powf` is within one ulp of it (equal on all
+//! but ≈ 10⁻³ of inputs) at ≈ 10× the cost per pair. Every solver and
+//! evaluator scores through [`PreferenceFunction::score`], so all of them
+//! see the same bits; every other `α` is `powf`.
 
 /// A non-increasing preference function of the detour distance.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -63,7 +71,14 @@ impl PreferenceFunction {
             PreferenceFunction::Binary => 1.0,
             PreferenceFunction::LinearDecay => 1.0 - dr / tau,
             PreferenceFunction::ExponentialDecay { lambda } => (-lambda * dr / tau).exp(),
-            PreferenceFunction::ConvexProbability { alpha } => (1.0 - dr / tau).powf(alpha),
+            PreferenceFunction::ConvexProbability { alpha } => {
+                let x = 1.0 - dr / tau;
+                if alpha == 2.0 {
+                    x * x
+                } else {
+                    x.powf(alpha)
+                }
+            }
             PreferenceFunction::MinInconvenience { normalizer_m } => {
                 (1.0 - dr / normalizer_m).max(0.0)
             }
@@ -168,6 +183,49 @@ mod tests {
                 assert!(s <= last + 1e-12, "{pref:?} increased at {d}");
                 last = s;
             }
+        }
+    }
+
+    #[test]
+    fn scores_are_nondecreasing_in_tau() {
+        // A larger threshold never lowers a score at a fixed detour — what
+        // lets a weight at a band's ceiling bound the weight at any τ below.
+        let mut variants = all_variants();
+        variants.push(PreferenceFunction::ConvexProbability { alpha: 2.5 });
+        for pref in variants {
+            for d in [0.0, 1.0, 250.0, 800.0, 1_999.0] {
+                let mut last = 0.0;
+                for i in 1..=100 {
+                    let s = pref.score(d, i as f64 * 20.0); // τ = 20 .. 2000 m
+                    assert!((0.0..=1.0).contains(&s), "{pref:?} score {s} at τ step {i}");
+                    assert!(s >= last, "{pref:?} fell at d={d}, τ step {i}");
+                    last = s;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quadratic_model_is_the_exact_square() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let quadratic = PreferenceFunction::ConvexProbability { alpha: 2.0 };
+        let other = PreferenceFunction::ConvexProbability { alpha: 2.5 };
+        let mut rng = StdRng::seed_from_u64(8);
+        for _ in 0..100_000 {
+            let d = rng.random_range(0.0..TAU);
+            let x: f64 = 1.0 - d / TAU;
+            let s = quadratic.score(d, TAU);
+            assert_eq!(s.to_bits(), (x * x).to_bits(), "d={d}");
+            // … which `powf` may miss by one ulp, never more.
+            let ulps = s.to_bits().abs_diff(x.powf(2.0).to_bits());
+            assert!(ulps <= 1, "d={d}: {ulps} ulps from powf");
+            // Every other exponent is still exactly `powf`.
+            assert_eq!(
+                other.score(d, TAU).to_bits(),
+                x.powf(2.5).to_bits(),
+                "d={d}"
+            );
         }
     }
 

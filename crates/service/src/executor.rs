@@ -40,7 +40,7 @@ use crate::fault::QueryError;
 use crate::metrics::{MetricsClock, MetricsReport};
 use crate::provider_cache::{quantize_tau, CacheOutcome, ProviderCache, ProviderKey};
 use crate::snapshot::{SnapshotStore, UpdateBatch, UpdateReceipt};
-use crate::trace::{Stage, TraceConfig, TraceMeta, Tracer};
+use crate::trace::{psi_name, Stage, TraceConfig, TraceMeta, Tracer};
 
 /// Which solver answers the query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -744,6 +744,8 @@ fn worker_loop(inner: &Inner) {
                     k: query.k,
                     tau: query.tau,
                     hot,
+                    psi: psi_name(&query.preference),
+                    instance: answer.instance,
                 },
             );
         }

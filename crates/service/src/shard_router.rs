@@ -155,7 +155,7 @@ use crate::shard_proto::{
 use crate::snapshot::{
     RoutedOp, Snapshot, SnapshotStore, UpdateBatch, UpdateOp, UpdateReceipt, UpdateSink,
 };
-use crate::trace::{LoadGauge, Round1Source, Stage, TraceConfig, TraceMeta, Tracer};
+use crate::trace::{psi_name, LoadGauge, Round1Source, Stage, TraceConfig, TraceMeta, Tracer};
 use crate::wire::{MAX_RESYNC_BLOB, MAX_SHARD_RESPONSE};
 
 /// Router configuration.
@@ -1962,6 +1962,8 @@ impl ShardRouter {
                 k: query.k,
                 tau: query.tau,
                 hot: all_hot,
+                psi: psi_name(&query.preference),
+                instance,
             },
         );
 

@@ -33,6 +33,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use netclus::PreferenceFunction;
+
 use crate::metrics::{LatencyHistogram, LatencySummary};
 
 /// Named stages of the query and ingest pipelines.
@@ -325,6 +327,23 @@ pub struct TraceMeta {
     pub tau: f64,
     /// Whether the request rode the warm path end to end.
     pub hot: bool,
+    /// Preference family of the query: `"binary"`, `"linear"`,
+    /// `"exponential"`, `"convex"` or `"min_inconvenience"` — the solver's
+    /// cost per pair depends on it more than on anything else recorded here.
+    pub psi: &'static str,
+    /// Cluster-ladder instance that served τ.
+    pub instance: usize,
+}
+
+/// The [`TraceMeta::psi`] name of a preference function.
+pub(crate) fn psi_name(preference: &PreferenceFunction) -> &'static str {
+    match preference {
+        PreferenceFunction::Binary => "binary",
+        PreferenceFunction::LinearDecay => "linear",
+        PreferenceFunction::ExponentialDecay { .. } => "exponential",
+        PreferenceFunction::ConvexProbability { .. } => "convex",
+        PreferenceFunction::MinInconvenience { .. } => "min_inconvenience",
+    }
 }
 
 /// One retained trace: query metadata plus the full span tree.
@@ -366,12 +385,14 @@ impl SlowQueryRecord {
     pub fn to_json_line(&self) -> String {
         let mut s = String::with_capacity(256 + self.spans.len() * 96);
         s.push_str(&format!(
-            "{{\"seq\":{},\"epoch\":{},\"k\":{},\"tau\":{:.3},\"hot\":{},\"total_us\":{},\
-             \"trigger\":\"{}\",\"attributed_us\":{},\"spans\":[",
+            "{{\"seq\":{},\"epoch\":{},\"k\":{},\"tau\":{:.3},\"psi\":\"{}\",\"instance\":{},\
+             \"hot\":{},\"total_us\":{},\"trigger\":\"{}\",\"attributed_us\":{},\"spans\":[",
             self.seq,
             self.meta.epoch,
             self.meta.k,
             self.meta.tau,
+            self.meta.psi,
+            self.meta.instance,
             self.meta.hot,
             self.total_us,
             match self.trigger {
@@ -724,6 +745,8 @@ mod tests {
                 k: 6,
                 tau: 800.0,
                 hot: false,
+                psi: "convex",
+                instance: 2,
             },
         );
         let log = tracer.slow_queries();
@@ -735,6 +758,7 @@ mod tests {
         let json = record.to_json_line();
         assert!(json.contains("\"stage\":\"round1\""));
         assert!(json.contains("\"epoch\":3"));
+        assert!(json.contains("\"psi\":\"convex\",\"instance\":2,"));
         assert!(json.contains("\"trigger\":\"slow\""));
         assert!(!json.contains('\n'));
         // The stage histograms saw every span.

@@ -340,22 +340,24 @@ fn one_of_four_shards_outage_arc_degrades_brakes_and_recovers() {
 
     // Phase 2 — a slow shard under a deadline: the budget bounds the
     // wait well under the injected delay and the answer still arrives,
-    // degraded, from the surviving shards.
+    // degraded, from the surviving shards. The budget is wide enough that
+    // the healthy shards and the merge make it on a loaded two-core host;
+    // the slow shard is 3× beyond it.
     router.set_fault_plan(Some(
         FaultPlan::new(7)
             .with_rule(FaultRule::always(3, FaultAction::Error))
             .with_rule(FaultRule::always(
                 1,
-                FaultAction::Delay(Duration::from_millis(400)),
+                FaultAction::Delay(Duration::from_millis(1_500)),
             )),
     ));
     let begin = Instant::now();
     let a = router
-        .query(q, &QueryOptions::with_deadline(Duration::from_millis(120)))
+        .query(q, &QueryOptions::with_deadline(Duration::from_millis(500)))
         .expect("deadline-bounded degraded answer");
     let elapsed = begin.elapsed();
     assert!(
-        elapsed < Duration::from_millis(400),
+        elapsed < Duration::from_millis(1_500),
         "deadline must bound the wait, took {elapsed:?}"
     );
     assert!(a.degraded);

@@ -254,7 +254,14 @@ fn tracer_attributes_wall_time_to_stages() {
             r.total_us
         );
         let line = r.to_json_line();
-        for key in ["\"seq\":", "\"total_us\":", "\"spans\":[", "\"trigger\":"] {
+        for key in [
+            "\"seq\":",
+            "\"total_us\":",
+            "\"spans\":[",
+            "\"trigger\":",
+            "\"psi\":\"binary\"",
+            "\"instance\":",
+        ] {
             assert!(line.contains(key), "{key} missing from {line}");
         }
     }
@@ -291,14 +298,41 @@ fn executor_tracer_covers_the_query_lifecycle() {
         },
     )
     .expect("start service");
+    // A mixed-ψ run: each trace must say which ψ it solved and on which
+    // ladder instance, the two things a solve's cost depends on most.
+    let mix = [
+        ("binary", PreferenceFunction::Binary),
+        ("linear", PreferenceFunction::LinearDecay),
+        (
+            "convex",
+            PreferenceFunction::ConvexProbability { alpha: 2.0 },
+        ),
+    ];
+    let mut asked = Vec::new();
     for &tau in &[600.0, 900.0] {
-        for k in [3usize, 5, 3] {
-            service
-                .query_blocking(ServiceRequest::greedy(TopsQuery::binary(k, tau)))
+        for (k, (psi, preference)) in [3usize, 5, 3].into_iter().zip(mix) {
+            let answer = service
+                .query_blocking(ServiceRequest::greedy(TopsQuery { k, tau, preference }))
                 .expect("service answered");
+            asked.push((psi, answer.instance, k, tau));
         }
     }
+    // A worker finishes a trace after it has replied: join the workers so
+    // the last one is in the log.
+    service.shutdown();
     let tracer = service.tracer();
+    let records = tracer.slow_queries();
+    assert_eq!(records.len(), asked.len(), "every query was retained");
+    for (psi, instance, k, tau) in asked {
+        let record = records
+            .iter()
+            .find(|r| (r.meta.psi, r.meta.k, r.meta.tau) == (psi, k, tau))
+            .unwrap_or_else(|| panic!("no trace for {psi} k={k} τ={tau}"));
+        assert_eq!(record.meta.instance, instance);
+        let keys = format!("\"psi\":\"{psi}\",\"instance\":{instance},");
+        let line = record.to_json_line();
+        assert!(line.contains(&keys), "{keys} missing from {line}");
+    }
     assert!(tracer.stages().summary(Stage::Admission).count > 0);
     assert!(tracer.stages().summary(Stage::CacheProbe).count > 0);
     assert!(tracer.stages().summary(Stage::ProviderGet).count > 0);
@@ -306,7 +340,6 @@ fn executor_tracer_covers_the_query_lifecycle() {
     assert!(!tracer.slow_queries().is_empty());
     let report = service.metrics_report();
     assert!(report.process.arena_resident_bytes.unwrap_or(0) > 0);
-    service.shutdown();
 }
 
 /// The framed telemetry endpoint serves live router documents over TCP.
