@@ -301,6 +301,13 @@ impl PairArenaBuilder {
         self.offsets.push(checked_offset(self.ids.len() as u64));
     }
 
+    /// Appends the next row from a borrowed row (two block copies).
+    pub fn push_slice(&mut self, row: PairSlice<'_>) {
+        self.ids.extend_from_slice(row.ids);
+        self.dists.extend_from_slice(row.dists);
+        self.offsets.push(checked_offset(self.ids.len() as u64));
+    }
+
     /// Rows pushed so far.
     pub fn row_count(&self) -> usize {
         self.offsets.len() - 1

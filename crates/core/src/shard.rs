@@ -46,11 +46,22 @@
 //! checks this for shard counts 1, 2 and 4 and the three ψ on random
 //! partition-respecting corpora, along with the replication invariants.
 //!
+//! A round's coverage rows stay **structure-of-arrays from end to end**.
+//! [`local_candidates_on`] copies the selected rows' id and detour slices
+//! out of the shard's [`PairArena`] into one block per round; every
+//! [`Candidate::row`] is a [`RowView`] — a window into that block — so
+//! cloning a round, taking its [`ShardRoundOne::prefix`] (what a memo hit
+//! does) or moving its candidates into the merge copies no pair; the wire
+//! codec writes and reads each row as an id run and a detour run; and
+//! [`MergedCandidateProvider`] appends each view's two slices to its
+//! arena.
+//!
 //! All shards share one [`NetworkClustering`] (the GDSP ladder is corpus-
 //! independent), so cluster ids are globally consistent — the round-2
 //! candidate ordering sorts by `(instance cluster id, node id)`, exactly
 //! the order the monolithic provider enumerates representatives in.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use netclus_roadnet::{NodeId, RegionPartition, RoadNetwork};
@@ -340,8 +351,97 @@ impl ShardedNetClusIndex {
     }
 }
 
-/// One round-1 candidate: a locally selected site with its coverage row
-/// (global trajectory ids, estimated detours ascending).
+/// The coverage rows of one round, back to back, structure-of-arrays —
+/// the layout the rows have in the shard's [`PairArena`] and will have
+/// again in the merge's. Immutable once built and shared by every
+/// [`RowView`] into it.
+#[derive(Debug)]
+struct RowBlock {
+    ids: Vec<u32>,
+    dists: Vec<f64>,
+}
+
+/// One candidate's `T̂C` row: a window into the block its round shares
+/// (global trajectory ids, estimated detours ascending). Cloning clones a
+/// pointer, never a pair — which is what lets a memoised round answer
+/// every smaller `k` by [`ShardRoundOne::prefix`] without copying rows.
+/// Equality and `Debug` are those of the row's *contents*.
+#[derive(Clone)]
+pub struct RowView {
+    block: Arc<RowBlock>,
+    start: usize,
+    len: usize,
+}
+
+impl RowView {
+    /// A row of its own, from materialized pairs (tests, fixtures).
+    pub fn from_pairs(pairs: Vec<(u32, f64)>) -> RowView {
+        let (ids, dists): (Vec<u32>, Vec<f64>) = pairs.into_iter().unzip();
+        RowView {
+            len: ids.len(),
+            block: Arc::new(RowBlock { ids, dists }),
+            start: 0,
+        }
+    }
+
+    /// The trajectory ids of the row.
+    #[inline]
+    pub fn ids(&self) -> &[u32] {
+        &self.block.ids[self.start..self.start + self.len]
+    }
+
+    /// The estimated detours of the row, parallel to [`Self::ids`].
+    #[inline]
+    pub fn dists(&self) -> &[f64] {
+        &self.block.dists[self.start..self.start + self.len]
+    }
+
+    /// Number of pairs in the row.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the row is empty.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The row as the borrowed slice pair the arenas speak.
+    #[inline]
+    pub fn as_slice(&self) -> PairSlice<'_> {
+        PairSlice {
+            ids: self.ids(),
+            dists: self.dists(),
+        }
+    }
+
+    /// Materializes the row as a pair vector (tests / debugging).
+    pub fn to_pairs(&self) -> Vec<(u32, f64)> {
+        self.as_slice().to_pairs()
+    }
+
+    /// Whether both rows are windows into the same block — storage
+    /// identity, not content equality.
+    pub fn shares_block_with(&self, other: &RowView) -> bool {
+        Arc::ptr_eq(&self.block, &other.block)
+    }
+}
+
+impl PartialEq for RowView {
+    fn eq(&self, other: &RowView) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl std::fmt::Debug for RowView {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.as_slice().iter()).finish()
+    }
+}
+
+/// One round-1 candidate: a locally selected site with its coverage row.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Candidate {
     /// The candidate site.
@@ -354,8 +454,72 @@ pub struct Candidate {
     /// of the candidate list carries its own local utility (`Σ` of the
     /// first `k'` gains) — what makes [`ShardRoundOne::prefix`] exact.
     pub gain: f64,
-    /// `T̂C` row of the candidate, copied out of the shard provider.
-    pub row: Vec<(u32, f64)>,
+    /// `T̂C` row of the candidate, a view into the round's shared block.
+    pub row: RowView,
+}
+
+impl Candidate {
+    /// A candidate whose row is built from materialized pairs.
+    pub fn from_pairs(node: NodeId, cluster: u32, gain: f64, row: Vec<(u32, f64)>) -> Candidate {
+        Candidate {
+            node,
+            cluster,
+            gain,
+            row: RowView::from_pairs(row),
+        }
+    }
+}
+
+/// Fills one [`RowBlock`] for a whole round: `open` starts the next
+/// candidate's row, the caller appends that row's pairs to `ids` / `dists`,
+/// `finish` freezes the block and hands out the views.
+struct RoundBuilder {
+    ids: Vec<u32>,
+    dists: Vec<f64>,
+    /// `(node, cluster, gain, row start)` per candidate, in order.
+    heads: Vec<(NodeId, u32, f64, usize)>,
+}
+
+impl RoundBuilder {
+    fn with_capacity(candidates: usize, pairs: usize) -> RoundBuilder {
+        RoundBuilder {
+            ids: Vec::with_capacity(pairs),
+            dists: Vec::with_capacity(pairs),
+            heads: Vec::with_capacity(candidates),
+        }
+    }
+
+    fn open(&mut self, node: NodeId, cluster: u32, gain: f64) {
+        self.heads.push((node, cluster, gain, self.ids.len()));
+    }
+
+    fn finish(self) -> Vec<Candidate> {
+        debug_assert_eq!(self.ids.len(), self.dists.len());
+        let block = Arc::new(RowBlock {
+            ids: self.ids,
+            dists: self.dists,
+        });
+        let ends = self
+            .heads
+            .iter()
+            .skip(1)
+            .map(|h| h.3)
+            .chain(std::iter::once(block.ids.len()));
+        self.heads
+            .iter()
+            .zip(ends)
+            .map(|(&(node, cluster, gain, start), end)| Candidate {
+                node,
+                cluster,
+                gain,
+                row: RowView {
+                    block: Arc::clone(&block),
+                    start,
+                    len: end - start,
+                },
+            })
+            .collect()
+    }
 }
 
 /// Result of one shard's round-1 local greedy.
@@ -406,6 +570,7 @@ impl ShardRoundOne {
     pub fn prefix(&self, k: usize) -> ShardRoundOne {
         assert!(k <= self.k, "prefix k={k} exceeds computed k={}", self.k);
         let keep = k.min(self.candidates.len());
+        // Clones views, not rows: the prefix shares this round's block.
         let candidates: Vec<Candidate> = self.candidates[..keep].to_vec();
         ShardRoundOne {
             local_utility: candidates.iter().map(|c| c.gain).sum(),
@@ -423,10 +588,38 @@ impl ShardRoundOne {
     /// little-endian fields; floats as IEEE-754 bits, so a decoded round
     /// is **bit-identical** to the encoded one and the remote scatter path
     /// merges exactly what an in-process shard would have returned.
+    ///
+    /// Layout (v2 of the shard protocol): the candidate count, then per
+    /// candidate `node | cluster | gain | len | len × id | len × detour` —
+    /// a row is an id run followed by a distance run, the
+    /// structure-of-arrays shape it has in memory on both ends — then the
+    /// round's scalar fields. The encoded length is known up front, so the
+    /// buffer grows at most once.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        let pairs: usize = self.candidates.iter().map(|c| c.row.len()).sum();
+        buf.reserve(
+            4 + self.candidates.len() * CANDIDATE_HEAD_BYTES
+                + pairs * PAIR_BYTES
+                + ROUND_TAIL_BYTES,
+        );
         put_u32w(buf, self.candidates.len() as u32);
         for c in &self.candidates {
-            c.encode_into(buf);
+            put_u32w(buf, c.node.0);
+            put_u32w(buf, c.cluster);
+            put_u64w(buf, c.gain.to_bits());
+            put_u32w(buf, c.row.len() as u32);
+            let ids = c.row.ids();
+            let at = buf.len();
+            buf.resize(at + 4 * ids.len(), 0);
+            for (dst, id) in buf[at..].chunks_exact_mut(4).zip(ids) {
+                dst.copy_from_slice(&id.to_le_bytes());
+            }
+            let dists = c.row.dists();
+            let at = buf.len();
+            buf.resize(at + 8 * dists.len(), 0);
+            for (dst, d) in buf[at..].chunks_exact_mut(8).zip(dists) {
+                dst.copy_from_slice(&d.to_bits().to_le_bytes());
+            }
         }
         put_u64w(buf, self.k as u64);
         put_u64w(buf, self.instance as u64);
@@ -438,10 +631,12 @@ impl ShardRoundOne {
     }
 
     /// Decodes a round previously written by [`Self::encode_into`],
-    /// consuming from `r`. `max_candidates` bounds
-    /// the candidate count *before* any allocation, so a corrupt or
-    /// hostile length prefix cannot trigger a giant allocation. Every
-    /// malformed input returns a typed error — never a panic.
+    /// consuming from `r`, into one block shared by its candidates.
+    /// `max_candidates` bounds the candidate count, and every count and
+    /// row length is checked against the bytes the payload still holds
+    /// *before* anything is allocated for it, so a corrupt or hostile
+    /// length prefix cannot trigger an allocation the payload could not
+    /// fill. Every malformed input returns a typed error — never a panic.
     pub fn decode_from(
         r: &mut WireReader<'_>,
         max_candidates: usize,
@@ -450,12 +645,32 @@ impl ShardRoundOne {
         if n > max_candidates {
             return Err(ShardCodecError("candidate count exceeds wire cap"));
         }
-        let mut candidates = Vec::with_capacity(n);
+        if n > r.remaining() / CANDIDATE_HEAD_BYTES {
+            return Err(ShardCodecError("candidate count exceeds payload"));
+        }
+        // What is left bounds the pairs of the whole round from above.
+        let mut b = RoundBuilder::with_capacity(n, r.remaining() / PAIR_BYTES);
         for _ in 0..n {
-            candidates.push(Candidate::decode_from(r)?);
+            let node = NodeId(r.u32()?);
+            let cluster = r.u32()?;
+            let gain = f64::from_bits(r.u64()?);
+            let len = r.u32()? as usize;
+            if len > r.remaining() / PAIR_BYTES {
+                return Err(ShardCodecError("coverage row longer than payload"));
+            }
+            b.open(node, cluster, gain);
+            let ids = r.bytes(4 * len)?.chunks_exact(4);
+            b.ids
+                .extend(ids.map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk"))));
+            let dists = r.bytes(8 * len)?.chunks_exact(8);
+            b.dists.extend(
+                dists.map(|c| {
+                    f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+                }),
+            );
         }
         Ok(ShardRoundOne {
-            candidates,
+            candidates: b.finish(),
             k: r.u64()? as usize,
             instance: r.u64()? as usize,
             representatives: r.u64()? as usize,
@@ -467,43 +682,13 @@ impl ShardRoundOne {
     }
 }
 
-impl Candidate {
-    /// Serializes one candidate row (see [`ShardRoundOne::encode_into`]).
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        put_u32w(buf, self.node.0);
-        put_u32w(buf, self.cluster);
-        put_u64w(buf, self.gain.to_bits());
-        put_u32w(buf, self.row.len() as u32);
-        for &(traj, detour) in &self.row {
-            put_u32w(buf, traj);
-            put_u64w(buf, detour.to_bits());
-        }
-    }
-
-    /// Decodes one candidate row; typed error on any malformed input.
-    pub fn decode_from(r: &mut WireReader<'_>) -> Result<Candidate, ShardCodecError> {
-        let node = NodeId(r.u32()?);
-        let cluster = r.u32()?;
-        let gain = f64::from_bits(r.u64()?);
-        let len = r.u32()? as usize;
-        // Each row entry occupies 12 encoded bytes; a length prefix the
-        // remaining payload cannot hold is rejected before allocating.
-        if len > r.remaining() / 12 {
-            return Err(ShardCodecError("coverage row longer than payload"));
-        }
-        let mut row = Vec::with_capacity(len);
-        for _ in 0..len {
-            let traj = r.u32()?;
-            row.push((traj, f64::from_bits(r.u64()?)));
-        }
-        Ok(Candidate {
-            node,
-            cluster,
-            gain,
-            row,
-        })
-    }
-}
+/// Encoded bytes of one candidate ahead of its row: node, cluster, gain,
+/// row length.
+const CANDIDATE_HEAD_BYTES: usize = 4 + 4 + 8 + 4;
+/// Encoded bytes of one `(id, detour)` pair.
+const PAIR_BYTES: usize = 4 + 8;
+/// Encoded bytes of a round's scalar fields, after its candidates.
+const ROUND_TAIL_BYTES: usize = 6 * 8 + 4;
 
 /// Typed decode failure of the candidate-row wire codec: the payload was
 /// truncated or carried an impossible length prefix. CRC framing catches
@@ -612,7 +797,8 @@ pub struct ShardedAnswer {
 }
 
 /// Round 1 on one shard: build the provider serving `q.tau`, run the
-/// local greedy, and copy out the selected candidates' coverage rows.
+/// local greedy, and copy the selected candidates' coverage rows into the
+/// round's block.
 ///
 /// This is the cold path — provider acquisition and the local greedy in
 /// one call. Serving layers that cache providers per `(epoch, shard, τ)`
@@ -629,8 +815,9 @@ pub fn local_candidates(
 }
 
 /// Round 1 on an already-built shard provider (the hot path): run the
-/// local greedy over `provider` and copy out the selected candidates'
-/// coverage rows. `instance` names the index instance the provider was
+/// local greedy over `provider` and copy the selected candidates'
+/// coverage rows — two slices each, ids and detours — into one block the
+/// round's candidates share. `instance` names the index instance the provider was
 /// built from; `elapsed` covers the solver + row copies only — the caller
 /// decides whether a (possibly cached) provider build counts.
 pub fn local_candidates_on(
@@ -641,17 +828,27 @@ pub fn local_candidates_on(
     let start = Instant::now();
     let solution = inc_greedy(provider, q);
     let solve_us = start.elapsed().as_micros() as u64;
-    let candidates = solution
+    let picks = || {
+        solution
+            .site_indices
+            .iter()
+            .map(|&idx| provider.covered(idx))
+    };
+    let mut b = RoundBuilder::with_capacity(
+        solution.site_indices.len(),
+        picks().map(|row| row.len()).sum(),
+    );
+    for ((&idx, &gain), row) in solution
         .site_indices
         .iter()
         .zip(&solution.gains)
-        .map(|(&idx, &gain)| Candidate {
-            node: provider.site_node(idx),
-            cluster: provider.cluster_of(idx),
-            gain,
-            row: provider.covered(idx).to_pairs(),
-        })
-        .collect();
+        .zip(picks())
+    {
+        b.open(provider.site_node(idx), provider.cluster_of(idx), gain);
+        b.ids.extend_from_slice(row.ids);
+        b.dists.extend_from_slice(row.dists);
+    }
+    let candidates = b.finish();
     ShardRoundOne {
         candidates,
         k: q.k,
@@ -691,7 +888,7 @@ impl MergedCandidateProvider {
         let mut nodes = Vec::with_capacity(candidates.len());
         for c in &candidates {
             nodes.push(c.node);
-            b.push_row(c.row.iter().copied());
+            b.push_slice(c.row.as_slice());
         }
         MergedCandidateProvider {
             nodes,
@@ -1001,11 +1198,8 @@ mod tests {
 
     #[test]
     fn merged_provider_dedups_and_orders() {
-        let c = |node: u32, cluster: u32, row: Vec<(u32, f64)>| Candidate {
-            node: NodeId(node),
-            cluster,
-            gain: 0.0,
-            row,
+        let c = |node: u32, cluster: u32, row: Vec<(u32, f64)>| {
+            Candidate::from_pairs(NodeId(node), cluster, 0.0, row)
         };
         let provider = MergedCandidateProvider::new(
             vec![
@@ -1132,18 +1326,9 @@ mod tests {
     fn wire_round() -> ShardRoundOne {
         ShardRoundOne {
             candidates: vec![
-                Candidate {
-                    node: NodeId(7),
-                    cluster: 3,
-                    gain: 2.5,
-                    row: vec![(0, 120.25), (4, 300.5)],
-                },
-                Candidate {
-                    node: NodeId(11),
-                    cluster: 3,
-                    gain: 1.0 / 3.0, // not exactly representable: bit test
-                    row: vec![],
-                },
+                Candidate::from_pairs(NodeId(7), 3, 2.5, vec![(0, 120.25), (4, 300.5)]),
+                // A gain that is not exactly representable: the bit test.
+                Candidate::from_pairs(NodeId(11), 3, 1.0 / 3.0, vec![]),
             ],
             k: 2,
             instance: 1,
@@ -1179,21 +1364,181 @@ mod tests {
         assert_eq!(got.shard_hint, round.shard_hint);
     }
 
+    /// A seeded random round whose rows share one block, as a shard
+    /// builds it: `n` candidates, rows of 0..=`max_row` pairs.
+    fn random_round(rng: &mut rand::rngs::StdRng, n: usize, max_row: usize) -> ShardRoundOne {
+        use rand::RngExt;
+        let mut b = RoundBuilder::with_capacity(n, 0);
+        for _ in 0..n {
+            b.open(
+                NodeId(rng.random()),
+                rng.random(),
+                rng.random::<f64>() * 1e3,
+            );
+            let mut d = 0.0;
+            for _ in 0..rng.random_range(0..=max_row) {
+                d += rng.random::<f64>() * 100.0;
+                b.ids.push(rng.random());
+                b.dists.push(d);
+            }
+        }
+        let candidates = b.finish();
+        ShardRoundOne {
+            local_utility: candidates.iter().map(|c| c.gain).sum(),
+            candidates,
+            k: n + rng.random_range(0..3usize),
+            instance: rng.random_range(0..8),
+            representatives: rng.random_range(n..n + 500),
+            elapsed: Duration::from_nanos(rng.random_range(0..5_000_000)),
+            solve_us: rng.random_range(0..5_000),
+            shard_hint: rng.random_range(0..16),
+        }
+    }
+
+    /// The v2 layout written field by field and pair by pair: the slow
+    /// twin the bulk writer answers to.
+    fn encode_pair_by_pair(round: &ShardRoundOne) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_u32w(&mut buf, round.candidates.len() as u32);
+        for c in &round.candidates {
+            put_u32w(&mut buf, c.node.0);
+            put_u32w(&mut buf, c.cluster);
+            put_u64w(&mut buf, c.gain.to_bits());
+            put_u32w(&mut buf, c.row.len() as u32);
+            for &id in c.row.ids() {
+                put_u32w(&mut buf, id);
+            }
+            for &d in c.row.dists() {
+                put_u64w(&mut buf, d.to_bits());
+            }
+        }
+        put_u64w(&mut buf, round.k as u64);
+        put_u64w(&mut buf, round.instance as u64);
+        put_u64w(&mut buf, round.representatives as u64);
+        put_u64w(&mut buf, round.local_utility.to_bits());
+        put_u64w(&mut buf, round.elapsed.as_nanos() as u64);
+        put_u64w(&mut buf, round.solve_us);
+        put_u32w(&mut buf, round.shard_hint);
+        buf
+    }
+
+    /// Seeded rounds of every shape the codec meets: no candidates, empty
+    /// rows, one-pair rows, long rows, and prefixes of a longer round.
+    fn sample_rounds() -> Vec<ShardRoundOne> {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(22);
+        let mut rounds = vec![wire_round(), random_round(&mut rng, 0, 0)];
+        for n in [1, 2, 5, 20] {
+            for max_row in [0, 1, 7, 60] {
+                rounds.push(random_round(&mut rng, n, max_row));
+            }
+        }
+        let long = random_round(&mut rng, 20, 40);
+        rounds.extend([0, 1, 7, 20].map(|k| long.prefix(k)));
+        rounds
+    }
+
+    #[test]
+    fn decode_of_encode_is_the_round_and_the_bytes_are_the_slow_twins() {
+        for round in sample_rounds() {
+            let mut buf = vec![0xEE; 5]; // encode_into appends
+            round.encode_into(&mut buf);
+            assert_eq!(buf[5..], encode_pair_by_pair(&round)[..]);
+            let mut r = WireReader::new(&buf[5..]);
+            let got = ShardRoundOne::decode_from(&mut r, 64).expect("decode");
+            assert_eq!(r.remaining(), 0, "decoder must consume the payload");
+            assert_eq!(got, round);
+            // `==` on f64 would let -0.0 through as 0.0; the wire may not.
+            for (a, b) in got.candidates.iter().zip(&round.candidates) {
+                assert_eq!(a.gain.to_bits(), b.gain.to_bits());
+                let bits =
+                    |row: &RowView| row.dists().iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a.row), bits(&b.row));
+            }
+            // One block per decoded round, whatever the sender's blocks were.
+            for c in got.candidates.iter().skip(1) {
+                assert!(c.row.shares_block_with(&got.candidates[0].row));
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_and_clone_share_the_rounds_block() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let round = random_round(&mut rng, 6, 30);
+        let prefix = round.prefix(4);
+        assert_eq!(prefix.candidates[..], round.candidates[..4]);
+        for (p, c) in prefix.candidates.iter().zip(&round.candidates) {
+            assert!(p.row.shares_block_with(&c.row), "prefix copied a row");
+            assert_eq!(p.row.ids().as_ptr(), c.row.ids().as_ptr());
+            assert_eq!(p.row.dists().as_ptr(), c.row.dists().as_ptr());
+        }
+        let cloned = round.clone();
+        assert!(cloned.candidates[5]
+            .row
+            .shares_block_with(&round.candidates[0].row));
+        // Rows built apart are equal by content, not by storage.
+        let apart = Candidate::from_pairs(NodeId(1), 0, 0.0, round.candidates[0].row.to_pairs());
+        assert_eq!(apart.row, round.candidates[0].row);
+        assert!(!apart.row.shares_block_with(&round.candidates[0].row));
+        assert_eq!(
+            format!("{:?}", apart.row),
+            format!("{:?}", apart.row.to_pairs())
+        );
+    }
+
+    #[test]
+    fn round_one_rows_are_the_providers_rows_in_one_block() {
+        let (net, trajs, sites, partition) = fixture();
+        let sharded = ShardedNetClusIndex::build(&net, &trajs, &sites, &partition, config());
+        let index = &sharded.shards()[0].index;
+        let q = TopsQuery::binary(3, 800.0);
+        let (p, provider) = index.build_provider_with(
+            q.tau,
+            sharded.traj_id_bound(),
+            1,
+            &mut ProviderScratch::default(),
+        );
+        let round = local_candidates_on(&provider, p, &q);
+        assert!(round.candidates.len() >= 2, "fixture selects several sites");
+        for c in &round.candidates {
+            let idx = (0..provider.site_count())
+                .find(|&i| provider.site_node(i) == c.node)
+                .expect("candidate is a representative");
+            assert_eq!(c.row.as_slice(), provider.covered(idx));
+            assert!(c.row.shares_block_with(&round.candidates[0].row));
+        }
+    }
+
     /// Every truncation of a valid encoding fails with a typed error —
     /// never a panic, never an out-of-bounds read.
     #[test]
     fn round_one_decode_rejects_every_truncation() {
-        let round = wire_round();
-        let mut buf = Vec::new();
-        round.encode_into(&mut buf);
-        for cut in 0..buf.len() {
-            let mut r = WireReader::new(&buf[..cut]);
-            assert!(
-                ShardRoundOne::decode_from(&mut r, 16).is_err(),
-                "truncation at {cut}/{} must fail typed",
-                buf.len()
-            );
+        for round in sample_rounds() {
+            let mut buf = Vec::new();
+            round.encode_into(&mut buf);
+            for cut in 0..buf.len() {
+                let mut r = WireReader::new(&buf[..cut]);
+                assert!(
+                    ShardRoundOne::decode_from(&mut r, 64).is_err(),
+                    "truncation at {cut}/{} must fail typed",
+                    buf.len()
+                );
+            }
         }
+    }
+
+    /// Byte offsets of every length prefix in `round`'s encoding: the
+    /// candidate count, then each candidate's row length.
+    fn length_prefix_offsets(round: &ShardRoundOne) -> Vec<usize> {
+        let mut at = 4;
+        let mut offsets = vec![0];
+        for c in &round.candidates {
+            offsets.push(at + CANDIDATE_HEAD_BYTES - 4);
+            at += CANDIDATE_HEAD_BYTES + c.row.len() * PAIR_BYTES;
+        }
+        offsets
     }
 
     #[test]
@@ -1207,14 +1552,50 @@ mod tests {
             ShardRoundOne::decode_from(&mut r, 1),
             Err(ShardCodecError("candidate count exceeds wire cap"))
         );
-        // A coverage-row length the payload cannot hold: the first
-        // candidate's row length lives after node+cluster+gain.
+        // Under the cap but more candidates than the payload has bytes for.
         let mut forged = buf.clone();
-        forged[4 + 4 + 4 + 8..4 + 4 + 4 + 8 + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let mut r = WireReader::new(&forged);
+        forged[0..4].copy_from_slice(&4_000u32.to_le_bytes());
         assert_eq!(
-            ShardRoundOne::decode_from(&mut r, 16),
+            ShardRoundOne::decode_from(&mut WireReader::new(&forged), 4_096),
+            Err(ShardCodecError("candidate count exceeds payload"))
+        );
+        // A coverage-row length the payload cannot hold.
+        let mut forged = buf.clone();
+        let at = length_prefix_offsets(&round)[1];
+        forged[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            ShardRoundOne::decode_from(&mut WireReader::new(&forged), 16),
             Err(ShardCodecError("coverage row longer than payload"))
         );
+    }
+
+    /// Any inflation of any length prefix — by one, to just past what the
+    /// payload holds, to the maximum — fails typed: the decoder would
+    /// otherwise read a neighbour's bytes as pairs or run off the end.
+    #[test]
+    fn round_one_decode_rejects_every_inflated_length_prefix() {
+        for round in sample_rounds() {
+            let mut buf = Vec::new();
+            round.encode_into(&mut buf);
+            for at in length_prefix_offsets(&round) {
+                let honest = u32::from_le_bytes(buf[at..at + 4].try_into().unwrap());
+                let past_payload = (buf.len() / PAIR_BYTES) as u32 + 1;
+                for forged in [honest + 1, honest + past_payload, u32::MAX] {
+                    let mut bad = buf.clone();
+                    bad[at..at + 4].copy_from_slice(&forged.to_le_bytes());
+                    let mut r = WireReader::new(&bad);
+                    // A row grown by one pair can still parse — as a
+                    // different message that then falls short of its tail.
+                    let decoded = ShardRoundOne::decode_from(&mut r, 64);
+                    assert!(
+                        decoded.is_err() || r.remaining() != 0 || decoded.as_ref() != Ok(&round),
+                        "prefix at {at} forged {honest} -> {forged} decoded as the honest round"
+                    );
+                    if forged != honest + 1 {
+                        assert!(decoded.is_err(), "prefix at {at} forged to {forged}");
+                    }
+                }
+            }
+        }
     }
 }

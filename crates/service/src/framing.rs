@@ -9,8 +9,11 @@
 
 use std::io::{self, Read, Write};
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `TABLES[0]` is the classic one-byte table and
+/// `TABLES[k][b]` the CRC of byte `b` followed by `k` zero bytes, so eight
+/// input bytes fold into the state with eight independent lookups.
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -23,22 +26,58 @@ const fn build_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 8] = build_tables();
+
+/// One byte folded into the running (pre-inverted) state.
+#[inline]
+fn crc_step(c: u32, b: u8) -> u32 {
+    TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
+}
 
 /// CRC-32 of `data` (IEEE reflected form, initial/final XOR `!0`).
+///
+/// Eight bytes a step (slicing-by-8); the value is that of the bytewise
+/// loop for every input, so frames, WAL segments and record streams
+/// written before the kernel changed still verify.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut c = !0u32;
-    for &b in data {
-        c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xFF) as usize]
+            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = crc_step(c, b);
     }
     !c
 }
+
+/// Bytes of the `len | crc` header in front of every payload.
+const HEADER_BYTES: usize = 8;
 
 /// Writes one `len | crc | payload` frame.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
@@ -49,15 +88,43 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     w.write_all(payload)
 }
 
+/// Builds one whole frame in `buf` (cleared first): the header's eight
+/// bytes are reserved, `encode` appends the payload behind them, then the
+/// length and CRC are patched in — so a message is encoded once, into the
+/// buffer it leaves from, and the frame goes out as a single write.
+pub(crate) fn frame_into(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+    buf.clear();
+    buf.extend_from_slice(&[0u8; HEADER_BYTES]);
+    encode(buf);
+    let len = u32::try_from(buf.len() - HEADER_BYTES)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame payload too large"))?;
+    let crc = crc32(&buf[HEADER_BYTES..]);
+    buf[0..4].copy_from_slice(&len.to_le_bytes());
+    buf[4..8].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
+
 /// Reads one frame, verifying the CRC. Returns `Ok(None)` on a clean EOF
 /// (no header bytes at all); a truncated header/payload, an oversized
 /// length (`> max_len`), or a CRC mismatch is an error.
 pub fn read_frame<R: Read>(r: &mut R, max_len: usize) -> io::Result<Option<Vec<u8>>> {
-    let mut header = [0u8; 8];
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, max_len, &mut payload)?.then_some(payload))
+}
+
+/// [`read_frame`] into a caller-owned buffer (a connection reuses one
+/// across replies): `payload` holds the verified payload on `Ok(true)`,
+/// `Ok(false)` is the clean EOF.
+pub(crate) fn read_frame_into<R: Read>(
+    r: &mut R,
+    max_len: usize,
+    payload: &mut Vec<u8>,
+) -> io::Result<bool> {
+    let mut header = [0u8; HEADER_BYTES];
     let mut filled = 0;
     while filled < header.len() {
         match r.read(&mut header[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
+            Ok(0) if filled == 0 => return Ok(false),
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
@@ -77,21 +144,88 @@ pub fn read_frame<R: Read>(r: &mut R, max_len: usize) -> io::Result<Option<Vec<u
             format!("frame of {len} bytes exceeds limit {max_len}"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    if crc32(&payload) != crc {
+    // Only growth is zero-filled: `read_exact` overwrites all `len` bytes
+    // or fails, and a failed read's buffer is never looked at.
+    payload.resize(len, 0);
+    r.read_exact(payload)?;
+    if crc32(payload) != crc {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "frame CRC mismatch",
         ));
     }
-    Ok(Some(payload))
+    Ok(true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, RngExt, SeedableRng};
     use std::io::Cursor;
+
+    /// The one-table, one-byte-a-step loop the slicing kernel replaced:
+    /// the reference it must equal on every input.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        !data.iter().fold(!0u32, |c, &b| crc_step(c, b))
+    }
+
+    fn random_bytes(rng: &mut StdRng, len: usize) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(len + 8);
+        while buf.len() < len {
+            buf.extend_from_slice(&rng.next_u64().to_le_bytes());
+        }
+        buf.truncate(len);
+        buf
+    }
+
+    #[test]
+    fn slicing_kernel_equals_the_bytewise_reference() {
+        let mut rng = StdRng::seed_from_u64(22);
+        // Every length around the 8-byte step and the 256-byte table, at
+        // every alignment of the first byte.
+        let buf = random_bytes(&mut rng, 8 + 257);
+        for start in 0..8 {
+            for len in 0..=257 {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "start {start} len {len}");
+            }
+        }
+        // Frame-sized inputs: a shard reply is ~52 kB, a resync chunk 1 MiB.
+        let big = random_bytes(&mut rng, 1 << 20);
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
+        for _ in 0..32 {
+            let len = rng.random_range(0..=big.len());
+            let start = rng.random_range(0..=big.len() - len);
+            let data = &big[start..start + len];
+            assert_eq!(crc32(data), crc32_bytewise(data), "start {start} len {len}");
+        }
+    }
+
+    #[test]
+    fn frame_into_writes_the_bytes_of_write_frame() {
+        let mut buf = vec![0xAA; 3]; // stale bytes of a previous frame
+        for payload in [&b""[..], b"x", b"hello frame"] {
+            frame_into(&mut buf, |b| b.extend_from_slice(payload)).unwrap();
+            let mut want = Vec::new();
+            write_frame(&mut want, payload).unwrap();
+            assert_eq!(buf, want);
+        }
+    }
+
+    #[test]
+    fn read_frame_into_reuses_the_buffer() {
+        let mut stream = Vec::new();
+        write_frame(&mut stream, b"a longer first payload").unwrap();
+        write_frame(&mut stream, b"short").unwrap();
+        let mut r = Cursor::new(stream);
+        let mut payload = Vec::new();
+        assert!(read_frame_into(&mut r, 64, &mut payload).unwrap());
+        assert_eq!(payload, b"a longer first payload");
+        assert!(read_frame_into(&mut r, 64, &mut payload).unwrap());
+        assert_eq!(payload, b"short", "no bytes of the previous frame remain");
+        assert!(!read_frame_into(&mut r, 64, &mut payload).unwrap());
+    }
 
     #[test]
     fn known_vectors() {

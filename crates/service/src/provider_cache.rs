@@ -476,8 +476,8 @@ pub struct RoundCacheStats {
 }
 
 struct RoundEntry {
-    /// `Arc`-held so a hit clones a pointer under the lock and slices the
-    /// (row-carrying, potentially large) prefix outside it.
+    /// `Arc`-held so a hit clones one pointer under the lock and takes
+    /// the prefix (a clone of `k` row views, no pair copied) outside it.
     round: Arc<ShardRoundOne>,
     last_used: u64,
 }
@@ -520,9 +520,9 @@ impl RoundOneCache {
     /// Answers a `k`-request from the memo if a round computed for some
     /// `k_cached ≥ k` is resident: the returned round is its `k`-prefix.
     ///
-    /// The coverage-row deep copy of the prefix happens **outside** the
-    /// memo lock — under the lock a hit only bumps recency and clones an
-    /// `Arc`, so warm workers don't serialize on row copies.
+    /// A hit copies no pair: the prefix's rows are views into the
+    /// memoised round's block ([`netclus::shard::RowView`]), so what a hit
+    /// costs is `k` reference-count bumps, taken outside the memo lock.
     pub fn lookup(&self, key: &RoundKey, k: usize) -> Option<ShardRoundOne> {
         let hit: Option<Arc<ShardRoundOne>> = {
             let mut inner = self.lock();
@@ -652,11 +652,13 @@ mod tests {
             candidates: gains
                 .iter()
                 .enumerate()
-                .map(|(i, &gain)| netclus::shard::Candidate {
-                    node: NodeId(i as u32),
-                    cluster: i as u32,
-                    gain,
-                    row: vec![(i as u32, gain)],
+                .map(|(i, &gain)| {
+                    netclus::shard::Candidate::from_pairs(
+                        NodeId(i as u32),
+                        i as u32,
+                        gain,
+                        vec![(i as u32, gain)],
+                    )
                 })
                 .collect(),
             k,
@@ -861,6 +863,25 @@ mod tests {
         assert_eq!(s.entries, 1);
         assert_eq!(s.misses, 2);
         assert_eq!(s.hits, 4);
+    }
+
+    /// A hit hands out views into the memoised round's storage: were the
+    /// prefix to deep-copy its rows again, the pointers below would differ.
+    #[test]
+    fn round_memo_hit_shares_the_memoised_rows() {
+        let memo = RoundOneCache::new(4);
+        let key = RoundKey::new(0, 0, 800.0, &PreferenceFunction::Binary);
+        let memoised = round(3, &[5.0, 3.0, 1.0]);
+        memo.insert(key, memoised.clone());
+        for k in [1, 2, 3] {
+            let hit = memo.lookup(&key, k).expect("prefix hit");
+            assert_eq!(hit.candidates[..], memoised.candidates[..k]);
+            for (got, held) in hit.candidates.iter().zip(&memoised.candidates) {
+                assert!(got.row.shares_block_with(&held.row), "k={k}: row copied");
+                assert_eq!(got.row.ids().as_ptr(), held.row.ids().as_ptr());
+                assert_eq!(got.row.dists().as_ptr(), held.row.dists().as_ptr());
+            }
+        }
     }
 
     #[test]

@@ -13,11 +13,28 @@
 //! | n     | payload: `tag: u8` + body, LE fixed-width |
 //!
 //! Requests are bounded at [`crate::wire::MAX_SHARD_REQUEST`] bytes and
-//! responses at [`crate::wire::MAX_SHARD_RESPONSE`]; a `Round1Resp`
+//! responses at [`crate::wire::MAX_SHARD_RESPONSE`]; a `Round1Ok`
 //! carries at most [`crate::wire::MAX_WIRE_CANDIDATES`] candidate rows
 //! (encoded by the bit-exact codec in [`netclus::shard`]). Floats cross
 //! the wire as IEEE-754 bits, so a remote round-1 answer merges into
 //! **bit-identical** top-k results.
+//!
+//! A `Round1Ok` body is `epoch: u64 | bound: u64 | source: u8` and then
+//! the round ([`ShardRoundOne::encode_into`], protocol version 2):
+//!
+//! | bytes        | field |
+//! |--------------|--------------------------------------------------|
+//! | 4            | candidate count `n`, `u32`                       |
+//! | per candidate| `node: u32`, `cluster: u32`, `gain: f64` bits, `len: u32`, then the row: `len × u32` trajectory ids followed by `len × f64` detours |
+//! | 52           | `k`, instance, representatives, local utility bits, elapsed ns, solve µs (`u64` each), shard hint `u32` |
+//!
+//! A row is an id run and a detour run — the structure-of-arrays shape it
+//! has in the shard's arena, in the round's shared block on both ends and
+//! in the merge's arena — so encode and decode are two bulk copies per
+//! row, not a loop over pairs. A message is encoded by `encode_into`
+//! straight into the connection buffer its frame leaves from
+//! (`framing::frame_into` reserves the header and patches length and CRC
+//! in afterwards) and a reply is read into a buffer the connection keeps.
 //!
 //! The decoder is paranoid by construction: every length prefix is
 //! validated against the remaining payload *before* allocation, unknown
@@ -49,7 +66,11 @@ use crate::wire::{MAX_RESYNC_CHUNK, MAX_SHARD_REQUEST, MAX_WIRE_CANDIDATES};
 /// version is answered with [`RespError::VersionSkew`] and the connection
 /// is closed — skew is a deploy-ordering bug, not something to limp
 /// through.
-pub const SHARD_PROTOCOL_VERSION: u32 = 1;
+///
+/// Version 2 changed the layout of a coverage row inside `Round1Ok` from
+/// interleaved `(id, detour)` pairs to an id run followed by a detour run
+/// (see [`ShardRoundOne::encode_into`]); nothing else moved.
+pub const SHARD_PROTOCOL_VERSION: u32 = 2;
 
 /// Typed decode failure of a shard-protocol payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -478,11 +499,19 @@ impl Request {
     /// [`crate::framing::write_frame`]).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends the request's payload to `buf` — what a connection calls
+    /// with the buffer the frame leaves from.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        let start = buf.len();
         match self {
             Request::Hello { version, shard } => {
                 buf.push(REQ_HELLO);
-                put_u32(&mut buf, *version);
-                put_u32(&mut buf, *shard);
+                put_u32(buf, *version);
+                put_u32(buf, *shard);
             }
             Request::Round1 {
                 epoch_hint,
@@ -494,19 +523,19 @@ impl Request {
                 variant,
             } => {
                 buf.push(REQ_ROUND1);
-                put_u64(&mut buf, *epoch_hint);
-                put_u32(&mut buf, *shard);
-                put_u64(&mut buf, *k);
-                put_u64(&mut buf, *tau_bits);
+                put_u64(buf, *epoch_hint);
+                put_u32(buf, *shard);
+                put_u64(buf, *k);
+                put_u64(buf, *tau_bits);
                 buf.push(*psi_tag);
-                put_u64(&mut buf, *psi_param);
+                put_u64(buf, *psi_param);
                 buf.push(*variant);
             }
             Request::Apply { ops } => {
                 buf.push(REQ_APPLY);
-                put_u32(&mut buf, ops.len() as u32);
+                put_u32(buf, ops.len() as u32);
                 for op in ops {
-                    encode_op(&mut buf, op);
+                    encode_op(buf, op);
                 }
             }
             Request::Report => buf.push(REQ_REPORT),
@@ -514,12 +543,14 @@ impl Request {
             Request::Shutdown => buf.push(REQ_SHUTDOWN),
             Request::Resync { shard, offset } => {
                 buf.push(REQ_RESYNC);
-                put_u32(&mut buf, *shard);
-                put_u64(&mut buf, *offset);
+                put_u32(buf, *shard);
+                put_u64(buf, *offset);
             }
         }
-        debug_assert!(buf.len() <= MAX_SHARD_REQUEST, "request exceeds wire cap");
-        buf
+        debug_assert!(
+            buf.len() - start <= MAX_SHARD_REQUEST,
+            "request exceeds wire cap"
+        );
     }
 
     /// Decodes one request payload; every malformed input is a typed
@@ -573,6 +604,13 @@ impl Response {
     /// Serializes the response into a fresh payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends the response's payload to `buf` — what a connection calls
+    /// with the buffer the frame leaves from.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Response::HelloAck {
                 version,
@@ -582,11 +620,11 @@ impl Response {
                 live_trajs,
             } => {
                 buf.push(RESP_HELLO);
-                put_u32(&mut buf, *version);
-                put_u32(&mut buf, *shard);
-                put_u64(&mut buf, *epoch);
-                put_u64(&mut buf, *traj_id_bound);
-                put_u64(&mut buf, *live_trajs);
+                put_u32(buf, *version);
+                put_u32(buf, *shard);
+                put_u64(buf, *epoch);
+                put_u64(buf, *traj_id_bound);
+                put_u64(buf, *live_trajs);
             }
             Response::Round1Ok {
                 epoch,
@@ -595,10 +633,10 @@ impl Response {
                 round,
             } => {
                 buf.push(RESP_ROUND1);
-                put_u64(&mut buf, *epoch);
-                put_u64(&mut buf, *bound);
+                put_u64(buf, *epoch);
+                put_u64(buf, *bound);
                 buf.push(source_tag(*source));
-                round.encode_into(&mut buf);
+                round.encode_into(buf);
             }
             Response::ApplyAck {
                 epoch,
@@ -606,14 +644,14 @@ impl Response {
                 results,
             } => {
                 buf.push(RESP_APPLY);
-                put_u64(&mut buf, *epoch);
-                put_u64(&mut buf, *live_trajs);
-                put_u32(&mut buf, results.len() as u32);
+                put_u64(buf, *epoch);
+                put_u64(buf, *live_trajs);
+                put_u32(buf, results.len() as u32);
                 buf.extend(results.iter().map(|&b| b as u8));
             }
             Response::ReportJson { json } => {
                 buf.push(RESP_REPORT);
-                put_u32(&mut buf, json.len() as u32);
+                put_u32(buf, json.len() as u32);
                 buf.extend_from_slice(json.as_bytes());
             }
             Response::HeartbeatAck {
@@ -623,10 +661,10 @@ impl Response {
                 live_trajs,
             } => {
                 buf.push(RESP_HEARTBEAT);
-                put_u64(&mut buf, *epoch);
-                put_u64(&mut buf, load_qps.to_bits());
-                put_u64(&mut buf, cache_heat.to_bits());
-                put_u64(&mut buf, *live_trajs);
+                put_u64(buf, *epoch);
+                put_u64(buf, load_qps.to_bits());
+                put_u64(buf, cache_heat.to_bits());
+                put_u64(buf, *live_trajs);
             }
             Response::ShutdownAck => buf.push(RESP_SHUTDOWN),
             Response::ResyncChunk {
@@ -635,9 +673,9 @@ impl Response {
                 data,
             } => {
                 buf.push(RESP_RESYNC);
-                put_u64(&mut buf, *epoch);
-                put_u64(&mut buf, *total_len);
-                put_u32(&mut buf, data.len() as u32);
+                put_u64(buf, *epoch);
+                put_u64(buf, *total_len);
+                put_u32(buf, data.len() as u32);
                 buf.extend_from_slice(data);
             }
             Response::Error(e) => {
@@ -649,7 +687,6 @@ impl Response {
                 });
             }
         }
-        buf
     }
 
     /// Decodes one response payload; typed errors only, trailing bytes
@@ -744,18 +781,18 @@ mod tests {
     use netclus::shard::Candidate;
     use std::time::Duration;
 
+    /// Three candidates: a row, an empty row, a longer row.
     fn sample_round() -> ShardRoundOne {
         ShardRoundOne {
-            candidates: vec![Candidate {
-                node: NodeId(3),
-                cluster: 1,
-                gain: 4.25,
-                row: vec![(2, 150.0), (5, 600.5)],
-            }],
+            candidates: vec![
+                Candidate::from_pairs(NodeId(3), 1, 4.25, vec![(2, 150.0), (5, 600.5)]),
+                Candidate::from_pairs(NodeId(8), 1, 0.5, vec![]),
+                Candidate::from_pairs(NodeId(4), 2, 0.25, vec![(0, 1.0), (1, 2.5), (7, 9.0)]),
+            ],
             k: 3,
             instance: 0,
             representatives: 4,
-            local_utility: 4.25,
+            local_utility: 5.0,
             elapsed: Duration::from_micros(77),
             solve_us: 41,
             shard_hint: 2,
@@ -804,6 +841,19 @@ mod tests {
                 bound: 120,
                 source: Round1Source::Memo,
                 round: sample_round(),
+            },
+            // A memo hit's shape: the prefix of a longer round.
+            Response::Round1Ok {
+                epoch: 5,
+                bound: 120,
+                source: Round1Source::Memo,
+                round: sample_round().prefix(1),
+            },
+            Response::Round1Ok {
+                epoch: 0,
+                bound: 0,
+                source: Round1Source::Cold,
+                round: sample_round().prefix(0),
             },
             Response::ApplyAck {
                 epoch: 6,
@@ -896,6 +946,42 @@ mod tests {
             Request::decode(&[]),
             Err(WireError::Truncated("truncated payload"))
         );
+    }
+
+    /// Every length prefix of a `Round1Ok` (the candidate count, each row
+    /// length) forged upwards is refused before anything is allocated for
+    /// it — the v2 row layout reads `len` ids then `len` detours, so an
+    /// unchecked length would swallow the neighbours' bytes.
+    #[test]
+    fn inflated_round1_length_prefixes_fail_typed() {
+        let round = sample_round();
+        let honest = Response::Round1Ok {
+            epoch: 5,
+            bound: 120,
+            source: Round1Source::Built,
+            round: round.clone(),
+        }
+        .encode();
+        // tag, epoch, bound, source, then the round: its count, then per
+        // candidate node | cluster | gain | len | ids | detours.
+        let round_at = 1 + 8 + 8 + 1;
+        let mut prefixes = vec![round_at];
+        let mut at = round_at + 4;
+        for c in &round.candidates {
+            prefixes.push(at + 16);
+            at += 20 + 12 * c.row.len();
+        }
+        for at in prefixes {
+            for forged in [1_000u32, MAX_WIRE_CANDIDATES as u32 + 1, u32::MAX] {
+                let mut bad = honest.clone();
+                bad[at..at + 4].copy_from_slice(&forged.to_le_bytes());
+                assert!(
+                    matches!(Response::decode(&bad), Err(WireError::Truncated(_))),
+                    "prefix at {at} forged to {forged}: {:?}",
+                    Response::decode(&bad)
+                );
+            }
+        }
     }
 
     #[test]

@@ -141,7 +141,7 @@ use crate::fault::{
     BreakerAdmit, BreakerConfig, BreakerSnapshot, CircuitBreaker, FaultPlan, QueryError,
     ShardFailure,
 };
-use crate::framing::{read_frame, write_frame};
+use crate::framing::{frame_into, read_frame_into};
 use crate::metrics::{
     FaultReport, LatencyHistogram, LatencySummary, MetricsClock, MetricsReport, ShardLaneReport,
     ShardReport,
@@ -618,10 +618,22 @@ pub struct ShardHello {
 }
 
 struct ConnState {
-    stream: Option<TcpStream>,
+    link: Option<Conn>,
     /// No reconnect attempt before this instant (backoff window).
     next_attempt: Option<Instant>,
     backoff: Duration,
+}
+
+/// An established connection with what lives as long as it does: one
+/// buffer each way (a request is encoded, framed and sent from `tx`, a
+/// reply is read into `rx`) and the io timeout the socket currently has.
+struct Conn {
+    stream: TcpStream,
+    tx: Vec<u8>,
+    rx: Vec<u8>,
+    /// The read/write timeout last set on `stream`; a call that wants
+    /// the same value skips both `setsockopt`s.
+    timeout: Duration,
 }
 
 /// The remote transport: one shard served by a `netclus-shardd` process
@@ -651,7 +663,7 @@ impl RemoteShard {
             shard,
             addr,
             conn: Mutex::new(ConnState {
-                stream: None,
+                link: None,
                 next_attempt: None,
                 backoff: cfg.backoff,
             }),
@@ -711,10 +723,10 @@ impl RemoteShard {
         deadline: Option<Instant>,
     ) -> Result<Response, ShardFailure> {
         let mut conn = lock_recover(&self.conn);
-        if conn.stream.is_none() {
+        if conn.link.is_none() {
             self.reconnect_locked(&mut conn)?;
         }
-        let stream = conn.stream.as_mut().expect("connected above");
+        let link = conn.link.as_mut().expect("connected above");
         let mut timeout = self.cfg.io_timeout;
         if let Some(dl) = deadline {
             let left = dl.saturating_duration_since(Instant::now());
@@ -723,9 +735,13 @@ impl RemoteShard {
             }
             timeout = timeout.min(left);
         }
-        let _ = stream.set_read_timeout(Some(timeout));
-        let _ = stream.set_write_timeout(Some(timeout));
-        let result = exchange(stream, req);
+        if timeout != link.timeout
+            && link.stream.set_read_timeout(Some(timeout)).is_ok()
+            && link.stream.set_write_timeout(Some(timeout)).is_ok()
+        {
+            link.timeout = timeout;
+        }
+        let result = exchange(link, req);
         match &result {
             Ok(resp) => {
                 if let Some(epoch) = response_epoch(resp) {
@@ -735,7 +751,7 @@ impl RemoteShard {
             Err(_) => {
                 // The stream may hold a half-written request or a
                 // half-read reply; start fresh on the next call.
-                conn.stream = None;
+                conn.link = None;
             }
         }
         result
@@ -749,16 +765,22 @@ impl RemoteShard {
             }
         }
         let attempt = (|| {
-            let mut stream = TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout)
+            let stream = TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout)
                 .map_err(|_| ShardFailure::Unreachable)?;
             let _ = stream.set_nodelay(true);
             let _ = stream.set_read_timeout(Some(self.cfg.io_timeout));
             let _ = stream.set_write_timeout(Some(self.cfg.io_timeout));
+            let mut link = Conn {
+                stream,
+                tx: Vec::new(),
+                rx: Vec::new(),
+                timeout: self.cfg.io_timeout,
+            };
             let hello = Request::Hello {
                 version: SHARD_PROTOCOL_VERSION,
                 shard: self.shard,
             };
-            match exchange(&mut stream, &hello)? {
+            match exchange(&mut link, &hello)? {
                 Response::HelloAck {
                     version,
                     shard,
@@ -769,14 +791,14 @@ impl RemoteShard {
                         return Err(ShardFailure::VersionSkew);
                     }
                     self.last_epoch.store(epoch, Ordering::Relaxed);
-                    Ok(stream)
+                    Ok(link)
                 }
                 _ => Err(ShardFailure::CorruptReply),
             }
         })();
         match attempt {
-            Ok(stream) => {
-                conn.stream = Some(stream);
+            Ok(link) => {
+                conn.link = Some(link);
                 conn.next_attempt = None;
                 conn.backoff = self.cfg.backoff;
                 self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
@@ -896,21 +918,23 @@ impl ShardTransport for RemoteShard {
     }
 }
 
-/// One request/response exchange on an established stream; the request
-/// is framed into one buffer so it leaves as a single write. Maps every
-/// socket- and codec-level failure onto the [`ShardFailure`] taxonomy,
-/// including the server's typed [`Response::Error`] refusals.
-fn exchange(stream: &mut TcpStream, req: &Request) -> Result<Response, ShardFailure> {
-    let payload = req.encode();
-    let mut framed = Vec::with_capacity(payload.len() + 8);
-    write_frame(&mut framed, &payload).map_err(|_| ShardFailure::CorruptReply)?;
-    stream.write_all(&framed).map_err(|e| io_failure(&e))?;
-    let frame = match read_frame(stream, MAX_SHARD_RESPONSE) {
-        Ok(Some(frame)) => frame,
-        Ok(None) => return Err(ShardFailure::Dropped),
+/// One request/response exchange on an established connection: the
+/// request is encoded and framed in the connection's `tx` buffer and
+/// leaves as a single write, the reply is read into its `rx` buffer and
+/// decoded from there. Maps every socket- and codec-level failure onto
+/// the [`ShardFailure`] taxonomy, including the server's typed
+/// [`Response::Error`] refusals.
+fn exchange(link: &mut Conn, req: &Request) -> Result<Response, ShardFailure> {
+    frame_into(&mut link.tx, |buf| req.encode_into(buf)).map_err(|_| ShardFailure::CorruptReply)?;
+    link.stream
+        .write_all(&link.tx)
+        .map_err(|e| io_failure(&e))?;
+    match read_frame_into(&mut link.stream, MAX_SHARD_RESPONSE, &mut link.rx) {
+        Ok(true) => {}
+        Ok(false) => return Err(ShardFailure::Dropped),
         Err(e) => return Err(io_failure(&e)),
-    };
-    let resp = Response::decode(&frame).map_err(|_| ShardFailure::CorruptReply)?;
+    }
+    let resp = Response::decode(&link.rx).map_err(|_| ShardFailure::CorruptReply)?;
     if let Response::Error(e) = &resp {
         return Err(match e {
             RespError::VersionSkew => ShardFailure::VersionSkew,
@@ -2843,6 +2867,106 @@ mod tests {
         )
         .expect("start router");
         (router, net, trajs, sites)
+    }
+
+    /// The io timeout is set on the socket only when it changes. A
+    /// deadline-less call leaves `cfg.io_timeout` in place; the deadline
+    /// call after it must still clamp the socket to its budget (and time
+    /// out there, not at the 5 s default); the reconnect that follows
+    /// starts from the default again. Throughout, what the connection
+    /// remembers is what the socket really has.
+    #[test]
+    fn io_timeout_is_reapplied_only_when_it_changes_and_still_clamps() {
+        use crate::fault::{FaultAction, FaultRule};
+        use crate::shard_server::{ShardServer, ShardServerConfig};
+        let (net, trajs, sites, _) = fixture();
+        let cfg = NetClusConfig {
+            tau_min: 200.0,
+            tau_max: 3_000.0,
+            threads: 1,
+            ..Default::default()
+        };
+        let index = NetClusIndex::build(&net, &trajs, &sites, cfg);
+        let store = SnapshotStore::with_shared_net(net, trajs, index);
+        // Round-1 requests 0 and 1 are served, request 2 answers 1.5 s late.
+        let stall = Duration::from_millis(1_500);
+        let plan = FaultPlan::new(1).with_rule(FaultRule {
+            shard: 0,
+            replica: None,
+            action: FaultAction::Stall(stall),
+            probability: 1.0,
+            window: Some((2, 3)),
+        });
+        let mut server = ShardServer::start(
+            "127.0.0.1:0",
+            0,
+            store,
+            ShardServerConfig {
+                fault_plan: Some(plan),
+                ..Default::default()
+            },
+        )
+        .expect("start shard server");
+        let remote_cfg = RemoteShardConfig::default();
+        let shard = RemoteShard::new(0, server.addr(), remote_cfg);
+        let query = TopsQuery::binary(2, 600.0);
+        let hist = LatencyHistogram::default();
+        let mut scratch = ProviderScratch::default();
+        let mut call = |deadline: Option<Instant>| {
+            let mut ctx = Round1Ctx {
+                shard: 0,
+                deadline,
+                providers: None,
+                rounds: None,
+                build_threads: 1,
+                scratch: &mut scratch,
+                provider_build: &hist,
+            };
+            shard.round1(&query, &mut ctx)
+        };
+        // What the connection remembers and what the socket really has.
+        let timeouts = || {
+            let conn = lock_recover(&shard.conn);
+            let link = conn.link.as_ref().expect("connected");
+            (
+                link.timeout,
+                link.stream.read_timeout().expect("read timeout"),
+                link.stream.write_timeout().expect("write timeout"),
+            )
+        };
+
+        call(None).expect("deadline-less call");
+        let io = remote_cfg.io_timeout;
+        assert_eq!(timeouts(), (io, Some(io), Some(io)));
+
+        // A generous deadline is still a smaller timeout: it is applied.
+        call(Some(Instant::now() + Duration::from_secs(3))).expect("served within 3 s");
+        let (remembered, read, write) = timeouts();
+        assert!(remembered < io && remembered > Duration::from_secs(1));
+        // The kernel keeps the value at its own granularity.
+        let read = read.expect("a timeout is set");
+        assert_eq!(Some(read), write);
+        assert!(read.abs_diff(remembered) < Duration::from_millis(20));
+
+        // The stalled request: 100 ms of budget against a 1.5 s stall.
+        let budget = Duration::from_millis(100);
+        let started = Instant::now();
+        let outcome = call(Some(Instant::now() + budget));
+        let waited = started.elapsed();
+        assert!(
+            matches!(outcome, Err(ShardFailure::TimedOut)),
+            "{outcome:?}"
+        );
+        assert!(
+            waited >= budget / 2 && waited < stall - Duration::from_millis(500),
+            "timed out after {waited:?}: not at the clamped budget"
+        );
+
+        // The failure dropped the connection; the next call reconnects
+        // and runs under the default again.
+        call(None).expect("served over a fresh connection");
+        assert_eq!(timeouts(), (io, Some(io), Some(io)));
+        server.shutdown();
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! cold resolution the in-process transport runs, so a remote answer is
 //! bit-identical to a local one.
 
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -40,7 +40,7 @@ use std::time::Duration;
 use netclus::{ProviderScratch, TopsQuery};
 
 use crate::fault::{FaultAction, FaultPlan};
-use crate::framing::{read_frame, write_frame};
+use crate::framing::{frame_into, read_frame_into};
 use crate::metrics::LatencyHistogram;
 use crate::provider_cache::{RoundOneCache, ShardProviderCache};
 use crate::shard_proto::{
@@ -409,23 +409,30 @@ fn serve_connection(
     stream.set_read_timeout(Some(io_timeout))?;
     stream.set_write_timeout(Some(io_timeout))?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
+    let mut writer = stream;
+    // One buffer each way for the life of the connection: a request is
+    // read into `rx`, a response is encoded, framed and sent from `tx`.
+    let (mut rx, mut tx) = (Vec::new(), Vec::new());
     let mut scratch = ProviderScratch::default();
     // A resync transfer pins one encoded corpus snapshot per connection,
     // so every chunk the client assembles comes from the same epoch even
     // while applies land concurrently. Re-pinned when a client restarts
     // the transfer at offset 0.
     let mut resync: Option<(u64, Vec<u8>)> = None;
-    while let Some(payload) = read_frame(&mut reader, MAX_SHARD_REQUEST)? {
+    while read_frame_into(&mut reader, MAX_SHARD_REQUEST, &mut rx)? {
         if shared.stopping.load(Ordering::Acquire) {
             break;
         }
         shared.requests.fetch_add(1, Ordering::Relaxed);
-        let Ok(req) = Request::decode(&payload) else {
+        let Ok(req) = Request::decode(&rx) else {
             // An undecodable request means the stream is torn or the
             // peer is hostile: refuse and close.
             shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-            send(&mut writer, &Response::Error(RespError::BadRequest))?;
+            send(
+                &mut writer,
+                &mut tx,
+                &Response::Error(RespError::BadRequest),
+            )?;
             break;
         };
         let close_after = matches!(req, Request::Shutdown)
@@ -434,8 +441,8 @@ fn serve_connection(
             shared.stopping.store(true, Ordering::Release);
         }
         match handle_request(shared, req, &mut scratch, &mut resync) {
-            Delivery::Send(resp) => send(&mut writer, &resp)?,
-            Delivery::Corrupt(resp) => send_corrupted(&mut writer, &resp)?,
+            Delivery::Send(resp) => send(&mut writer, &mut tx, &resp)?,
+            Delivery::Corrupt(resp) => send_corrupted(&mut writer, &mut tx, &resp)?,
             Delivery::Swallow => {}
             Delivery::Hangup => break,
         }
@@ -446,21 +453,21 @@ fn serve_connection(
     Ok(())
 }
 
-fn send(writer: &mut BufWriter<TcpStream>, resp: &Response) -> io::Result<()> {
-    write_frame(writer, &resp.encode())?;
-    writer.flush()
+/// Encodes and frames `resp` in the connection's buffer and sends it as
+/// one write.
+fn send(writer: &mut TcpStream, tx: &mut Vec<u8>, resp: &Response) -> io::Result<()> {
+    frame_into(tx, |buf| resp.encode_into(buf))?;
+    writer.write_all(tx)
 }
 
 /// Frames the response, then flips the last payload byte so the CRC
 /// check fails on the client — the scripted
 /// [`FaultAction::CorruptFrame`] over a real socket.
-fn send_corrupted(writer: &mut BufWriter<TcpStream>, resp: &Response) -> io::Result<()> {
-    let mut framed = Vec::new();
-    write_frame(&mut framed, &resp.encode())?;
-    let last = framed.len() - 1;
-    framed[last] ^= 0x01;
-    writer.write_all(&framed)?;
-    writer.flush()
+fn send_corrupted(writer: &mut TcpStream, tx: &mut Vec<u8>, resp: &Response) -> io::Result<()> {
+    frame_into(tx, |buf| resp.encode_into(buf))?;
+    let last = tx.len() - 1;
+    tx[last] ^= 0x01;
+    writer.write_all(tx)
 }
 
 fn handle_request(
@@ -675,12 +682,14 @@ fn round1_response(
 mod tests {
     use super::*;
     use crate::fault::FaultRule;
+    use crate::framing::{read_frame, write_frame};
     use crate::shard_router::{RemoteShardConfig, ShardTransport};
     use crate::snapshot::RoutedOp;
     use crate::ShardFailure;
     use netclus::prelude::*;
     use netclus_roadnet::{Point, RoadNetworkBuilder};
     use netclus_trajectory::{Trajectory, TrajectorySet};
+    use std::io::BufWriter;
     use std::sync::Arc;
 
     fn line_store() -> SnapshotStore {
@@ -838,7 +847,64 @@ mod tests {
             rpc(&Request::Heartbeat),
             Response::HeartbeatAck { .. }
         ));
+        // A peer still speaking protocol 1 (interleaved rows) is told so
+        // and hung up on: no v1 reader is ever handed a v2 reply.
+        let v1 = Request::Hello {
+            version: 1,
+            shard: 0,
+        };
+        assert_eq!(rpc(&v1), Response::Error(RespError::VersionSkew));
+        write_frame(&mut writer, &Request::Heartbeat.encode()).unwrap();
+        let _ = writer.flush();
+        assert!(
+            !matches!(
+                read_frame(&mut reader, crate::wire::MAX_SHARD_RESPONSE),
+                Ok(Some(_))
+            ),
+            "the server kept serving after a version skew"
+        );
         srv.shutdown();
+    }
+
+    /// The client side of the skew: a server that acks the handshake with
+    /// protocol 1, or refuses ours, is `VersionSkew` — never a connection
+    /// whose replies would be decoded under the wrong row layout.
+    #[test]
+    fn a_v1_server_is_refused_by_the_client() {
+        use std::net::TcpListener;
+        for ack_as_v1 in [true, false] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let old_server = std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                let hello = read_frame(&mut stream, MAX_SHARD_REQUEST)
+                    .unwrap()
+                    .expect("the client opens with a hello");
+                assert_eq!(
+                    Request::decode(&hello).unwrap(),
+                    Request::Hello {
+                        version: SHARD_PROTOCOL_VERSION,
+                        shard: 0
+                    }
+                );
+                let reply = if ack_as_v1 {
+                    Response::HelloAck {
+                        version: 1,
+                        shard: 0,
+                        epoch: 0,
+                        traj_id_bound: 0,
+                        live_trajs: 0,
+                    }
+                } else {
+                    Response::Error(RespError::VersionSkew)
+                };
+                write_frame(&mut stream, &reply.encode()).unwrap();
+            });
+            let shard =
+                crate::shard_router::RemoteShard::new(0, addr, RemoteShardConfig::default());
+            assert!(matches!(shard.hello(), Err(ShardFailure::VersionSkew)));
+            old_server.join().unwrap();
+        }
     }
 
     #[test]

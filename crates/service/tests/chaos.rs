@@ -283,6 +283,33 @@ proptest! {
     }
 }
 
+/// Starts a recovery phase: clears the fault plan, then waits until the
+/// next query is certain to find every open breaker past its cooldown.
+///
+/// With the plan cleared no new failure can open a breaker, but a
+/// half-open probe scripted to fail may still be in flight — the worker
+/// that ran it settles it, possibly after the query that sent it returned
+/// — and re-opens its breaker *then*, restarting the cooldown. A fixed
+/// sleep measured from the clear races that settle on a loaded host, so
+/// poll (generously bounded) until no breaker is half-open, and only then
+/// wait one cooldown out.
+fn clear_plan_and_wait_out_cooldown(router: &ShardRouter, cooldown: Duration) {
+    router.set_fault_plan(None);
+    let probing = || {
+        (0..router.shard_count()).any(|s| {
+            router
+                .replica_breaker_snapshots(s)
+                .iter()
+                .any(|b| b.state == BreakerState::HalfOpen)
+        })
+    };
+    let until = Instant::now() + Duration::from_secs(5);
+    while probing() && Instant::now() < until {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(cooldown + Duration::from_millis(10));
+}
+
 /// The acceptance arc, scripted end to end: 1-of-4-shards outage →
 /// degraded answers with a sound bound → breaker opens and skips → a
 /// deadline bounds the wait under a slow shard → a panicked worker is
@@ -386,8 +413,7 @@ fn one_of_four_shards_outage_arc_degrades_brakes_and_recovers() {
     // Phase 4 — recovery: the plan clears, the cooldown elapses, and the
     // next query half-open-probes shard 3 back to closed. Answers return
     // to bit-exact against the fault-free reference.
-    router.set_fault_plan(None);
-    std::thread::sleep(Duration::from_millis(60));
+    clear_plan_and_wait_out_cooldown(&router, Duration::from_millis(50));
     let recovered = router.query_blocking(q).expect("recovered answer");
     assert!(!recovered.degraded && !recovered.stale);
     assert_eq!(recovered.sites, full.sites);
@@ -496,8 +522,7 @@ fn replica_kill_arc_fails_over_then_only_full_set_loss_degrades() {
     // Phase 4 — the killed replicas come back: the plan clears, the
     // breaker cooldown elapses, and answers return to full + bit-exact
     // with zero further degraded answers.
-    router.set_fault_plan(None);
-    std::thread::sleep(Duration::from_millis(60));
+    clear_plan_and_wait_out_cooldown(&router, Duration::from_millis(50));
     let recovered = router.query_blocking(q).expect("recovered answer");
     assert!(!recovered.degraded && !recovered.stale);
     assert_eq!(recovered.sites, fresh_full.sites);
@@ -575,8 +600,7 @@ fn router_degraded_rate_slo_burns_and_recovers() {
     // Recovery: the plan clears, the breaker cooldown elapses so the
     // first recovered query probes the shard closed, healthy traffic
     // resumes, and the fast window recovering un-fires the conjunction.
-    router.set_fault_plan(None);
-    std::thread::sleep(Duration::from_millis(20));
+    clear_plan_and_wait_out_cooldown(&router, Duration::from_millis(10));
     for t in 18..30 {
         let a = router.query_blocking(q).expect("recovered query");
         assert!(!a.degraded);

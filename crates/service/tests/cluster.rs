@@ -529,16 +529,17 @@ fn hedge_over_sockets_beats_a_stalled_preferred_replica() {
 /// rows), as `(is_request, framed bytes)`.
 fn sample_frames() -> Vec<(bool, Vec<u8>)> {
     let round = netclus::shard::ShardRoundOne {
-        candidates: vec![Candidate {
-            node: NodeId(3),
-            cluster: 1,
-            gain: 4.25,
-            row: vec![(2, 150.0), (5, 600.5)],
-        }],
+        // The v2 row layout in each of its shapes: a row, an empty row,
+        // a longer row (an id run, then a detour run).
+        candidates: vec![
+            Candidate::from_pairs(NodeId(3), 1, 4.25, vec![(2, 150.0), (5, 600.5)]),
+            Candidate::from_pairs(NodeId(8), 1, 0.5, vec![]),
+            Candidate::from_pairs(NodeId(4), 2, 0.25, vec![(0, 1.0), (1, 2.5), (7, 9.0)]),
+        ],
         k: 3,
         instance: 0,
         representatives: 4,
-        local_utility: 4.25,
+        local_utility: 5.0,
         elapsed: Duration::from_micros(77),
         solve_us: 41,
         shard_hint: 2,
@@ -568,10 +569,17 @@ fn sample_frames() -> Vec<(bool, Vec<u8>)> {
             traj_id_bound: 120,
             live_trajs: 80,
         },
+        // A memo hit's reply: a prefix sharing the longer round's block.
         Response::Round1Ok {
             epoch: 5,
             bound: 120,
             source: Round1Source::Memo,
+            round: round.prefix(2),
+        },
+        Response::Round1Ok {
+            epoch: 5,
+            bound: 120,
+            source: Round1Source::Built,
             round,
         },
         Response::ApplyAck {
@@ -606,6 +614,36 @@ fn every_frame_truncation_is_rejected() {
             let mut r = &frame[..cut];
             if let Ok(Some(_)) = read_frame(&mut r, MAX_FRAME) {
                 panic!("truncated frame yielded a payload (cut {cut})");
+            }
+        }
+    }
+}
+
+/// Below the frame: every prefix of every valid payload, and every
+/// payload with one byte flipped, decodes to a message or a typed error
+/// — never a panic — and a truncated payload never decodes at all (a
+/// length prefix is checked against the bytes left before it is
+/// believed, so a v2 row cannot run into its neighbour).
+#[test]
+fn every_payload_truncation_and_flip_fails_closed() {
+    for (is_request, frame) in sample_frames() {
+        let payload = &frame[8..];
+        let decodes = |bytes: &[u8]| {
+            if is_request {
+                Request::decode(bytes).is_ok()
+            } else {
+                Response::decode(bytes).is_ok()
+            }
+        };
+        assert!(decodes(payload));
+        for cut in 0..payload.len() {
+            assert!(!decodes(&payload[..cut]), "cut {cut} decoded");
+        }
+        for pos in 0..payload.len() {
+            for mask in [0x01, 0x80, 0xFF] {
+                let mut mutated = payload.to_vec();
+                mutated[pos] ^= mask;
+                let _ = decodes(&mutated); // Ok or Err; reaching here is the point
             }
         }
     }
