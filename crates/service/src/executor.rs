@@ -27,7 +27,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -37,6 +37,7 @@ use netclus_trajectory::TrajectorySet;
 
 use crate::cache::{QueryKey, ShardedCache};
 use crate::fault::QueryError;
+use crate::lock_recover;
 use crate::metrics::{MetricsClock, MetricsReport};
 use crate::provider_cache::{quantize_tau, CacheOutcome, ProviderCache, ProviderKey};
 use crate::snapshot::{SnapshotStore, UpdateBatch, UpdateReceipt};
@@ -288,14 +289,6 @@ struct Inner {
 pub struct NetClusService {
     inner: Arc<Inner>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-}
-
-/// Recovers a mutex guard even when a previous holder panicked: the
-/// protected state (queue, flight table, worker handles) stays valid
-/// across an unwind, so a poisoned lock must not cascade into every
-/// subsequent caller panicking too.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl NetClusService {

@@ -23,6 +23,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::executor::SubmitError;
+use crate::lock_recover;
 
 /// What a matched [`FaultRule`] does to a round-1 shard task.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -383,15 +384,9 @@ impl CircuitBreaker {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, BreakerPhase> {
-        self.phase
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// Scatter-time admission decision for one task.
     pub fn admit(&self, now: Instant) -> BreakerAdmit {
-        let mut phase = self.lock();
+        let mut phase = lock_recover(&self.phase);
         match *phase {
             BreakerPhase::Closed { .. } => BreakerAdmit::Yes,
             BreakerPhase::Open { since } => {
@@ -410,7 +405,7 @@ impl CircuitBreaker {
     /// Records a task success. `probe` must be true iff [`Self::admit`]
     /// returned [`BreakerAdmit::Probe`] for this task.
     pub fn record_success(&self, probe: bool) {
-        let mut phase = self.lock();
+        let mut phase = lock_recover(&self.phase);
         match *phase {
             BreakerPhase::HalfOpen if probe => {
                 *phase = BreakerPhase::Closed { fails: 0 };
@@ -426,7 +421,7 @@ impl CircuitBreaker {
     /// Records a task failure (or timeout). `probe` as in
     /// [`Self::record_success`].
     pub fn record_failure(&self, now: Instant, probe: bool) {
-        let mut phase = self.lock();
+        let mut phase = lock_recover(&self.phase);
         match *phase {
             BreakerPhase::HalfOpen if probe => {
                 *phase = BreakerPhase::Open { since: now };
@@ -452,7 +447,7 @@ impl CircuitBreaker {
 
     /// Point-in-time state for telemetry.
     pub fn snapshot(&self) -> BreakerSnapshot {
-        let phase = self.lock();
+        let phase = lock_recover(&self.phase);
         let (state, consecutive_failures) = match *phase {
             BreakerPhase::Closed { fails } => (BreakerState::Closed, fails),
             BreakerPhase::Open { .. } => (BreakerState::Open, 0),

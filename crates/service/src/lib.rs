@@ -43,7 +43,10 @@
 //!   lockstep (hedged round-1 reads, per-replica breakers, catch-up
 //!   resync), a fan-out worker pool running the two-round distributed
 //!   greedy, and per-shard latency/replication lanes in the metrics
-//!   report.
+//!   report. Its query driver, update path and transports live in
+//!   `shard_router/{scatter,apply,transport}.rs`; who is fired, hedged,
+//!   failed over to and charged in one gather is the thread-free state
+//!   machine of `replica_set.rs`.
 //! * [`trace`] — structured query-path tracing: per-stage latency
 //!   histograms over all traffic, allocation-free span recorders, and
 //!   **tail-based sampling** into a bounded slow-query log with full
@@ -126,6 +129,7 @@ pub mod framing;
 pub mod health;
 pub mod metrics;
 pub mod provider_cache;
+mod replica_set;
 pub mod shard_proto;
 pub mod shard_router;
 pub mod shard_server;
@@ -169,6 +173,14 @@ pub use trace::{
     LoadGauge, LoadGaugeSnapshot, Round1Source, SlowQueryRecord, SpanRecord, Stage, StageStats,
     TraceConfig, TraceMeta, TraceSpans, Tracer,
 };
+
+/// Recovers a mutex guard even when a previous holder panicked: the
+/// protected state (task queues, flight table, worker handles, monotone
+/// counters) is never left inconsistent across an unwind, so a poisoned
+/// lock must not cascade into every later caller panicking too.
+pub(crate) fn lock_recover<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Compile-time audit that everything crossing thread boundaries is
 /// `Send + Sync` (the index, corpus, query and answer types the snapshot

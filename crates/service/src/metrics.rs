@@ -621,7 +621,7 @@ impl MetricsReport {
     }
 }
 
-fn push_u64(s: &mut String, key: &str, v: u64) {
+pub(crate) fn push_u64(s: &mut String, key: &str, v: u64) {
     s.push('"');
     s.push_str(key);
     s.push_str("\":");
@@ -643,7 +643,7 @@ fn push_f64(s: &mut String, key: &str, v: f64) {
 
 /// Quoted-string field; `v` must need no JSON escaping (the only
 /// callers pass fixed identifier-like tags).
-fn push_str(s: &mut String, key: &str, v: &str) {
+pub(crate) fn push_str(s: &mut String, key: &str, v: &str) {
     debug_assert!(!v.contains(['"', '\\']), "push_str takes plain tags");
     s.push('"');
     s.push_str(key);

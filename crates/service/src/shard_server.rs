@@ -33,7 +33,7 @@
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -41,6 +41,7 @@ use netclus::{ProviderScratch, TopsQuery};
 
 use crate::fault::{FaultAction, FaultPlan};
 use crate::framing::{frame_into, read_frame_into};
+use crate::lock_recover;
 use crate::metrics::LatencyHistogram;
 use crate::provider_cache::{RoundOneCache, ShardProviderCache};
 use crate::shard_proto::{
@@ -379,10 +380,6 @@ impl Drop for ShardServer {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// What the fault hook decided to do to this response.
@@ -960,6 +957,9 @@ mod tests {
         let snap = shard.counters().expect("remote counters").snapshot();
         assert_eq!(snap.errors, 3);
         assert!(snap.reconnects >= 2, "faults force reconnects");
+        // Four RPCs went out; only the one that completed has a latency.
+        assert_eq!((snap.requests, snap.rpc.count), (4, 1));
+        assert!(snap.rpc.max_micros > 0);
         srv.shutdown();
     }
 

@@ -179,18 +179,18 @@ fn main() {
 
     // The in-process reference over the identical deterministic corpus.
     let corpus = build_corpus(SEED, SCALE, SHARDS);
-    let transports: Vec<Box<dyn ShardTransport>> = corpus
+    let transports: Vec<Vec<Box<dyn ShardTransport>>> = corpus
         .shards
         .into_iter()
         .map(|view| {
-            Box::new(InProcessShard::new(SnapshotStore::with_shared_net(
+            vec![Box::new(InProcessShard::new(SnapshotStore::with_shared_net(
                 Arc::clone(&corpus.net),
                 view.trajs,
                 view.index,
-            ))) as Box<dyn ShardTransport>
+            ))) as Box<dyn ShardTransport>]
         })
         .collect();
-    let local = ShardRouter::start_with_transports(
+    let local = ShardRouter::start_with_replica_transports(
         Arc::clone(&corpus.net),
         corpus.partition.clone(),
         transports,
@@ -406,9 +406,16 @@ fn main() {
 
     // Phase 6 — graceful stop: the survivors exit through the Shutdown
     // RPC and the parent reaps clean exit codes.
+    let report = remote.metrics_report();
+    let lanes = report.shards.as_ref().expect("a router reports its shards");
+    // The RPC latency rollup moved: one sample per completed RPC.
+    let rtt = lanes.transport_rpc;
+    assert!(rtt.count > 0 && rtt.count <= lanes.transport_requests);
+    assert!(rtt.p50_micros > 0 && rtt.p50_micros <= rtt.max_micros);
+    assert!(lanes.lanes.iter().all(|l| l.transport == "remote"));
     std::fs::write(
         artifact_dir.join("router-metrics.json"),
-        remote.metrics_report().to_json_line(),
+        report.to_json_line(),
     )
     .expect("write router metrics artifact");
     std::fs::write(
