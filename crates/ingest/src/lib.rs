@@ -85,7 +85,6 @@
 #![warn(missing_docs)]
 
 mod codec;
-mod crc;
 
 pub mod lifecycle;
 pub mod pipeline;
@@ -94,8 +93,8 @@ pub mod record;
 pub mod recovery;
 pub mod wal;
 
-pub use crc::crc32;
 pub use lifecycle::LifecycleManager;
+pub use netclus_service::framing::crc32;
 pub use pipeline::{IngestConfig, Ingestor, IntakeSummary, SubmitOutcome};
 pub use queue::{BackpressurePolicy, BoundedQueue, PushOutcome};
 pub use record::{RecordError, RecordReader, StreamRecord, MAX_RECORD_PAYLOAD};

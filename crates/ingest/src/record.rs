@@ -27,7 +27,7 @@ use netclus_roadnet::Point;
 use netclus_trajectory::{GpsPoint, GpsTrace};
 
 use crate::codec::{put_f64, put_u32, put_u64, Cursor};
-use crate::crc::crc32;
+use crate::crc32;
 
 /// Upper bound on one frame's payload (1 MiB ≈ 43k fixes) — a corrupt
 /// length prefix must not trigger a giant allocation. Defined with every

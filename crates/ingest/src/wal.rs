@@ -69,7 +69,7 @@ use netclus_service::UpdateOp;
 use netclus_trajectory::{TrajId, Trajectory};
 
 use crate::codec::{put_f64, put_u32, put_u64, Cursor};
-use crate::crc::crc32;
+use crate::crc32;
 
 const MAGIC: &[u8; 4] = b"NCWL";
 const VERSION: u32 = 2;

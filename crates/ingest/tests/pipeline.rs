@@ -168,6 +168,18 @@ fn pipeline_publishes_all_matched_records() {
     // record and left nothing admitted but invisible.
     assert_eq!(metrics.freshness.summary().count, matched);
     assert_eq!(metrics.visibility_lag_us.load(Ordering::Relaxed), 0);
+    // The publish side of the report: one op per matched record (no TTL,
+    // so every op is an add), one WAL frame, one fsync (the default
+    // policy), one publish and one append sample per batch.
+    let report = metrics.report(Duration::from_secs(1));
+    assert_eq!(report.ops_published, matched);
+    assert_eq!(report.match_latency.count, matched);
+    assert_eq!(report.records_per_sec, matched as f64);
+    let batches = report.batches_published;
+    assert_eq!((report.wal_frames, report.wal_syncs), (batches, batches));
+    assert!(report.wal_bytes > 0 && report.wal_bytes_per_sec > 0.0);
+    assert_eq!(report.publish_latency.count, batches);
+    assert_eq!(report.wal_append_latency.count, batches);
     // Every published trajectory is a connected on-network route.
     for (_, t) in snap.trajs().iter() {
         for w in t.nodes().windows(2) {
@@ -215,6 +227,12 @@ fn framed_reader_path_matches_in_process_path() {
     for r in &f.records {
         r.write_to(&mut bytes).unwrap();
     }
+    // ...and one frame the wire damaged: counted, skipped, and no part
+    // of the state the two paths are compared on.
+    let damaged = bytes.len() + 12;
+    f.records[0].write_to(&mut bytes).unwrap();
+    bytes[damaged] ^= 0xFF;
+    let metrics = Arc::new(IngestMetrics::default());
     let ingestor = Ingestor::start(
         Arc::clone(&store_a),
         Arc::clone(&f.grid),
@@ -222,13 +240,16 @@ fn framed_reader_path_matches_in_process_path() {
             match_workers: 1,
             ..IngestConfig::new(&dir_a)
         },
-        Arc::new(IngestMetrics::default()),
+        Arc::clone(&metrics),
     )
     .unwrap();
     let summary = ingestor.ingest_reader(&bytes[..]);
     assert_eq!(summary.accepted, 12);
-    assert_eq!(summary.malformed, 0);
+    assert_eq!(summary.malformed, 1);
     ingestor.finish();
+    let report = metrics.report(Duration::from_secs(1));
+    assert_eq!(report.records_malformed, 1);
+    assert_eq!(report.decode_latency.count, 13, "one sample per frame read");
 
     // Path B: the same records in-process.
     let store_b = base_store(&f);
@@ -354,6 +375,12 @@ fn crash_recovery_reconstructs_exact_pre_crash_state() {
     assert_eq!(corpus_of(&recovered), pre_corpus);
     assert_eq!(query_panel(&recovered), pre_panel);
     assert_eq!(metrics.replay_batches.load(Ordering::Relaxed), pre_epoch);
+    let replay_micros = metrics.replay_micros.load(Ordering::Relaxed);
+    assert!(
+        replay_micros > 0,
+        "replaying {pre_epoch} batches took no time"
+    );
+    assert_eq!(replay_micros, report.replay_time.as_micros() as u64);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -867,11 +894,13 @@ fn shed_records_can_be_retried() {
         Arc::clone(&metrics),
     )
     .unwrap();
+    let mut sheds = 0u64;
     for r in &f.records {
         let mut outcome = ingestor.submit(r.clone());
         // Retry shed records until admitted, as the policy contract
         // prescribes; a retry must never come back as Duplicate.
         while outcome == SubmitOutcome::Shed {
+            sheds += 1;
             std::thread::sleep(Duration::from_millis(1));
             outcome = ingestor.submit(r.clone());
         }
@@ -884,6 +913,7 @@ fn shed_records_can_be_retried() {
     let matched = metrics.records_matched.load(Ordering::Relaxed);
     let failed = metrics.match_failed.load(Ordering::Relaxed);
     assert_eq!(metrics.records_in.load(Ordering::Relaxed), 40);
+    assert_eq!(metrics.records_dropped.load(Ordering::Relaxed), sheds);
     assert_eq!(matched + failed, 40);
     assert_eq!(store.load().trajs().len() as u64, matched);
     std::fs::remove_dir_all(&dir).unwrap();

@@ -1,23 +1,44 @@
-//! Sharded LRU result cache keyed on `(k, τ, ψ, variant, epoch)`.
+//! The one cache mechanism of the serving stack — [`EpochLru`], an
+//! epoch-keyed, single-flight LRU — and its first instantiation, the
+//! result cache keyed on `(k, τ, ψ, variant, epoch)`.
 //!
-//! Production TOPS traffic is heavily repetitive — the same `(k, τ)`
-//! dashboards refresh, the same city tiles re-query — so answered queries
-//! are worth remembering. The key embeds the epoch of the snapshot that
-//! produced the answer: an epoch advance makes older keys unreachable, and
-//! [`ShardedCache::invalidate_before`] reclaims their space eagerly.
-//! Sharding keeps lock contention negligible next to query compute time.
+//! Everything the stack remembers is a pure function of a snapshot epoch
+//! and some query parameters: a finished answer ([`ResultCache`]), an
+//! instance's `T̂C` rows and a shard's round-1 candidates
+//! ([`crate::provider_cache`]), the last full answer per query shape (the
+//! router's stale fallback). So the key embeds the epoch
+//! ([`EpochKeyed`]), an epoch advance makes older keys unreachable, and
+//! [`EpochLru::invalidate_before`] reclaims their space eagerly.
+//!
+//! **The purge floor.** The highest epoch ever purged is remembered, and
+//! no value keyed below it is retained afterwards: a worker that pinned
+//! epoch *e* and finishes after the purge for *e + 1* gets its value back
+//! and the cache stays as it was — nothing could look the value up again,
+//! so holding it would only occupy capacity until the next publish.
+//!
+//! **Single flight.** [`EpochLru::get_or_build`] coalesces concurrent
+//! misses on one key onto one builder: the first thread to miss marks the
+//! slot *building* and runs the closure outside the lock; every other
+//! thread parks on a condvar and receives the finished `Arc` — N workers
+//! racing a cold dashboard burst burn one build, not N. Coalesced waits
+//! are counted separately from hits so saturation on cold keys is
+//! observable.
+//!
+//! One mutex guards the map and the counters: a lookup holds it for a
+//! hash probe and a pointer clone, orders of magnitude less than the
+//! solve or build it elides.
 
-use std::collections::hash_map::DefaultHasher;
+#![deny(clippy::too_many_lines)]
+
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::hash::Hash;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use netclus::{PreferenceFunction, TopsQuery};
 
 use crate::executor::{QueryVariant, ServiceAnswer};
 
-/// The cache key: every field that determines a TOPS answer.
+/// The result-cache key: every field that determines a TOPS answer.
 ///
 /// `τ` and the preference parameters are keyed by their IEEE-754 bit
 /// patterns, so keys are `Eq + Hash` without float comparisons; two queries
@@ -83,172 +104,315 @@ impl QueryKey {
         self.epoch = epoch;
         self
     }
+}
 
-    fn shard_of(&self, shards: usize) -> usize {
-        let mut h = DefaultHasher::new();
-        self.hash(&mut h);
-        (h.finish() as usize) % shards
+/// Keys that carry the epoch of the snapshot their value was built from,
+/// so [`EpochLru::invalidate_before`] can purge stale entries. A key that
+/// reports `u64::MAX` is never purged and never refused.
+pub trait EpochKeyed {
+    /// Epoch of the snapshot the keyed value was built from.
+    fn epoch(&self) -> u64;
+}
+
+impl EpochKeyed for QueryKey {
+    fn epoch(&self) -> u64 {
+        self.epoch
     }
 }
 
-/// A point-in-time view of the cache counters.
-#[derive(Clone, Copy, Debug, Default)]
+/// How an [`EpochLru::get_or_build`] call was satisfied.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CacheOutcome {
+    /// The value was resident.
+    Hit,
+    /// Another thread was already building it; this call waited.
+    Coalesced,
+    /// This call built the value.
+    Miss,
+}
+
+/// A point-in-time view of one cache's counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that missed.
+    /// Lookups that missed (under [`EpochLru::get_or_build`], each miss is
+    /// one build).
     pub misses: u64,
+    /// Lookups that waited on another thread's in-flight build instead of
+    /// building themselves (single-flight coalescing).
+    pub coalesced: u64,
     /// Entries evicted by LRU pressure.
     pub evictions: u64,
     /// Entries purged by epoch invalidation.
     pub invalidated: u64,
-    /// Entries currently resident.
+    /// Finished values currently resident.
     pub entries: usize,
 }
 
-struct Shard {
-    map: HashMap<QueryKey, Entry>,
+/// A slot is either a finished value or a build in flight.
+enum Slot<V> {
+    Building,
+    Ready { value: Arc<V>, last_used: u64 },
+}
+
+struct Inner<K, V> {
+    map: HashMap<K, Slot<V>>,
+    capacity: usize,
     tick: u64,
+    /// Highest epoch ever passed to `invalidate_before`: a value keyed
+    /// below it arrived after its epoch was purged and is not retained.
+    floor: u64,
+    /// The counters; `entries` is filled in by [`EpochLru::stats`].
+    stats: CacheStats,
 }
 
-struct Entry {
-    value: Arc<ServiceAnswer>,
-    last_used: u64,
-}
-
-/// The sharded LRU cache.
-pub struct ShardedCache {
-    shards: Vec<Mutex<Shard>>,
-    capacity_per_shard: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    invalidated: AtomicU64,
-}
-
-impl ShardedCache {
-    /// Creates a cache holding at most `capacity` answers across `shards`
-    /// shards (both clamped to at least 1).
-    pub fn new(capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let capacity_per_shard = capacity.max(1).div_ceil(shards);
-        ShardedCache {
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        map: HashMap::new(),
-                        tick: 0,
-                    })
-                })
-                .collect(),
-            capacity_per_shard,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidated: AtomicU64::new(0),
+impl<K: Copy + Eq + Hash + EpochKeyed, V> Inner<K, V> {
+    /// The finished value under `key` if `pred` accepts it, marked used
+    /// now.
+    fn touch(&mut self, key: &K, pred: impl Fn(&V) -> bool) -> Option<Arc<V>> {
+        self.tick += 1;
+        match self.map.get_mut(key) {
+            Some(Slot::Ready { value, last_used }) if pred(value) => {
+                *last_used = self.tick;
+                Some(Arc::clone(value))
+            }
+            _ => None,
         }
     }
 
-    /// Looks `key` up, bumping its recency on a hit.
-    pub fn get(&self, key: &QueryKey) -> Option<Arc<ServiceAnswer>> {
-        let mut shard = self.lock_shard(key);
-        shard.tick += 1;
-        let tick = shard.tick;
-        match shard.map.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.value))
+    /// Retains `value` under a key that holds no finished value — unless
+    /// the key's epoch is already purged — evicting the least-recently-used
+    /// finished value when the cache is full. In-flight builds are neither
+    /// counted nor evicted.
+    fn store(&mut self, key: K, value: Arc<V>) {
+        if key.epoch() < self.floor {
+            return;
+        }
+        if self.map.len() >= self.capacity {
+            // One O(capacity) pass counts the finished values and finds the
+            // oldest — fine at ≤ ~1 000 entries beside the solve or build
+            // every insert follows; revisit (a tick-ordered index) before
+            // raising capacities by orders of magnitude.
+            let mut ready = 0;
+            let finished = self.map.iter().filter_map(|(k, slot)| match slot {
+                Slot::Ready { last_used, .. } => Some((k, *last_used)),
+                Slot::Building => None,
+            });
+            let oldest = finished
+                .inspect(|_| ready += 1)
+                .min_by_key(|&(_, used)| used);
+            if let Some(victim) = oldest.filter(|_| ready >= self.capacity).map(|(k, _)| *k) {
+                self.map.remove(&victim);
+                self.stats.evictions += 1;
             }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
+        }
+        self.tick += 1;
+        let last_used = self.tick;
+        self.map.insert(key, Slot::Ready { value, last_used });
+    }
+}
+
+/// A single-flight, epoch-invalidated LRU cache of `Arc<V>` values.
+///
+/// Builds run **outside** the lock; concurrent misses on the same key
+/// coalesce onto the first builder via a condvar, so a cold key is built
+/// exactly once no matter how many workers race it.
+pub struct EpochLru<K, V> {
+    inner: Mutex<Inner<K, V>>,
+    done: Condvar,
+}
+
+/// The executor's result cache.
+pub type ResultCache = EpochLru<QueryKey, ServiceAnswer>;
+
+impl<K: Copy + Eq + Hash + EpochKeyed, V> EpochLru<K, V> {
+    /// A cache holding at most `capacity` finished values (clamped ≥ 1).
+    pub fn new(capacity: usize) -> Self {
+        EpochLru {
+            inner: Mutex::new(Inner {
+                map: HashMap::new(),
+                capacity: capacity.max(1),
+                tick: 0,
+                floor: 0,
+                stats: CacheStats::default(),
+            }),
+            done: Condvar::new(),
+        }
+    }
+
+    /// Looks `key` up, bumping its recency on a hit and the hit/miss
+    /// counters either way. An in-flight build counts as a miss.
+    pub fn get(&self, key: &K) -> Option<Arc<V>> {
+        self.get_where(key, |_| true)
+    }
+
+    /// Like [`EpochLru::get`], but a resident value `pred` rejects is a
+    /// miss (and keeps its recency).
+    pub fn get_where(&self, key: &K, pred: impl Fn(&V) -> bool) -> Option<Arc<V>> {
+        let mut inner = self.lock();
+        let hit = inner.touch(key, pred);
+        match hit {
+            Some(_) => inner.stats.hits += 1,
+            None => inner.stats.misses += 1,
+        }
+        hit
+    }
+
+    /// Like [`EpochLru::get`] but without touching the hit/miss counters
+    /// — for internal re-probes of a request whose first lookup was
+    /// already counted. Still bumps recency.
+    pub fn peek(&self, key: &K) -> Option<Arc<V>> {
+        self.lock().touch(key, |_| true)
+    }
+
+    /// Offers a finished value: a resident one is marked used and replaced
+    /// only if `replace_if` says so (`|_| true` is a plain insert); an
+    /// absent one is retained under the purge-floor rule, evicting the
+    /// least-recently-used entry if the cache is full.
+    pub fn upsert(&self, key: K, value: Arc<V>, replace_if: impl FnOnce(&V) -> bool) {
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        match inner.map.get_mut(&key) {
+            Some(Slot::Ready {
+                value: held,
+                last_used,
+            }) => {
+                inner.tick += 1;
+                *last_used = inner.tick;
+                if replace_if(held) {
+                    *held = value;
+                }
+            }
+            slot => {
+                let racing_a_build = slot.is_some();
+                inner.store(key, value);
+                drop(guard);
+                if racing_a_build {
+                    self.done.notify_all();
+                }
             }
         }
     }
 
-    /// Like [`ShardedCache::get`] but without touching the hit/miss
-    /// counters — for internal re-probes of a request whose submit-time
-    /// lookup was already counted. Still bumps recency.
-    pub fn peek(&self, key: &QueryKey) -> Option<Arc<ServiceAnswer>> {
-        let mut shard = self.lock_shard(key);
-        shard.tick += 1;
-        let tick = shard.tick;
-        shard.map.get_mut(key).map(|entry| {
-            entry.last_used = tick;
-            Arc::clone(&entry.value)
-        })
-    }
-
-    /// Inserts an answer, evicting the least-recently-used entry of the
-    /// shard if it is full.
-    pub fn insert(&self, key: QueryKey, value: Arc<ServiceAnswer>) {
-        let mut shard = self.lock_shard(&key);
-        shard.tick += 1;
-        let tick = shard.tick;
-        if shard.map.len() >= self.capacity_per_shard && !shard.map.contains_key(&key) {
-            // O(shard capacity) victim scan — fine at the default ~128
-            // entries/shard; revisit (tick-ordered index) before raising
-            // cache_capacity by orders of magnitude.
-            if let Some(victim) = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-            {
-                shard.map.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+    /// Returns the cached value for `key`, building it with `build` on a
+    /// miss. Concurrent callers missing the same key wait for the single
+    /// in-flight build instead of repeating it; the outcome reports which
+    /// path this call took (a caller that waited and then found the slot
+    /// gone — evicted or invalidated mid-build — becomes the builder and
+    /// reports `Miss`). A value whose key's epoch was invalidated while it
+    /// was being built is returned but not retained (the purge floor).
+    ///
+    /// Panic-safe: if `build` unwinds, the in-flight marker is removed
+    /// and every waiter is woken (the next caller becomes the builder) —
+    /// a panicking build can wedge neither the key nor the waiters.
+    pub fn get_or_build<F: FnOnce() -> V>(&self, key: K, build: F) -> (Arc<V>, CacheOutcome) {
+        let mut waited = false;
+        let mut inner = self.lock();
+        loop {
+            if let Some(value) = inner.touch(&key, |_| true) {
+                if waited {
+                    return (value, CacheOutcome::Coalesced);
+                }
+                inner.stats.hits += 1;
+                return (value, CacheOutcome::Hit);
             }
+            if !inner.map.contains_key(&key) {
+                inner.stats.misses += 1;
+                inner.map.insert(key, Slot::Building);
+                break;
+            }
+            if !waited {
+                waited = true;
+                inner.stats.coalesced += 1;
+            }
+            inner = self.done.wait(inner).expect("cache poisoned");
         }
-        shard.map.insert(
+        drop(inner);
+
+        // Unwind guard: the build runs outside the lock, so a panic in it
+        // would otherwise leave `Slot::Building` in the map forever —
+        // every future caller of this key (and all current waiters) would
+        // park on the condvar, and a parked query holds the router's
+        // fan-out read lock, deadlocking updates too.
+        let mut cleanup = BuildCleanup {
+            cache: self,
             key,
-            Entry {
-                value,
-                last_used: tick,
-            },
-        );
+            armed: true,
+        };
+        let value = Arc::new(build());
+        cleanup.armed = false;
+
+        let mut inner = self.lock();
+        inner.map.remove(&key);
+        inner.store(key, Arc::clone(&value));
+        drop(inner);
+        self.done.notify_all();
+        (value, CacheOutcome::Miss)
     }
 
-    /// Purges every entry whose epoch is older than `epoch`. Called on
-    /// epoch advance; returns the number of entries removed.
+    /// Purges every finished value built from an epoch older than `epoch`
+    /// and raises the purge floor to it (in-flight builds are left to
+    /// finish; the floor keeps a stale one from being retained). Returns
+    /// the number of entries removed.
     pub fn invalidate_before(&self, epoch: u64) -> usize {
-        let mut removed = 0;
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("cache shard poisoned");
-            let before = shard.map.len();
-            shard.map.retain(|k, _| k.epoch >= epoch);
-            removed += before - shard.map.len();
-        }
-        self.invalidated
-            .fetch_add(removed as u64, Ordering::Relaxed);
+        let mut inner = self.lock();
+        inner.floor = inner.floor.max(epoch);
+        let before = inner.map.len();
+        inner
+            .map
+            .retain(|k, slot| matches!(slot, Slot::Building) || k.epoch() >= epoch);
+        let removed = before - inner.map.len();
+        inner.stats.invalidated += removed as u64;
         removed
     }
 
-    /// Current counters and occupancy.
+    /// Current counters and occupancy (finished values only).
     pub fn stats(&self) -> CacheStats {
+        let inner = self.lock();
+        let ready = |slot: &&Slot<V>| matches!(slot, Slot::Ready { .. });
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            invalidated: self.invalidated.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.lock().expect("cache shard poisoned").map.len())
-                .sum(),
+            entries: inner.map.values().filter(ready).count(),
+            ..inner.stats
         }
     }
 
-    fn lock_shard(&self, key: &QueryKey) -> std::sync::MutexGuard<'_, Shard> {
-        self.shards[key.shard_of(self.shards.len())]
-            .lock()
-            .expect("cache shard poisoned")
+    fn lock(&self) -> MutexGuard<'_, Inner<K, V>> {
+        self.inner.lock().expect("cache poisoned")
+    }
+}
+
+/// Removes the `Slot::Building` marker and wakes all waiters if the build
+/// closure unwinds (disarmed on the normal completion path).
+struct BuildCleanup<'a, K: Copy + Eq + Hash + EpochKeyed, V> {
+    cache: &'a EpochLru<K, V>,
+    key: K,
+    armed: bool,
+}
+
+impl<K: Copy + Eq + Hash + EpochKeyed, V> Drop for BuildCleanup<'_, K, V> {
+    fn drop(&mut self) {
+        if !self.armed {
+            return;
+        }
+        // Never panic out of a Drop during an unwind: tolerate a poisoned
+        // mutex instead of `expect`ing on it.
+        let mut inner = match self.cache.inner.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        if matches!(inner.map.get(&self.key), Some(Slot::Building)) {
+            inner.map.remove(&self.key);
+        }
+        drop(inner);
+        self.cache.done.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn answer(epoch: u64) -> Arc<ServiceAnswer> {
         Arc::new(ServiceAnswer {
@@ -270,9 +434,9 @@ mod tests {
 
     #[test]
     fn hit_miss_and_counters() {
-        let cache = ShardedCache::new(16, 4);
+        let cache = ResultCache::new(16);
         assert!(cache.get(&key(1, 800.0, 0)).is_none());
-        cache.insert(key(1, 800.0, 0), answer(0));
+        cache.upsert(key(1, 800.0, 0), answer(0), |_| true);
         assert!(cache.get(&key(1, 800.0, 0)).is_some());
         // Same parameters, different epoch → different entry.
         assert!(cache.get(&key(1, 800.0, 1)).is_none());
@@ -307,8 +471,8 @@ mod tests {
 
     #[test]
     fn peek_finds_entries_without_counting() {
-        let cache = ShardedCache::new(16, 4);
-        cache.insert(key(1, 800.0, 0), answer(0));
+        let cache = ResultCache::new(16);
+        cache.upsert(key(1, 800.0, 0), answer(0), |_| true);
         assert!(cache.peek(&key(1, 800.0, 0)).is_some());
         assert!(cache.peek(&key(9, 800.0, 0)).is_none());
         let s = cache.stats();
@@ -316,30 +480,173 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_oldest_within_shard() {
-        // One shard, capacity 2: the least-recently-touched key must go.
-        let cache = ShardedCache::new(2, 1);
-        cache.insert(key(1, 100.0, 0), answer(0));
-        cache.insert(key(2, 100.0, 0), answer(0));
-        cache.get(&key(1, 100.0, 0)); // refresh key 1
-        cache.insert(key(3, 100.0, 0), answer(0)); // evicts key 2
-        assert!(cache.get(&key(1, 100.0, 0)).is_some());
-        assert!(cache.get(&key(2, 100.0, 0)).is_none());
-        assert!(cache.get(&key(3, 100.0, 0)).is_some());
-        assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
     fn epoch_invalidation_purges_stale_entries() {
-        let cache = ShardedCache::new(64, 8);
+        let cache = ResultCache::new(64);
         for e in 0..4u64 {
-            cache.insert(key(1, 500.0, e), answer(e));
-            cache.insert(key(2, 500.0, e), answer(e));
+            cache.upsert(key(1, 500.0, e), answer(e), |_| true);
+            cache.upsert(key(2, 500.0, e), answer(e), |_| true);
         }
         let removed = cache.invalidate_before(2);
         assert_eq!(removed, 4);
         assert!(cache.get(&key(1, 500.0, 1)).is_none());
         assert!(cache.get(&key(1, 500.0, 2)).is_some());
         assert_eq!(cache.stats().invalidated, 4);
+        // A worker that pinned epoch 1 finishes after the purge: its
+        // answer went to its caller and must not occupy the cache.
+        cache.upsert(key(3, 500.0, 1), answer(1), |_| true);
+        assert!(cache.peek(&key(3, 500.0, 1)).is_none());
+        assert_eq!(cache.stats().entries, 4, "a purged epoch was retained");
+        cache.upsert(key(3, 500.0, 2), answer(2), |_| true);
+        assert_eq!(cache.stats().entries, 5);
+    }
+
+    /// The stale fallback's contract: a key at `u64::MAX` survives every
+    /// purge and is never refused by the floor.
+    #[test]
+    fn a_key_at_the_last_epoch_is_never_purged_or_refused() {
+        let cache = ResultCache::new(4);
+        cache.upsert(key(1, 500.0, u64::MAX), answer(0), |_| true);
+        assert_eq!(cache.invalidate_before(u64::MAX), 0);
+        cache.upsert(key(2, 500.0, u64::MAX), answer(0), |_| true);
+        assert_eq!(cache.stats().entries, 2);
+    }
+
+    /// The model check's key: a name and the epoch it is keyed at.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    struct Key(u8, u64);
+
+    impl EpochKeyed for Key {
+        fn epoch(&self) -> u64 {
+            self.1
+        }
+    }
+
+    /// What [`EpochLru`] must be indistinguishable from: the finished
+    /// values least recently used first, the purge floor, the counters.
+    #[derive(Default)]
+    struct Model {
+        capacity: usize,
+        order: Vec<(Key, u32)>,
+        floor: u64,
+        stats: CacheStats,
+    }
+
+    impl Model {
+        fn touch(&mut self, key: Key) -> Option<u32> {
+            let at = self.order.iter().position(|&(k, _)| k == key)?;
+            let entry = self.order.remove(at);
+            self.order.push(entry);
+            Some(entry.1)
+        }
+
+        fn get_where(&mut self, key: Key, pred: impl Fn(u32) -> bool) -> Option<u32> {
+            let accepted = self.order.iter().any(|&(k, v)| k == key && pred(v));
+            let hit = if accepted { self.touch(key) } else { None };
+            match hit {
+                Some(_) => self.stats.hits += 1,
+                None => self.stats.misses += 1,
+            }
+            hit
+        }
+
+        fn store(&mut self, key: Key, value: u32) {
+            if key.1 < self.floor {
+                return;
+            }
+            if self.order.len() == self.capacity {
+                self.order.remove(0);
+                self.stats.evictions += 1;
+            }
+            self.order.push((key, value));
+        }
+
+        fn purge(&mut self, epoch: u64) -> usize {
+            self.floor = self.floor.max(epoch);
+            let before = self.order.len();
+            self.order.retain(|&(k, _)| k.1 >= epoch);
+            self.stats.invalidated += (before - self.order.len()) as u64;
+            before - self.order.len()
+        }
+    }
+
+    impl EpochLru<Key, u32> {
+        /// Finished values, least recently used first.
+        fn contents(&self) -> Vec<(Key, u32)> {
+            let inner = self.lock();
+            let mut ready: Vec<_> = inner
+                .map
+                .iter()
+                .filter_map(|(k, slot)| match slot {
+                    Slot::Ready { value, last_used } => Some((*last_used, *k, **value)),
+                    Slot::Building => None,
+                })
+                .collect();
+            ready.sort_unstable_by_key(|&(used, ..)| used);
+            ready.into_iter().map(|(_, k, v)| (k, v)).collect()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every operation, in any order, at any small capacity, leaves
+        /// the cache holding what the model holds in the model's recency
+        /// order (so the next victim is the model's too) with the model's
+        /// counters — hit, miss, LRU, purge and the purge floor for every
+        /// way a value can arrive, including a build that a purge overtakes.
+        #[test]
+        fn epoch_lru_is_the_naive_model(
+            capacity in 1usize..=8,
+            ops in prop::collection::vec((0u8..6, 0u8..6, 0u64..4, any::<u32>(), any::<bool>()), 1..80),
+        ) {
+            let cache = EpochLru::<Key, u32>::new(capacity);
+            let mut model = Model { capacity, ..Default::default() };
+            for (op, name, epoch, value, flag) in ops {
+                let key = Key(name, epoch);
+                match op {
+                    0 => prop_assert_eq!(cache.get(&key).map(|v| *v), model.get_where(key, |_| true)),
+                    1 => prop_assert_eq!(cache.peek(&key).map(|v| *v), model.touch(key)),
+                    2 => prop_assert_eq!(
+                        cache.get_where(&key, |v| v % 2 == 0).map(|v| *v),
+                        model.get_where(key, |v| v % 2 == 0)
+                    ),
+                    3 => {
+                        cache.upsert(key, Arc::new(value), |_| flag);
+                        match model.touch(key) {
+                            Some(_) if flag => model.order.last_mut().unwrap().1 = value,
+                            Some(_) => {}
+                            None => model.store(key, value),
+                        }
+                    }
+                    4 => {
+                        // `flag`: a publish overtakes the build.
+                        let (got, outcome) = cache.get_or_build(key, || {
+                            if flag {
+                                cache.invalidate_before(epoch + 1);
+                            }
+                            value
+                        });
+                        let want = match model.get_where(key, |_| true) {
+                            Some(held) => (held, CacheOutcome::Hit),
+                            None => {
+                                if flag {
+                                    model.purge(epoch + 1);
+                                }
+                                model.store(key, value);
+                                (value, CacheOutcome::Miss)
+                            }
+                        };
+                        prop_assert_eq!((*got, outcome), want);
+                    }
+                    _ => prop_assert_eq!(
+                        cache.invalidate_before(epoch),
+                        model.purge(epoch)
+                    ),
+                }
+                prop_assert_eq!(cache.contents(), model.order.clone());
+                let entries = model.order.len();
+                prop_assert_eq!(cache.stats(), CacheStats { entries, ..model.stats });
+            }
+        }
     }
 }

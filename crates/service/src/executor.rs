@@ -31,15 +31,15 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use netclus::{FmGreedyConfig, ProviderRows, ProviderScratch, TopsQuery};
+use netclus::{FmGreedyConfig, ProviderScratch, TopsQuery};
 use netclus_roadnet::NodeId;
 use netclus_trajectory::TrajectorySet;
 
-use crate::cache::{QueryKey, ShardedCache};
+use crate::cache::{CacheOutcome, QueryKey, ResultCache};
 use crate::fault::QueryError;
 use crate::lock_recover;
 use crate::metrics::{MetricsClock, MetricsReport};
-use crate::provider_cache::{quantize_tau, CacheOutcome, ProviderCache, ProviderKey};
+use crate::provider_cache::{quantize_tau, rows_for, ShardProviderCache};
 use crate::snapshot::{SnapshotStore, UpdateBatch, UpdateReceipt};
 use crate::trace::{psi_name, Stage, TraceConfig, TraceMeta, Tracer};
 
@@ -211,8 +211,6 @@ pub struct ServiceConfig {
     pub max_batch: usize,
     /// Result-cache capacity in answers.
     pub cache_capacity: usize,
-    /// Result-cache shard count.
-    pub cache_shards: usize,
     /// Provider-cache capacity in entries (one instance's built rows
     /// each, kept across every query of the epoch whose τ falls in that
     /// instance's band).
@@ -234,7 +232,6 @@ impl Default for ServiceConfig {
             queue_capacity: 1_024,
             max_batch: 16,
             cache_capacity: 1_024,
-            cache_shards: 8,
             provider_cache_capacity: 32,
             provider_build_threads: 1,
             trace: TraceConfig::default(),
@@ -275,8 +272,8 @@ struct Inner {
     /// submit fast path.
     stopping: AtomicBool,
     store: SnapshotStore,
-    cache: ShardedCache,
-    providers: ProviderCache,
+    cache: ResultCache,
+    providers: ShardProviderCache,
     clock: MetricsClock,
     queue: Mutex<QueueState>,
     queue_cv: Condvar,
@@ -306,8 +303,8 @@ impl NetClusService {
             cfg,
             stopping: AtomicBool::new(false),
             store: SnapshotStore::new(net, trajs, index),
-            cache: ShardedCache::new(cfg.cache_capacity, cfg.cache_shards),
-            providers: ProviderCache::new(cfg.provider_cache_capacity),
+            cache: ResultCache::new(cfg.cache_capacity),
+            providers: ShardProviderCache::new(cfg.provider_cache_capacity),
             clock: MetricsClock::default(),
             queue: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
@@ -637,22 +634,15 @@ fn worker_loop(inner: &Inner) {
                     // τ in the band skips the build and cuts a prefix view.
                     // Single flight: workers racing the same cold key wait
                     // for one build instead of each burning their own.
-                    let p = snap.index().instance_for(query.tau);
-                    let instance = snap.index().instance(p);
-                    let built_tau = ProviderRows::built_tau_for(instance, query.tau);
-                    let provider_key = ProviderKey::new(snap.epoch(), p, built_tau);
-                    let (rows, outcome) = inner.providers.get_or_build(provider_key, || {
-                        let build_start = Instant::now();
-                        let built = ProviderRows::build_with(
-                            instance,
-                            built_tau,
-                            snap.trajs().id_bound(),
-                            inner.cfg.provider_build_threads.max(1),
-                            &mut scratch,
-                        );
-                        metrics.provider_build.record(build_start.elapsed());
-                        built
-                    });
+                    let (p, rows, outcome) = rows_for(
+                        &snap,
+                        query.tau,
+                        0,
+                        &inner.providers,
+                        inner.cfg.provider_build_threads.max(1),
+                        &mut scratch,
+                        &metrics.provider_build,
+                    );
                     let provider = rows.view(query.tau);
                     cursor = spans.stage(Stage::ProviderGet, cursor);
                     spans.detail(match outcome {
@@ -686,7 +676,7 @@ fn worker_loop(inner: &Inner) {
                         representatives: raw.representatives,
                         compute_time: t.elapsed(),
                     });
-                    inner.cache.insert(key, Arc::clone(&answer));
+                    inner.cache.upsert(key, Arc::clone(&answer), |_| true);
                     answer
                 }
             };
@@ -752,9 +742,16 @@ mod tests {
     use netclus_roadnet::{Point, RoadNetworkBuilder};
     use netclus_trajectory::Trajectory;
 
-    use crate::UpdateOp;
+    use crate::{ShardProviderKey, UpdateOp};
 
     fn service(workers: usize) -> NetClusService {
+        service_with(ServiceConfig {
+            workers,
+            ..Default::default()
+        })
+    }
+
+    fn service_with(cfg: ServiceConfig) -> NetClusService {
         let mut b = RoadNetworkBuilder::new();
         for i in 0..30 {
             b.add_node(Point::new(i as f64 * 100.0, 0.0));
@@ -784,16 +781,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        NetClusService::start(
-            net,
-            trajs,
-            index,
-            ServiceConfig {
-                workers,
-                ..Default::default()
-            },
-        )
-        .expect("start service")
+        NetClusService::start(net, trajs, index, cfg).expect("start service")
     }
 
     #[test]
@@ -816,9 +804,16 @@ mod tests {
         let a = svc.query_blocking(ServiceRequest::greedy(q)).unwrap();
         let b = svc.query_blocking(ServiceRequest::greedy(q)).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second answer must come from cache");
+        // One flight was queued, dispatched alone and solved; the repeat
+        // was answered at submit.
         let report = svc.metrics_report();
-        assert!(report.cache.hits >= 1);
-        assert_eq!(report.completed, 2);
+        assert_eq!((report.submitted, report.completed), (2, 2));
+        assert_eq!(report.cache_served, 1);
+        assert_eq!((report.batches, report.batched_requests), (1, 1));
+        assert_eq!((report.queue_depth, report.queue_depth_max), (0, 1));
+        let cache = report.cache;
+        assert_eq!((cache.hits, cache.misses, cache.entries), (1, 1, 1));
+        assert_eq!(report.latency.count, 2);
         svc.shutdown();
     }
 
@@ -840,6 +835,9 @@ mod tests {
         let receipt = svc.apply_updates(batch);
         assert_eq!(receipt.epoch, 1);
         assert_eq!(receipt.applied, 10);
+        let report = svc.metrics_report();
+        assert_eq!((report.epoch_advances, report.updates_applied), (1, 10));
+        assert_eq!(report.update_latency.count, 1);
         let after = svc.query_blocking(ServiceRequest::greedy(q)).unwrap();
         assert_eq!(after.epoch, 1);
         assert_eq!(after.corpus_len, 20);
@@ -849,7 +847,13 @@ mod tests {
 
     #[test]
     fn provider_cache_shared_across_k_and_variants() {
-        let svc = service(1);
+        // Room for one instance's rows: every assertion below is about one
+        // band at a time, and the second band must evict the first.
+        let svc = service_with(ServiceConfig {
+            workers: 1,
+            provider_cache_capacity: 1,
+            ..Default::default()
+        });
         for k in 1..=4 {
             svc.query_blocking(ServiceRequest::greedy(TopsQuery::binary(k, 800.0)))
                 .unwrap();
@@ -889,6 +893,8 @@ mod tests {
         let report = svc.metrics_report();
         assert_eq!(report.providers.misses, 2);
         assert_eq!(report.provider_build.count, 2);
+        let providers = report.providers;
+        assert_eq!((providers.evictions, providers.entries), (1, 1));
         svc.shutdown();
     }
 
@@ -1024,6 +1030,68 @@ mod tests {
         assert!(filler.wait().is_some());
         // The pre-update submitter accepts any epoch (0 or 1 both valid).
         assert!(first.wait().is_some());
+        svc.shutdown();
+    }
+
+    /// Admission against a worker that cannot finish: the test holds the
+    /// single-flight build of the rows the worker's query needs, so the
+    /// flight stays in flight and the queue behind it stays put for as
+    /// long as the assertions take.
+    #[test]
+    fn a_blocked_worker_queues_joins_and_rejects_at_the_bound() {
+        let svc = service_with(ServiceConfig {
+            workers: 1,
+            queue_capacity: 2,
+            ..Default::default()
+        });
+        let q = |k| ServiceRequest::greedy(TopsQuery::binary(k, 800.0));
+        let snap = svc.snapshot();
+        let p = snap.index().instance_for(800.0);
+        let instance = snap.index().instance(p);
+        let built_tau = ProviderRows::built_tau_for(instance, 800.0);
+        let key = ShardProviderKey::new(0, 0, p, built_tau);
+        let (building, is_building) = channel();
+        let (release, held) = channel::<()>();
+        let providers = &svc.inner.providers;
+        let snap = &snap;
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                providers.get_or_build(key, || {
+                    building.send(()).unwrap();
+                    let _ = held.recv();
+                    let bound = snap.trajs().id_bound();
+                    let scratch = &mut ProviderScratch::default();
+                    ProviderRows::build_with(instance, built_tau, bound, 1, scratch)
+                });
+            });
+            is_building.recv().unwrap();
+            // The worker drains k = 1 and parks on the held build.
+            let first = svc.submit(q(1)).unwrap();
+            while svc.metrics_report().queue_depth > 0 {
+                std::thread::yield_now();
+            }
+            // Identical requests join its flight; distinct ones queue up
+            // to the bound and the next is turned away.
+            let joined = [svc.submit(q(1)).unwrap(), svc.submit(q(1)).unwrap()];
+            let queued = [svc.submit(q(2)).unwrap(), svc.submit(q(3)).unwrap()];
+            assert_eq!(svc.submit(q(4)).unwrap_err(), SubmitError::QueueFull);
+            let report = svc.metrics_report();
+            assert_eq!((report.submitted, report.rejected), (5, 1));
+            assert_eq!(report.dedup_joined, 2);
+            assert_eq!((report.queue_depth, report.queue_depth_max), (2, 2));
+            drop(release);
+            let answer = first.wait().unwrap();
+            for handle in joined {
+                assert!(Arc::ptr_eq(&handle.wait().unwrap(), &answer));
+            }
+            for handle in queued {
+                assert!(handle.wait().is_some());
+            }
+        });
+        let report = svc.metrics_report();
+        assert_eq!(report.completed, 5);
+        assert_eq!((report.batches, report.batched_requests), (2, 3));
+        assert_eq!(report.providers.coalesced, 1);
         svc.shutdown();
     }
 

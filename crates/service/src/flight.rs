@@ -37,6 +37,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::metrics::push_escaped;
+
 /// Recorder shape: tick cadence and retention.
 #[derive(Clone, Debug)]
 pub struct FlightConfig {
@@ -315,11 +317,14 @@ impl FlightRecorder {
     /// telemetry `history` command.
     pub fn history_json(&self, series: &str, window_secs: Option<f64>) -> String {
         let Some(points) = self.history(series, window_secs) else {
-            return format!("{{\"error\":\"unknown series\",\"series\":\"{series}\"}}");
+            let mut s = String::from("{\"error\":\"unknown series\",\"series\":\"");
+            push_escaped(&mut s, series);
+            s.push_str("\"}");
+            return s;
         };
         let mut s = String::with_capacity(32 + points.len() * 16);
         s.push_str("{\"series\":\"");
-        s.push_str(series);
+        push_escaped(&mut s, series);
         s.push_str("\",\"window_secs\":");
         match window_secs {
             Some(w) => s.push_str(&format!("{w:.3}")),

@@ -239,6 +239,19 @@ mod tests {
     }
 
     #[test]
+    fn detects_single_bit_flips() {
+        let data = b"netclus wal frame payload".to_vec();
+        let base = crc32(&data);
+        for byte in 0..data.len() {
+            for bit in 0..8u8 {
+                let mut flipped = data.clone();
+                flipped[byte] ^= 1 << bit;
+                assert_ne!(crc32(&flipped), base, "flip at {byte}:{bit} undetected");
+            }
+        }
+    }
+
+    #[test]
     fn frame_round_trip() {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"hello").unwrap();

@@ -24,6 +24,7 @@
 //! silent, so health cannot flap during startup.
 
 use crate::flight::FlightRecorder;
+use crate::metrics::push_escaped;
 
 /// Overall service health, the worst severity among firing rules.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -266,11 +267,9 @@ impl HealthReport {
                 s.push_str(&format!(",\"rule_{}_value\":{v:.3}", o.name));
             }
             s.push_str(&format!(",\"rule_{}_limit\":{:.3}", o.name, o.limit));
-            s.push_str(&format!(
-                ",\"rule_{}_detail\":\"{}\"",
-                o.name,
-                o.detail.replace('"', "'")
-            ));
+            s.push_str(&format!(",\"rule_{}_detail\":\"", o.name));
+            push_escaped(&mut s, &o.detail);
+            s.push('"');
         }
         s.push('}');
         s

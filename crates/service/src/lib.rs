@@ -18,22 +18,27 @@
 //!   pinned snapshot), and identical in-flight queries are deduplicated:
 //!   late arrivals attach to the running computation instead of repeating
 //!   it.
-//! * [`cache`] — a **sharded LRU result cache** keyed on
-//!   `(k, τ, ψ, variant, epoch)`. Epoch advance invalidates stale entries;
-//!   hit/miss/eviction counters feed the metrics report.
-//! * [`provider_cache`] — the round-1 caches: a generic **single-flight**
-//!   epoch-invalidated LRU of built
-//!   [`ProviderRows`](netclus::ProviderRows) (keyed
-//!   `(epoch, instance, built τ)` in the executor,
-//!   `(epoch, shard, instance, built τ)` in the shard router —
-//!   concurrent misses coalesce onto one build) plus the round-1
+//! * [`cache`] — the stack's **one cache mechanism**, [`EpochLru`]: an
+//!   epoch-keyed LRU with single-flight builds (concurrent misses
+//!   coalesce onto one builder), one purge on epoch advance and one purge
+//!   floor (a value that arrives after its epoch was purged is handed to
+//!   its caller and not retained). Its first instantiation is the
+//!   **result cache** keyed on `(k, τ, ψ, variant, epoch)`; its
+//!   hit/miss/coalesced/eviction/invalidation counters
+//!   ([`CacheStats`]) feed the metrics report.
+//! * [`provider_cache`] — the round-1 instantiations: built
+//!   [`ProviderRows`](netclus::ProviderRows) keyed
+//!   `(epoch, shard, instance, built τ)` (the executor is shard 0; both
+//!   serving cores look rows up through one `rows_for`) and the round-1
 //!   **candidate memo** keyed `(epoch, shard, quantized τ, ψ)`, which
 //!   answers any smaller-`k` repeat by prefix slicing. The rows are the
 //!   expensive part of a NetClus query and depend on neither `k` nor ψ,
 //!   and rows built at the top of an instance's τ band serve every τ in
 //!   it as a prefix view; the query's τ is quantized to millimeters at
 //!   admission ([`netclus::quantize_tau`], one shared definition for
-//!   every cache key) so keys and computation agree.
+//!   every cache key) so keys and computation agree. (The fourth
+//!   instantiation is the router's stale-answer fallback, keyed like the
+//!   result cache at the epoch no purge reaches.)
 //! * [`metrics`] — latency histogram, throughput, queue depth, cache and
 //!   provider-cache statistics plus provider-build latency and process
 //!   gauges (uptime, RSS, arena bytes), exposed as a [`MetricsReport`]
@@ -138,7 +143,9 @@ pub mod telemetry;
 pub mod trace;
 pub mod wire;
 
-pub use cache::{preference_key, CacheStats, QueryKey, ShardedCache};
+pub use cache::{
+    preference_key, CacheOutcome, CacheStats, EpochKeyed, EpochLru, QueryKey, ResultCache,
+};
 pub use executor::{
     NetClusService, QueryVariant, ResponseHandle, ServiceAnswer, ServiceConfig, ServiceRequest,
     SubmitError,
@@ -154,8 +161,8 @@ pub use metrics::{
     ProcessGauges, ServiceMetrics, ShardLaneReport, ShardReport,
 };
 pub use provider_cache::{
-    quantize_tau, CacheOutcome, EpochKeyed, FlightCache, ProviderCache, ProviderCacheStats,
-    ProviderKey, RoundCacheStats, RoundKey, RoundOneCache, ShardProviderCache, ShardProviderKey,
+    quantize_tau, ProviderCacheStats, RoundCacheStats, RoundKey, RoundOneCache, ShardProviderCache,
+    ShardProviderKey,
 };
 pub use shard_proto::ResyncSnapshot;
 pub use shard_router::{
@@ -195,8 +202,8 @@ fn send_sync_audit() {
     assert_send_sync::<Snapshot>();
     assert_send_sync::<SnapshotStore>();
     assert_send_sync::<UpdateOp>();
-    assert_send_sync::<ShardedCache>();
-    assert_send_sync::<ProviderCache>();
+    assert_send_sync::<ResultCache>();
+    assert_send_sync::<ShardProviderCache>();
     assert_send_sync::<ServiceAnswer>();
     assert_send_sync::<ServiceMetrics>();
     assert_send_sync::<NetClusService>();

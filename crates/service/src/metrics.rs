@@ -10,7 +10,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::cache::CacheStats;
-use crate::provider_cache::{ProviderCacheStats, RoundCacheStats};
 
 /// Number of power-of-two latency buckets (bucket `i` holds samples with
 /// `floor(log2(micros)) == i`; bucket 0 also holds sub-microsecond ones).
@@ -180,7 +179,7 @@ impl ServiceMetrics {
         epoch: u64,
         workers: usize,
         cache: CacheStats,
-        providers: ProviderCacheStats,
+        providers: CacheStats,
     ) -> MetricsReport {
         let completed = self.completed.load(Ordering::Relaxed);
         let secs = elapsed.as_secs_f64();
@@ -285,10 +284,10 @@ pub struct ShardReport {
     /// evictions/invalidations), shared by all router workers. The same
     /// numbers feed the report's top-level `providers` field so
     /// [`MetricsReport::provider_hit_rate`] works for router reports too.
-    pub providers: ProviderCacheStats,
+    pub providers: CacheStats,
     /// Round-1 candidate-memo counters (prefix hits, misses, evictions,
     /// invalidations).
-    pub rounds: RoundCacheStats,
+    pub rounds: CacheStats,
     /// End-to-end latency of **hot** fan-outs: every shard answered from
     /// the candidate memo or the provider cache — no provider build.
     pub hot: LatencySummary,
@@ -430,7 +429,7 @@ pub struct MetricsReport {
     /// Result-cache counters.
     pub cache: CacheStats,
     /// Provider-cache counters.
-    pub providers: ProviderCacheStats,
+    pub providers: CacheStats,
     /// Process-level memory gauges.
     pub process: ProcessGauges,
     /// Scatter-gather shard lanes (`None` for unsharded services).
@@ -641,15 +640,28 @@ fn push_f64(s: &mut String, key: &str, v: f64) {
     s.push(',');
 }
 
-/// Quoted-string field; `v` must need no JSON escaping (the only
-/// callers pass fixed identifier-like tags).
+/// Quoted-string field.
 pub(crate) fn push_str(s: &mut String, key: &str, v: &str) {
-    debug_assert!(!v.contains(['"', '\\']), "push_str takes plain tags");
     s.push('"');
     s.push_str(key);
     s.push_str("\":\"");
-    s.push_str(v);
+    push_escaped(s, v);
     s.push_str("\",");
+}
+
+/// Appends `v` as the inside of a JSON string: quote, backslash and
+/// control characters escaped. Everything that reaches a JSON line from
+/// outside the program (a name off the telemetry socket, a rule's free
+/// text) goes through here.
+pub(crate) fn push_escaped(s: &mut String, v: &str) {
+    for c in v.chars() {
+        match c {
+            '"' => s.push_str("\\\""),
+            '\\' => s.push_str("\\\\"),
+            c if c < ' ' => s.push_str(&format!("\\u{:04x}", c as u32)),
+            c => s.push(c),
+        }
+    }
 }
 
 /// Shared counters for the ingestion subsystem (`netclus-ingest`), kept
@@ -948,11 +960,10 @@ mod tests {
             CacheStats {
                 hits: 1,
                 misses: 2,
-                evictions: 0,
-                invalidated: 0,
                 entries: 2,
+                ..Default::default()
             },
-            ProviderCacheStats {
+            CacheStats {
                 hits: 3,
                 misses: 1,
                 ..Default::default()
@@ -983,7 +994,7 @@ mod tests {
             1,
             1,
             CacheStats::default(),
-            ProviderCacheStats::default(),
+            CacheStats::default(),
         );
         assert_eq!(report.update_latency.count, 1);
         let json = report.to_json_line();
@@ -1017,7 +1028,7 @@ mod tests {
             0,
             2,
             CacheStats::default(),
-            ProviderCacheStats::default(),
+            CacheStats::default(),
         );
         assert!(report.shards.is_none());
         assert!(!report.to_json_line().contains("\"shards\""));
@@ -1035,13 +1046,13 @@ mod tests {
             lanes: vec![lane(0, 4), lane(1, 4)],
             merge: LatencySummary::default(),
             fanout_queries: 4,
-            providers: ProviderCacheStats {
+            providers: CacheStats {
                 hits: 6,
                 misses: 2,
                 coalesced: 1,
                 ..Default::default()
             },
-            rounds: RoundCacheStats {
+            rounds: CacheStats {
                 hits: 3,
                 misses: 1,
                 ..Default::default()
@@ -1133,7 +1144,7 @@ mod tests {
             0,
             1,
             CacheStats::default(),
-            ProviderCacheStats::default(),
+            CacheStats::default(),
         );
         report.process.arena_resident_bytes = Some(1_234);
         let json = report.to_json_line();

@@ -116,7 +116,7 @@ use crate::provider_cache::{RoundOneCache, ShardProviderCache};
 use crate::replica_set::{FaultCounters, ReplicaSet};
 use crate::snapshot::{SnapshotStore, UpdateOp, UpdateReceipt, UpdateSink};
 use crate::trace::{TraceConfig, Tracer};
-use scatter::{worker_entry, RouterQueue, StaleCache};
+use scatter::{worker_entry, RouterQueue, StaleAnswers};
 
 pub(crate) use transport::resolve_round1;
 pub use transport::{
@@ -317,7 +317,7 @@ struct RouterInner {
     /// Central fault counters (the `FaultReport` section).
     faultc: FaultCounters,
     /// Stale-answer fallback; `None` when disabled (capacity 0).
-    stale: Option<Mutex<StaleCache>>,
+    stale: Option<StaleAnswers>,
 }
 
 impl RouterInner {
@@ -579,7 +579,7 @@ impl ShardRouter {
             fault_plan: RwLock::new(None),
             faultc: FaultCounters::default(),
             stale: (cfg.stale_cache_capacity > 0)
-                .then(|| Mutex::new(StaleCache::new(cfg.stale_cache_capacity))),
+                .then(|| StaleAnswers::new(cfg.stale_cache_capacity)),
         });
         let router = ShardRouter {
             inner,
@@ -1362,11 +1362,10 @@ pub(crate) mod tests {
         let skipped = router.query(q, &QueryOptions::default()).unwrap();
         assert!(skipped.degraded);
         assert!(router.fault_report().breaker_skips >= 1);
-        // Recovery: clear the faults, wait out the cooldown; the next
-        // query rides a half-open probe and closes the breaker.
+        // Recovery: clear the faults; the first query past the cooldown
+        // rides a half-open probe and closes the breaker.
         router.set_fault_plan(None);
-        std::thread::sleep(Duration::from_millis(50));
-        let probed = router.query(q, &QueryOptions::default()).unwrap();
+        let (probed, _) = query_until(&router, q, 1, 0, |b| b.state == BreakerState::Closed);
         assert!(!probed.degraded, "successful probe restores the shard");
         let snap = &router.breaker_snapshots()[1];
         assert_eq!(snap.state, BreakerState::Closed);
@@ -1440,7 +1439,7 @@ pub(crate) mod tests {
         // Shard 0's preferred replica stalls far past the hedge delay;
         // the hedge wave fires its sibling, which wins the lane.
         router.set_fault_plan(Some(FaultPlan::new(23).with_rule(
-            FaultRule::always(0, FaultAction::Delay(Duration::from_millis(400))).on_replica(0),
+            FaultRule::always(0, FaultAction::Delay(Duration::from_millis(1_500))).on_replica(0),
         )));
         let hedged = router.query_blocking(q).unwrap();
         assert!(!hedged.degraded && !hedged.stale);
@@ -1473,15 +1472,37 @@ pub(crate) mod tests {
         Some(FaultPlan::new(29).with_rule(FaultRule::always(0, action).on_replica(replica)))
     }
 
-    /// The breaker of `(shard 0, replica)` once its in-flight probe, if
-    /// any, has been settled by the worker running it — which may be after
-    /// the probing query returned, when the sibling answered first.
-    fn settled(router: &ShardRouter, replica: usize) -> BreakerSnapshot {
+    /// The breaker of `(shard, replica)` once its in-flight probe, if any,
+    /// has been settled by the worker running it — which may be after the
+    /// probing query returned, when the sibling answered first.
+    fn settled(router: &ShardRouter, shard: usize, replica: usize) -> BreakerSnapshot {
         let until = Instant::now() + Duration::from_secs(5);
         loop {
-            let snap = router.replica_breaker_snapshots(0)[replica];
+            let snap = router.replica_breaker_snapshots(shard)[replica];
             if snap.state != BreakerState::HalfOpen || Instant::now() >= until {
                 return snap;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Waits out a cooldown without naming its length: repeats `q` — inside
+    /// the cooldown it skips the open replica, the first one past it rides
+    /// the half-open probe — until the settled breaker of `(shard, replica)`
+    /// is `done`, for at most 5 s. The last answer and that snapshot.
+    fn query_until(
+        router: &ShardRouter,
+        q: TopsQuery,
+        shard: usize,
+        replica: usize,
+        done: impl Fn(&BreakerSnapshot) -> bool,
+    ) -> (Arc<ShardedServiceAnswer>, BreakerSnapshot) {
+        let until = Instant::now() + Duration::from_secs(5);
+        loop {
+            let answer = router.query_blocking(q).unwrap();
+            let snap = settled(router, shard, replica);
+            if done(&snap) || Instant::now() >= until {
+                return (answer, snap);
             }
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -1502,10 +1523,8 @@ pub(crate) mod tests {
         // Past the cooldown, the half-open probe fires IN ADDITION to the
         // healthy sibling — a still-broken replica failing its probe must
         // not cost the shard its full answer.
-        std::thread::sleep(Duration::from_millis(50));
-        let probed = router.query_blocking(q).unwrap();
+        let (probed, probe) = query_until(&router, q, 0, 0, |b| b.probes >= 1);
         assert!(!probed.degraded, "probe stole the healthy replica's slot");
-        let probe = settled(&router, 0);
         assert_eq!(probe.state, BreakerState::Open, "failed probe reopens");
         assert!(probe.probes >= 1);
         assert_eq!(
@@ -1516,10 +1535,9 @@ pub(crate) mod tests {
         // Once the replica heals, its next probe closes the breaker and
         // the full set serves again.
         router.set_fault_plan(None);
-        std::thread::sleep(Duration::from_millis(50));
-        let healed = router.query_blocking(q).unwrap();
+        let (healed, probe) = query_until(&router, q, 0, 0, |b| b.closes >= 1);
         assert!(!healed.degraded);
-        assert_eq!(settled(&router, 0).state, BreakerState::Closed);
+        assert_eq!(probe.state, BreakerState::Closed);
         router.shutdown();
     }
 
@@ -1529,16 +1547,15 @@ pub(crate) mod tests {
         let q = TopsQuery::binary(2, 800.0);
         router.set_fault_plan(fault_on(0, FaultAction::Error));
         assert!(!router.query_blocking(q).unwrap().degraded);
-        assert_eq!(settled(&router, 0).state, BreakerState::Open);
+        assert_eq!(settled(&router, 0, 0).state, BreakerState::Open);
         // Past the cooldown the replica answers again, but 30 ms late: its
         // probe loses to the sibling, so the gather is over before the
         // probe's reply exists.
         router.set_fault_plan(fault_on(0, FaultAction::Delay(Duration::from_millis(30))));
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(!router.query_blocking(q).unwrap().degraded);
+        let (probed, probe) = query_until(&router, q, 0, 0, |b| b.probes >= 1);
+        assert!(!probed.degraded);
         router.set_fault_plan(None);
         // The worker that ran the probe closes the breaker all the same...
-        let probe = settled(&router, 0);
         assert_eq!(probe.state, BreakerState::Closed);
         assert_eq!((probe.probes, probe.closes), (1, 1));
         // ...so the replica serves again: with its sibling dead the shard

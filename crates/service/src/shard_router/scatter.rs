@@ -16,7 +16,7 @@
 
 #![deny(clippy::too_many_lines)]
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::time::Instant;
 
@@ -24,7 +24,8 @@ use netclus::shard::{merge_candidates_subset, merge_candidates_timed, MergeTimin
 use netclus::{ProviderScratch, TopsQuery};
 
 use super::*;
-use crate::executor::{validate_query, SubmitError};
+use crate::cache::{EpochLru, QueryKey};
+use crate::executor::{validate_query, QueryVariant, SubmitError};
 use crate::fault::{FaultAction, QueryError, ShardFailure};
 use crate::provider_cache::quantize_tau;
 use crate::replica_set::{Attempt, Gather, Reporter};
@@ -57,42 +58,14 @@ pub(crate) struct RouterQueue {
     pub(crate) shutdown: bool,
 }
 
-/// Key of the stale-answer fallback cache: `(k, τ bits, ψ identity)` —
-/// deliberately epoch-free, the point is serving across epochs.
-type StaleKey = (usize, u64, u8, u64);
+/// The stale-answer fallback: the last full (non-degraded) answer per
+/// query shape, served when every shard fails. Its key is the result
+/// cache's, pinned at the epoch no purge reaches — serving across epochs
+/// is the point.
+pub(crate) type StaleAnswers = EpochLru<QueryKey, ShardedServiceAnswer>;
 
-fn stale_key(q: &TopsQuery) -> StaleKey {
-    let (tag, param) = crate::cache::preference_key(&q.preference);
-    (q.k, q.tau.to_bits(), tag, param)
-}
-
-/// Last full (non-degraded) answer per query shape, insertion-ordered
-/// bounded map — the fallback of last resort when every shard fails.
-#[derive(Default)]
-pub(crate) struct StaleCache {
-    cap: usize,
-    map: HashMap<StaleKey, Arc<ShardedServiceAnswer>>,
-    order: VecDeque<StaleKey>,
-}
-
-impl StaleCache {
-    pub(crate) fn new(cap: usize) -> StaleCache {
-        StaleCache {
-            cap,
-            ..Default::default()
-        }
-    }
-
-    fn insert(&mut self, key: StaleKey, answer: Arc<ShardedServiceAnswer>) {
-        if self.map.insert(key, answer).is_none() {
-            self.order.push_back(key);
-            if self.order.len() > self.cap {
-                if let Some(evicted) = self.order.pop_front() {
-                    self.map.remove(&evicted);
-                }
-            }
-        }
-    }
+fn stale_key(q: &TopsQuery) -> QueryKey {
+    QueryKey::new(q, QueryVariant::Greedy, u64::MAX)
 }
 
 /// One query on its way through the driver.
@@ -408,7 +381,7 @@ impl<'a> Flight<'a> {
         };
         let key = stale_key(&self.query);
         let stale = inner.stale.as_ref();
-        if let Some(prev) = stale.and_then(|stale| lock_recover(stale).map.get(&key).cloned()) {
+        if let Some(prev) = stale.and_then(|stale| stale.peek(&key)) {
             inner.faultc.stale_answers.fetch_add(1, Ordering::Relaxed);
             let metrics = &inner.clock.metrics;
             metrics.completed.fetch_add(1, Ordering::Relaxed);
@@ -475,7 +448,7 @@ impl<'a> Flight<'a> {
         // answer must not mask a better earlier one.
         if !answer.degraded {
             if let Some(stale) = &inner.stale {
-                lock_recover(stale).insert(stale_key(&self.query), Arc::clone(&answer));
+                stale.upsert(stale_key(&self.query), Arc::clone(&answer), |_| true);
             }
         }
         answer

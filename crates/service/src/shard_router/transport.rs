@@ -50,14 +50,15 @@ use std::net::TcpStream;
 use std::time::Instant;
 
 use netclus::shard::{local_candidates, local_candidates_on, ShardRoundOne};
-use netclus::{NetClusIndex, ProviderRows, ProviderScratch, TopsQuery};
+use netclus::{NetClusIndex, ProviderScratch, TopsQuery};
 use netclus_trajectory::TrajectorySet;
 
 use super::*;
+use crate::cache::CacheOutcome;
 use crate::fault::ShardFailure;
 use crate::framing::{frame_into, read_frame_into};
 use crate::metrics::LatencySummary;
-use crate::provider_cache::{CacheOutcome, RoundKey, ShardProviderKey};
+use crate::provider_cache::{rows_for, RoundKey};
 use crate::shard_proto::{
     round1_request, Request, RespError, Response, ResyncSnapshot, SHARD_PROTOCOL_VERSION,
 };
@@ -269,22 +270,15 @@ pub(crate) fn resolve_round1(
         None => {
             let (round, source) = match providers {
                 Some(providers) => {
-                    let p = snap.index().instance_for(query.tau);
-                    let instance = snap.index().instance(p);
-                    let built_tau = ProviderRows::built_tau_for(instance, query.tau);
-                    let key = ShardProviderKey::new(epoch, shard, p, built_tau);
-                    let (rows, outcome) = providers.get_or_build(key, || {
-                        let build_start = Instant::now();
-                        let built = ProviderRows::build_with(
-                            instance,
-                            built_tau,
-                            bound,
-                            build_threads,
-                            scratch,
-                        );
-                        provider_build.record(build_start.elapsed());
-                        built
-                    });
+                    let (p, rows, outcome) = rows_for(
+                        snap,
+                        query.tau,
+                        shard,
+                        providers,
+                        build_threads,
+                        scratch,
+                        provider_build,
+                    );
                     let provider = rows.view(query.tau);
                     let source = match outcome {
                         CacheOutcome::Hit => Round1Source::ProviderHit,

@@ -147,6 +147,10 @@ fn telemetry_serves_recorder_history_rates_and_health_transitions() {
         history.starts_with("{\"series\":\"completed\"") && history.contains("\"points\":[["),
         "real service counters must reach the recorder: {history}"
     );
+    // A series name off the socket is data, not JSON: the reply is one
+    // object whose `series` string decodes back to what was sent.
+    let unknown = telemetry::fetch(addr, "history a\"b\\c").expect("fetch history");
+    assert_eq!(unknown, r#"{"error":"unknown series","series":"a\"b\\c"}"#);
     let rates = telemetry::fetch(addr, "rates").expect("fetch rates");
     assert!(
         rates.contains("\"interval_secs\":") && rates.contains("\"completed\":"),

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use netclus::{PreferenceFunction, TopsQuery};
-use netclus_service::{QueryKey, QueryVariant, ServiceAnswer, ShardedCache};
+use netclus_service::{QueryKey, QueryVariant, ResultCache, ServiceAnswer};
 use proptest::prelude::*;
 
 /// A strategy over full query parameter tuples:
@@ -105,8 +105,8 @@ proptest! {
         let (qb, vb, eb) = build(&b);
         let ka = QueryKey::new(&qa, va, ea);
         let kb = QueryKey::new(&qb, vb, eb);
-        let cache = ShardedCache::new(1_024, 4);
-        cache.insert(ka, dummy_answer(ea));
+        let cache = ResultCache::new(1_024);
+        cache.upsert(ka, dummy_answer(ea), |_| true);
         prop_assert!(cache.get(&ka).is_some());
         prop_assert_eq!(cache.get(&kb).is_some(), ka == kb);
     }
@@ -118,13 +118,13 @@ proptest! {
         entries in prop::collection::vec(params(), 1..40),
         cutoff in 0u64..7,
     ) {
-        let cache = ShardedCache::new(4_096, 8);
+        let cache = ResultCache::new(4_096);
         let keys: Vec<QueryKey> = entries
             .iter()
             .map(|p| {
                 let (q, v, e) = build(p);
                 let k = QueryKey::new(&q, v, e);
-                cache.insert(k, dummy_answer(e));
+                cache.upsert(k, dummy_answer(e), |_| true);
                 k
             })
             .collect();

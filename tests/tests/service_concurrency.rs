@@ -68,7 +68,6 @@ fn build_service() -> NetClusService {
             queue_capacity: 256,
             max_batch: 8,
             cache_capacity: 512,
-            cache_shards: 8,
             ..Default::default()
         },
     )
