@@ -11,7 +11,7 @@
 //! [`EpochLru::invalidate_before`] reclaims their space eagerly.
 //!
 //! **The purge floor.** The highest epoch ever purged is remembered, and
-//! no value keyed below it is retained afterwards: a worker that pinned
+//! no value keyed below it is retained afterwards: a solve that pinned
 //! epoch *e* and finishes after the purge for *e + 1* gets its value back
 //! and the cache stays as it was — nothing could look the value up again,
 //! so holding it would only occupy capacity until the next publish.
@@ -22,7 +22,8 @@
 //! thread parks on a condvar and receives the finished `Arc` — N workers
 //! racing a cold dashboard burst burn one build, not N. Coalesced waits
 //! are counted separately from hits so saturation on cold keys is
-//! observable.
+//! observable. A build that fails ([`EpochLru::get_or_try_build`]) or
+//! panics retains nothing and hands the key to the next waiter.
 //!
 //! One mutex guards the map and the counters: a lookup holds it for a
 //! hash probe and a pointer clone, orders of magnitude less than the
@@ -31,6 +32,7 @@
 #![deny(clippy::too_many_lines)]
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::hash::Hash;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -307,15 +309,28 @@ impl<K: Copy + Eq + Hash + EpochKeyed, V> EpochLru<K, V> {
     /// and every waiter is woken (the next caller becomes the builder) —
     /// a panicking build can wedge neither the key nor the waiters.
     pub fn get_or_build<F: FnOnce() -> V>(&self, key: K, build: F) -> (Arc<V>, CacheOutcome) {
+        let Ok(found) = self.get_or_try_build(key, || Ok::<V, Infallible>(build()));
+        found
+    }
+
+    /// [`EpochLru::get_or_build`] with a build that may fail. An `Err`
+    /// takes the unwind path: nothing is retained, the error goes to this
+    /// caller alone, and a waiter parked on the build becomes the next
+    /// builder (the miss stays counted).
+    pub fn get_or_try_build<E>(
+        &self,
+        key: K,
+        build: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(Arc<V>, CacheOutcome), E> {
         let mut waited = false;
         let mut inner = self.lock();
         loop {
             if let Some(value) = inner.touch(&key, |_| true) {
                 if waited {
-                    return (value, CacheOutcome::Coalesced);
+                    return Ok((value, CacheOutcome::Coalesced));
                 }
                 inner.stats.hits += 1;
-                return (value, CacheOutcome::Hit);
+                return Ok((value, CacheOutcome::Hit));
             }
             if !inner.map.contains_key(&key) {
                 inner.stats.misses += 1;
@@ -330,8 +345,8 @@ impl<K: Copy + Eq + Hash + EpochKeyed, V> EpochLru<K, V> {
         }
         drop(inner);
 
-        // Unwind guard: the build runs outside the lock, so a panic in it
-        // would otherwise leave `Slot::Building` in the map forever —
+        // Unwind guard: the build runs outside the lock, so a panic or an
+        // `Err` would otherwise leave `Slot::Building` in the map forever —
         // every future caller of this key (and all current waiters) would
         // park on the condvar, and a parked query holds the router's
         // fan-out read lock, deadlocking updates too.
@@ -340,7 +355,7 @@ impl<K: Copy + Eq + Hash + EpochKeyed, V> EpochLru<K, V> {
             key,
             armed: true,
         };
-        let value = Arc::new(build());
+        let value = Arc::new(build()?);
         cleanup.armed = false;
 
         let mut inner = self.lock();
@@ -348,7 +363,7 @@ impl<K: Copy + Eq + Hash + EpochKeyed, V> EpochLru<K, V> {
         inner.store(key, Arc::clone(&value));
         drop(inner);
         self.done.notify_all();
-        (value, CacheOutcome::Miss)
+        Ok((value, CacheOutcome::Miss))
     }
 
     /// Purges every finished value built from an epoch older than `epoch`
@@ -383,7 +398,7 @@ impl<K: Copy + Eq + Hash + EpochKeyed, V> EpochLru<K, V> {
 }
 
 /// Removes the `Slot::Building` marker and wakes all waiters if the build
-/// closure unwinds (disarmed on the normal completion path).
+/// closure fails or unwinds (disarmed on the normal completion path).
 struct BuildCleanup<'a, K: Copy + Eq + Hash + EpochKeyed, V> {
     cache: &'a EpochLru<K, V>,
     key: K,
@@ -511,6 +526,37 @@ mod tests {
         assert_eq!(cache.stats().entries, 2);
     }
 
+    /// The path of a builder refused a solve permit or out of budget: a
+    /// caller parked on its build wakes, builds itself and reports `Miss`.
+    #[test]
+    fn a_failed_build_hands_the_key_to_a_waiter() {
+        let cache = EpochLru::<Key, u32>::new(4);
+        let key = Key(0, 0);
+        let (claimed, is_claimed) = std::sync::mpsc::channel();
+        let (fail, failing) = std::sync::mpsc::channel::<()>();
+        let cache = &cache;
+        std::thread::scope(|scope| {
+            let builder = scope.spawn(move || {
+                cache.get_or_try_build(key, || {
+                    claimed.send(()).unwrap();
+                    failing.recv().unwrap();
+                    Err("refused")
+                })
+            });
+            is_claimed.recv().unwrap();
+            let waiter = scope.spawn(move || cache.get_or_try_build(key, || Ok::<_, &str>(7)));
+            while cache.stats().coalesced == 0 {
+                std::thread::yield_now();
+            }
+            fail.send(()).unwrap();
+            assert_eq!(builder.join().unwrap().unwrap_err(), "refused");
+            let (value, outcome) = waiter.join().unwrap().unwrap();
+            assert_eq!((*value, outcome), (7, CacheOutcome::Miss));
+        });
+        let s = cache.stats();
+        assert_eq!((s.misses, s.coalesced, s.entries), (2, 1, 1));
+    }
+
     /// The model check's key: a name and the epoch it is keyed at.
     #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
     struct Key(u8, u64);
@@ -593,11 +639,13 @@ mod tests {
         /// the cache holding what the model holds in the model's recency
         /// order (so the next victim is the model's too) with the model's
         /// counters — hit, miss, LRU, purge and the purge floor for every
-        /// way a value can arrive, including a build that a purge overtakes.
+        /// way a value can arrive, including a build that a purge
+        /// overtakes — and no in-flight marker outlives its build, failed
+        /// builds included.
         #[test]
         fn epoch_lru_is_the_naive_model(
             capacity in 1usize..=8,
-            ops in prop::collection::vec((0u8..6, 0u8..6, 0u64..4, any::<u32>(), any::<bool>()), 1..80),
+            ops in prop::collection::vec((0u8..7, 0u8..6, 0u64..4, any::<u32>(), any::<bool>()), 1..80),
         ) {
             let cache = EpochLru::<Key, u32>::new(capacity);
             let mut model = Model { capacity, ..Default::default() };
@@ -638,6 +686,26 @@ mod tests {
                         };
                         prop_assert_eq!((*got, outcome), want);
                     }
+                    5 => {
+                        // A build that fails retains nothing; `flag`: a
+                        // publish overtakes it first.
+                        let got = cache.get_or_try_build(key, || {
+                            if flag {
+                                cache.invalidate_before(epoch + 1);
+                            }
+                            Err(value)
+                        });
+                        let want = match model.get_where(key, |_| true) {
+                            Some(held) => Ok(held),
+                            None => {
+                                if flag {
+                                    model.purge(epoch + 1);
+                                }
+                                Err(value)
+                            }
+                        };
+                        prop_assert_eq!(got.map(|(v, _)| *v), want);
+                    }
                     _ => prop_assert_eq!(
                         cache.invalidate_before(epoch),
                         model.purge(epoch)
@@ -645,6 +713,8 @@ mod tests {
                 }
                 prop_assert_eq!(cache.contents(), model.order.clone());
                 let entries = model.order.len();
+                let slots = cache.lock().map.len();
+                prop_assert_eq!(slots, entries, "an in-flight marker outlived its build");
                 prop_assert_eq!(cache.stats(), CacheStats { entries, ..model.stats });
             }
         }

@@ -1,34 +1,48 @@
-//! The worker-pool executor: bounded admission, request batching, in-flight
-//! deduplication.
+//! The monolithic service: NetClus's online phase — pick the ladder
+//! instance for τ, cut the clustered rows, run Inc-Greedy — answered on
+//! the caller's thread.
 //!
-//! Life of a request:
+//! Life of a request ([`NetClusService::query`]):
 //!
-//! 1. **Admission** — [`NetClusService::submit`] validates the request,
-//!    probes the result cache at the current epoch (a hit answers
-//!    immediately), then either *joins* an identical in-flight computation
-//!    or enqueues a new job. The queue is bounded; when full the request is
-//!    rejected so overload degrades by shedding instead of by unbounded
-//!    memory growth.
-//! 2. **Dispatch** — each worker drains up to
-//!    [`ServiceConfig::max_batch`] jobs in one critical section and pins
-//!    **one** snapshot for the whole batch, amortizing the snapshot load
-//!    and keeping every answer of the batch on a single epoch.
-//! 3. **Completion** — the answer is inserted into the cache under
-//!    `(query, variant, epoch)` and delivered to every waiter that joined
-//!    while the computation ran. Deduplication is epoch-honest: a waiter
-//!    that observed a newer epoch at submit than the snapshot the answer
-//!    was computed on is re-flown against a fresh snapshot instead of
-//!    being served the stale result.
+//! 1. **Admission** — τ is quantized, the request validated and **one**
+//!    snapshot pinned; the answer is computed against that epoch alone.
+//! 2. **Result cache** — the key `(query, variant, epoch)` goes through
+//!    [`EpochLru::get_or_try_build`](crate::EpochLru::get_or_try_build):
+//!    a hit answers at once, and a caller that finds the same key being
+//!    solved waits for that solve instead of repeating it
+//!    (`dedup_joined`). The epoch is part of the key, so a caller joins
+//!    only a build at the epoch it pinned: dedup never serves an answer
+//!    older than the caller's snapshot.
+//! 3. **Solve** — the caller that builds takes one of
+//!    [`ServiceConfig::workers`] solve permits (each a reused
+//!    [`ProviderScratch`]), looks the instance's rows up through
+//!    [`rows_for`] (single flight per instance and epoch) and solves.
+//!    With no permit free it waits, unless
+//!    [`ServiceConfig::queue_capacity`] callers already wait: then it is
+//!    refused with [`SubmitError::QueueFull`], so overload sheds instead
+//!    of queueing without bound.
+//!
+//! **Deadlines.** [`ServiceRequest::deadline`] runs from admission. A
+//! builder whose budget is spent before it holds a permit computes
+//! nothing and gets [`QueryError::DeadlineExceeded`]; a permit wait lasts
+//! at most the remaining budget. Because solves run on their callers'
+//! threads, two things follow:
+//!
+//! * a builder whose solve overruns its budget still caches the answer
+//!   (the next caller of that query is served from it) and returns
+//!   `DeadlineExceeded`;
+//! * a caller that joined an identical solve waits for that build, so its
+//!   wait is bounded by one solve, not by its budget; an answer that
+//!   arrives after the budget is `DeadlineExceeded` for it too.
 //!
 //! Updates ([`NetClusService::apply_updates`]) go through the snapshot
-//! store's copy-on-write path and never block queries; epoch advance
-//! invalidates stale cache entries.
+//! store's copy-on-write path and never block queries; an epoch advance
+//! purges both caches.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+#![deny(clippy::too_many_lines)]
+
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use netclus::{FmGreedyConfig, ProviderScratch, TopsQuery};
@@ -40,8 +54,8 @@ use crate::fault::QueryError;
 use crate::lock_recover;
 use crate::metrics::{MetricsClock, MetricsReport};
 use crate::provider_cache::{quantize_tau, rows_for, ShardProviderCache};
-use crate::snapshot::{SnapshotStore, UpdateBatch, UpdateReceipt};
-use crate::trace::{psi_name, Stage, TraceConfig, TraceMeta, Tracer};
+use crate::snapshot::{Snapshot, SnapshotStore, UpdateBatch, UpdateReceipt};
+use crate::trace::{psi_name, Stage, TraceConfig, TraceMeta, TraceSpans, Tracer};
 
 /// Which solver answers the query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,10 +78,9 @@ pub struct ServiceRequest {
     pub query: TopsQuery,
     /// The solver variant.
     pub variant: QueryVariant,
-    /// Optional end-to-end deadline, measured from admission. A request
-    /// whose every waiter has already expired is shed by the worker
-    /// instead of computed; [`ResponseHandle::wait_checked`] turns the
-    /// blown budget into a typed [`QueryError::DeadlineExceeded`].
+    /// Optional end-to-end deadline, measured from admission; what it
+    /// bounds is stated in the [module docs](self). A blown budget is the
+    /// typed [`QueryError::DeadlineExceeded`].
     pub deadline: Option<Duration>,
 }
 
@@ -120,14 +133,15 @@ pub struct ServiceAnswer {
     pub instance: usize,
     /// Cluster representatives processed.
     pub representatives: usize,
-    /// Pure compute time (excluding queueing).
+    /// Pure compute time (excluding the wait for a solve permit).
     pub compute_time: Duration,
 }
 
-/// Why a submission was not admitted.
+/// Why a request was not admitted.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The bounded queue is full; retry later (load shedding).
+    /// Every solve permit is taken and the waiting room is full; retry
+    /// later (load shedding).
     QueueFull,
     /// The service is shutting down; no further requests are admitted.
     ShuttingDown,
@@ -147,79 +161,21 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// A pending answer; obtained from [`NetClusService::submit`].
-#[derive(Debug)]
-pub struct ResponseHandle {
-    rx: Receiver<Arc<ServiceAnswer>>,
-    /// The request's total deadline budget (for the typed error).
-    deadline_total: Option<Duration>,
-    /// Admission time plus the budget: the wall-clock expiry instant.
-    deadline_at: Option<Instant>,
-}
-
-impl ResponseHandle {
-    /// Blocks until the answer arrives. Returns `None` only if the service
-    /// shut down (or shed the expired request) before answering.
-    pub fn wait(self) -> Option<Arc<ServiceAnswer>> {
-        self.rx.recv().ok()
-    }
-
-    /// Waits up to `timeout`.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Arc<ServiceAnswer>> {
-        self.rx.recv_timeout(timeout).ok()
-    }
-
-    /// Blocks until the answer arrives or the request's deadline passes,
-    /// whichever is first, with a typed verdict: a blown budget is
-    /// [`QueryError::DeadlineExceeded`] — never an unbounded wait — and a
-    /// shutdown before answering is [`SubmitError::ShuttingDown`].
-    pub fn wait_checked(self) -> Result<Arc<ServiceAnswer>, QueryError> {
-        let Some(at) = self.deadline_at else {
-            return self
-                .rx
-                .recv()
-                .map_err(|_| QueryError::Submit(SubmitError::ShuttingDown));
-        };
-        let deadline = self.deadline_total.unwrap_or_default();
-        match self
-            .rx
-            .recv_timeout(at.saturating_duration_since(Instant::now()))
-        {
-            Ok(answer) => Ok(answer),
-            Err(RecvTimeoutError::Timeout) => Err(QueryError::DeadlineExceeded { deadline }),
-            // Disconnected early means shutdown; disconnected at/after the
-            // expiry instant means the worker shed the expired request.
-            Err(RecvTimeoutError::Disconnected) if Instant::now() >= at => {
-                Err(QueryError::DeadlineExceeded { deadline })
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(QueryError::Submit(SubmitError::ShuttingDown))
-            }
-        }
-    }
-}
-
 /// Executor configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
-    /// Worker threads answering queries.
+    /// Solves that run at once, each with one reused provider scratch. A
+    /// cache hit or a join onto an identical solve needs none.
     pub workers: usize,
-    /// Bounded queue capacity; submissions beyond it are rejected.
+    /// Callers that may wait for a solve permit; the next one is refused
+    /// with [`SubmitError::QueueFull`].
     pub queue_capacity: usize,
-    /// Maximum jobs a worker drains (and answers on one pinned snapshot)
-    /// per dispatch.
-    pub max_batch: usize,
     /// Result-cache capacity in answers.
     pub cache_capacity: usize,
     /// Provider-cache capacity in entries (one instance's built rows
     /// each, kept across every query of the epoch whose τ falls in that
     /// instance's band).
     pub provider_cache_capacity: usize,
-    /// Threads used to build one clustered provider on a cache miss.
-    /// Workers already parallelize across queries, so the default of 1
-    /// avoids oversubscription; raise it for low-concurrency deployments
-    /// where single-query latency dominates.
-    pub provider_build_threads: usize,
     /// Query-path tracing + tail-sampling configuration (on by default;
     /// see [`TraceConfig`]).
     pub trace: TraceConfig,
@@ -230,238 +186,282 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 4,
             queue_capacity: 1_024,
-            max_batch: 16,
             cache_capacity: 1_024,
             provider_cache_capacity: 32,
-            provider_build_threads: 1,
             trace: TraceConfig::default(),
         }
     }
 }
 
-/// One request waiting on a flight: its response channel, its submit time
-/// (for latency), and the epoch it observed at submit — the answer it
-/// receives must be at least that fresh.
-struct Waiter {
-    tx: Sender<Arc<ServiceAnswer>>,
-    submitted: Instant,
-    min_epoch: u64,
-    /// Wall-clock expiry; a flight whose every waiter has expired is shed.
-    deadline: Option<Instant>,
-}
-
-/// A deduplicated unit of work: one `(query, variant)` with every waiter
-/// that asked for it while it was queued or computing.
-struct Flight {
-    query: TopsQuery,
-    variant: QueryVariant,
-    waiters: Vec<Waiter>,
-}
-
-/// Epoch-less key identifying identical queries for deduplication.
-type FlightKey = QueryKey;
-
-struct QueueState {
-    jobs: VecDeque<FlightKey>,
+/// The solve permits: the scratches of the solves not running, the
+/// callers waiting for one, and whether admission has stopped.
+struct Permits {
+    scratches: Vec<ProviderScratch>,
+    waiting: usize,
     shutdown: bool,
 }
 
-struct Inner {
-    cfg: ServiceConfig,
-    /// Mirrors `QueueState::shutdown` for lock-free rejection on the
-    /// submit fast path.
-    stopping: AtomicBool,
-    store: SnapshotStore,
-    cache: ResultCache,
-    providers: ShardProviderCache,
-    clock: MetricsClock,
-    queue: Mutex<QueueState>,
-    queue_cv: Condvar,
-    inflight: Mutex<HashMap<FlightKey, Flight>>,
-    /// Query-path tracer: per-stage histograms + tail-sampled slow log.
-    tracer: Tracer,
+/// A held solve permit. Dropping it — after an unwinding solve too —
+/// returns the scratch and wakes the waiters.
+struct Permit<'a> {
+    service: &'a NetClusService,
+    scratch: ProviderScratch,
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let scratch = std::mem::take(&mut self.scratch);
+        lock_recover(&self.service.permits).scratches.push(scratch);
+        // All, not one: a woken waiter may leave on its deadline instead
+        // of taking the scratch, and shutdown waits for the last one.
+        self.service.freed.notify_all();
+    }
 }
 
 /// The in-process NetClus query server.
 pub struct NetClusService {
-    inner: Arc<Inner>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    cfg: ServiceConfig,
+    store: SnapshotStore,
+    cache: ResultCache,
+    providers: ShardProviderCache,
+    clock: MetricsClock,
+    permits: Mutex<Permits>,
+    /// Signalled when a permit is returned or admission stops.
+    freed: Condvar,
+    /// Query-path tracer: per-stage histograms + tail-sampled slow log.
+    tracer: Tracer,
 }
 
 impl NetClusService {
-    /// Publishes `(net, trajs, index)` as epoch 0 and starts the worker
-    /// pool. Fails with the OS error if a worker thread cannot be spawned
-    /// (resource exhaustion); any workers already started are stopped and
-    /// joined before returning, so a failed construction leaks nothing.
+    /// Publishes `(net, trajs, index)` as epoch 0. No thread is started:
+    /// every query runs on its caller's thread, so this never fails; the
+    /// `io::Result` is kept for existing callers.
     pub fn start(
         net: netclus_roadnet::RoadNetwork,
         trajs: TrajectorySet,
         index: netclus::NetClusIndex,
         cfg: ServiceConfig,
     ) -> std::io::Result<Self> {
-        let inner = Arc::new(Inner {
+        let scratches = (0..cfg.workers.max(1)).map(|_| ProviderScratch::default());
+        Ok(NetClusService {
             cfg,
-            stopping: AtomicBool::new(false),
             store: SnapshotStore::new(net, trajs, index),
             cache: ResultCache::new(cfg.cache_capacity),
             providers: ShardProviderCache::new(cfg.provider_cache_capacity),
             clock: MetricsClock::default(),
-            queue: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
+            permits: Mutex::new(Permits {
+                scratches: scratches.collect(),
+                waiting: 0,
                 shutdown: false,
             }),
-            queue_cv: Condvar::new(),
-            inflight: Mutex::new(HashMap::new()),
+            freed: Condvar::new(),
             tracer: Tracer::new(cfg.trace),
-        });
-        let mut workers = Vec::with_capacity(cfg.workers.max(1));
-        for i in 0..cfg.workers.max(1) {
-            let w = Arc::clone(&inner);
-            match std::thread::Builder::new()
-                .name(format!("netclus-worker-{i}"))
-                .spawn(move || worker_loop(&w))
-            {
-                Ok(handle) => workers.push(handle),
-                Err(e) => {
-                    inner.stopping.store(true, Ordering::Release);
-                    lock_recover(&inner.queue).shutdown = true;
-                    inner.queue_cv.notify_all();
-                    for handle in workers {
-                        let _ = handle.join();
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(NetClusService {
-            inner,
-            workers: Mutex::new(workers),
         })
     }
 
-    /// Submits a request. On success the returned handle resolves to the
-    /// answer; rejected requests fail fast with [`SubmitError`].
+    /// Answers one request on the calling thread (see the [module
+    /// docs](self)).
     ///
     /// τ is normalized to millimeters at admission
     /// ([`crate::provider_cache::quantize_tau`]), so the result cache, the
     /// provider cache and the computation all agree on the effective
     /// threshold.
-    pub fn submit(&self, mut request: ServiceRequest) -> Result<ResponseHandle, SubmitError> {
+    ///
+    /// # Errors
+    /// [`QueryError::Submit`] for an invalid request, a full waiting room
+    /// or shutdown; [`QueryError::DeadlineExceeded`] when the request's
+    /// budget ran out first.
+    pub fn query(&self, mut request: ServiceRequest) -> Result<Arc<ServiceAnswer>, QueryError> {
         // Quantize before validating so a τ that rounds to zero is
         // rejected rather than served with a silently different meaning.
         request.query.tau = quantize_tau(request.query.tau);
         validate(&request)?;
-        let inner = &*self.inner;
-        let metrics = &inner.clock.metrics;
+        let metrics = &self.clock.metrics;
         // Uniform post-shutdown contract: cached and uncached requests
         // are rejected alike.
-        if inner.stopping.load(Ordering::Acquire) {
+        if lock_recover(&self.permits).shutdown {
             metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(SubmitError::ShuttingDown);
+            return Err(SubmitError::ShuttingDown.into());
         }
-        let (tx, rx) = channel();
-        let submitted = Instant::now();
-        let deadline_at = request.deadline.map(|d| submitted + d);
-        let handle = |rx| ResponseHandle {
-            rx,
-            deadline_total: request.deadline,
-            deadline_at,
+        let mut spans = self.tracer.begin();
+        let start = spans.started();
+        let expiry = request.deadline.map(|d| start + d);
+        let snap = self.store.load();
+        let key = QueryKey::new(&request.query, request.variant, snap.epoch());
+        let pinned = spans.stage(Stage::Admission, start);
+        let built = self.cache.get_or_try_build(key, || {
+            self.solve(&snap, &request, expiry, &mut spans, pinned)
+        });
+        let counter = match built {
+            Err(QueryError::Submit(_)) => &metrics.rejected,
+            _ => &metrics.submitted,
         };
-
-        // Fast path: the answer for the current epoch is already cached.
-        let epoch = inner.store.epoch();
-        let key = QueryKey::new(&request.query, request.variant, epoch);
-        if let Some(answer) = inner.cache.get(&key) {
-            metrics.submitted.fetch_add(1, Ordering::Relaxed);
-            metrics.cache_served.fetch_add(1, Ordering::Relaxed);
-            metrics.completed.fetch_add(1, Ordering::Relaxed);
-            metrics.latency.record(submitted.elapsed());
-            inner
-                .tracer
+        counter.fetch_add(1, Ordering::Relaxed);
+        let (answer, outcome) = built?;
+        // A solve's trace fed the stage histograms already.
+        if outcome != CacheOutcome::Miss {
+            self.tracer
                 .stages()
-                .record(Stage::Admission, submitted.elapsed());
-            let _ = tx.send(answer);
-            return Ok(handle(rx));
+                .record(Stage::Admission, pinned - start);
         }
-
-        let flight_key = key.at_epoch(0);
-        let waiter = Waiter {
-            tx,
-            submitted,
-            min_epoch: epoch,
-            deadline: deadline_at,
-        };
-        {
-            let mut inflight = lock_recover(&inner.inflight);
-            if let Some(flight) = inflight.get_mut(&flight_key) {
-                // Identical query already queued or computing: attach. The
-                // recorded `min_epoch` keeps the join honest — if the
-                // running computation pinned an older snapshot, the worker
-                // re-enqueues this waiter instead of serving it stale.
-                flight.waiters.push(waiter);
-                metrics.submitted.fetch_add(1, Ordering::Relaxed);
-                metrics.dedup_joined.fetch_add(1, Ordering::Relaxed);
-                inner
-                    .tracer
-                    .stages()
-                    .record(Stage::Admission, submitted.elapsed());
-                return Ok(handle(rx));
-            }
-            // New flight: reserve queue space before registering it.
-            let mut queue = lock_recover(&inner.queue);
-            if queue.shutdown {
-                metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(SubmitError::ShuttingDown);
-            }
-            if queue.jobs.len() >= inner.cfg.queue_capacity {
-                metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(SubmitError::QueueFull);
-            }
-            inflight.insert(
-                flight_key,
-                Flight {
-                    query: request.query,
-                    variant: request.variant,
-                    waiters: vec![waiter],
-                },
-            );
-            queue.jobs.push_back(flight_key);
-            metrics.submitted.fetch_add(1, Ordering::Relaxed);
-            metrics.queue_enter();
+        if outcome == CacheOutcome::Hit {
+            metrics.cache_served.fetch_add(1, Ordering::Relaxed);
+        } else if expiry.is_some_and(|at| Instant::now() >= at) {
+            let deadline = request.deadline.unwrap_or_default();
+            return Err(QueryError::DeadlineExceeded { deadline });
         }
-        inner.queue_cv.notify_one();
-        self.inner
-            .tracer
-            .stages()
-            .record(Stage::Admission, submitted.elapsed());
-        Ok(handle(rx))
+        metrics.completed.fetch_add(1, Ordering::Relaxed);
+        metrics.latency.record(start.elapsed());
+        Ok(answer)
     }
 
-    /// Submits and blocks for the answer. A full queue is treated as
-    /// backpressure: this retries indefinitely (with a short sleep) until
-    /// admitted, so closed-loop callers self-throttle to service capacity.
-    /// Use [`NetClusService::submit`] directly to shed load instead.
-    /// Returns `None` if the request is invalid or the service shuts down.
+    /// [`NetClusService::query`] with a full waiting room treated as
+    /// backpressure: it retries until admitted, so closed-loop callers
+    /// self-throttle to service capacity. Returns `None` if the request is
+    /// invalid, its deadline passes or the service shuts down.
     pub fn query_blocking(&self, request: ServiceRequest) -> Option<Arc<ServiceAnswer>> {
         loop {
-            match self.submit(request) {
-                Ok(handle) => return handle.wait(),
-                Err(SubmitError::QueueFull) => {
-                    std::thread::sleep(Duration::from_micros(200));
+            match self.query(request) {
+                Err(QueryError::Submit(SubmitError::QueueFull)) => {
+                    // Retry once a solve finishes, or after 200 µs.
+                    let permits = lock_recover(&self.permits);
+                    drop(self.freed.wait_timeout(permits, Duration::from_micros(200)));
                 }
-                Err(SubmitError::ShuttingDown) | Err(SubmitError::Invalid(_)) => return None,
+                answered => return answered.ok(),
             }
         }
+    }
+
+    /// The building caller's half of a query: a permit, the rows, the
+    /// solve, the trace.
+    fn solve(
+        &self,
+        snap: &Snapshot,
+        request: &ServiceRequest,
+        expiry: Option<Instant>,
+        spans: &mut TraceSpans,
+        pinned: Instant,
+    ) -> Result<ServiceAnswer, QueryError> {
+        let mut permit = self.permit(expiry, request.deadline)?;
+        let metrics = &self.clock.metrics;
+        metrics.batches.fetch_add(1, Ordering::Relaxed);
+        metrics.batched_requests.fetch_add(1, Ordering::Relaxed);
+        let query = &request.query;
+        let computing = spans.stage(Stage::CacheProbe, pinned);
+        // Rows at the top of the instance's τ band, single flight per
+        // (epoch, instance): any k/ψ/variant and any τ in the band skips
+        // the build and cuts a prefix view.
+        let (p, rows, outcome) = rows_for(
+            snap,
+            query.tau,
+            0,
+            &self.providers,
+            1,
+            &mut permit.scratch,
+            &metrics.provider_build,
+        );
+        let provider = rows.view(query.tau);
+        let mut cursor = spans.stage(Stage::ProviderGet, computing);
+        spans.detail(match outcome {
+            CacheOutcome::Hit => "hit",
+            CacheOutcome::Coalesced => "coalesced",
+            CacheOutcome::Miss => "built",
+        });
+        let raw = match request.variant {
+            QueryVariant::Greedy => snap.index().query_on(&provider, p, query),
+            QueryVariant::Fm { copies, seed } => {
+                let k = query.k;
+                let fm = FmGreedyConfig { k, copies, seed };
+                snap.index().query_fm_on(&provider, p, query, &fm)
+            }
+        };
+        drop(permit);
+        cursor = spans.stage(Stage::Solve, cursor);
+        let answer = ServiceAnswer {
+            epoch: snap.epoch(),
+            corpus_len: snap.trajs().len(),
+            site_count: snap.index().site_count(),
+            sites: raw.solution.sites,
+            utility: raw.solution.utility,
+            covered: raw.solution.covered,
+            instance: raw.instance,
+            representatives: raw.representatives,
+            compute_time: computing.elapsed(),
+        };
+        spans.stage(Stage::Reply, cursor);
+        let meta = TraceMeta {
+            epoch: answer.epoch,
+            k: query.k,
+            tau: query.tau,
+            hot: outcome == CacheOutcome::Hit,
+            psi: psi_name(&query.preference),
+            instance: answer.instance,
+        };
+        self.tracer.finish(spans, meta);
+        Ok(answer)
+    }
+
+    /// Takes a solve permit, waiting while every one is in use — unless
+    /// `queue_capacity` callers already wait, admission has stopped, or
+    /// the budget runs out first.
+    fn permit(
+        &self,
+        expiry: Option<Instant>,
+        budget: Option<Duration>,
+    ) -> Result<Permit<'_>, QueryError> {
+        let metrics = &self.clock.metrics;
+        let mut permits = lock_recover(&self.permits);
+        let mut waited = false;
+        let taken = loop {
+            if permits.shutdown {
+                break Err(SubmitError::ShuttingDown.into());
+            }
+            let now = Instant::now();
+            if expiry.is_some_and(|at| now >= at) {
+                let deadline = budget.unwrap_or_default();
+                break Err(QueryError::DeadlineExceeded { deadline });
+            }
+            if let Some(scratch) = permits.scratches.pop() {
+                break Ok(scratch);
+            }
+            if !waited {
+                if permits.waiting >= self.cfg.queue_capacity {
+                    break Err(SubmitError::QueueFull.into());
+                }
+                permits.waiting += 1;
+                metrics.queue_enter();
+                waited = true;
+            }
+            permits = match expiry {
+                Some(at) => {
+                    let woken = self.freed.wait_timeout(permits, at - now);
+                    woken.unwrap_or_else(PoisonError::into_inner).0
+                }
+                None => self
+                    .freed
+                    .wait(permits)
+                    .unwrap_or_else(PoisonError::into_inner),
+            };
+        };
+        if waited {
+            permits.waiting -= 1;
+            metrics.queue_exit();
+        }
+        drop(permits);
+        taken.map(|scratch| Permit {
+            service: self,
+            scratch,
+        })
     }
 
     /// Applies an update batch copy-on-write and publishes the next epoch;
     /// stale cache entries are invalidated. Queries keep flowing throughout.
     pub fn apply_updates(&self, batch: UpdateBatch) -> UpdateReceipt {
         let t = Instant::now();
-        let receipt = self.inner.store.apply(&batch);
-        self.inner.cache.invalidate_before(receipt.epoch);
-        self.inner.providers.invalidate_before(receipt.epoch);
-        let metrics = &self.inner.clock.metrics;
+        let receipt = self.store.apply(&batch);
+        self.cache.invalidate_before(receipt.epoch);
+        self.providers.invalidate_before(receipt.epoch);
+        let metrics = &self.clock.metrics;
         metrics.update_latency.record(t.elapsed());
         metrics.epoch_advances.fetch_add(1, Ordering::Relaxed);
         metrics
@@ -472,26 +472,26 @@ impl NetClusService {
 
     /// Pins the currently published snapshot (for out-of-band inspection,
     /// e.g. exact re-evaluation of answers).
-    pub fn snapshot(&self) -> Arc<crate::snapshot::Snapshot> {
-        self.inner.store.load()
+    pub fn snapshot(&self) -> Arc<Snapshot> {
+        self.store.load()
     }
 
     /// The currently published epoch.
     pub fn epoch(&self) -> u64 {
-        self.inner.store.epoch()
+        self.store.epoch()
     }
 
     /// A point-in-time metrics report.
     pub fn metrics_report(&self) -> MetricsReport {
-        let mut report = self.inner.clock.metrics.report(
-            self.inner.clock.uptime(),
-            self.inner.store.epoch(),
-            self.inner.cfg.workers.max(1),
-            self.inner.cache.stats(),
-            self.inner.providers.stats(),
+        let mut report = self.clock.metrics.report(
+            self.clock.uptime(),
+            self.store.epoch(),
+            self.cfg.workers.max(1),
+            self.cache.stats(),
+            self.providers.stats(),
         );
         report.process.arena_resident_bytes =
-            Some(self.inner.store.load().index().heap_size_bytes() as u64);
+            Some(self.store.load().index().heap_size_bytes() as u64);
         report
     }
 
@@ -500,33 +500,29 @@ impl NetClusService {
     /// [`crate::flight::FlightSampler::start`].
     pub fn flight_sample(&self) -> Vec<(String, f64)> {
         let mut sample = crate::flight::flatten_json(&self.metrics_report().to_json_line());
-        sample.extend(crate::flight::flatten_json(
-            &self.inner.tracer.stats_json_line(),
-        ));
+        sample.extend(crate::flight::flatten_json(&self.tracer.stats_json_line()));
         sample
     }
 
     /// The query-path tracer (per-stage histograms + slow-query log).
     pub fn tracer(&self) -> &Tracer {
-        &self.inner.tracer
+        &self.tracer
     }
 
-    /// Drains the queue, stops the workers and joins them. Idempotent;
-    /// also invoked by `Drop`.
+    /// Stops admission: later queries, and every caller waiting for a
+    /// solve permit, get [`SubmitError::ShuttingDown`]. Returns once the
+    /// solves already running have finished (their callers are answered).
+    /// Idempotent.
     pub fn shutdown(&self) {
-        self.inner.stopping.store(true, Ordering::Release);
-        lock_recover(&self.inner.queue).shutdown = true;
-        self.inner.queue_cv.notify_all();
-        let mut workers = lock_recover(&self.workers);
-        for handle in workers.drain(..) {
-            let _ = handle.join();
+        let mut permits = lock_recover(&self.permits);
+        permits.shutdown = true;
+        self.freed.notify_all();
+        while permits.scratches.len() < self.cfg.workers.max(1) {
+            permits = self
+                .freed
+                .wait(permits)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-    }
-}
-
-impl Drop for NetClusService {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -561,183 +557,12 @@ fn validate(request: &ServiceRequest) -> Result<(), SubmitError> {
     Ok(())
 }
 
-/// Worker main loop: drain a batch, pin one snapshot, answer each job.
-/// Each worker owns one [`ProviderScratch`], reused across every provider
-/// build it ever performs — the per-query allocations of the old path are
-/// gone.
-fn worker_loop(inner: &Inner) {
-    let metrics = &inner.clock.metrics;
-    let mut scratch = ProviderScratch::default();
-    loop {
-        let batch: Vec<FlightKey> = {
-            let mut queue = lock_recover(&inner.queue);
-            loop {
-                if !queue.jobs.is_empty() {
-                    let n = queue.jobs.len().min(inner.cfg.max_batch.max(1));
-                    break queue.jobs.drain(..n).collect();
-                }
-                if queue.shutdown {
-                    return;
-                }
-                queue = inner
-                    .queue_cv
-                    .wait(queue)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        metrics.queue_exit(batch.len() as u64);
-        metrics.batches.fetch_add(1, Ordering::Relaxed);
-        metrics
-            .batched_requests
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        // One snapshot pin for the whole batch: every answer below is
-        // internally consistent with this single epoch.
-        let snap = inner.store.load();
-        for flight_key in batch {
-            let (query, variant) = {
-                let mut inflight = lock_recover(&inner.inflight);
-                let flight = inflight
-                    .get(&flight_key)
-                    .expect("queued flight must be registered");
-                // Deadline shed: if every waiter's budget already expired,
-                // an answer helps nobody — drop the flight before paying
-                // for the compute. The disconnected channels surface as
-                // `DeadlineExceeded` in `wait_checked`.
-                let now = Instant::now();
-                if !flight.waiters.is_empty()
-                    && flight
-                        .waiters
-                        .iter()
-                        .all(|w| w.deadline.is_some_and(|d| d <= now))
-                {
-                    inflight.remove(&flight_key);
-                    continue;
-                }
-                (flight.query, flight.variant)
-            };
-            let key = flight_key.at_epoch(snap.epoch());
-            // Span recorder for this flight: worker-side stage
-            // attribution (probe → provider → solve → reply).
-            let mut spans = inner.tracer.begin();
-            let mut cursor = spans.started();
-            let mut hot = true;
-            // Non-counting probe: the client-facing hit/miss counters were
-            // already updated by this request's submit-time lookup.
-            let peeked = inner.cache.peek(&key);
-            cursor = spans.stage(Stage::CacheProbe, cursor);
-            let answer = match peeked {
-                Some(hit) => hit,
-                None => {
-                    let t = Instant::now();
-                    // Rows first: cached per (epoch, instance) at the top
-                    // of the instance's τ band, so any k/ψ/variant and any
-                    // τ in the band skips the build and cuts a prefix view.
-                    // Single flight: workers racing the same cold key wait
-                    // for one build instead of each burning their own.
-                    let (p, rows, outcome) = rows_for(
-                        &snap,
-                        query.tau,
-                        0,
-                        &inner.providers,
-                        inner.cfg.provider_build_threads.max(1),
-                        &mut scratch,
-                        &metrics.provider_build,
-                    );
-                    let provider = rows.view(query.tau);
-                    cursor = spans.stage(Stage::ProviderGet, cursor);
-                    spans.detail(match outcome {
-                        CacheOutcome::Hit => "hit",
-                        CacheOutcome::Coalesced => "coalesced",
-                        CacheOutcome::Miss => "built",
-                    });
-                    hot = outcome == CacheOutcome::Hit;
-                    let raw = match variant {
-                        QueryVariant::Greedy => snap.index().query_on(&provider, p, &query),
-                        QueryVariant::Fm { copies, seed } => snap.index().query_fm_on(
-                            &provider,
-                            p,
-                            &query,
-                            &FmGreedyConfig {
-                                k: query.k,
-                                copies,
-                                seed,
-                            },
-                        ),
-                    };
-                    cursor = spans.stage(Stage::Solve, cursor);
-                    let answer = Arc::new(ServiceAnswer {
-                        epoch: snap.epoch(),
-                        corpus_len: snap.trajs().len(),
-                        site_count: snap.index().site_count(),
-                        sites: raw.solution.sites,
-                        utility: raw.solution.utility,
-                        covered: raw.solution.covered,
-                        instance: raw.instance,
-                        representatives: raw.representatives,
-                        compute_time: t.elapsed(),
-                    });
-                    inner.cache.upsert(key, Arc::clone(&answer), |_| true);
-                    answer
-                }
-            };
-            // Completion: detach the flight and answer every waiter whose
-            // observed epoch this answer satisfies. Waiters that joined
-            // after a newer epoch was published must not be served the
-            // older snapshot's answer — they are re-flown against a fresh
-            // snapshot (store epochs are monotone, so the next load is at
-            // least as new as anything they observed).
-            let satisfied = {
-                let mut inflight = lock_recover(&inner.inflight);
-                let flight = inflight
-                    .remove(&flight_key)
-                    .expect("flight still registered");
-                let (stale, satisfied): (Vec<Waiter>, Vec<Waiter>) = flight
-                    .waiters
-                    .into_iter()
-                    .partition(|w| w.min_epoch > answer.epoch);
-                if !stale.is_empty() {
-                    inflight.insert(
-                        flight_key,
-                        Flight {
-                            query,
-                            variant,
-                            waiters: stale,
-                        },
-                    );
-                    // Internal retry, bypassing the admission bound (these
-                    // requests were already admitted once).
-                    let mut queue = lock_recover(&inner.queue);
-                    queue.jobs.push_back(flight_key);
-                    metrics.queue_enter();
-                    drop(queue);
-                    inner.queue_cv.notify_one();
-                }
-                satisfied
-            };
-            for w in satisfied {
-                metrics.latency.record(w.submitted.elapsed());
-                metrics.completed.fetch_add(1, Ordering::Relaxed);
-                let _ = w.tx.send(Arc::clone(&answer));
-            }
-            spans.stage(Stage::Reply, cursor);
-            inner.tracer.finish(
-                &spans,
-                TraceMeta {
-                    epoch: answer.epoch,
-                    k: query.k,
-                    tau: query.tau,
-                    hot,
-                    psi: psi_name(&query.preference),
-                    instance: answer.instance,
-                },
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::{channel, Sender};
+    use std::thread::Scope;
+
     use netclus::prelude::*;
     use netclus_roadnet::{Point, RoadNetworkBuilder};
     use netclus_trajectory::Trajectory;
@@ -784,6 +609,47 @@ mod tests {
         NetClusService::start(net, trajs, index, cfg).expect("start service")
     }
 
+    /// Holds, on a thread of `scope`, the single-flight build of the rows
+    /// that answer `tau` at the current epoch, so a solve that needs them
+    /// parks — until the returned sender is dropped.
+    fn hold_rows<'s, 'e>(
+        scope: &'s Scope<'s, 'e>,
+        svc: &'e NetClusService,
+        tau: f64,
+    ) -> Sender<()> {
+        let (building, is_building) = channel();
+        let (release, held) = channel::<()>();
+        scope.spawn(move || {
+            let snap = svc.snapshot();
+            let p = snap.index().instance_for(tau);
+            let instance = snap.index().instance(p);
+            let built_tau = ProviderRows::built_tau_for(instance, tau);
+            let key = ShardProviderKey::new(snap.epoch(), 0, p, built_tau);
+            svc.providers.get_or_build(key, || {
+                building.send(()).unwrap();
+                let _ = held.recv();
+                let bound = snap.trajs().id_bound();
+                let scratch = &mut ProviderScratch::default();
+                ProviderRows::build_with(instance, built_tau, bound, 1, scratch)
+            });
+        });
+        is_building.recv().unwrap();
+        release
+    }
+
+    /// Polls `ready` for at most 5 s.
+    fn until(ready: impl Fn() -> bool) {
+        let give_up = Instant::now() + Duration::from_secs(5);
+        while !ready() {
+            assert!(Instant::now() < give_up, "state not reached in 5 s");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn waiting(svc: &NetClusService) -> u64 {
+        svc.clock.metrics.queue_depth.load(Ordering::Relaxed)
+    }
+
     #[test]
     fn serves_matching_answers_for_both_variants() {
         let svc = service(2);
@@ -804,13 +670,13 @@ mod tests {
         let a = svc.query_blocking(ServiceRequest::greedy(q)).unwrap();
         let b = svc.query_blocking(ServiceRequest::greedy(q)).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second answer must come from cache");
-        // One flight was queued, dispatched alone and solved; the repeat
-        // was answered at submit.
+        // One solve ran, on a free permit (nobody waited); the repeat was
+        // answered from the cache.
         let report = svc.metrics_report();
         assert_eq!((report.submitted, report.completed), (2, 2));
         assert_eq!(report.cache_served, 1);
         assert_eq!((report.batches, report.batched_requests), (1, 1));
-        assert_eq!((report.queue_depth, report.queue_depth_max), (0, 1));
+        assert_eq!((report.queue_depth, report.queue_depth_max), (0, 0));
         let cache = report.cache;
         assert_eq!((cache.hits, cache.misses, cache.entries), (1, 1, 1));
         assert_eq!(report.latency.count, 2);
@@ -952,145 +818,116 @@ mod tests {
     #[test]
     fn invalid_requests_fail_fast() {
         let svc = service(1);
-        assert!(matches!(
-            svc.submit(ServiceRequest::greedy(TopsQuery::binary(0, 800.0))),
-            Err(SubmitError::Invalid(_))
-        ));
-        assert!(matches!(
-            svc.submit(ServiceRequest::greedy(TopsQuery::binary(1, -5.0))),
-            Err(SubmitError::Invalid(_))
-        ));
+        let invalid = |request| {
+            matches!(
+                svc.query(request),
+                Err(QueryError::Submit(SubmitError::Invalid(_)))
+            )
+        };
+        assert!(invalid(ServiceRequest::greedy(TopsQuery::binary(0, 800.0))));
+        assert!(invalid(ServiceRequest::greedy(TopsQuery::binary(1, -5.0))));
         // τ below the millimeter quantum rounds to 0 and must be rejected,
         // not served with a silently different threshold.
-        assert!(matches!(
-            svc.submit(ServiceRequest::greedy(TopsQuery::binary(1, 1e-4))),
-            Err(SubmitError::Invalid(_))
-        ));
-        assert!(matches!(
-            svc.submit(ServiceRequest::fm(
-                TopsQuery {
-                    k: 1,
-                    tau: 800.0,
-                    preference: PreferenceFunction::LinearDecay,
-                },
-                30,
-                1
-            )),
-            Err(SubmitError::Invalid(_))
-        ));
+        assert!(invalid(ServiceRequest::greedy(TopsQuery::binary(1, 1e-4))));
+        assert!(invalid(ServiceRequest::fm(
+            TopsQuery {
+                k: 1,
+                tau: 800.0,
+                preference: PreferenceFunction::LinearDecay,
+            },
+            30,
+            1
+        )));
         svc.shutdown();
     }
 
     #[test]
     fn submit_after_shutdown_fails_fast_and_blocking_returns_none() {
         let svc = service(2);
-        // Warm the cache so the fast path would hit if it were reachable.
+        // Warm the cache so a hit would be served if admission allowed it.
         let q = TopsQuery::binary(1, 800.0);
         svc.query_blocking(ServiceRequest::greedy(q)).unwrap();
         svc.shutdown();
         // Cached and uncached requests are rejected alike after shutdown.
-        assert_eq!(
-            svc.submit(ServiceRequest::greedy(q)).unwrap_err(),
-            SubmitError::ShuttingDown
-        );
-        assert_eq!(
-            svc.submit(ServiceRequest::greedy(TopsQuery::binary(2, 900.0)))
-                .unwrap_err(),
-            SubmitError::ShuttingDown
-        );
+        let stopped = QueryError::Submit(SubmitError::ShuttingDown);
+        assert_eq!(svc.query(ServiceRequest::greedy(q)).unwrap_err(), stopped);
+        let uncached = ServiceRequest::greedy(TopsQuery::binary(2, 900.0));
+        assert_eq!(svc.query(uncached).unwrap_err(), stopped);
         // Must return, not spin: shutdown is terminal, not transient.
         assert!(svc.query_blocking(ServiceRequest::greedy(q)).is_none());
     }
 
     #[test]
     fn dedup_never_serves_an_answer_older_than_the_submitters_epoch() {
-        // Single worker + a slow first query so a second submit can join
-        // the in-flight flight after an epoch advance; the joiner must get
-        // an epoch-1 answer, not the pinned epoch-0 one.
-        let svc = service(1);
-        let q = TopsQuery::binary(2, 700.0);
-        // Occupy the worker with a different query so the flight for `q`
-        // sits queued while we advance the epoch.
-        let filler = svc
-            .submit(ServiceRequest::greedy(TopsQuery::binary(3, 900.0)))
-            .unwrap();
-        let first = svc.submit(ServiceRequest::greedy(q)).unwrap();
-        svc.apply_updates(vec![UpdateOp::AddTrajectory(Trajectory::new(vec![
-            NodeId(0),
-        ]))]);
-        // This submit observes epoch 1 and joins (or re-creates) the
-        // flight; whatever answer it gets must be from epoch >= 1.
-        let joined = svc.submit(ServiceRequest::greedy(q)).unwrap();
-        let joined_answer = joined.wait().expect("answered");
-        assert!(
-            joined_answer.epoch >= 1,
-            "stale epoch {} served to a post-update submitter",
-            joined_answer.epoch
-        );
-        assert!(filler.wait().is_some());
-        // The pre-update submitter accepts any epoch (0 or 1 both valid).
-        assert!(first.wait().is_some());
+        // Two permits, so the post-update caller never waits on the one
+        // the held solve occupies.
+        let svc = &service(2);
+        let q = ServiceRequest::greedy(TopsQuery::binary(2, 700.0));
+        std::thread::scope(|scope| {
+            let release = hold_rows(scope, svc, 700.0);
+            // A caller pins epoch 0 and parks inside its solve of `q`.
+            let first = scope.spawn(move || svc.query(q));
+            until(|| svc.providers.stats().coalesced == 1);
+            svc.apply_updates(vec![UpdateOp::AddTrajectory(Trajectory::new(vec![
+                NodeId(0),
+            ]))]);
+            // The same query pinned at epoch 1 is another key: it is
+            // solved on its own snapshot while the epoch-0 build is held.
+            let fresh = scope.spawn(move || svc.query(q));
+            until(|| fresh.is_finished());
+            let fresh = fresh.join().unwrap().expect("answered");
+            assert_eq!(fresh.epoch, 1, "stale epoch served to a post-update caller");
+            assert_eq!(svc.metrics_report().dedup_joined, 0);
+            drop(release);
+            // The pre-update caller is answered from the epoch it pinned.
+            assert_eq!(first.join().unwrap().expect("answered").epoch, 0);
+        });
         svc.shutdown();
     }
 
-    /// Admission against a worker that cannot finish: the test holds the
-    /// single-flight build of the rows the worker's query needs, so the
-    /// flight stays in flight and the queue behind it stays put for as
-    /// long as the assertions take.
+    /// Admission against a solve that cannot finish: the test holds the
+    /// single-flight build of the rows the one permit's solve needs, so
+    /// that solve stays in flight for as long as the assertions take.
     #[test]
     fn a_blocked_worker_queues_joins_and_rejects_at_the_bound() {
-        let svc = service_with(ServiceConfig {
+        let svc = &service_with(ServiceConfig {
             workers: 1,
             queue_capacity: 2,
             ..Default::default()
         });
         let q = |k| ServiceRequest::greedy(TopsQuery::binary(k, 800.0));
-        let snap = svc.snapshot();
-        let p = snap.index().instance_for(800.0);
-        let instance = snap.index().instance(p);
-        let built_tau = ProviderRows::built_tau_for(instance, 800.0);
-        let key = ShardProviderKey::new(0, 0, p, built_tau);
-        let (building, is_building) = channel();
-        let (release, held) = channel::<()>();
-        let providers = &svc.inner.providers;
-        let snap = &snap;
         std::thread::scope(|scope| {
-            scope.spawn(move || {
-                providers.get_or_build(key, || {
-                    building.send(()).unwrap();
-                    let _ = held.recv();
-                    let bound = snap.trajs().id_bound();
-                    let scratch = &mut ProviderScratch::default();
-                    ProviderRows::build_with(instance, built_tau, bound, 1, scratch)
-                });
-            });
-            is_building.recv().unwrap();
-            // The worker drains k = 1 and parks on the held build.
-            let first = svc.submit(q(1)).unwrap();
-            while svc.metrics_report().queue_depth > 0 {
-                std::thread::yield_now();
-            }
-            // Identical requests join its flight; distinct ones queue up
-            // to the bound and the next is turned away.
-            let joined = [svc.submit(q(1)).unwrap(), svc.submit(q(1)).unwrap()];
-            let queued = [svc.submit(q(2)).unwrap(), svc.submit(q(3)).unwrap()];
-            assert_eq!(svc.submit(q(4)).unwrap_err(), SubmitError::QueueFull);
+            let release = hold_rows(scope, svc, 800.0);
+            let first = scope.spawn(move || svc.query(q(1)));
+            until(|| svc.providers.stats().coalesced == 1);
+            // Identical callers join its build and take no permit ...
+            let joined = [(); 2].map(|()| scope.spawn(move || svc.query(q(1))));
+            until(|| svc.cache.stats().coalesced == 2);
+            assert_eq!(waiting(svc), 0);
+            // ... distinct ones wait for the permit up to the bound, and
+            // the next is turned away (the budget only bounds a failure).
+            let queued = [2, 3].map(|k| scope.spawn(move || svc.query(q(k))));
+            until(|| waiting(svc) == 2);
+            let next = q(4).with_deadline(Duration::from_secs(5));
+            let full = QueryError::Submit(SubmitError::QueueFull);
+            assert_eq!(svc.query(next).unwrap_err(), full);
             let report = svc.metrics_report();
-            assert_eq!((report.submitted, report.rejected), (5, 1));
+            assert_eq!(report.rejected, 1);
             assert_eq!(report.dedup_joined, 2);
             assert_eq!((report.queue_depth, report.queue_depth_max), (2, 2));
             drop(release);
-            let answer = first.wait().unwrap();
+            let answer = first.join().unwrap().unwrap();
             for handle in joined {
-                assert!(Arc::ptr_eq(&handle.wait().unwrap(), &answer));
+                assert!(Arc::ptr_eq(&handle.join().unwrap().unwrap(), &answer));
             }
             for handle in queued {
-                assert!(handle.wait().is_some());
+                assert!(handle.join().unwrap().is_ok());
             }
         });
         let report = svc.metrics_report();
-        assert_eq!(report.completed, 5);
-        assert_eq!((report.batches, report.batched_requests), (2, 3));
+        let counts = (report.submitted, report.rejected, report.completed);
+        assert_eq!(counts, (5, 1, 5));
+        assert_eq!((report.batches, report.batched_requests), (3, 3));
         assert_eq!(report.providers.coalesced, 1);
         svc.shutdown();
     }
@@ -1099,44 +936,71 @@ mod tests {
     fn expired_deadline_is_shed_and_typed() {
         let svc = service(1);
         let q = TopsQuery::binary(2, 800.0);
-        // A zero budget is expired at admission: the worker must shed the
-        // flight (never compute it) and the waiter must get the typed
-        // error, not an unbounded wait.
-        let handle = svc
-            .submit(ServiceRequest::greedy(q).with_deadline(Duration::ZERO))
-            .unwrap();
-        match handle.wait_checked() {
+        // A zero budget is spent at admission: the caller gets the typed
+        // error, never an unbounded wait, and nothing is computed.
+        match svc.query(ServiceRequest::greedy(q).with_deadline(Duration::ZERO)) {
             Err(QueryError::DeadlineExceeded { deadline }) => {
                 assert_eq!(deadline, Duration::ZERO);
             }
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
+        let report = svc.metrics_report();
+        assert_eq!((report.provider_build.count, report.batches), (0, 0));
         // The service stays healthy: a generous budget answers normally.
-        let relaxed = svc
-            .submit(ServiceRequest::greedy(q).with_deadline(Duration::from_secs(30)))
-            .unwrap();
-        let answer = relaxed.wait_checked().expect("within budget");
+        let relaxed = ServiceRequest::greedy(q).with_deadline(Duration::from_secs(30));
+        let answer = svc.query(relaxed).expect("within budget");
         assert_eq!(answer.sites.len(), 2);
-        // Without any deadline, wait_checked degenerates to wait.
-        let plain = svc.submit(ServiceRequest::greedy(q)).unwrap();
-        assert!(plain.wait_checked().is_ok());
+        // Without any deadline the answer comes from the cache.
+        assert!(svc.query(ServiceRequest::greedy(q)).is_ok());
+        svc.shutdown();
+    }
+
+    /// A solve that overruns its caller's budget is typed for that caller
+    /// and still serves the next one from the cache.
+    #[test]
+    fn an_overrunning_solve_is_cached_and_typed() {
+        let svc = &service(1);
+        let budget = Duration::from_millis(100);
+        let q = ServiceRequest::greedy(TopsQuery::binary(2, 800.0));
+        std::thread::scope(|scope| {
+            let release = hold_rows(scope, svc, 800.0);
+            let late = scope.spawn(move || svc.query(q.with_deadline(budget)));
+            until(|| svc.providers.stats().coalesced == 1);
+            std::thread::sleep(budget);
+            drop(release);
+            let overrun = QueryError::DeadlineExceeded { deadline: budget };
+            assert_eq!(late.join().unwrap().unwrap_err(), overrun);
+        });
+        assert!(svc.query(q).is_ok());
+        let report = svc.metrics_report();
+        assert_eq!((report.batches, report.cache_served), (1, 1));
         svc.shutdown();
     }
 
     #[test]
     fn shutdown_is_idempotent_and_drains() {
-        let svc = service(3);
-        let handles: Vec<_> = (1..=5)
-            .map(|k| {
-                svc.submit(ServiceRequest::greedy(TopsQuery::binary(k, 700.0)))
-                    .unwrap()
-            })
-            .collect();
+        let svc = &service(1);
+        let q = |k| ServiceRequest::greedy(TopsQuery::binary(k, 700.0));
+        let stopped = QueryError::Submit(SubmitError::ShuttingDown);
+        std::thread::scope(|scope| {
+            let release = hold_rows(scope, svc, 700.0);
+            let running = scope.spawn(move || svc.query(q(1)));
+            until(|| svc.providers.stats().coalesced == 1);
+            let queued = [2, 3].map(|k| scope.spawn(move || svc.query(q(k))));
+            until(|| waiting(svc) == 2);
+            // Permit waiters are turned away at once; shutdown itself
+            // returns only after the running solve.
+            let stopping = scope.spawn(|| svc.shutdown());
+            until(|| queued.iter().all(|handle| handle.is_finished()));
+            for handle in queued {
+                assert_eq!(handle.join().unwrap().unwrap_err(), stopped);
+            }
+            assert!(!stopping.is_finished(), "returned with a solve running");
+            drop(release);
+            assert!(running.join().unwrap().is_ok(), "running solve answered");
+            stopping.join().unwrap();
+        });
         svc.shutdown();
-        svc.shutdown();
-        // Workers drained the queue before exiting.
-        for h in handles {
-            assert!(h.wait().is_some());
-        }
+        assert_eq!(svc.query(q(1)).unwrap_err(), stopped);
     }
 }

@@ -241,10 +241,11 @@ impl std::fmt::Display for ShardFailure {
     }
 }
 
-/// Typed error of a fan-out query (`ShardRouter::query`).
+/// Typed error of a query (`ShardRouter::query`, `NetClusService::query`).
 #[derive(Clone, Debug, PartialEq)]
 pub enum QueryError {
-    /// The query never entered the fan-out (invalid, or shutting down).
+    /// The query was not admitted (invalid, no room to wait for a solve,
+    /// or shutting down).
     Submit(SubmitError),
     /// The deadline elapsed before an answer could be assembled and no
     /// stale fallback was available.

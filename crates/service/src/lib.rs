@@ -12,12 +12,12 @@
 //!   immutable [`Snapshot`]. Readers pin a snapshot with one atomic load
 //!   and never block; a writer applies an [`UpdateBatch`] to a private
 //!   copy and publishes it atomically under the next epoch.
-//! * [`executor`] — a **worker-pool executor** with a bounded admission
-//!   queue. Requests are admitted, batched (each worker drains up to a
-//!   configurable number of requests and answers them against a single
-//!   pinned snapshot), and identical in-flight queries are deduplicated:
-//!   late arrivals attach to the running computation instead of repeating
-//!   it.
+//! * [`executor`] — the **monolithic service**: [`NetClusService::query`]
+//!   answers on the caller's thread against one pinned snapshot. Identical
+//!   queries at one epoch are solved once (the result cache's single
+//!   flight), and at most `workers` solves run at once, each with a
+//!   reused scratch; callers beyond them wait in a bounded waiting room,
+//!   and overload past it is shed with `QueueFull`.
 //! * [`cache`] — the stack's **one cache mechanism**, [`EpochLru`]: an
 //!   epoch-keyed LRU with single-flight builds (concurrent misses
 //!   coalesce onto one builder), one purge on epoch advance and one purge
@@ -101,9 +101,7 @@
 //! let service = NetClusService::start(net, trajs, index, ServiceConfig::default())
 //!     .expect("start service");
 //! let answer = service
-//!     .submit(ServiceRequest::greedy(TopsQuery::binary(1, 800.0)))
-//!     .unwrap()
-//!     .wait()
+//!     .query(ServiceRequest::greedy(TopsQuery::binary(1, 800.0)))
 //!     .unwrap();
 //! assert_eq!(answer.epoch, 0);
 //! assert_eq!(answer.sites.len(), 1);
@@ -114,9 +112,7 @@
 //! )]);
 //! assert_eq!(receipt.epoch, 1);
 //! let fresh = service
-//!     .submit(ServiceRequest::greedy(TopsQuery::binary(1, 800.0)))
-//!     .unwrap()
-//!     .wait()
+//!     .query(ServiceRequest::greedy(TopsQuery::binary(1, 800.0)))
 //!     .unwrap();
 //! assert_eq!(fresh.epoch, 1);
 //! assert_eq!(fresh.corpus_len, 3);
@@ -147,8 +143,7 @@ pub use cache::{
     preference_key, CacheOutcome, CacheStats, EpochKeyed, EpochLru, QueryKey, ResultCache,
 };
 pub use executor::{
-    NetClusService, QueryVariant, ResponseHandle, ServiceAnswer, ServiceConfig, ServiceRequest,
-    SubmitError,
+    NetClusService, QueryVariant, ServiceAnswer, ServiceConfig, ServiceRequest, SubmitError,
 };
 pub use fault::{
     BreakerConfig, BreakerSnapshot, BreakerState, CircuitBreaker, FaultAction, FaultPlan,
@@ -182,7 +177,7 @@ pub use trace::{
 };
 
 /// Recovers a mutex guard even when a previous holder panicked: the
-/// protected state (task queues, flight table, worker handles, monotone
+/// protected state (task queues, solve permits, worker handles, monotone
 /// counters) is never left inconsistent across an unwind, so a poisoned
 /// lock must not cascade into every later caller panicking too.
 pub(crate) fn lock_recover<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {

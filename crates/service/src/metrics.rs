@@ -127,23 +127,25 @@ pub struct LatencySummary {
 /// Shared counters updated by the executor's hot path.
 #[derive(Debug, Default)]
 pub struct ServiceMetrics {
-    /// Requests admitted into the queue or answered from cache at submit.
+    /// Requests admitted: valid, and not refused for a full waiting room
+    /// or shutdown.
     pub submitted: AtomicU64,
-    /// Requests rejected because the queue was full.
+    /// Requests refused: the waiting room was full or the service was
+    /// shutting down.
     pub rejected: AtomicU64,
-    /// Requests completed (answer delivered to every waiter).
+    /// Requests answered.
     pub completed: AtomicU64,
-    /// Requests answered directly from the result cache at submit time.
+    /// Requests answered from the result cache.
     pub cache_served: AtomicU64,
-    /// Requests that attached to an identical in-flight computation.
-    pub dedup_joined: AtomicU64,
-    /// Worker dispatch batches.
+    /// Solves run (the service solves one request at a time, so
+    /// `batched_requests` moves with it).
     pub batches: AtomicU64,
-    /// Requests dispatched inside those batches.
+    /// Requests those solves answered for.
     pub batched_requests: AtomicU64,
-    /// Current queue depth (gauge).
+    /// Callers waiting for a solve permit (the service) or round-1 tasks
+    /// queued for the pool (the router) — a gauge.
     pub queue_depth: AtomicU64,
-    /// High-water queue depth.
+    /// High-water mark of `queue_depth`.
     pub queue_depth_max: AtomicU64,
     /// Update batches published.
     pub epoch_advances: AtomicU64,
@@ -166,13 +168,14 @@ impl ServiceMetrics {
         self.queue_depth_max.fetch_max(depth, Ordering::Relaxed);
     }
 
-    /// Drops the queue-depth gauge by `n` (a drained batch).
-    pub fn queue_exit(&self, n: u64) {
-        self.queue_depth.fetch_sub(n, Ordering::Relaxed);
+    /// Drops the queue-depth gauge by one.
+    pub fn queue_exit(&self) {
+        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Builds a report from the counters plus the cache's and store's
-    /// current state. `elapsed` is the service uptime used for throughput.
+    /// current state (`dedup_joined` is the result cache's `coalesced`).
+    /// `elapsed` is the service uptime used for throughput.
     pub fn report(
         &self,
         elapsed: Duration,
@@ -196,7 +199,7 @@ impl ServiceMetrics {
                 0.0
             },
             cache_served: self.cache_served.load(Ordering::Relaxed),
-            dedup_joined: self.dedup_joined.load(Ordering::Relaxed),
+            dedup_joined: cache.coalesced,
             batches: self.batches.load(Ordering::Relaxed),
             batched_requests: self.batched_requests.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
@@ -392,7 +395,7 @@ impl ShardReport {
 pub struct MetricsReport {
     /// Service uptime.
     pub uptime: Duration,
-    /// Worker threads.
+    /// Solve permits (the service) or worker threads (the router).
     pub workers: usize,
     /// Currently published epoch.
     pub epoch: u64,
@@ -404,13 +407,13 @@ pub struct MetricsReport {
     pub completed: u64,
     /// Completed requests per second of uptime.
     pub throughput_qps: f64,
-    /// Requests answered from cache at submit.
+    /// Requests answered from the result cache.
     pub cache_served: u64,
-    /// Requests deduplicated onto in-flight work.
+    /// Requests that waited on an identical in-flight solve.
     pub dedup_joined: u64,
-    /// Worker dispatch batches.
+    /// Solves run.
     pub batches: u64,
-    /// Requests dispatched in batches.
+    /// Requests those solves answered for (one each: the mean batch is 1).
     pub batched_requests: u64,
     /// Queue depth at report time.
     pub queue_depth: u64,
@@ -437,7 +440,7 @@ pub struct MetricsReport {
 }
 
 impl MetricsReport {
-    /// Mean requests per dispatch batch.
+    /// Mean requests per solve.
     pub fn mean_batch_size(&self) -> f64 {
         if self.batches == 0 {
             0.0
@@ -1170,7 +1173,8 @@ mod tests {
         m.queue_enter();
         m.queue_enter();
         m.queue_enter();
-        m.queue_exit(2);
+        m.queue_exit();
+        m.queue_exit();
         assert_eq!(m.queue_depth.load(Ordering::Relaxed), 1);
         assert_eq!(m.queue_depth_max.load(Ordering::Relaxed), 3);
     }

@@ -138,10 +138,6 @@ pub struct ShardRouterConfig {
     /// Round-1 candidate-memo capacity in memoized rounds; **0 disables**
     /// the memo.
     pub round_memo_capacity: usize,
-    /// Threads used to build one shard provider on a cache miss. Router
-    /// workers already parallelize across shards, so the default of 1
-    /// avoids oversubscription.
-    pub provider_build_threads: usize,
     /// Query-path tracing + tail-sampling configuration (on by default;
     /// see [`TraceConfig`]).
     pub trace: TraceConfig,
@@ -159,7 +155,6 @@ impl Default for ShardRouterConfig {
             workers: 0,
             provider_cache_capacity: 32,
             round_memo_capacity: 128,
-            provider_build_threads: 1,
             trace: TraceConfig::default(),
             breaker: BreakerConfig::default(),
             stale_cache_capacity: 256,
@@ -295,8 +290,6 @@ struct RouterInner {
     providers: Option<ShardProviderCache>,
     /// Round-1 candidate memo; `None` when disabled (capacity 0).
     rounds: Option<RoundOneCache>,
-    /// Threads per provider build on a cache miss.
-    build_threads: usize,
     /// Round-2 merge latency.
     merge_latency: LatencyHistogram,
     /// End-to-end latency of fan-outs where every shard answered from a
@@ -569,7 +562,6 @@ impl ShardRouter {
                 .then(|| ShardProviderCache::new(cfg.provider_cache_capacity)),
             rounds: (cfg.round_memo_capacity > 0)
                 .then(|| RoundOneCache::new(cfg.round_memo_capacity)),
-            build_threads: cfg.provider_build_threads.max(1),
             merge_latency: LatencyHistogram::default(),
             hot_latency: LatencyHistogram::default(),
             cold_latency: LatencyHistogram::default(),

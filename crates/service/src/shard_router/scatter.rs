@@ -573,7 +573,7 @@ fn worker_loop(inner: &RouterInner) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        inner.clock.metrics.queue_exit(1);
+        inner.clock.metrics.queue_exit();
         let Attempt { shard, replica, .. } = task.attempt;
         let set = &inner.shards[shard as usize];
         // Per-shard task sequence number (shared by the shard's
@@ -617,7 +617,7 @@ fn worker_loop(inner: &RouterInner) {
                     deadline: task.deadline,
                     providers: inner.providers.as_ref(),
                     rounds: inner.rounds.as_ref(),
-                    build_threads: inner.build_threads,
+                    build_threads: 1,
                     scratch: &mut scratch,
                     provider_build: &inner.clock.metrics.provider_build,
                 };

@@ -61,8 +61,6 @@ pub struct ShardServerConfig {
     pub provider_cache_capacity: usize,
     /// Round-1 candidate-memo capacity; **0 disables**.
     pub round_memo_capacity: usize,
-    /// Threads per provider build on a cache miss.
-    pub provider_build_threads: usize,
     /// Per-connection read/write deadline; a client that stalls longer
     /// is dropped.
     pub io_timeout: Duration,
@@ -80,7 +78,6 @@ impl Default for ShardServerConfig {
         ShardServerConfig {
             provider_cache_capacity: 32,
             round_memo_capacity: 128,
-            provider_build_threads: 1,
             io_timeout: Duration::from_secs(5),
             max_connections: 8,
             fault_plan: None,
@@ -94,7 +91,6 @@ struct ServerShared {
     store: SnapshotStore,
     providers: Option<ShardProviderCache>,
     rounds: Option<RoundOneCache>,
-    build_threads: usize,
     gauge: LoadGauge,
     provider_build: LatencyHistogram,
     round1_latency: LatencyHistogram,
@@ -238,7 +234,6 @@ impl ShardServer {
                 .then(|| ShardProviderCache::new(cfg.provider_cache_capacity)),
             rounds: (cfg.round_memo_capacity > 0)
                 .then(|| RoundOneCache::new(cfg.round_memo_capacity)),
-            build_threads: cfg.provider_build_threads.max(1),
             gauge: LoadGauge::default(),
             provider_build: LatencyHistogram::default(),
             round1_latency: LatencyHistogram::default(),
@@ -659,7 +654,7 @@ fn round1_response(
         deadline: None,
         providers: shared.providers.as_ref(),
         rounds: shared.rounds.as_ref(),
-        build_threads: shared.build_threads,
+        build_threads: 1,
         scratch,
         provider_build: &shared.provider_build,
     };

@@ -40,10 +40,12 @@ use crate::metrics::{LatencyHistogram, LatencySummary};
 /// Named stages of the query and ingest pipelines.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Stage {
-    /// Validation + enqueue (submit until the request is queued).
+    /// Validation + admission (the service: until its snapshot is pinned;
+    /// the router: until round 1 is scattered).
     #[default]
     Admission,
-    /// Result-cache probe.
+    /// Result-cache probe; for a service solve, through the wait for a
+    /// solve permit.
     CacheProbe,
     /// Provider-cache `get_or_build` (hit, coalesced wait, or build).
     ProviderGet,
@@ -54,7 +56,7 @@ pub enum Stage {
     Solve,
     /// Round-2 merge (candidate-union view build + exact greedy).
     Merge,
-    /// Answer construction + waiter delivery.
+    /// Answer construction + delivery.
     Reply,
     /// Ingest: frame decode (including the blocking read).
     Decode,

@@ -70,9 +70,7 @@ fn telemetry_serves_recorder_history_rates_and_health_transitions() {
     let service = Arc::new(start_service());
     for _ in 0..4 {
         service
-            .submit(ServiceRequest::greedy(TopsQuery::binary(2, 800.0)))
-            .expect("submit")
-            .wait()
+            .query(ServiceRequest::greedy(TopsQuery::binary(2, 800.0)))
             .expect("answer");
     }
 

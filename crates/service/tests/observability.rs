@@ -324,9 +324,6 @@ fn executor_tracer_covers_the_query_lifecycle() {
             asked.push((psi, answer.instance, k, tau));
         }
     }
-    // A worker finishes a trace after it has replied: join the workers so
-    // the last one is in the log.
-    service.shutdown();
     let tracer = service.tracer();
     let records = tracer.slow_queries();
     assert_eq!(records.len(), asked.len(), "every query was retained");
@@ -347,6 +344,7 @@ fn executor_tracer_covers_the_query_lifecycle() {
     assert!(!tracer.slow_queries().is_empty());
     let report = service.metrics_report();
     assert!(report.process.arena_resident_bytes.unwrap_or(0) > 0);
+    service.shutdown();
 }
 
 /// The framed telemetry endpoint serves live router documents over TCP.

@@ -1,12 +1,15 @@
-//! Serving demo: a worker pool answers a mixed TOPS query stream while a
-//! writer publishes trajectory update batches, live.
+//! Serving demo: an open-loop stream of mixed TOPS queries, each answered
+//! on its own arrival thread, while a writer publishes trajectory update
+//! batches, live.
 //!
 //! Demonstrates the full `netclus-service` subsystem:
 //!
-//! * ≥ 4 worker threads answering queries concurrently;
+//! * up to 4 solves running at once (`ServiceConfig::workers` solve
+//!   permits), with arrivals beyond them waiting or, past the waiting
+//!   room, shed;
 //! * epoch-based snapshot swaps — updates never block queries, and every
 //!   answer is consistent with exactly one published epoch (verified);
-//! * the sharded result cache absorbing the repetitive share of the mix;
+//! * the result cache absorbing the repetitive share of the mix;
 //! * the metrics report, printed human-readably and as single-line JSON;
 //! * the framed telemetry endpoint serving live metrics, per-stage
 //!   latency breakdowns and the tail-sampled slow-query log over TCP.
@@ -14,7 +17,6 @@
 //! Run with: `cargo run --release --example serving`
 
 use std::collections::HashMap;
-use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -24,8 +26,8 @@ use netclus_datagen::{
     WorkloadConfig, WorkloadGenerator,
 };
 use netclus_service::{
-    telemetry, NetClusService, ServiceConfig, ServiceRequest, TelemetryServer, TelemetrySource,
-    UpdateOp,
+    telemetry, NetClusService, QueryError, ServiceConfig, ServiceRequest, SubmitError,
+    TelemetryServer, TelemetrySource, UpdateOp,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -99,7 +101,7 @@ fn main() {
         )
         .expect("start service"),
     );
-    println!("[serve] {WORKERS} workers up; epoch {}", service.epoch());
+    println!("[serve] {WORKERS} solve permits; epoch {}", service.epoch());
 
     // Live telemetry: a std-only framed TCP endpoint over the same
     // length-prefix/CRC framing as the ingest stream. Probe it while the
@@ -160,44 +162,41 @@ fn main() {
             })
         };
 
-        // Open-loop dispatcher: fire each request at its arrival offset;
-        // a collector drains the handles concurrently.
-        let (handle_tx, handle_rx) = channel();
+        // Open-loop dispatcher: fire each request at its arrival offset,
+        // on a thread of its own, so a burst past the waiting room sheds.
         let dispatcher = {
             let service = Arc::clone(&service);
             scope.spawn(move || {
                 let t0 = Instant::now();
-                let mut rejected = 0usize;
-                for tq in &queries {
-                    if let Some(wait) = tq.at.checked_sub(t0.elapsed()) {
-                        std::thread::sleep(wait);
+                std::thread::scope(|arrivals| {
+                    let mut fired = Vec::with_capacity(queries.len());
+                    for tq in &queries {
+                        if let Some(wait) = tq.at.checked_sub(t0.elapsed()) {
+                            std::thread::sleep(wait);
+                        }
+                        let request = match tq.kind {
+                            QueryKind::Greedy => ServiceRequest::greedy(tq.query),
+                            QueryKind::Fm { copies } => ServiceRequest::fm(tq.query, copies, 0xF1),
+                        };
+                        let service = &service;
+                        fired.push(arrivals.spawn(move || service.query(request)));
                     }
-                    let request = match tq.kind {
-                        QueryKind::Greedy => ServiceRequest::greedy(tq.query),
-                        QueryKind::Fm { copies } => ServiceRequest::fm(tq.query, copies, 0xF1),
-                    };
-                    match service.submit(request) {
-                        Ok(handle) => handle_tx.send(handle).unwrap(),
-                        Err(_) => rejected += 1,
+                    let mut answers = Vec::new();
+                    let mut shed = 0usize;
+                    for handle in fired {
+                        match handle.join().expect("query thread panicked") {
+                            Ok(answer) => answers.push(answer),
+                            Err(QueryError::Submit(SubmitError::QueueFull)) => shed += 1,
+                            Err(e) => panic!("query failed: {e}"),
+                        }
                     }
-                }
-                drop(handle_tx);
-                rejected
+                    (answers, shed)
+                })
             })
         };
-        let collector = scope.spawn(move || {
-            let mut answers = Vec::new();
-            while let Ok(handle) = handle_rx.recv() {
-                if let Some(answer) = handle.wait() {
-                    answers.push(answer);
-                }
-            }
-            answers
-        });
 
         writer.join().expect("writer panicked");
-        let shed = dispatcher.join().expect("dispatcher panicked");
-        let answers = collector.join().expect("collector panicked");
+        let (answers, shed) = dispatcher.join().expect("dispatcher panicked");
 
         // Consistency audit: every answer's (corpus_len, site_count) must
         // match the snapshot actually published under its epoch.
@@ -217,7 +216,7 @@ fn main() {
             epochs
         );
         println!("[audit] consistency violations: {violations}");
-        println!("[audit] load-shed submissions:  {shed}");
+        println!("[audit] load-shed queries:      {shed}");
         assert_eq!(violations, 0, "torn snapshot read detected");
         assert!(!answers.is_empty());
     });

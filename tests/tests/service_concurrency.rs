@@ -11,9 +11,9 @@
 //! would therefore produce a pair that was never published.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use netclus::prelude::*;
 use netclus_datagen::{grid_city, GridCityConfig};
@@ -66,7 +66,6 @@ fn build_service() -> NetClusService {
         ServiceConfig {
             workers: 4,
             queue_capacity: 256,
-            max_batch: 8,
             cache_capacity: 512,
             ..Default::default()
         },
@@ -87,6 +86,8 @@ fn concurrent_queries_see_exactly_one_published_epoch() {
         );
     }
     let writer_done = Arc::new(AtomicBool::new(false));
+    // The newest epoch any collected answer came from.
+    let answered = Arc::new(AtomicU64::new(0));
 
     std::thread::scope(|scope| {
         // Writer: publish 12 batches; each adds trajectories AND removes a
@@ -95,6 +96,7 @@ fn concurrent_queries_see_exactly_one_published_epoch() {
             let service = Arc::clone(&service);
             let history = Arc::clone(&history);
             let writer_done = Arc::clone(&writer_done);
+            let answered = Arc::clone(&answered);
             scope.spawn(move || {
                 for round in 0..12u32 {
                     let mut batch: Vec<UpdateOp> = (0..3)
@@ -115,7 +117,15 @@ fn concurrent_queries_see_exactly_one_published_epoch() {
                         snap.epoch(),
                         (snap.trajs().len(), snap.index().site_count()),
                     );
-                    std::thread::sleep(Duration::from_millis(3));
+                    // Publish the next epoch only once this one has
+                    // served an answer (bounded at 5 s), so answers span
+                    // every epoch by construction, not by timing.
+                    let give_up = Instant::now() + Duration::from_secs(5);
+                    while answered.load(Ordering::Acquire) < receipt.epoch
+                        && Instant::now() < give_up
+                    {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
                 }
                 writer_done.store(true, Ordering::Release);
             });
@@ -127,6 +137,7 @@ fn concurrent_queries_see_exactly_one_published_epoch() {
         for t in 0..4u64 {
             let service = Arc::clone(&service);
             let writer_done = Arc::clone(&writer_done);
+            let answered = Arc::clone(&answered);
             collectors.push(scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(t);
                 let mut answers = Vec::new();
@@ -139,6 +150,7 @@ fn concurrent_queries_see_exactly_one_published_epoch() {
                         ServiceRequest::greedy(TopsQuery::binary(k, tau))
                     };
                     if let Some(answer) = service.query_blocking(req) {
+                        answered.fetch_max(answer.epoch, Ordering::Release);
                         answers.push(answer);
                     }
                     if answers.len() > 5_000 {
