@@ -31,13 +31,15 @@
 //! recorder, and the telemetry endpoint serves `history`/`rates` from it
 //! ([`crate::telemetry`]).
 
+#![deny(clippy::too_many_lines)]
+
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::metrics::push_escaped;
+use crate::jsonl;
 
 /// Recorder shape: tick cadence and retention.
 #[derive(Clone, Debug)]
@@ -98,7 +100,7 @@ impl<T> Ring<T> {
     }
 
     /// Oldest → newest.
-    fn iter(&self) -> impl Iterator<Item = &T> {
+    fn iter(&self) -> impl Iterator<Item = &T> + Clone {
         let (tail, head) = self.buf.split_at(self.start);
         head.iter().chain(tail.iter())
     }
@@ -317,28 +319,24 @@ impl FlightRecorder {
     /// telemetry `history` command.
     pub fn history_json(&self, series: &str, window_secs: Option<f64>) -> String {
         let Some(points) = self.history(series, window_secs) else {
-            let mut s = String::from("{\"error\":\"unknown series\",\"series\":\"");
-            push_escaped(&mut s, series);
-            s.push_str("\"}");
-            return s;
+            return jsonl::object(|o| {
+                o.str("error", "unknown series");
+                o.str("series", series);
+            });
         };
-        let mut s = String::with_capacity(32 + points.len() * 16);
-        s.push_str("{\"series\":\"");
-        push_escaped(&mut s, series);
-        s.push_str("\",\"window_secs\":");
-        match window_secs {
-            Some(w) => s.push_str(&format!("{w:.3}")),
-            None => s.push_str("null"),
-        }
-        s.push_str(",\"points\":[");
-        for (i, (t, v)) in points.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("[{t:.3},{v:.3}]"));
-        }
-        s.push_str("]}");
-        s
+        jsonl::object(|o| {
+            o.str("series", series);
+            // No window is `null`, as is a non-finite one.
+            o.num("window_secs", window_secs.unwrap_or(f64::NAN));
+            o.array("points", |a| {
+                for &(t, v) in &points {
+                    a.array(|p| {
+                        p.num(t);
+                        p.num(v);
+                    });
+                }
+            });
+        })
     }
 
     /// Renders [`FlightRecorder::rates`] as one flat JSON line for the
@@ -346,19 +344,13 @@ impl FlightRecorder {
     pub fn rates_json(&self) -> String {
         let rates = self.rates();
         if rates.is_empty() {
-            return "{\"error\":\"need at least two ticks\"}".to_string();
+            return jsonl::error("need at least two ticks");
         }
-        let mut s = String::with_capacity(rates.len() * 24);
-        s.push('{');
-        for (name, v) in &rates {
-            s.push('"');
-            s.push_str(name);
-            s.push_str("\":");
-            s.push_str(&format!("{v:.3},"));
-        }
-        s.pop();
-        s.push('}');
-        s
+        jsonl::object(|o| {
+            for (name, v) in &rates {
+                o.num(name, *v);
+            }
+        })
     }
 
     /// Dumps every retained tick as JSON Lines (coarse horizon first,
@@ -367,37 +359,30 @@ impl FlightRecorder {
     /// `results/flight_recorder.jsonl` CI artifact.
     pub fn dump_jsonl(&self) -> String {
         let s = self.state.lock().expect("flight recorder poisoned");
+        let full = s.full.iter().flat_map(Ring::iter);
+        let full_start = full.clone().next().map_or(f64::INFINITY, |t| t.at_secs);
+        let coarse = s.coarse.iter().flat_map(Ring::iter);
+        let older = coarse.filter(|t| t.at_secs < full_start);
         let mut out = String::new();
-        let full_start = s
-            .full
-            .as_ref()
-            .and_then(|f| f.iter().next())
-            .map_or(f64::INFINITY, |t| t.at_secs);
-        let render = |out: &mut String, tick: &Tick| {
-            out.push_str(&format!("{{\"at_secs\":{:.3}", tick.at_secs));
-            for (i, name) in s.names.iter().enumerate() {
-                if let Some(v) = tick.get(i) {
-                    out.push_str(&format!(",\"{name}\":{v:.3}"));
+        for tick in older.chain(full) {
+            out += &jsonl::object(|o| {
+                o.num("at_secs", tick.at_secs);
+                for (i, name) in s.names.iter().enumerate() {
+                    if let Some(v) = tick.get(i) {
+                        o.num(name, v);
+                    }
                 }
-            }
-            out.push_str("}\n");
-        };
-        if let Some(coarse) = s.coarse.as_ref() {
-            for tick in coarse.iter().filter(|t| t.at_secs < full_start) {
-                render(&mut out, tick);
-            }
-        }
-        if let Some(full) = s.full.as_ref() {
-            for tick in full.iter() {
-                render(&mut out, tick);
-            }
+            });
+            out.push('\n');
         }
         out
     }
 }
 
-/// Parses the numeric fields of a flat single-line JSON object (the only
-/// shape the metrics serializers emit) into flight-recorder samples.
+/// Parses the numeric fields of a flat single-line JSON object into
+/// flight-recorder samples. It is the one reader of the flat shape the
+/// crate's JSON writer (`jsonl`) emits for the metrics, ingest and stage
+/// lines, whose keys need no escaping and whose values hold no comma.
 /// String values and `null`s are skipped — an omitted-or-null gauge is
 /// *absent*, never zero.
 pub fn flatten_json(json: &str) -> Vec<(String, f64)> {

@@ -23,8 +23,10 @@
 //! recorder not yet sampling) the rule reports `no data` and stays
 //! silent, so health cannot flap during startup.
 
+#![deny(clippy::too_many_lines)]
+
 use crate::flight::FlightRecorder;
-use crate::metrics::push_escaped;
+use crate::jsonl;
 
 /// Overall service health, the worst severity among firing rules.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -244,35 +246,21 @@ impl HealthReport {
     /// `{"verdict":"degraded","firing":["freshness"],"rule_freshness_firing":1,
     ///   "rule_freshness_value":…,"rule_freshness_limit":…,"rule_freshness_detail":"…",…}`.
     pub fn to_json_line(&self) -> String {
-        let mut s = String::with_capacity(64 + self.outcomes.len() * 96);
-        s.push_str("{\"verdict\":\"");
-        s.push_str(self.verdict.as_str());
-        s.push_str("\",\"firing\":[");
-        for (i, name) in self.firing().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        jsonl::object(|o| {
+            o.str("verdict", self.verdict.as_str());
+            o.array("firing", |a| {
+                self.firing().iter().for_each(|name| a.str(name))
+            });
+            for rule in &self.outcomes {
+                let key = |field: &str| format!("rule_{}_{field}", rule.name);
+                o.int(&key("firing"), u32::from(rule.firing));
+                if let Some(v) = rule.value {
+                    o.num(&key("value"), v);
+                }
+                o.num(&key("limit"), rule.limit);
+                o.str(&key("detail"), &rule.detail);
             }
-            s.push('"');
-            s.push_str(name);
-            s.push('"');
-        }
-        s.push(']');
-        for o in &self.outcomes {
-            s.push_str(&format!(
-                ",\"rule_{}_firing\":{}",
-                o.name,
-                u8::from(o.firing)
-            ));
-            if let Some(v) = o.value {
-                s.push_str(&format!(",\"rule_{}_value\":{v:.3}", o.name));
-            }
-            s.push_str(&format!(",\"rule_{}_limit\":{:.3}", o.name, o.limit));
-            s.push_str(&format!(",\"rule_{}_detail\":\"", o.name));
-            push_escaped(&mut s, &o.detail);
-            s.push('"');
-        }
-        s.push('}');
-        s
+        })
     }
 }
 

@@ -59,8 +59,14 @@
 //! * [`framing`] — the length-prefix/CRC-32 byte framing shared by the
 //!   ingest stream, the WAL, and the telemetry endpoint.
 //! * [`telemetry`] — a std-only TCP endpoint serving the metrics
-//!   snapshot, per-stage breakdown, slow-query log, and flight-recorder
-//!   history/rates/health over the framed protocol.
+//!   snapshot, per-stage breakdown, slow-query log, breaker states and
+//!   flight-recorder history/rates/health over the framed protocol. Its
+//!   accept loop (connection cap, one thread per connection, shutdown
+//!   that closes live sockets) also runs under the [`shard_server`].
+//! * `jsonl` (crate-private) — the one JSON-lines writer behind every
+//!   line above: an object builder that owns braces, commas and
+//!   escaping, writes integers by `Display`, an `f64` as `{:.3}` and a
+//!   non-finite one as `null`.
 //! * [`flight`] — the **flight recorder**: a fixed-capacity ring-buffer
 //!   time-series store fed by a sampler thread every tick, retaining the
 //!   full metrics surface at full resolution plus a decimated long
@@ -128,6 +134,7 @@ pub mod fault;
 pub mod flight;
 pub mod framing;
 pub mod health;
+mod jsonl;
 pub mod metrics;
 pub mod provider_cache;
 mod replica_set;

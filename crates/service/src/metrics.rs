@@ -3,13 +3,16 @@
 //!
 //! Everything is lock-free atomics so the hot path pays a handful of
 //! relaxed increments per request. The report serializes to single-line
-//! JSON (hand-rolled — the workspace is dependency-free) so harness runs
-//! can be grepped and tracked over time.
+//! JSON (through the crate's one writer, `jsonl` — the workspace is
+//! dependency-free) so harness runs can be grepped and tracked over time.
+
+#![deny(clippy::too_many_lines)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::cache::CacheStats;
+use crate::jsonl;
 
 /// Number of power-of-two latency buckets (bucket `i` holds samples with
 /// `floor(log2(micros)) == i`; bucket 0 also holds sub-microsecond ones).
@@ -461,208 +464,117 @@ impl MetricsReport {
 
     /// Serializes the report as one line of JSON.
     pub fn to_json_line(&self) -> String {
-        let mut s = String::with_capacity(512);
-        s.push('{');
-        push_f64(&mut s, "uptime_secs", self.uptime.as_secs_f64());
-        push_u64(&mut s, "workers", self.workers as u64);
-        push_u64(&mut s, "epoch", self.epoch);
-        push_u64(&mut s, "submitted", self.submitted);
-        push_u64(&mut s, "rejected", self.rejected);
-        push_u64(&mut s, "completed", self.completed);
-        push_f64(&mut s, "throughput_qps", self.throughput_qps);
-        push_u64(&mut s, "cache_served", self.cache_served);
-        push_u64(&mut s, "dedup_joined", self.dedup_joined);
-        push_u64(&mut s, "batches", self.batches);
-        push_f64(&mut s, "mean_batch_size", self.mean_batch_size());
-        push_u64(&mut s, "queue_depth", self.queue_depth);
-        push_u64(&mut s, "queue_depth_max", self.queue_depth_max);
-        push_u64(&mut s, "epoch_advances", self.epoch_advances);
-        push_u64(&mut s, "updates_applied", self.updates_applied);
-        push_u64(&mut s, "latency_mean_us", self.latency.mean_micros);
-        push_u64(&mut s, "latency_p50_us", self.latency.p50_micros);
-        push_u64(&mut s, "latency_p95_us", self.latency.p95_micros);
-        push_u64(&mut s, "latency_p99_us", self.latency.p99_micros);
-        push_u64(&mut s, "latency_max_us", self.latency.max_micros);
-        push_u64(&mut s, "update_mean_us", self.update_latency.mean_micros);
-        push_u64(&mut s, "update_p50_us", self.update_latency.p50_micros);
-        push_u64(&mut s, "update_p99_us", self.update_latency.p99_micros);
-        push_u64(&mut s, "update_max_us", self.update_latency.max_micros);
-        push_u64(
-            &mut s,
-            "provider_build_mean_us",
-            self.provider_build.mean_micros,
-        );
-        push_u64(
-            &mut s,
-            "provider_build_p50_us",
-            self.provider_build.p50_micros,
-        );
-        push_u64(
-            &mut s,
-            "provider_build_p99_us",
-            self.provider_build.p99_micros,
-        );
-        push_u64(&mut s, "provider_hits", self.providers.hits);
-        push_u64(&mut s, "provider_misses", self.providers.misses);
-        push_u64(&mut s, "provider_coalesced", self.providers.coalesced);
-        push_u64(&mut s, "provider_evictions", self.providers.evictions);
-        push_u64(&mut s, "provider_invalidated", self.providers.invalidated);
-        push_u64(&mut s, "provider_entries", self.providers.entries as u64);
-        push_f64(&mut s, "provider_hit_rate", self.provider_hit_rate());
-        push_u64(&mut s, "cache_hits", self.cache.hits);
-        push_u64(&mut s, "cache_misses", self.cache.misses);
-        push_u64(&mut s, "cache_evictions", self.cache.evictions);
-        push_u64(&mut s, "cache_invalidated", self.cache.invalidated);
-        push_u64(&mut s, "cache_entries", self.cache.entries as u64);
-        if let Some(rss) = self.process.rss_bytes {
-            push_u64(&mut s, "rss_bytes", rss);
-        }
-        if let Some(arena) = self.process.arena_resident_bytes {
-            push_u64(&mut s, "arena_resident_bytes", arena);
-        }
-        if let Some(shards) = &self.shards {
-            push_u64(&mut s, "shards", shards.lanes.len() as u64);
-            push_u64(&mut s, "fanout_queries", shards.fanout_queries);
-            push_u64(&mut s, "merge_mean_us", shards.merge.mean_micros);
-            push_u64(&mut s, "merge_p99_us", shards.merge.p99_micros);
-            push_u64(&mut s, "round_hits", shards.rounds.hits);
-            push_u64(&mut s, "round_misses", shards.rounds.misses);
-            push_u64(&mut s, "round_evictions", shards.rounds.evictions);
-            push_u64(&mut s, "round_invalidated", shards.rounds.invalidated);
-            push_u64(&mut s, "round_entries", shards.rounds.entries as u64);
-            push_f64(&mut s, "round_hit_rate", shards.round_hit_rate());
-            push_u64(&mut s, "router_hot_queries", shards.hot.count);
-            push_u64(&mut s, "router_hot_p50_us", shards.hot.p50_micros);
-            push_u64(&mut s, "router_hot_p99_us", shards.hot.p99_micros);
-            push_u64(&mut s, "router_cold_queries", shards.cold.count);
-            push_u64(&mut s, "router_cold_p50_us", shards.cold.p50_micros);
-            push_u64(&mut s, "router_cold_p99_us", shards.cold.p99_micros);
-            push_u64(&mut s, "shard_trajectories", shards.trajectories);
-            push_u64(&mut s, "boundary_trajs", shards.boundary_trajs);
-            push_u64(&mut s, "shard_replicas", shards.replicas);
-            push_f64(&mut s, "replication_factor", shards.replication_factor());
-            push_u64(&mut s, "replica_lag_max", shards.replica_lag_max);
-            let fault = &shards.fault;
-            push_u64(&mut s, "degraded_answers", fault.degraded_answers);
-            push_u64(&mut s, "stale_answers", fault.stale_answers);
-            push_u64(&mut s, "shard_failures", fault.shard_failures);
-            push_u64(&mut s, "shard_timeouts", fault.shard_timeouts);
-            push_u64(&mut s, "deadline_exceeded", fault.deadline_exceeded);
-            push_u64(&mut s, "breaker_opens", fault.breaker_opens);
-            push_u64(&mut s, "breaker_probes", fault.breaker_probes);
-            push_u64(&mut s, "breaker_closes", fault.breaker_closes);
-            push_u64(&mut s, "breaker_skips", fault.breaker_skips);
-            push_u64(&mut s, "breaker_open_shards", fault.breaker_open_shards);
-            push_u64(&mut s, "worker_panics", fault.worker_panics);
-            push_u64(&mut s, "worker_respawns", fault.worker_respawns);
-            push_u64(&mut s, "abandoned_gathers", fault.abandoned_gathers);
-            push_u64(&mut s, "unavailable_answers", fault.unavailable_answers);
-            push_u64(&mut s, "hedged_requests", fault.hedged_requests);
-            push_u64(&mut s, "hedge_wins", fault.hedge_wins);
-            push_u64(&mut s, "replica_failovers", fault.replica_failovers);
-            push_u64(&mut s, "resyncs", fault.resyncs);
-            push_u64(&mut s, "transport_requests", shards.transport_requests);
-            push_u64(&mut s, "transport_errors", shards.transport_errors);
-            push_u64(&mut s, "transport_reconnects", shards.transport_reconnects);
-            push_u64(
-                &mut s,
-                "transport_rpc_p50_us",
-                shards.transport_rpc.p50_micros,
-            );
-            push_u64(
-                &mut s,
-                "transport_rpc_p99_us",
-                shards.transport_rpc.p99_micros,
-            );
-            for lane in &shards.lanes {
-                push_u64(
-                    &mut s,
-                    &format!("shard{}_queries", lane.shard),
-                    lane.queries,
-                );
-                push_u64(
-                    &mut s,
-                    &format!("shard{}_p50_us", lane.shard),
-                    lane.latency.p50_micros,
-                );
-                push_u64(
-                    &mut s,
-                    &format!("shard{}_p99_us", lane.shard),
-                    lane.latency.p99_micros,
-                );
-                push_u64(
-                    &mut s,
-                    &format!("shard{}_replicated_trajs", lane.shard),
-                    lane.replicated_trajs,
-                );
-                push_f64(
-                    &mut s,
-                    &format!("shard{}_qps_ewma", lane.shard),
-                    lane.qps_ewma,
-                );
-                push_f64(
-                    &mut s,
-                    &format!("shard{}_cache_heat", lane.shard),
-                    lane.cache_heat,
-                );
-                push_f64(
-                    &mut s,
-                    &format!("shard{}_cold_fraction", lane.shard),
-                    lane.cold_fraction,
-                );
-                push_str(
-                    &mut s,
-                    &format!("shard{}_transport", lane.shard),
-                    lane.transport,
-                );
+        jsonl::object(|o| {
+            o.num("uptime_secs", self.uptime.as_secs_f64());
+            o.int("workers", self.workers);
+            o.int("epoch", self.epoch);
+            o.int("submitted", self.submitted);
+            o.int("rejected", self.rejected);
+            o.int("completed", self.completed);
+            o.num("throughput_qps", self.throughput_qps);
+            o.int("cache_served", self.cache_served);
+            o.int("dedup_joined", self.dedup_joined);
+            o.int("batches", self.batches);
+            o.num("mean_batch_size", self.mean_batch_size());
+            o.int("queue_depth", self.queue_depth);
+            o.int("queue_depth_max", self.queue_depth_max);
+            o.int("epoch_advances", self.epoch_advances);
+            o.int("updates_applied", self.updates_applied);
+            o.int("latency_mean_us", self.latency.mean_micros);
+            o.int("latency_p50_us", self.latency.p50_micros);
+            o.int("latency_p95_us", self.latency.p95_micros);
+            o.int("latency_p99_us", self.latency.p99_micros);
+            o.int("latency_max_us", self.latency.max_micros);
+            o.int("update_mean_us", self.update_latency.mean_micros);
+            o.int("update_p50_us", self.update_latency.p50_micros);
+            o.int("update_p99_us", self.update_latency.p99_micros);
+            o.int("update_max_us", self.update_latency.max_micros);
+            o.int("provider_build_mean_us", self.provider_build.mean_micros);
+            o.int("provider_build_p50_us", self.provider_build.p50_micros);
+            o.int("provider_build_p99_us", self.provider_build.p99_micros);
+            o.int("provider_hits", self.providers.hits);
+            o.int("provider_misses", self.providers.misses);
+            o.int("provider_coalesced", self.providers.coalesced);
+            o.int("provider_evictions", self.providers.evictions);
+            o.int("provider_invalidated", self.providers.invalidated);
+            o.int("provider_entries", self.providers.entries);
+            o.num("provider_hit_rate", self.provider_hit_rate());
+            o.int("cache_hits", self.cache.hits);
+            o.int("cache_misses", self.cache.misses);
+            o.int("cache_evictions", self.cache.evictions);
+            o.int("cache_invalidated", self.cache.invalidated);
+            o.int("cache_entries", self.cache.entries);
+            if let Some(rss) = self.process.rss_bytes {
+                o.int("rss_bytes", rss);
             }
-        }
-        s.pop(); // trailing comma
-        s.push('}');
-        s
+            if let Some(arena) = self.process.arena_resident_bytes {
+                o.int("arena_resident_bytes", arena);
+            }
+            if let Some(shards) = &self.shards {
+                shards.write_json(o);
+            }
+        })
     }
 }
 
-pub(crate) fn push_u64(s: &mut String, key: &str, v: u64) {
-    s.push('"');
-    s.push_str(key);
-    s.push_str("\":");
-    s.push_str(&v.to_string());
-    s.push(',');
-}
-
-fn push_f64(s: &mut String, key: &str, v: f64) {
-    s.push('"');
-    s.push_str(key);
-    s.push_str("\":");
-    if v.is_finite() {
-        s.push_str(&format!("{v:.3}"));
-    } else {
-        s.push_str("null");
-    }
-    s.push(',');
-}
-
-/// Quoted-string field.
-pub(crate) fn push_str(s: &mut String, key: &str, v: &str) {
-    s.push('"');
-    s.push_str(key);
-    s.push_str("\":\"");
-    push_escaped(s, v);
-    s.push_str("\",");
-}
-
-/// Appends `v` as the inside of a JSON string: quote, backslash and
-/// control characters escaped. Everything that reaches a JSON line from
-/// outside the program (a name off the telemetry socket, a rule's free
-/// text) goes through here.
-pub(crate) fn push_escaped(s: &mut String, v: &str) {
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            c if c < ' ' => s.push_str(&format!("\\u{:04x}", c as u32)),
-            c => s.push(c),
+impl ShardReport {
+    /// Writes the scatter-gather section into a report's JSON object,
+    /// lanes last.
+    fn write_json(&self, o: &mut jsonl::Obj) {
+        o.int("shards", self.lanes.len());
+        o.int("fanout_queries", self.fanout_queries);
+        o.int("merge_mean_us", self.merge.mean_micros);
+        o.int("merge_p99_us", self.merge.p99_micros);
+        o.int("round_hits", self.rounds.hits);
+        o.int("round_misses", self.rounds.misses);
+        o.int("round_evictions", self.rounds.evictions);
+        o.int("round_invalidated", self.rounds.invalidated);
+        o.int("round_entries", self.rounds.entries);
+        o.num("round_hit_rate", self.round_hit_rate());
+        o.int("router_hot_queries", self.hot.count);
+        o.int("router_hot_p50_us", self.hot.p50_micros);
+        o.int("router_hot_p99_us", self.hot.p99_micros);
+        o.int("router_cold_queries", self.cold.count);
+        o.int("router_cold_p50_us", self.cold.p50_micros);
+        o.int("router_cold_p99_us", self.cold.p99_micros);
+        o.int("shard_trajectories", self.trajectories);
+        o.int("boundary_trajs", self.boundary_trajs);
+        o.int("shard_replicas", self.replicas);
+        o.num("replication_factor", self.replication_factor());
+        o.int("replica_lag_max", self.replica_lag_max);
+        o.int("degraded_answers", self.fault.degraded_answers);
+        o.int("stale_answers", self.fault.stale_answers);
+        o.int("shard_failures", self.fault.shard_failures);
+        o.int("shard_timeouts", self.fault.shard_timeouts);
+        o.int("deadline_exceeded", self.fault.deadline_exceeded);
+        o.int("breaker_opens", self.fault.breaker_opens);
+        o.int("breaker_probes", self.fault.breaker_probes);
+        o.int("breaker_closes", self.fault.breaker_closes);
+        o.int("breaker_skips", self.fault.breaker_skips);
+        o.int("breaker_open_shards", self.fault.breaker_open_shards);
+        o.int("worker_panics", self.fault.worker_panics);
+        o.int("worker_respawns", self.fault.worker_respawns);
+        o.int("abandoned_gathers", self.fault.abandoned_gathers);
+        o.int("unavailable_answers", self.fault.unavailable_answers);
+        o.int("hedged_requests", self.fault.hedged_requests);
+        o.int("hedge_wins", self.fault.hedge_wins);
+        o.int("replica_failovers", self.fault.replica_failovers);
+        o.int("resyncs", self.fault.resyncs);
+        o.int("transport_requests", self.transport_requests);
+        o.int("transport_errors", self.transport_errors);
+        o.int("transport_reconnects", self.transport_reconnects);
+        o.int("transport_rpc_p50_us", self.transport_rpc.p50_micros);
+        o.int("transport_rpc_p99_us", self.transport_rpc.p99_micros);
+        for lane in &self.lanes {
+            let key = |name: &str| format!("shard{}_{name}", lane.shard);
+            o.int(&key("queries"), lane.queries);
+            o.int(&key("p50_us"), lane.latency.p50_micros);
+            o.int(&key("p99_us"), lane.latency.p99_micros);
+            o.int(&key("replicated_trajs"), lane.replicated_trajs);
+            o.num(&key("qps_ewma"), lane.qps_ewma);
+            o.num(&key("cache_heat"), lane.cache_heat);
+            o.num(&key("cold_fraction"), lane.cold_fraction);
+            o.str(&key("transport"), lane.transport);
         }
     }
 }
@@ -818,50 +730,39 @@ pub struct IngestReport {
 impl IngestReport {
     /// Serializes the report as one line of JSON.
     pub fn to_json_line(&self) -> String {
-        let mut s = String::with_capacity(512);
-        s.push('{');
-        push_f64(&mut s, "uptime_secs", self.uptime.as_secs_f64());
-        push_u64(&mut s, "records_in", self.records_in);
-        push_u64(&mut s, "records_duplicate", self.records_duplicate);
-        push_u64(&mut s, "records_dropped", self.records_dropped);
-        push_u64(&mut s, "records_malformed", self.records_malformed);
-        push_u64(&mut s, "records_matched", self.records_matched);
-        push_u64(&mut s, "match_failed", self.match_failed);
-        push_f64(&mut s, "records_per_sec", self.records_per_sec);
-        push_u64(&mut s, "match_mean_us", self.match_latency.mean_micros);
-        push_u64(&mut s, "match_p50_us", self.match_latency.p50_micros);
-        push_u64(&mut s, "match_p99_us", self.match_latency.p99_micros);
-        push_u64(&mut s, "batches_published", self.batches_published);
-        push_u64(&mut s, "ops_published", self.ops_published);
-        push_u64(&mut s, "trajs_retired", self.trajs_retired);
-        push_u64(&mut s, "publish_mean_us", self.publish_latency.mean_micros);
-        push_u64(&mut s, "publish_p99_us", self.publish_latency.p99_micros);
-        push_u64(&mut s, "wal_frames", self.wal_frames);
-        push_u64(&mut s, "wal_bytes", self.wal_bytes);
-        push_f64(&mut s, "wal_bytes_per_sec", self.wal_bytes_per_sec);
-        push_u64(&mut s, "wal_syncs", self.wal_syncs);
-        push_u64(&mut s, "replay_micros", self.replay_micros);
-        push_u64(&mut s, "replay_batches", self.replay_batches);
-        push_u64(&mut s, "decode_p50_us", self.decode_latency.p50_micros);
-        push_u64(&mut s, "decode_p99_us", self.decode_latency.p99_micros);
-        push_u64(
-            &mut s,
-            "wal_append_p50_us",
-            self.wal_append_latency.p50_micros,
-        );
-        push_u64(
-            &mut s,
-            "wal_append_p99_us",
-            self.wal_append_latency.p99_micros,
-        );
-        push_u64(&mut s, "freshness_mean_us", self.freshness.mean_micros);
-        push_u64(&mut s, "freshness_p50_us", self.freshness.p50_micros);
-        push_u64(&mut s, "freshness_p99_us", self.freshness.p99_micros);
-        push_u64(&mut s, "freshness_max_us", self.freshness.max_micros);
-        push_u64(&mut s, "visibility_lag_us", self.visibility_lag_us);
-        s.pop(); // trailing comma
-        s.push('}');
-        s
+        jsonl::object(|o| {
+            o.num("uptime_secs", self.uptime.as_secs_f64());
+            o.int("records_in", self.records_in);
+            o.int("records_duplicate", self.records_duplicate);
+            o.int("records_dropped", self.records_dropped);
+            o.int("records_malformed", self.records_malformed);
+            o.int("records_matched", self.records_matched);
+            o.int("match_failed", self.match_failed);
+            o.num("records_per_sec", self.records_per_sec);
+            o.int("match_mean_us", self.match_latency.mean_micros);
+            o.int("match_p50_us", self.match_latency.p50_micros);
+            o.int("match_p99_us", self.match_latency.p99_micros);
+            o.int("batches_published", self.batches_published);
+            o.int("ops_published", self.ops_published);
+            o.int("trajs_retired", self.trajs_retired);
+            o.int("publish_mean_us", self.publish_latency.mean_micros);
+            o.int("publish_p99_us", self.publish_latency.p99_micros);
+            o.int("wal_frames", self.wal_frames);
+            o.int("wal_bytes", self.wal_bytes);
+            o.num("wal_bytes_per_sec", self.wal_bytes_per_sec);
+            o.int("wal_syncs", self.wal_syncs);
+            o.int("replay_micros", self.replay_micros);
+            o.int("replay_batches", self.replay_batches);
+            o.int("decode_p50_us", self.decode_latency.p50_micros);
+            o.int("decode_p99_us", self.decode_latency.p99_micros);
+            o.int("wal_append_p50_us", self.wal_append_latency.p50_micros);
+            o.int("wal_append_p99_us", self.wal_append_latency.p99_micros);
+            o.int("freshness_mean_us", self.freshness.mean_micros);
+            o.int("freshness_p50_us", self.freshness.p50_micros);
+            o.int("freshness_p99_us", self.freshness.p99_micros);
+            o.int("freshness_max_us", self.freshness.max_micros);
+            o.int("visibility_lag_us", self.visibility_lag_us);
+        })
     }
 }
 
@@ -890,6 +791,8 @@ impl MetricsClock {
 }
 
 #[cfg(test)]
+// The fixture tests spell a whole report out, field by field.
+#[allow(clippy::too_many_lines)]
 mod tests {
     use super::*;
 

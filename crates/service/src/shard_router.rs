@@ -107,15 +107,14 @@ use netclus_roadnet::{NodeId, RegionPartition, RoadNetwork};
 use crate::fault::{BreakerConfig, BreakerSnapshot, BreakerState, FaultPlan};
 #[cfg(doc)]
 use crate::fault::{QueryError, ShardFailure};
-use crate::lock_recover;
 use crate::metrics::{
-    push_str, push_u64, FaultReport, LatencyHistogram, MetricsClock, MetricsReport,
-    ShardLaneReport, ShardReport,
+    FaultReport, LatencyHistogram, MetricsClock, MetricsReport, ShardLaneReport, ShardReport,
 };
 use crate::provider_cache::{RoundOneCache, ShardProviderCache};
 use crate::replica_set::{FaultCounters, ReplicaSet};
 use crate::snapshot::{SnapshotStore, UpdateOp, UpdateReceipt, UpdateSink};
 use crate::trace::{TraceConfig, Tracer};
+use crate::{jsonl, lock_recover};
 use scatter::{worker_entry, RouterQueue, StaleAnswers};
 
 pub(crate) use transport::resolve_round1;
@@ -649,24 +648,19 @@ impl ShardRouter {
     /// the telemetry `breakers` command.
     pub fn breakers_json(&self) -> String {
         let snaps = self.breaker_snapshots();
-        let mut s = String::from("{");
-        push_u64(&mut s, "shards", snaps.len() as u64);
         let open = snaps.iter().filter(|b| b.state == BreakerState::Open);
-        push_u64(&mut s, "open", open.count() as u64);
-        for (i, snap) in snaps.iter().enumerate() {
-            push_str(&mut s, &format!("breaker{i}_state"), snap.state.name());
-            push_u64(
-                &mut s,
-                &format!("breaker{i}_consecutive_failures"),
-                u64::from(snap.consecutive_failures),
-            );
-            push_u64(&mut s, &format!("breaker{i}_opens"), snap.opens);
-            push_u64(&mut s, &format!("breaker{i}_probes"), snap.probes);
-            push_u64(&mut s, &format!("breaker{i}_closes"), snap.closes);
-        }
-        s.pop();
-        s.push('}');
-        s
+        jsonl::object(|o| {
+            o.int("shards", snaps.len());
+            o.int("open", open.count());
+            for (i, snap) in snaps.iter().enumerate() {
+                let key = |field: &str| format!("breaker{i}_{field}");
+                o.str(&key("state"), snap.state.name());
+                o.int(&key("consecutive_failures"), snap.consecutive_failures);
+                o.int(&key("opens"), snap.opens);
+                o.int(&key("probes"), snap.probes);
+                o.int(&key("closes"), snap.closes);
+            }
+        })
     }
 
     /// Pins shard `s`'s current snapshot (out-of-band inspection; with

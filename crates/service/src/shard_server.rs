@@ -13,14 +13,17 @@
 //! past the client's read deadline, corrupt a response frame so its CRC
 //! check fails).
 //!
-//! The listener reuses the telemetry endpoint's hardening: every
-//! connection is served on its own thread under read/write deadlines,
-//! request frames are bounded at [`crate::wire::MAX_SHARD_REQUEST`],
-//! and at most [`ShardServerConfig::max_connections`] connections are
-//! served at once — excess connections are dropped without a reply, so
-//! a router sees [`crate::fault::ShardFailure::Dropped`] and its
-//! breaker/degraded machinery takes over instead of queueing behind a
-//! wedged server.
+//! The listener is the accept loop the telemetry endpoint runs
+//! (`telemetry::AcceptLoop`): every connection is served on its own
+//! thread under read/write deadlines, request frames are bounded at
+//! [`crate::wire::MAX_SHARD_REQUEST`], and at most
+//! [`ShardServerConfig::max_connections`] connections are served at once
+//! — excess connections are dropped without a reply (the one place the
+//! two servers differ), so a router sees
+//! [`crate::fault::ShardFailure::Dropped`] and its breaker/degraded
+//! machinery takes over instead of queueing behind a wedged server. A
+//! connection's slot is released however its worker ends, and shutdown
+//! closes live connections instead of waiting out their deadlines.
 //!
 //! Request handling is validate-first: the `Hello` version gate answers
 //! [`RespError::VersionSkew`] on protocol skew, and a `Round1` for the
@@ -32,16 +35,15 @@
 
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use netclus::{ProviderScratch, TopsQuery};
 
 use crate::fault::{FaultAction, FaultPlan};
 use crate::framing::{frame_into, read_frame_into};
-use crate::lock_recover;
+use crate::jsonl;
 use crate::metrics::LatencyHistogram;
 use crate::provider_cache::{RoundOneCache, ShardProviderCache};
 use crate::shard_proto::{
@@ -49,7 +51,7 @@ use crate::shard_proto::{
 };
 use crate::shard_router::{resolve_round1, Round1Ctx};
 use crate::snapshot::SnapshotStore;
-use crate::telemetry::TelemetrySource;
+use crate::telemetry::{AcceptLoop, TelemetrySource};
 use crate::trace::LoadGauge;
 use crate::wire::{MAX_RESYNC_CHUNK, MAX_SHARD_REQUEST, MAX_WIRE_CANDIDATES};
 
@@ -104,7 +106,9 @@ struct ServerShared {
     /// in-process worker hook).
     fault_seq: AtomicU64,
     fault_plan: Option<FaultPlan>,
-    stopping: AtomicBool,
+    /// Set by a `Shutdown` RPC or [`ShardServer::shutdown`]; shared with
+    /// the accept loop.
+    stopping: Arc<AtomicBool>,
 }
 
 impl ServerShared {
@@ -113,102 +117,59 @@ impl ServerShared {
     fn metrics_json(&self) -> String {
         let snap = self.store.load();
         let gauge = self.gauge.snapshot();
-        let r1 = self.round1_latency.summary();
-        let build = self.provider_build.summary();
-        let (phits, pmiss) = self
-            .providers
-            .as_ref()
-            .map(|p| {
-                let s = p.stats();
-                (s.hits, s.misses)
-            })
-            .unwrap_or((0, 0));
-        let (rhits, rmiss) = self
-            .rounds
-            .as_ref()
-            .map(|r| {
-                let s = r.stats();
-                (s.hits, s.misses)
-            })
-            .unwrap_or((0, 0));
-        format!(
-            "{{\"shard\":{},\"epoch\":{},\"live_trajs\":{},\"traj_id_bound\":{},\
-             \"requests\":{},\"round1_served\":{},\"apply_batches\":{},\
-             \"bad_requests\":{},\"injected_faults\":{},\"resyncs_served\":{},\
-             \"round1_p50_us\":{},\"round1_p99_us\":{},\
-             \"provider_build_p99_us\":{},\
-             \"provider_hits\":{phits},\"provider_misses\":{pmiss},\
-             \"round_hits\":{rhits},\"round_misses\":{rmiss},\
-             \"qps_ewma\":{:.3},\"cache_heat\":{:.3},\"cold_fraction\":{:.3}}}",
-            self.shard,
-            snap.epoch(),
-            snap.trajs().len(),
-            snap.trajs().id_bound(),
-            self.requests.load(Ordering::Relaxed),
-            self.round1_served.load(Ordering::Relaxed),
-            self.apply_batches.load(Ordering::Relaxed),
-            self.bad_requests.load(Ordering::Relaxed),
-            self.injected_faults.load(Ordering::Relaxed),
-            self.resyncs_served.load(Ordering::Relaxed),
-            r1.p50_micros,
-            r1.p99_micros,
-            build.p99_micros,
-            gauge.qps_ewma,
-            gauge.cache_heat,
-            gauge.cold_fraction,
-        )
+        let (r1, build) = (self.round1_latency.summary(), self.provider_build.summary());
+        let providers = self.providers.as_ref().map(|p| p.stats());
+        let rounds = self.rounds.as_ref().map(|r| r.stats());
+        let (providers, rounds) = (providers.unwrap_or_default(), rounds.unwrap_or_default());
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        jsonl::object(|o| {
+            o.int("shard", self.shard);
+            o.int("epoch", snap.epoch());
+            o.int("live_trajs", snap.trajs().len());
+            o.int("traj_id_bound", snap.trajs().id_bound());
+            o.int("requests", count(&self.requests));
+            o.int("round1_served", count(&self.round1_served));
+            o.int("apply_batches", count(&self.apply_batches));
+            o.int("bad_requests", count(&self.bad_requests));
+            o.int("injected_faults", count(&self.injected_faults));
+            o.int("resyncs_served", count(&self.resyncs_served));
+            o.int("round1_p50_us", r1.p50_micros);
+            o.int("round1_p99_us", r1.p99_micros);
+            o.int("provider_build_p99_us", build.p99_micros);
+            o.int("provider_hits", providers.hits);
+            o.int("provider_misses", providers.misses);
+            o.int("round_hits", rounds.hits);
+            o.int("round_misses", rounds.misses);
+            o.num("qps_ewma", gauge.qps_ewma);
+            o.num("cache_heat", gauge.cache_heat);
+            o.num("cold_fraction", gauge.cold_fraction);
+        })
     }
 
     fn stages_json(&self) -> String {
         let r1 = self.round1_latency.summary();
         let build = self.provider_build.summary();
-        format!(
-            "{{\"stage_round1_p50_us\":{},\"stage_round1_p99_us\":{},\
-             \"stage_provider_build_p50_us\":{},\"stage_provider_build_p99_us\":{}}}",
-            r1.p50_micros, r1.p99_micros, build.p50_micros, build.p99_micros,
-        )
+        jsonl::object(|o| {
+            o.int("stage_round1_p50_us", r1.p50_micros);
+            o.int("stage_round1_p99_us", r1.p99_micros);
+            o.int("stage_provider_build_p50_us", build.p50_micros);
+            o.int("stage_provider_build_p99_us", build.p99_micros);
+        })
     }
 }
 
-/// A live connection worker: its join handle plus a clone of its socket
-/// so [`ShardServer::shutdown`] can unblock a read in progress instead
-/// of waiting out the io deadline.
-type ConnWorker = (JoinHandle<()>, Option<TcpStream>);
-
-/// Owned by each connection worker: releases the connection slot when
-/// the worker exits — normal return or panic — and shuts the socket
-/// down explicitly. The shutdown matters because the accept loop holds
-/// a duplicate of the socket (see [`ConnWorker`]); without it that
-/// duplicate keeps the TCP connection open after the worker is done,
-/// and a peer waiting on a reply sees its read deadline instead of the
-/// EOF it should.
-struct ConnGuard {
-    active: Arc<AtomicUsize>,
-    socket: Option<TcpStream>,
-}
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        if let Some(socket) = &self.socket {
-            let _ = socket.shutdown(std::net::Shutdown::Both);
-        }
-        self.active.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// A running shard server: one accept thread handing each connection to
-/// a short-lived worker thread, serving the framed shard protocol.
+/// A running shard server: the crate's accept loop handing each
+/// connection to a short-lived worker thread, serving the framed shard
+/// protocol.
 pub struct ShardServer {
-    addr: SocketAddr,
     shared: Arc<ServerShared>,
-    accept_thread: Option<JoinHandle<()>>,
-    workers: Arc<Mutex<Vec<ConnWorker>>>,
+    accept: AcceptLoop,
 }
 
 impl std::fmt::Debug for ShardServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardServer")
-            .field("addr", &self.addr)
+            .field("addr", &self.addr())
             .finish_non_exhaustive()
     }
 }
@@ -225,8 +186,7 @@ impl ShardServer {
         store: SnapshotStore,
         cfg: ShardServerConfig,
     ) -> io::Result<ShardServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
+        let stopping = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(ServerShared {
             shard,
             store,
@@ -245,69 +205,29 @@ impl ShardServer {
             resyncs_served: AtomicU64::new(0),
             fault_seq: AtomicU64::new(0),
             fault_plan: cfg.fault_plan,
-            stopping: AtomicBool::new(false),
+            stopping: Arc::clone(&stopping),
         });
-        let workers: Arc<Mutex<Vec<ConnWorker>>> = Arc::new(Mutex::new(Vec::new()));
-        let active = Arc::new(AtomicUsize::new(0));
-        let io_timeout = cfg.io_timeout;
-        let max_connections = cfg.max_connections.max(1);
-        let accept_thread = {
-            let shared = Arc::clone(&shared);
-            let workers = Arc::clone(&workers);
-            std::thread::Builder::new()
-                .name(format!("netclus-shardd-{shard}"))
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if shared.stopping.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        let mut guard = lock_recover(&workers);
-                        guard.retain(|(h, _)| !h.is_finished());
-                        if active.load(Ordering::Acquire) >= max_connections {
-                            // Shed by dropping: the router sees the close
-                            // as `Dropped` and falls back on its breaker.
-                            drop(stream);
-                            continue;
-                        }
-                        active.fetch_add(1, Ordering::AcqRel);
-                        let socket = stream.try_clone().ok();
-                        let conn_shared = Arc::clone(&shared);
-                        let conn_guard = ConnGuard {
-                            active: Arc::clone(&active),
-                            socket: stream.try_clone().ok(),
-                        };
-                        let spawned = std::thread::Builder::new()
-                            .name(format!("netclus-shardd-{shard}-conn"))
-                            .spawn(move || {
-                                // Releases the slot and shuts the socket
-                                // down on every exit, panic included.
-                                let _guard = conn_guard;
-                                // A misbehaving client (or an injected
-                                // fault) only ever costs its own
-                                // connection.
-                                let _ = serve_connection(stream, &conn_shared, io_timeout);
-                            });
-                        // On spawn failure the closure is dropped unrun,
-                        // and dropping its captured guard already
-                        // releases the connection slot.
-                        if let Ok(handle) = spawned {
-                            guard.push((handle, socket));
-                        }
-                    }
-                })?
-        };
-        Ok(ShardServer {
-            addr,
-            shared,
-            accept_thread: Some(accept_thread),
-            workers,
-        })
+        let conn_shared = Arc::clone(&shared);
+        let accept = AcceptLoop::start(
+            TcpListener::bind(addr)?,
+            &format!("netclus-shardd-{shard}"),
+            cfg.max_connections.max(1),
+            stopping,
+            // Shed by dropping: the router sees the close as `Dropped` and
+            // falls back on its breaker.
+            drop,
+            move |stream| {
+                // A misbehaving client (or an injected fault) only ever
+                // costs its own connection.
+                let _ = serve_connection(stream, &conn_shared, cfg.io_timeout);
+            },
+        )?;
+        Ok(ShardServer { shared, accept })
     }
 
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.accept.addr()
     }
 
     /// The shard id served.
@@ -347,33 +267,12 @@ impl ShardServer {
         self.shared.stopping.load(Ordering::Acquire)
     }
 
-    /// Stops the accept loop and joins all connection threads. Prompt:
-    /// live connection sockets are shut down so a worker blocked in a
-    /// read returns immediately instead of waiting out the io deadline.
-    /// Idempotent.
+    /// Stops the accept loop and joins all connection threads, also after
+    /// a `Shutdown` RPC. Prompt: live connection sockets are shut down so
+    /// a worker blocked in a read returns immediately instead of waiting
+    /// out the io deadline. Idempotent; dropping the server does the same.
     pub fn shutdown(&mut self) {
-        if self.shared.stopping.swap(true, Ordering::AcqRel) {
-            // Another path (a `Shutdown` RPC) already initiated the stop;
-            // still join below so shutdown() is a barrier either way.
-        }
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        let workers = std::mem::take(&mut *lock_recover(&self.workers));
-        for (handle, socket) in workers {
-            if let Some(socket) = socket {
-                let _ = socket.shutdown(std::net::Shutdown::Both);
-            }
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for ShardServer {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.accept.shutdown();
     }
 }
 
@@ -976,6 +875,50 @@ mod tests {
             .unwrap()
             .contains("no circuit breakers"));
         srv.shutdown();
+    }
+
+    #[test]
+    fn a_connection_past_the_cap_is_closed_without_a_reply() {
+        let srv = server(ShardServerConfig {
+            max_connections: 1,
+            ..Default::default()
+        });
+        let connect = || {
+            let stream = TcpStream::connect(srv.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            (
+                BufWriter::new(stream.try_clone().unwrap()),
+                BufReader::new(stream),
+            )
+        };
+        let heartbeat = |(writer, reader): &mut (BufWriter<TcpStream>, BufReader<TcpStream>)| {
+            write_frame(writer, &Request::Heartbeat.encode())?;
+            writer.flush()?;
+            read_frame(reader, crate::wire::MAX_SHARD_RESPONSE)
+        };
+        // Accepts are in order: the held connection takes the one slot
+        // before the second one is seen.
+        let mut held = connect();
+        let mut second = connect();
+        let started = std::time::Instant::now();
+        let shed = heartbeat(&mut second);
+        assert!(
+            !matches!(shed, Ok(Some(_))),
+            "the excess connection was served"
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "the excess connection was left open, not closed"
+        );
+        let frame = heartbeat(&mut held)
+            .unwrap()
+            .expect("the held connection is served");
+        assert!(matches!(
+            Response::decode(&frame).unwrap(),
+            Response::HeartbeatAck { .. }
+        ));
     }
 
     #[test]

@@ -33,18 +33,24 @@
 //! most [`MAX_TELEMETRY_CONNECTIONS`] connections are served at once
 //! (excess connections get a framed error and are dropped). A stalled
 //! client therefore occupies one slot for at most the read deadline and
-//! never wedges the accept loop.
+//! never wedges the accept loop, and a slot is released however its
+//! connection ends, a panicking render included. Shutdown closes live
+//! connections instead of waiting out their deadlines. The shard server
+//! runs the same accept loop (`AcceptLoop`), with its own shed action.
+
+#![deny(clippy::too_many_lines)]
 
 use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use crate::flight::FlightRecorder;
 use crate::framing::{read_frame, write_frame};
 use crate::health::HealthEvaluator;
+use crate::{jsonl, lock_recover};
 
 /// Upper bound on a telemetry response frame (defined with every other
 /// wire limit in [`crate::wire`]).
@@ -113,147 +119,75 @@ impl TelemetrySource {
 
     fn render(&self, command: &str) -> String {
         let mut words = command.split_whitespace();
-        match words.next() {
-            Some("metrics") => (self.metrics)(),
-            Some("stages") => (self.stages)(),
-            Some("slow") => (self.slow)(),
-            Some("history") => match (&self.flight, words.next()) {
-                (None, _) => no_recorder(),
-                (Some(_), None) => {
-                    "{\"error\":\"usage: history <series> [window_secs]\"}".to_string()
-                }
-                (Some((recorder, _)), Some(series)) => {
+        match (words.next(), &self.flight) {
+            (Some("metrics"), _) => (self.metrics)(),
+            (Some("stages"), _) => (self.stages)(),
+            (Some("slow"), _) => (self.slow)(),
+            (Some("history" | "rates" | "health"), None) => jsonl::error("no flight recorder"),
+            (Some("history"), Some((recorder, _))) => match words.next() {
+                None => jsonl::error("usage: history <series> [window_secs]"),
+                Some(series) => {
                     let window = words.next().and_then(|w| w.parse::<f64>().ok());
                     recorder.history_json(series, window)
                 }
             },
-            Some("rates") => match &self.flight {
-                None => no_recorder(),
-                Some((recorder, _)) => recorder.rates_json(),
-            },
-            Some("health") => match &self.flight {
-                None => no_recorder(),
-                Some((recorder, health)) => health.evaluate(recorder).to_json_line(),
-            },
-            Some("breakers") => match &self.breakers {
-                None => "{\"error\":\"no circuit breakers\"}".to_string(),
+            (Some("rates"), Some((recorder, _))) => recorder.rates_json(),
+            (Some("health"), Some((recorder, health))) => health.evaluate(recorder).to_json_line(),
+            (Some("breakers"), _) => match &self.breakers {
+                None => jsonl::error("no circuit breakers"),
                 Some(render) => render(),
             },
-            _ => "{\"error\":\"unknown command\"}".to_string(),
+            _ => jsonl::error("unknown command"),
         }
     }
 }
 
-fn no_recorder() -> String {
-    "{\"error\":\"no flight recorder\"}".to_string()
-}
-
-/// A running telemetry endpoint: an accept thread handing each
-/// connection to a short-lived worker thread, bounded by
-/// [`MAX_TELEMETRY_CONNECTIONS`].
+/// A running telemetry endpoint: the crate's accept loop bounded by
+/// [`MAX_TELEMETRY_CONNECTIONS`], serving the commands above.
 #[derive(Debug)]
 pub struct TelemetryServer {
-    addr: SocketAddr,
-    stopping: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    accept: AcceptLoop,
 }
 
 impl TelemetryServer {
     /// Binds `addr` (use port 0 for an OS-assigned port) and starts
     /// serving `source`.
     pub fn start(addr: &str, source: TelemetrySource) -> io::Result<TelemetryServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stopping = Arc::new(AtomicBool::new(false));
-        let workers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let source = Arc::new(source);
-        let active = Arc::new(AtomicUsize::new(0));
-        let accept_thread = {
-            let stopping = Arc::clone(&stopping);
-            let workers = Arc::clone(&workers);
-            std::thread::Builder::new()
-                .name("netclus-telemetry".into())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if stopping.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        // Reap finished workers so the handle list stays
-                        // proportional to live connections.
-                        let mut guard = workers.lock().expect("telemetry workers poisoned");
-                        guard.retain(|h| !h.is_finished());
-                        if active.load(Ordering::Acquire) >= MAX_TELEMETRY_CONNECTIONS {
-                            // Shed: tell the client why, then drop. Errors
-                            // here are the client's problem, not ours.
-                            let _ = shed_connection(stream);
-                            continue;
-                        }
-                        active.fetch_add(1, Ordering::AcqRel);
-                        let source = Arc::clone(&source);
-                        let conn_active = Arc::clone(&active);
-                        let spawned = std::thread::Builder::new()
-                            .name("netclus-telemetry-conn".into())
-                            .spawn(move || {
-                                // A misbehaving client must not wedge the
-                                // endpoint: errors just drop the connection.
-                                let _ = serve_connection(stream, &source);
-                                conn_active.fetch_sub(1, Ordering::AcqRel);
-                            });
-                        match spawned {
-                            Ok(handle) => guard.push(handle),
-                            Err(_) => {
-                                active.fetch_sub(1, Ordering::AcqRel);
-                            }
-                        }
-                    }
-                })?
-        };
-        Ok(TelemetryServer {
-            addr,
-            stopping,
-            accept_thread: Some(accept_thread),
-            workers,
-        })
+        let accept = AcceptLoop::start(
+            TcpListener::bind(addr)?,
+            "netclus-telemetry",
+            MAX_TELEMETRY_CONNECTIONS,
+            Arc::default(),
+            shed_connection,
+            move |stream| {
+                // A misbehaving client must not wedge the endpoint: errors
+                // just drop the connection.
+                let _ = serve_connection(stream, &source);
+            },
+        )?;
+        Ok(TelemetryServer { accept })
     }
 
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.accept.addr()
     }
 
     /// Stops the accept loop and joins the server and all connection
-    /// threads. Idempotent. In-flight connections finish within their
-    /// read deadline.
+    /// threads. Idempotent. Live connections are closed, not waited out.
     pub fn shutdown(&mut self) {
-        if self.stopping.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        let workers =
-            std::mem::take(&mut *self.workers.lock().expect("telemetry workers poisoned"));
-        for handle in workers {
-            let _ = handle.join();
-        }
+        self.accept.shutdown();
     }
 }
 
-impl Drop for TelemetryServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn shed_connection(stream: TcpStream) -> io::Result<()> {
-    stream.set_write_timeout(Some(Duration::from_secs(1)))?;
+/// Sheds a connection past the cap: tells the client why, then drops it.
+/// Errors here are the client's problem, not ours.
+fn shed_connection(stream: TcpStream) {
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
+    // One write: the socket is closed right after.
     let mut writer = BufWriter::new(stream);
-    write_frame(&mut writer, b"{\"error\":\"too many connections\"}")?;
-    writer.flush()
+    let reply = jsonl::error("too many connections");
+    let _ = write_frame(&mut writer, reply.as_bytes()).and_then(|()| writer.flush());
 }
 
 fn serve_connection(stream: TcpStream, source: &TelemetrySource) -> io::Result<()> {
@@ -269,6 +203,133 @@ fn serve_connection(stream: TcpStream, source: &TelemetrySource) -> io::Result<(
         writer.flush()?;
     }
     Ok(())
+}
+
+/// The accept loop under both TCP servers of the crate, this endpoint and
+/// the shard server: each connection is served on its own thread, at most
+/// `max_connections` at once, and a connection past the cap is handed to
+/// the server's shed action. A connection holds its slot exactly as long
+/// as its thread runs, so a worker that panics frees it too.
+/// [`AcceptLoop::shutdown`] (also run on drop) closes every live
+/// connection's socket before joining its thread, so it never waits out a
+/// client's read deadline.
+#[derive(Debug)]
+pub(crate) struct AcceptLoop {
+    addr: SocketAddr,
+    stopping: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
+    workers: Arc<Mutex<Vec<ConnWorker>>>,
+}
+
+/// A live connection worker: its join handle plus a clone of its socket
+/// so [`AcceptLoop::shutdown`] can unblock a read in progress instead of
+/// waiting out the io deadline.
+type ConnWorker = (JoinHandle<()>, Option<TcpStream>);
+
+/// Owned by each connection worker: shuts the socket down when the
+/// worker exits — normal return or panic. That matters because the accept
+/// loop holds a duplicate of the socket (see [`ConnWorker`]); without the
+/// shutdown that duplicate keeps the TCP connection open after the worker
+/// is done, and a peer waiting on a reply sees its read deadline instead
+/// of the EOF it should.
+struct ConnGuard(Option<TcpStream>);
+
+impl Drop for ConnGuard {
+    fn drop(&mut self) {
+        if let Some(socket) = &self.0 {
+            let _ = socket.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+impl AcceptLoop {
+    /// Serves `listener` on a thread named `name` (its connection threads
+    /// get `name-conn`) until `stopping` is set and the next connection
+    /// arrives; [`AcceptLoop::shutdown`] makes both happen.
+    ///
+    /// # Errors
+    /// The accept-thread spawn error.
+    pub(crate) fn start(
+        listener: TcpListener,
+        name: &str,
+        max_connections: usize,
+        stopping: Arc<AtomicBool>,
+        shed: fn(TcpStream),
+        serve: impl Fn(TcpStream) + Send + Sync + 'static,
+    ) -> io::Result<AcceptLoop> {
+        let addr = listener.local_addr()?;
+        let workers: Arc<Mutex<Vec<ConnWorker>>> = Arc::default();
+        let serve = Arc::new(serve);
+        let conn_name = format!("{name}-conn");
+        let (loop_stopping, loop_workers) = (Arc::clone(&stopping), Arc::clone(&workers));
+        let accept = thread::Builder::new()
+            .name(name.to_string())
+            .spawn(move || {
+                for stream in listener.incoming() {
+                    if loop_stopping.load(Ordering::Acquire) {
+                        break;
+                    }
+                    let Ok(stream) = stream else { continue };
+                    // Reap finished workers: what is left is the live
+                    // connections, the count the cap applies to.
+                    let mut live = lock_recover(&loop_workers);
+                    live.retain(|(h, _)| !h.is_finished());
+                    if live.len() >= max_connections {
+                        shed(stream);
+                        continue;
+                    }
+                    let socket = stream.try_clone().ok();
+                    let guard = ConnGuard(stream.try_clone().ok());
+                    let serve = Arc::clone(&serve);
+                    let work = move || {
+                        // Shuts the socket down on every exit, panic included.
+                        let _guard = guard;
+                        serve(stream);
+                    };
+                    let spawned = thread::Builder::new().name(conn_name.clone()).spawn(work);
+                    // On spawn failure the closure is dropped unrun: the
+                    // connection is closed and holds no slot.
+                    if let Ok(handle) = spawned {
+                        live.push((handle, socket));
+                    }
+                }
+            })?;
+        Ok(AcceptLoop {
+            addr,
+            stopping,
+            thread: Some(accept),
+            workers,
+        })
+    }
+
+    /// The bound address.
+    pub(crate) fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stops the accept loop and joins it, then shuts every live
+    /// connection's socket down and joins its worker. Idempotent.
+    pub(crate) fn shutdown(&mut self) {
+        self.stopping.store(true, Ordering::Release);
+        if let Some(thread) = self.thread.take() {
+            // Wake the blocking accept with a throwaway connection.
+            let _ = TcpStream::connect(self.addr);
+            let _ = thread.join();
+        }
+        let workers = std::mem::take(&mut *lock_recover(&self.workers));
+        for (handle, socket) in workers {
+            if let Some(socket) = socket {
+                let _ = socket.shutdown(Shutdown::Both);
+            }
+            let _ = handle.join();
+        }
+    }
+}
+
+impl Drop for AcceptLoop {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
 }
 
 /// One-shot client: connects to `addr`, sends `command` as a frame, and
@@ -292,6 +353,14 @@ mod tests {
     use super::*;
     use crate::flight::FlightConfig;
     use crate::health::{Severity, SloRule};
+
+    /// The validator `tests/json_pin.rs` runs every emitted line through.
+    mod json {
+        include!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/support/json.rs"
+        ));
+    }
 
     fn test_source() -> TelemetrySource {
         TelemetrySource::new(
@@ -384,6 +453,49 @@ mod tests {
         assert!(fetch(addr, "history nope")
             .unwrap()
             .contains("unknown series"));
+        // A window off the socket that is not finite is still JSON.
+        for window in ["inf", "-inf", "NaN"] {
+            let reply = fetch(addr, &format!("history visibility_lag_us {window}")).unwrap();
+            assert_eq!(json::validate(&reply), Ok(()), "{reply}");
+            assert!(reply.contains("\"window_secs\":null"), "{reply}");
+        }
+    }
+
+    #[test]
+    fn shutdown_closes_live_connections_instead_of_waiting_them_out() {
+        let mut server = TelemetryServer::start("127.0.0.1:0", test_source()).unwrap();
+        let idle = TcpStream::connect(server.addr()).unwrap();
+        // Accepts are in order: once this fetch is answered, the idle
+        // connection has its own worker blocked in a read.
+        assert_eq!(
+            fetch(server.addr(), "metrics").unwrap(),
+            "{\"completed\":7}"
+        );
+        let started = std::time::Instant::now();
+        server.shutdown();
+        assert!(
+            started.elapsed() < Duration::from_millis(2_500),
+            "shutdown waited {:?} for an idle client",
+            started.elapsed()
+        );
+        drop(idle);
+    }
+
+    #[test]
+    fn a_panicking_render_does_not_keep_its_connection_slot() {
+        let source = TelemetrySource::new(
+            || panic!("metrics render failed"),
+            || "{\"stage_round1_p50_us\":42}".to_string(),
+            String::new,
+        );
+        let server = TelemetryServer::start("127.0.0.1:0", source).unwrap();
+        for _ in 0..=MAX_TELEMETRY_CONNECTIONS {
+            assert!(fetch(server.addr(), "metrics").is_err());
+        }
+        assert_eq!(
+            fetch(server.addr(), "stages").unwrap(),
+            "{\"stage_round1_p50_us\":42}"
+        );
     }
 
     #[test]

@@ -28,6 +28,8 @@
 //!
 //! [`ShardLaneReport`]: crate::metrics::ShardLaneReport
 
+#![deny(clippy::too_many_lines)]
+
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -35,6 +37,7 @@ use std::time::{Duration, Instant};
 
 use netclus::PreferenceFunction;
 
+use crate::jsonl;
 use crate::metrics::{LatencyHistogram, LatencySummary};
 
 /// Named stages of the query and ingest pipelines.
@@ -142,20 +145,18 @@ impl StageStats {
     /// Single-line JSON: `stage_<name>_{count,mean_us,p50_us,p99_us}` for
     /// every stage (zero-count stages included, so the key set is stable).
     pub fn to_json_line(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push('{');
+        jsonl::object(|o| self.write_json(o))
+    }
+
+    fn write_json(&self, o: &mut jsonl::Obj) {
         for stage in Stage::ALL {
             let sum = self.summary(stage);
-            let name = stage.name();
-            s.push_str(&format!(
-                "\"stage_{name}_count\":{},\"stage_{name}_mean_us\":{},\
-                 \"stage_{name}_p50_us\":{},\"stage_{name}_p99_us\":{},",
-                sum.count, sum.mean_micros, sum.p50_micros, sum.p99_micros
-            ));
+            let key = |field: &str| format!("stage_{}_{field}", stage.name());
+            o.int(&key("count"), sum.count);
+            o.int(&key("mean_us"), sum.mean_micros);
+            o.int(&key("p50_us"), sum.p50_micros);
+            o.int(&key("p99_us"), sum.p99_micros);
         }
-        s.pop();
-        s.push('}');
-        s
     }
 }
 
@@ -385,41 +386,34 @@ impl SlowQueryRecord {
 
     /// Serializes the record as one line of JSON.
     pub fn to_json_line(&self) -> String {
-        let mut s = String::with_capacity(256 + self.spans.len() * 96);
-        s.push_str(&format!(
-            "{{\"seq\":{},\"epoch\":{},\"k\":{},\"tau\":{:.3},\"psi\":\"{}\",\"instance\":{},\
-             \"hot\":{},\"total_us\":{},\"trigger\":\"{}\",\"attributed_us\":{},\"spans\":[",
-            self.seq,
-            self.meta.epoch,
-            self.meta.k,
-            self.meta.tau,
-            self.meta.psi,
-            self.meta.instance,
-            self.meta.hot,
-            self.total_us,
-            match self.trigger {
+        jsonl::object(|o| {
+            o.int("seq", self.seq);
+            o.int("epoch", self.meta.epoch);
+            o.int("k", self.meta.k);
+            o.num("tau", self.meta.tau);
+            o.str("psi", self.meta.psi);
+            o.int("instance", self.meta.instance);
+            o.bool("hot", self.meta.hot);
+            o.int("total_us", self.total_us);
+            let trigger = match self.trigger {
                 SampleTrigger::Slow => "slow",
                 SampleTrigger::Sampled => "sample",
-            },
-            self.attributed_us(),
-        ));
-        for (i, span) in self.spans.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"stage\":\"{}\",\"shard\":{},\"child\":{},\"detail\":\"{}\",\
-                 \"start_us\":{},\"dur_us\":{}}}",
-                span.stage.name(),
-                span.shard,
-                span.child,
-                span.detail,
-                span.start_us,
-                span.dur_us
-            ));
-        }
-        s.push_str("]}");
-        s
+            };
+            o.str("trigger", trigger);
+            o.int("attributed_us", self.attributed_us());
+            o.array("spans", |a| {
+                for span in &self.spans {
+                    a.object(|o| {
+                        o.str("stage", span.stage.name());
+                        o.int("shard", span.shard);
+                        o.bool("child", span.child);
+                        o.str("detail", span.detail);
+                        o.int("start_us", span.start_us);
+                        o.int("dur_us", span.dur_us);
+                    });
+                }
+            });
+        })
     }
 }
 
@@ -595,15 +589,14 @@ impl Tracer {
     /// Single-line JSON of the per-stage breakdown plus the retention
     /// counters (`traces`, `slow_retained`, `sample_retained`, `evicted`).
     pub fn stats_json_line(&self) -> String {
-        let mut s = self.stages.to_json_line();
-        s.pop(); // strip '}' to append the retention tail
         let (slow, sampled, evicted) = self.retention();
-        s.push_str(&format!(
-            ",\"traces\":{},\"slow_retained\":{slow},\"sample_retained\":{sampled},\
-             \"evicted\":{evicted}}}",
-            self.traces()
-        ));
-        s
+        jsonl::object(|o| {
+            self.stages.write_json(o);
+            o.int("traces", self.traces());
+            o.int("slow_retained", slow);
+            o.int("sample_retained", sampled);
+            o.int("evicted", evicted);
+        })
     }
 }
 
