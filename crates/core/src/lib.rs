@@ -41,6 +41,7 @@
 //! | Memory accounting (Tables 9, 12) | [`memory`] |
 //! | Flat CSR coverage arenas (query hot path layout) | [`arena`] |
 //! | Sharded indexes + two-round distributed greedy | [`shard`] |
+//! | Little-endian field codec under every byte format (RPCs, WAL, GPS records) | [`codec`] |
 //!
 //! ## Serving architecture
 //!
@@ -111,6 +112,7 @@
 pub mod arena;
 pub mod capacity;
 pub mod cluster;
+pub mod codec;
 pub mod cost;
 pub mod coverage;
 pub mod detour;

@@ -68,6 +68,8 @@ use netclus_roadnet::{NodeId, RegionPartition, RoadNetwork};
 use netclus_trajectory::{Trajectory, TrajectorySet};
 
 use crate::arena::{PairArena, PairArenaBuilder, PairSlice};
+use crate::codec::{put_f64, put_u32, put_u64};
+pub use crate::codec::{ShardCodecError, WireReader};
 use crate::coverage::CoverageProvider;
 use crate::greedy::inc_greedy;
 use crate::index::{NetClusConfig, NetClusIndex, NetworkClustering};
@@ -602,12 +604,12 @@ impl ShardRoundOne {
                 + pairs * PAIR_BYTES
                 + ROUND_TAIL_BYTES,
         );
-        put_u32w(buf, self.candidates.len() as u32);
+        put_u32(buf, self.candidates.len() as u32);
         for c in &self.candidates {
-            put_u32w(buf, c.node.0);
-            put_u32w(buf, c.cluster);
-            put_u64w(buf, c.gain.to_bits());
-            put_u32w(buf, c.row.len() as u32);
+            put_u32(buf, c.node.0);
+            put_u32(buf, c.cluster);
+            put_f64(buf, c.gain);
+            put_u32(buf, c.row.len() as u32);
             let ids = c.row.ids();
             let at = buf.len();
             buf.resize(at + 4 * ids.len(), 0);
@@ -621,13 +623,13 @@ impl ShardRoundOne {
                 dst.copy_from_slice(&d.to_bits().to_le_bytes());
             }
         }
-        put_u64w(buf, self.k as u64);
-        put_u64w(buf, self.instance as u64);
-        put_u64w(buf, self.representatives as u64);
-        put_u64w(buf, self.local_utility.to_bits());
-        put_u64w(buf, self.elapsed.as_nanos() as u64);
-        put_u64w(buf, self.solve_us);
-        put_u32w(buf, self.shard_hint);
+        put_u64(buf, self.k as u64);
+        put_u64(buf, self.instance as u64);
+        put_u64(buf, self.representatives as u64);
+        put_f64(buf, self.local_utility);
+        put_u64(buf, self.elapsed.as_nanos() as u64);
+        put_u64(buf, self.solve_us);
+        put_u32(buf, self.shard_hint);
     }
 
     /// Decodes a round previously written by [`Self::encode_into`],
@@ -641,23 +643,17 @@ impl ShardRoundOne {
         r: &mut WireReader<'_>,
         max_candidates: usize,
     ) -> Result<ShardRoundOne, ShardCodecError> {
-        let n = r.u32()? as usize;
+        let n = r.count(CANDIDATE_HEAD_BYTES, "candidate count exceeds payload")?;
         if n > max_candidates {
             return Err(ShardCodecError("candidate count exceeds wire cap"));
-        }
-        if n > r.remaining() / CANDIDATE_HEAD_BYTES {
-            return Err(ShardCodecError("candidate count exceeds payload"));
         }
         // What is left bounds the pairs of the whole round from above.
         let mut b = RoundBuilder::with_capacity(n, r.remaining() / PAIR_BYTES);
         for _ in 0..n {
             let node = NodeId(r.u32()?);
             let cluster = r.u32()?;
-            let gain = f64::from_bits(r.u64()?);
-            let len = r.u32()? as usize;
-            if len > r.remaining() / PAIR_BYTES {
-                return Err(ShardCodecError("coverage row longer than payload"));
-            }
+            let gain = r.f64()?;
+            let len = r.count(PAIR_BYTES, "coverage row longer than payload")?;
             b.open(node, cluster, gain);
             let ids = r.bytes(4 * len)?.chunks_exact(4);
             b.ids
@@ -674,7 +670,7 @@ impl ShardRoundOne {
             k: r.u64()? as usize,
             instance: r.u64()? as usize,
             representatives: r.u64()? as usize,
-            local_utility: f64::from_bits(r.u64()?),
+            local_utility: r.f64()?,
             elapsed: Duration::from_nanos(r.u64()?),
             solve_us: r.u64()?,
             shard_hint: r.u32()?,
@@ -689,79 +685,6 @@ const CANDIDATE_HEAD_BYTES: usize = 4 + 4 + 8 + 4;
 const PAIR_BYTES: usize = 4 + 8;
 /// Encoded bytes of a round's scalar fields, after its candidates.
 const ROUND_TAIL_BYTES: usize = 6 * 8 + 4;
-
-/// Typed decode failure of the candidate-row wire codec: the payload was
-/// truncated or carried an impossible length prefix. CRC framing catches
-/// random corruption before decode; this layer guarantees that whatever
-/// still reaches it fails closed instead of panicking or over-allocating.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardCodecError(pub &'static str);
-
-impl std::fmt::Display for ShardCodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "shard wire decode: {}", self.0)
-    }
-}
-
-impl std::error::Error for ShardCodecError {}
-
-/// Bounds-checked little-endian cursor over a received payload. All reads
-/// return [`ShardCodecError`] past the end — decoding never indexes out of
-/// bounds and never panics.
-#[derive(Debug)]
-pub struct WireReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> WireReader<'a> {
-    /// A reader over the whole payload.
-    pub fn new(buf: &'a [u8]) -> Self {
-        WireReader { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ShardCodecError> {
-        if self.remaining() < n {
-            return Err(ShardCodecError("truncated payload"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, ShardCodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, ShardCodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, ShardCodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], ShardCodecError> {
-        self.take(n)
-    }
-}
-
-fn put_u32w(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64w(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
 
 /// Per-shard reporting row of a [`ShardedAnswer`].
 #[derive(Clone, Copy, Debug)]
@@ -1399,26 +1322,26 @@ mod tests {
     /// twin the bulk writer answers to.
     fn encode_pair_by_pair(round: &ShardRoundOne) -> Vec<u8> {
         let mut buf = Vec::new();
-        put_u32w(&mut buf, round.candidates.len() as u32);
+        put_u32(&mut buf, round.candidates.len() as u32);
         for c in &round.candidates {
-            put_u32w(&mut buf, c.node.0);
-            put_u32w(&mut buf, c.cluster);
-            put_u64w(&mut buf, c.gain.to_bits());
-            put_u32w(&mut buf, c.row.len() as u32);
+            put_u32(&mut buf, c.node.0);
+            put_u32(&mut buf, c.cluster);
+            put_u64(&mut buf, c.gain.to_bits());
+            put_u32(&mut buf, c.row.len() as u32);
             for &id in c.row.ids() {
-                put_u32w(&mut buf, id);
+                put_u32(&mut buf, id);
             }
             for &d in c.row.dists() {
-                put_u64w(&mut buf, d.to_bits());
+                put_u64(&mut buf, d.to_bits());
             }
         }
-        put_u64w(&mut buf, round.k as u64);
-        put_u64w(&mut buf, round.instance as u64);
-        put_u64w(&mut buf, round.representatives as u64);
-        put_u64w(&mut buf, round.local_utility.to_bits());
-        put_u64w(&mut buf, round.elapsed.as_nanos() as u64);
-        put_u64w(&mut buf, round.solve_us);
-        put_u32w(&mut buf, round.shard_hint);
+        put_u64(&mut buf, round.k as u64);
+        put_u64(&mut buf, round.instance as u64);
+        put_u64(&mut buf, round.representatives as u64);
+        put_u64(&mut buf, round.local_utility.to_bits());
+        put_u64(&mut buf, round.elapsed.as_nanos() as u64);
+        put_u64(&mut buf, round.solve_us);
+        put_u32(&mut buf, round.shard_hint);
         buf
     }
 

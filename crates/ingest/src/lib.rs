@@ -84,8 +84,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod codec;
-
 pub mod lifecycle;
 pub mod pipeline;
 pub mod queue;

@@ -11,6 +11,8 @@
 //! ```
 //!
 //! Everything is little-endian; `crc` is CRC-32 (IEEE) over the payload.
+//! The header is written and read by `netclus_service::framing`, the
+//! frame reader under every format, and the fields by `netclus::codec`.
 //! `seq` is a **per-source sequence number**: sources number their records
 //! monotonically so the pipeline can drop duplicates on at-least-once
 //! transports (see [`crate::pipeline`]).
@@ -23,11 +25,10 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
+use netclus::codec::{put_f64, put_u32, put_u64, ShardCodecError, WireReader};
 use netclus_roadnet::Point;
+use netclus_service::framing::{frame_into, read_frame_into, FrameError, HEADER_BYTES};
 use netclus_trajectory::{GpsPoint, GpsTrace};
-
-use crate::codec::{put_f64, put_u32, put_u64, Cursor};
-use crate::crc32;
 
 /// Upper bound on one frame's payload (1 MiB ≈ 43k fixes) — a corrupt
 /// length prefix must not trigger a giant allocation. Defined with every
@@ -85,29 +86,39 @@ impl fmt::Display for RecordError {
 
 impl std::error::Error for RecordError {}
 
-impl StreamRecord {
-    /// Encodes the payload (no frame header).
-    pub fn encode_payload(&self) -> Vec<u8> {
-        let fixes = self.trace.points();
-        let mut buf = Vec::with_capacity(16 + fixes.len() * 24);
-        put_u32(&mut buf, self.source);
-        put_u64(&mut buf, self.seq);
-        put_u32(&mut buf, fixes.len() as u32);
-        for p in fixes {
-            put_f64(&mut buf, p.pos.x);
-            put_f64(&mut buf, p.pos.y);
-            put_f64(&mut buf, p.t);
+impl From<FrameError> for RecordError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Io(e) => RecordError::Io(e.to_string()),
+            FrameError::Truncated => RecordError::Truncated,
+            FrameError::TooLarge(len) => RecordError::TooLarge(len),
+            FrameError::BadCrc { stored, computed } => RecordError::BadCrc { stored, computed },
         }
-        buf
     }
+}
 
+impl From<ShardCodecError> for RecordError {
+    fn from(e: ShardCodecError) -> Self {
+        RecordError::Malformed(e.0)
+    }
+}
+
+impl StreamRecord {
     /// Encodes the full frame: `len | crc | payload`.
     pub fn encode_frame(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        put_u32(&mut frame, payload.len() as u32);
-        put_u32(&mut frame, crc32(&payload));
-        frame.extend_from_slice(&payload);
+        let fixes = self.trace.points();
+        let mut frame = Vec::with_capacity(HEADER_BYTES + 16 + fixes.len() * 24);
+        frame_into(&mut frame, |buf| {
+            put_u32(buf, self.source);
+            put_u64(buf, self.seq);
+            put_u32(buf, fixes.len() as u32);
+            for p in fixes {
+                put_f64(buf, p.pos.x);
+                put_f64(buf, p.pos.y);
+                put_f64(buf, p.t);
+            }
+        })
+        .expect("a record payload fits a frame");
         frame
     }
 
@@ -119,20 +130,18 @@ impl StreamRecord {
     /// Decodes a payload (the bytes after the frame header), validating
     /// structure, coordinate finiteness and timestamp monotonicity.
     pub fn decode_payload(payload: &[u8]) -> Result<StreamRecord, RecordError> {
-        let mut c = Cursor::new(payload);
-        let source = c.u32().ok_or(RecordError::Malformed("missing source"))?;
-        let seq = c.u64().ok_or(RecordError::Malformed("missing seq"))?;
-        let n = c.u32().ok_or(RecordError::Malformed("missing fix count"))? as usize;
+        let mut r = WireReader::new(payload);
+        let source = r.u32()?;
+        let seq = r.u64()?;
+        let n = r.u32()? as usize;
         // 24 bytes per fix must fit the remaining payload exactly.
-        if payload.len() != 16 + n * 24 {
+        if n.checked_mul(24) != Some(r.remaining()) {
             return Err(RecordError::Malformed("fix count disagrees with length"));
         }
         let mut fixes = Vec::with_capacity(n);
         let mut last_t = f64::NEG_INFINITY;
         for _ in 0..n {
-            let x = c.f64().ok_or(RecordError::Malformed("short fix"))?;
-            let y = c.f64().ok_or(RecordError::Malformed("short fix"))?;
-            let t = c.f64().ok_or(RecordError::Malformed("short fix"))?;
+            let (x, y, t) = (r.f64()?, r.f64()?, r.f64()?);
             if !x.is_finite() || !y.is_finite() || !t.is_finite() {
                 return Err(RecordError::Malformed("non-finite coordinate or time"));
             }
@@ -142,7 +151,6 @@ impl StreamRecord {
             last_t = t;
             fixes.push(GpsPoint::new(Point::new(x, y), t));
         }
-        debug_assert!(c.exhausted());
         Ok(StreamRecord {
             source,
             seq,
@@ -160,6 +168,8 @@ impl StreamRecord {
 /// prefix was valid) and continues with the next frame.
 pub struct RecordReader<R: Read> {
     reader: R,
+    /// The frame being decoded, reused across frames.
+    payload: Vec<u8>,
     done: bool,
 }
 
@@ -168,79 +178,10 @@ impl<R: Read> RecordReader<R> {
     pub fn new(reader: R) -> Self {
         RecordReader {
             reader,
+            payload: Vec::new(),
             done: false,
         }
     }
-
-    fn read_frame(&mut self) -> Option<Result<StreamRecord, RecordError>> {
-        let mut header = [0u8; 8];
-        match read_exact_or_eof(&mut self.reader, &mut header) {
-            Ok(ReadOutcome::Eof) => {
-                self.done = true;
-                return None;
-            }
-            Ok(ReadOutcome::Partial) => {
-                self.done = true;
-                return Some(Err(RecordError::Truncated));
-            }
-            Ok(ReadOutcome::Full) => {}
-            Err(e) => {
-                self.done = true;
-                return Some(Err(RecordError::Io(e.to_string())));
-            }
-        }
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-        let stored = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        if len > MAX_RECORD_PAYLOAD {
-            // The framing can no longer be trusted.
-            self.done = true;
-            return Some(Err(RecordError::TooLarge(len)));
-        }
-        let mut payload = vec![0u8; len];
-        match read_exact_or_eof(&mut self.reader, &mut payload) {
-            Ok(ReadOutcome::Full) => {}
-            Ok(_) => {
-                self.done = true;
-                return Some(Err(RecordError::Truncated));
-            }
-            Err(e) => {
-                self.done = true;
-                return Some(Err(RecordError::Io(e.to_string())));
-            }
-        }
-        let computed = crc32(&payload);
-        if computed != stored {
-            return Some(Err(RecordError::BadCrc { stored, computed }));
-        }
-        Some(StreamRecord::decode_payload(&payload))
-    }
-}
-
-enum ReadOutcome {
-    Full,
-    Partial,
-    Eof,
-}
-
-/// Fills `buf` from `r`, distinguishing a clean EOF before any byte from a
-/// truncation mid-buffer.
-fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<ReadOutcome> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Ok(if filled == 0 {
-                    ReadOutcome::Eof
-                } else {
-                    ReadOutcome::Partial
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(ReadOutcome::Full)
 }
 
 impl<R: Read> Iterator for RecordReader<R> {
@@ -250,7 +191,20 @@ impl<R: Read> Iterator for RecordReader<R> {
         if self.done {
             return None;
         }
-        self.read_frame()
+        match read_frame_into(&mut self.reader, MAX_RECORD_PAYLOAD, &mut self.payload) {
+            Ok(true) => Some(StreamRecord::decode_payload(&self.payload)),
+            Ok(false) => {
+                self.done = true;
+                None
+            }
+            Err(e) => {
+                // Past a bad CRC the length prefix was sound, so the next
+                // frame starts where this one ended; past anything else
+                // the framing can no longer be trusted.
+                self.done = !matches!(e, FrameError::BadCrc { .. });
+                Some(Err(e.into()))
+            }
+        }
     }
 }
 

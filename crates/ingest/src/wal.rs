@@ -9,13 +9,15 @@
 //! magic "NCWL" (4) | version: u32 | segment index: u64
 //! ```
 //!
-//! followed by frames identical in shape to the stream-record frames:
+//! followed by frames identical in shape to the stream-record frames,
+//! written and read by the same `netclus_service::framing` code:
 //!
 //! ```text
 //! len: u32 | crc: u32 (CRC-32 of payload) | payload (len bytes)
 //! ```
 //!
-//! A frame payload is one encoded [`WalBatch`]:
+//! A frame payload is one encoded [`WalBatch`], in the field codec of
+//! `netclus::codec` (an add op's nodes are its count-prefixed node list):
 //!
 //! ```text
 //! epoch: u64 | op count: u32 | ops… | mark count: u32 | marks…
@@ -64,12 +66,11 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
+use netclus::codec::{put_f64, put_trajectory, put_u32, put_u64, ShardCodecError, WireReader};
 use netclus_roadnet::NodeId;
+use netclus_service::framing::{frame_into, read_frame_into, FrameError, HEADER_BYTES};
 use netclus_service::UpdateOp;
-use netclus_trajectory::{TrajId, Trajectory};
-
-use crate::codec::{put_f64, put_u32, put_u64, Cursor};
-use crate::crc32;
+use netclus_trajectory::TrajId;
 
 const MAGIC: &[u8; 4] = b"NCWL";
 const VERSION: u32 = 2;
@@ -173,6 +174,12 @@ impl From<io::Error> for WalError {
     }
 }
 
+impl From<ShardCodecError> for WalError {
+    fn from(e: ShardCodecError) -> Self {
+        WalError::Malformed(e.0.to_string())
+    }
+}
+
 /// Encodes a batch payload (no frame header). `add_times` holds the
 /// stream end time of each `AddTrajectory` in `ops`, in op order (exactly
 /// one per add op); `marks` the per-source high-water sequence numbers
@@ -193,10 +200,7 @@ pub fn encode_batch(
                 buf.push(0);
                 let end = times.next().expect("one end time per AddTrajectory op");
                 put_f64(&mut buf, *end);
-                put_u32(&mut buf, t.nodes().len() as u32);
-                for v in t.nodes() {
-                    put_u32(&mut buf, v.0);
-                }
+                put_trajectory(&mut buf, t);
             }
             UpdateOp::RemoveTrajectory(id) => {
                 buf.push(1);
@@ -224,50 +228,39 @@ pub fn encode_batch(
     buf
 }
 
-/// Decodes a batch payload.
+/// Decodes a batch payload. Every count is believed only as far as the
+/// bytes left can back it (an op is ≥ 5 bytes, a mark 12, a node 4), so
+/// a forged count is refused before anything is allocated for it.
 pub fn decode_batch(payload: &[u8]) -> Result<WalBatch, WalError> {
-    let mut c = Cursor::new(payload);
     let err = |why: &str| WalError::Malformed(why.to_string());
-    let epoch = c.u64().ok_or_else(|| err("missing epoch"))?;
-    let count = c.u32().ok_or_else(|| err("missing op count"))? as usize;
-    let mut ops = Vec::with_capacity(count.min(4_096));
+    let mut r = WireReader::new(payload);
+    let epoch = r.u64()?;
+    let count = r.count(5, "op count exceeds payload")?;
+    let mut ops = Vec::with_capacity(count);
     let mut add_times = Vec::new();
     for _ in 0..count {
-        let tag = c.u8().ok_or_else(|| err("missing op tag"))?;
-        let op = match tag {
+        let op = match r.u8()? {
             0 => {
-                let end_time = c.f64().ok_or_else(|| err("missing add end time"))?;
+                let end_time = r.f64()?;
                 if !end_time.is_finite() {
                     return Err(err("non-finite add end time"));
                 }
-                let n = c.u32().ok_or_else(|| err("missing node count"))? as usize;
-                if n == 0 {
-                    return Err(err("empty trajectory"));
-                }
-                let mut nodes = Vec::with_capacity(n.min(65_536));
-                for _ in 0..n {
-                    nodes.push(NodeId(c.u32().ok_or_else(|| err("short trajectory"))?));
-                }
                 add_times.push(end_time);
-                UpdateOp::AddTrajectory(Trajectory::new(nodes))
+                UpdateOp::AddTrajectory(r.trajectory()?)
             }
-            1 => UpdateOp::RemoveTrajectory(TrajId(
-                c.u32().ok_or_else(|| err("missing trajectory id"))?,
-            )),
-            2 => UpdateOp::AddSite(NodeId(c.u32().ok_or_else(|| err("missing site"))?)),
-            3 => UpdateOp::RemoveSite(NodeId(c.u32().ok_or_else(|| err("missing site"))?)),
+            1 => UpdateOp::RemoveTrajectory(TrajId(r.u32()?)),
+            2 => UpdateOp::AddSite(NodeId(r.u32()?)),
+            3 => UpdateOp::RemoveSite(NodeId(r.u32()?)),
             _ => return Err(err("unknown op tag")),
         };
         ops.push(op);
     }
-    let mark_count = c.u32().ok_or_else(|| err("missing mark count"))? as usize;
-    let mut marks = Vec::with_capacity(mark_count.min(4_096));
+    let mark_count = r.count(12, "mark count exceeds payload")?;
+    let mut marks = Vec::with_capacity(mark_count);
     for _ in 0..mark_count {
-        let source = c.u32().ok_or_else(|| err("short mark"))?;
-        let seq = c.u64().ok_or_else(|| err("short mark"))?;
-        marks.push((source, seq));
+        marks.push((r.u32()?, r.u64()?));
     }
-    if !c.exhausted() {
+    if r.remaining() != 0 {
         return Err(err("trailing bytes after marks"));
     }
     Ok(WalBatch {
@@ -295,6 +288,8 @@ pub struct AppendInfo {
 pub struct WalWriter {
     cfg: WalConfig,
     out: BufWriter<File>,
+    /// The frame being appended, reused across appends.
+    frame: Vec<u8>,
     segment_index: u64,
     segment_bytes: u64,
     frames_since_sync: u32,
@@ -347,6 +342,7 @@ impl WalWriter {
             // `open_segment` fsyncs the header, so recovery sees a
             // well-formed log even if we crash before the first append.
             out: BufWriter::new(open_segment(&cfg.dir, next_index)?),
+            frame: Vec::new(),
             cfg,
             segment_index: next_index,
             segment_bytes: SEGMENT_HEADER_BYTES,
@@ -360,7 +356,7 @@ impl WalWriter {
     /// only once `synced` is reported (or [`WalWriter::sync`] is called).
     pub fn append(&mut self, payload: &[u8]) -> io::Result<AppendInfo> {
         assert!(payload.len() <= MAX_WAL_PAYLOAD, "oversized WAL payload");
-        let frame_bytes = 8 + payload.len() as u64;
+        let frame_bytes = (HEADER_BYTES + payload.len()) as u64;
         let mut info = AppendInfo {
             bytes: frame_bytes,
             synced: false,
@@ -373,9 +369,8 @@ impl WalWriter {
             info.rotated = true;
             info.bytes += SEGMENT_HEADER_BYTES;
         }
-        self.out.write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.out.write_all(&crc32(payload).to_le_bytes())?;
-        self.out.write_all(payload)?;
+        frame_into(&mut self.frame, |buf| buf.extend_from_slice(payload))?;
+        self.out.write_all(&self.frame)?;
         self.segment_bytes += frame_bytes;
         self.frames_since_sync += 1;
         self.synced_everything = false;
@@ -427,17 +422,46 @@ impl WalWriter {
     }
 }
 
+/// The bytes segment `index` starts with: magic, version, index.
+fn segment_header(index: u64) -> Vec<u8> {
+    let mut header = MAGIC.to_vec();
+    put_u32(&mut header, VERSION);
+    put_u64(&mut header, index);
+    header
+}
+
+/// A segment file read whole, by the state of its header.
+enum Segment {
+    /// Too short to hold a header: a crash between the file's creation
+    /// and its header fsync.
+    Headerless,
+    /// A full header that is not this segment's.
+    BadHeader,
+    /// A valid header; the whole file, frames from
+    /// [`SEGMENT_HEADER_BYTES`] on.
+    Frames(Vec<u8>),
+}
+
+/// Reads segment `index` and checks its header — the one check
+/// [`repair_tail`] and [`read_wal`] share.
+fn read_segment(path: &Path, index: u64) -> io::Result<Segment> {
+    let mut data = Vec::new();
+    File::open(path)?.read_to_end(&mut data)?;
+    let header = segment_header(index);
+    Ok(match data.get(..header.len()) {
+        None => Segment::Headerless,
+        Some(h) if h != header => Segment::BadHeader,
+        Some(_) => Segment::Frames(data),
+    })
+}
+
 fn open_segment(dir: &Path, index: u64) -> io::Result<File> {
     let path = segment_path(dir, index);
     let mut f = OpenOptions::new()
         .create_new(true)
         .write(true)
         .open(&path)?;
-    let mut header = Vec::with_capacity(SEGMENT_HEADER_BYTES as usize);
-    header.extend_from_slice(MAGIC);
-    put_u32(&mut header, VERSION);
-    put_u64(&mut header, index);
-    f.write_all(&header)?;
+    f.write_all(&segment_header(index))?;
     // The header must be durable before any frame fsync can make the
     // directory entry durable: otherwise a power loss right after
     // rotation can leave a durable entry naming a headerless file.
@@ -481,28 +505,26 @@ pub fn repair_tail(dir: &Path) -> Result<TailRepair, WalError> {
         let Some((index, path)) = segments.last() else {
             return Ok(repair);
         };
-        let mut data = Vec::new();
-        File::open(path)?.read_to_end(&mut data)?;
-        if data.len() < SEGMENT_HEADER_BYTES as usize {
-            std::fs::remove_file(path)?;
-            sync_dir(dir)?;
-            repair.removed_segments += 1;
-            // The now-last segment was sealed by the rotation that
-            // created the removed one, but re-scan it anyway: open()
-            // itself can crash between repair and the header fsync.
-            continue;
-        }
-        if &data[0..4] != MAGIC
-            || u32::from_le_bytes(data[4..8].try_into().unwrap()) != VERSION
-            || u64::from_le_bytes(data[8..16].try_into().unwrap()) != *index
-        {
+        let data = match read_segment(path, *index)? {
+            Segment::Headerless => {
+                std::fs::remove_file(path)?;
+                sync_dir(dir)?;
+                repair.removed_segments += 1;
+                // The now-last segment was sealed by the rotation that
+                // created the removed one, but re-scan it anyway: open()
+                // itself can crash between repair and the header fsync.
+                continue;
+            }
             // A full but wrong header is corruption, not a torn write.
-            return Ok(repair);
-        }
-        let mut offset = SEGMENT_HEADER_BYTES as usize;
-        while offset < data.len() {
-            match read_frame(&data, offset) {
-                Ok((_, next)) => offset = next,
+            Segment::BadHeader => return Ok(repair),
+            Segment::Frames(data) => data,
+        };
+        let mut rest = &data[SEGMENT_HEADER_BYTES as usize..];
+        let mut payload = Vec::new();
+        loop {
+            let offset = data.len() - rest.len();
+            match read_frame_into(&mut rest, MAX_WAL_PAYLOAD, &mut payload) {
+                Ok(true) => {}
                 Err(FrameError::Truncated) => {
                     let file = OpenOptions::new().write(true).open(path)?;
                     file.set_len(offset as u64)?;
@@ -512,7 +534,9 @@ pub fn repair_tail(dir: &Path) -> Result<TailRepair, WalError> {
                     repair.truncated_bytes += (data.len() - offset) as u64;
                     break;
                 }
-                Err(FrameError::Corrupt(_)) => break,
+                // The end of the segment, or corruption left for
+                // `read_wal` to report.
+                Ok(false) | Err(_) => break,
             }
         }
         return Ok(repair);
@@ -553,34 +577,30 @@ pub fn read_wal(dir: &Path) -> Result<ReplayLog, WalError> {
         segments: segments.len(),
         truncated_tail: false,
     };
+    let mut payload = Vec::new();
     for (pos, (index, path)) in segments.iter().enumerate() {
         let last_segment = pos + 1 == segments.len();
-        let mut data = Vec::new();
-        File::open(path)?.read_to_end(&mut data)?;
-        if data.len() < SEGMENT_HEADER_BYTES as usize {
-            if last_segment {
-                // A crash between rotation creating this file and its
-                // header fsync: the empty form of a torn tail — no frame
-                // in it can ever have been acknowledged.
+        let data = match read_segment(path, *index)? {
+            Segment::Frames(data) => data,
+            // A crash between rotation creating this file and its header
+            // fsync: the empty form of a torn tail — no frame in it can
+            // ever have been acknowledged.
+            Segment::Headerless if last_segment => {
                 log.truncated_tail = true;
                 continue;
             }
-            return Err(WalError::BadSegmentHeader(path.clone()));
-        }
-        if &data[0..4] != MAGIC
-            || u32::from_le_bytes(data[4..8].try_into().unwrap()) != VERSION
-            || u64::from_le_bytes(data[8..16].try_into().unwrap()) != *index
-        {
-            return Err(WalError::BadSegmentHeader(path.clone()));
-        }
-        let mut offset = SEGMENT_HEADER_BYTES as usize;
-        while offset < data.len() {
-            match read_frame(&data, offset) {
-                Ok((payload, next)) => {
-                    log.batches.push(decode_batch(payload)?);
-                    log.bytes += (next - offset) as u64;
-                    offset = next;
+            _ => return Err(WalError::BadSegmentHeader(path.clone())),
+        };
+        let mut rest = &data[SEGMENT_HEADER_BYTES as usize..];
+        loop {
+            let offset = data.len() - rest.len();
+            let reason = match read_frame_into(&mut rest, MAX_WAL_PAYLOAD, &mut payload) {
+                Ok(true) => {
+                    log.batches.push(decode_batch(&payload)?);
+                    log.bytes += (data.len() - rest.len() - offset) as u64;
+                    continue;
                 }
+                Ok(false) => break,
                 // A frame extending past EOF in the last segment is the
                 // signature of a crash mid-append: the rest of the log is
                 // exactly what was durable.
@@ -594,68 +614,23 @@ pub fn read_wal(dir: &Path) -> Result<ReplayLog, WalError> {
                 // durable data and must fail loudly: appends are strictly
                 // sequential, so a bad frame with valid data after it can
                 // never be a torn write.
-                Err(FrameError::Truncated) => {
-                    return Err(WalError::Corrupt {
-                        segment: path.clone(),
-                        offset: offset as u64,
-                        reason: "segment truncated before the log tail".to_string(),
-                    });
-                }
-                Err(FrameError::Corrupt(reason)) => {
-                    return Err(WalError::Corrupt {
-                        segment: path.clone(),
-                        offset: offset as u64,
-                        reason,
-                    });
-                }
-            }
+                Err(FrameError::Truncated) => "segment truncated before the log tail".to_string(),
+                Err(e) => e.to_string(),
+            };
+            return Err(WalError::Corrupt {
+                segment: path.clone(),
+                offset: offset as u64,
+                reason,
+            });
         }
     }
     Ok(log)
 }
 
-/// Why a frame failed to read: extends past EOF (a torn append) vs. bytes
-/// present but wrong (corruption). The distinction decides whether replay
-/// may stop cleanly or must fail.
-#[derive(Debug)]
-enum FrameError {
-    Truncated,
-    Corrupt(String),
-}
-
-/// Reads the frame starting at `offset`; returns its payload slice and the
-/// offset past it, or the failure reason.
-fn read_frame(data: &[u8], offset: usize) -> Result<(&[u8], usize), FrameError> {
-    if offset + 8 > data.len() {
-        return Err(FrameError::Truncated);
-    }
-    let len = u32::from_le_bytes(data[offset..offset + 4].try_into().unwrap()) as usize;
-    let stored = u32::from_le_bytes(data[offset + 4..offset + 8].try_into().unwrap());
-    if len > MAX_WAL_PAYLOAD {
-        // The length prefix is written before any payload byte, so a
-        // fully-present-but-absurd value is corruption, not a torn write.
-        return Err(FrameError::Corrupt(format!(
-            "implausible frame length {len}"
-        )));
-    }
-    let start = offset + 8;
-    let end = start + len;
-    if end > data.len() {
-        return Err(FrameError::Truncated);
-    }
-    let payload = &data[start..end];
-    let computed = crc32(payload);
-    if computed != stored {
-        return Err(FrameError::Corrupt(format!(
-            "checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
-        )));
-    }
-    Ok((payload, end))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netclus_trajectory::Trajectory;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("netclus-wal-{tag}-{}", std::process::id()));
@@ -890,13 +865,12 @@ mod tests {
         std::fs::write(&segment, &data[..data.len() - 5]).unwrap();
 
         let repair = repair_tail(&dir).unwrap();
+        // Everything after frame 1's end is gone.
+        let frame_1_end =
+            SEGMENT_HEADER_BYTES as usize + HEADER_BYTES + batch(1, &[add(&[1, 2])]).len();
         assert_eq!(
             repair.truncated_bytes as usize,
-            data.len() - 5 - {
-                // everything after frame 1's end is gone
-                let (_, end) = read_frame(&data[..], SEGMENT_HEADER_BYTES as usize).unwrap();
-                end
-            }
+            data.len() - 5 - frame_1_end
         );
         assert!(repair.repaired());
         assert_eq!(repair_tail(&dir).unwrap(), TailRepair::default());

@@ -1,12 +1,21 @@
-//! Length-prefixed, CRC-guarded byte framing shared by the ingest stream,
-//! the WAL, and the [`telemetry`](crate::telemetry) endpoint.
+//! Length-prefixed, CRC-guarded byte framing: the only code that writes
+//! or parses a frame header, under every framed format — GPS records and
+//! WAL segments (`netclus-ingest`), shard RPCs
+//! ([`shard_proto`](crate::shard_proto)) and the
+//! [`telemetry`](crate::telemetry) endpoint.
 //!
 //! A frame is `len: u32 LE | crc: u32 LE | payload[len]` with `crc` the
-//! CRC-32 (IEEE) of the payload. The CRC is hand-rolled because the
-//! workspace is dependency-free; the table is computed at compile time.
-//! A corrupted or torn frame is detected before its payload is ever
-//! interpreted. `netclus-ingest` re-exports [`crc32`] as its checksum.
+//! CRC-32 (IEEE) of the payload. Every frame is written by [`frame_into`]
+//! or [`write_frame`] and read by [`read_frame_into`] (or [`read_frame`],
+//! its `io::Result` form); a reader that holds the header bytes itself
+//! decodes them with [`FrameHeader::decode`]. A read fails as one typed
+//! [`FrameError`] — truncated, too large, or a CRC mismatch carrying both
+//! values — which each format maps onto its own error type, so a
+//! corrupted or torn frame is refused before its payload is ever
+//! interpreted. The CRC is hand-rolled because the workspace is
+//! dependency-free; the table is computed at compile time.
 
+use std::fmt;
 use std::io::{self, Read, Write};
 
 /// Slicing-by-8 tables: `TABLES[0]` is the classic one-byte table and
@@ -77,14 +86,110 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 /// Bytes of the `len | crc` header in front of every payload.
-const HEADER_BYTES: usize = 8;
+pub const HEADER_BYTES: usize = 8;
+
+/// Why a frame could not be read. A clean end of input at a frame
+/// boundary is not an error: the readers return it as `Ok(false)` /
+/// `Ok(None)`.
+#[derive(Debug)]
+pub enum FrameError {
+    /// The underlying reader failed (a socket timeout stays one).
+    Io(io::Error),
+    /// The input ended inside the header or the payload.
+    Truncated,
+    /// The length prefix exceeds the reader's cap; nothing was allocated.
+    TooLarge(usize),
+    /// The payload does not match the checksum stored in its header.
+    BadCrc {
+        /// CRC stored in the frame header.
+        stored: u32,
+        /// CRC computed over the received payload.
+        computed: u32,
+    },
+}
+
+impl fmt::Display for FrameError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FrameError::Io(e) => write!(f, "frame read failed: {e}"),
+            FrameError::Truncated => f.write_str("input ended inside a frame"),
+            FrameError::TooLarge(len) => write!(f, "frame of {len} bytes exceeds the limit"),
+            FrameError::BadCrc { stored, computed } => write!(
+                f,
+                "frame checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for FrameError {}
+
+impl From<io::Error> for FrameError {
+    fn from(e: io::Error) -> Self {
+        FrameError::Io(e)
+    }
+}
+
+/// For the endpoints that speak `io::Result`: a truncation is
+/// `UnexpectedEof`, an oversized or corrupt frame `InvalidData`.
+impl From<FrameError> for io::Error {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Io(e) => e,
+            FrameError::Truncated => io::Error::new(io::ErrorKind::UnexpectedEof, e.to_string()),
+            _ => io::Error::new(io::ErrorKind::InvalidData, e.to_string()),
+        }
+    }
+}
+
+/// A decoded frame header: the payload's length and stored checksum.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FrameHeader {
+    /// Payload bytes that follow the header.
+    pub len: usize,
+    /// CRC-32 the writer stored for the payload.
+    pub crc: u32,
+}
+
+impl FrameHeader {
+    /// The header bytes in front of `payload`.
+    fn encode(payload: &[u8]) -> io::Result<[u8; HEADER_BYTES]> {
+        let len = u32::try_from(payload.len())
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame payload too large"))?;
+        let mut header = [0u8; HEADER_BYTES];
+        header[..4].copy_from_slice(&len.to_le_bytes());
+        header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+        Ok(header)
+    }
+
+    /// Decodes the eight header bytes, refusing a length past `max_len`
+    /// before anything is allocated for it.
+    pub fn decode(bytes: &[u8; HEADER_BYTES], max_len: usize) -> Result<FrameHeader, FrameError> {
+        let [l0, l1, l2, l3, c0, c1, c2, c3] = *bytes;
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+        if len > max_len {
+            return Err(FrameError::TooLarge(len));
+        }
+        let crc = u32::from_le_bytes([c0, c1, c2, c3]);
+        Ok(FrameHeader { len, crc })
+    }
+
+    /// Checks `payload` against the stored checksum.
+    pub fn verify(&self, payload: &[u8]) -> Result<(), FrameError> {
+        let computed = crc32(payload);
+        if computed != self.crc {
+            return Err(FrameError::BadCrc {
+                stored: self.crc,
+                computed,
+            });
+        }
+        Ok(())
+    }
+}
 
 /// Writes one `len | crc | payload` frame.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame payload too large"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
+    w.write_all(&FrameHeader::encode(payload)?)?;
     w.write_all(payload)
 }
 
@@ -92,69 +197,61 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 /// bytes are reserved, `encode` appends the payload behind them, then the
 /// length and CRC are patched in — so a message is encoded once, into the
 /// buffer it leaves from, and the frame goes out as a single write.
-pub(crate) fn frame_into(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+pub fn frame_into(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
     buf.clear();
     buf.extend_from_slice(&[0u8; HEADER_BYTES]);
     encode(buf);
-    let len = u32::try_from(buf.len() - HEADER_BYTES)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame payload too large"))?;
-    let crc = crc32(&buf[HEADER_BYTES..]);
-    buf[0..4].copy_from_slice(&len.to_le_bytes());
-    buf[4..8].copy_from_slice(&crc.to_le_bytes());
+    let header = FrameHeader::encode(&buf[HEADER_BYTES..])?;
+    buf[..HEADER_BYTES].copy_from_slice(&header);
     Ok(())
 }
 
-/// Reads one frame, verifying the CRC. Returns `Ok(None)` on a clean EOF
-/// (no header bytes at all); a truncated header/payload, an oversized
-/// length (`> max_len`), or a CRC mismatch is an error.
+/// Reads one frame into `payload` (a caller-owned buffer, reused across
+/// frames) and verifies its CRC: `Ok(true)` leaves the verified payload
+/// there, `Ok(false)` is a clean end of input before any header byte.
+/// Every format reads its frames here — a socket, a record stream, or a
+/// WAL segment's bytes as a `&[u8]`, whose advance is the frame's extent.
+pub fn read_frame_into<R: Read>(
+    r: &mut R,
+    max_len: usize,
+    payload: &mut Vec<u8>,
+) -> Result<bool, FrameError> {
+    let mut header = [0u8; HEADER_BYTES];
+    match fill(r, &mut header)? {
+        0 => return Ok(false),
+        HEADER_BYTES => {}
+        _ => return Err(FrameError::Truncated),
+    }
+    let header = FrameHeader::decode(&header, max_len)?;
+    // Only growth is zero-filled: `fill` overwrites all `len` bytes or the
+    // frame is refused, and a refused frame's buffer is never looked at.
+    payload.resize(header.len, 0);
+    if fill(r, payload)? < header.len {
+        return Err(FrameError::Truncated);
+    }
+    header.verify(payload)?;
+    Ok(true)
+}
+
+/// [`read_frame_into`] for the endpoints that speak `io::Result`, into a
+/// fresh buffer; `Ok(None)` is the clean end of input.
 pub fn read_frame<R: Read>(r: &mut R, max_len: usize) -> io::Result<Option<Vec<u8>>> {
     let mut payload = Vec::new();
     Ok(read_frame_into(r, max_len, &mut payload)?.then_some(payload))
 }
 
-/// [`read_frame`] into a caller-owned buffer (a connection reuses one
-/// across replies): `payload` holds the verified payload on `Ok(true)`,
-/// `Ok(false)` is the clean EOF.
-pub(crate) fn read_frame_into<R: Read>(
-    r: &mut R,
-    max_len: usize,
-    payload: &mut Vec<u8>,
-) -> io::Result<bool> {
-    let mut header = [0u8; HEADER_BYTES];
+/// Reads until `buf` is full or the input ends; returns the bytes read.
+fn fill<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
     let mut filled = 0;
-    while filled < header.len() {
-        match r.read(&mut header[filled..]) {
-            Ok(0) if filled == 0 => return Ok(false),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "torn frame header",
-                ))
-            }
+    while filled < buf.len() {
+        match r.read(&mut buf[filled..]) {
+            Ok(0) => break,
             Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
-    let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    if len > max_len {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds limit {max_len}"),
-        ));
-    }
-    // Only growth is zero-filled: `read_exact` overwrites all `len` bytes
-    // or fails, and a failed read's buffer is never looked at.
-    payload.resize(len, 0);
-    r.read_exact(payload)?;
-    if crc32(payload) != crc {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame CRC mismatch",
-        ));
-    }
-    Ok(true)
+    Ok(filled)
 }
 
 #[cfg(test)]
@@ -225,6 +322,38 @@ mod tests {
         assert!(read_frame_into(&mut r, 64, &mut payload).unwrap());
         assert_eq!(payload, b"short", "no bytes of the previous frame remain");
         assert!(!read_frame_into(&mut r, 64, &mut payload).unwrap());
+    }
+
+    /// Each way a read can end is its own outcome, and the CRC mismatch
+    /// carries both values.
+    #[test]
+    fn every_read_outcome_is_typed() {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, b"typed").unwrap();
+        let read = |bytes: &[u8], max_len| {
+            let mut payload = Vec::new();
+            read_frame_into(&mut &bytes[..], max_len, &mut payload)
+        };
+        assert!(read(&frame, 64).unwrap());
+        assert!(!read(&[], 64).unwrap(), "clean end");
+        for cut in 1..frame.len() {
+            assert!(matches!(
+                read(&frame[..cut], 64),
+                Err(FrameError::Truncated)
+            ));
+        }
+        assert!(matches!(read(&frame, 4), Err(FrameError::TooLarge(5))));
+        let mut bad = frame.clone();
+        bad[HEADER_BYTES] ^= 1;
+        match read(&bad, 64) {
+            Err(FrameError::BadCrc { stored, computed }) => {
+                assert_eq!(stored, crc32(b"typed"));
+                assert_eq!(computed, crc32(&bad[HEADER_BYTES..]));
+            }
+            other => panic!("expected a CRC mismatch, got {other:?}"),
+        }
+        let header = FrameHeader::decode(frame[..HEADER_BYTES].try_into().unwrap(), 64).unwrap();
+        assert_eq!((header.len, header.crc), (5, crc32(b"typed")));
     }
 
     #[test]

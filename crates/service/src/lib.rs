@@ -56,8 +56,9 @@
 //!   histograms over all traffic, allocation-free span recorders, and
 //!   **tail-based sampling** into a bounded slow-query log with full
 //!   stage attribution, plus per-shard load/heat gauges.
-//! * [`framing`] — the length-prefix/CRC-32 byte framing shared by the
-//!   ingest stream, the WAL, and the telemetry endpoint.
+//! * [`framing`] — the length-prefix/CRC-32 byte framing: the one frame
+//!   writer and reader under GPS records, WAL segments, shard RPCs and
+//!   the telemetry endpoint, failing as one typed `FrameError`.
 //! * [`telemetry`] — a std-only TCP endpoint serving the metrics
 //!   snapshot, per-stage breakdown, slow-query log, breaker states and
 //!   flight-recorder history/rates/health over the framed protocol. Its

@@ -2,9 +2,15 @@
 //! between a [`crate::shard_router::ShardRouter`] (remote transport) and
 //! a `netclus-shardd` shard server.
 //!
-//! Every message travels as one length-prefixed, CRC-32-framed payload
-//! ([`crate::framing`]) — the same frame layout the ingest codec, the
-//! WAL and the telemetry endpoint use:
+//! Every message travels as one length-prefixed, CRC-32-framed payload,
+//! written by [`crate::framing::frame_into`] and read by
+//! [`crate::framing::read_frame_into`] — the same writer and reader GPS
+//! records, WAL segments and the telemetry endpoint go through. Fields are
+//! the little-endian codec of [`netclus::codec`], which the WAL and GPS
+//! records share; a count-prefixed node list (an `Apply` add op, a
+//! [`ResyncSnapshot`] trajectory, like a WAL add op) is written by
+//! [`netclus::codec::put_trajectory`] and read by
+//! [`WireReader::trajectory`]:
 //!
 //! | bytes | field |
 //! |-------|-------------------------------------------|
@@ -37,9 +43,10 @@
 //! in afterwards) and a reply is read into a buffer the connection keeps.
 //!
 //! The decoder is paranoid by construction: every length prefix is
-//! validated against the remaining payload *before* allocation, unknown
-//! tags and trailing bytes are rejected, and every failure is a typed
-//! [`WireError`] — never a panic, never an unbounded allocation. CRC
+//! validated against the remaining payload *before* allocation
+//! ([`WireReader::count`]), unknown tags and trailing bytes are
+//! rejected, and every failure is a typed [`WireError`] — never a panic,
+//! never an unbounded allocation. CRC
 //! framing rejects random corruption one layer below; this layer
 //! guarantees whatever still reaches it fails closed (proptested in
 //! `crates/service/tests/cluster.rs`: any truncation/corruption of a
@@ -51,6 +58,7 @@
 //! the future gateway tier), and a versioned `Hello` handshake that
 //! fails fast on protocol skew.
 
+use netclus::codec::{put_f64, put_trajectory, put_u32, put_u64, EMPTY_TRAJECTORY};
 use netclus::preference::PreferenceFunction;
 use netclus::shard::{ShardCodecError, ShardRoundOne, WireReader};
 use netclus::TopsQuery;
@@ -100,9 +108,15 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// A short payload or an unbacked count is `Truncated`; an empty node
+/// list is a forbidden value.
 impl From<ShardCodecError> for WireError {
     fn from(e: ShardCodecError) -> Self {
-        WireError::Truncated(e.0)
+        if e == EMPTY_TRAJECTORY {
+            WireError::BadValue(e.0)
+        } else {
+            WireError::Truncated(e.0)
+        }
     }
 }
 
@@ -279,11 +293,7 @@ impl ResyncSnapshot {
         put_u32(&mut buf, self.trajs.len() as u32);
         for (id, t) in &self.trajs {
             put_u32(&mut buf, id.0);
-            let nodes = t.nodes();
-            put_u32(&mut buf, nodes.len() as u32);
-            for v in nodes {
-                put_u32(&mut buf, v.0);
-            }
+            put_trajectory(&mut buf, t);
         }
         put_u32(&mut buf, self.sites.len() as u32);
         for v in &self.sites {
@@ -299,31 +309,13 @@ impl ResyncSnapshot {
         let mut r = WireReader::new(payload);
         let epoch = r.u64()?;
         let id_bound = r.u64()?;
-        let n = r.u32()? as usize;
         // Each trajectory is ≥ 12 encoded bytes (id + count + one node).
-        if n > r.remaining() / 12 {
-            return Err(WireError::Truncated("resync trajectory count"));
-        }
+        let n = r.count(12, "resync trajectory count")?;
         let mut trajs = Vec::with_capacity(n);
         for _ in 0..n {
-            let id = TrajId(r.u32()?);
-            let len = r.u32()? as usize;
-            if len == 0 {
-                return Err(WireError::BadValue("empty trajectory"));
-            }
-            if len > r.remaining() / 4 {
-                return Err(WireError::Truncated("resync trajectory nodes"));
-            }
-            let mut nodes = Vec::with_capacity(len);
-            for _ in 0..len {
-                nodes.push(NodeId(r.u32()?));
-            }
-            trajs.push((id, Trajectory::new(nodes)));
+            trajs.push((TrajId(r.u32()?), r.trajectory()?));
         }
-        let n_sites = r.u32()? as usize;
-        if n_sites > r.remaining() / 4 {
-            return Err(WireError::Truncated("resync site count"));
-        }
+        let n_sites = r.count(4, "resync site count")?;
         let mut sites = Vec::with_capacity(n_sites);
         for _ in 0..n_sites {
             sites.push(NodeId(r.u32()?));
@@ -377,14 +369,6 @@ const OP_ADD_TRAJ: u8 = 0;
 const OP_REMOVE_TRAJ: u8 = 1;
 const OP_ADD_SITE: u8 = 2;
 const OP_REMOVE_SITE: u8 = 3;
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
 
 /// Builds the `Round1` request for `query` against `shard` — the ψ goes
 /// over the wire in its cache-key form, so every layer (result cache,
@@ -447,11 +431,7 @@ fn encode_op(buf: &mut Vec<u8>, op: &RoutedOp) {
         RoutedOp::AddTrajectoryAt(id, t) => {
             buf.push(OP_ADD_TRAJ);
             put_u32(buf, id.0);
-            let nodes = t.nodes();
-            put_u32(buf, nodes.len() as u32);
-            for v in nodes {
-                put_u32(buf, v.0);
-            }
+            put_trajectory(buf, t);
         }
         RoutedOp::RemoveTrajectory(id) => {
             buf.push(OP_REMOVE_TRAJ);
@@ -470,23 +450,7 @@ fn encode_op(buf: &mut Vec<u8>, op: &RoutedOp) {
 
 fn decode_op(r: &mut WireReader<'_>) -> Result<RoutedOp, WireError> {
     Ok(match r.u8()? {
-        OP_ADD_TRAJ => {
-            let id = TrajId(r.u32()?);
-            let n = r.u32()? as usize;
-            if n == 0 {
-                // `Trajectory::new` panics on empty node lists; the
-                // decoder must refuse first.
-                return Err(WireError::BadValue("empty trajectory"));
-            }
-            if n > r.remaining() / 4 {
-                return Err(WireError::Truncated("trajectory nodes"));
-            }
-            let mut nodes = Vec::with_capacity(n);
-            for _ in 0..n {
-                nodes.push(NodeId(r.u32()?));
-            }
-            RoutedOp::AddTrajectoryAt(id, Trajectory::new(nodes))
-        }
+        OP_ADD_TRAJ => RoutedOp::AddTrajectoryAt(TrajId(r.u32()?), r.trajectory()?),
         OP_REMOVE_TRAJ => RoutedOp::RemoveTrajectory(TrajId(r.u32()?)),
         OP_ADD_SITE => RoutedOp::AddSite(NodeId(r.u32()?)),
         OP_REMOVE_SITE => RoutedOp::RemoveSite(NodeId(r.u32()?)),
@@ -572,12 +536,8 @@ impl Request {
                 variant: r.u8()?,
             },
             REQ_APPLY => {
-                let n = r.u32()? as usize;
-                // Each op is ≥ 5 encoded bytes; reject impossible counts
-                // before allocating.
-                if n > r.remaining() / 5 {
-                    return Err(WireError::Truncated("op count"));
-                }
+                // Each op is ≥ 5 encoded bytes.
+                let n = r.count(5, "op count")?;
                 let mut ops = Vec::with_capacity(n);
                 for _ in 0..n {
                     ops.push(decode_op(&mut r)?);
@@ -662,8 +622,8 @@ impl Response {
             } => {
                 buf.push(RESP_HEARTBEAT);
                 put_u64(buf, *epoch);
-                put_u64(buf, load_qps.to_bits());
-                put_u64(buf, cache_heat.to_bits());
+                put_f64(buf, *load_qps);
+                put_f64(buf, *cache_heat);
                 put_u64(buf, *live_trajs);
             }
             Response::ShutdownAck => buf.push(RESP_SHUTDOWN),
@@ -718,10 +678,7 @@ impl Response {
             RESP_APPLY => {
                 let epoch = r.u64()?;
                 let live_trajs = r.u64()?;
-                let n = r.u32()? as usize;
-                if n > r.remaining() {
-                    return Err(WireError::Truncated("apply results"));
-                }
+                let n = r.count(1, "apply results")?;
                 let results = r.bytes(n)?.iter().map(|&b| b != 0).collect();
                 Response::ApplyAck {
                     epoch,
@@ -730,10 +687,7 @@ impl Response {
                 }
             }
             RESP_REPORT => {
-                let n = r.u32()? as usize;
-                if n > r.remaining() {
-                    return Err(WireError::Truncated("report json"));
-                }
+                let n = r.count(1, "report json")?;
                 let json = std::str::from_utf8(r.bytes(n)?)
                     .map_err(|_| WireError::BadValue("report not utf-8"))?
                     .to_string();
@@ -741,16 +695,16 @@ impl Response {
             }
             RESP_HEARTBEAT => Response::HeartbeatAck {
                 epoch: r.u64()?,
-                load_qps: f64::from_bits(r.u64()?),
-                cache_heat: f64::from_bits(r.u64()?),
+                load_qps: r.f64()?,
+                cache_heat: r.f64()?,
                 live_trajs: r.u64()?,
             },
             RESP_SHUTDOWN => Response::ShutdownAck,
             RESP_RESYNC => {
                 let epoch = r.u64()?;
                 let total_len = r.u64()?;
-                let n = r.u32()? as usize;
-                if n > MAX_RESYNC_CHUNK || n > r.remaining() {
+                let n = r.count(1, "resync chunk")?;
+                if n > MAX_RESYNC_CHUNK {
                     return Err(WireError::Truncated("resync chunk"));
                 }
                 let data = r.bytes(n)?.to_vec();

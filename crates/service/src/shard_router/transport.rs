@@ -692,7 +692,7 @@ fn exchange(link: &mut Conn, req: &Request) -> Result<Response, ShardFailure> {
     match read_frame_into(&mut link.stream, MAX_SHARD_RESPONSE, &mut link.rx) {
         Ok(true) => {}
         Ok(false) => return Err(ShardFailure::Dropped),
-        Err(e) => return Err(io_failure(&e)),
+        Err(e) => return Err(io_failure(&e.into())),
     }
     let resp = Response::decode(&link.rx).map_err(|_| ShardFailure::CorruptReply)?;
     if let Response::Error(e) = &resp {

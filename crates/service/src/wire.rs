@@ -1,8 +1,11 @@
 //! Centralized wire limits for every framed endpoint.
 //!
-//! Each framed protocol in the workspace — the ingest GPS codec, the WAL,
-//! the telemetry endpoint, and the shard-server protocol — reads frames
-//! through [`crate::framing::read_frame`] with a `max_len` cap. Those caps
+//! Each framed format in the workspace — GPS records, WAL segments, the
+//! telemetry endpoint and the shard-server protocol — reads its frames
+//! through [`crate::framing::read_frame_into`] (the telemetry endpoint
+//! through [`crate::framing::read_frame`], its `io::Result` form) with a
+//! `max_len` cap, refused as a typed `TooLarge` before any allocation
+//! ([`crate::framing::FrameError`]). Those caps
 //! used to be per-endpoint magic numbers; this module is the single place
 //! they live, so the relationships between them (a shard response must
 //! never exceed what the router will read, a command frame is always tiny)

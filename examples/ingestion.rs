@@ -21,8 +21,11 @@ use std::time::{Duration, Instant};
 
 use netclus::prelude::*;
 use netclus_datagen::{beijing_small, generate_gps_stream, GpsStreamConfig};
-use netclus_ingest::{recover_store, IngestConfig, Ingestor, StreamRecord, WalConfig};
+use netclus_ingest::{
+    recover_store, IngestConfig, Ingestor, StreamRecord, WalConfig, MAX_RECORD_PAYLOAD,
+};
 use netclus_roadnet::NodeId;
+use netclus_service::framing::{FrameHeader, HEADER_BYTES};
 use netclus_service::{IngestMetrics, SnapshotStore};
 use netclus_trajectory::TrajId;
 
@@ -132,8 +135,11 @@ fn main() {
     while offset < wire.len() {
         // Hand the pipeline one frame's worth of bytes at a time so the
         // crash lands genuinely mid-stream.
-        let frame_len =
-            8 + u32::from_le_bytes(wire[offset..offset + 4].try_into().unwrap()) as usize;
+        let header = wire[offset..offset + HEADER_BYTES].try_into().unwrap();
+        let frame_len = HEADER_BYTES
+            + FrameHeader::decode(header, MAX_RECORD_PAYLOAD)
+                .expect("own frame")
+                .len;
         let summary = ingestor.ingest_reader(&wire[offset..offset + frame_len]);
         assert_eq!(summary.malformed, 0);
         offset += frame_len;

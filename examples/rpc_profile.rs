@@ -11,12 +11,14 @@
 //!
 //! * server side, replayed here against the same rounds the servers hold
 //!   — `memo` ([`RoundOneCache::lookup`]), `encode`
-//!   ([`Response::encode_into`] behind an 8-byte header), `crc`
-//!   ([`crc32`] of the payload), `write` (`write_all` of the frame into a
-//!   loopback socket a sink thread drains);
+//!   ([`Response::encode_into`] inside [`frame_into`]), `crc` (the rest
+//!   of that call: the payload's CRC and the header), `write`
+//!   (`write_all` of the frame into a loopback socket a sink thread
+//!   drains);
 //! * client side, speaking the protocol to the real servers — `wait`
 //!   (request sent → reply header read: the server's whole turn as the
-//!   client sees it), `read` (the payload), `crc`, `decode`
+//!   client sees it; the header is decoded by [`FrameHeader::decode`]),
+//!   `read` (the payload), `crc` ([`FrameHeader::verify`]), `decode`
 //!   ([`Response::decode`]);
 //! * per query — `merge build` and `merge solve`
 //!   ([`merge_candidates_timed`]).
@@ -40,7 +42,7 @@ use netclus::prelude::*;
 use netclus::shard::{local_candidates, merge_candidates_timed, ShardRoundOne};
 use netclus_datagen::{beijing_like, ScenarioConfig};
 use netclus_roadnet::RegionPartition;
-use netclus_service::framing::{crc32, write_frame};
+use netclus_service::framing::{frame_into, read_frame, write_frame, FrameHeader, HEADER_BYTES};
 use netclus_service::shard_proto::{round1_request, Request, Response, SHARD_PROTOCOL_VERSION};
 use netclus_service::wire::MAX_SHARD_RESPONSE;
 use netclus_service::{
@@ -93,10 +95,9 @@ fn connect(server: &ShardServer) -> TcpStream {
         shard: server.shard(),
     };
     write_frame(&mut stream, &hello.encode()).expect("send hello");
-    let mut header = [0u8; 8];
-    stream.read_exact(&mut header).expect("hello reply header");
-    let mut payload = vec![0u8; u32::from_le_bytes(header[..4].try_into().unwrap()) as usize];
-    stream.read_exact(&mut payload).expect("hello reply");
+    let payload = read_frame(&mut stream, MAX_SHARD_RESPONSE)
+        .expect("hello reply")
+        .expect("server closed before its hello reply");
     match Response::decode(&payload).expect("hello reply decodes") {
         Response::HelloAck { version, .. } => assert_eq!(version, SHARD_PROTOCOL_VERSION),
         other => panic!("handshake refused: {other:?}"),
@@ -116,28 +117,26 @@ fn timed_round1(
     write_frame(&mut frame, &request.encode()).expect("frame request");
     let sent = Instant::now();
     stream.write_all(&frame).expect("send request");
-    let mut header = [0u8; 8];
+    let mut header = [0u8; HEADER_BYTES];
     stream.read_exact(&mut header).expect("reply header");
     stages.wait.push(micros(sent.elapsed()));
-    let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(header[4..].try_into().unwrap());
-    assert!(len <= MAX_SHARD_RESPONSE, "oversized reply");
+    let header = FrameHeader::decode(&header, MAX_SHARD_RESPONSE).expect("reply header");
 
     let t = Instant::now();
     payload.clear();
-    payload.resize(len, 0);
+    payload.resize(header.len, 0);
     stream.read_exact(payload).expect("reply payload");
     stages.read.push(micros(t.elapsed()));
 
     let t = Instant::now();
-    let computed = crc32(payload);
+    let verified = header.verify(payload);
     stages.client_crc.push(micros(t.elapsed()));
-    assert_eq!(computed, crc, "reply failed its checksum");
+    verified.expect("reply checksum");
 
     let t = Instant::now();
     let response = Response::decode(payload).expect("reply decodes");
     stages.decode.push(micros(t.elapsed()));
-    stages.bytes.push((8 + len) as f64);
+    stages.bytes.push((HEADER_BYTES + header.len) as f64);
     response
 }
 
@@ -162,18 +161,18 @@ fn timed_server_turn(
         source: Round1Source::Memo,
         round,
     };
+    // The encode is timed inside the framing call; the rest of that call
+    // is the checksum and the header patch.
     let t = Instant::now();
-    frame.clear();
-    frame.extend_from_slice(&[0u8; 8]);
-    response.encode_into(frame);
-    stages.encode.push(micros(t.elapsed()));
-
-    let t = Instant::now();
-    let crc = crc32(&frame[8..]);
-    stages.server_crc.push(micros(t.elapsed()));
-    let len = (frame.len() - 8) as u32;
-    frame[..4].copy_from_slice(&len.to_le_bytes());
-    frame[4..8].copy_from_slice(&crc.to_le_bytes());
+    let mut encoded = Duration::ZERO;
+    frame_into(frame, |buf| {
+        response.encode_into(buf);
+        encoded = t.elapsed();
+    })
+    .expect("frame reply");
+    let framed = t.elapsed();
+    stages.encode.push(micros(encoded));
+    stages.server_crc.push(micros(framed - encoded));
 
     let t = Instant::now();
     sink.write_all(frame).expect("write to the sink socket");
@@ -337,7 +336,7 @@ fn main() {
                             assert_eq!(round, in_process, "{name} τ={} k={k} shard {s}", q.tau);
                             assert_eq!(
                                 payload[..],
-                                frame[8..],
+                                frame[HEADER_BYTES..],
                                 "the replayed frame is the real one"
                             );
                             candidates.extend(round.candidates);
