@@ -1,8 +1,13 @@
 //! The checksum is a format, not an implementation detail: a WAL segment
 //! and a GPS record frame written by an earlier build must verify and
 //! replay under every later one. The bytes below were produced by the
-//! bytewise CRC-32 loop that preceded the slicing kernel (PR 21's
-//! encoder); the tests read them back and re-encode them byte for byte.
+//! bytewise CRC-32 loop that preceded both of today's kernels, under the
+//! encoder of that time; the tests read them back and re-encode them
+//! byte for byte.
+//! Where the CPU has PCLMULQDQ, the 70-byte WAL frame and the 88-byte
+//! GPS record are checksummed by the carry-less-multiply kernel (the
+//! first 64 bytes as four lanes, the rest by 16-byte folds and a slicing
+//! tail); the 59-byte WAL frame takes the slicing kernel everywhere.
 
 use netclus_ingest::wal::{encode_batch, read_wal, WalConfig, WalWriter};
 use netclus_ingest::{crc32, RecordReader, StreamRecord};
@@ -11,8 +16,8 @@ use netclus_service::UpdateOp;
 use netclus_trajectory::{GpsPoint, GpsTrace, TrajId, Trajectory};
 
 /// `wal-000000.seg`: the 16-byte header, then two batch frames of 70 and
-/// 59 payload bytes (both leave a remainder after the kernel's 8-byte
-/// steps).
+/// 59 payload bytes (both leave a remainder after the slicing kernel's
+/// 8-byte steps).
 const WAL_SEGMENT: [u8; 161] = [
     0x4e, 0x43, 0x57, 0x4c, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
     0x46, 0x00, 0x00, 0x00, 0x33, 0xd2, 0x49, 0xfa, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,

@@ -12,8 +12,16 @@
 //! [`FrameError`] — truncated, too large, or a CRC mismatch carrying both
 //! values — which each format maps onto its own error type, so a
 //! corrupted or torn frame is refused before its payload is ever
-//! interpreted. The CRC is hand-rolled because the workspace is
-//! dependency-free; the table is computed at compile time.
+//! interpreted.
+//!
+//! The CRC is hand-rolled because the workspace is dependency-free, and
+//! has two kernels behind one [`crc32`]. On x86_64 a payload of 64 bytes
+//! or more whose CPU reports PCLMULQDQ (detected at run time) is folded
+//! by carry-less multiplication, 64 bytes a step; everything else —
+//! shorter payloads, the fold's last < 16 bytes, other CPUs and
+//! architectures — runs a slicing-by-8 table kernel whose tables are
+//! computed at compile time. Both return the bytewise loop's value for
+//! every input, so the choice moves no byte on disk or on the wire.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -61,11 +69,25 @@ fn crc_step(c: u32, b: u8) -> u32 {
 
 /// CRC-32 of `data` (IEEE reflected form, initial/final XOR `!0`).
 ///
-/// Eight bytes a step (slicing-by-8); the value is that of the bytewise
-/// loop for every input, so frames, WAL segments and record streams
-/// written before the kernel changed still verify.
+/// From 64 bytes on, a CPU with PCLMULQDQ folds the payload by
+/// carry-less multiplication; below that, or without the instruction,
+/// the slicing-by-8 kernel runs. Either way the value is that of the
+/// bytewise loop, so frames, WAL segments and record streams written
+/// before a kernel changed still verify.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = !0u32;
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= 64 && is_x86_feature_detected!("pclmulqdq") {
+        // SAFETY: `is_x86_feature_detected!` just reported PCLMULQDQ, the
+        // only feature the kernel enables beyond the x86_64 baseline.
+        #[allow(unsafe_code)]
+        return !unsafe { clmul::fold(!0, data) };
+    }
+    !slicing(!0, data)
+}
+
+/// Folds `data` into the running (pre-inverted) state eight bytes a
+/// step, with the bytewise loop for the last < 8.
+fn slicing(mut c: u32, data: &[u8]) -> u32 {
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
         let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -79,10 +101,117 @@ pub fn crc32(data: &[u8]) -> u32 {
             ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
             ^ TABLES[0][(hi >> 24) as usize];
     }
-    for &b in chunks.remainder() {
-        c = crc_step(c, b);
+    chunks.remainder().iter().fold(c, |c, &b| crc_step(c, b))
+}
+
+/// The carry-less-multiply kernel: Gopal et al., "Fast CRC Computation
+/// for Generic Polynomials Using PCLMULQDQ Instruction" (Intel, 2009),
+/// in its bit-reflected form. Four 128-bit accumulators fold 64 bytes a
+/// step, then one folds 16 bytes a step; the 128-bit remainder is
+/// reduced to 64 bits and Barrett-reduced to the 32-bit state, and the
+/// last < 16 bytes go to [`slicing`].
+///
+/// Every helper is an `unsafe fn` with `target_feature` so its body is
+/// an unsafe context on every supported toolchain, including those where
+/// the intrinsics themselves are not yet safe to call.
+#[cfg(target_arch = "x86_64")]
+// SAFETY: each `unsafe fn` here needs only PCLMULQDQ (SSE2 is x86_64's
+// baseline), and its one caller, `crc32`, enters `fold` only after
+// `is_x86_feature_detected!("pclmulqdq")` holds.
+#[allow(unsafe_code)]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si32, _mm_cvtsi32_si128,
+        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// x^(4·128±32) mod P, bit-reflected: the 64-byte fold.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    /// x^(128±32) mod P, bit-reflected: the 16-byte fold and the
+    /// 128 → 96-bit step of the reduction.
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    /// x^64 mod P, bit-reflected: the 96 → 64-bit step.
+    const K5: i64 = 0x1_63cd_6124;
+    /// The polynomial P' and Barrett's μ = ⌊x^64 / P⌋, both reflected.
+    const P: i64 = 0x1_DB71_0641;
+    const MU: i64 = 0x1_F701_1641;
+
+    /// Folds `data` (at least 64 bytes) into the running (pre-inverted)
+    /// state; the value is that of [`slicing`](super::slicing) on the
+    /// same arguments.
+    ///
+    /// # Safety
+    /// The CPU must support PCLMULQDQ.
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) unsafe fn fold(state: u32, data: &[u8]) -> u32 {
+        let (head, rest) = data.split_at(64);
+        let mut acc = [
+            load(&head[..16]),
+            load(&head[16..32]),
+            load(&head[32..48]),
+            load(&head[48..]),
+        ];
+        acc[0] = _mm_xor_si128(acc[0], _mm_cvtsi32_si128(state as i32));
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        let mut blocks = rest.chunks_exact(64);
+        for block in &mut blocks {
+            for (a, lane) in acc.iter_mut().zip(block.chunks_exact(16)) {
+                *a = fold_into(*a, load(lane), k1k2);
+            }
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold_into(acc[0], acc[1], k3k4);
+        x = fold_into(x, acc[2], k3k4);
+        x = fold_into(x, acc[3], k3k4);
+        let mut lanes = blocks.remainder().chunks_exact(16);
+        for lane in &mut lanes {
+            x = fold_into(x, load(lane), k3k4);
+        }
+        super::slicing(reduce(x, k3k4), lanes.remainder())
     }
-    !c
+
+    /// `a` carried 128 (or 512) bits forward by `keys`, plus `b`.
+    ///
+    /// # Safety
+    /// The CPU must support PCLMULQDQ.
+    #[target_feature(enable = "pclmulqdq")]
+    unsafe fn fold_into(a: __m128i, b: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(a, keys, 0x00);
+        let hi = _mm_clmulepi64_si128(a, keys, 0x11);
+        _mm_xor_si128(_mm_xor_si128(b, lo), hi)
+    }
+
+    /// The 128-bit remainder `x` reduced to the 32-bit state: 128 → 96
+    /// bits with K4, 96 → 64 with K5, then Barrett's two multiplications.
+    ///
+    /// # Safety
+    /// The CPU must support PCLMULQDQ.
+    #[target_feature(enable = "pclmulqdq")]
+    unsafe fn reduce(x: __m128i, k3k4: __m128i) -> u32 {
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        let x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        let p_mu = _mm_set_epi64x(MU, P);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), p_mu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), p_mu, 0x00);
+        _mm_cvtsi128_si32(_mm_srli_si128(_mm_xor_si128(x, t2), 4)) as u32
+    }
+
+    /// Sixteen bytes as one lane, little-endian.
+    ///
+    /// # Safety
+    /// The CPU must support PCLMULQDQ.
+    #[target_feature(enable = "pclmulqdq")]
+    unsafe fn load(bytes: &[u8]) -> __m128i {
+        let (lo, hi) = bytes.split_at(8);
+        let half = |b: &[u8]| i64::from_le_bytes(b.try_into().expect("a lane is 2 × 8 bytes"));
+        _mm_set_epi64x(half(hi), half(lo))
+    }
 }
 
 /// Bytes of the `len | crc` header in front of every payload.
@@ -261,10 +390,14 @@ mod tests {
     use rand::{RngCore, RngExt, SeedableRng};
     use std::io::Cursor;
 
-    /// The one-table, one-byte-a-step loop the slicing kernel replaced:
-    /// the reference it must equal on every input.
+    /// The one-table, one-byte-a-step loop both kernels replaced: the
+    /// reference they must equal on every input.
     fn crc32_bytewise(data: &[u8]) -> u32 {
-        !data.iter().fold(!0u32, |c, &b| crc_step(c, b))
+        !bytewise(!0, data)
+    }
+
+    fn bytewise(state: u32, data: &[u8]) -> u32 {
+        data.iter().fold(state, |c, &b| crc_step(c, b))
     }
 
     fn random_bytes(rng: &mut StdRng, len: usize) -> Vec<u8> {
@@ -276,6 +409,9 @@ mod tests {
         buf
     }
 
+    /// The slicing kernel called directly, from arbitrary running states:
+    /// on a CPU with PCLMULQDQ `crc32` hands it only inputs under 64
+    /// bytes and the fold's tails, so the dispatch alone would hide it.
     #[test]
     fn slicing_kernel_equals_the_bytewise_reference() {
         let mut rng = StdRng::seed_from_u64(22);
@@ -285,10 +421,36 @@ mod tests {
         for start in 0..8 {
             for len in 0..=257 {
                 let data = &buf[start..start + len];
-                assert_eq!(crc32(data), crc32_bytewise(data), "start {start} len {len}");
+                let state = rng.next_u32();
+                assert_eq!(
+                    slicing(state, data),
+                    bytewise(state, data),
+                    "start {start} len {len} state {state:#010x}"
+                );
             }
         }
-        // Frame-sized inputs: a shard reply is ~52 kB, a resync chunk 1 MiB.
+        let big = random_bytes(&mut rng, 1 << 16);
+        assert_eq!(slicing(!0, &big), bytewise(!0, &big));
+    }
+
+    /// `crc32` — the carry-less fold where the CPU has it, the slicing
+    /// kernel otherwise — on both sides of every boundary: under 64
+    /// bytes, the 64-byte loop, the 16-byte loop and every 1–15-byte tail,
+    /// at every alignment of the first byte.
+    #[test]
+    fn crc32_equals_the_bytewise_reference() {
+        let mut rng = StdRng::seed_from_u64(30);
+        let buf = random_bytes(&mut rng, 16 + 1_100);
+        for start in 0..16 {
+            let mut state = !0u32;
+            for len in 0..=1_100 {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), !state, "start {start} len {len}");
+                state = crc_step(state, buf[start + len]);
+            }
+        }
+        // Frame-sized inputs: a shard reply is 64–73 kB, a resync chunk
+        // 1 MiB.
         let big = random_bytes(&mut rng, 1 << 20);
         assert_eq!(crc32(&big), crc32_bytewise(&big));
         for _ in 0..32 {
@@ -365,17 +527,28 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+        // Past the fold's 64-byte threshold: bytes 0..=255, valued by the
+        // bytewise loop.
+        let ramp: Vec<u8> = (0..=255).collect();
+        assert_eq!(crc32_bytewise(&ramp), 0x2905_8C73);
+        assert_eq!(crc32(&ramp), 0x2905_8C73);
     }
 
     #[test]
     fn detects_single_bit_flips() {
-        let data = b"netclus wal frame payload".to_vec();
-        let base = crc32(&data);
-        for byte in 0..data.len() {
-            for bit in 0..8u8 {
-                let mut flipped = data.clone();
-                flipped[byte] ^= 1 << bit;
-                assert_ne!(crc32(&flipped), base, "flip at {byte}:{bit} undetected");
+        let mut rng = StdRng::seed_from_u64(30);
+        // Under and over the fold's 64-byte threshold.
+        for data in [
+            b"netclus wal frame payload".to_vec(),
+            random_bytes(&mut rng, 300),
+        ] {
+            let base = crc32(&data);
+            for byte in 0..data.len() {
+                for bit in 0..8u8 {
+                    let mut flipped = data.clone();
+                    flipped[byte] ^= 1 << bit;
+                    assert_ne!(crc32(&flipped), base, "flip at {byte}:{bit} undetected");
+                }
             }
         }
     }
