@@ -53,12 +53,12 @@
 //! | Serving concept | Where it lives |
 //! |-----------------|----------------|
 //! | Epoch-based snapshots (`Arc`-swapped `NetClusIndex` + corpus; readers never block) | `netclus_service::snapshot` |
-//! | Worker pool, bounded admission, request batching, in-flight dedup | `netclus_service::executor` |
-//! | Sharded LRU result cache keyed `(k, τ, ψ, variant, epoch)` | `netclus_service::cache` |
+//! | Caller-runs query service: `workers` solve permits, a bounded waiting room, dedup by the result cache's single flight | `netclus_service::executor` |
+//! | `EpochLru`, the one LRU under the result cache keyed `(k, τ, ψ, variant, epoch)`, the provider cache, the round-1 memo and the stale fallback | `netclus_service::cache` |
 //! | Round-1 caches: single-flight provider cache (rows per `(epoch[, shard], instance, built τ)`, any τ in the band by prefix view) + candidate memo (prefix-sliced by `k`) | `netclus_service::provider_cache` |
 //! | Latency/throughput/queue/cache + ingest metrics | `netclus_service::metrics` |
 //! | Framed GPS record wire format (CRC-32, per-source seq) | `netclus_ingest::record` |
-//! | Backpressured intake + parallel map-matching pipeline | `netclus_ingest::pipeline` |
+//! | Backpressured intake + parallel map-matching pipeline, published in intake order | `netclus_ingest::pipeline` |
 //! | Trajectory lifecycle: id prediction, stream-time TTL | `netclus_ingest::lifecycle` |
 //! | Write-ahead log (segments, rotation, fsync batching) | `netclus_ingest::wal` |
 //! | Crash recovery: WAL replay to the exact pre-crash epoch | `netclus_ingest::recovery` |

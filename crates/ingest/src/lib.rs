@@ -11,10 +11,11 @@
 //!   [`Ingestor::submit`];
 //! * [`queue`] — the **bounded intake queue** with explicit backpressure
 //!   (block / drop-oldest / reject) between frame decoding and the slow
-//!   matching stage;
+//!   matching stage, ticketing each record it hands out;
 //! * [`pipeline`] — **parallel map matching**
 //!   ([`netclus_trajectory::MapMatcher`] workers) feeding a single
-//!   publisher;
+//!   publisher that releases records in ticket order, so publish order is
+//!   intake order whatever the worker count;
 //! * [`lifecycle`] — **id prediction and stream-time TTL expiry**, turning
 //!   matched trajectories into insert+retire
 //!   [`UpdateOp`](netclus_service::UpdateOp) batches sized by op count or
@@ -57,8 +58,8 @@
 //! // Stream one noisy trace through the pipeline.
 //! let wal_dir = std::env::temp_dir().join(format!("netclus-wal-doc-{}", std::process::id()));
 //! let _ = std::fs::remove_dir_all(&wal_dir);
-//! let ingestor = Ingestor::start(
-//!     Arc::clone(&store),
+//! let ingestor = Ingestor::start_with_sink(
+//!     store.clone(),
 //!     grid,
 //!     IngestConfig::new(&wal_dir),
 //!     Arc::new(IngestMetrics::default()),

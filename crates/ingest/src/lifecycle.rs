@@ -97,9 +97,10 @@ impl LifecycleManager {
         id
     }
 
-    /// Advances the stream clock to `time_s` (monotone; regressions from
-    /// out-of-order matcher output are ignored) and appends retire ops for
-    /// every trajectory whose TTL has lapsed. Returns the retire count.
+    /// Advances the stream clock to `time_s` (monotone; regressions are
+    /// ignored — records arrive in intake order, so they come only from
+    /// stream times that interleave across sources) and appends retire ops
+    /// for every trajectory whose TTL has lapsed. Returns the retire count.
     pub fn advance(&mut self, time_s: f64, ops: &mut Vec<UpdateOp>) -> usize {
         if time_s > self.watermark_s {
             self.watermark_s = time_s;

@@ -6,21 +6,33 @@
 //!                      │  per-source seq dedup
 //!                      ▼
 //!            ┌──────────────────┐   BoundedQueue (block / drop-oldest /
-//!            │      intake      │   reject backpressure)
-//!            └──────────────────┘
+//!            │      intake      │   reject backpressure); pop tickets
+//!            └──────────────────┘   0, 1, 2, … in intake order
 //!               ▼    ▼    ▼
 //!        match workers (Viterbi map matching, parallel)
 //!               │    │    │
-//!               └────┼────┘  mpsc
+//!               └────┼────┘  mpsc of (ticket, outcome)
 //!                    ▼
 //!            publisher thread
+//!              release in ticket order
 //!              lifecycle (id prediction, stream-time TTL)
 //!              batch by op count or deadline
 //!              WAL append (+ fsync batching)   ←— durable *before* …
 //!              SnapshotStore::apply            ←— … it is visible
 //! ```
 //!
-//! The publisher must be the **only writer** of its [`SnapshotStore`]:
+//! **Publish order is intake order.** Each record leaves the queue with a
+//! ticket, and the publisher admits a record only once every lower ticket
+//! has resolved — matched, or failed to match (a displaced record never
+//! takes a ticket). Ids, TTL retirements and WAL ops therefore depend on
+//! the submit order alone, never on the worker count or on which match
+//! finished first. It also keeps the WAL's per-source high-water marks
+//! sound: a source's records are pushed in seq order, so when one of them
+//! is published every earlier seq of that source has been published, has
+//! failed or was displaced, and no persisted mark covers a record still
+//! being matched.
+//!
+//! The publisher must be the **only writer** of its [`UpdateSink`]:
 //! id prediction and the WAL's gapless epoch chain both depend on it (the
 //! publish path asserts this). Readers are unrestricted — that is the
 //! point of the snapshot store.
@@ -34,16 +46,17 @@
 //! *durable* epoch). [`Ingestor::abort`] simulates the crash faithfully:
 //! the WAL writer's buffer is discarded, never flushed.
 //!
-//! **Restart.** [`Ingestor::start`] folds the pipeline's durable soft
-//! state back out of the WAL: per-source dedup watermarks resume from the
-//! high-water marks recorded with each batch (an at-least-once producer's
-//! retries of already-published records stay duplicates across a crash),
-//! and the TTL lifecycle resumes from the recorded stream end time of
-//! every still-live trajectory (the sliding window keeps sliding). The
-//! store must match the log — recover it from the same WAL directory
-//! first (see [`crate::recovery`]) — or `start` refuses to run.
+//! **Restart.** [`Ingestor::start_with_sink`] folds the pipeline's
+//! durable soft state back out of the WAL: per-source dedup watermarks
+//! resume from the high-water marks recorded with each batch (an
+//! at-least-once producer's retries of already-published records stay
+//! duplicates across a crash), and the TTL lifecycle resumes from the
+//! recorded stream end time of every still-live trajectory (the sliding
+//! window keeps sliding). The store must match the log — recover it from
+//! the same WAL directory first (see [`crate::recovery`]) — or the start
+//! is refused.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -52,7 +65,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use netclus_roadnet::GridIndex;
-use netclus_service::{IngestMetrics, SnapshotStore, Stage, UpdateOp, UpdateSink};
+use netclus_service::{IngestMetrics, Stage, UpdateOp, UpdateSink};
 use netclus_trajectory::{MapMatcher, Trajectory};
 
 use crate::lifecycle::LifecycleManager;
@@ -149,98 +162,9 @@ struct Matched {
     admitted_at: Instant,
 }
 
-/// Per-source bookkeeping shared by intake, match workers and the
-/// publisher: the admission watermark (duplicate detection) and the
-/// ordered set of admitted-but-unaccounted sequence numbers.
-///
-/// The in-flight set is what makes the WAL's per-source *high-water*
-/// marks sound. Parallel match workers can finish one source's records
-/// out of order; if the publisher persisted mark 5 while seq 4 of the
-/// same source was still being matched, a crash would classify 4's
-/// at-least-once retry as a duplicate — silent record loss. The
-/// publisher therefore only publishes a source's **lowest** in-flight
-/// seq ([`SourceTracker::is_next`]), parking later arrivals until the
-/// gap resolves (published, match-failed, or displaced), so every
-/// persisted mark covers only accounted records.
-#[derive(Debug, Default)]
-struct SourceTracker {
-    map: Mutex<HashMap<u32, SourceState>>,
-}
-
-#[derive(Debug, Default)]
-struct SourceState {
-    /// Highest seq ever admitted — the intake dedup watermark.
-    admitted: Option<u64>,
-    /// Admitted seqs not yet published, match-failed, or displaced.
-    inflight: BTreeSet<u64>,
-}
-
-impl SourceTracker {
-    /// A tracker whose admission watermarks resume from recovered WAL
-    /// marks (nothing is in flight in a fresh process).
-    fn seeded(marks: HashMap<u32, u64>) -> Self {
-        SourceTracker {
-            map: Mutex::new(
-                marks
-                    .into_iter()
-                    .map(|(source, seq)| {
-                        (
-                            source,
-                            SourceState {
-                                admitted: Some(seq),
-                                inflight: BTreeSet::new(),
-                            },
-                        )
-                    })
-                    .collect(),
-            ),
-        }
-    }
-
-    /// Intake step 1: returns false if `seq` is a duplicate, else
-    /// provisionally registers it in flight — *before* the record becomes
-    /// poppable, so no downstream stage can ever see a seq the tracker
-    /// doesn't know. The caller then either [`SourceTracker::confirm`]s
-    /// the admission or rolls it back with [`SourceTracker::settle`] when
-    /// the queue sheds the record.
-    fn begin_admit(&self, source: u32, seq: u64) -> bool {
-        let mut map = self.map.lock().expect("tracker lock poisoned");
-        let state = map.entry(source).or_default();
-        if state.admitted.is_some_and(|last| seq <= last) {
-            return false;
-        }
-        state.inflight.insert(seq);
-        true
-    }
-
-    /// Intake step 2: the queue admitted the record — advance the
-    /// duplicate-detection watermark. (A source is one producer, so its
-    /// submits are sequential; concurrent *distinct* sources never share
-    /// an entry.)
-    fn confirm(&self, source: u32, seq: u64) {
-        let mut map = self.map.lock().expect("tracker lock poisoned");
-        let state = map.entry(source).or_default();
-        state.admitted = Some(state.admitted.map_or(seq, |last| last.max(seq)));
-    }
-
-    /// Accounts for `seq`: published, match-failed, displaced by
-    /// drop-oldest, or rolled back after a shed — in every case it stops
-    /// blocking the source's publish order.
-    fn settle(&self, source: u32, seq: u64) {
-        let mut map = self.map.lock().expect("tracker lock poisoned");
-        if let Some(state) = map.get_mut(&source) {
-            state.inflight.remove(&seq);
-        }
-    }
-
-    /// True when `seq` is the lowest in-flight seq of `source` — the only
-    /// position the publisher may publish.
-    fn is_next(&self, source: u32, seq: u64) -> bool {
-        let map = self.map.lock().expect("tracker lock poisoned");
-        map.get(&source)
-            .is_some_and(|state| state.inflight.first() == Some(&seq))
-    }
-}
+/// What a match worker sends the publisher: the record's pop ticket and
+/// its matched trajectory, or `None` when matching failed.
+type Outcome = (u64, Option<Matched>);
 
 /// Pipeline soft state folded back out of the WAL on start: what a
 /// restarted ingestor needs so dedup and TTL expiry survive a crash.
@@ -299,17 +223,17 @@ fn fold_durable_state(log: &ReplayLog, id_bound: u32) -> io::Result<DurableState
     })
 }
 
-/// The running pipeline. Create with [`Ingestor::start`], feed with
-/// [`Ingestor::submit`] or [`Ingestor::ingest_reader`], and end with
+/// The running pipeline. Create with [`Ingestor::start_with_sink`], feed
+/// with [`Ingestor::submit`] or [`Ingestor::ingest_reader`], and end with
 /// [`Ingestor::finish`] (graceful drain) or [`Ingestor::abort`] (simulated
 /// crash: everything not yet WAL-appended is lost, exactly as a real crash
 /// would lose it).
 pub struct Ingestor {
     intake: Arc<BoundedQueue<AdmittedRecord>>,
     policy: BackpressurePolicy,
-    /// Per-source admission watermarks and in-flight seqs, shared with
-    /// the match workers and the publisher.
-    tracker: Arc<SourceTracker>,
+    /// Per-source dedup watermarks: the highest seq admitted from each
+    /// source, seeded from the WAL's marks.
+    watermarks: Mutex<HashMap<u32, u64>>,
     metrics: Arc<IngestMetrics>,
     abort: Arc<AtomicBool>,
     /// Fault-injection hook: while set, the publisher keeps batching but
@@ -322,37 +246,24 @@ pub struct Ingestor {
 impl Ingestor {
     /// Opens the WAL and starts the match workers and the publisher.
     ///
-    /// `store` is the live snapshot store the pipeline publishes into —
-    /// the pipeline must be its only writer. `grid` must index the
-    /// store's road network.
+    /// `sink` is what the pipeline publishes into: a live
+    /// [`SnapshotStore`](netclus_service::SnapshotStore) (an
+    /// `Arc<SnapshotStore>` coerces at the call) or a replicated
+    /// [`ShardRouter`](netclus_service::ShardRouter), wiring ingest into
+    /// sharded serving end to end. The pipeline must be the sink's only
+    /// writer. `grid` must index the sink's road network.
     ///
     /// On a non-empty WAL directory this is a **restart**: the per-source
     /// dedup watermarks and the TTL state of live trajectories are folded
-    /// back out of the log, and the store must already sit at the log's
+    /// back out of the log, and the sink must already sit at the log's
     /// last epoch (recover it with [`crate::recovery::recover_store`]
-    /// first) — a mismatched store is rejected with `InvalidInput` rather
+    /// first) — a mismatched sink is rejected with `InvalidInput` rather
     /// than silently forking the epoch chain.
     ///
-    /// `start` scans the log itself rather than taking recovery output,
+    /// Starting scans the log itself rather than taking recovery output,
     /// so it cannot be handed stale or mismatched state; the recover-
     /// then-start sequence therefore reads the log twice. The cost is
     /// one startup pass, linear in log size.
-    pub fn start(
-        store: Arc<SnapshotStore>,
-        grid: Arc<GridIndex>,
-        cfg: IngestConfig,
-        metrics: Arc<IngestMetrics>,
-    ) -> io::Result<Ingestor> {
-        Self::start_with_sink(store, grid, cfg, metrics)
-    }
-
-    /// [`Ingestor::start`] over any [`UpdateSink`] — the same pipeline
-    /// publishing into a replicated
-    /// [`ShardRouter`](netclus_service::ShardRouter) instead of a
-    /// monolithic store, wiring ingest into sharded serving end to end.
-    /// Every durability and restart rule of `start` holds unchanged: the
-    /// sink must sit exactly at the WAL's last epoch, and the pipeline
-    /// must be the sink's only writer.
     pub fn start_with_sink(
         sink: Arc<dyn UpdateSink>,
         grid: Arc<GridIndex>,
@@ -392,8 +303,7 @@ impl Ingestor {
         let intake = Arc::new(BoundedQueue::new(cfg.queue_capacity));
         let abort = Arc::new(AtomicBool::new(false));
         let stall = Arc::new(AtomicBool::new(false));
-        let tracker = Arc::new(SourceTracker::seeded(durable.marks));
-        let (tx, rx) = channel::<Matched>();
+        let (tx, rx) = channel::<Outcome>();
 
         let mut handles = Vec::with_capacity(cfg.match_workers + 1);
         for i in 0..cfg.match_workers.max(1) {
@@ -402,16 +312,13 @@ impl Ingestor {
             let metrics = Arc::clone(&metrics);
             let net = Arc::clone(&net);
             let grid = Arc::clone(&grid);
-            let tracker = Arc::clone(&tracker);
             let matcher = cfg.matcher.clone();
             let tx = tx.clone();
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("ingest-match-{i}"))
                     .spawn(move || {
-                        match_loop(
-                            &intake, &abort, &metrics, &net, &grid, &matcher, &tracker, &tx,
-                        )
+                        match_loop(&intake, &abort, &metrics, &net, &grid, &matcher, &tx)
                     })
                     .expect("spawn match worker"),
             );
@@ -423,7 +330,6 @@ impl Ingestor {
             let stall = Arc::clone(&stall);
             let metrics = Arc::clone(&metrics);
             let intake = Arc::clone(&intake);
-            let tracker = Arc::clone(&tracker);
             let lifecycle =
                 LifecycleManager::resume(next_id, cfg.ttl_s, durable.watermark_s, durable.live);
             let max_batch_ops = cfg.max_batch_ops.max(1);
@@ -437,7 +343,6 @@ impl Ingestor {
                             sink,
                             wal,
                             lifecycle,
-                            &tracker,
                             &intake,
                             &abort,
                             &stall,
@@ -453,7 +358,7 @@ impl Ingestor {
         Ok(Ingestor {
             intake,
             policy: cfg.policy,
-            tracker,
+            watermarks: Mutex::new(durable.marks),
             metrics,
             abort,
             stall,
@@ -473,11 +378,13 @@ impl Ingestor {
 
     /// Offers one record to the pipeline: per-source duplicates are
     /// dropped, then the backpressure policy decides admission.
+    ///
+    /// A source is one producer, so its submits are sequential: no other
+    /// call moves its watermark between the check and the advance.
     pub fn submit(&self, record: StreamRecord) -> SubmitOutcome {
         let (source, seq) = (record.source, record.seq);
-        // Register in flight *before* the record becomes poppable, so a
-        // worker can never process a seq the tracker doesn't know about.
-        if !self.tracker.begin_admit(source, seq) {
+        let last = self.watermarks().get(&source).copied();
+        if last.is_some_and(|last| seq <= last) {
             self.metrics
                 .records_duplicate
                 .fetch_add(1, Ordering::Relaxed);
@@ -490,35 +397,28 @@ impl Ingestor {
             // against ingest-to-visibility lag.
             admitted_at: Instant::now(),
         };
-        let (push, displaced) = self.intake.push_reporting(admitted, self.policy);
-        if let Some(d) = displaced {
-            // A drop-oldest eviction is intentional loss (freshest-data
-            // wins): account the displaced record so it never blocks its
-            // source's publish order.
-            self.tracker.settle(d.record.source, d.record.seq);
-        }
-        match push {
-            PushOutcome::Accepted => {
-                self.tracker.confirm(source, seq);
-                self.metrics.records_in.fetch_add(1, Ordering::Relaxed);
-                SubmitOutcome::Accepted
-            }
+        let outcome = match self.intake.push(admitted, self.policy) {
+            PushOutcome::Accepted => SubmitOutcome::Accepted,
             PushOutcome::AcceptedDroppedOldest => {
-                self.tracker.confirm(source, seq);
-                self.metrics.records_in.fetch_add(1, Ordering::Relaxed);
                 self.metrics.records_dropped.fetch_add(1, Ordering::Relaxed);
                 SubmitOutcome::AcceptedDroppedOldest
             }
             PushOutcome::Rejected | PushOutcome::Closed => {
                 // The watermark moves only on admission: a shed record
                 // was never taken, so the upstream retry it is owed must
-                // not be mistaken for a duplicate. Roll the provisional
-                // in-flight entry back.
-                self.tracker.settle(source, seq);
+                // not be mistaken for a duplicate.
                 self.metrics.records_dropped.fetch_add(1, Ordering::Relaxed);
-                SubmitOutcome::Shed
+                return SubmitOutcome::Shed;
             }
-        }
+        };
+        self.watermarks().insert(source, seq);
+        self.metrics.records_in.fetch_add(1, Ordering::Relaxed);
+        outcome
+    }
+
+    /// The dedup watermarks, locked.
+    fn watermarks(&self) -> std::sync::MutexGuard<'_, HashMap<u32, u64>> {
+        self.watermarks.lock().expect("watermark lock poisoned")
     }
 
     /// Decodes framed records from `r` and submits each, returning the
@@ -603,8 +503,8 @@ impl Drop for Ingestor {
     }
 }
 
-/// Match-worker body: pop, Viterbi-match, forward.
-#[allow(clippy::too_many_arguments)]
+/// Match-worker body: pop, Viterbi-match, forward the outcome under the
+/// record's pop ticket.
 fn match_loop(
     intake: &BoundedQueue<AdmittedRecord>,
     abort: &AtomicBool,
@@ -612,41 +512,39 @@ fn match_loop(
     net: &netclus_roadnet::RoadNetwork,
     grid: &GridIndex,
     matcher: &MapMatcher,
-    tracker: &SourceTracker,
-    tx: &Sender<Matched>,
+    tx: &Sender<Outcome>,
 ) {
     while !abort.load(Ordering::Acquire) {
-        let Some(admitted) = intake.pop() else {
+        let Some((ticket, admitted)) = intake.pop() else {
             return;
         };
         let (record, admitted_at) = (admitted.record, admitted.admitted_at);
         let end_time_s = record.trace.points().last().map_or(0.0, |p| p.t);
         let t = Instant::now();
-        match matcher.match_trace(net, grid, &record.trace) {
+        let matched = match matcher.match_trace(net, grid, &record.trace) {
             Ok(traj) => {
                 metrics.match_latency.record(t.elapsed());
                 metrics.stages.record(Stage::Match, t.elapsed());
                 metrics.records_matched.fetch_add(1, Ordering::Relaxed);
-                let matched = Matched {
+                Some(Matched {
                     traj,
                     end_time_s,
                     source: record.source,
                     seq: record.seq,
                     admitted_at,
-                };
-                if tx.send(matched).is_err() {
-                    return; // publisher is gone
-                }
+                })
             }
             Err(_) => {
                 // A failed match never reaches the WAL, so its seq is not
                 // in the durable marks either: a post-crash retry is
                 // re-admitted, fails the same way, and changes nothing.
-                // Settling it unblocks any later seq of the same source
-                // the publisher is holding back.
-                tracker.settle(record.source, record.seq);
+                // Its ticket still resolves, releasing what it held back.
                 metrics.match_failed.fetch_add(1, Ordering::Relaxed);
+                None
             }
+        };
+        if tx.send((ticket, matched)).is_err() {
+            return; // publisher is gone
         }
     }
 }
@@ -665,109 +563,61 @@ struct PendingBatch {
 }
 
 impl PendingBatch {
-    /// Admission stamp of the batch's oldest record.
-    fn oldest_admitted(&self) -> Option<Instant> {
-        self.admitted.iter().min().copied()
+    /// Appends one matched record: lifecycle ops, soft state, metrics.
+    fn admit(
+        &mut self,
+        matched: Matched,
+        lifecycle: &mut LifecycleManager,
+        metrics: &IngestMetrics,
+    ) {
+        self.add_times.push(matched.end_time_s);
+        self.admitted.push(matched.admitted_at);
+        // Records arrive in intake order and a source's seqs are admitted
+        // increasing, so its latest seq is its high-water mark.
+        self.marks.insert(matched.source, matched.seq);
+        let before = self.ops.len();
+        lifecycle.admit(matched.traj, matched.end_time_s, &mut self.ops);
+        let retired = (self.ops.len() - before).saturating_sub(1) as u64;
+        metrics.trajs_retired.fetch_add(retired, Ordering::Relaxed);
     }
 }
 
-/// Matched records parked by the publisher because a lower admitted seq
-/// of their source is still in flight, keyed source → seq → record.
-type Waiting = HashMap<u32, BTreeMap<u64, Matched>>;
-
-/// Routes an arriving record: admit it to the batch if it is its
-/// source's lowest in-flight seq (then drain anything it unblocked),
-/// park it otherwise.
-fn accept_in_order(
-    matched: Matched,
-    waiting: &mut Waiting,
-    tracker: &SourceTracker,
-    lifecycle: &mut LifecycleManager,
-    batch: &mut PendingBatch,
-    metrics: &IngestMetrics,
-) {
-    let source = matched.source;
-    if tracker.is_next(source, matched.seq) {
-        admit_to_batch(matched, tracker, lifecycle, batch, metrics);
-        drain_source(source, waiting, tracker, lifecycle, batch, metrics);
-    } else {
-        waiting
-            .entry(source)
-            .or_default()
-            .insert(matched.seq, matched);
-    }
+/// The publisher's in-order buffer: match outcomes that arrived before a
+/// lower ticket resolved, and the lowest unresolved ticket.
+#[derive(Default)]
+struct InOrder {
+    held: BTreeMap<u64, Option<Matched>>,
+    next: u64,
 }
 
-/// Admits every parked record of `source` that has become its lowest
-/// in-flight seq.
-fn drain_source(
-    source: u32,
-    waiting: &mut Waiting,
-    tracker: &SourceTracker,
-    lifecycle: &mut LifecycleManager,
-    batch: &mut PendingBatch,
-    metrics: &IngestMetrics,
-) {
-    let Some(queue) = waiting.get_mut(&source) else {
-        return;
-    };
-    while let Some(entry) = queue.first_entry() {
-        if !tracker.is_next(source, *entry.key()) {
-            break;
+impl InOrder {
+    /// Files `ticket`'s outcome, then hands `admit` every record whose
+    /// lower tickets have all resolved, in ticket order. A failed match
+    /// (`None`) admits nothing; it only stops holding later tickets back.
+    fn resolve(&mut self, ticket: u64, outcome: Option<Matched>, mut admit: impl FnMut(Matched)) {
+        self.held.insert(ticket, outcome);
+        while let Some(outcome) = self.held.remove(&self.next) {
+            self.next += 1;
+            if let Some(matched) = outcome {
+                admit(matched);
+            }
         }
-        let matched = entry.remove();
-        admit_to_batch(matched, tracker, lifecycle, batch, metrics);
     }
-    if queue.is_empty() {
-        waiting.remove(&source);
-    }
-}
 
-/// Sweeps every parked source — match failures settle seqs without a
-/// message to the publisher, so parked records are re-checked on each
-/// poll tick.
-fn drain_waiting(
-    waiting: &mut Waiting,
-    tracker: &SourceTracker,
-    lifecycle: &mut LifecycleManager,
-    batch: &mut PendingBatch,
-    metrics: &IngestMetrics,
-) {
-    let sources: Vec<u32> = waiting.keys().copied().collect();
-    for source in sources {
-        drain_source(source, waiting, tracker, lifecycle, batch, metrics);
+    /// Admission stamps of the held records.
+    fn admitted(&self) -> impl Iterator<Item = Instant> + '_ {
+        self.held.values().flatten().map(|m| m.admitted_at)
     }
 }
 
-/// Appends one matched record to the batch: lifecycle ops, soft state,
-/// in-flight settlement, metrics.
-fn admit_to_batch(
-    matched: Matched,
-    tracker: &SourceTracker,
-    lifecycle: &mut LifecycleManager,
-    batch: &mut PendingBatch,
-    metrics: &IngestMetrics,
-) {
-    tracker.settle(matched.source, matched.seq);
-    batch.add_times.push(matched.end_time_s);
-    batch.admitted.push(matched.admitted_at);
-    let mark = batch.marks.entry(matched.source).or_insert(matched.seq);
-    *mark = (*mark).max(matched.seq);
-    let before = batch.ops.len();
-    lifecycle.admit(matched.traj, matched.end_time_s, &mut batch.ops);
-    let retired = (batch.ops.len() - before).saturating_sub(1) as u64;
-    metrics.trajs_retired.fetch_add(retired, Ordering::Relaxed);
-}
-
-/// Publisher body: order per source, batch, WAL, publish. Sole writer of
-/// `sink`.
+/// Publisher body: release in ticket order, batch, WAL, publish. Sole
+/// writer of `sink`.
 #[allow(clippy::too_many_arguments)]
 fn publish_loop(
-    rx: Receiver<Matched>,
+    rx: Receiver<Outcome>,
     sink: Arc<dyn UpdateSink>,
     mut wal: WalWriter,
     mut lifecycle: LifecycleManager,
-    tracker: &SourceTracker,
     intake: &BoundedQueue<AdmittedRecord>,
     abort: &AtomicBool,
     stall: &AtomicBool,
@@ -787,7 +637,7 @@ fn publish_loop(
             .fetch_add(discarded, Ordering::Relaxed);
     };
     let mut batch = PendingBatch::default();
-    let mut waiting: Waiting = HashMap::new();
+    let mut in_order = InOrder::default();
     let mut deadline: Option<Instant> = None;
     loop {
         if abort.load(Ordering::Acquire) {
@@ -801,16 +651,9 @@ fn publish_loop(
             .unwrap_or(POLL)
             .min(POLL);
         match rx.recv_timeout(timeout) {
-            Ok(matched) => {
-                accept_in_order(
-                    matched,
-                    &mut waiting,
-                    tracker,
-                    &mut lifecycle,
-                    &mut batch,
-                    metrics,
-                );
-            }
+            Ok((ticket, outcome)) => in_order.resolve(ticket, outcome, |matched| {
+                batch.admit(matched, &mut lifecycle, metrics)
+            }),
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => {
                 // Every worker exited. On an abort that can race the
@@ -819,11 +662,9 @@ fn publish_loop(
                     wal.simulate_crash();
                     return;
                 }
-                // Graceful end: every in-flight seq is now settled or in
-                // the channel (drained above), so parked records resolve
-                // completely; then flush the tail.
-                drain_waiting(&mut waiting, tracker, &mut lifecycle, &mut batch, metrics);
-                debug_assert!(waiting.is_empty(), "records parked past shutdown");
+                // Graceful end: every popped ticket's outcome has been
+                // received, so nothing is held; flush the tail.
+                debug_assert!(in_order.held.is_empty(), "records held past shutdown");
                 if !batch.ops.is_empty() && !publish(&*sink, &mut wal, &mut batch, metrics) {
                     fail(metrics);
                     return;
@@ -838,25 +679,16 @@ fn publish_loop(
                 return;
             }
         }
-        // Out-of-band settles (match failures, drop-oldest displacements)
-        // never message the publisher, so parked sources are swept every
-        // iteration — not just on idle ticks, which sustained traffic
-        // would starve into unbounded parking.
-        if !waiting.is_empty() {
-            drain_waiting(&mut waiting, tracker, &mut lifecycle, &mut batch, metrics);
-        }
         // Refresh the visibility-lag gauge: the age of the oldest
         // admitted-but-unpublished record this thread knows about (the
-        // pending batch plus parked out-of-order records), 0 when caught
-        // up. This is the recoverable freshness signal health gates on.
+        // pending batch plus records held behind a lower ticket), 0 when
+        // caught up. This is the recoverable freshness signal health
+        // gates on.
         let oldest = batch
-            .oldest_admitted()
-            .into_iter()
-            .chain(
-                waiting
-                    .values()
-                    .flat_map(|q| q.values().map(|m| m.admitted_at)),
-            )
+            .admitted
+            .iter()
+            .copied()
+            .chain(in_order.admitted())
             .min();
         let lag_us = oldest.map_or(0, |t| t.elapsed().as_micros() as u64);
         metrics.visibility_lag_us.store(lag_us, Ordering::Relaxed);
@@ -955,108 +787,52 @@ mod tests {
     }
 
     /// Regression test for the durable-mark soundness hole: with parallel
-    /// workers a later seq can finish matching first. The publisher must
-    /// park it — publishing it would persist a high-water mark covering
-    /// the still-in-flight lower seq, and a crash would then drop that
-    /// record's at-least-once retry as a duplicate.
+    /// workers a later record can finish matching first. The publisher
+    /// must hold it — publishing it would persist a high-water mark
+    /// covering the still-in-flight lower seq, and a crash would then
+    /// drop that record's at-least-once retry as a duplicate.
     #[test]
     fn out_of_order_matches_are_parked_until_the_gap_resolves() {
-        let tracker = SourceTracker::default();
-        assert!(tracker.begin_admit(1, 0));
-        assert!(tracker.begin_admit(1, 1));
-        let mut waiting: Waiting = HashMap::new();
+        let mut in_order = InOrder::default();
         let mut lifecycle = LifecycleManager::new(0, None);
         let mut batch = PendingBatch::default();
         let metrics = IngestMetrics::default();
+        let mut resolve = |in_order: &mut InOrder, batch: &mut PendingBatch, ticket, outcome| {
+            in_order.resolve(ticket, outcome, |m| {
+                batch.admit(m, &mut lifecycle, &metrics)
+            });
+        };
 
-        // seq 1 finishes matching first: parked, nothing published, no
-        // mark recorded.
-        accept_in_order(
-            matched(1, 1, 20.0),
-            &mut waiting,
-            &tracker,
-            &mut lifecycle,
-            &mut batch,
-            &metrics,
-        );
+        // Tickets 1 and 2 (seqs 1 and 2 of source 1) finish matching
+        // first: held, nothing admitted, no mark recorded.
+        resolve(&mut in_order, &mut batch, 2, Some(matched(1, 2, 30.0)));
+        resolve(&mut in_order, &mut batch, 1, Some(matched(1, 1, 20.0)));
         assert!(batch.ops.is_empty());
         assert!(batch.marks.is_empty());
-        assert_eq!(waiting[&1].len(), 1);
+        assert_eq!(in_order.held.len(), 2);
 
-        // seq 0 lands: both publish, in admission order, mark exact.
-        accept_in_order(
-            matched(1, 0, 10.0),
-            &mut waiting,
-            &tracker,
-            &mut lifecycle,
-            &mut batch,
-            &metrics,
-        );
-        assert_eq!(batch.ops.len(), 2);
-        assert_eq!(batch.add_times, vec![10.0, 20.0], "admission order");
-        assert_eq!(batch.marks[&1], 1);
-        assert!(waiting.is_empty());
+        // Ticket 0 lands: all three admit, in ticket order, mark exact.
+        resolve(&mut in_order, &mut batch, 0, Some(matched(1, 0, 10.0)));
+        assert_eq!(batch.ops.len(), 3);
+        assert_eq!(batch.add_times, vec![10.0, 20.0, 30.0], "ticket order");
+        assert_eq!(batch.marks[&1], 2);
+        assert!(in_order.held.is_empty());
+        assert_eq!(in_order.next, 3);
     }
 
-    /// A match failure settles its seq without a publisher message; the
-    /// poll-tick sweep must then release the parked later seq.
+    /// A failed match resolves its ticket with `None`: it admits nothing
+    /// and releases the later tickets it was holding back.
     #[test]
     fn match_failure_unblocks_parked_records() {
-        let tracker = SourceTracker::default();
-        assert!(tracker.begin_admit(7, 3));
-        assert!(tracker.begin_admit(7, 4));
-        let mut waiting: Waiting = HashMap::new();
-        let mut lifecycle = LifecycleManager::new(0, None);
-        let mut batch = PendingBatch::default();
-        let metrics = IngestMetrics::default();
+        let mut in_order = InOrder::default();
+        let mut admitted = Vec::new();
+        in_order.resolve(1, Some(matched(7, 4, 5.0)), |m| admitted.push(m.seq));
+        in_order.resolve(2, Some(matched(3, 0, 6.0)), |m| admitted.push(m.seq));
+        assert!(admitted.is_empty(), "ticket 0 still in flight");
 
-        accept_in_order(
-            matched(7, 4, 5.0),
-            &mut waiting,
-            &tracker,
-            &mut lifecycle,
-            &mut batch,
-            &metrics,
-        );
-        assert!(batch.ops.is_empty(), "seq 3 still in flight");
-
-        tracker.settle(7, 3); // the worker reports seq 3's match failure
-        drain_waiting(&mut waiting, &tracker, &mut lifecycle, &mut batch, &metrics);
-        assert_eq!(batch.ops.len(), 1);
-        assert_eq!(batch.marks[&7], 4);
-        assert!(waiting.is_empty());
-    }
-
-    /// Intake bookkeeping: duplicates are detected against the confirmed
-    /// watermark, shed records roll back cleanly, and a drop-oldest
-    /// eviction settles the displaced seq.
-    #[test]
-    fn tracker_admission_lifecycle() {
-        let tracker = SourceTracker::default();
-        assert!(tracker.begin_admit(2, 5));
-        tracker.confirm(2, 5);
-        assert!(!tracker.begin_admit(2, 5), "re-send is a duplicate");
-        assert!(!tracker.begin_admit(2, 4), "older seq is a duplicate");
-
-        // A shed record rolls back: the same seq is retryable.
-        assert!(tracker.begin_admit(2, 6));
-        tracker.settle(2, 6); // queue rejected it
-        assert!(tracker.begin_admit(2, 6), "shed record must stay retryable");
-        tracker.confirm(2, 6);
-        assert!(tracker.is_next(2, 5), "seq 5 is still the lowest in flight");
-        assert!(!tracker.is_next(2, 6));
-        tracker.settle(2, 5); // seq 5 publishes
-        assert!(tracker.is_next(2, 6));
-        tracker.settle(2, 6);
-        assert!(!tracker.is_next(2, 6));
-    }
-
-    /// Marks seeded from the WAL classify redelivered seqs as duplicates.
-    #[test]
-    fn seeded_tracker_resumes_dedup() {
-        let tracker = SourceTracker::seeded(HashMap::from([(9, 41u64)]));
-        assert!(!tracker.begin_admit(9, 41));
-        assert!(!tracker.begin_admit(9, 0));
-        assert!(tracker.begin_admit(9, 42));
+        in_order.resolve(0, None, |m| admitted.push(m.seq)); // seq 3 failed
+        assert_eq!(admitted, vec![4, 0]);
+        assert!(in_order.held.is_empty());
+        assert_eq!(in_order.admitted().count(), 0);
     }
 }

@@ -12,6 +12,13 @@
 //! * [`BackpressurePolicy::Reject`] — the new record is refused and the
 //!   caller told so (load shedding with upstream retry).
 //!
+//! `pop` also hands out a **ticket**: the number of items popped before
+//! this one, taken under the queue's lock. An item displaced by
+//! `DropOldest` or discarded by [`BoundedQueue::close_and_clear`] is never
+//! popped, so tickets are dense and follow push order — the ingest
+//! publisher releases match outcomes in ticket order, which makes publish
+//! order the intake order.
+//!
 //! `std::sync::mpsc::sync_channel` only offers the blocking flavor, hence
 //! this hand-rolled Mutex + Condvar queue.
 
@@ -45,10 +52,13 @@ pub enum PushOutcome {
 struct Inner<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Items popped so far: the next pop's ticket.
+    popped: u64,
 }
 
 /// The bounded queue. `push` applies a [`BackpressurePolicy`]; `pop`
-/// blocks until an item arrives or the queue is closed and drained.
+/// blocks until an item arrives or the queue is closed and drained, and
+/// tickets what it returns.
 pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     capacity: usize,
@@ -63,6 +73,7 @@ impl<T> BoundedQueue<T> {
             inner: Mutex::new(Inner {
                 items: VecDeque::new(),
                 closed: false,
+                popped: 0,
             }),
             capacity: capacity.max(1),
             not_empty: Condvar::new(),
@@ -73,20 +84,11 @@ impl<T> BoundedQueue<T> {
     /// Pushes an item under `policy`. Never blocks except under
     /// [`BackpressurePolicy::Block`] on a full queue.
     pub fn push(&self, item: T, policy: BackpressurePolicy) -> PushOutcome {
-        self.push_reporting(item, policy).0
-    }
-
-    /// Like [`BoundedQueue::push`], but also returns the item a
-    /// [`BackpressurePolicy::DropOldest`] eviction displaced — callers
-    /// that account for every queued item must be told exactly which one
-    /// was dropped.
-    pub fn push_reporting(&self, item: T, policy: BackpressurePolicy) -> (PushOutcome, Option<T>) {
         let mut inner = self.inner.lock().expect("queue lock poisoned");
         if inner.closed {
-            return (PushOutcome::Closed, None);
+            return PushOutcome::Closed;
         }
         let mut outcome = PushOutcome::Accepted;
-        let mut displaced = None;
         if inner.items.len() >= self.capacity {
             match policy {
                 BackpressurePolicy::Block => {
@@ -94,31 +96,34 @@ impl<T> BoundedQueue<T> {
                         inner = self.not_full.wait(inner).expect("queue lock poisoned");
                     }
                     if inner.closed {
-                        return (PushOutcome::Closed, None);
+                        return PushOutcome::Closed;
                     }
                 }
                 BackpressurePolicy::DropOldest => {
-                    displaced = inner.items.pop_front();
+                    inner.items.pop_front();
                     outcome = PushOutcome::AcceptedDroppedOldest;
                 }
-                BackpressurePolicy::Reject => return (PushOutcome::Rejected, None),
+                BackpressurePolicy::Reject => return PushOutcome::Rejected,
             }
         }
         inner.items.push_back(item);
         drop(inner);
         self.not_empty.notify_one();
-        (outcome, displaced)
+        outcome
     }
 
-    /// Pops the oldest item, blocking while the queue is open and empty.
-    /// Returns `None` once the queue is closed **and** drained.
-    pub fn pop(&self) -> Option<T> {
+    /// Pops the oldest item with its ticket, blocking while the queue is
+    /// open and empty. Returns `None` once the queue is closed **and**
+    /// drained.
+    pub fn pop(&self) -> Option<(u64, T)> {
         let mut inner = self.inner.lock().expect("queue lock poisoned");
         loop {
             if let Some(item) = inner.items.pop_front() {
+                let ticket = inner.popped;
+                inner.popped += 1;
                 drop(inner);
                 self.not_full.notify_one();
-                return Some(item);
+                return Some((ticket, item));
             }
             if inner.closed {
                 return None;
@@ -164,6 +169,15 @@ impl<T> BoundedQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
+
+    /// Gives `producer` 20 ms to block in `push`, then checks that it has
+    /// not returned: a `Block` push that returns at once on a full queue
+    /// fails here.
+    fn assert_blocked<T>(producer: &std::thread::JoinHandle<T>) {
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!producer.is_finished(), "Block returned on a full queue");
+    }
 
     #[test]
     fn fifo_order_and_capacity() {
@@ -171,8 +185,8 @@ mod tests {
         assert_eq!(q.push(1, BackpressurePolicy::Reject), PushOutcome::Accepted);
         assert_eq!(q.push(2, BackpressurePolicy::Reject), PushOutcome::Accepted);
         assert_eq!(q.push(3, BackpressurePolicy::Reject), PushOutcome::Rejected);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), Some((0, 1)));
+        assert_eq!(q.pop(), Some((1, 2)));
     }
 
     #[test]
@@ -181,11 +195,29 @@ mod tests {
         q.push(1, BackpressurePolicy::DropOldest);
         q.push(2, BackpressurePolicy::DropOldest);
         assert_eq!(
-            q.push_reporting(3, BackpressurePolicy::DropOldest),
-            (PushOutcome::AcceptedDroppedOldest, Some(1))
+            q.push(3, BackpressurePolicy::DropOldest),
+            PushOutcome::AcceptedDroppedOldest
         );
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
+        assert_eq!(q.pop(), Some((0, 2)));
+        assert_eq!(q.pop(), Some((1, 3)));
+    }
+
+    /// Tickets count pops only: a displaced item and a cleared one never
+    /// take a ticket, so the tickets handed out stay 0, 1, 2, …
+    #[test]
+    fn tickets_are_dense_and_skip_displaced_and_cleared_items() {
+        let q = BoundedQueue::new(2);
+        q.push('a', BackpressurePolicy::DropOldest);
+        q.push('b', BackpressurePolicy::DropOldest);
+        q.push('c', BackpressurePolicy::DropOldest); // displaces 'a'
+        assert_eq!(q.pop(), Some((0, 'b')));
+        q.push('d', BackpressurePolicy::DropOldest);
+        q.push('e', BackpressurePolicy::DropOldest); // displaces 'c'
+        assert_eq!(q.pop(), Some((1, 'd')));
+        assert_eq!(q.pop(), Some((2, 'e')));
+        q.push('f', BackpressurePolicy::Block);
+        assert_eq!(q.close_and_clear(), 1); // 'f' is never popped
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -194,11 +226,10 @@ mod tests {
         q.push(1, BackpressurePolicy::Block);
         let q2 = Arc::clone(&q);
         let producer = std::thread::spawn(move || q2.push(2, BackpressurePolicy::Block));
-        // Give the producer time to block, then free a slot.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(q.pop(), Some(1));
+        assert_blocked(&producer);
+        assert_eq!(q.pop(), Some((0, 1)));
         assert_eq!(producer.join().unwrap(), PushOutcome::Accepted);
-        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), Some((1, 2)));
     }
 
     #[test]
@@ -208,8 +239,8 @@ mod tests {
         q.push(2, BackpressurePolicy::Block);
         q.close();
         assert_eq!(q.push(3, BackpressurePolicy::Block), PushOutcome::Closed);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), Some((0, 1)));
+        assert_eq!(q.pop(), Some((1, 2)));
         assert_eq!(q.pop(), None);
     }
 
@@ -219,7 +250,7 @@ mod tests {
         q.push(1, BackpressurePolicy::Block);
         let q2 = Arc::clone(&q);
         let producer = std::thread::spawn(move || q2.push(2, BackpressurePolicy::Block));
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_blocked(&producer);
         q.close();
         assert_eq!(producer.join().unwrap(), PushOutcome::Closed);
     }
@@ -230,6 +261,6 @@ mod tests {
         q.push(1, BackpressurePolicy::Block);
         q.push(2, BackpressurePolicy::Block);
         assert_eq!(q.close_and_clear(), 2);
-        assert_eq!(q.pop(), None::<i32>);
+        assert_eq!(q.pop(), None::<(u64, i32)>);
     }
 }

@@ -137,8 +137,8 @@ fn pipeline_publishes_all_matched_records() {
     let store = base_store(&f);
     let dir = wal_dir("basic");
     let metrics = Arc::new(IngestMetrics::default());
-    let ingestor = Ingestor::start(
-        Arc::clone(&store),
+    let ingestor = Ingestor::start_with_sink(
+        store.clone(),
         Arc::clone(&f.grid),
         IngestConfig {
             match_workers: 3,
@@ -195,8 +195,8 @@ fn duplicate_sequence_numbers_are_dropped() {
     let store = base_store(&f);
     let dir = wal_dir("dedup");
     let metrics = Arc::new(IngestMetrics::default());
-    let ingestor = Ingestor::start(
-        Arc::clone(&store),
+    let ingestor = Ingestor::start_with_sink(
+        store.clone(),
         Arc::clone(&f.grid),
         IngestConfig::new(&dir),
         Arc::clone(&metrics),
@@ -233,8 +233,8 @@ fn framed_reader_path_matches_in_process_path() {
     f.records[0].write_to(&mut bytes).unwrap();
     bytes[damaged] ^= 0xFF;
     let metrics = Arc::new(IngestMetrics::default());
-    let ingestor = Ingestor::start(
-        Arc::clone(&store_a),
+    let ingestor = Ingestor::start_with_sink(
+        store_a.clone(),
         Arc::clone(&f.grid),
         IngestConfig {
             match_workers: 1,
@@ -253,8 +253,8 @@ fn framed_reader_path_matches_in_process_path() {
 
     // Path B: the same records in-process.
     let store_b = base_store(&f);
-    let ingestor = Ingestor::start(
-        Arc::clone(&store_b),
+    let ingestor = Ingestor::start_with_sink(
+        store_b.clone(),
         Arc::clone(&f.grid),
         IngestConfig {
             match_workers: 1,
@@ -279,11 +279,10 @@ fn ttl_retires_expired_trajectories() {
     let store = base_store(&f);
     let dir = wal_dir("ttl");
     let metrics = Arc::new(IngestMetrics::default());
-    let ingestor = Ingestor::start(
-        Arc::clone(&store),
+    let ingestor = Ingestor::start_with_sink(
+        store.clone(),
         Arc::clone(&f.grid),
         IngestConfig {
-            match_workers: 1,   // keep stream order, so expiry is exact
             ttl_s: Some(300.0), // records are 60 s apart → window of ~5
             max_batch_ops: 4,
             ..IngestConfig::new(&dir)
@@ -319,8 +318,8 @@ fn crash_recovery_reconstructs_exact_pre_crash_state() {
     let store = base_store(&f);
     let dir = wal_dir("crash");
     let metrics = Arc::new(IngestMetrics::default());
-    let ingestor = Ingestor::start(
-        Arc::clone(&store),
+    let ingestor = Ingestor::start_with_sink(
+        store.clone(),
         Arc::clone(&f.grid),
         IngestConfig {
             match_workers: 2,
@@ -393,8 +392,8 @@ fn restart_continues_the_epoch_chain() {
 
     // First run: half the records.
     let store = base_store(&f);
-    let ingestor = Ingestor::start(
-        Arc::clone(&store),
+    let ingestor = Ingestor::start_with_sink(
+        store.clone(),
         Arc::clone(&f.grid),
         IngestConfig {
             match_workers: 1,
@@ -421,8 +420,8 @@ fn restart_continues_the_epoch_chain() {
     .unwrap();
     assert_eq!(report.epoch, mid_epoch);
     let recovered = Arc::new(recovered);
-    let ingestor = Ingestor::start(
-        Arc::clone(&recovered),
+    let ingestor = Ingestor::start_with_sink(
+        recovered.clone(),
         Arc::clone(&f.grid),
         IngestConfig {
             match_workers: 1,
@@ -475,8 +474,8 @@ fn dedup_watermarks_survive_restart() {
     let dir = wal_dir("dedup-restart");
     let store = base_store(&f);
     let metrics1 = Arc::new(IngestMetrics::default());
-    let ingestor = Ingestor::start(
-        Arc::clone(&store),
+    let ingestor = Ingestor::start_with_sink(
+        store.clone(),
         Arc::clone(&f.grid),
         IngestConfig {
             match_workers: 1,
@@ -505,8 +504,8 @@ fn dedup_watermarks_survive_restart() {
     .unwrap();
     let recovered = Arc::new(recovered);
     let metrics2 = Arc::new(IngestMetrics::default());
-    let ingestor = Ingestor::start(
-        Arc::clone(&recovered),
+    let ingestor = Ingestor::start_with_sink(
+        recovered.clone(),
         Arc::clone(&f.grid),
         IngestConfig {
             match_workers: 1,
@@ -551,8 +550,8 @@ fn ttl_window_keeps_sliding_across_restart() {
         ..IngestConfig::new(&dir)
     };
     let metrics1 = Arc::new(IngestMetrics::default());
-    let ingestor = Ingestor::start(
-        Arc::clone(&store),
+    let ingestor = Ingestor::start_with_sink(
+        store.clone(),
         Arc::clone(&f.grid),
         cfg(),
         Arc::clone(&metrics1),
@@ -580,8 +579,8 @@ fn ttl_window_keeps_sliding_across_restart() {
     .unwrap();
     let recovered = Arc::new(recovered);
     let metrics2 = Arc::new(IngestMetrics::default());
-    let ingestor = Ingestor::start(
-        Arc::clone(&recovered),
+    let ingestor = Ingestor::start_with_sink(
+        recovered.clone(),
         Arc::clone(&f.grid),
         cfg(),
         Arc::clone(&metrics2),
@@ -614,8 +613,8 @@ fn torn_wal_tail_survives_restart_and_recovery() {
     let f = fixture(21, 12);
     let dir = wal_dir("torn-e2e");
     let store = base_store(&f);
-    let ingestor = Ingestor::start(
-        Arc::clone(&store),
+    let ingestor = Ingestor::start_with_sink(
+        store.clone(),
         Arc::clone(&f.grid),
         IngestConfig {
             match_workers: 1,
@@ -653,8 +652,8 @@ fn torn_wal_tail_survives_restart_and_recovery() {
 
     // The restarted pipeline keeps publishing on the repaired log…
     let recovered = Arc::new(recovered);
-    let ingestor = Ingestor::start(
-        Arc::clone(&recovered),
+    let ingestor = Ingestor::start_with_sink(
+        recovered.clone(),
         Arc::clone(&f.grid),
         IngestConfig {
             match_workers: 1,
@@ -702,8 +701,8 @@ fn parallel_workers_preserve_per_source_admission_order() {
     let f = fixture(24, 30);
     let dir = wal_dir("order");
     let store = base_store(&f);
-    let ingestor = Ingestor::start(
-        Arc::clone(&store),
+    let ingestor = Ingestor::start_with_sink(
+        store.clone(),
         Arc::clone(&f.grid),
         IngestConfig {
             match_workers: 4,
@@ -737,6 +736,62 @@ fn parallel_workers_preserve_per_source_admission_order() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `trace` with `factor − 1` fixes linearly interpolated (position and
+/// time) between each consecutive pair: the same route, `factor`× the
+/// matching work.
+fn densify(trace: &GpsTrace, factor: usize) -> GpsTrace {
+    let points = trace.points();
+    let mut dense = Vec::with_capacity(points.len() * factor);
+    for w in points.windows(2) {
+        for i in 0..factor {
+            let frac = i as f64 / factor as f64;
+            let pos = w[0].pos.lerp(&w[1].pos, frac);
+            dense.push(GpsPoint::new(pos, w[0].t + (w[1].t - w[0].t) * frac));
+        }
+    }
+    dense.extend(points.last().copied());
+    GpsTrace::new(dense)
+}
+
+/// Publish order is intake order, whatever the worker count: the same
+/// submits publish the same trajectory ids through 1 worker and through
+/// 4. Record 0 is made slow to match, so with 4 workers every other
+/// record finishes first — across all four sources, not just its own.
+#[test]
+fn publish_order_is_intake_order_for_any_worker_count() {
+    let mut f = fixture(31, 24);
+    f.records[0].trace = densify(&f.records[0].trace, 400);
+    let corpus_through = |match_workers: usize| {
+        let dir = wal_dir(&format!("intake-order-{match_workers}"));
+        let store = base_store(&f);
+        let ingestor = Ingestor::start_with_sink(
+            store.clone(),
+            Arc::clone(&f.grid),
+            IngestConfig {
+                match_workers,
+                ..IngestConfig::new(&dir)
+            },
+            Arc::new(IngestMetrics::default()),
+        )
+        .unwrap();
+        for r in &f.records {
+            assert_eq!(ingestor.submit(r.clone()), SubmitOutcome::Accepted);
+        }
+        ingestor.finish();
+        std::fs::remove_dir_all(&dir).unwrap();
+        corpus_of(&store)
+    };
+    for round in 0..3 {
+        let one = corpus_through(1);
+        assert!(!one.is_empty());
+        assert_eq!(
+            one,
+            corpus_through(4),
+            "round {round}: ids depend on workers"
+        );
+    }
+}
+
 /// Starting a pipeline with a store that does not sit at the WAL's last
 /// epoch would fork the epoch chain — it must be refused, not papered
 /// over.
@@ -745,8 +800,8 @@ fn start_rejects_store_that_does_not_match_the_wal() {
     let f = fixture(22, 6);
     let dir = wal_dir("mismatch");
     let store = base_store(&f);
-    let ingestor = Ingestor::start(
-        Arc::clone(&store),
+    let ingestor = Ingestor::start_with_sink(
+        store.clone(),
         Arc::clone(&f.grid),
         IngestConfig {
             match_workers: 1,
@@ -761,7 +816,7 @@ fn start_rejects_store_that_does_not_match_the_wal() {
     ingestor.finish();
     assert!(store.epoch() >= 1);
 
-    let result = Ingestor::start(
+    let result = Ingestor::start_with_sink(
         base_store(&f), // fresh, unrecovered store on a non-empty WAL
         Arc::clone(&f.grid),
         IngestConfig::new(&dir),
@@ -784,8 +839,8 @@ fn unsynced_batches_are_lost_on_crash_as_documented() {
     let dir = wal_dir("unsynced");
     let store = base_store(&f);
     let metrics = Arc::new(IngestMetrics::default());
-    let ingestor = Ingestor::start(
-        Arc::clone(&store),
+    let ingestor = Ingestor::start_with_sink(
+        store.clone(),
         Arc::clone(&f.grid),
         IngestConfig {
             match_workers: 1,
@@ -882,8 +937,8 @@ fn shed_records_can_be_retried() {
     let store = base_store(&f);
     let dir = wal_dir("retry");
     let metrics = Arc::new(IngestMetrics::default());
-    let ingestor = Ingestor::start(
-        Arc::clone(&store),
+    let ingestor = Ingestor::start_with_sink(
+        store.clone(),
         Arc::clone(&f.grid),
         IngestConfig {
             match_workers: 1,
@@ -932,8 +987,8 @@ fn backpressure_accounting_is_conserved() {
         let store = base_store(&f);
         let dir = wal_dir(&format!("bp-{policy:?}"));
         let metrics = Arc::new(IngestMetrics::default());
-        let ingestor = Ingestor::start(
-            Arc::clone(&store),
+        let ingestor = Ingestor::start_with_sink(
+            store.clone(),
             Arc::clone(&f.grid),
             IngestConfig {
                 match_workers: 1,

@@ -88,8 +88,8 @@ fn main() {
         index.clone(),
     ));
     let metrics = Arc::new(IngestMetrics::default());
-    let ingestor = Ingestor::start(
-        Arc::clone(&store),
+    let ingestor = Ingestor::start_with_sink(
+        store.clone(),
         Arc::new(scenario.grid.clone()),
         IngestConfig {
             match_workers: 4,

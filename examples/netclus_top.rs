@@ -71,8 +71,8 @@ fn main() {
     let _ = std::fs::remove_dir_all(&wal_dir);
     let metrics = Arc::new(IngestMetrics::default());
     let ingestor = Arc::new(
-        Ingestor::start(
-            Arc::clone(&store),
+        Ingestor::start_with_sink(
+            store.clone(),
             Arc::new(scenario.grid.clone()),
             IngestConfig {
                 match_workers: 2,
