@@ -57,11 +57,11 @@
 //! ## Hot-path layout and parallelism
 //!
 //! Per-representative rows are computed in parallel shards (each worker
-//! with its own stamped scratch, merged in cluster order — bit-identical
-//! to the sequential build). There is no inverted `ŜC`: the solvers that
-//! run on a provider read `T̂C` alone (see [`crate::coverage`]). Callers
-//! answering many queries should reuse a [`ProviderScratch`] across builds
-//! so the stamped arrays are allocated once per worker, not per query.
+//! with its own scratch, merged in cluster order — bit-identical to the
+//! sequential build). There is no inverted `ŜC`: the solvers that run on
+//! a provider read `T̂C` alone (see [`crate::coverage`]). Callers answering
+//! many queries should reuse a [`ProviderScratch`] across builds so its
+//! arrays are allocated once per worker, not per query.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -116,9 +116,8 @@ pub fn quantize_tau(tau: f64) -> f64 {
     (tau * 1_000.0).round() / 1_000.0
 }
 
-/// Reusable per-worker scratch for [`ClusteredProvider`] builds: the
-/// stamped minimal-`d̂r` arrays plus the row staging buffer. One entry per
-/// build worker; entries are created (and their arrays sized to the
+/// Reusable per-worker scratch for [`ClusteredProvider`] builds. One entry
+/// per build worker; entries are created (and their arrays sized to the
 /// trajectory id bound) on first use and then reused across queries.
 #[derive(Debug, Default)]
 pub struct ProviderScratch {
@@ -134,34 +133,35 @@ impl ProviderScratch {
     }
 }
 
-/// One worker's stamped scratch: minimal `d̂r` per trajectory for the
-/// representative currently being processed.
+/// One worker's scratch: minimal `d̂r` per trajectory (`+∞` outside a row),
+/// the row's ids and sort keys, and whether a build is in progress.
 #[derive(Debug, Default)]
 struct RepScratch {
     best: Vec<f64>,
-    stamp: Vec<u32>,
-    version: u32,
     touched: Vec<u32>,
-    row: Vec<(u32, f64)>,
+    keyed: Vec<u128>,
+    dirty: bool,
 }
 
 impl RepScratch {
+    /// Wipes an unwound build's `best`; `touched` is one longer than it.
     fn ensure(&mut self, traj_id_bound: usize) {
+        if std::mem::replace(&mut self.dirty, true) {
+            self.best.fill(f64::INFINITY);
+        }
         if self.best.len() < traj_id_bound {
             self.best.resize(traj_id_bound, f64::INFINITY);
-            self.stamp.resize(traj_id_bound, 0);
+            self.touched.resize(traj_id_bound + 1, 0);
         }
     }
+}
 
-    fn begin(&mut self) -> u32 {
-        if self.version == u32::MAX {
-            self.stamp.fill(0);
-            self.version = 0;
-        }
-        self.version += 1;
-        self.touched.clear();
-        self.version
-    }
+/// A pair as one integer ordered as `(d̂r, id)`: the estimate's bits under
+/// `f64::total_cmp`'s transform, made unsigned, above the id.
+fn row_key(id: u32, d: f64) -> u128 {
+    let bits = d.to_bits();
+    let key = bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63));
+    (u128::from(key) << 32) | u128::from(id)
 }
 
 /// One index instance's `T̂C` rows at a built threshold: representatives,
@@ -210,8 +210,8 @@ impl ProviderRows {
 
     /// The one kernel entry: representatives in cluster order, then their
     /// rows at `built_tau` on up to `threads` workers. Vectors keep the
-    /// capacity they grew to — the bare per-τ path drops them after one
-    /// query and must not pay a resize.
+    /// capacity they grew to; the bare per-τ path drops them after one
+    /// query, so shrinking them would only add a copy.
     fn build_growing(
         instance: &ClusterInstance,
         built_tau: f64,
@@ -404,6 +404,10 @@ impl ClusteredProvider {
 /// (shared by the sequential path and each worker). `tau` enters only as
 /// the filter `est ≤ tau`; see the module docs for why that makes the row
 /// at a smaller τ a prefix of this one.
+///
+/// The walk is branch-free: a visit keeps the id it writes to
+/// `touched[len]` only if it turned `best` finite. Ids are unique in a row,
+/// so the unstable sort by [`row_key`] is the total `(d̂r, id)` order.
 fn build_tc_shard(
     instance: &ClusterInstance,
     tau: f64,
@@ -412,10 +416,11 @@ fn build_tc_shard(
     scratch: &mut RepScratch,
 ) -> PairArena {
     scratch.ensure(traj_id_bound);
+    let (best, touched, keyed) = (&mut scratch.best, &mut scratch.touched, &mut scratch.keyed);
     let mut b = PairArenaBuilder::with_capacity(shard.len(), 0);
     for &ci in shard {
         let cluster: &Cluster = &instance.clusters[ci as usize];
-        let version = scratch.begin();
+        let mut len = 0;
         for &(cj, d_centers) in &cluster.neighbors {
             let base = d_centers + cluster.rep_distance;
             if base > tau {
@@ -425,29 +430,22 @@ fn build_tc_shard(
             }
             for &(tj, d_traj) in &instance.clusters[cj as usize].traj_list {
                 let est = d_traj + base;
-                if est > tau {
-                    continue;
-                }
-                let j = tj.index();
-                if scratch.stamp[j] != version {
-                    scratch.stamp[j] = version;
-                    scratch.best[j] = est;
-                    scratch.touched.push(tj.0);
-                } else if est < scratch.best[j] {
-                    scratch.best[j] = est;
-                }
+                let old = best[tj.index()];
+                let new = if est <= tau && est < old { est } else { old };
+                best[tj.index()] = new;
+                touched[len] = tj.0;
+                len += usize::from((old == f64::INFINITY) & (new != f64::INFINITY));
             }
         }
-        scratch.row.clear();
-        for k in 0..scratch.touched.len() {
-            let t = scratch.touched[k];
-            scratch.row.push((t, scratch.best[t as usize]));
-        }
-        scratch
-            .row
-            .sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        b.push_row(scratch.row.iter().copied());
+        keyed.clear();
+        keyed.extend(touched[..len].iter().map(|&t| row_key(t, best[t as usize])));
+        keyed.sort_unstable();
+        b.push_row(keyed.iter().map(|&key| {
+            let t = key as u32;
+            (t, std::mem::replace(&mut best[t as usize], f64::INFINITY))
+        }));
     }
+    scratch.dirty = false;
     b.finish()
 }
 
@@ -781,9 +779,42 @@ mod tests {
     }
 
     #[test]
+    fn a_scratch_left_dirty_mid_row_builds_the_rows_of_a_fresh_one() {
+        // A build that unwinds mid-row (here: an id past a too-small
+        // bound) leaves finite estimates in `best`; the scratch's next
+        // build must not see them.
+        let (net, trajs, sites) = fixture();
+        let idx = index(&net, &trajs, &sites);
+        let (tau, bound) = (800.0, trajs.id_bound());
+        let inst = idx.instance(idx.instance_for(tau));
+        let fresh = ClusteredProvider::build(inst, tau, bound);
+        let mut dirty_seen = 0;
+        for short in 1..bound {
+            let mut scratch = ProviderScratch::default();
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ClusteredProvider::build_with(inst, tau, short, 1, &mut scratch)
+            }));
+            assert!(unwound.is_err(), "bound {short} < {bound} must panic");
+            let ws = &scratch.workers[0];
+            dirty_seen += usize::from(ws.best.iter().any(|d| d.is_finite()));
+            assert!(ws.dirty, "an unwound build leaves its scratch dirty");
+            let reused = ClusteredProvider::build_with(inst, tau, bound, 1, &mut scratch);
+            assert!(!scratch.workers[0].dirty);
+            assert!(scratch.workers[0].best.iter().all(|&d| d == f64::INFINITY));
+            for i in 0..fresh.site_count() {
+                assert_eq!(fresh.covered(i), reused.covered(i), "bound {short} row {i}");
+            }
+        }
+        assert!(
+            dirty_seen > 0,
+            "no build unwound with estimates left in `best`"
+        );
+    }
+
+    #[test]
     fn scratch_reuse_across_different_taus_is_clean() {
-        // A stale stamp from a previous τ must never leak coverage into a
-        // later build (the scratch is versioned, not cleared).
+        // Estimates from a previous τ must never leak coverage into a
+        // later build (each row resets the ids it touched).
         let (net, trajs, sites) = fixture();
         let idx = index(&net, &trajs, &sites);
         let mut scratch = ProviderScratch::default();

@@ -5,6 +5,8 @@
 //! coverage-set consistency, greedy bounds, clustering radius/partition
 //! invariants, index instance selection, and estimate conservativeness.
 
+use netclus::arena::PairArenaBuilder;
+use netclus::cluster::{Cluster, ClusterInstance};
 use netclus::prelude::*;
 use netclus_roadnet::{NodeId, Point, RoadNetwork, RoadNetworkBuilder};
 use netclus_trajectory::{TrajId, Trajectory, TrajectorySet};
@@ -81,6 +83,142 @@ fn build(inst: &Instance) -> (RoadNetwork, TrajectorySet) {
         trajs.add(Trajectory::new(nodes));
     }
     (net, trajs)
+}
+
+/// The `T̂C` row kernel as it stood before its walk went select-only and
+/// its sort integer-keyed: a stamped scratch, a branch per visit, a
+/// comparator sort and a staging row. The slow twin the served kernel
+/// answers to, bit for bit.
+#[derive(Debug, Default)]
+struct TwinScratch {
+    best: Vec<f64>,
+    stamp: Vec<u32>,
+    version: u32,
+    touched: Vec<u32>,
+    row: Vec<(u32, f64)>,
+}
+
+impl TwinScratch {
+    fn ensure(&mut self, traj_id_bound: usize) {
+        if self.best.len() < traj_id_bound {
+            self.best.resize(traj_id_bound, f64::INFINITY);
+            self.stamp.resize(traj_id_bound, 0);
+        }
+    }
+
+    fn begin(&mut self) -> u32 {
+        if self.version == u32::MAX {
+            self.stamp.fill(0);
+            self.version = 0;
+        }
+        self.version += 1;
+        self.touched.clear();
+        self.version
+    }
+}
+
+fn twin_tc_shard(
+    instance: &ClusterInstance,
+    tau: f64,
+    traj_id_bound: usize,
+    shard: &[u32],
+    scratch: &mut TwinScratch,
+) -> PairArena {
+    scratch.ensure(traj_id_bound);
+    let mut b = PairArenaBuilder::with_capacity(shard.len(), 0);
+    for &ci in shard {
+        let cluster: &Cluster = &instance.clusters[ci as usize];
+        let version = scratch.begin();
+        for &(cj, d_centers) in &cluster.neighbors {
+            let base = d_centers + cluster.rep_distance;
+            if base > tau {
+                // Neighbors are sorted by distance; all further ones
+                // yield only larger estimates.
+                break;
+            }
+            for &(tj, d_traj) in &instance.clusters[cj as usize].traj_list {
+                let est = d_traj + base;
+                if est > tau {
+                    continue;
+                }
+                let j = tj.index();
+                if scratch.stamp[j] != version {
+                    scratch.stamp[j] = version;
+                    scratch.best[j] = est;
+                    scratch.touched.push(tj.0);
+                } else if est < scratch.best[j] {
+                    scratch.best[j] = est;
+                }
+            }
+        }
+        scratch.row.clear();
+        for k in 0..scratch.touched.len() {
+            let t = scratch.touched[k];
+            scratch.row.push((t, scratch.best[t as usize]));
+        }
+        scratch
+            .row
+            .sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+        b.push_row(scratch.row.iter().copied());
+    }
+    b.finish()
+}
+
+/// The twin's rows of `instance` at `tau`: representatives in cluster
+/// order and their `T̂C` rows.
+fn twin_rows(
+    instance: &ClusterInstance,
+    tau: f64,
+    traj_id_bound: usize,
+) -> (Vec<NodeId>, PairArena) {
+    let (reps, shard): (Vec<NodeId>, Vec<u32>) = instance
+        .clusters
+        .iter()
+        .enumerate()
+        .filter_map(|(ci, c)| Some((c.representative?, ci as u32)))
+        .unzip();
+    let rows = twin_tc_shard(
+        instance,
+        tau,
+        traj_id_bound,
+        &shard,
+        &mut TwinScratch::default(),
+    );
+    (reps, rows)
+}
+
+/// Representatives, `T̂C` ids and distance bits of `provider` equal the
+/// twin's at `tau`.
+fn assert_equals_twin(
+    provider: &ClusteredProvider,
+    instance: &ClusterInstance,
+    tau: f64,
+    traj_id_bound: usize,
+    what: &str,
+) {
+    let (reps, rows) = twin_rows(instance, tau, traj_id_bound);
+    let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    prop_assert_eq!(provider.site_count(), reps.len(), "{} τ={}", what, tau);
+    prop_assert_eq!(
+        provider.pair_count(),
+        rows.pair_count(),
+        "{} τ={}",
+        what,
+        tau
+    );
+    for (i, &rep) in reps.iter().enumerate() {
+        prop_assert_eq!(provider.site_node(i), rep, "{} τ={} row {}", what, tau, i);
+        let (a, b) = (provider.covered(i), rows.row(i));
+        prop_assert_eq!(a.ids, b.ids, "{} τ={} ids row {}", what, tau, i);
+        prop_assert_eq!(
+            bits(a.dists),
+            bits(b.dists),
+            "{} τ={} dists row {}",
+            what,
+            tau,
+            i
+        );
+    }
 }
 
 /// Asserts that the provider a cache serves for `tau` on `instance` —
@@ -170,6 +308,74 @@ fn assert_providers_identical(
             preference
         );
     }
+}
+
+/// A random walk from `start` along out-edge choices `steps`.
+fn walk(net: &RoadNetwork, start: usize, steps: &[usize]) -> Trajectory {
+    let mut nodes = vec![NodeId(start as u32)];
+    for &choice in steps {
+        let cur = *nodes.last().unwrap();
+        let deg = net.out_degree(cur);
+        nodes.push(net.out_edges(cur).nth(choice % deg).unwrap().0);
+    }
+    Trajectory::new(nodes)
+}
+
+/// Equal estimates on different ids: a uniform ring and trajectories that
+/// repeat node for node, added in an order that interleaves the copies.
+/// Rows hold runs of equal `d̂r`, which the kernel must order by id
+/// exactly as the twin's comparator does.
+#[test]
+fn equal_estimates_are_ordered_by_id_as_the_twin_orders_them() {
+    let paths = [
+        (0, vec![0, 0, 0, 0]),
+        (4, vec![1, 0, 0]),
+        (8, vec![0, 1, 0, 0, 0]),
+    ];
+    let inst = Instance {
+        n: 12,
+        ring_w: vec![100.0; 12],
+        chords: vec![],
+        walks: (0..3).flat_map(|_| paths.iter().rev().cloned()).collect(),
+    };
+    let (net, trajs) = build(&inst);
+    let sites: Vec<NodeId> = net.nodes().collect();
+    let index = NetClusIndex::build(
+        &net,
+        &trajs,
+        &sites,
+        NetClusConfig {
+            tau_min: 400.0,
+            tau_max: 4_000.0,
+            threads: 1,
+            ..Default::default()
+        },
+    );
+    let bound = trajs.id_bound();
+    let mut scratch = ProviderScratch::default();
+    let mut ties = 0;
+    for (p, instance) in index.instances().iter().enumerate() {
+        for threads in [1, 2] {
+            let tau = instance.neighbor_limit;
+            let provider =
+                ClusteredProvider::build_with(instance, tau, bound, threads, &mut scratch);
+            assert_equals_twin(
+                &provider,
+                instance,
+                tau,
+                bound,
+                &format!("p{p} threads {threads}"),
+            );
+            for i in 0..provider.site_count() {
+                let row = provider.covered(i);
+                ties += (1..row.len())
+                    .filter(|&k| row.dists[k - 1] == row.dists[k])
+                    .inspect(|&k| assert!(row.ids[k - 1] < row.ids[k]))
+                    .count();
+            }
+        }
+    }
+    assert!(ties > 0, "the fixture must put equal estimates in one row");
 }
 
 proptest! {
@@ -372,6 +578,58 @@ proptest! {
             for i in 0..cov.site_count() {
                 prop_assert_eq!(cov.covered(i), par.covered(i), "threads {} TC {}", threads, i);
             }
+        }
+    }
+
+    /// The served row kernel is its slow twin, bit for bit: on every
+    /// instance at τ = band floor, mid-band, ceiling and an estimate that
+    /// occurs in a row, on 1 and 2 threads — all through one scratch,
+    /// builds in random order, with `add_trajectory` growing the id bound
+    /// between them.
+    #[test]
+    fn row_kernel_equals_its_slow_twin(
+        inst in instance_strategy(),
+        order in prop::collection::vec(any::<u64>(), 64),
+        extra in prop::collection::vec((0usize..64, prop::collection::vec(0usize..8, 1..10)), 3),
+        band_frac in 0.01f64..0.99,
+        pick in 0usize..100_000,
+    ) {
+        let (net, mut trajs) = build(&inst);
+        let sites: Vec<NodeId> = net.nodes().collect();
+        let mut index = NetClusIndex::build(&net, &trajs, &sites, NetClusConfig {
+            tau_min: 400.0, tau_max: 4_000.0, threads: 1, ..Default::default()
+        });
+        let mut builds: Vec<(u64, usize, usize, usize)> = (0..index.instances().len())
+            .flat_map(|p| (0..4).flat_map(move |kind| [(p, kind, 1), (p, kind, 2)]))
+            .enumerate()
+            .map(|(i, (p, kind, threads))| (order[i % order.len()], p, kind, threads))
+            .collect();
+        builds.sort_unstable();
+        let grow_at: Vec<usize> = (1..=extra.len()).map(|e| e * builds.len() / (extra.len() + 1)).collect();
+        let mut scratch = ProviderScratch::default();
+        for (b, &(_, p, kind, threads)) in builds.iter().enumerate() {
+            if let Some(e) = grow_at.iter().position(|&g| g == b) {
+                let t = walk(&net, extra[e].0 % inst.n, &extra[e].1);
+                let id = trajs.add(t.clone());
+                index.add_trajectory(id, &t);
+            }
+            let bound = trajs.id_bound();
+            let instance = index.instance(p);
+            let (floor, ceiling) = (4.0 * instance.radius, instance.neighbor_limit);
+            let tau = match kind {
+                0 => floor,
+                1 => floor + band_frac * (ceiling - floor),
+                2 => ceiling,
+                _ => {
+                    let (_, rows) = twin_rows(instance, ceiling, bound);
+                    let estimates: Vec<f64> = (0..rows.row_count())
+                        .flat_map(|i| rows.row(i).dists.to_vec())
+                        .collect();
+                    if estimates.is_empty() { ceiling } else { estimates[pick % estimates.len()] }
+                }
+            };
+            let provider = ClusteredProvider::build_with(instance, tau, bound, threads, &mut scratch);
+            assert_equals_twin(&provider, instance, tau, bound, &format!("p{p} threads {threads} build {b}"));
         }
     }
 

@@ -402,10 +402,11 @@ struct Conn {
 
 /// The remote transport: one shard served by a `netclus-shardd` process
 /// over the framed TCP protocol ([`crate::shard_proto`]). Keeps one
-/// persistent connection guarded by a mutex (the router scatters at most
-/// one round-1 task per shard at a time, so the lock is uncontended on
-/// the query path) and reconnects with exponential backoff after any
-/// transport-level failure.
+/// persistent connection guarded by a mutex and reconnects with
+/// exponential backoff after any transport-level failure. A gather sends
+/// at most one round-1 task per replica, but concurrent gathers share the
+/// connection: with several clients, their RPCs to a shard's sticky
+/// primary wait on this mutex and go over the socket one at a time.
 pub struct RemoteShard {
     shard: u32,
     addr: SocketAddr,

@@ -3,8 +3,15 @@
 //! A served cold query is `ProviderRows::view(τ)` plus one `inc_greedy`
 //! over the view (rows are resident after the first query of an epoch).
 //! This probe builds the benchmark's city, builds each instance's rows at
-//! its band ceiling exactly as the serving layers do, and times the three
-//! parts of that query at a mid-band τ:
+//! its band ceiling exactly as the serving layers do, and prints
+//!
+//! * `build`  — the median ceiling build with a fresh `ProviderScratch`
+//!   (what the first query after a publish pays), on 1 and 2 threads;
+//! * `digest` — FNV-1a over the ceiling rows' representatives, ids and
+//!   distance bits, equal on both thread counts: two commits that print
+//!   the same digests built the same rows;
+//!
+//! then times the three parts of a query at a mid-band τ:
 //!
 //! * `view`   — cutting every row to its within-τ prefix;
 //! * `init`   — the solver up to its first pick (a `k = 0` run: static
@@ -75,6 +82,27 @@ fn reads(view: &ClusteredProvider, cfg: &TopsQuery) -> (usize, usize) {
     (counting.rows.get(), counting.pairs.get())
 }
 
+/// FNV-1a over every row of `view`: its representative, length, ids and
+/// distance bits, little-endian.
+fn rows_digest(view: &ClusteredProvider) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for i in 0..view.site_count() {
+        let row = view.covered(i);
+        eat(&view.site_node(i).0.to_le_bytes());
+        eat(&(row.len() as u32).to_le_bytes());
+        row.ids.iter().for_each(|id| eat(&id.to_le_bytes()));
+        row.dists
+            .iter()
+            .for_each(|d| eat(&d.to_bits().to_le_bytes()));
+    }
+    h
+}
+
 fn median_us(mut samples: Vec<Duration>) -> f64 {
     samples.sort();
     samples[samples.len() / 2].as_secs_f64() * 1e6
@@ -139,19 +167,34 @@ fn main() {
     ];
 
     let mut scratch = ProviderScratch::default();
+    let mut digests = Vec::new();
     for (p, instance) in index.instances().iter().enumerate() {
         // Mid-band: the view cuts every row, as almost every served τ does.
         let gamma = index.config().gamma;
         let tau = index.config().tau_min * (1.0 + gamma).powi(p as i32) * (1.0 + gamma / 2.0);
         assert_eq!(index.instance_for(tau), p, "τ={tau} is not in band {p}");
         let ceiling = ProviderRows::built_tau_for(instance, tau);
-        let rows = Arc::new(ProviderRows::build_with(
-            instance,
-            ceiling,
-            bound,
-            1,
-            &mut scratch,
-        ));
+        let [(build1_us, rows), (build2_us, rows2)] = [1, 2].map(|threads| {
+            let samples = (0..SAMPLES)
+                .map(|_| {
+                    let t = Instant::now();
+                    let fresh = &mut ProviderScratch::default();
+                    std::hint::black_box(ProviderRows::build_with(
+                        instance, ceiling, bound, threads, fresh,
+                    ));
+                    t.elapsed()
+                })
+                .collect();
+            let rows = ProviderRows::build_with(instance, ceiling, bound, threads, &mut scratch);
+            (median_us(samples), Arc::new(rows))
+        });
+        let digest = rows_digest(&rows.view(ceiling));
+        assert_eq!(
+            digest,
+            rows_digest(&rows2.view(ceiling)),
+            "instance {p}: rows differ across thread counts"
+        );
+        digests.push(digest);
         let view_us = median_us(
             (0..SAMPLES)
                 .map(|_| {
@@ -168,6 +211,10 @@ fn main() {
              view at τ={tau:.0}: {} pairs, {view_us:.0} µs",
             rows.pair_count(),
             view.pair_count(),
+        );
+        println!(
+            "  build µs (fresh scratch) 1 thread {build1_us:.0}, 2 threads {build2_us:.0}; \
+             rows digest {digest:016x}"
         );
         println!("  ψ        k | init µs | rounds µs | re-evaluated rows | pairs walked");
 
@@ -210,5 +257,6 @@ fn main() {
             }
         }
     }
-    println!("\nevery sample matched Algorithm 1");
+    println!("\nrows digests: {digests:016x?}");
+    println!("every sample matched Algorithm 1");
 }
