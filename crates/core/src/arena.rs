@@ -19,8 +19,10 @@
 //!
 //! Two variants exist:
 //!
-//! * [`PairArena`] — immutable, built once per coverage/provider build
-//!   (supports sharded parallel construction via [`PairArena::concat`] and
+//! * [`PairArena`] — immutable, built once and then only read: every `TC`
+//!   row set ([`crate::coverage::Rows`]), each round-1 block (behind
+//!   [`crate::shard::RowView`]) and the inverted `SC` rows (supports
+//!   sharded parallel construction via [`PairArena::concat`] and
 //!   counting-sort inversion via [`PairArena::invert_threaded`]);
 //! * [`RowArena`] — append-friendly (rows addressed by `(start, len)`),
 //!   used for `CC(T_j)` in [`crate::cluster::ClusterInstance`], which the
@@ -71,6 +73,17 @@ impl<'a> PairSlice<'a> {
         PairSlice {
             ids: &self.ids[..len],
             dists: &self.dists[..len],
+        }
+    }
+
+    /// Length of the prefix with distances `≤ tau` of a row that ascends
+    /// by distance — where a build at `tau` would end it. A row whose
+    /// last pair is within `tau` is whole without a search.
+    #[inline]
+    pub fn len_within(&self, tau: f64) -> usize {
+        match self.dists.last() {
+            Some(&last) if last > tau => self.dists.partition_point(|&d| d <= tau),
+            _ => self.len(),
         }
     }
 
@@ -308,9 +321,17 @@ impl PairArenaBuilder {
         self.offsets.push(checked_offset(self.ids.len() as u64));
     }
 
-    /// Rows pushed so far.
-    pub fn row_count(&self) -> usize {
-        self.offsets.len() - 1
+    /// Appends the next row as an id run and a parallel distance run of
+    /// the same length (two bulk extends, e.g. straight off a wire).
+    pub fn push_runs(
+        &mut self,
+        ids: impl IntoIterator<Item = u32>,
+        dists: impl IntoIterator<Item = f64>,
+    ) {
+        self.ids.extend(ids);
+        self.dists.extend(dists);
+        assert_eq!(self.ids.len(), self.dists.len(), "runs of unequal length");
+        self.offsets.push(checked_offset(self.ids.len() as u64));
     }
 
     /// Finalizes the arena.

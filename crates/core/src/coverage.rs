@@ -15,12 +15,15 @@
 //! exposes it, over both directions, so the experiments reproduce that
 //! behaviour.
 //!
-//! [`CoverageProvider`] abstracts "sites with covered-trajectory lists" so
-//! the same solvers run on exact coverage (this module), on NetClus's
-//! clustered approximation (`crate::query`) and on the sharded round-2
-//! merge (`crate::shard`). It has **one direction**: every solver that
-//! serves queries reads `TC` rows alone. The inverted `SC` rows are the
-//! sub-trait [`InvertedCoverage`], required only by the paper's Algorithm 1
+//! Every `TC` row set is one [`Rows`] (rows, site nodes, id bound), owned
+//! by the exact [`CoverageIndex`], NetClus's clustered rows, the sharded
+//! round-2 merge and the [`ReferenceProvider`] oracle alike. A
+//! [`CoverageProvider`] hands out a [`RowsView`] of them — borrowed, `Copy`,
+//! optionally cut to each row's within-τ prefix — and that view is what
+//! the served solver reads, so the same compiled solver runs on all four.
+//! It has **one direction**: every solver that serves queries reads `TC`
+//! rows alone. The inverted `SC` rows are the sub-trait
+//! [`InvertedCoverage`], required only by the paper's Algorithm 1
 //! ([`crate::greedy::algorithm1_greedy`]) and implemented only where that
 //! reference runs: the exact [`CoverageIndex`] and the
 //! [`ReferenceProvider`] oracle.
@@ -33,26 +36,135 @@ use netclus_trajectory::{TrajId, TrajectorySet};
 use crate::arena::{PairArena, PairArenaBuilder, PairSlice};
 use crate::detour::{DetourEngine, DetourModel};
 
-/// Abstraction over a set of candidate sites with covered-trajectory lists.
+/// One owned `TC` row set: row `i` lists the trajectories (ids) site `i`
+/// covers with their detour distances, ascending by distance, and
+/// `nodes[i]` is the site's network node. Ids are below `traj_id_bound`.
+#[derive(Clone, Debug)]
+pub struct Rows {
+    tc: PairArena,
+    nodes: Vec<NodeId>,
+    traj_id_bound: usize,
+}
+
+impl Rows {
+    /// Rows `tc` of the sites at `nodes` (one per row), over
+    /// `traj_id_bound` trajectories.
+    pub fn new(tc: PairArena, nodes: Vec<NodeId>, traj_id_bound: usize) -> Rows {
+        assert_eq!(tc.row_count(), nodes.len(), "one node per row required");
+        Rows {
+            tc,
+            nodes,
+            traj_id_bound,
+        }
+    }
+
+    /// The rows as the solvers read them: whole, or row `i` cut to its
+    /// first `cuts[i]` pairs.
+    pub fn view<'a>(&'a self, cuts: Option<&'a [u32]>) -> RowsView<'a> {
+        assert!(
+            cuts.is_none_or(|c| c.len() == self.nodes.len()),
+            "one cut per row required"
+        );
+        RowsView { rows: self, cuts }
+    }
+
+    /// Total `(site, trajectory)` pairs.
+    pub fn pair_count(&self) -> usize {
+        self.tc.pair_count()
+    }
+
+    /// Heap bytes by `Vec` capacity: the arena plus the node table.
+    pub fn heap_size_bytes(&self) -> usize {
+        self.tc.heap_size_bytes() + self.nodes.capacity() * std::mem::size_of::<NodeId>()
+    }
+
+    /// Drops the capacity a growing build left, for rows that are kept.
+    pub fn shrink_to_fit(&mut self) {
+        self.tc.shrink_to_fit();
+        self.nodes.shrink_to_fit();
+    }
+}
+
+/// What every solver reads: borrowed [`Rows`] plus, optionally, how many
+/// leading pairs of each row it sees. Cheap to copy.
+#[derive(Clone, Copy, Debug)]
+pub struct RowsView<'a> {
+    rows: &'a Rows,
+    /// Prefix length per row; `None` when every row is whole.
+    cuts: Option<&'a [u32]>,
+}
+
+impl<'a> RowsView<'a> {
+    /// Number of candidate sites (rows).
+    #[inline]
+    pub fn site_count(self) -> usize {
+        self.rows.nodes.len()
+    }
+
+    /// Exclusive upper bound on trajectory id indices.
+    #[inline]
+    pub fn traj_id_bound(self) -> usize {
+        self.rows.traj_id_bound
+    }
+
+    /// Network node of the site at `idx`.
+    #[inline]
+    pub fn site_node(self, idx: usize) -> NodeId {
+        self.rows.nodes[idx]
+    }
+
+    /// `TC(s_idx)` as this view sees it.
+    #[inline]
+    pub fn row(self, idx: usize) -> PairSlice<'a> {
+        let row = self.rows.tc.row(idx);
+        match self.cuts {
+            None => row,
+            Some(cuts) => row.prefix(cuts[idx] as usize),
+        }
+    }
+
+    /// Total pairs this view sees.
+    pub fn pair_count(self) -> usize {
+        match self.cuts {
+            None => self.rows.pair_count(),
+            Some(cuts) => cuts.iter().map(|&c| c as usize).sum(),
+        }
+    }
+}
+
+/// A set of candidate sites with covered-trajectory lists: anything that
+/// hands out a [`RowsView`].
 ///
 /// Implementors: [`CoverageIndex`] (exact, site-level), the clustered view
 /// in [`crate::query`] (cluster representatives with estimated distances),
 /// the merged round-2 view in [`crate::shard`], and the
-/// differential-testing [`ReferenceProvider`].
-///
-/// Rows are exposed as [`PairSlice`] — parallel id/distance slices out of a
-/// flat arena — so the greedy inner loops scan contiguous memory and can
-/// touch only the array they need (e.g. distances alone when summing ψ).
+/// differential-testing [`ReferenceProvider`]. The per-site accessors are
+/// provided on top of [`CoverageProvider::rows`] for the reference and
+/// variant solvers; the served solver takes the view itself.
 pub trait CoverageProvider {
+    /// The rows, as the solvers read them.
+    fn rows(&self) -> RowsView<'_>;
+
     /// Number of candidate sites (`n`, or `η_p` for the clustered view).
-    fn site_count(&self) -> usize;
+    fn site_count(&self) -> usize {
+        self.rows().site_count()
+    }
+
     /// Exclusive upper bound on trajectory id indices.
-    fn traj_id_bound(&self) -> usize;
+    fn traj_id_bound(&self) -> usize {
+        self.rows().traj_id_bound()
+    }
+
     /// Network node of the site at `idx`.
-    fn site_node(&self, idx: usize) -> NodeId;
+    fn site_node(&self, idx: usize) -> NodeId {
+        self.rows().site_node(idx)
+    }
+
     /// `TC(s_idx)`: covered trajectories (ids) with detour distances,
     /// ascending by distance.
-    fn covered(&self, idx: usize) -> PairSlice<'_>;
+    fn covered(&self, idx: usize) -> PairSlice<'_> {
+        self.rows().row(idx)
+    }
 }
 
 /// A [`CoverageProvider`] that also carries the inverted `SC` rows — the
@@ -66,14 +178,12 @@ pub trait InvertedCoverage: CoverageProvider {
 /// Exact site-level coverage sets for one `(τ, detour-model)` pair.
 #[derive(Clone, Debug)]
 pub struct CoverageIndex {
-    sites: Vec<NodeId>,
+    /// Row `i`: trajectories covered by site `i`, ascending by detour.
+    tc: Rows,
     tau: f64,
     model: DetourModel,
-    /// `tc` row `i`: trajectories covered by site `i`, ascending by detour.
-    tc: PairArena,
     /// `sc` row `j`: sites covering trajectory `j` (site index, detour).
     sc: PairArena,
-    traj_id_bound: usize,
     build_time: Duration,
 }
 
@@ -122,12 +232,10 @@ impl CoverageIndex {
         let sc = tc.invert_threaded(traj_id_bound, workers);
 
         CoverageIndex {
-            sites: sites.to_vec(),
+            tc: Rows::new(tc, sites.to_vec(), traj_id_bound),
             tau,
             model,
-            tc,
             sc,
-            traj_id_bound,
             build_time: start.elapsed(),
         }
     }
@@ -144,7 +252,7 @@ impl CoverageIndex {
 
     /// The candidate sites, in provider index order.
     pub fn sites(&self) -> &[NodeId] {
-        &self.sites
+        &self.tc.nodes
     }
 
     /// Wall-clock time of the build.
@@ -166,9 +274,7 @@ impl CoverageIndex {
     /// Approximate heap footprint in bytes: both directions of the coverage
     /// lists (flat arenas: offsets + ids + distances) plus the site table.
     pub fn heap_size_bytes(&self) -> usize {
-        self.tc.heap_size_bytes()
-            + self.sc.heap_size_bytes()
-            + self.sites.capacity() * std::mem::size_of::<NodeId>()
+        self.tc.heap_size_bytes() + self.sc.heap_size_bytes()
     }
 }
 
@@ -192,20 +298,8 @@ fn build_tc_shard(
 }
 
 impl CoverageProvider for CoverageIndex {
-    fn site_count(&self) -> usize {
-        self.sites.len()
-    }
-
-    fn traj_id_bound(&self) -> usize {
-        self.traj_id_bound
-    }
-
-    fn site_node(&self, idx: usize) -> NodeId {
-        self.sites[idx]
-    }
-
-    fn covered(&self, idx: usize) -> PairSlice<'_> {
-        self.tc.row(idx)
+    fn rows(&self) -> RowsView<'_> {
+        self.tc.view(None)
     }
 }
 
@@ -222,10 +316,8 @@ impl InvertedCoverage for CoverageIndex {
 /// carries no `SC` itself.
 #[derive(Clone, Debug)]
 pub struct ReferenceProvider {
-    tc: Vec<(Vec<u32>, Vec<f64>)>,
+    tc: Rows,
     sc: Vec<(Vec<u32>, Vec<f64>)>,
-    nodes: Vec<NodeId>,
-    traj_id_bound: usize,
 }
 
 impl ReferenceProvider {
@@ -251,7 +343,6 @@ impl ReferenceProvider {
 
     /// [`ReferenceProvider::new`] with explicit site nodes.
     pub fn with_nodes(traj_id_bound: usize, tc: Vec<Vec<(u32, f64)>>, nodes: Vec<NodeId>) -> Self {
-        assert_eq!(tc.len(), nodes.len(), "one node per site required");
         let mut sc: Vec<(Vec<u32>, Vec<f64>)> = vec![(Vec::new(), Vec::new()); traj_id_bound];
         for (i, list) in tc.iter().enumerate() {
             for &(tj, d) in list {
@@ -259,32 +350,16 @@ impl ReferenceProvider {
                 sc[tj as usize].1.push(d);
             }
         }
-        let tc = tc.into_iter().map(|row| row.into_iter().unzip()).collect();
         ReferenceProvider {
-            tc,
+            tc: Rows::new(PairArena::from_rows(&tc), nodes, traj_id_bound),
             sc,
-            nodes,
-            traj_id_bound,
         }
     }
 }
 
 impl CoverageProvider for ReferenceProvider {
-    fn site_count(&self) -> usize {
-        self.tc.len()
-    }
-
-    fn traj_id_bound(&self) -> usize {
-        self.traj_id_bound
-    }
-
-    fn site_node(&self, idx: usize) -> NodeId {
-        self.nodes[idx]
-    }
-
-    fn covered(&self, idx: usize) -> PairSlice<'_> {
-        let (ids, dists) = &self.tc[idx];
-        PairSlice { ids, dists }
+    fn rows(&self) -> RowsView<'_> {
+        self.tc.view(None)
     }
 }
 

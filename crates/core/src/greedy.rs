@@ -22,7 +22,7 @@
 //! `utility` bits depend only on the rows and the selection sequence —
 //! which is what makes "sharded ≡ monolithic" hold bit-for-bit for every ψ
 //! (`crates/core/tests/shard_proptests.rs`). The solver reads `TC` rows
-//! ([`CoverageProvider::covered`]) and nothing else.
+//! ([`RowsView::row`]) and nothing else.
 //!
 //! **One solver, two inner loops, chosen once per solve.** What CELF does
 //! with a row — weigh it, re-evaluate its gain, fold it in — sits behind a
@@ -31,9 +31,9 @@
 //! is a count: a trajectory is served or it is not, so a row's weight is
 //! the length of its within-τ prefix (rows ascend by distance; a
 //! [`ClusteredProvider`](crate::query::ClusteredProvider) view hands over
-//! exactly that prefix, a longer row is cut by `partition_point`), its gain
-//! the number of unserved ids in it, coverage one flag per trajectory, and
-//! no distance is read once the weights are known. The count equals the
+//! exactly that prefix, a longer row is cut by [`PairSlice::len_within`]),
+//! its gain the number of unserved ids in it, coverage one flag per
+//! trajectory, and no distance is read once the weights are known. The count equals the
 //! scored sum bit for bit: every non-zero term of that sum is exactly `1.0`
 //! and adding ones is exact below 2⁵³. `existing` sites take the same path.
 //!
@@ -46,9 +46,14 @@
 //! is the only reader of `SC`, hence its [`InvertedCoverage`] bound, and
 //! nothing on a served path calls it.
 //!
-//! Written against [`CoverageProvider`], the solver serves exact TOPS (over
-//! [`CoverageIndex`]), TOPS-Cluster (over cluster representatives, paper
-//! Sec. 5.1) and the sharded round-2 merge alike.
+//! **One machine-code copy.** The solver is written against the one rows
+//! type every provider hands out, a [`RowsView`], not against
+//! [`CoverageProvider`]: exact TOPS (over [`CoverageIndex`]), TOPS-Cluster
+//! (over cluster representatives, paper Sec. 5.1) and the sharded round-2
+//! merge all run the same compiled kernel. [`inc_greedy`] and its siblings
+//! stay generic over the provider only as one-line shims that take its
+//! view; Algorithm 1 stays generic over [`InvertedCoverage`], since it
+//! also walks `SC`.
 //!
 //! [`CoverageIndex`]: crate::coverage::CoverageIndex
 
@@ -58,7 +63,7 @@ use std::time::Instant;
 use netclus_trajectory::TrajId;
 
 use crate::arena::PairSlice;
-use crate::coverage::{CoverageProvider, InvertedCoverage};
+use crate::coverage::{CoverageProvider, InvertedCoverage, RowsView};
 use crate::query::TopsQuery;
 use crate::solution::Solution;
 
@@ -67,7 +72,7 @@ pub type GreedyConfig = TopsQuery;
 
 /// Runs Inc-Greedy over `provider`, selecting `cfg.k` sites.
 pub fn inc_greedy<P: CoverageProvider>(provider: &P, cfg: &GreedyConfig) -> Solution {
-    inc_greedy_from(provider, cfg, &[])
+    celf_greedy(provider.rows(), cfg, &[], None)
 }
 
 /// Inc-Greedy with existing services (paper Sec. 7.3): the sites at
@@ -79,7 +84,7 @@ pub fn inc_greedy_from<P: CoverageProvider>(
     cfg: &GreedyConfig,
     existing: &[usize],
 ) -> Solution {
-    run_greedy(provider, cfg, existing, None, celf_greedy)
+    celf_greedy(provider.rows(), cfg, existing, None)
 }
 
 /// Inc-Greedy seeded with per-trajectory baseline utilities — the general
@@ -97,7 +102,7 @@ pub fn inc_greedy_seeded<P: CoverageProvider>(
     cfg: &GreedyConfig,
     seed_utilities: &[f64],
 ) -> Solution {
-    run_greedy(provider, cfg, &[], Some(seed_utilities), celf_greedy)
+    celf_greedy(provider.rows(), cfg, &[], Some(seed_utilities))
 }
 
 /// The paper's Algorithm 1 as printed — the **reference implementation**
@@ -115,41 +120,19 @@ pub fn algorithm1_greedy<P: InvertedCoverage>(
     existing: &[usize],
     seed_utilities: Option<&[f64]>,
 ) -> Solution {
-    run_greedy(provider, cfg, existing, seed_utilities, eager_greedy)
+    check_inputs(provider.rows(), cfg, seed_utilities);
+    let start = Instant::now();
+    eager_greedy(provider, cfg, existing, seed_utilities).solution(provider.rows(), start)
 }
 
-/// A solver core: `(provider, cfg, existing, seed utilities)` to the
-/// selection it makes.
-type Solver<P> = fn(&P, &GreedyConfig, &[usize], Option<&[f64]>) -> GreedyState;
-
-fn run_greedy<P: CoverageProvider>(
-    provider: &P,
-    cfg: &GreedyConfig,
-    existing: &[usize],
-    seed_utilities: Option<&[f64]>,
-    solver: Solver<P>,
-) -> Solution {
+fn check_inputs(rows: RowsView<'_>, cfg: &GreedyConfig, seed_utilities: Option<&[f64]>) {
     assert!(cfg.preference.validate().is_ok(), "invalid preference");
     if let Some(seed) = seed_utilities {
         assert_eq!(
             seed.len(),
-            provider.traj_id_bound(),
+            rows.traj_id_bound(),
             "one seed utility per trajectory id required"
         );
-    }
-    let start = Instant::now();
-    let state = solver(provider, cfg, existing, seed_utilities);
-    Solution {
-        sites: state
-            .selected
-            .iter()
-            .map(|&i| provider.site_node(i))
-            .collect(),
-        site_indices: state.selected,
-        utility: state.gains.iter().sum(),
-        gains: state.gains,
-        covered: state.covered,
-        elapsed: start.elapsed(),
     }
 }
 
@@ -160,14 +143,27 @@ struct GreedyState {
     covered: usize,
 }
 
+impl GreedyState {
+    /// The selection as a [`Solution`] over `rows`, timed from `start`.
+    fn solution(self, rows: RowsView<'_>, start: Instant) -> Solution {
+        Solution {
+            sites: self.selected.iter().map(|&i| rows.site_node(i)).collect(),
+            site_indices: self.selected,
+            utility: self.gains.iter().sum(),
+            gains: self.gains,
+            covered: self.covered,
+            elapsed: start.elapsed(),
+        }
+    }
+}
+
 /// Site weights `w_i = Σ_j ψ(T_j, s_i)`: the static tie-breaking key and,
 /// while every utility is zero, the marginal gains. Summed over the
 /// distance array of each row alone, in row order.
-fn site_weights<P: CoverageProvider>(provider: &P, cfg: &GreedyConfig) -> Vec<f64> {
-    (0..provider.site_count())
+fn site_weights(rows: RowsView<'_>, cfg: &GreedyConfig) -> Vec<f64> {
+    (0..rows.site_count())
         .map(|i| {
-            provider
-                .covered(i)
+            rows.row(i)
                 .dists
                 .iter()
                 .map(|&d| cfg.preference.score(d, cfg.tau))
@@ -178,14 +174,8 @@ fn site_weights<P: CoverageProvider>(provider: &P, cfg: &GreedyConfig) -> Vec<f6
 
 /// Marginal gain of site `i` under `utilities`: `Σ_j max(0, ψ_ji − U_j)`
 /// over its row, in row order.
-fn gain_of<P: CoverageProvider>(
-    provider: &P,
-    cfg: &GreedyConfig,
-    i: usize,
-    utilities: &[f64],
-) -> f64 {
-    provider
-        .covered(i)
+fn gain_of(rows: RowsView<'_>, cfg: &GreedyConfig, i: usize, utilities: &[f64]) -> f64 {
+    rows.row(i)
         .iter()
         .map(|(tj, d)| (cfg.preference.score(d, cfg.tau) - utilities[tj as usize]).max(0.0))
         .sum()
@@ -207,19 +197,19 @@ trait Kernel {
 
 /// The generic kernel: ψ scored per pair against an `f64` utility per
 /// trajectory. Serves every graded ψ and every seeded run.
-struct Scored<'a, P> {
-    provider: &'a P,
+struct Scored<'a> {
+    rows: RowsView<'a>,
     cfg: &'a GreedyConfig,
     utilities: Vec<f64>,
 }
 
-impl<P: CoverageProvider> Kernel for Scored<'_, P> {
+impl Kernel for Scored<'_> {
     fn gain(&self, i: usize) -> f64 {
-        gain_of(self.provider, self.cfg, i, &self.utilities)
+        gain_of(self.rows, self.cfg, i, &self.utilities)
     }
 
     fn select(&mut self, i: usize) {
-        for (tj, d) in self.provider.covered(i).iter() {
+        for (tj, d) in self.rows.row(i).iter() {
             let score = self.cfg.preference.score(d, self.cfg.tau);
             if score > self.utilities[tj as usize] {
                 self.utilities[tj as usize] = score;
@@ -234,22 +224,11 @@ impl<P: CoverageProvider> Kernel for Scored<'_, P> {
 
 /// The counting kernel for binary ψ without seed utilities (module docs):
 /// one served flag per trajectory, and no distance read after the weights.
-struct Counted<'a, P> {
-    provider: &'a P,
+struct Counted<'a> {
+    rows: RowsView<'a>,
     /// τ if some row runs past it; `None` when every row is whole.
     cut_at: Option<f64>,
     served: Vec<bool>,
-}
-
-/// The ids of `row` within `tau`. Rows ascend by distance: a view's row
-/// already ends within τ, a longer one is cut where a build at τ would
-/// end it.
-fn within(row: PairSlice<'_>, tau: f64) -> &[u32] {
-    let len = match row.dists.last() {
-        Some(&last) if last > tau => row.dists.partition_point(|&d| d <= tau),
-        _ => row.len(),
-    };
-    &row.ids[..len]
 }
 
 /// `count` as the `f64` [`Scored`] sums to over `row`: that many ones and
@@ -263,14 +242,14 @@ fn count_as_sum(row: PairSlice<'_>, count: usize) -> f64 {
     }
 }
 
-impl<'a, P: CoverageProvider> Counted<'a, P> {
+impl<'a> Counted<'a> {
     /// The kernel and the site weights: each row's within-τ length.
-    fn new(provider: &'a P, tau: f64) -> (Self, Vec<f64>) {
+    fn new(rows: RowsView<'a>, tau: f64) -> (Self, Vec<f64>) {
         let mut cut_at = None;
-        let weights = (0..provider.site_count())
+        let weights = (0..rows.site_count())
             .map(|i| {
-                let row = provider.covered(i);
-                let len = within(row, tau).len();
+                let row = rows.row(i);
+                let len = row.len_within(tau);
                 if len < row.len() {
                     cut_at = Some(tau);
                 }
@@ -278,21 +257,24 @@ impl<'a, P: CoverageProvider> Counted<'a, P> {
             })
             .collect();
         let kernel = Counted {
-            provider,
+            rows,
             cut_at,
-            served: vec![false; provider.traj_id_bound()],
+            served: vec![false; rows.traj_id_bound()],
         };
         (kernel, weights)
     }
 
     /// Row `i` and its within-τ ids.
     fn row(&self, i: usize) -> (PairSlice<'a>, &'a [u32]) {
-        let row = self.provider.covered(i);
-        (row, self.cut_at.map_or(row.ids, |tau| within(row, tau)))
+        let row = self.rows.row(i);
+        let ids = self
+            .cut_at
+            .map_or(row.ids, |tau| &row.ids[..row.len_within(tau)]);
+        (row, ids)
     }
 }
 
-impl<P: CoverageProvider> Kernel for Counted<'_, P> {
+impl Kernel for Counted<'_> {
     fn gain(&self, i: usize) -> f64 {
         let (row, ids) = self.row(i);
         let unserved = ids.iter().filter(|&&tj| !self.served[tj as usize]);
@@ -310,27 +292,32 @@ impl<P: CoverageProvider> Kernel for Counted<'_, P> {
     }
 }
 
-/// The solver: picks the kernel for this solve, then runs [`celf`] on it.
-fn celf_greedy<P: CoverageProvider>(
-    provider: &P,
+/// The served solver, one compiled copy under every provider: picks the
+/// kernel for this solve, runs [`celf`] on it, and reports the selection.
+fn celf_greedy(
+    rows: RowsView<'_>,
     cfg: &GreedyConfig,
     existing: &[usize],
     seed_utilities: Option<&[f64]>,
-) -> GreedyState {
-    if cfg.preference.is_binary() && seed_utilities.is_none() {
-        let (kernel, weights) = Counted::new(provider, cfg.tau);
-        return celf(kernel, &weights, cfg.k, existing, false);
-    }
-    let kernel = Scored {
-        provider,
-        cfg,
-        utilities: match seed_utilities {
-            Some(seed) => seed.to_vec(),
-            None => vec![0.0f64; provider.traj_id_bound()],
-        },
+) -> Solution {
+    check_inputs(rows, cfg, seed_utilities);
+    let start = Instant::now();
+    let state = if cfg.preference.is_binary() && seed_utilities.is_none() {
+        let (kernel, weights) = Counted::new(rows, cfg.tau);
+        celf(kernel, &weights, cfg.k, existing, false)
+    } else {
+        let kernel = Scored {
+            rows,
+            cfg,
+            utilities: match seed_utilities {
+                Some(seed) => seed.to_vec(),
+                None => vec![0.0f64; rows.traj_id_bound()],
+            },
+        };
+        let weights = site_weights(rows, cfg);
+        celf(kernel, &weights, cfg.k, existing, seed_utilities.is_some())
     };
-    let weights = site_weights(provider, cfg);
-    celf(kernel, &weights, cfg.k, existing, seed_utilities.is_some())
+    state.solution(rows, start)
 }
 
 /// CELF evaluation of Inc-Greedy (module docs), one site per entry of
@@ -438,12 +425,11 @@ fn eager_greedy<P: InvertedCoverage>(
         Some(seed) => seed.to_vec(),
         None => vec![0.0f64; provider.traj_id_bound()],
     };
-    let weights = site_weights(provider, cfg);
+    let rows = provider.rows();
+    let weights = site_weights(rows, cfg);
     let mut marginal = match seed_utilities {
         None => weights.clone(),
-        Some(_) => (0..n)
-            .map(|i| gain_of(provider, cfg, i, &utilities))
-            .collect(),
+        Some(_) => (0..n).map(|i| gain_of(rows, cfg, i, &utilities)).collect(),
     };
     let mut chosen = vec![false; n];
 

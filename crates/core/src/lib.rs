@@ -137,7 +137,7 @@ pub mod prelude {
     pub use crate::cluster::RepresentativeStrategy;
     pub use crate::cost::{tops_cost, CostConfig};
     pub use crate::coverage::{
-        CoverageIndex, CoverageProvider, InvertedCoverage, ReferenceProvider,
+        CoverageIndex, CoverageProvider, InvertedCoverage, ReferenceProvider, Rows, RowsView,
     };
     pub use crate::detour::{DetourEngine, DetourModel};
     pub use crate::exact::{exact_optimal, ExactConfig, ExactResult};
@@ -186,6 +186,7 @@ fn thread_safety_audit() {
     assert_send_sync::<fm_greedy::FmGreedyConfig>();
     // Coverage structures shared by parallel builders.
     assert_send_sync::<coverage::CoverageIndex>();
+    assert_send_sync::<coverage::Rows>();
     assert_send_sync::<cluster::ClusterInstance>();
     // Arena layout: provider rows are shared across worker threads (the
     // service-layer provider cache hands out `Arc<ProviderRows>`).

@@ -23,13 +23,14 @@
 //! ## Rows and views
 //!
 //! A provider is two things. [`ProviderRows`] are an instance's `T̂C`
-//! rows built at some threshold `built_tau`: representatives, their
-//! cluster ids and one flat [`PairArena`] (see [`crate::arena`]), each row
-//! sorted ascending by `(d̂r, trajectory id)`. A [`ClusteredProvider`] is
-//! an `Arc` of those rows plus, per row, the length of the prefix with
-//! `d̂r ≤ τ` — a view, not a copy. [`ClusteredProvider::build_with`] is
-//! "rows at τ, whole-row view"; [`ProviderRows::view`] cuts a view at any
-//! `τ ≤ built_tau` and is bit-identical to a build at that τ:
+//! rows built at some threshold `built_tau`: one [`Rows`] (representatives
+//! and a flat [`PairArena`], see [`crate::arena`]) plus each row's cluster
+//! id, each row sorted ascending by `(d̂r, trajectory id)`. A
+//! [`ClusteredProvider`] is an `Arc` of those rows plus, per row, the
+//! length of the prefix with `d̂r ≤ τ` — a view, not a copy.
+//! [`ClusteredProvider::build_with`] is "rows at τ, whole-row view";
+//! [`ProviderRows::view`] cuts a view at any `τ ≤ built_tau` and is
+//! bit-identical to a build at that τ:
 //!
 //! * the estimate `d_traj + (d_centers + rep_distance)` of a trajectory
 //!   through a neighbor is computed from index data alone — τ is not an
@@ -41,8 +42,9 @@
 //!   prefix;
 //! * rows are totally ordered by `(d̂r, id)`, so the pairs with `d̂r ≤ τ`
 //!   are exactly a prefix, in the order a build at τ would sort them, and
-//!   the cut is inclusive (`partition_point(|d| d <= τ)`) like the
-//!   kernel's filter;
+//!   the cut is inclusive
+//!   ([`PairSlice::len_within`](crate::arena::PairSlice::len_within)) like
+//!   the kernel's filter;
 //! * the kernel's `break` on `base > τ` only skips neighbors whose every
 //!   estimate would fail the filter anyway (neighbors are sorted by center
 //!   distance) — an early exit, not a second condition.
@@ -69,9 +71,9 @@ use std::time::{Duration, Instant};
 use netclus_roadnet::NodeId;
 use netclus_trajectory::TrajectorySet;
 
-use crate::arena::{PairArena, PairArenaBuilder, PairSlice};
+use crate::arena::{PairArena, PairArenaBuilder};
 use crate::cluster::{Cluster, ClusterInstance};
-use crate::coverage::CoverageProvider;
+use crate::coverage::{CoverageProvider, Rows, RowsView};
 use crate::fm_greedy::{fm_greedy, FmGreedyConfig};
 use crate::greedy::{inc_greedy, inc_greedy_seeded};
 use crate::index::NetClusIndex;
@@ -171,13 +173,11 @@ fn row_key(id: u32, d: f64) -> u128 {
 /// docs, "Rows and views").
 #[derive(Debug)]
 pub struct ProviderRows {
-    /// Representative site per provider index.
-    reps: Vec<NodeId>,
+    /// `T̂C` rows, ascending by `(estimate, trajectory id)`, one per
+    /// representative site.
+    tc: Rows,
     /// Cluster index behind each provider index.
     rep_cluster: Vec<u32>,
-    /// `T̂C` rows, ascending by `(estimate, trajectory id)`.
-    tc: PairArena,
-    traj_id_bound: usize,
     built_tau: f64,
     build_time: Duration,
 }
@@ -202,9 +202,8 @@ impl ProviderRows {
         scratch: &mut ProviderScratch,
     ) -> Self {
         let mut rows = Self::build_growing(instance, built_tau, traj_id_bound, threads, scratch);
-        rows.reps.shrink_to_fit();
-        rows.rep_cluster.shrink_to_fit();
         rows.tc.shrink_to_fit();
+        rows.rep_cluster.shrink_to_fit();
         rows
     }
 
@@ -267,10 +266,8 @@ impl ProviderRows {
         };
 
         ProviderRows {
-            reps,
+            tc: Rows::new(tc, reps, traj_id_bound),
             rep_cluster,
-            tc,
-            traj_id_bound,
             built_tau,
             build_time: start.elapsed(),
         }
@@ -290,8 +287,9 @@ impl ProviderRows {
             self.built_tau
         );
         let cuts = (tau < self.built_tau).then(|| {
-            (0..self.tc.row_count())
-                .map(|i| self.tc.row(i).dists.partition_point(|&d| d <= tau) as u32)
+            let rows = self.tc.view(None);
+            (0..rows.site_count())
+                .map(|i| rows.row(i).len_within(tau) as u32)
                 .collect()
         });
         ClusteredProvider {
@@ -307,7 +305,7 @@ impl ProviderRows {
 
     /// Number of representatives (rows).
     pub fn site_count(&self) -> usize {
-        self.reps.len()
+        self.rep_cluster.len()
     }
 
     /// Total `(representative, trajectory)` pairs at `built_tau`.
@@ -318,7 +316,7 @@ impl ProviderRows {
     /// Heap footprint in bytes by `Vec` capacity: one flat arena (see
     /// [`crate::arena`]) plus the representative arrays.
     pub fn heap_size_bytes(&self) -> usize {
-        self.tc.heap_size_bytes() + self.reps.capacity() * 4 + self.rep_cluster.capacity() * 4
+        self.tc.heap_size_bytes() + self.rep_cluster.capacity() * 4
     }
 }
 
@@ -384,10 +382,7 @@ impl ClusteredProvider {
 
     /// Total `(representative, trajectory)` pairs in the clustered view.
     pub fn pair_count(&self) -> usize {
-        match &self.cuts {
-            None => self.rows.tc.pair_count(),
-            Some(cuts) => cuts.iter().map(|&c| c as usize).sum(),
-        }
+        self.rows().pair_count()
     }
 
     /// Approximate heap footprint in bytes of what the provider keeps
@@ -450,24 +445,8 @@ fn build_tc_shard(
 }
 
 impl CoverageProvider for ClusteredProvider {
-    fn site_count(&self) -> usize {
-        self.rows.reps.len()
-    }
-
-    fn traj_id_bound(&self) -> usize {
-        self.rows.traj_id_bound
-    }
-
-    fn site_node(&self, idx: usize) -> NodeId {
-        self.rows.reps[idx]
-    }
-
-    fn covered(&self, idx: usize) -> PairSlice<'_> {
-        let row = self.rows.tc.row(idx);
-        match &self.cuts {
-            None => row,
-            Some(cuts) => row.prefix(cuts[idx] as usize),
-        }
+    fn rows(&self) -> RowsView<'_> {
+        self.rows.tc.view(self.cuts.as_deref())
     }
 }
 

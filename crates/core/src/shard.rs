@@ -48,13 +48,14 @@
 //!
 //! A round's coverage rows stay **structure-of-arrays from end to end**.
 //! [`local_candidates_on`] copies the selected rows' id and detour slices
-//! out of the shard's [`PairArena`] into one block per round; every
-//! [`Candidate::row`] is a [`RowView`] — a window into that block — so
-//! cloning a round, taking its [`ShardRoundOne::prefix`] (what a memo hit
-//! does) or moving its candidates into the merge copies no pair; the wire
-//! codec writes and reads each row as an id run and a detour run; and
+//! out of the shard's rows into one [`PairArena`] per round, one row per
+//! candidate, shared behind an `Arc`; every [`Candidate::row`] is a
+//! [`RowView`] — that `Arc` and a row number — so cloning a round, taking
+//! its [`ShardRoundOne::prefix`] (what a memo hit does) or moving its
+//! candidates into the merge copies no pair; the wire codec writes and
+//! reads each row as an id run and a detour run; and
 //! [`MergedCandidateProvider`] appends each view's two slices to its
-//! arena.
+//! [`Rows`].
 //!
 //! All shards share one [`NetworkClustering`] (the GDSP ladder is corpus-
 //! independent), so cluster ids are globally consistent — the round-2
@@ -70,7 +71,7 @@ use netclus_trajectory::{Trajectory, TrajectorySet};
 use crate::arena::{PairArena, PairArenaBuilder, PairSlice};
 use crate::codec::{put_f64, put_u32, put_u64};
 pub use crate::codec::{ShardCodecError, WireReader};
-use crate::coverage::CoverageProvider;
+use crate::coverage::{CoverageProvider, Rows, RowsView};
 use crate::greedy::inc_greedy;
 use crate::index::{NetClusConfig, NetClusIndex, NetworkClustering};
 use crate::query::{ClusteredProvider, ProviderScratch, TopsQuery};
@@ -339,7 +340,7 @@ impl ShardedNetClusIndex {
             })
             .collect();
         let candidates: Vec<Candidate> = rounds.into_iter().flat_map(|r| r.candidates).collect();
-        let (solution, candidate_count) = merge_candidates(candidates, q, bound);
+        let (solution, candidate_count, _) = merge_candidates_timed(candidates, q, bound);
         let merge_time = merge_start.elapsed();
 
         ShardedAnswer {
@@ -353,70 +354,54 @@ impl ShardedNetClusIndex {
     }
 }
 
-/// The coverage rows of one round, back to back, structure-of-arrays —
-/// the layout the rows have in the shard's [`PairArena`] and will have
-/// again in the merge's. Immutable once built and shared by every
-/// [`RowView`] into it.
-#[derive(Debug)]
-struct RowBlock {
-    ids: Vec<u32>,
-    dists: Vec<f64>,
-}
-
-/// One candidate's `T̂C` row: a window into the block its round shares
-/// (global trajectory ids, estimated detours ascending). Cloning clones a
-/// pointer, never a pair — which is what lets a memoised round answer
-/// every smaller `k` by [`ShardRoundOne::prefix`] without copying rows.
-/// Equality and `Debug` are those of the row's *contents*.
+/// One candidate's `T̂C` row: a row of the arena its round shares (global
+/// trajectory ids, estimated detours ascending). Cloning clones a pointer,
+/// never a pair — which is what lets a memoised round answer every smaller
+/// `k` by [`ShardRoundOne::prefix`] without copying rows. Equality and
+/// `Debug` are those of the row's *contents*.
 #[derive(Clone)]
 pub struct RowView {
-    block: Arc<RowBlock>,
-    start: usize,
-    len: usize,
+    block: Arc<PairArena>,
+    row: usize,
 }
 
 impl RowView {
     /// A row of its own, from materialized pairs (tests, fixtures).
     pub fn from_pairs(pairs: Vec<(u32, f64)>) -> RowView {
-        let (ids, dists): (Vec<u32>, Vec<f64>) = pairs.into_iter().unzip();
         RowView {
-            len: ids.len(),
-            block: Arc::new(RowBlock { ids, dists }),
-            start: 0,
+            block: Arc::new(PairArena::from_rows(&[pairs])),
+            row: 0,
         }
     }
 
     /// The trajectory ids of the row.
     #[inline]
     pub fn ids(&self) -> &[u32] {
-        &self.block.ids[self.start..self.start + self.len]
+        self.as_slice().ids
     }
 
     /// The estimated detours of the row, parallel to [`Self::ids`].
     #[inline]
     pub fn dists(&self) -> &[f64] {
-        &self.block.dists[self.start..self.start + self.len]
+        self.as_slice().dists
     }
 
     /// Number of pairs in the row.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.as_slice().len()
     }
 
     /// Whether the row is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.as_slice().is_empty()
     }
 
     /// The row as the borrowed slice pair the arenas speak.
     #[inline]
     pub fn as_slice(&self) -> PairSlice<'_> {
-        PairSlice {
-            ids: self.ids(),
-            dists: self.dists(),
-        }
+        self.block.row(self.row)
     }
 
     /// Materializes the row as a pair vector (tests / debugging).
@@ -424,8 +409,8 @@ impl RowView {
         self.as_slice().to_pairs()
     }
 
-    /// Whether both rows are windows into the same block — storage
-    /// identity, not content equality.
+    /// Whether both rows are rows of the same arena — storage identity,
+    /// not content equality.
     pub fn shares_block_with(&self, other: &RowView) -> bool {
         Arc::ptr_eq(&self.block, &other.block)
     }
@@ -456,7 +441,7 @@ pub struct Candidate {
     /// of the candidate list carries its own local utility (`Σ` of the
     /// first `k'` gains) — what makes [`ShardRoundOne::prefix`] exact.
     pub gain: f64,
-    /// `T̂C` row of the candidate, a view into the round's shared block.
+    /// `T̂C` row of the candidate, a row of the round's shared arena.
     pub row: RowView,
 }
 
@@ -472,56 +457,26 @@ impl Candidate {
     }
 }
 
-/// Fills one [`RowBlock`] for a whole round: `open` starts the next
-/// candidate's row, the caller appends that row's pairs to `ids` / `dists`,
-/// `finish` freezes the block and hands out the views.
-struct RoundBuilder {
-    ids: Vec<u32>,
-    dists: Vec<f64>,
-    /// `(node, cluster, gain, row start)` per candidate, in order.
-    heads: Vec<(NodeId, u32, f64, usize)>,
-}
-
-impl RoundBuilder {
-    fn with_capacity(candidates: usize, pairs: usize) -> RoundBuilder {
-        RoundBuilder {
-            ids: Vec::with_capacity(pairs),
-            dists: Vec::with_capacity(pairs),
-            heads: Vec::with_capacity(candidates),
-        }
-    }
-
-    fn open(&mut self, node: NodeId, cluster: u32, gain: f64) {
-        self.heads.push((node, cluster, gain, self.ids.len()));
-    }
-
-    fn finish(self) -> Vec<Candidate> {
-        debug_assert_eq!(self.ids.len(), self.dists.len());
-        let block = Arc::new(RowBlock {
-            ids: self.ids,
-            dists: self.dists,
-        });
-        let ends = self
-            .heads
-            .iter()
-            .skip(1)
-            .map(|h| h.3)
-            .chain(std::iter::once(block.ids.len()));
-        self.heads
-            .iter()
-            .zip(ends)
-            .map(|(&(node, cluster, gain, start), end)| Candidate {
-                node,
-                cluster,
-                gain,
-                row: RowView {
-                    block: Arc::clone(&block),
-                    start,
-                    len: end - start,
-                },
-            })
-            .collect()
-    }
+/// A round's candidates: `heads[i]` is `(node, cluster, gain)` of the
+/// candidate whose row is row `i` of `block`.
+fn round_candidates(
+    heads: impl IntoIterator<Item = (NodeId, u32, f64)>,
+    block: PairArena,
+) -> Vec<Candidate> {
+    let block = Arc::new(block);
+    heads
+        .into_iter()
+        .enumerate()
+        .map(|(row, (node, cluster, gain))| Candidate {
+            node,
+            cluster,
+            gain,
+            row: RowView {
+                block: Arc::clone(&block),
+                row,
+            },
+        })
+        .collect()
 }
 
 /// Result of one shard's round-1 local greedy.
@@ -633,7 +588,7 @@ impl ShardRoundOne {
     }
 
     /// Decodes a round previously written by [`Self::encode_into`],
-    /// consuming from `r`, into one block shared by its candidates.
+    /// consuming from `r`, into one arena shared by its candidates.
     /// `max_candidates` bounds the candidate count, and every count and
     /// row length is checked against the bytes the payload still holds
     /// *before* anything is allocated for it, so a corrupt or hostile
@@ -648,25 +603,22 @@ impl ShardRoundOne {
             return Err(ShardCodecError("candidate count exceeds wire cap"));
         }
         // What is left bounds the pairs of the whole round from above.
-        let mut b = RoundBuilder::with_capacity(n, r.remaining() / PAIR_BYTES);
+        let mut block = PairArenaBuilder::with_capacity(n, r.remaining() / PAIR_BYTES);
+        let mut heads = Vec::with_capacity(n);
         for _ in 0..n {
-            let node = NodeId(r.u32()?);
-            let cluster = r.u32()?;
-            let gain = r.f64()?;
+            heads.push((NodeId(r.u32()?), r.u32()?, r.f64()?));
             let len = r.count(PAIR_BYTES, "coverage row longer than payload")?;
-            b.open(node, cluster, gain);
             let ids = r.bytes(4 * len)?.chunks_exact(4);
-            b.ids
-                .extend(ids.map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk"))));
             let dists = r.bytes(8 * len)?.chunks_exact(8);
-            b.dists.extend(
+            block.push_runs(
+                ids.map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
                 dists.map(|c| {
                     f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
                 }),
             );
         }
         Ok(ShardRoundOne {
-            candidates: b.finish(),
+            candidates: round_candidates(heads, block.finish()),
             k: r.u64()? as usize,
             instance: r.u64()? as usize,
             representatives: r.u64()? as usize,
@@ -721,7 +673,7 @@ pub struct ShardedAnswer {
 
 /// Round 1 on one shard: build the provider serving `q.tau`, run the
 /// local greedy, and copy the selected candidates' coverage rows into the
-/// round's block.
+/// round's arena.
 ///
 /// This is the cold path — provider acquisition and the local greedy in
 /// one call. Serving layers that cache providers per `(epoch, shard, τ)`
@@ -738,9 +690,9 @@ pub fn local_candidates(
 }
 
 /// Round 1 on an already-built shard provider (the hot path): run the
-/// local greedy over `provider` and copy the selected candidates'
-/// coverage rows — two slices each, ids and detours — into one block the
-/// round's candidates share. `instance` names the index instance the provider was
+/// local greedy over `provider` and copy the selected candidates' coverage
+/// rows — two slices each, ids and detours — into one arena the round's
+/// candidates share. `instance` names the index instance the provider was
 /// built from; `elapsed` covers the solver + row copies only — the caller
 /// decides whether a (possibly cached) provider build counts.
 pub fn local_candidates_on(
@@ -751,27 +703,19 @@ pub fn local_candidates_on(
     let start = Instant::now();
     let solution = inc_greedy(provider, q);
     let solve_us = start.elapsed().as_micros() as u64;
-    let picks = || {
-        solution
-            .site_indices
-            .iter()
-            .map(|&idx| provider.covered(idx))
-    };
-    let mut b = RoundBuilder::with_capacity(
-        solution.site_indices.len(),
-        picks().map(|row| row.len()).sum(),
+    let picks = &solution.site_indices;
+    let mut block = PairArenaBuilder::with_capacity(
+        picks.len(),
+        picks.iter().map(|&idx| provider.covered(idx).len()).sum(),
     );
-    for ((&idx, &gain), row) in solution
-        .site_indices
+    for &idx in picks {
+        block.push_slice(provider.covered(idx));
+    }
+    let heads = picks
         .iter()
         .zip(&solution.gains)
-        .zip(picks())
-    {
-        b.open(provider.site_node(idx), provider.cluster_of(idx), gain);
-        b.ids.extend_from_slice(row.ids);
-        b.dists.extend_from_slice(row.dists);
-    }
-    let candidates = b.finish();
+        .map(|(&idx, &gain)| (provider.site_node(idx), provider.cluster_of(idx), gain));
+    let candidates = round_candidates(heads, block.finish());
     ShardRoundOne {
         candidates,
         k: q.k,
@@ -792,9 +736,7 @@ pub fn local_candidates_on(
 /// partition-respecting corpora.
 #[derive(Debug)]
 pub struct MergedCandidateProvider {
-    nodes: Vec<NodeId>,
-    tc: PairArena,
-    traj_id_bound: usize,
+    tc: Rows,
 }
 
 impl MergedCandidateProvider {
@@ -814,40 +756,15 @@ impl MergedCandidateProvider {
             b.push_slice(c.row.as_slice());
         }
         MergedCandidateProvider {
-            nodes,
-            tc: b.finish(),
-            traj_id_bound,
+            tc: Rows::new(b.finish(), nodes, traj_id_bound),
         }
     }
 }
 
 impl CoverageProvider for MergedCandidateProvider {
-    fn site_count(&self) -> usize {
-        self.nodes.len()
+    fn rows(&self) -> RowsView<'_> {
+        self.tc.view(None)
     }
-
-    fn traj_id_bound(&self) -> usize {
-        self.traj_id_bound
-    }
-
-    fn site_node(&self, idx: usize) -> NodeId {
-        self.nodes[idx]
-    }
-
-    fn covered(&self, idx: usize) -> PairSlice<'_> {
-        self.tc.row(idx)
-    }
-}
-
-/// Round 2: exact greedy over the candidate union on the merged coverage
-/// view. Returns the solution and the union size.
-pub fn merge_candidates(
-    candidates: Vec<Candidate>,
-    q: &TopsQuery,
-    traj_id_bound: usize,
-) -> (Solution, usize) {
-    let (solution, n, _) = merge_candidates_timed(candidates, q, traj_id_bound);
-    (solution, n)
 }
 
 /// Wall-clock split of one round-2 merge (see [`merge_candidates_timed`]).
@@ -859,9 +776,10 @@ pub struct MergeTiming {
     pub solve_us: u64,
 }
 
-/// [`merge_candidates`] with the merge-view build and the round-2 greedy
-/// timed separately, so serving layers can attribute round-2 time to
-/// stages. Identical answer — the timing rides along.
+/// Round 2: exact greedy over the candidate union on the merged coverage
+/// view. Returns the solution, the union size, and the merge-view build
+/// and the round-2 greedy timed separately, so serving layers can
+/// attribute round-2 time to stages.
 pub fn merge_candidates_timed(
     candidates: Vec<Candidate>,
     q: &TopsQuery,
@@ -1287,25 +1205,28 @@ mod tests {
         assert_eq!(got.shard_hint, round.shard_hint);
     }
 
-    /// A seeded random round whose rows share one block, as a shard
+    /// A seeded random round whose rows share one arena, as a shard
     /// builds it: `n` candidates, rows of 0..=`max_row` pairs.
     fn random_round(rng: &mut rand::rngs::StdRng, n: usize, max_row: usize) -> ShardRoundOne {
         use rand::RngExt;
-        let mut b = RoundBuilder::with_capacity(n, 0);
+        let mut block = PairArenaBuilder::with_capacity(n, 0);
+        let mut heads = Vec::new();
         for _ in 0..n {
-            b.open(
+            heads.push((
                 NodeId(rng.random()),
                 rng.random(),
                 rng.random::<f64>() * 1e3,
-            );
+            ));
             let mut d = 0.0;
-            for _ in 0..rng.random_range(0..=max_row) {
-                d += rng.random::<f64>() * 100.0;
-                b.ids.push(rng.random());
-                b.dists.push(d);
-            }
+            let row: Vec<(u32, f64)> = (0..rng.random_range(0..=max_row))
+                .map(|_| {
+                    d += rng.random::<f64>() * 100.0;
+                    (rng.random(), d)
+                })
+                .collect();
+            block.push_row(row);
         }
-        let candidates = b.finish();
+        let candidates = round_candidates(heads, block.finish());
         ShardRoundOne {
             local_utility: candidates.iter().map(|c| c.gain).sum(),
             candidates,

@@ -17,9 +17,7 @@
 //! * `init`   — the solver up to its first pick (a `k = 0` run: static
 //!   weights and the CELF heap; graded ψ walks every distance here, binary
 //!   ψ reads one distance per row);
-//! * `rounds` — the rest of a `k`-run, with how many stale heap entries it
-//!   re-evaluated and how many pairs those re-evaluations and the picks
-//!   walked, counted by a provider wrapper off the clock.
+//! * `rounds` — the rest of a `k`-run.
 //!
 //! Every timed answer is compared with the paper's Algorithm 1 over a copy
 //! of the same view's rows — sites and coverage exactly, gains bit for bit
@@ -31,56 +29,15 @@
 //! cargo run --release --example solve_profile [-- --scale 0.25]
 //! ```
 
-use std::cell::Cell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use netclus::prelude::*;
 use netclus_datagen::{beijing_like, ScenarioConfig};
-use netclus_roadnet::NodeId;
 
 /// Timed runs per cell; the table prints their medians.
 const SAMPLES: usize = 15;
 const KS: [usize; 4] = [1, 5, 10, 20];
-
-/// A provider that counts the rows and pairs handed to the solver.
-struct Counting<'a> {
-    inner: &'a ClusteredProvider,
-    rows: Cell<usize>,
-    pairs: Cell<usize>,
-}
-
-impl CoverageProvider for Counting<'_> {
-    fn site_count(&self) -> usize {
-        self.inner.site_count()
-    }
-
-    fn traj_id_bound(&self) -> usize {
-        self.inner.traj_id_bound()
-    }
-
-    fn site_node(&self, idx: usize) -> NodeId {
-        self.inner.site_node(idx)
-    }
-
-    fn covered(&self, idx: usize) -> PairSlice<'_> {
-        let row = self.inner.covered(idx);
-        self.rows.set(self.rows.get() + 1);
-        self.pairs.set(self.pairs.get() + row.len());
-        row
-    }
-}
-
-/// Rows and pairs the solver reads for `cfg` over `view`.
-fn reads(view: &ClusteredProvider, cfg: &TopsQuery) -> (usize, usize) {
-    let counting = Counting {
-        inner: view,
-        rows: Cell::new(0),
-        pairs: Cell::new(0),
-    };
-    inc_greedy(&counting, cfg);
-    (counting.rows.get(), counting.pairs.get())
-}
 
 /// FNV-1a over every row of `view`: its representative, length, ids and
 /// distance bits, little-endian.
@@ -216,7 +173,7 @@ fn main() {
             "  build µs (fresh scratch) 1 thread {build1_us:.0}, 2 threads {build2_us:.0}; \
              rows digest {digest:016x}"
         );
-        println!("  ψ        k | init µs | rounds µs | re-evaluated rows | pairs walked");
+        println!("  ψ        k | init µs | rounds µs");
 
         // Algorithm 1 needs `SC`: run it on a copy of the view's rows.
         let reference = ReferenceProvider::with_nodes(
@@ -241,18 +198,13 @@ fn main() {
                         solution.elapsed
                     })
                     .collect();
-                let picks = expected.gains.iter().filter(|&&g| g > 0.0).count();
-                (median_us(samples), reads(&view, &cfg), picks)
+                median_us(samples)
             };
-            let (init_us, (init_rows, init_pairs), _) = run(0);
-            assert_eq!(init_rows, n, "initialisation reads each row once");
+            let init_us = run(0);
             for k in KS {
-                let (total_us, (rows_read, pairs_read), picks) = run(k);
                 println!(
-                    "  {name:<8}{k:>2} | {init_us:>7.0} | {:>9.0} | {:>17} | {:>12}",
-                    (total_us - init_us).max(0.0),
-                    rows_read - init_rows - picks,
-                    pairs_read - init_pairs,
+                    "  {name:<8}{k:>2} | {init_us:>7.0} | {:>9.0}",
+                    (run(k) - init_us).max(0.0),
                 );
             }
         }
