@@ -17,23 +17,16 @@
 //! into linear scans over contiguous memory. Rows are exposed as a
 //! [`PairSlice`] — a borrowed pair of parallel slices.
 //!
-//! Two variants exist:
-//!
-//! * [`PairArena`] — immutable, built once and then only read: every `TC`
-//!   row set ([`crate::coverage::Rows`]), each round-1 block (behind
-//!   [`crate::shard::RowView`]) and the inverted `SC` rows (supports
-//!   sharded parallel construction via [`PairArena::concat`] and
-//!   counting-sort inversion via [`PairArena::invert_threaded`]);
-//! * [`RowArena`] — append-friendly (rows addressed by `(start, len)`),
-//!   used for `CC(T_j)` in [`crate::cluster::ClusterInstance`], which the
-//!   dynamic-update path (paper Sec. 6) mutates row-wise. Dead space left
-//!   by removed rows is reclaimed by automatic compaction.
+//! Every arena is a [`PairArena`]: immutable, built once and then only
+//! read — every `TC` row set ([`crate::coverage::Rows`]), each round-1
+//! block (behind [`crate::shard::RowView`]) and the inverted `SC` rows
+//! (sharded parallel construction via [`PairArena::concat`],
+//! counting-sort inversion via [`PairArena::invert_threaded`]).
 
 /// A borrowed arena row: parallel `ids`/`dists` slices of equal length.
 ///
 /// The meaning of `ids` depends on the row's direction: trajectory ids for
-/// `TC`-style rows, site/provider indices for `SC`-style rows, cluster
-/// indices for `CC` rows.
+/// `TC`-style rows, site/provider indices for `SC`-style rows.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PairSlice<'a> {
     /// The ids of the row.
@@ -344,156 +337,6 @@ impl PairArenaBuilder {
     }
 }
 
-/// Append-friendly arena: rows are `(start, len)` windows into the flat
-/// arrays, so a row can be rewritten (appended at the tail) or cleared
-/// without shifting its neighbors. Designed for
-/// [`crate::cluster::ClusterInstance::traj_clusters`], where dynamic
-/// updates rewrite one trajectory's row at a time. The space abandoned by
-/// rewritten/cleared rows is compacted away automatically once it exceeds
-/// the live data (amortized O(1) per update).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct RowArena {
-    /// Per-row `(start, len)` windows.
-    rows: Vec<(u32, u32)>,
-    ids: Vec<u32>,
-    dists: Vec<f64>,
-    /// Total pairs across live rows (`ids.len() - live` is garbage).
-    live: usize,
-}
-
-impl RowArena {
-    /// An arena of `rows` empty rows.
-    pub fn with_rows(rows: usize) -> Self {
-        RowArena {
-            rows: vec![(0, 0); rows],
-            ids: Vec::new(),
-            dists: Vec::new(),
-            live: 0,
-        }
-    }
-
-    /// Builds from materialized rows (contiguous, no garbage).
-    pub fn from_rows(rows: &[Vec<(u32, f64)>]) -> Self {
-        let pairs = rows.iter().map(Vec::len).sum();
-        let mut out = RowArena {
-            rows: Vec::with_capacity(rows.len()),
-            ids: Vec::with_capacity(pairs),
-            dists: Vec::with_capacity(pairs),
-            live: pairs,
-        };
-        for row in rows {
-            let start = checked_offset(out.ids.len() as u64);
-            for &(id, d) in row {
-                out.ids.push(id);
-                out.dists.push(d);
-            }
-            out.rows.push((start, row.len() as u32));
-        }
-        out
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Row `i` as a borrowed slice pair.
-    #[inline]
-    pub fn row(&self, i: usize) -> PairSlice<'_> {
-        let (start, len) = self.rows[i];
-        let (lo, hi) = (start as usize, start as usize + len as usize);
-        PairSlice {
-            ids: &self.ids[lo..hi],
-            dists: &self.dists[lo..hi],
-        }
-    }
-
-    /// Iterates `(row_index, row)` over all rows.
-    pub fn iter_rows(&self) -> impl Iterator<Item = (usize, PairSlice<'_>)> {
-        (0..self.rows.len()).map(move |i| (i, self.row(i)))
-    }
-
-    /// Total pairs across live rows.
-    #[inline]
-    pub fn live_pairs(&self) -> usize {
-        self.live
-    }
-
-    /// Pairs occupying arena space but belonging to no live row.
-    #[inline]
-    pub fn dead_pairs(&self) -> usize {
-        self.ids.len() - self.live
-    }
-
-    /// Grows the arena to at least `n` rows (new rows empty).
-    pub fn ensure_rows(&mut self, n: usize) {
-        if self.rows.len() < n {
-            self.rows.resize(n, (0, 0));
-        }
-    }
-
-    /// Rewrites row `i`. Shorter-or-equal rows are overwritten in place;
-    /// longer ones are appended at the tail (the old window becomes
-    /// garbage, reclaimed by the automatic compaction).
-    pub fn set_row(&mut self, i: usize, pairs: &[(u32, f64)]) {
-        let (start, old_len) = self.rows[i];
-        self.live -= old_len as usize;
-        if pairs.len() <= old_len as usize {
-            let lo = start as usize;
-            for (k, &(id, d)) in pairs.iter().enumerate() {
-                self.ids[lo + k] = id;
-                self.dists[lo + k] = d;
-            }
-            self.rows[i] = (start, pairs.len() as u32);
-        } else {
-            let start = checked_offset(self.ids.len() as u64);
-            for &(id, d) in pairs {
-                self.ids.push(id);
-                self.dists.push(d);
-            }
-            self.rows[i] = (start, pairs.len() as u32);
-        }
-        self.live += pairs.len();
-        self.maybe_compact();
-    }
-
-    /// Empties row `i` (its window becomes garbage).
-    pub fn clear_row(&mut self, i: usize) {
-        let (_, len) = self.rows[i];
-        self.live -= len as usize;
-        self.rows[i] = (0, 0);
-        self.maybe_compact();
-    }
-
-    /// Rewrites the arrays with the live rows only, in row order.
-    pub fn compact(&mut self) {
-        let mut ids = Vec::with_capacity(self.live);
-        let mut dists = Vec::with_capacity(self.live);
-        for (start, len) in self.rows.iter_mut() {
-            let (lo, hi) = (*start as usize, *start as usize + *len as usize);
-            *start = checked_offset(ids.len() as u64);
-            ids.extend_from_slice(&self.ids[lo..hi]);
-            dists.extend_from_slice(&self.dists[lo..hi]);
-        }
-        self.ids = ids;
-        self.dists = dists;
-    }
-
-    fn maybe_compact(&mut self) {
-        // Amortized: garbage can reach at most live + 1024 before a
-        // compaction (which costs O(live)) runs, so updates stay O(1).
-        if self.dead_pairs() > self.live + 1024 {
-            self.compact();
-        }
-    }
-
-    /// Approximate heap bytes of the arena (windows + flat arrays).
-    pub fn heap_size_bytes(&self) -> usize {
-        self.rows.capacity() * 8 + self.ids.capacity() * 4 + self.dists.capacity() * 8
-    }
-}
-
 /// Converts a cumulative pair count into a `u32` CSR offset, failing
 /// loudly at the (city-scale-impossible) 4-billion-pair boundary instead
 /// of silently wrapping.
@@ -611,59 +454,6 @@ mod tests {
             assert_eq!(*b.last().unwrap(), 5);
             assert!(b.windows(2).all(|w| w[0] <= w[1]));
         }
-    }
-
-    #[test]
-    fn row_arena_set_and_clear() {
-        let mut arena = RowArena::from_rows(&rows_fixture());
-        assert_eq!(arena.live_pairs(), 6);
-        assert_eq!(arena.dead_pairs(), 0);
-        // Shorter row: in-place overwrite, no garbage.
-        arena.set_row(2, &[(7, 7.0)]);
-        assert_eq!(arena.row(2).to_pairs(), vec![(7, 7.0)]);
-        assert_eq!(arena.live_pairs(), 4);
-        // Longer row: appended, old window orphaned.
-        arena.set_row(0, &[(1, 1.0), (2, 2.0), (3, 3.0)]);
-        assert_eq!(arena.row(0).to_pairs(), vec![(1, 1.0), (2, 2.0), (3, 3.0)]);
-        assert_eq!(arena.live_pairs(), 5);
-        assert!(arena.dead_pairs() > 0);
-        arena.clear_row(3);
-        assert!(arena.row(3).is_empty());
-        assert_eq!(arena.live_pairs(), 4);
-        // Untouched row survives all of the above.
-        assert!(arena.row(1).is_empty());
-    }
-
-    #[test]
-    fn row_arena_compaction_reclaims_garbage() {
-        let mut arena = RowArena::with_rows(4);
-        arena.set_row(0, &[(1, 1.0), (2, 2.0)]);
-        arena.set_row(1, &[(3, 3.0)]);
-        // Churn row 0 until automatic compaction fires.
-        for round in 0..2000u32 {
-            arena.set_row(0, &[(round, 0.5), (round + 1, 1.5), (round + 2, 2.5)]);
-        }
-        assert!(
-            arena.dead_pairs() <= arena.live_pairs() + 1024,
-            "garbage unbounded: {} dead vs {} live",
-            arena.dead_pairs(),
-            arena.live_pairs()
-        );
-        assert_eq!(arena.row(1).to_pairs(), vec![(3, 3.0)]);
-        arena.compact();
-        assert_eq!(arena.dead_pairs(), 0);
-        assert_eq!(arena.row(1).to_pairs(), vec![(3, 3.0)]);
-        assert_eq!(arena.row(0).len(), 3);
-    }
-
-    #[test]
-    fn row_arena_grows_rows_on_demand() {
-        let mut arena = RowArena::with_rows(1);
-        arena.ensure_rows(3);
-        assert_eq!(arena.row_count(), 3);
-        arena.set_row(2, &[(9, 9.0)]);
-        assert_eq!(arena.row(2).to_pairs(), vec![(9, 9.0)]);
-        assert!(arena.heap_size_bytes() > 0);
     }
 
     #[test]

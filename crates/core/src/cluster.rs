@@ -12,18 +12,108 @@
 //! 5. member nodes with their distances to `c_i`.
 //!
 //! Trajectories are stored in compressed form: consecutive nodes falling in
-//! the same cluster collapse, so `CC(T_j)` (the cluster sequence, with one
-//! entry per distinct visited cluster holding the minimal distance) is both
-//! the inverse map for updates (Sec. 6) and the compression that gives
-//! NetClus its small footprint.
+//! the same cluster collapse into `CC(T_j)` (the cluster sequence, with one
+//! entry per distinct visited cluster holding the minimal distance). `CC`
+//! is not stored: the node → cluster maps never change after the build, so
+//! `map_trajectory` re-derives a trajectory's row whenever an update
+//! (Sec. 6) needs it.
+//!
+//! Every per-cluster list and both node maps are [`SharedSlice`]s, so a
+//! clone of an instance — the next epoch of a served index — shares them
+//! all, and an update replaces only the lists it edits.
 
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use netclus_roadnet::{NodeId, RoadNetwork, RoundTripEngine};
 use netclus_trajectory::{TrajId, Trajectory, TrajectorySet};
 
-use crate::arena::RowArena;
 use crate::gdsp::GdspResult;
+
+/// An immutable slice shared by every clone that has not replaced it:
+/// cloning bumps a reference count, and an edit builds a new slice. The
+/// elements sit right behind the reference counts, one pointer hop from
+/// the owner.
+#[derive(Clone, PartialEq)]
+pub struct SharedSlice<T>(Arc<[T]>);
+
+/// Bytes of the two reference counts in front of every shared allocation.
+const SHARED_HEADER: usize = 2 * std::mem::size_of::<usize>();
+
+impl<T> SharedSlice<T> {
+    /// Whether `a` and `b` are one allocation (neither was replaced since
+    /// they were cloned from a common ancestor).
+    pub fn ptr_eq(a: &Self, b: &Self) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// Heap bytes of the allocation: the reference counts plus the
+    /// elements.
+    pub fn heap_size_bytes(&self) -> usize {
+        SHARED_HEADER + std::mem::size_of_val::<[T]>(&self.0)
+    }
+}
+
+impl<T: Copy> SharedSlice<T> {
+    /// A new slice of these elements followed by `items`.
+    pub fn appended(&self, items: impl IntoIterator<Item = T>) -> Self {
+        self.0.iter().copied().chain(items).collect()
+    }
+
+    /// A new slice of these elements without the one at `pos`.
+    pub fn removed(&self, pos: usize) -> Self {
+        self.0[..pos]
+            .iter()
+            .chain(&self.0[pos + 1..])
+            .copied()
+            .collect()
+    }
+}
+
+impl<T> Default for SharedSlice<T> {
+    fn default() -> Self {
+        SharedSlice(Arc::from([]))
+    }
+}
+
+impl<T> Deref for SharedSlice<T> {
+    type Target = [T];
+
+    #[inline]
+    fn deref(&self) -> &[T] {
+        &self.0
+    }
+}
+
+impl<'a, T> IntoIterator for &'a SharedSlice<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    #[inline]
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl<T> From<Vec<T>> for SharedSlice<T> {
+    fn from(v: Vec<T>) -> Self {
+        SharedSlice(Arc::from(v))
+    }
+}
+
+impl<T> FromIterator<T> for SharedSlice<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        SharedSlice(iter.into_iter().collect())
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for SharedSlice<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
 
 /// How to pick the cluster representative among the cluster's candidate
 /// sites (paper Sec. 4.2).
@@ -49,14 +139,18 @@ pub struct Cluster {
     pub representative: Option<NodeId>,
     /// `dr(c_i, r_i)`; 0 when there is no representative.
     pub rep_distance: f64,
-    /// Member vertices with `dr(v, c_i)`, ascending (center first).
-    pub nodes: Vec<(NodeId, f64)>,
+    /// Member vertices with `dr(v, c_i)`, ascending (center first). Fixed
+    /// after the build.
+    pub nodes: SharedSlice<(NodeId, f64)>,
     /// `T L(g_i)`: trajectories passing through the cluster with
-    /// `dr(T_j, c_i)` (minimum over their member nodes).
-    pub traj_list: Vec<(TrajId, f64)>,
+    /// `dr(T_j, c_i)` (minimum over their member nodes). An update that
+    /// adds or removes one of them replaces the whole slice; clones of the
+    /// instance keep theirs.
+    pub traj_list: SharedSlice<(TrajId, f64)>,
     /// `CL(g_i)`: neighbor clusters `(index, dr(c_i, c_j))`, ascending by
-    /// distance; includes the cluster itself at distance 0.
-    pub neighbors: Vec<(u32, f64)>,
+    /// distance; includes the cluster itself at distance 0. Fixed after
+    /// the build.
+    pub neighbors: SharedSlice<(u32, f64)>,
 }
 
 impl Cluster {
@@ -89,16 +183,13 @@ pub struct ClusterInstance {
     pub neighbor_limit: f64,
     /// The clusters.
     pub clusters: Vec<Cluster>,
-    /// Node → cluster index.
-    pub node_cluster: Vec<u32>,
+    /// Node → cluster index. Fixed after the build.
+    pub node_cluster: SharedSlice<u32>,
     /// Node → round-trip distance to its cluster center (parallel to
-    /// `node_cluster`; needed to map newly added trajectories, Sec. 6).
-    pub node_center_dist: Vec<f64>,
-    /// `CC(T_j)`: for each trajectory id, the clusters it passes through
-    /// with `dr(T_j, c)` (one entry per distinct cluster). Stored as a
-    /// flat row arena (row = trajectory id); the dynamic-update path
-    /// rewrites/clears one row at a time.
-    pub traj_clusters: RowArena,
+    /// `node_cluster`; with it, `map_trajectory` derives the `CC(T_j)`
+    /// an added or removed trajectory edits, Sec. 6). Fixed after the
+    /// build.
+    pub node_center_dist: SharedSlice<f64>,
     /// Build statistics.
     pub stats: InstanceStats,
 }
@@ -133,9 +224,9 @@ impl ClusterInstance {
                     center: rc.center,
                     representative: None,
                     rep_distance: 0.0,
-                    nodes: rc.members.clone(),
-                    traj_list: Vec::new(),
-                    neighbors: Vec::new(),
+                    nodes: rc.members.iter().copied().collect(),
+                    traj_list: SharedSlice::default(),
+                    neighbors: SharedSlice::default(),
                 };
                 choose_representative(&mut c, trajs, is_site, strategy);
                 c
@@ -159,18 +250,6 @@ impl ClusterInstance {
             }
         }
 
-        // Trajectory lists and inverse map.
-        let mut cc_rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); trajs.id_bound()];
-        for (tj, traj) in trajs.iter() {
-            cc_rows[tj.index()] = map_trajectory(traj, &node_cluster, &node_center_dist);
-        }
-        for (j, ccs) in cc_rows.iter().enumerate() {
-            for &(ci, d) in ccs {
-                clusters[ci as usize].traj_list.push((TrajId(j as u32), d));
-            }
-        }
-        let traj_clusters = RowArena::from_rows(&cc_rows);
-
         // Neighbor lists: centers within round-trip `neighbor_limit`.
         let centers: Vec<NodeId> = clusters.iter().map(|c| c.center).collect();
         let mut center_of: Vec<u32> = vec![u32::MAX; n];
@@ -182,6 +261,18 @@ impl ClusterInstance {
             c.neighbors = nb;
         }
 
+        let mut instance = ClusterInstance {
+            radius,
+            neighbor_limit,
+            clusters,
+            node_cluster: node_cluster.into(),
+            node_center_dist: node_center_dist.into(),
+            stats: InstanceStats::default(),
+        };
+        // Trajectory lists: the corpus is one batch of additions.
+        instance.add_trajectories(trajs.iter());
+
+        let clusters = &instance.clusters;
         let eta = clusters.len().max(1);
         let mean_traj_list =
             clusters.iter().map(|c| c.traj_list.len()).sum::<usize>() as f64 / eta as f64;
@@ -190,20 +281,42 @@ impl ClusterInstance {
             .map(|c| c.neighbors.len().saturating_sub(1))
             .sum::<usize>() as f64
             / eta as f64;
+        instance.stats = InstanceStats {
+            mean_ball_size: gdsp.mean_ball_size,
+            mean_traj_list,
+            mean_neighbors,
+            build_time: start.elapsed() + gdsp.elapsed,
+        };
+        instance
+    }
 
-        ClusterInstance {
-            radius,
-            neighbor_limit,
-            clusters,
-            node_cluster,
-            node_center_dist,
-            traj_clusters,
-            stats: InstanceStats {
-                mean_ball_size: gdsp.mean_ball_size,
-                mean_traj_list,
-                mean_neighbors,
-                build_time: start.elapsed() + gdsp.elapsed,
-            },
+    /// Appends every trajectory of `batch` to the `T L(g)` of each cluster
+    /// it passes through, in batch order. Each touched list is built once,
+    /// straight into its final allocation; untouched ones stay shared.
+    pub(crate) fn add_trajectories<'a>(
+        &mut self,
+        batch: impl IntoIterator<Item = (TrajId, &'a Trajectory)>,
+    ) {
+        let mut entries: Vec<(u32, (TrajId, f64))> = Vec::new();
+        for (id, traj) in batch {
+            let cc = map_trajectory(traj, &self.node_cluster, &self.node_center_dist);
+            entries.extend(cc.into_iter().map(|(ci, d)| (ci, (id, d))));
+        }
+        // Stable: a cluster's additions keep batch order.
+        entries.sort_by_key(|&(ci, _)| ci);
+        for group in entries.chunk_by(|a, b| a.0 == b.0) {
+            let list = &mut self.clusters[group[0].0 as usize].traj_list;
+            *list = list.appended(group.iter().map(|&(_, entry)| entry));
+        }
+    }
+
+    /// Drops `id` from the `T L(g)` of every cluster `traj` passes through.
+    pub(crate) fn remove_trajectory(&mut self, id: TrajId, traj: &Trajectory) {
+        for (ci, _) in map_trajectory(traj, &self.node_cluster, &self.node_center_dist) {
+            let list = &mut self.clusters[ci as usize].traj_list;
+            if let Some(pos) = list.iter().position(|&(t, _)| t == id) {
+                *list = list.removed(pos);
+            }
         }
     }
 
@@ -212,23 +325,26 @@ impl ClusterInstance {
         self.clusters.len()
     }
 
-    /// Approximate heap footprint in bytes of everything this instance
-    /// stores (nodes, trajectory lists, neighbor lists, inverse maps).
+    /// Heap footprint in bytes of everything this instance stores
+    /// (clusters with their members, trajectory and neighbor lists, and the
+    /// node maps), counting each shared slice in full.
     pub fn heap_size_bytes(&self) -> usize {
-        let pair8 = std::mem::size_of::<(NodeId, f64)>();
-        let mut total = self.node_cluster.capacity() * 4 + self.node_center_dist.capacity() * 8;
-        for c in &self.clusters {
-            total += std::mem::size_of::<Cluster>();
-            total += c.nodes.capacity() * pair8;
-            total += c.traj_list.capacity() * pair8;
-            total += c.neighbors.capacity() * pair8;
-        }
-        total + self.traj_clusters.heap_size_bytes()
+        let clusters: usize = self
+            .clusters
+            .iter()
+            .map(|c| {
+                std::mem::size_of::<Cluster>()
+                    + c.nodes.heap_size_bytes()
+                    + c.traj_list.heap_size_bytes()
+                    + c.neighbors.heap_size_bytes()
+            })
+            .sum();
+        clusters + self.node_cluster.heap_size_bytes() + self.node_center_dist.heap_size_bytes()
     }
 }
 
-/// Maps a trajectory to its compressed cluster sequence, keeping the
-/// minimal center distance per distinct cluster.
+/// Maps a trajectory to its compressed cluster sequence `CC(T_j)`, keeping
+/// the minimal center distance per distinct cluster, in first-visit order.
 pub(crate) fn map_trajectory(
     traj: &Trajectory,
     node_cluster: &[u32],
@@ -294,18 +410,19 @@ pub(crate) fn choose_representative(
     }
 }
 
-/// Round-trip balls from every center, filtered to other centers.
+/// Round-trip balls from every center, filtered to other centers. Each
+/// list is sized to its neighbors, not to the ball it was cut from.
 fn compute_neighbors(
     net: &RoadNetwork,
     centers: &[NodeId],
     center_of: &[u32],
     limit: f64,
     threads: usize,
-) -> Vec<Vec<(u32, f64)>> {
+) -> Vec<SharedSlice<(u32, f64)>> {
     let eta = centers.len();
-    let mut lists: Vec<Vec<(u32, f64)>> = vec![Vec::new(); eta];
+    let mut lists: Vec<SharedSlice<(u32, f64)>> = vec![SharedSlice::default(); eta];
     let workers = threads.max(1).min(eta.max(1));
-    let compute = |center: NodeId, rt: &mut RoundTripEngine| -> Vec<(u32, f64)> {
+    let compute = |center: NodeId, rt: &mut RoundTripEngine| -> SharedSlice<(u32, f64)> {
         rt.ball(net, center, limit)
             .into_iter()
             .filter_map(|(v, d)| {
@@ -322,7 +439,8 @@ fn compute_neighbors(
     } else {
         let chunk = eta.div_ceil(workers);
         let center_chunks: Vec<&[NodeId]> = centers.chunks(chunk).collect();
-        let mut list_chunks: Vec<&mut [Vec<(u32, f64)>]> = lists.chunks_mut(chunk).collect();
+        let mut list_chunks: Vec<&mut [SharedSlice<(u32, f64)>]> =
+            lists.chunks_mut(chunk).collect();
         std::thread::scope(|scope| {
             for (cs, ls) in center_chunks.iter().zip(list_chunks.iter_mut()) {
                 scope.spawn(move || {
@@ -415,8 +533,11 @@ mod tests {
         let inst = build_instance(&net, &trajs, 200.0, RepresentativeStrategy::default());
         // Each trajectory appears in TL(g) for exactly the clusters in its
         // CC list, with matching distances.
-        for (tj, _) in trajs.iter() {
-            for (ci, d) in inst.traj_clusters.row(tj.index()).iter() {
+        let mut total_cc = 0;
+        for (tj, traj) in trajs.iter() {
+            let cc = map_trajectory(traj, &inst.node_cluster, &inst.node_center_dist);
+            total_cc += cc.len();
+            for (ci, d) in cc {
                 assert!(
                     inst.clusters[ci as usize]
                         .traj_list
@@ -427,7 +548,7 @@ mod tests {
             }
         }
         let total_tl: usize = inst.clusters.iter().map(|c| c.traj_list.len()).sum();
-        assert_eq!(total_tl, inst.traj_clusters.live_pairs());
+        assert_eq!(total_tl, total_cc);
     }
 
     #[test]
@@ -435,7 +556,7 @@ mod tests {
         let (net, trajs) = fixture();
         let inst = build_instance(&net, &trajs, 200.0, RepresentativeStrategy::default());
         for (tj, traj) in trajs.iter() {
-            for (ci, d) in inst.traj_clusters.row(tj.index()).iter() {
+            for (ci, d) in map_trajectory(traj, &inst.node_cluster, &inst.node_center_dist) {
                 let c = &inst.clusters[ci as usize];
                 let want = traj
                     .nodes()
@@ -547,6 +668,52 @@ mod tests {
         // Clusters 0 and 1, min distances 1.0 and 0.0; cluster 0 revisited
         // keeps a single entry.
         assert_eq!(cc, vec![(0, 1.0), (1, 0.0)]);
+    }
+
+    #[test]
+    fn shared_slice_edits_leave_every_clone_alone() {
+        let a: SharedSlice<u32> = vec![1, 2, 3].into();
+        let b = a.clone();
+        assert!(SharedSlice::ptr_eq(&a, &b));
+        let appended = a.appended([4, 5]);
+        let removed = a.removed(1);
+        assert_eq!(*appended, [1, 2, 3, 4, 5]);
+        assert_eq!(*removed, [1, 3]);
+        assert!(!SharedSlice::ptr_eq(&a, &appended) && !SharedSlice::ptr_eq(&a, &removed));
+        assert_eq!((&*a, &*b), (&[1, 2, 3][..], &[1, 2, 3][..]));
+        assert_eq!(
+            a.heap_size_bytes(),
+            2 * std::mem::size_of::<usize>() + 3 * 4
+        );
+        assert_eq!(format!("{a:?}"), "[1, 2, 3]");
+        assert!(SharedSlice::<u32>::default().is_empty());
+    }
+
+    #[test]
+    fn heap_size_is_the_exact_sum_of_the_parts() {
+        let (net, trajs) = fixture();
+        let inst = build_instance(&net, &trajs, 200.0, RepresentativeStrategy::default());
+        let (n, eta) = (net.node_count(), inst.cluster_count());
+        let header = 2 * std::mem::size_of::<usize>();
+        let pair = std::mem::size_of::<(u32, f64)>();
+        // Every node is a member of one cluster, every CC entry is one
+        // list entry, and on this two-way line with 100 m edges centers
+        // `i` and `j` are a round trip of 200·|i − j| m apart.
+        let list_pairs: usize = trajs
+            .iter()
+            .map(|(_, t)| map_trajectory(t, &inst.node_cluster, &inst.node_center_dist).len())
+            .sum();
+        let neighbor_pairs = inst
+            .clusters
+            .iter()
+            .flat_map(|a| inst.clusters.iter().map(move |b| (a.center.0, b.center.0)))
+            .filter(|&(a, b)| 200.0 * f64::from(a.abs_diff(b)) <= inst.neighbor_limit)
+            .count();
+        let want = eta * (std::mem::size_of::<Cluster>() + 3 * header)
+            + (n + list_pairs + neighbor_pairs) * pair
+            + 2 * header
+            + n * (4 + 8);
+        assert_eq!(inst.heap_size_bytes(), want);
     }
 
     #[test]

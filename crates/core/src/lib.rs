@@ -132,7 +132,7 @@ pub mod update;
 
 /// The most commonly used items in one import.
 pub mod prelude {
-    pub use crate::arena::{PairArena, PairSlice, RowArena};
+    pub use crate::arena::{PairArena, PairSlice};
     pub use crate::capacity::{tops_capacity, CapacityConfig};
     pub use crate::cluster::RepresentativeStrategy;
     pub use crate::cost::{tops_cost, CostConfig};
@@ -191,5 +191,4 @@ fn thread_safety_audit() {
     // Arena layout: provider rows are shared across worker threads (the
     // service-layer provider cache hands out `Arc<ProviderRows>`).
     assert_send_sync::<arena::PairArena>();
-    assert_send_sync::<arena::RowArena>();
 }

@@ -10,17 +10,23 @@
 //!   replacement among the remaining member sites.
 //! * **Trajectory added** — map the node sequence to its compressed cluster
 //!   sequence per instance (`CC`), append to the affected `T L(g)` lists.
-//! * **Trajectory removed** — drop it from the `T L(g)` of every cluster in
-//!   its `CC`, then clear `CC`.
+//! * **Trajectory removed** — map it again (the node → cluster maps never
+//!   change, so this is the `CC` its addition used) and drop it from the
+//!   `T L(g)` of every cluster in it.
 //!
-//! The caller keeps the companion [`TrajectorySet`] in sync (add there
-//! first to obtain the id, remove there afterwards); `tests/` verify that
-//! an updated index is observationally identical to a fresh rebuild.
+//! An edited `T L(g)` is a new list; every list an update does not touch
+//! stays shared with the clones of the index it was cloned from, so a
+//! published epoch costs what its batch edits, not a copy of the index.
+//!
+//! The caller keeps the companion [`TrajectorySet`] in sync: add there
+//! first to obtain the id; remove there first to obtain the trajectory
+//! [`NetClusIndex::remove_trajectory`] takes. `tests/` verify that an
+//! updated index is observationally identical to a fresh rebuild.
 
 use netclus_roadnet::NodeId;
 use netclus_trajectory::{TrajId, Trajectory, TrajectorySet};
 
-use crate::cluster::{choose_representative, map_trajectory};
+use crate::cluster::choose_representative;
 use crate::index::NetClusIndex;
 
 impl NetClusIndex {
@@ -69,51 +75,27 @@ impl NetClusIndex {
     /// Indexes a newly added trajectory. `id` must be the id returned by
     /// the companion [`TrajectorySet::add`] call.
     pub fn add_trajectory(&mut self, id: TrajId, traj: &Trajectory) {
-        for inst in &mut self.instances {
-            let cc = map_trajectory(traj, &inst.node_cluster, &inst.node_center_dist);
-            for &(ci, d) in &cc {
-                inst.clusters[ci as usize].traj_list.push((id, d));
-            }
-            inst.traj_clusters.ensure_rows(id.index() + 1);
-            inst.traj_clusters.set_row(id.index(), &cc);
-        }
+        self.add_trajectories(std::iter::once((id, traj)));
     }
 
-    /// Un-indexes a removed trajectory. Safe to call for ids that were
-    /// never indexed (no-op).
-    pub fn remove_trajectory(&mut self, id: TrajId) {
+    /// Un-indexes a removed trajectory: `traj` is what the companion
+    /// [`TrajectorySet::remove`] returned for `id`. A no-op for a
+    /// trajectory that was never indexed under `id`.
+    pub fn remove_trajectory(&mut self, id: TrajId, traj: &Trajectory) {
         for inst in &mut self.instances {
-            if id.index() >= inst.traj_clusters.row_count() {
-                continue;
-            }
-            // Disjoint field borrows: the CC row is read while the cluster
-            // trajectory lists are edited.
-            let row = inst.traj_clusters.row(id.index());
-            for &ci in row.ids {
-                let list = &mut inst.clusters[ci as usize].traj_list;
-                if let Some(pos) = list.iter().position(|&(t, _)| t == id) {
-                    list.swap_remove(pos);
-                }
-            }
-            inst.traj_clusters.clear_row(id.index());
+            inst.remove_trajectory(id, traj);
         }
     }
 
     /// Applies a batch of trajectory additions (paper Sec. 6 notes batches
-    /// are more efficient; here the saving is one instance loop).
+    /// are more efficient; here every touched `T L(g)` is rebuilt once per
+    /// batch).
     pub fn add_trajectories<'a, I>(&mut self, batch: I)
     where
         I: IntoIterator<Item = (TrajId, &'a Trajectory)> + Clone,
     {
         for inst in &mut self.instances {
-            for (id, traj) in batch.clone() {
-                let cc = map_trajectory(traj, &inst.node_cluster, &inst.node_center_dist);
-                for &(ci, d) in &cc {
-                    inst.clusters[ci as usize].traj_list.push((id, d));
-                }
-                inst.traj_clusters.ensure_rows(id.index() + 1);
-                inst.traj_clusters.set_row(id.index(), &cc);
-            }
+            inst.add_trajectories(batch.clone());
         }
     }
 }
@@ -194,12 +176,12 @@ mod tests {
         let (net, mut trajs) = fixture();
         let sites: Vec<NodeId> = net.nodes().collect();
         let mut idx = NetClusIndex::build(&net, &trajs, &sites, config());
-        trajs.remove(TrajId(1));
-        idx.remove_trajectory(TrajId(1));
+        let removed = trajs.remove(TrajId(1)).unwrap();
+        idx.remove_trajectory(TrajId(1), &removed);
         let rebuilt = NetClusIndex::build(&net, &trajs, &sites, config());
         assert_equivalent(&idx, &rebuilt);
         // Removing again is a no-op.
-        idx.remove_trajectory(TrajId(1));
+        idx.remove_trajectory(TrajId(1), &removed);
         assert_equivalent(&idx, &rebuilt);
     }
 

@@ -517,7 +517,7 @@ proptest! {
         let first = trajs.iter().next().map(|(id, _)| id);
         if let Some(id) = first {
             let t = trajs.remove(id).unwrap();
-            index.remove_trajectory(id);
+            index.remove_trajectory(id, &t);
             let new_id = trajs.add(t.clone());
             index.add_trajectory(new_id, &t);
         }
@@ -746,8 +746,8 @@ proptest! {
                 }
                 1 => {
                     let id = TrajId((victim % trajs.id_bound()) as u32);
-                    if trajs.remove(id).is_some() {
-                        index.remove_trajectory(id);
+                    if let Some(t) = trajs.remove(id) {
+                        index.remove_trajectory(id, &t);
                     }
                 }
                 2 => {

@@ -4,13 +4,17 @@
 //! The paper's dynamic-update machinery (Sec. 6) mutates the index in
 //! place, which is fine for a single-threaded harness but unusable under
 //! concurrent queries. Here the index and corpus are immutable behind an
-//! [`Arc`]; a writer clones them (the road network itself is fixed, as in
-//! the paper, so it is shared by `Arc` and never copied), applies a whole
-//! [`UpdateBatch`] to the private copy, and publishes the result as the
-//! next [`Snapshot`] with a single pointer swap. Readers pin a snapshot
-//! with one `Arc` clone and keep answering from it even while newer epochs
-//! are published — every answer is therefore internally consistent with
-//! exactly one epoch, never a torn mix of two.
+//! [`Arc`]; a writer clones them, applies a whole [`UpdateBatch`] to the
+//! private copy, and publishes the result as the next [`Snapshot`] with a
+//! single pointer swap. The clone copies no list: cluster geometry, every
+//! `T L(g)` list, every trajectory and every node bucket are shared
+//! between epochs, and an op replaces only the lists it edits (the road
+//! network itself is fixed, as in the paper, and shared whole). Readers
+//! pin a snapshot with one `Arc` clone and keep answering from it even
+//! while newer epochs are published — every answer is therefore
+//! internally consistent with exactly one epoch, never a torn mix of two.
+//! A replaced epoch is freed by whoever drops its last pin, never under
+//! the store's lock.
 
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -205,25 +209,37 @@ impl SnapshotStore {
     pub fn install(&self, epoch: u64, trajs: TrajectorySet, index: NetClusIndex) {
         let _writer = self.writer.lock().expect("writer lock poisoned");
         let base = self.load();
-        let next = Snapshot {
+        self.publish(Snapshot {
             epoch,
             net: Arc::clone(&base.net),
             trajs: Arc::new(trajs),
             index: Arc::new(index),
-        };
-        *self.current.write().expect("snapshot lock poisoned") = Arc::new(next);
+        });
+    }
+
+    /// Swaps `next` in as the current snapshot. The replaced one is
+    /// dropped after the lock is released, so freeing an unpinned epoch
+    /// never stalls a [`SnapshotStore::load`].
+    fn publish(&self, next: Snapshot) {
+        let old = std::mem::replace(
+            &mut *self.current.write().expect("snapshot lock poisoned"),
+            Arc::new(next),
+        );
+        drop(old);
     }
 
     /// The single writer path behind [`SnapshotStore::apply`] and
-    /// [`SnapshotStore::apply_routed`]: copy-on-write clone, sequential op
-    /// application, atomic publish of the next epoch.
+    /// [`SnapshotStore::apply_routed`]: copy-on-write clone (reference
+    /// counts only), sequential op application, atomic publish of the next
+    /// epoch.
     fn apply_with<'a, I>(&self, ops: I) -> (UpdateReceipt, Vec<bool>)
     where
         I: Iterator<Item = GenericOp<'a>>,
     {
         let _writer = self.writer.lock().expect("writer lock poisoned");
         let base = self.load();
-        // Private copies; the network is fixed and shared.
+        // Private copies sharing every list with `base`; the network is
+        // fixed and shared.
         let mut trajs = (*base.trajs).clone();
         let mut index = (*base.index).clone();
         let mut applied = 0usize;
@@ -255,8 +271,8 @@ impl SnapshotStore {
                     }
                 }
                 GenericOp::RemoveTrajectory(id) => match trajs.remove(id) {
-                    Some(_) => {
-                        index.remove_trajectory(id);
+                    Some(t) => {
+                        index.remove_trajectory(id, &t);
                         true
                     }
                     None => false,
@@ -275,14 +291,13 @@ impl SnapshotStore {
                 rejected += 1;
             }
         }
-        let next = Snapshot {
-            epoch: base.epoch + 1,
+        let epoch = base.epoch + 1;
+        self.publish(Snapshot {
+            epoch,
             net: Arc::clone(&base.net),
             trajs: Arc::new(trajs),
             index: Arc::new(index),
-        };
-        let epoch = next.epoch;
-        *self.current.write().expect("snapshot lock poisoned") = Arc::new(next);
+        });
         (
             UpdateReceipt {
                 epoch,
@@ -455,6 +470,58 @@ mod tests {
         // An empty routed batch still advances the epoch (lockstep).
         let r = store.apply_routed(&[]);
         assert_eq!(r.epoch, 3);
+    }
+
+    #[test]
+    fn a_pinned_epoch_answers_bit_identically_after_publishes_that_edit_it() {
+        let store = fixture();
+        let pinned = store.load();
+        let queries = [
+            TopsQuery::binary(1, 400.0),
+            TopsQuery::binary(2, 1_200.0),
+            TopsQuery {
+                preference: PreferenceFunction::LinearDecay,
+                ..TopsQuery::binary(2, 800.0)
+            },
+        ];
+        let answers = |snap: &Snapshot| -> Vec<(Vec<NodeId>, Vec<u64>)> {
+            queries
+                .iter()
+                .map(|q| {
+                    let s = snap.index().query(snap.trajs(), q).solution;
+                    (s.sites, s.gains.iter().map(|g| g.to_bits()).collect())
+                })
+                .collect()
+        };
+        let before = answers(&pinned);
+        // Every publish adds a trajectory over the pinned corpus's nodes,
+        // removes the previous one (the pinned corpus's own first) and
+        // removes or re-adds a site inside its clusters.
+        for round in 0..8u32 {
+            let start = round % 5;
+            let r = store.apply(&[
+                UpdateOp::AddTrajectory(Trajectory::new((start..start + 5).map(NodeId).collect())),
+                UpdateOp::RemoveTrajectory(TrajId(round)),
+                if round % 2 == 0 {
+                    UpdateOp::RemoveSite(NodeId(round / 2))
+                } else {
+                    UpdateOp::AddSite(NodeId(round / 2))
+                },
+            ]);
+            assert_eq!((r.applied, r.rejected), (3, 0), "round {round}");
+        }
+        let now = store.load();
+        assert_eq!(now.epoch(), 8);
+        assert!(now.trajs().get(TrajId(0)).is_none());
+        assert_ne!(
+            answers(&now),
+            before,
+            "the publishes changed nothing visible"
+        );
+        assert_eq!(pinned.epoch(), 0);
+        assert_eq!(pinned.trajs().len(), 1);
+        assert!(pinned.trajs().get(TrajId(0)).is_some());
+        assert_eq!(answers(&pinned), before);
     }
 
     #[test]

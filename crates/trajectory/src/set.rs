@@ -5,6 +5,8 @@
 //! in O(answer). [`TrajectorySet`] maintains that inverted index and supports
 //! the dynamic trajectory additions/removals of paper Sec. 6.
 
+use std::sync::Arc;
+
 use netclus_roadnet::{NodeId, RoadNetwork};
 
 use crate::trajectory::{TrajId, Trajectory};
@@ -13,12 +15,16 @@ use crate::trajectory::{TrajId, Trajectory};
 ///
 /// Removed trajectories leave a tombstone (ids stay stable); the inverted
 /// index is updated eagerly on both insertion and removal.
+///
+/// Trajectories and node buckets are reference-counted: a clone shares
+/// them all, and an edit copies only the buckets it changes, so the next
+/// epoch of a served corpus costs what its batch edits.
 #[derive(Clone, Debug, Default)]
 pub struct TrajectorySet {
-    trajs: Vec<Option<Trajectory>>,
+    trajs: Vec<Option<Arc<Trajectory>>>,
     /// Inverted index: for each node, the ids of live trajectories whose
     /// node sequence contains it (each id listed once per node).
-    node_index: Vec<Vec<TrajId>>,
+    node_index: Vec<Arc<Vec<TrajId>>>,
     live: usize,
 }
 
@@ -27,7 +33,7 @@ impl TrajectorySet {
     pub fn new(node_count: usize) -> Self {
         TrajectorySet {
             trajs: Vec::new(),
-            node_index: vec![Vec::new(); node_count],
+            node_index: vec![Arc::default(); node_count],
             live: 0,
         }
     }
@@ -53,7 +59,7 @@ impl TrajectorySet {
     pub fn add(&mut self, traj: Trajectory) -> TrajId {
         let id = TrajId::from_index(self.trajs.len());
         self.index_nodes(id, &traj);
-        self.trajs.push(Some(traj));
+        self.trajs.push(Some(Arc::new(traj)));
         self.live += 1;
         id
     }
@@ -75,7 +81,7 @@ impl TrajectorySet {
             self.trajs.resize_with(id.index() + 1, || None);
         }
         self.index_nodes(id, &traj);
-        self.trajs[id.index()] = Some(traj);
+        self.trajs[id.index()] = Some(Arc::new(traj));
         self.live += 1;
         true
     }
@@ -99,7 +105,8 @@ impl TrajectorySet {
     /// `keep` accepts: kept trajectories retain their ids (dropped ones
     /// become tombstones), so `id_bound` — and with it every id-indexed
     /// array — matches the parent set. This is how per-shard corpus views
-    /// are carved out of a global corpus.
+    /// are carved out of a global corpus. The subset shares the parent's
+    /// trajectories.
     pub fn subset_where<F>(&self, mut keep: F) -> TrajectorySet
     where
         F: FnMut(TrajId, &Trajectory) -> bool,
@@ -111,7 +118,7 @@ impl TrajectorySet {
             match slot {
                 Some(t) if keep(id, t) => {
                     out.index_nodes(id, t);
-                    out.trajs.push(Some(t.clone()));
+                    out.trajs.push(Some(Arc::clone(t)));
                     out.live += 1;
                 }
                 _ => out.trajs.push(None),
@@ -129,16 +136,16 @@ impl TrajectorySet {
         for v in dedup_nodes(&traj) {
             let bucket = &mut self.node_index[v.index()];
             if let Some(pos) = bucket.iter().position(|&t| t == id) {
-                bucket.swap_remove(pos);
+                Arc::make_mut(bucket).swap_remove(pos);
             }
         }
-        Some(traj)
+        Some(Arc::unwrap_or_clone(traj))
     }
 
     /// The trajectory with this id, if live.
     #[inline]
     pub fn get(&self, id: TrajId) -> Option<&Trajectory> {
-        self.trajs.get(id.index()).and_then(|t| t.as_ref())
+        self.trajs.get(id.index()).and_then(|t| t.as_deref())
     }
 
     /// Number of live trajectories (`m` in the paper).
@@ -165,7 +172,7 @@ impl TrajectorySet {
         self.trajs
             .iter()
             .enumerate()
-            .filter_map(|(i, t)| t.as_ref().map(|t| (TrajId::from_index(i), t)))
+            .filter_map(|(i, t)| t.as_deref().map(|t| (TrajId::from_index(i), t)))
     }
 
     /// Ids of live trajectories passing through node `v` (each listed once).
@@ -177,7 +184,7 @@ impl TrajectorySet {
     /// Extends the node-index to a larger network (after node insertions).
     pub fn grow_network(&mut self, new_node_count: usize) {
         if new_node_count > self.node_index.len() {
-            self.node_index.resize(new_node_count, Vec::new());
+            self.node_index.resize(new_node_count, Arc::default());
         }
     }
 
@@ -190,20 +197,30 @@ impl TrajectorySet {
         total as f64 / self.live as f64
     }
 
-    /// Approximate heap footprint in bytes (trajectories + inverted index).
+    /// Approximate heap footprint in bytes (trajectories + inverted index),
+    /// counting each shared allocation in full: its two reference counts,
+    /// the value and the value's own heap.
     pub fn heap_size_bytes(&self) -> usize {
+        const SHARED: usize = 2 * std::mem::size_of::<usize>();
         let traj_bytes: usize = self
             .trajs
             .iter()
             .map(|t| {
-                std::mem::size_of::<Option<Trajectory>>()
-                    + t.as_ref().map_or(0, Trajectory::heap_size_bytes)
+                std::mem::size_of::<Option<Arc<Trajectory>>>()
+                    + t.as_deref().map_or(0, |t| {
+                        SHARED + std::mem::size_of::<Trajectory>() + t.heap_size_bytes()
+                    })
             })
             .sum();
         let index_bytes: usize = self
             .node_index
             .iter()
-            .map(|b| std::mem::size_of::<Vec<TrajId>>() + b.capacity() * 4)
+            .map(|b| {
+                std::mem::size_of::<Arc<Vec<TrajId>>>()
+                    + SHARED
+                    + std::mem::size_of::<Vec<TrajId>>()
+                    + b.capacity() * std::mem::size_of::<TrajId>()
+            })
             .sum();
         traj_bytes + index_bytes
     }
@@ -226,7 +243,7 @@ impl TrajectorySet {
                 "trajectory references node {v:?} beyond network size {}",
                 self.node_index.len()
             );
-            self.node_index[v.index()].push(id);
+            Arc::make_mut(&mut self.node_index[v.index()]).push(id);
         }
     }
 }
@@ -331,6 +348,28 @@ mod tests {
         assert_eq!(set.trajectories_through(NodeId(4)), &[TrajId(1)]);
         // `add` continues after the padded bound.
         assert_eq!(set.add(t(&[5])), TrajId(4));
+    }
+
+    #[test]
+    fn edits_on_a_clone_leave_the_original_alone() {
+        let mut set = TrajectorySet::new(4);
+        let a = set.add(t(&[0, 1]));
+        let b = set.add(t(&[1, 2]));
+        let mut copy = set.clone();
+        assert_eq!(copy.remove(a).unwrap().nodes(), &[NodeId(0), NodeId(1)]);
+        let c = copy.add(t(&[2, 3]));
+        assert!(copy.insert_at(TrajId(5), t(&[1])));
+        // The original: both trajectories, its buckets and its bound.
+        assert_eq!((set.len(), set.id_bound()), (2, 2));
+        assert_eq!(set.get(a).unwrap().nodes(), &[NodeId(0), NodeId(1)]);
+        assert_eq!(set.trajectories_through(NodeId(1)), &[a, b]);
+        assert_eq!(set.trajectories_through(NodeId(2)), &[b]);
+        assert!(set.trajectories_through(NodeId(3)).is_empty());
+        // The copy: its own edits only.
+        assert_eq!((copy.len(), copy.id_bound()), (3, 6));
+        assert_eq!(copy.trajectories_through(NodeId(1)), &[b, TrajId(5)]);
+        assert_eq!(copy.trajectories_through(NodeId(2)), &[b, c]);
+        assert!(copy.trajectories_through(NodeId(0)).is_empty());
     }
 
     #[test]

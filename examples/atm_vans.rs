@@ -123,8 +123,8 @@ fn main() {
     let update_start = Instant::now();
     let morning_ids: Vec<TrajId> = trajs.iter().map(|(id, _)| id).collect();
     for id in morning_ids.iter().take(130) {
-        trajs.remove(*id);
-        index.remove_trajectory(*id);
+        let removed = trajs.remove(*id).expect("morning trip is live");
+        index.remove_trajectory(*id, &removed);
     }
     let evening = gen.generate(
         &WorkloadConfig {

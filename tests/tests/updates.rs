@@ -80,8 +80,8 @@ fn trajectory_removals_match_rebuild_through_queries() {
     let (net, mut trajs, _, sites) = setup();
     let mut index = NetClusIndex::build(&net, &trajs, &sites, config());
     for id in [0u32, 7, 13, 22, 39] {
-        trajs.remove(TrajId(id));
-        index.remove_trajectory(TrajId(id));
+        let removed = trajs.remove(TrajId(id)).unwrap();
+        index.remove_trajectory(TrajId(id), &removed);
     }
     let rebuilt = NetClusIndex::build(&net, &trajs, &sites, config());
     assert_query_equivalent(&index, &rebuilt, &trajs);
@@ -126,8 +126,8 @@ fn interleaved_updates_stay_consistent() {
             }
             1 => {
                 let id = TrajId(step as u32);
-                if trajs.remove(id).is_some() {
-                    index.remove_trajectory(id);
+                if let Some(t) = trajs.remove(id) {
+                    index.remove_trajectory(id, &t);
                 }
             }
             _ => {
