@@ -17,11 +17,13 @@
 //! into linear scans over contiguous memory. Rows are exposed as a
 //! [`PairSlice`] — a borrowed pair of parallel slices.
 //!
-//! Every arena is a [`PairArena`]: immutable, built once and then only
-//! read — every `TC` row set ([`crate::coverage::Rows`]), each round-1
-//! block (behind [`crate::shard::RowView`]) and the inverted `SC` rows
-//! (sharded parallel construction via [`PairArena::concat`],
-//! counting-sort inversion via [`PairArena::invert_threaded`]).
+//! Every arena is a [`PairArena`]: built once and then read — every `TC`
+//! row set ([`crate::coverage::Rows`]), each round-1 block (behind
+//! [`crate::shard::RowView`]) and the inverted `SC` rows (sharded parallel
+//! construction via [`PairArena::concat`], counting-sort inversion via
+//! [`PairArena::invert_threaded`]). The one edit is [`PairArena::patch`],
+//! which carries a cached `T̂C` row set across a trajectory-only publish
+//! in place.
 
 /// A borrowed arena row: parallel `ids`/`dists` slices of equal length.
 ///
@@ -92,8 +94,8 @@ impl<'a> PairSlice<'a> {
     }
 }
 
-/// Immutable CSR arena: `row_count` rows of `(id, dist)` pairs in three
-/// flat arrays. See the module docs for the layout rationale.
+/// CSR arena: `row_count` rows of `(id, dist)` pairs in three flat
+/// arrays. See the module docs for the layout rationale.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PairArena {
     /// Row starts; `offsets.len() == row_count + 1`.
@@ -261,6 +263,100 @@ impl PairArena {
             offsets,
             ids,
             dists,
+        }
+    }
+
+    /// Edits every row in place: drops the pairs whose id `dropped` flags
+    /// (`dropped[id]`; an id past its end is kept, and an empty slice
+    /// skips the pass), then merges row `r` of `inserts` into row `r`.
+    /// Both runs must ascend by `key` and share no key; the merged row
+    /// ascends by it too.
+    ///
+    /// Two passes, no second arena: a forward pass compacts the kept
+    /// pairs towards the front, then the arrays grow by exactly the
+    /// inserts and a backward pass merges each row from the last one to
+    /// the first, so the write cursor never passes a pair not yet read.
+    ///
+    /// # Panics
+    /// If `inserts` has another row count.
+    pub fn patch<K: Ord>(
+        &mut self,
+        dropped: &[bool],
+        inserts: &PairArena,
+        key: impl Fn(u32, f64) -> K,
+    ) {
+        assert_eq!(
+            inserts.row_count(),
+            self.row_count(),
+            "one insert row per row"
+        );
+        let rows = self.row_count();
+        if !dropped.is_empty() {
+            let is_dropped = |id: u32| dropped.get(id as usize).copied().unwrap_or(false);
+            let (mut w, mut lo) = (0, 0);
+            for r in 0..rows {
+                let hi = self.offsets[r + 1] as usize;
+                // The pairs before the row's first dropped id move as one
+                // block; the rest are written one by one.
+                let first = self.ids[lo..hi].iter().position(|&id| is_dropped(id));
+                let keep = first.map_or(hi, |f| lo + f);
+                if w != lo {
+                    self.ids.copy_within(lo..keep, w);
+                    self.dists.copy_within(lo..keep, w);
+                }
+                w += keep - lo;
+                for k in keep..hi {
+                    let id = self.ids[k];
+                    self.ids[w] = id;
+                    self.dists[w] = self.dists[k];
+                    w += usize::from(!is_dropped(id));
+                }
+                lo = hi;
+                self.offsets[r + 1] = checked_offset(w as u64);
+            }
+            self.ids.truncate(w);
+            self.dists.truncate(w);
+        }
+
+        let added = inserts.pair_count();
+        if added == 0 {
+            return;
+        }
+        let len = self.ids.len();
+        self.ids.reserve_exact(added);
+        self.dists.reserve_exact(added);
+        self.ids.resize(len + added, 0);
+        self.dists.resize(len + added, 0.0);
+        for r in (0..rows).rev() {
+            // Inserts in rows ≤ r: how far this row's end moves.
+            let shift = inserts.offsets[r + 1] as usize;
+            if shift == 0 {
+                break;
+            }
+            let (lo, hi) = (self.offsets[r] as usize, self.offsets[r + 1] as usize);
+            let row = inserts.row(r);
+            let (mut i, mut j, mut w) = (hi, row.len(), hi + shift);
+            while j > 0 {
+                w -= 1;
+                if i > lo
+                    && key(self.ids[i - 1], self.dists[i - 1])
+                        > key(row.ids[j - 1], row.dists[j - 1])
+                {
+                    i -= 1;
+                    self.ids[w] = self.ids[i];
+                    self.dists[w] = self.dists[i];
+                } else {
+                    j -= 1;
+                    self.ids[w] = row.ids[j];
+                    self.dists[w] = row.dists[j];
+                }
+            }
+            // The rest of the row moves by the inserts of earlier rows.
+            if w > i {
+                self.ids.copy_within(lo..i, lo + (w - i));
+                self.dists.copy_within(lo..i, lo + (w - i));
+            }
+            self.offsets[r + 1] = checked_offset((hi + shift) as u64);
         }
     }
 
@@ -454,6 +550,38 @@ mod tests {
             assert_eq!(*b.last().unwrap(), 5);
             assert!(b.windows(2).all(|w| w[0] <= w[1]));
         }
+    }
+
+    #[test]
+    fn patch_drops_then_merges_each_row_in_place() {
+        let mut arena = PairArena::from_rows(&[
+            vec![(2, 1.0), (0, 2.5)],
+            vec![],
+            vec![(1, 0.0), (2, 3.0), (3, 4.5)],
+            vec![(0, 9.0)],
+            vec![(4, 1.0)],
+        ]);
+        let inserts = PairArena::from_rows(&[
+            vec![(7, 0.5), (5, 3.0)],
+            vec![(6, 1.0)],
+            vec![(9, 4.0)],
+            vec![],
+            vec![],
+        ]);
+        // Drop id 2 everywhere; order rows by (distance, id).
+        let dropped = [false, false, true];
+        arena.patch(&dropped, &inserts, |id, d| (d.to_bits(), id));
+        let want = PairArena::from_rows(&[
+            vec![(7, 0.5), (0, 2.5), (5, 3.0)],
+            vec![(6, 1.0)],
+            vec![(1, 0.0), (9, 4.0), (3, 4.5)],
+            vec![(0, 9.0)],
+            vec![(4, 1.0)],
+        ]);
+        assert_eq!(arena, want);
+        // Nothing dropped, nothing inserted: unchanged.
+        arena.patch(&[], &PairArena::empty(5), |id, d| (d.to_bits(), id));
+        assert_eq!(arena, want);
     }
 
     #[test]

@@ -83,6 +83,19 @@ impl Rows {
         self.tc.shrink_to_fit();
         self.nodes.shrink_to_fit();
     }
+
+    /// [`PairArena::patch`] on the rows, which then cover ids below
+    /// `traj_id_bound`.
+    pub(crate) fn patch<K: Ord>(
+        &mut self,
+        dropped: &[bool],
+        inserts: &PairArena,
+        key: impl Fn(u32, f64) -> K,
+        traj_id_bound: usize,
+    ) {
+        self.tc.patch(dropped, inserts, key);
+        self.traj_id_bound = traj_id_bound;
+    }
 }
 
 /// What every solver reads: borrowed [`Rows`] plus, optionally, how many

@@ -56,6 +56,18 @@
 //! serving layers cache rows that way; the bare [`NetClusIndex::query`]
 //! family owns no cache and builds at the asked τ.
 //!
+//! ## Carrying rows across a publish
+//!
+//! A batch of trajectory adds and removes changes no representative, no
+//! neighbour list and no estimate of a trajectory it leaves alone: a row
+//! loses exactly the removed ids and gains exactly the added trajectories
+//! its neighbour walk reaches within `built_tau`. [`ProviderRows::patch`]
+//! applies that difference in place — the estimates of the added
+//! trajectories by the build kernel's own expression, then one
+//! [`PairArena::patch`] — so a cache keeps its rows across such a publish
+//! at the cost of the batch, not of the instance. A site op can move a
+//! representative, and rows over it are built afresh.
+//!
 //! ## Hot-path layout and parallelism
 //!
 //! Per-representative rows are computed in parallel shards (each worker
@@ -69,10 +81,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use netclus_roadnet::NodeId;
-use netclus_trajectory::TrajectorySet;
+use netclus_trajectory::{TrajId, TrajectorySet};
 
 use crate::arena::{PairArena, PairArenaBuilder};
-use crate::cluster::{Cluster, ClusterInstance};
+use crate::cluster::{map_trajectory, Cluster, ClusterInstance};
 use crate::coverage::{CoverageProvider, Rows, RowsView};
 use crate::fm_greedy::{fm_greedy, FmGreedyConfig};
 use crate::greedy::{inc_greedy, inc_greedy_seeded};
@@ -171,7 +183,7 @@ fn row_key(id: u32, d: f64) -> u128 {
 /// does not depend on the query's τ beyond "τ ≤ `built_tau`". Shared
 /// behind an `Arc` by every [`ClusteredProvider`] viewing it (module
 /// docs, "Rows and views").
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ProviderRows {
     /// `T̂C` rows, ascending by `(estimate, trajectory id)`, one per
     /// representative site.
@@ -296,6 +308,88 @@ impl ProviderRows {
             rows: Arc::clone(self),
             cuts,
         }
+    }
+
+    /// Carries the rows across a batch that only added and removed
+    /// trajectories: afterwards they are the rows
+    /// [`ProviderRows::build_with`] builds at the same `built_tau` on
+    /// `instance`, bit for bit. `instance` and `trajs` are the post-batch
+    /// index instance and corpus; `added` are the ids the batch added and
+    /// did not remove again, `removed` the ids it removed. Each is listed
+    /// once. Representatives are untouched: only a site op moves them.
+    ///
+    /// Only the batch's trajectories are mapped and estimated (module
+    /// docs, "Carrying rows across a publish"):
+    ///
+    /// * **inserts** — an added trajectory's `CC(T_j)` per
+    ///   `map_trajectory`, then every row whose neighbour walk reaches one
+    ///   of its clusters gets the minimum estimate `d_traj + (d_centers +
+    ///   rep_distance)` over those clusters, if it is `≤ built_tau`: the
+    ///   walk, expression and filter of the build kernel;
+    /// * **patch** — [`PairArena::patch`] drops the removed ids and merges
+    ///   each row's inserts in the rows' `(d̂r, id)` order, in place.
+    pub fn patch(
+        &mut self,
+        instance: &ClusterInstance,
+        trajs: &TrajectorySet,
+        added: &[TrajId],
+        removed: &[TrajId],
+    ) {
+        let tau = self.built_tau;
+        // Each added trajectory's clusters, as `(cluster, id, d_traj)`
+        // grouped by cluster: `through[starts[c]..starts[c + 1]]`.
+        let mut through: Vec<(u32, u32, f64)> = Vec::new();
+        for &id in added {
+            let traj = trajs.get(id).expect("an added trajectory is live");
+            let cc = map_trajectory(traj, &instance.node_cluster, &instance.node_center_dist);
+            through.extend(cc.into_iter().map(|(c, d)| (c, id.0, d)));
+        }
+        through.sort_unstable_by_key(|&(c, id, _)| (c, id));
+        let mut starts = vec![0u32; instance.clusters.len() + 1];
+        for &(c, ..) in &through {
+            starts[c as usize + 1] += 1;
+        }
+        for c in 1..starts.len() {
+            starts[c] += starts[c - 1];
+        }
+
+        let mut inserts = PairArenaBuilder::with_capacity(self.rep_cluster.len(), 0);
+        let mut row: Vec<(u32, f64)> = Vec::new();
+        for &ci in &self.rep_cluster {
+            row.clear();
+            let cluster = &instance.clusters[ci as usize];
+            if !through.is_empty() {
+                for &(cj, d_centers) in &cluster.neighbors {
+                    let base = d_centers + cluster.rep_distance;
+                    if base > tau {
+                        break;
+                    }
+                    let (lo, hi) = (starts[cj as usize], starts[cj as usize + 1]);
+                    for &(_, t, d_traj) in &through[lo as usize..hi as usize] {
+                        let est = d_traj + base;
+                        if est <= tau {
+                            row.push((t, est));
+                        }
+                    }
+                }
+            }
+            // The minimum estimate per id, then the row order.
+            row.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+            row.dedup_by_key(|p| p.0);
+            row.sort_unstable_by_key(|&(t, d)| row_key(t, d));
+            inserts.push_row(row.iter().copied());
+        }
+
+        let mut dropped = Vec::new();
+        if let Some(top) = removed.iter().map(|id| id.index()).max() {
+            dropped.resize(top + 1, false);
+            for id in removed {
+                dropped[id.index()] = true;
+            }
+        }
+        self.tc
+            .patch(&dropped, &inserts.finish(), row_key, trajs.id_bound());
+        self.tc.shrink_to_fit();
     }
 
     /// The threshold the rows were built at (the largest τ they serve).

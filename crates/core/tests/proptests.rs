@@ -777,4 +777,113 @@ proptest! {
             }
         }
     }
+
+    /// Rows carried by `ProviderRows::patch` across consecutive batches of
+    /// trajectory adds and removes are the rows `build_with` builds on the
+    /// updated index, bit for bit (ids, distance bits, representatives and
+    /// the id bound), on every instance at its band ceiling, at a τ above
+    /// the last band and at a τ equal to an estimate in its rows (the
+    /// filter is inclusive). Batches mix dense adds, copies of live
+    /// trajectories (equal estimates on new ids), adds past the id bound,
+    /// removes, the remove of an id the same batch added and the re-add of
+    /// a slot the same batch emptied; the delta handed to the patch is the
+    /// batch's net one (adds not removed again, every applied remove).
+    #[test]
+    fn patched_rows_equal_rows_of_a_rebuild(
+        inst in instance_strategy(),
+        batches in prop::collection::vec(
+            prop::collection::vec(
+                (0usize..6, 0usize..64, prop::collection::vec(0usize..8, 1..8)),
+                1..7,
+            ),
+            1..5,
+        ),
+        above in 1.0f64..1.6,
+        pick in 0usize..100_000,
+    ) {
+        let (net, mut trajs) = build(&inst);
+        let cfg = NetClusConfig { tau_min: 400.0, tau_max: 4_000.0, threads: 1, ..Default::default() };
+        let sites: Vec<NodeId> = net.nodes().collect();
+        let mut index = NetClusIndex::build(&net, &trajs, &sites, cfg);
+        let last = index.instance(index.instances().len() - 1).neighbor_limit;
+        let build_rows = |index: &NetClusIndex, p: usize, tau: f64, bound: usize| {
+            ProviderRows::build_with(index.instance(p), tau, bound, 1, &mut ProviderScratch::default())
+        };
+        let mut carried: Vec<(usize, Arc<ProviderRows>)> = Vec::new();
+        for p in 0..index.instances().len() {
+            let ceiling = build_rows(&index, p, index.instance(p).neighbor_limit, trajs.id_bound());
+            let view = Arc::new(ceiling.clone()).view(ceiling.built_tau());
+            let estimates: Vec<f64> =
+                (0..view.site_count()).flat_map(|i| view.covered(i).dists.to_vec()).collect();
+            if !estimates.is_empty() {
+                let tau = estimates[pick % estimates.len()];
+                carried.push((p, Arc::new(build_rows(&index, p, tau, trajs.id_bound()))));
+            }
+            carried.push((p, Arc::new(build_rows(&index, p, last * above, trajs.id_bound()))));
+            carried.push((p, Arc::new(ceiling)));
+        }
+        for batch in &batches {
+            let (mut added, mut removed): (Vec<TrajId>, Vec<TrajId>) = (Vec::new(), Vec::new());
+            let mut emptied: Vec<TrajId> = Vec::new();
+            for (kind, a, steps) in batch {
+                let live = trajs.get(TrajId((a % trajs.id_bound()) as u32));
+                let t = match live {
+                    Some(t) if *kind == 5 => t.clone(),
+                    _ => walk(&net, a % inst.n, steps),
+                };
+                let add = |id: Option<TrajId>, trajs: &mut TrajectorySet, index: &mut NetClusIndex| {
+                    let id = match id {
+                        Some(id) => trajs.insert_at(id, t.clone()).then_some(id),
+                        None => Some(trajs.add(t.clone())),
+                    };
+                    if let Some(id) = id {
+                        index.add_trajectory(id, &t);
+                    }
+                    id
+                };
+                let target = match kind {
+                    0 | 5 => add(None, &mut trajs, &mut index).map(|id| (id, true)),
+                    1 => {
+                        let past = TrajId((trajs.id_bound() + a % 5) as u32);
+                        add(Some(past), &mut trajs, &mut index).map(|id| (id, true))
+                    }
+                    2 => Some((TrajId((a % trajs.id_bound()) as u32), false)),
+                    3 => added.last().map(|&id| (id, false)),
+                    _ => emptied
+                        .pop()
+                        .and_then(|id| add(Some(id), &mut trajs, &mut index))
+                        .map(|id| (id, true)),
+                };
+                match target {
+                    Some((id, true)) => added.push(id),
+                    Some((id, false)) => {
+                        if let Some(old) = trajs.remove(id) {
+                            index.remove_trajectory(id, &old);
+                            emptied.push(id);
+                            match added.iter().position(|&x| x == id) {
+                                Some(pos) => {
+                                    added.remove(pos);
+                                }
+                                None => removed.push(id),
+                            }
+                        }
+                    }
+                    None => {}
+                }
+            }
+            let bound = trajs.id_bound();
+            for (p, rows) in &mut carried {
+                let instance = index.instance(*p);
+                Arc::make_mut(rows).patch(instance, &trajs, &added, &removed);
+                let tau = rows.built_tau();
+                let fresh = Arc::new(ProviderRows::build_with(
+                    instance, tau, bound, 1, &mut ProviderScratch::default()));
+                prop_assert_eq!(rows.pair_count(), fresh.pair_count(), "p{} τ={}", p, tau);
+                let (a, b) = (rows.view(tau), fresh.view(tau));
+                prop_assert_eq!(a.rows().traj_id_bound(), bound);
+                prop_assert_eq!(b.rows().traj_id_bound(), bound);
+                assert_providers_identical(&index, *p, tau, &a, &b);
+            }
+        }
+    }
 }

@@ -8,7 +8,10 @@
 //! ([`crate::provider_cache`]), the last full answer per query shape (the
 //! router's stale fallback). So the key embeds the epoch
 //! ([`EpochKeyed`]), an epoch advance makes older keys unreachable, and
-//! [`EpochLru::invalidate_before`] reclaims their space eagerly.
+//! [`EpochLru::invalidate_before`] reclaims their space eagerly. A value
+//! that stays valid across an advance is moved, not purged:
+//! [`EpochLru::take_where`] hands it out and [`EpochLru::upsert`] files it
+//! under the new epoch (the provider cache's carried rows).
 //!
 //! **The purge floor.** The highest epoch ever purged is remembered, and
 //! no value keyed below it is retained afterwards: a solve that pinned
@@ -382,6 +385,26 @@ impl<K: Copy + Eq + Hash + EpochKeyed, V> EpochLru<K, V> {
         removed
     }
 
+    /// Removes and returns every finished value whose key `pred` accepts,
+    /// for a caller that re-keys them ([`EpochLru::upsert`] under a later
+    /// epoch). In-flight builds stay, and no counter moves: the values
+    /// were neither looked up nor purged.
+    pub fn take_where(&self, pred: impl Fn(&K) -> bool) -> Vec<(K, Arc<V>)> {
+        let mut inner = self.lock();
+        let keys: Vec<K> = inner
+            .map
+            .iter()
+            .filter(|(k, slot)| matches!(slot, Slot::Ready { .. }) && pred(k))
+            .map(|(k, _)| *k)
+            .collect();
+        keys.into_iter()
+            .filter_map(|k| match inner.map.remove(&k) {
+                Some(Slot::Ready { value, .. }) => Some((k, value)),
+                _ => None,
+            })
+            .collect()
+    }
+
     /// Current counters and occupancy (finished values only).
     pub fn stats(&self) -> CacheStats {
         let inner = self.lock();
@@ -513,6 +536,31 @@ mod tests {
         assert_eq!(cache.stats().entries, 4, "a purged epoch was retained");
         cache.upsert(key(3, 500.0, 2), answer(2), |_| true);
         assert_eq!(cache.stats().entries, 5);
+    }
+
+    /// A carried value leaves under its old key and is filed under the
+    /// new epoch past the purge that floors the old one; no counter
+    /// moves and the same `Arc` comes back.
+    #[test]
+    fn taken_values_move_to_a_later_epoch_past_the_purge() {
+        let cache = ResultCache::new(8);
+        for k in 1..=3 {
+            cache.upsert(key(k, 500.0, 4), answer(4), |_| true);
+        }
+        let before = cache.stats();
+        let taken = cache.take_where(|q| q.epoch == 4 && q.k != 3);
+        assert_eq!(taken.len(), 2);
+        assert_eq!(cache.stats().entries, 1);
+        assert_eq!(cache.invalidate_before(5), 1, "the untaken entry is purged");
+        for (q, value) in taken {
+            let carried = Arc::clone(&value);
+            cache.upsert(q.at_epoch(5), value, |_| true);
+            assert!(Arc::ptr_eq(&cache.peek(&q.at_epoch(5)).unwrap(), &carried));
+        }
+        let after = cache.stats();
+        assert_eq!(after.entries, 2);
+        assert_eq!((after.hits, after.misses), (before.hits, before.misses));
+        assert_eq!(after.invalidated, before.invalidated + 1);
     }
 
     /// The stale fallback's contract: a key at `u64::MAX` survives every

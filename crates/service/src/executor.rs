@@ -53,7 +53,7 @@ use crate::cache::{CacheOutcome, QueryKey, ResultCache};
 use crate::fault::QueryError;
 use crate::lock_recover;
 use crate::metrics::{MetricsClock, MetricsReport};
-use crate::provider_cache::{quantize_tau, rows_for, ShardProviderCache};
+use crate::provider_cache::{carry_rows, quantize_tau, rows_for, ShardProviderCache};
 use crate::snapshot::{Snapshot, SnapshotStore, UpdateBatch, UpdateReceipt};
 use crate::trace::{psi_name, Stage, TraceConfig, TraceMeta, TraceSpans, Tracer};
 
@@ -455,12 +455,13 @@ impl NetClusService {
     }
 
     /// Applies an update batch copy-on-write and publishes the next epoch;
-    /// stale cache entries are invalidated. Queries keep flowing throughout.
+    /// stale answers are invalidated and resident rows are carried into
+    /// the new epoch ([`carry_rows`]). Queries keep flowing throughout.
     pub fn apply_updates(&self, batch: UpdateBatch) -> UpdateReceipt {
         let t = Instant::now();
         let receipt = self.store.apply(&batch);
         self.cache.invalidate_before(receipt.epoch);
-        self.providers.invalidate_before(receipt.epoch);
+        carry_rows(&self.providers, receipt.epoch, &[(0, self.store.load())]);
         let metrics = &self.clock.metrics;
         metrics.update_latency.record(t.elapsed());
         metrics.epoch_advances.fetch_add(1, Ordering::Relaxed);
@@ -565,7 +566,7 @@ mod tests {
 
     use netclus::prelude::*;
     use netclus_roadnet::{Point, RoadNetworkBuilder};
-    use netclus_trajectory::Trajectory;
+    use netclus_trajectory::{TrajId, Trajectory};
 
     use crate::{ShardProviderKey, UpdateOp};
 
@@ -799,10 +800,12 @@ mod tests {
         svc.query_blocking(ServiceRequest::greedy(TopsQuery::binary(1, 800.0)))
             .unwrap();
         assert_eq!(svc.metrics_report().providers.entries, 1);
-        svc.apply_updates(vec![UpdateOp::AddTrajectory(Trajectory::new(vec![
-            NodeId(0),
-            NodeId(1),
-        ]))]);
+        // A site op may move a representative: the rows are purged.
+        let receipt = svc.apply_updates(vec![
+            UpdateOp::AddTrajectory(Trajectory::new(vec![NodeId(0), NodeId(1)])),
+            UpdateOp::RemoveSite(NodeId(4)),
+        ]);
+        assert_eq!(receipt.applied, 2);
         let report = svc.metrics_report();
         assert_eq!(report.providers.entries, 0, "stale provider survived");
         assert_eq!(report.providers.invalidated, 1);
@@ -813,6 +816,50 @@ mod tests {
         assert_eq!(after.epoch, 1);
         assert_eq!(svc.metrics_report().providers.misses, 2);
         svc.shutdown();
+    }
+
+    /// A batch of trajectory adds and removes carries the resident rows
+    /// into the new epoch, patched: no rebuild, and the answer is the one
+    /// a service that never held rows gives at that epoch.
+    #[test]
+    fn trajectory_only_publish_carries_provider_rows() {
+        let batch = || {
+            vec![
+                UpdateOp::AddTrajectory(Trajectory::new((10..16).map(NodeId).collect())),
+                UpdateOp::RemoveTrajectory(TrajId(0)),
+                UpdateOp::AddTrajectory(Trajectory::new((21..24).map(NodeId).collect())),
+                UpdateOp::RemoveTrajectory(TrajId(10)),
+            ]
+        };
+        let ask = |svc: &NetClusService| {
+            svc.query_blocking(ServiceRequest::greedy(TopsQuery::binary(3, 800.0)))
+                .unwrap()
+        };
+        let svc = service(1);
+        ask(&svc);
+        assert_eq!(svc.apply_updates(batch()).applied, 4);
+        let report = svc.metrics_report();
+        assert_eq!(report.providers.entries, 1, "the rows were not carried");
+        assert_eq!(report.providers.invalidated, 0);
+        let carried = ask(&svc);
+        assert_eq!(carried.epoch, 1);
+        let providers = svc.metrics_report().providers;
+        assert_eq!(
+            (providers.misses, providers.hits),
+            (1, 1),
+            "carried rows were rebuilt"
+        );
+
+        let fresh = service(1);
+        fresh.apply_updates(batch());
+        let rebuilt = ask(&fresh);
+        assert_eq!(rebuilt.epoch, 1);
+        assert_eq!(fresh.metrics_report().providers.misses, 1);
+        assert_eq!(carried.sites, rebuilt.sites);
+        assert_eq!(carried.utility.to_bits(), rebuilt.utility.to_bits());
+        assert_eq!(carried.covered, rebuilt.covered);
+        svc.shutdown();
+        fresh.shutdown();
     }
 
     #[test]

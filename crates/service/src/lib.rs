@@ -34,7 +34,9 @@
 //!   answers any smaller-`k` repeat by prefix slicing. The rows are the
 //!   expensive part of a NetClus query and depend on neither `k` nor ψ,
 //!   and rows built at the top of an instance's τ band serve every τ in
-//!   it as a prefix view; the query's τ is quantized to millimeters at
+//!   it as a prefix view, and a publish that applied only trajectory
+//!   adds and removes carries them into the new epoch, patched in place
+//!   ([`carry_rows`]); the query's τ is quantized to millimeters at
 //!   admission ([`netclus::quantize_tau`], one shared definition for
 //!   every cache key) so keys and computation agree. (The fourth
 //!   instantiation is the router's stale-answer fallback, keyed like the
@@ -166,8 +168,8 @@ pub use metrics::{
     ProcessGauges, ServiceMetrics, ShardLaneReport, ShardReport,
 };
 pub use provider_cache::{
-    quantize_tau, ProviderCacheStats, RoundCacheStats, RoundKey, RoundOneCache, ShardProviderCache,
-    ShardProviderKey,
+    carry_rows, quantize_tau, ProviderCacheStats, RoundCacheStats, RoundKey, RoundOneCache,
+    ShardProviderCache, ShardProviderKey,
 };
 pub use shard_proto::ResyncSnapshot;
 pub use shard_router::{
@@ -178,7 +180,8 @@ pub use shard_router::{
 };
 pub use shard_server::{ShardServer, ShardServerConfig};
 pub use snapshot::{
-    RoutedOp, Snapshot, SnapshotStore, UpdateBatch, UpdateOp, UpdateReceipt, UpdateSink,
+    RoutedOp, Snapshot, SnapshotStore, TrajectoryDelta, UpdateBatch, UpdateOp, UpdateReceipt,
+    UpdateSink,
 };
 pub use telemetry::{TelemetryServer, TelemetrySource};
 pub use trace::{

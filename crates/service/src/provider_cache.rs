@@ -15,6 +15,17 @@
 //! instance)` serves every `k`, ψ and τ in the band. Only a τ above the
 //! band top (the clamped last instance) keys an entry of its own.
 //!
+//! **Rows survive a publish.** Every apply site — the executor, the shard
+//! router for each in-process shard (under its update lock, so the first
+//! reader of the new epoch already finds them) and a shard server's
+//! `Apply` — hands the new epoch to [`carry_rows`]. When the batch applied
+//! only trajectory adds and removes, each resident `(shard, instance,
+//! built τ)` entry is patched in place into the new epoch
+//! ([`ProviderRows::patch`], bit-identical to a rebuild) instead of being
+//! purged; a batch that applied a site op purges them, because a
+//! representative may have moved. The candidate memo is purged on every
+//! publish either way.
+//!
 //! **Candidate memo.** By the greedy prefix property (the site chosen at
 //! step `i` never depends on `k`), a memoized [`ShardRoundOne`] computed
 //! for `k` answers any `k' ≤ k` at the same `(epoch, shard, τ, ψ)` by
@@ -106,6 +117,35 @@ pub fn rows_for(
         built
     });
     (p, rows, outcome)
+}
+
+/// Moves the provider cache to `epoch` after a publish: each shard's rows
+/// at `epoch - 1` are carried across when `shards` lists that shard with
+/// its snapshot at `epoch` and the snapshot records a
+/// [`TrajectoryDelta`](crate::snapshot::TrajectoryDelta) — taken out,
+/// patched in place ([`ProviderRows::patch`]; an entry a reader still
+/// holds is copied first) and filed under `epoch` — and everything else
+/// below `epoch` is purged.
+///
+/// Carried rows are the rows a build at `epoch` would make, so a reader
+/// of the new epoch finds them as a hit; a batch that applied a site op
+/// records no delta and its shard's rows are rebuilt on demand.
+pub fn carry_rows(providers: &ShardProviderCache, epoch: u64, shards: &[(u32, Arc<Snapshot>)]) {
+    let patchable = |shard: u32| {
+        shards.iter().find_map(|(s, snap)| {
+            let delta = snap.trajectory_delta()?;
+            (*s == shard && snap.epoch() == epoch).then_some((snap, delta))
+        })
+    };
+    let taken = providers.take_where(|k| k.epoch + 1 == epoch && patchable(k.shard).is_some());
+    providers.invalidate_before(epoch);
+    for (key, rows) in taken {
+        let (snap, delta) = patchable(key.shard).expect("taken only when patchable");
+        let instance = snap.index().instance(key.instance as usize);
+        let mut rows = Arc::unwrap_or_clone(rows);
+        rows.patch(instance, snap.trajs(), &delta.added, &delta.removed);
+        providers.upsert(ShardProviderKey { epoch, ..key }, Arc::new(rows), |_| true);
+    }
 }
 
 /// The round-1 candidate-memo key: lockstep epoch, shard, quantized τ and

@@ -1080,10 +1080,14 @@ pub(crate) mod tests {
         assert!(warm.providers.entries > 0);
         assert!(warm.rounds.entries > 0);
         assert_eq!(warm.rounds.hits, 2, "one memo hit per shard");
-        // An update advances the lockstep epoch and purges both caches.
-        router.apply_updates(vec![UpdateOp::AddTrajectory(Trajectory::new(
-            (0..4).map(NodeId).collect(),
-        ))]);
+        // A batch with a site op on each shard advances the lockstep epoch
+        // and purges both caches: a representative may have moved.
+        let receipt = router.apply_updates(vec![
+            UpdateOp::AddTrajectory(Trajectory::new((0..4).map(NodeId).collect())),
+            UpdateOp::RemoveSite(NodeId(3)),
+            UpdateOp::RemoveSite(NodeId(15)),
+        ]);
+        assert_eq!(receipt.applied, 3);
         let purged = router.metrics_report().shards.unwrap();
         assert_eq!(purged.providers.entries, 0, "stale provider survived");
         assert_eq!(purged.rounds.entries, 0, "stale round survived");
@@ -1095,6 +1099,58 @@ pub(crate) mod tests {
         let after = router.metrics_report().shards.unwrap();
         assert_eq!(after.cold.count, 2);
         router.shutdown();
+    }
+
+    /// A batch of trajectory adds and removes carries every shard's rows
+    /// into the new lockstep epoch, patched under the update lock — the
+    /// shard the batch left alone too — while the memo is purged. The
+    /// next query builds no rows and answers what an uncached router
+    /// answers at that epoch.
+    #[test]
+    fn trajectory_only_publish_carries_router_rows() {
+        let batch = || {
+            vec![
+                UpdateOp::AddTrajectory(Trajectory::new((1..6).map(NodeId).collect())),
+                UpdateOp::RemoveTrajectory(TrajId(1)),
+                UpdateOp::AddTrajectory(Trajectory::new((2..5).map(NodeId).collect())),
+            ]
+        };
+        let q = TopsQuery::binary(2, 700.0);
+        let (router, net, trajs, sites) = router(1);
+        router.query_blocking(q).unwrap();
+        let warm = router.metrics_report().shards.unwrap();
+        assert_eq!(warm.providers.entries, 2, "one row set per shard");
+        assert_eq!(router.apply_updates(batch()).applied, 3);
+        let carried = router.metrics_report().shards.unwrap();
+        assert_eq!(carried.providers.entries, 2, "rows were purged");
+        assert_eq!(carried.providers.invalidated, 0);
+        assert_eq!(carried.rounds.entries, 0, "stale round survived");
+        let answer = router.query_blocking(q).unwrap();
+        assert_eq!(answer.epoch, 1);
+        let after = router.metrics_report().shards.unwrap();
+        assert_eq!(
+            after.providers.misses, warm.providers.misses,
+            "carried rows were rebuilt"
+        );
+
+        let cfg = NetClusConfig {
+            tau_min: 200.0,
+            tau_max: 3_000.0,
+            threads: 1,
+            ..Default::default()
+        };
+        let partition = RegionPartition::build(&net, 2);
+        let sharded = ShardedNetClusIndex::build(&net, &trajs, &sites, &partition, cfg);
+        let uncached =
+            ShardRouter::start(net, sharded, ShardRouterConfig::uncached()).expect("start router");
+        uncached.apply_updates(batch());
+        let want = uncached.query_blocking(q).unwrap();
+        assert_eq!(want.epoch, 1);
+        assert_eq!(answer.sites, want.sites);
+        assert_eq!(answer.utility.to_bits(), want.utility.to_bits());
+        assert_eq!(answer.covered, want.covered);
+        router.shutdown();
+        uncached.shutdown();
     }
 
     #[test]

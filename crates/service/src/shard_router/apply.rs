@@ -11,7 +11,8 @@ use netclus_trajectory::TrajId;
 
 use super::*;
 use crate::fault::ShardFailure;
-use crate::snapshot::{RoutedOp, UpdateBatch};
+use crate::provider_cache::carry_rows;
+use crate::snapshot::{RoutedOp, Snapshot, UpdateBatch};
 
 /// Where one batch op's routed copies landed — `(shard, index in that
 /// shard's slice)` — so shard acks map back to per-op outcomes.
@@ -42,10 +43,24 @@ impl ShardRouter {
         let (acks, epoch) = inner.ship(&routed, state.epoch);
         state.epoch = epoch;
         let (applied, rejected) = reconcile(placements, &acks, &mut state.replication);
-        // The new lockstep epoch makes every older cache key unreachable;
-        // purge eagerly so stale providers/rounds release their memory.
+        // The new lockstep epoch makes every older cache key unreachable:
+        // each in-process shard's rows are carried across it from a
+        // replica that published it, the rest and every round are purged.
+        // Still under the update lock, so no reader sees the gap.
         if let Some(providers) = &inner.providers {
-            providers.invalidate_before(epoch);
+            let published: Vec<(u32, Arc<Snapshot>)> = inner
+                .shards
+                .iter()
+                .enumerate()
+                .filter_map(|(s, set)| {
+                    let stores = set.transports.iter().filter_map(|t| t.local_store());
+                    let snap = stores
+                        .map(SnapshotStore::load)
+                        .find(|snap| snap.epoch() == epoch)?;
+                    Some((s as u32, snap))
+                })
+                .collect();
+            carry_rows(providers, epoch, &published);
         }
         if let Some(rounds) = &inner.rounds {
             rounds.invalidate_before(epoch);

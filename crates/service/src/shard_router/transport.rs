@@ -22,8 +22,8 @@
 //!
 //! Dashboard traffic repeats `(k, τ)` shapes, and rebuilding each shard's
 //! [`ProviderRows`] per query is what kept the router ~350× slower than
-//! the monolithic executor. Two caches, both epoch-invalidated and shared
-//! by every router worker (a shard server keeps its own pair), close that
+//! the monolithic executor. Two caches, both keyed by epoch and shared by
+//! every router worker (a shard server keeps its own pair), close that
 //! gap; [`resolve_round1`] consults them cheapest first:
 //!
 //! * a round-1 **candidate memo** keyed `(epoch, shard, quantized τ, ψ)`
@@ -37,11 +37,14 @@
 //!   builds: concurrent misses on one key coalesce onto one builder
 //!   ([`crate::provider_cache`]).
 //!
-//! Both caches key on the lockstep epoch and are purged on every epoch
-//! advance, so a cached answer can never cross an update: the hot path is
-//! bit-identical to the cold path (proptested in
-//! `crates/service/tests/router_equivalence.rs`). A capacity of 0
-//! disables that cache (the cold reference configuration).
+//! Both caches key on the lockstep epoch, so a cached answer can never
+//! cross an update: the memo is purged on every epoch advance, and rows
+//! are carried across a publish that applied only trajectory adds and
+//! removes — patched in place into the rows a rebuild would make
+//! ([`crate::provider_cache::carry_rows`]) — and purged on one that
+//! applied a site op. The hot path is bit-identical to the cold path
+//! (proptested in `crates/service/tests/router_equivalence.rs`). A
+//! capacity of 0 disables that cache (the cold reference configuration).
 
 #![deny(clippy::too_many_lines)]
 

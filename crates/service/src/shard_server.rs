@@ -45,7 +45,7 @@ use crate::fault::{FaultAction, FaultPlan};
 use crate::framing::{frame_into, read_frame_into};
 use crate::jsonl;
 use crate::metrics::LatencyHistogram;
-use crate::provider_cache::{RoundOneCache, ShardProviderCache};
+use crate::provider_cache::{carry_rows, RoundOneCache, ShardProviderCache};
 use crate::shard_proto::{
     preference_from_key, Request, RespError, Response, ResyncSnapshot, SHARD_PROTOCOL_VERSION,
 };
@@ -452,16 +452,20 @@ fn handle_request(
         }
         Request::Apply { ops } => {
             let (receipt, results) = shared.store.apply_routed_results(&ops);
-            // The new epoch is published: everything keyed to older
-            // epochs is dead weight.
+            // The new epoch is published: rows carry across it (or are
+            // purged), older rounds are dead weight.
+            let snap = shared.store.load();
             if let Some(providers) = &shared.providers {
-                providers.invalidate_before(receipt.epoch);
+                carry_rows(
+                    providers,
+                    receipt.epoch,
+                    &[(shared.shard, Arc::clone(&snap))],
+                );
             }
             if let Some(rounds) = &shared.rounds {
                 rounds.invalidate_before(receipt.epoch);
             }
             shared.apply_batches.fetch_add(1, Ordering::Relaxed);
-            let snap = shared.store.load();
             Delivery::Send(Response::ApplyAck {
                 epoch: receipt.epoch,
                 live_trajs: snap.trajs().len() as u64,
@@ -657,6 +661,62 @@ mod tests {
         assert_eq!(outcome.results, vec![true]);
         assert_eq!(srv.epoch(), 2);
         srv.shutdown();
+    }
+
+    /// An `Apply` of trajectory adds and removes carries the server's
+    /// rows into the new epoch: the next round 1 builds none and returns
+    /// the candidates of a server that holds no rows.
+    #[test]
+    fn a_trajectory_only_apply_carries_the_rows() {
+        use netclus_roadnet::NodeId;
+        use netclus_trajectory::TrajId;
+        let ops = [
+            RoutedOp::AddTrajectoryAt(TrajId(2), Trajectory::new((1..4).map(NodeId).collect())),
+            RoutedOp::RemoveTrajectory(TrajId(0)),
+        ];
+        let mut srv = server(ShardServerConfig::default());
+        let mut cold = server(ShardServerConfig {
+            provider_cache_capacity: 0,
+            round_memo_capacity: 0,
+            ..Default::default()
+        });
+        let (shard, bare) = (remote(&srv), remote(&cold));
+        let (mut scratch, hist) = (ProviderScratch::default(), LatencyHistogram::default());
+        let mut round1 = |transport: &crate::shard_router::RemoteShard| {
+            let mut ctx = crate::shard_router::Round1Ctx {
+                shard: 0,
+                deadline: None,
+                providers: None,
+                rounds: None,
+                build_threads: 1,
+                scratch: &mut scratch,
+                provider_build: &hist,
+            };
+            transport
+                .round1(&TopsQuery::binary(2, 900.0), &mut ctx)
+                .expect("round1")
+        };
+        round1(&shard);
+        let providers = srv.shared.providers.as_ref().expect("provider cache");
+        assert_eq!(providers.stats().misses, 1);
+        assert_eq!(shard.apply(&ops).expect("apply").results, vec![true, true]);
+        assert_eq!(bare.apply(&ops).expect("apply").results, vec![true, true]);
+        let stats = providers.stats();
+        assert_eq!(
+            (stats.entries, stats.invalidated),
+            (1, 0),
+            "the rows were not carried"
+        );
+        let (carried, want) = (round1(&shard), round1(&bare));
+        assert_eq!((carried.epoch, want.epoch), (1, 1));
+        assert_eq!(providers.stats().misses, 1, "carried rows were rebuilt");
+        assert_eq!(carried.round.candidates, want.round.candidates);
+        assert_eq!(
+            carried.round.local_utility.to_bits(),
+            want.round.local_utility.to_bits()
+        );
+        srv.shutdown();
+        cold.shutdown();
     }
 
     #[test]

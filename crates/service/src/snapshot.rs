@@ -30,6 +30,19 @@ pub struct Snapshot {
     net: Arc<netclus_roadnet::RoadNetwork>,
     trajs: Arc<TrajectorySet>,
     index: Arc<NetClusIndex>,
+    delta: Option<TrajectoryDelta>,
+}
+
+/// How a snapshot's corpus differs from its predecessor's (one epoch
+/// earlier) when the batch that published it applied no site op: what a
+/// cache needs to carry rows across the publish
+/// ([`netclus::ProviderRows::patch`]).
+#[derive(Clone, Debug, Default)]
+pub struct TrajectoryDelta {
+    /// Ids the batch added and did not remove again, in batch order.
+    pub added: Vec<TrajId>,
+    /// Ids the batch removed that were live before it, in batch order.
+    pub removed: Vec<TrajId>,
 }
 
 impl Snapshot {
@@ -59,6 +72,13 @@ impl Snapshot {
     /// The NetClus index as of this epoch.
     pub fn index(&self) -> &NetClusIndex {
         &self.index
+    }
+
+    /// The trajectory adds and removes that turned the previous epoch's
+    /// state into this one — `None` for epoch 0, an installed snapshot
+    /// and a batch that applied a site op.
+    pub fn trajectory_delta(&self) -> Option<&TrajectoryDelta> {
+        self.delta.as_ref()
     }
 }
 
@@ -142,6 +162,7 @@ impl SnapshotStore {
             net,
             trajs: Arc::new(trajs),
             index: Arc::new(index),
+            delta: None,
         };
         SnapshotStore {
             current: RwLock::new(Arc::new(snapshot)),
@@ -214,6 +235,7 @@ impl SnapshotStore {
             net: Arc::clone(&base.net),
             trajs: Arc::new(trajs),
             index: Arc::new(index),
+            delta: None,
         });
     }
 
@@ -231,7 +253,8 @@ impl SnapshotStore {
     /// The single writer path behind [`SnapshotStore::apply`] and
     /// [`SnapshotStore::apply_routed`]: copy-on-write clone (reference
     /// counts only), sequential op application, atomic publish of the next
-    /// epoch.
+    /// epoch with the batch's net [`TrajectoryDelta`] (none once a site op
+    /// applied).
     fn apply_with<'a, I>(&self, ops: I) -> (UpdateReceipt, Vec<bool>)
     where
         I: Iterator<Item = GenericOp<'a>>,
@@ -245,34 +268,42 @@ impl SnapshotStore {
         let mut applied = 0usize;
         let mut rejected = 0usize;
         let mut results = Vec::new();
+        let mut delta = Some(TrajectoryDelta::default());
         for op in ops {
+            let site_op = matches!(op, GenericOp::AddSite(_) | GenericOp::RemoveSite(_));
             let ok = match op {
                 GenericOp::AddTrajectory(id, t) => {
                     if t.nodes().iter().any(|v| v.index() >= base.net.node_count()) {
                         false
                     } else {
-                        match id {
-                            // Router-assigned global id: refuse occupied
-                            // slots instead of silently relabeling.
-                            Some(id) => {
-                                if trajs.insert_at(id, t.clone()) {
-                                    index.add_trajectory(id, t);
-                                    true
-                                } else {
-                                    false
-                                }
-                            }
-                            None => {
-                                let id = trajs.add(t.clone());
-                                index.add_trajectory(id, t);
-                                true
+                        // Router-assigned global id: refuse occupied slots
+                        // instead of silently relabeling.
+                        let id = match id {
+                            Some(id) => trajs.insert_at(id, t.clone()).then_some(id),
+                            None => Some(trajs.add(t.clone())),
+                        };
+                        if let Some(id) = id {
+                            index.add_trajectory(id, t);
+                            if let Some(delta) = &mut delta {
+                                delta.added.push(id);
                             }
                         }
+                        id.is_some()
                     }
                 }
                 GenericOp::RemoveTrajectory(id) => match trajs.remove(id) {
                     Some(t) => {
                         index.remove_trajectory(id, &t);
+                        if let Some(delta) = &mut delta {
+                            // An id this batch added leaves no trace;
+                            // any other was live before the batch.
+                            match delta.added.iter().position(|&a| a == id) {
+                                Some(pos) => {
+                                    delta.added.remove(pos);
+                                }
+                                None => delta.removed.push(id),
+                            }
+                        }
                         true
                     }
                     None => false,
@@ -284,6 +315,9 @@ impl SnapshotStore {
                     v.index() < base.net.node_count() && index.remove_site(&trajs, v)
                 }
             };
+            if ok && site_op {
+                delta = None;
+            }
             results.push(ok);
             if ok {
                 applied += 1;
@@ -297,6 +331,7 @@ impl SnapshotStore {
             net: Arc::clone(&base.net),
             trajs: Arc::new(trajs),
             index: Arc::new(index),
+            delta,
         });
         (
             UpdateReceipt {
@@ -407,6 +442,46 @@ mod tests {
         let fresh = store.load();
         assert_eq!(fresh.epoch(), 1);
         assert_eq!(fresh.trajs().len(), 2);
+    }
+
+    /// A published epoch records the batch's net trajectory delta: an id
+    /// added and removed in the batch leaves no trace, a remove of a live
+    /// id stays, rejected ops record nothing — and a site op that applied
+    /// (unlike one that was rejected) records none at all.
+    #[test]
+    fn a_batch_records_its_net_trajectory_delta() {
+        let store = fixture();
+        assert!(store.load().trajectory_delta().is_none(), "epoch 0");
+        let walk = |from: u32| {
+            UpdateOp::AddTrajectory(Trajectory::new(vec![NodeId(from), NodeId(from + 1)]))
+        };
+        store.apply(&[
+            walk(1),
+            walk(4),
+            UpdateOp::RemoveTrajectory(TrajId(1)),
+            UpdateOp::RemoveTrajectory(TrajId(0)),
+            UpdateOp::RemoveTrajectory(TrajId(9)),
+            UpdateOp::AddSite(NodeId(3)),
+        ]);
+        let delta = store
+            .load()
+            .trajectory_delta()
+            .cloned()
+            .expect("no site op applied");
+        assert_eq!(delta.added, vec![TrajId(2)]);
+        assert_eq!(delta.removed, vec![TrajId(0)]);
+        store.apply(&[walk(6), UpdateOp::RemoveSite(NodeId(2))]);
+        assert!(
+            store.load().trajectory_delta().is_none(),
+            "a site op applied"
+        );
+        store.apply(&[]);
+        let empty = store
+            .load()
+            .trajectory_delta()
+            .cloned()
+            .expect("an empty batch");
+        assert!(empty.added.is_empty() && empty.removed.is_empty());
     }
 
     #[test]

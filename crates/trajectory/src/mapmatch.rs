@@ -15,8 +15,9 @@
 //!   shortest-path interpolation.
 //!
 //! All probabilities are kept in log space; route distances come from
-//! radius-bounded Dijkstra runs so matching a trace costs
-//! `O(fixes · candidates · ball)`.
+//! radius-bounded Dijkstra runs that stop once the next fix's candidates
+//! are all settled, so matching a trace costs `O(fixes · candidates ·
+//! ball)` with the ball cut at the farthest reachable candidate.
 
 use netclus_roadnet::{DijkstraEngine, GridIndex, NodeId, RoadNetwork};
 
@@ -126,7 +127,13 @@ impl MapMatcher {
                 if score[pj] == f64::NEG_INFINITY {
                     continue;
                 }
-                dijkstra.run_bounded(net.forward(), pv, bound);
+                // A settled distance is final: once every candidate of this
+                // fix is settled, the rest of the ball changes nothing.
+                let mut unsettled = cur.len();
+                dijkstra.run_bounded_until(net.forward(), pv, bound, |v, _| {
+                    unsettled -= cur.iter().filter(|&&(cv, _)| cv == v).count();
+                    unsettled == 0
+                });
                 for (cj, &(cv, cd)) in cur.iter().enumerate() {
                     let Some(route) = dijkstra.distance(cv) else {
                         continue;

@@ -2,8 +2,10 @@
 //! consistency under arbitrary add/remove interleavings, and map-matching
 //! recovery of noise-free traces.
 
-use netclus_roadnet::{GridIndex, NodeId, Point, RoadNetwork, RoadNetworkBuilder};
-use netclus_trajectory::{GpsPoint, GpsTrace, MapMatcher, TrajId, Trajectory, TrajectorySet};
+use netclus_roadnet::{DijkstraEngine, GridIndex, NodeId, Point, RoadNetwork, RoadNetworkBuilder};
+use netclus_trajectory::{
+    GpsPoint, GpsTrace, MapMatchError, MapMatcher, TrajId, Trajectory, TrajectorySet,
+};
 use proptest::prelude::*;
 
 fn grid_net(n: u32, spacing: f64) -> RoadNetwork {
@@ -25,6 +27,111 @@ fn grid_net(n: u32, spacing: f64) -> RoadNetwork {
         }
     }
     b.build().unwrap()
+}
+
+/// An `n × n` two-way grid whose every edge is `spacing` times its own
+/// factor from `stretch` (cycled), so route distances differ from
+/// straight lines and tie less often.
+fn stretched_grid(n: u32, spacing: f64, stretch: &[f64]) -> RoadNetwork {
+    let mut b = RoadNetworkBuilder::new();
+    for y in 0..n {
+        for x in 0..n {
+            b.add_node(Point::new(x as f64 * spacing, y as f64 * spacing));
+        }
+    }
+    let mut factor = stretch.iter().cycle();
+    for y in 0..n {
+        for x in 0..n {
+            let id = NodeId(y * n + x);
+            if x + 1 < n {
+                let w = spacing * factor.next().unwrap();
+                b.add_two_way(id, NodeId(y * n + x + 1), w).unwrap();
+            }
+            if y + 1 < n {
+                let w = spacing * factor.next().unwrap();
+                b.add_two_way(id, NodeId((y + 1) * n + x), w).unwrap();
+            }
+        }
+    }
+    b.build().unwrap()
+}
+
+/// The Viterbi decoding with every transition search run to its full
+/// bound — what `MapMatcher::match_anchors` computed before its searches
+/// stopped at the last settled candidate. The emission and transition
+/// terms are the matcher's, from its public parameters.
+fn full_ball_anchors(
+    m: &MapMatcher,
+    net: &RoadNetwork,
+    grid: &GridIndex,
+    trace: &GpsTrace,
+) -> Result<Vec<NodeId>, MapMatchError> {
+    let emission = |d: f64| -0.5 * (d / m.sigma).powi(2);
+    let transition = |route: f64, disp: f64| -(route - disp).abs() / m.beta;
+    let fixes = trace.points();
+    if fixes.is_empty() {
+        return Err(MapMatchError::EmptyTrace);
+    }
+    let mut candidates: Vec<Vec<(NodeId, f64)>> = Vec::new();
+    let mut genuine = 0;
+    for (i, fix) in fixes.iter().enumerate() {
+        let mut cands = grid.within(net, fix.pos, m.candidate_radius);
+        cands.truncate(m.max_candidates);
+        if cands.is_empty() {
+            match grid.nearest(net, fix.pos) {
+                Some((v, d)) if d <= 3.0 * m.candidate_radius => cands.push((v, d)),
+                _ => return Err(MapMatchError::NoCandidates { point_index: i }),
+            }
+        } else {
+            genuine += 1;
+        }
+        candidates.push(cands);
+    }
+    if genuine == 0 {
+        return Err(MapMatchError::OffNetwork);
+    }
+    let mut dijkstra = DijkstraEngine::new(net.node_count());
+    let mut score: Vec<f64> = candidates[0].iter().map(|&(_, d)| emission(d)).collect();
+    let mut back: Vec<Vec<usize>> = vec![Vec::new()];
+    for i in 1..fixes.len() {
+        let disp = fixes[i - 1].pos.distance(&fixes[i].pos);
+        let bound = disp * m.route_slack + 2.0 * m.candidate_radius + 50.0;
+        let (prev, cur) = (&candidates[i - 1], &candidates[i]);
+        let mut new_score = vec![f64::NEG_INFINITY; cur.len()];
+        let mut new_back = vec![usize::MAX; cur.len()];
+        for (pj, &(pv, _)) in prev.iter().enumerate() {
+            if score[pj] == f64::NEG_INFINITY {
+                continue;
+            }
+            dijkstra.run_bounded(net.forward(), pv, bound);
+            for (cj, &(cv, cd)) in cur.iter().enumerate() {
+                let Some(route) = dijkstra.distance(cv) else {
+                    continue;
+                };
+                let logp = score[pj] + transition(route, disp) + emission(cd);
+                if logp > new_score[cj] {
+                    new_score[cj] = logp;
+                    new_back[cj] = pj;
+                }
+            }
+        }
+        if new_score.iter().all(|&s| s == f64::NEG_INFINITY) {
+            return Err(MapMatchError::BrokenPath { point_index: i });
+        }
+        score = new_score;
+        back.push(new_back);
+    }
+    let mut j = (0..score.len())
+        .max_by(|&a, &b| score[a].total_cmp(&score[b]))
+        .unwrap();
+    let mut anchors = vec![NodeId(0); fixes.len()];
+    for i in (0..fixes.len()).rev() {
+        anchors[i] = candidates[i][j].0;
+        if i > 0 {
+            j = back[i][j];
+        }
+    }
+    Ok(anchors)
 }
 
 /// Operations on a trajectory set.
@@ -97,6 +204,42 @@ proptest! {
         prop_assert_eq!(cum[0], 0.0);
         prop_assert!(cum.windows(2).all(|w| w[0] <= w[1]));
         prop_assert!((cum.last().unwrap() - t.route_length(&net)).abs() < 1e-9);
+    }
+
+    /// Stopping each transition search once the next fix's candidates are
+    /// settled changes no anchor: random noisy traces on a random
+    /// stretched grid decode to the anchors (or the error) of the search
+    /// run to its full bound.
+    #[test]
+    fn early_stopped_searches_give_the_anchors_of_full_balls(
+        n in 3u32..9,
+        spacing in 40.0f64..250.0,
+        stretch in prop::collection::vec(1.0f64..2.5, 1..40),
+        fixes in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..14),
+        radius in 60.0f64..400.0,
+        max_candidates in 1usize..10,
+        slack in 1.0f64..5.0,
+    ) {
+        let net = stretched_grid(n, spacing, &stretch);
+        let grid = GridIndex::build(&net, spacing);
+        let extent = f64::from(n - 1) * spacing;
+        let trace = GpsTrace::new(
+            fixes
+                .iter()
+                .enumerate()
+                .map(|(i, &(x, y))| GpsPoint::new(Point::new(x * extent, y * extent), i as f64 * 10.0))
+                .collect(),
+        );
+        let matcher = MapMatcher {
+            candidate_radius: radius,
+            max_candidates,
+            route_slack: slack,
+            ..MapMatcher::default()
+        };
+        prop_assert_eq!(
+            matcher.match_anchors(&net, &grid, &trace),
+            full_ball_anchors(&matcher, &net, &grid, &trace)
+        );
     }
 
     /// The map matcher exactly recovers noise-free traces sampled on grid

@@ -17,6 +17,12 @@
 //! * `store` — the same batches through [`SnapshotStore::apply_routed`],
 //!   end to end.
 //!
+//! Per shard × instance it also times what a provider cache pays for the
+//! epoch's ceiling rows: `rebuild` ([`ProviderRows::build_with`] on the
+//! new epoch, one thread) against `patch` ([`ProviderRows::patch`] of the
+//! rows held from the previous epoch, in place), and asserts both give
+//! the same FNV-1a digest after every batch.
+//!
 //! It then starts a [`ShardRouter`] over the same shards and times
 //! [`ShardRouter::apply_updates`] on 64-op batches of the same mix. After
 //! the last batch, every shard's published index must build ceiling rows
@@ -49,30 +55,52 @@ fn median_us(mut samples: Vec<Duration>) -> f64 {
     samples[samples.len() / 2].as_secs_f64() * 1e6
 }
 
-/// FNV-1a over the rows every instance of `index` builds at its band
-/// ceiling: per row the representative, length, ids and distance bits.
+/// FNV-1a over a provider's rows: per row the representative, length,
+/// ids and distance bits, then the id bound.
+fn digest(view: &ClusteredProvider) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for i in 0..view.site_count() {
+        let row = view.covered(i);
+        eat(&view.site_node(i).0.to_le_bytes());
+        eat(&(row.len() as u32).to_le_bytes());
+        row.ids.iter().for_each(|id| eat(&id.to_le_bytes()));
+        row.dists
+            .iter()
+            .for_each(|d| eat(&d.to_bits().to_le_bytes()));
+    }
+    eat(&(view.rows().traj_id_bound() as u64).to_le_bytes());
+    h
+}
+
+/// The digests of the rows every instance of `index` builds at its band
+/// ceiling.
 fn ceiling_digests(index: &NetClusIndex, traj_id_bound: usize) -> Vec<u64> {
     index
         .instances()
         .iter()
         .map(|inst| {
-            let view = ClusteredProvider::build(inst, inst.neighbor_limit, traj_id_bound);
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            let mut eat = |bytes: &[u8]| {
-                for &b in bytes {
-                    h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-                }
-            };
-            for i in 0..view.site_count() {
-                let row = view.covered(i);
-                eat(&view.site_node(i).0.to_le_bytes());
-                eat(&(row.len() as u32).to_le_bytes());
-                row.ids.iter().for_each(|id| eat(&id.to_le_bytes()));
-                row.dists
-                    .iter()
-                    .for_each(|d| eat(&d.to_bits().to_le_bytes()));
-            }
-            h
+            digest(&ClusteredProvider::build(
+                inst,
+                inst.neighbor_limit,
+                traj_id_bound,
+            ))
+        })
+        .collect()
+}
+
+/// The ceiling rows of every instance, as a cache keeps them.
+fn ceiling_rows(index: &NetClusIndex, traj_id_bound: usize) -> Vec<ProviderRows> {
+    let mut scratch = ProviderScratch::default();
+    index
+        .instances()
+        .iter()
+        .map(|inst| {
+            ProviderRows::build_with(inst, inst.neighbor_limit, traj_id_bound, 1, &mut scratch)
         })
         .collect()
 }
@@ -141,6 +169,7 @@ fn main() {
         "shard", "trajs", "index MiB", "clone", "apply", "drop", "store"
     );
     let mut next_id = sharded.traj_id_bound() as u32;
+    let mut carried = Vec::with_capacity(SHARDS);
     for shard in sharded.shards() {
         let s = shard.id;
         let store = SnapshotStore::with_shared_net(
@@ -150,6 +179,10 @@ fn main() {
         );
         let mut epoch = (shard.trajs.clone(), shard.index.clone());
         let (mut clone, mut applied, mut dropped, mut stored) = (vec![], vec![], vec![], vec![]);
+        // Per instance: the resident ceiling rows and the time to rebuild
+        // them or to patch them across each batch.
+        let mut rows = ceiling_rows(&epoch.1, epoch.0.id_bound());
+        let mut carry: Vec<(Vec<Duration>, Vec<Duration>)> = vec![(vec![], vec![]); rows.len()];
         for _ in 0..SAMPLES {
             let mut ops: Vec<RoutedOp> = Vec::with_capacity(2 * HALF_BATCH);
             while ops.len() < HALF_BATCH {
@@ -178,6 +211,35 @@ fn main() {
             let receipt = store.apply_routed(&ops);
             stored.push(t.elapsed());
             assert_eq!(receipt.applied, ops.len(), "shard {s}: every op applies");
+
+            let (mut added, mut removed) = (vec![], vec![]);
+            for op in &ops {
+                match op {
+                    RoutedOp::AddTrajectoryAt(id, _) => added.push(*id),
+                    RoutedOp::RemoveTrajectory(id) => removed.push(*id),
+                    _ => unreachable!("the probe ships trajectory ops only"),
+                }
+            }
+            let bound = epoch.0.id_bound();
+            let mut scratch = ProviderScratch::default();
+            for ((inst, held), (rebuilds, patches)) in
+                epoch.1.instances().iter().zip(&mut rows).zip(&mut carry)
+            {
+                let t = Instant::now();
+                let fresh =
+                    ProviderRows::build_with(inst, inst.neighbor_limit, bound, 1, &mut scratch);
+                rebuilds.push(t.elapsed());
+                let t = Instant::now();
+                held.patch(inst, &epoch.0, &added, &removed);
+                patches.push(t.elapsed());
+                let tau = inst.neighbor_limit;
+                let (fresh, held) = (Arc::new(fresh), Arc::new(held.clone()));
+                assert_eq!(
+                    digest(&held.view(tau)),
+                    digest(&fresh.view(tau)),
+                    "shard {s}: patched rows differ from a rebuild's"
+                );
+            }
         }
         let published = store.load();
         let bound = next_id as usize;
@@ -196,6 +258,28 @@ fn main() {
             median_us(dropped),
             median_us(stored),
         );
+        carried.push((s, rows, carry));
+    }
+
+    println!(
+        "\nceiling rows per shard × instance across each batch: rebuild vs patch in place, \
+         median of {SAMPLES} (µs; digests asserted equal)"
+    );
+    println!(
+        "{:>5} {:>8} {:>10} {:>10} {:>10}",
+        "shard", "instance", "pairs", "rebuild", "patch"
+    );
+    for (s, rows, carry) in carried {
+        for (p, (held, (rebuilds, patches))) in rows.iter().zip(carry).enumerate() {
+            println!(
+                "{:>5} {:>8} {:>10} {:>10.0} {:>10.0}",
+                s,
+                p,
+                held.pair_count(),
+                median_us(rebuilds),
+                median_us(patches),
+            );
+        }
     }
 
     // The router over the same shards, with a global corpus kept beside it
