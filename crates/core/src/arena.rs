@@ -25,6 +25,8 @@
 //! which carries a cached `T̂C` row set across a trajectory-only publish
 //! in place.
 
+use crate::par;
+
 /// A borrowed arena row: parallel `ids`/`dists` slices of equal length.
 ///
 /// The meaning of `ids` depends on the row's direction: trajectory ids for
@@ -152,8 +154,12 @@ impl PairArena {
     }
 
     /// Concatenates shard arenas row-wise, in order — the deterministic
-    /// merge step of a sharded parallel build.
-    pub fn concat(parts: Vec<PairArena>) -> Self {
+    /// merge step of a sharded parallel build. A lone part is moved, not
+    /// copied, and keeps its capacity.
+    pub fn concat(mut parts: Vec<PairArena>) -> Self {
+        if parts.len() == 1 {
+            return parts.pop().expect("one part");
+        }
         let rows: usize = parts.iter().map(PairArena::row_count).sum();
         let pairs: usize = parts.iter().map(PairArena::pair_count).sum();
         let mut out = PairArena {
@@ -180,11 +186,12 @@ impl PairArena {
     /// in ascending `r` — exactly the `SC` ordering the greedy relies on.
     /// Two passes (count, fill), no per-row vectors.
     ///
-    /// The fill pass is sharded over `threads` workers (bit-identical
-    /// output for every count). Each worker owns a contiguous range of
-    /// target ids — and therefore a contiguous output segment — and scans
-    /// the source pairs once, so parallelism costs no synchronization on
-    /// the output.
+    /// The fill pass runs on up to `threads` workers, the caller's thread
+    /// one of them (bit-identical output for every count; below 4096
+    /// pairs the caller fills alone). Each worker owns a contiguous range
+    /// of target ids — and therefore a contiguous output segment — and
+    /// scans the source pairs once, so parallelism costs no
+    /// synchronization on the output.
     pub fn invert_threaded(&self, id_bound: usize, threads: usize) -> PairArena {
         // Pass 1: per-target counts → CSR offsets.
         let mut counts = vec![0u32; id_bound];
@@ -202,62 +209,48 @@ impl PairArena {
         let mut ids = vec![0u32; pairs];
         let mut dists = vec![0.0f64; pairs];
 
-        let workers = threads.max(1).min(id_bound.max(1));
-        if workers <= 1 || pairs < 4096 {
-            // Sequential fill: one scan in row order keeps every output
-            // row sorted by source row.
-            let mut cursor: Vec<u32> = offsets[..id_bound].to_vec();
-            for r in 0..self.row_count() {
-                let row = self.row(r);
-                for (id, d) in row.iter() {
-                    let c = cursor[id as usize] as usize;
-                    ids[c] = r as u32;
-                    dists[c] = d;
-                    cursor[id as usize] += 1;
-                }
-            }
+        // Below 4096 pairs a spawn costs more than the fill it moves.
+        let workers = if pairs < 4096 {
+            1
         } else {
-            // Split the target-id space into `workers` contiguous ranges of
-            // roughly equal pair mass; each range owns a contiguous slice
-            // of the output arrays.
-            let bounds = balance_ranges(&offsets, workers);
-            let mut id_parts: Vec<&mut [u32]> = Vec::with_capacity(workers);
-            let mut dist_parts: Vec<&mut [f64]> = Vec::with_capacity(workers);
-            let (mut id_rest, mut dist_rest) = (&mut ids[..], &mut dists[..]);
-            for w in bounds.windows(2) {
-                let seg = (offsets[w[1]] - offsets[w[0]]) as usize;
-                let (a, b) = id_rest.split_at_mut(seg);
-                let (c, d) = dist_rest.split_at_mut(seg);
-                id_parts.push(a);
-                dist_parts.push(c);
-                id_rest = b;
-                dist_rest = d;
-            }
-            std::thread::scope(|scope| {
-                for ((w, seg_ids), seg_dists) in bounds.windows(2).zip(id_parts).zip(dist_parts) {
-                    let (lo, hi) = (w[0], w[1]);
-                    let src = &*self;
-                    let offsets = &offsets;
-                    scope.spawn(move || {
-                        let base = offsets[lo];
-                        let mut cursor: Vec<u32> =
-                            offsets[lo..hi].iter().map(|&o| o - base).collect();
-                        for r in 0..src.row_count() {
-                            for (id, d) in src.row(r).iter() {
-                                let id = id as usize;
-                                if id < lo || id >= hi {
-                                    continue;
-                                }
-                                let c = cursor[id - lo] as usize;
-                                seg_ids[c] = r as u32;
-                                seg_dists[c] = d;
-                                cursor[id - lo] += 1;
-                            }
-                        }
-                    });
-                }
-            });
+            threads.max(1).min(id_bound.max(1))
+        };
+        // Split the target-id space into `workers` contiguous ranges of
+        // roughly equal pair mass; each range owns a contiguous segment of
+        // the output arrays.
+        let ranges: Vec<(usize, usize)> = balance_ranges(&offsets, workers)
+            .windows(2)
+            .map(|w| (w[0], w[1]))
+            .collect();
+        let mut segments = Vec::with_capacity(workers);
+        let (mut id_rest, mut dist_rest) = (&mut ids[..], &mut dists[..]);
+        for &(lo, hi) in &ranges {
+            let seg = (offsets[hi] - offsets[lo]) as usize;
+            let (a, b) = id_rest.split_at_mut(seg);
+            let (c, d) = dist_rest.split_at_mut(seg);
+            segments.push((a, c));
+            id_rest = b;
+            dist_rest = d;
         }
+        // One scan in row order per range keeps every output row sorted by
+        // source row.
+        par::chunked(&ranges, &mut segments, |range, (seg_ids, seg_dists), _| {
+            let (lo, hi) = range[0];
+            let base = offsets[lo];
+            let mut cursor: Vec<u32> = offsets[lo..hi].iter().map(|&o| o - base).collect();
+            for r in 0..self.row_count() {
+                for (id, d) in self.row(r).iter() {
+                    let id = id as usize;
+                    if id < lo || id >= hi {
+                        continue;
+                    }
+                    let c = cursor[id - lo] as usize;
+                    seg_ids[c] = r as u32;
+                    seg_dists[c] = d;
+                    cursor[id - lo] += 1;
+                }
+            }
+        });
 
         PairArena {
             offsets,

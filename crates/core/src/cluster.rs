@@ -31,6 +31,7 @@ use netclus_roadnet::{NodeId, RoadNetwork, RoundTripEngine};
 use netclus_trajectory::{TrajId, Trajectory, TrajectorySet};
 
 use crate::gdsp::GdspResult;
+use crate::par;
 
 /// An immutable slice shared by every clone that has not replaced it:
 /// cloning bumps a reference count, and an edit builds a new slice. The
@@ -410,49 +411,34 @@ pub(crate) fn choose_representative(
     }
 }
 
-/// Round-trip balls from every center, filtered to other centers. Each
-/// list is sized to its neighbors, not to the ball it was cut from.
+/// Round-trip balls from every center, filtered to other centers, in
+/// center order. Each list is sized to its neighbors, not to the ball it
+/// was cut from.
 fn compute_neighbors(
     net: &RoadNetwork,
     centers: &[NodeId],
     center_of: &[u32],
     limit: f64,
     threads: usize,
-) -> Vec<SharedSlice<(u32, f64)>> {
-    let eta = centers.len();
-    let mut lists: Vec<SharedSlice<(u32, f64)>> = vec![SharedSlice::default(); eta];
-    let workers = threads.max(1).min(eta.max(1));
-    let compute = |center: NodeId, rt: &mut RoundTripEngine| -> SharedSlice<(u32, f64)> {
-        rt.ball(net, center, limit)
-            .into_iter()
-            .filter_map(|(v, d)| {
-                let ci = center_of[v.index()];
-                (ci != u32::MAX).then_some((ci, d))
-            })
-            .collect()
-    };
-    if workers <= 1 {
+) -> impl Iterator<Item = SharedSlice<(u32, f64)>> {
+    let workers = threads.max(1).min(centers.len().max(1));
+    par::chunked(centers, &mut vec![(); workers], |chunk, _, _| {
         let mut rt = RoundTripEngine::for_network(net);
-        for (i, &c) in centers.iter().enumerate() {
-            lists[i] = compute(c, &mut rt);
-        }
-    } else {
-        let chunk = eta.div_ceil(workers);
-        let center_chunks: Vec<&[NodeId]> = centers.chunks(chunk).collect();
-        let mut list_chunks: Vec<&mut [SharedSlice<(u32, f64)>]> =
-            lists.chunks_mut(chunk).collect();
-        std::thread::scope(|scope| {
-            for (cs, ls) in center_chunks.iter().zip(list_chunks.iter_mut()) {
-                scope.spawn(move || {
-                    let mut rt = RoundTripEngine::for_network(net);
-                    for (slot, &c) in ls.iter_mut().zip(cs.iter()) {
-                        *slot = compute(c, &mut rt);
-                    }
-                });
-            }
-        });
-    }
-    lists
+        chunk
+            .iter()
+            .map(|&center| {
+                rt.ball(net, center, limit)
+                    .into_iter()
+                    .filter_map(|(v, d)| {
+                        let ci = center_of[v.index()];
+                        (ci != u32::MAX).then_some((ci, d))
+                    })
+                    .collect()
+            })
+            .collect::<Vec<SharedSlice<(u32, f64)>>>()
+    })
+    .into_iter()
+    .flatten()
 }
 
 #[cfg(test)]

@@ -35,6 +35,7 @@ use netclus_trajectory::{TrajId, TrajectorySet};
 
 use crate::arena::{PairArena, PairArenaBuilder, PairSlice};
 use crate::detour::{DetourEngine, DetourModel};
+use crate::par;
 
 /// One owned `TC` row set: row `i` lists the trajectories (ids) site `i`
 /// covers with their detour distances, ascending by distance, and
@@ -203,10 +204,10 @@ pub struct CoverageIndex {
 impl CoverageIndex {
     /// Builds the coverage sets for `sites` under threshold `tau`.
     ///
-    /// `threads` bounds the worker count (0 or 1 = sequential). Each worker
-    /// owns a [`DetourEngine`] and fills its own arena shard, so peak
-    /// scratch memory scales with the thread count while the result is
-    /// bit-identical to a sequential build (shards are concatenated in
+    /// `threads` bounds the worker count (0 or 1 = the caller alone). Each
+    /// worker owns a [`DetourEngine`] and fills the arena of its chunk of
+    /// sites, so peak scratch memory scales with the thread count while
+    /// the result is the same for every count (chunks are concatenated in
     /// site order).
     pub fn build(
         net: &RoadNetwork,
@@ -218,27 +219,12 @@ impl CoverageIndex {
     ) -> CoverageIndex {
         assert!(tau.is_finite() && tau >= 0.0, "invalid τ: {tau}");
         let start = Instant::now();
-        let n = sites.len();
-
-        let workers = threads.max(1).min(n.max(1));
-        let tc = if workers <= 1 {
-            build_tc_shard(net, trajs, sites, tau, model)
-        } else {
-            let chunk = n.div_ceil(workers);
-            let parts: Vec<PairArena> = std::thread::scope(|scope| {
-                let handles: Vec<_> = sites
-                    .chunks(chunk)
-                    .map(|site_chunk| {
-                        scope.spawn(move || build_tc_shard(net, trajs, site_chunk, tau, model))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("coverage worker panicked"))
-                    .collect()
-            });
-            PairArena::concat(parts)
-        };
+        let workers = threads.max(1).min(sites.len().max(1));
+        let tc = PairArena::concat(par::chunked(
+            sites,
+            &mut vec![(); workers],
+            |chunk, _, _| build_tc_shard(net, trajs, chunk, tau, model),
+        ));
 
         // Invert TC into SC: counting-sort two-pass, ascending site order.
         let traj_id_bound = trajs.id_bound();
@@ -291,8 +277,7 @@ impl CoverageIndex {
     }
 }
 
-/// Sequentially builds the TC arena shard for `sites` (helper shared by the
-/// sequential path and each parallel worker).
+/// Builds the TC arena of one worker's chunk of `sites`.
 fn build_tc_shard(
     net: &RoadNetwork,
     trajs: &TrajectorySet,

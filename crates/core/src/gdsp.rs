@@ -27,6 +27,8 @@ use std::time::{Duration, Instant};
 use netclus_roadnet::{NodeId, RoadNetwork, RoundTripEngine};
 use netclus_sketch::{FmSketch, FmSketchFamily};
 
+use crate::par;
+
 /// Which gain oracle drives the greedy selection.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum GdspMode {
@@ -48,7 +50,7 @@ pub struct GdspConfig {
     pub radius: f64,
     /// Gain oracle.
     pub mode: GdspMode,
-    /// Worker threads for the ball-size sweep (0/1 = sequential).
+    /// Worker threads for the ball-size sweep (0/1 = the caller alone).
     pub threads: usize,
 }
 
@@ -123,62 +125,36 @@ pub fn greedy_gdsp(net: &RoadNetwork, cfg: &GdspConfig) -> GdspResult {
     }
 }
 
-/// Computes all ball sizes (and optional sketches) in parallel.
+/// Computes all ball sizes (and optional sketches) in parallel, in node
+/// order.
 fn ball_sweep(
     net: &RoadNetwork,
     limit: f64,
     family: Option<&FmSketchFamily>,
     threads: usize,
 ) -> (Vec<u32>, Option<Vec<FmSketch>>) {
-    let n = net.node_count();
-    let mut sizes = vec![0u32; n];
-    let mut sketches: Option<Vec<FmSketch>> = family.map(|f| vec![f.empty(); n]);
-
-    let workers = threads.max(1).min(n.max(1));
-    if workers <= 1 {
+    let workers = threads.max(1).min(net.node_count().max(1));
+    // One point per node, so a chunk of points is a range of node ids.
+    let parts = par::chunked(net.points(), &mut vec![(); workers], |chunk, _, first| {
         let mut rt = RoundTripEngine::for_network(net);
-        for v in 0..n {
+        let mut sizes = Vec::with_capacity(chunk.len());
+        let mut sketches = Vec::new();
+        for v in first..first + chunk.len() {
             let ball = rt.ball(net, NodeId(v as u32), limit);
-            sizes[v] = ball.len() as u32;
-            if let (Some(f), Some(sk)) = (family, sketches.as_mut()) {
-                let s = &mut sk[v];
+            sizes.push(ball.len() as u32);
+            if let Some(f) = family {
+                let mut s = f.empty();
                 for &(u, _) in &ball {
-                    f.insert(s, u.0 as u64);
+                    f.insert(&mut s, u.0 as u64);
                 }
+                sketches.push(s);
             }
         }
-    } else {
-        let chunk = n.div_ceil(workers);
-        let mut size_chunks: Vec<&mut [u32]> = sizes.chunks_mut(chunk).collect();
-        let mut sketch_chunks: Vec<Option<&mut [FmSketch]>> = match sketches.as_mut() {
-            Some(sk) => sk.chunks_mut(chunk).map(Some).collect(),
-            None => (0..size_chunks.len()).map(|_| None).collect(),
-        };
-        std::thread::scope(|scope| {
-            for (ci, (size_chunk, sketch_chunk)) in size_chunks
-                .iter_mut()
-                .zip(sketch_chunks.iter_mut())
-                .enumerate()
-            {
-                let base = ci * chunk;
-                scope.spawn(move || {
-                    let mut rt = RoundTripEngine::for_network(net);
-                    for (off, slot) in size_chunk.iter_mut().enumerate() {
-                        let v = base + off;
-                        let ball = rt.ball(net, NodeId(v as u32), limit);
-                        *slot = ball.len() as u32;
-                        if let (Some(f), Some(sk)) = (family, sketch_chunk.as_mut()) {
-                            let s = &mut sk[off];
-                            for &(u, _) in &ball {
-                                f.insert(s, u.0 as u64);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-    }
-    (sizes, sketches)
+        (sizes, sketches)
+    });
+    let (sizes, sketches): (Vec<Vec<u32>>, Vec<Vec<FmSketch>>) = parts.into_iter().unzip();
+    let sketches = family.map(|_| sketches.into_iter().flatten().collect());
+    (sizes.concat(), sketches)
 }
 
 /// CELF lazy-greedy with exact uncovered counts.

@@ -124,6 +124,7 @@ pub mod index;
 pub mod jaccard;
 pub mod market;
 pub mod memory;
+mod par;
 pub mod preference;
 pub mod query;
 pub mod shard;

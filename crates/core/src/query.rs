@@ -70,12 +70,15 @@
 //!
 //! ## Hot-path layout and parallelism
 //!
-//! Per-representative rows are computed in parallel shards (each worker
-//! with its own scratch, merged in cluster order — bit-identical to the
-//! sequential build). There is no inverted `ŜC`: the solvers that run on
-//! a provider read `T̂C` alone (see [`crate::coverage`]). Callers answering
-//! many queries should reuse a [`ProviderScratch`] across builds so its
-//! arrays are allocated once per worker, not per query.
+//! Per-representative rows are computed in contiguous chunks of
+//! representatives, one per worker, each with its own scratch: the
+//! caller's thread builds the first chunk and a scoped thread each other
+//! one, and the chunks are concatenated in cluster order, so the rows are
+//! the same for every worker count and one worker spawns nothing. There
+//! is no inverted `ŜC`: the solvers that run on a provider read `T̂C`
+//! alone (see [`crate::coverage`]). Callers answering many queries should
+//! reuse a [`ProviderScratch`] across builds so its arrays are allocated
+//! once per worker, not per query.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -89,6 +92,7 @@ use crate::coverage::{CoverageProvider, Rows, RowsView};
 use crate::fm_greedy::{fm_greedy, FmGreedyConfig};
 use crate::greedy::{inc_greedy, inc_greedy_seeded};
 use crate::index::NetClusIndex;
+use crate::par;
 use crate::preference::PreferenceFunction;
 use crate::solution::Solution;
 
@@ -220,9 +224,11 @@ impl ProviderRows {
     }
 
     /// The one kernel entry: representatives in cluster order, then their
-    /// rows at `built_tau` on up to `threads` workers. Vectors keep the
-    /// capacity they grew to; the bare per-τ path drops them after one
-    /// query, so shrinking them would only add a copy.
+    /// rows at `built_tau` on up to `threads` workers, the caller building
+    /// the first chunk of representatives. Vectors keep the capacity they
+    /// grew to (a lone chunk's arena is moved, not copied); the bare per-τ
+    /// path drops them after one query, so shrinking them would only add a
+    /// copy.
     fn build_growing(
         instance: &ClusterInstance,
         built_tau: f64,
@@ -242,40 +248,18 @@ impl ProviderRows {
             }
         }
 
-        // At least MIN_REPS_PER_WORKER representatives per shard — below
+        // At least MIN_REPS_PER_WORKER representatives per chunk — below
         // that, thread spawn costs more than the work it moves off-core.
         const MIN_REPS_PER_WORKER: usize = 16;
         let workers = threads
             .max(1)
             .min(rep_cluster.len().div_ceil(MIN_REPS_PER_WORKER).max(1));
-        let worker_scratch = scratch.ensure_workers(workers);
-        let tc = if workers <= 1 {
-            build_tc_shard(
-                instance,
-                built_tau,
-                traj_id_bound,
-                &rep_cluster,
-                &mut worker_scratch[0],
-            )
-        } else {
-            let chunk = rep_cluster.len().div_ceil(workers);
-            let parts: Vec<PairArena> = std::thread::scope(|scope| {
-                let handles: Vec<_> = rep_cluster
-                    .chunks(chunk)
-                    .zip(worker_scratch.iter_mut())
-                    .map(|(shard, ws)| {
-                        scope.spawn(move || {
-                            build_tc_shard(instance, built_tau, traj_id_bound, shard, ws)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("provider worker panicked"))
-                    .collect()
-            });
-            PairArena::concat(parts)
-        };
+        let parts = par::chunked(
+            &rep_cluster,
+            scratch.ensure_workers(workers),
+            |shard, ws, _| build_tc_shard(instance, built_tau, traj_id_bound, shard, ws),
+        );
+        let tc = PairArena::concat(parts);
 
         ProviderRows {
             tc: Rows::new(tc, reps, traj_id_bound),
@@ -445,8 +429,8 @@ impl ClusteredProvider {
     /// Builds the clustered view with up to `threads` workers, reusing
     /// `scratch` across calls: rows built at `tau`, viewed whole. The
     /// output is bit-identical for every thread count: representatives
-    /// are sharded contiguously, each worker computes its rows
-    /// independently, and the shards are concatenated in cluster order.
+    /// are split into contiguous chunks, each worker computes its rows
+    /// independently, and the chunks are concatenated in cluster order.
     pub fn build_with(
         instance: &ClusterInstance,
         tau: f64,
@@ -490,7 +474,7 @@ impl ClusteredProvider {
 
 /// Builds the `T̂C` rows of the representatives whose cluster indices are
 /// in `shard` at threshold `tau` — the only place estimates are computed
-/// (shared by the sequential path and each worker). `tau` enters only as
+/// (one call per worker's chunk). `tau` enters only as
 /// the filter `est ≤ tau`; see the module docs for why that makes the row
 /// at a smaller τ a prefix of this one.
 ///

@@ -74,6 +74,7 @@ pub use crate::codec::{ShardCodecError, WireReader};
 use crate::coverage::{CoverageProvider, Rows, RowsView};
 use crate::greedy::inc_greedy;
 use crate::index::{NetClusConfig, NetClusIndex, NetworkClustering};
+use crate::par;
 use crate::query::{ClusteredProvider, ProviderScratch, TopsQuery};
 use crate::solution::Solution;
 
@@ -148,7 +149,8 @@ impl ShardedNetClusIndex {
     ///
     /// The GDSP clustering ladder is computed **once** and shared; shard
     /// enrichment (trajectory lists, representatives, neighbor lists) runs
-    /// in parallel across shards on `config.threads` workers. The result
+    /// in parallel across contiguous chunks of shards on `config.threads`
+    /// workers, the caller's thread building the first chunk. The result
     /// is deterministic for every thread count.
     pub fn build(
         net: &RoadNetwork,
@@ -193,48 +195,27 @@ impl ShardedNetClusIndex {
             ..config
         };
         let workers = config.threads.max(1).min(shards);
-        let mut built: Vec<Option<NetClusShard>> = (0..shards).map(|_| None).collect();
-        let build_one = |s: usize, touched_s: &[bool]| -> NetClusShard {
-            let t = Instant::now();
-            let view = trajs.subset_where(|id, _| touched_s[id.index()]);
-            let index = NetClusIndex::build_clustered(
-                net,
-                &view,
-                &shard_sites[s],
-                shard_config,
-                &clustering,
-            );
-            NetClusShard {
-                id: s as u32,
-                sites: shard_sites[s].clone(),
-                trajs: view,
-                index,
-                build_time: t.elapsed(),
+        let built = par::chunked(&shard_sites, &mut vec![(); workers], |chunk, _, first| {
+            let mut built = Vec::with_capacity(chunk.len());
+            for (s, sites) in (first..).zip(chunk) {
+                let t = Instant::now();
+                let view = trajs.subset_where(|id, _| touched[s][id.index()]);
+                let index =
+                    NetClusIndex::build_clustered(net, &view, sites, shard_config, &clustering);
+                built.push(NetClusShard {
+                    id: s as u32,
+                    sites: sites.clone(),
+                    trajs: view,
+                    index,
+                    build_time: t.elapsed(),
+                });
             }
-        };
-        if workers <= 1 {
-            for (s, slot) in built.iter_mut().enumerate() {
-                *slot = Some(build_one(s, &touched[s]));
-            }
-        } else {
-            let chunk = shards.div_ceil(workers);
-            let touched = &touched;
-            let build_one = &build_one;
-            std::thread::scope(|scope| {
-                for (w, slots) in built.chunks_mut(chunk).enumerate() {
-                    scope.spawn(move || {
-                        for (off, slot) in slots.iter_mut().enumerate() {
-                            let s = w * chunk + off;
-                            *slot = Some(build_one(s, &touched[s]));
-                        }
-                    });
-                }
-            });
-        }
+            built
+        });
 
         ShardedNetClusIndex {
             partition: partition.clone(),
-            shards: built.into_iter().map(|s| s.expect("shard built")).collect(),
+            shards: built.into_iter().flatten().collect(),
             replication,
             traj_id_bound: trajs.id_bound(),
             clustering_time: clustering.build_time(),
@@ -285,44 +266,32 @@ impl ShardedNetClusIndex {
     }
 
     /// Answers a TOPS query with the two-round distributed greedy,
-    /// scattering round 1 across shards on up to `threads` workers.
+    /// scattering round 1 across shards on one worker per shard.
     pub fn query(&self, q: &TopsQuery) -> ShardedAnswer {
         self.query_with(q, self.shards.len())
     }
 
     /// [`ShardedNetClusIndex::query`] with an explicit round-1 thread
-    /// count (the answer is identical for every value).
+    /// count (the answer is identical for every value): each worker runs
+    /// round 1 over a contiguous chunk of shards with its own
+    /// [`ProviderScratch`], the caller's thread the first chunk.
     pub fn query_with(&self, q: &TopsQuery, threads: usize) -> ShardedAnswer {
         let start = Instant::now();
         let bound = self.traj_id_bound;
         let workers = threads.max(1).min(self.shards.len().max(1));
-        let mut rounds: Vec<Option<ShardRoundOne>> = (0..self.shards.len()).map(|_| None).collect();
-        if workers <= 1 {
-            let mut scratch = ProviderScratch::default();
-            for (shard, slot) in self.shards.iter().zip(rounds.iter_mut()) {
-                *slot = Some(local_candidates(&shard.index, q, bound, &mut scratch));
-            }
-        } else {
-            let chunk = self.shards.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                for (shards, slots) in self.shards.chunks(chunk).zip(rounds.chunks_mut(chunk)) {
-                    scope.spawn(move || {
-                        let mut scratch = ProviderScratch::default();
-                        for (shard, slot) in shards.iter().zip(slots.iter_mut()) {
-                            *slot = Some(local_candidates(&shard.index, q, bound, &mut scratch));
-                        }
-                    });
-                }
-            });
-        }
-        let rounds: Vec<ShardRoundOne> = rounds
-            .into_iter()
-            .zip(&self.shards)
-            .map(|(r, shard)| {
-                let mut r = r.expect("round-1 shard answered");
-                r.shard_hint = shard.id;
-                r
+        let mut scratch: Vec<ProviderScratch> = (0..workers).map(|_| Default::default()).collect();
+        let rounds: Vec<ShardRoundOne> =
+            par::chunked(&self.shards, &mut scratch, |chunk, ws, _| {
+                chunk
+                    .iter()
+                    .map(|shard| ShardRoundOne {
+                        shard_hint: shard.id,
+                        ..local_candidates(&shard.index, q, bound, ws)
+                    })
+                    .collect::<Vec<_>>()
             })
+            .into_iter()
+            .flatten()
             .collect();
 
         let merge_start = Instant::now();

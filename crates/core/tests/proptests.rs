@@ -378,6 +378,49 @@ fn equal_estimates_are_ordered_by_id_as_the_twin_orders_them() {
     assert!(ties > 0, "the fixture must put equal estimates in one row");
 }
 
+/// Pairs with each distance as its bits, for exact comparison.
+fn pair_bits<T: Copy>(pairs: &[(T, f64)]) -> Vec<(T, u64)> {
+    pairs.iter().map(|&(x, d)| (x, d.to_bits())).collect()
+}
+
+/// Asserts two indexes hold the same instances, bit for bit: every
+/// cluster's center, members, representative and `rep_distance`, its
+/// neighbour and trajectory lists, and the node → cluster maps.
+fn assert_same_instances(a: &NetClusIndex, b: &NetClusIndex, what: &str) {
+    assert_eq!(a.instances().len(), b.instances().len(), "{what}");
+    for (p, (x, y)) in a.instances().iter().zip(b.instances()).enumerate() {
+        assert_eq!(x.clusters.len(), y.clusters.len(), "{what} p{p}");
+        for (ci, (cx, cy)) in x.clusters.iter().zip(&y.clusters).enumerate() {
+            let at = format!("{what} p{p} cluster {ci}");
+            assert_eq!(cx.center, cy.center, "{at} center");
+            assert_eq!(pair_bits(&cx.nodes), pair_bits(&cy.nodes), "{at} members");
+            assert_eq!(cx.representative, cy.representative, "{at} representative");
+            assert_eq!(
+                cx.rep_distance.to_bits(),
+                cy.rep_distance.to_bits(),
+                "{at} rep_distance"
+            );
+            assert_eq!(
+                pair_bits(&cx.neighbors),
+                pair_bits(&cy.neighbors),
+                "{at} CL(g)"
+            );
+            assert_eq!(
+                pair_bits(&cx.traj_list),
+                pair_bits(&cy.traj_list),
+                "{at} TL(g)"
+            );
+        }
+        assert_eq!(x.node_cluster, y.node_cluster, "{what} p{p} node_cluster");
+        let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&x.node_center_dist),
+            bits(&y.node_center_dist),
+            "{what} p{p} node_center_dist"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -665,6 +708,28 @@ proptest! {
             let a = index.query_on(&seq, p, &q);
             let b = index.query_on(&par, p, &q);
             prop_assert_eq!(a.solution.sites, b.solution.sites, "threads {}", threads);
+        }
+    }
+
+    /// `NetClusIndex::build` at 1, 2, 4 and 8 threads builds the same
+    /// instances: the ball sweep (exact sizes or FM sketches), the
+    /// neighbour balls and the cluster enrichment do not depend on how
+    /// their items are split across workers.
+    #[test]
+    fn index_build_thread_count_does_not_change_any_instance(
+        inst in instance_strategy(),
+        fm in any::<bool>(),
+    ) {
+        let (net, trajs) = build(&inst);
+        let sites: Vec<NodeId> = net.nodes().collect();
+        let mode = if fm { GdspMode::Fm { copies: 8, seed: 7 } } else { GdspMode::Exact };
+        let config = |threads| NetClusConfig {
+            tau_min: 400.0, tau_max: 4_000.0, mode, threads, ..Default::default()
+        };
+        let one = NetClusIndex::build(&net, &trajs, &sites, config(1));
+        for threads in [2usize, 4, 8] {
+            let many = NetClusIndex::build(&net, &trajs, &sites, config(threads));
+            assert_same_instances(&one, &many, &format!("threads {threads}"));
         }
     }
 

@@ -420,9 +420,6 @@ impl SlowQueryRecord {
 /// Tracer configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct TraceConfig {
-    /// Master switch; when off, [`Tracer::finish`] is a no-op and callers
-    /// skip span recording entirely.
-    pub enabled: bool,
     /// Retain the full span tree for queries at or above this end-to-end
     /// latency (the *tail* in tail-based sampling).
     pub slow_threshold_us: u64,
@@ -438,20 +435,9 @@ pub struct TraceConfig {
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
-            enabled: true,
             slow_threshold_us: 1_000,
             sample_every: 64,
             slow_log_capacity: 128,
-        }
-    }
-}
-
-impl TraceConfig {
-    /// Tracing fully off (stage histograms included).
-    pub fn disabled() -> Self {
-        TraceConfig {
-            enabled: false,
-            ..Default::default()
         }
     }
 }
@@ -493,11 +479,6 @@ impl Tracer {
         self.cfg
     }
 
-    /// Whether tracing is on (callers skip span recording when off).
-    pub fn enabled(&self) -> bool {
-        self.cfg.enabled
-    }
-
     /// Starts a span recorder (stamps the trace start).
     pub fn begin(&self) -> TraceSpans {
         TraceSpans::new()
@@ -513,9 +494,6 @@ impl Tracer {
     /// or sampled. Returns the end-to-end latency.
     pub fn finish(&self, spans: &TraceSpans, meta: TraceMeta) -> Duration {
         let total = spans.started.elapsed();
-        if !self.cfg.enabled {
-            return total;
-        }
         for span in spans.spans() {
             self.stages.record_micros(span.stage, span.dur_us);
         }
@@ -788,7 +766,6 @@ mod tests {
             slow_threshold_us: 0,
             sample_every: 0,
             slow_log_capacity: 3,
-            ..Default::default()
         });
         for _ in 0..5 {
             let spans = spans_with(&tracer, &[(Stage::Solve, 50)]);
@@ -803,16 +780,6 @@ mod tests {
         assert!(jsonl
             .lines()
             .all(|l| l.starts_with('{') && l.ends_with('}')));
-    }
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let tracer = Tracer::new(TraceConfig::disabled());
-        let spans = spans_with(&tracer, &[(Stage::Round1, 10_000)]);
-        tracer.finish(&spans, TraceMeta::default());
-        assert_eq!(tracer.traces(), 0);
-        assert!(tracer.slow_queries().is_empty());
-        assert_eq!(tracer.stages().summary(Stage::Round1).count, 0);
     }
 
     #[test]

@@ -175,7 +175,6 @@ fn tracer_stats_line() -> String {
         slow_threshold_us: 0,
         sample_every: 0,
         slow_log_capacity: 1,
-        ..TraceConfig::default()
     });
     for dur in [390, 12] {
         let mut spans = tracer.begin();
