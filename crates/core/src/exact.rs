@@ -28,7 +28,8 @@ pub struct ExactConfig {
     pub preference: PreferenceFunction,
     /// Abort after exploring this many search nodes (`None` = unbounded).
     /// On abort the best solution found so far is returned with
-    /// [`ExactResult::proved_optimal`] = false.
+    /// [`ExactResult::proved_optimal`] = false; the search starts from an
+    /// eager greedy's answer, so that is never below the greedy's.
     pub node_limit: Option<u64>,
 }
 
@@ -78,6 +79,9 @@ pub fn exact_optimal<P: CoverageProvider>(provider: &P, cfg: &ExactConfig) -> Ex
         aborted: false,
         gain_scratch: Vec::with_capacity(n),
     };
+    // The greedy's answer is the incumbent, so a search cut off by the
+    // node limit never reports less than the greedy does.
+    (search.best_utility, search.best_set) = search.greedy(k);
     search.dfs(0, k, 0.0);
 
     let site_indices = search.best_set.clone();
@@ -172,6 +176,38 @@ impl Search<'_> {
                 return;
             }
         }
+    }
+
+    /// Eager greedy over the ψ rows from an empty selection, as
+    /// `(utility, sites)`: `k` times the site of largest marginal gain,
+    /// ties broken as Inc-Greedy breaks them (larger weight, then higher
+    /// index), so it picks the sites Inc-Greedy picks. Leaves every
+    /// utility at zero again.
+    fn greedy(&mut self, k: usize) -> (f64, Vec<usize>) {
+        let weights: Vec<f64> = self
+            .psi
+            .iter()
+            .map(|row| row.iter().map(|&(_, s)| s).sum())
+            .collect();
+        let (mut utility, mut picked) = (0.0, Vec::with_capacity(k));
+        for _ in 0..k {
+            let mut best: Option<(usize, f64)> = None;
+            for site in (0..self.psi.len()).filter(|i| !picked.contains(i)) {
+                let gain = self.marginal(site);
+                let better = best.is_none_or(|(top, top_gain)| {
+                    (gain, weights[site], site) > (top_gain, weights[top], top)
+                });
+                if better {
+                    best = Some((site, gain));
+                }
+            }
+            let Some((site, gain)) = best else { break };
+            utility += gain;
+            picked.push(site);
+            self.apply(site);
+        }
+        self.utilities.fill(0.0);
+        (utility, picked)
     }
 
     fn marginal(&self, site: usize) -> f64 {
@@ -405,6 +441,61 @@ mod tests {
         );
         assert!(!r.proved_optimal);
         assert!(r.nodes_explored >= 1);
+    }
+
+    /// A search the node limit stops at its root still answers at least
+    /// what Inc-Greedy answers: the incumbent is the greedy's set, ties
+    /// broken alike, so binary ψ's many tied gains cannot leave it below.
+    #[test]
+    fn a_node_limit_never_reports_less_than_greedy() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(37);
+        for trial in 0..40 {
+            let m = rng.random_range(5..40);
+            let n: usize = rng.random_range(3..12);
+            let k = rng.random_range(1..=n.min(5));
+            let tc: Vec<Vec<(u32, f64)>> = (0..n)
+                .map(|_| {
+                    let mut row = Vec::new();
+                    for t in 0..m {
+                        if rng.random::<f64>() < 0.3 {
+                            row.push((t as u32, rng.random_range(0.0..1000.0)));
+                        }
+                    }
+                    row
+                })
+                .collect();
+            let p = ReferenceProvider::new(m, tc);
+            let preference = if trial % 2 == 0 {
+                PreferenceFunction::LinearDecay
+            } else {
+                PreferenceFunction::Binary
+            };
+            let cut = exact_optimal(
+                &p,
+                &ExactConfig {
+                    preference,
+                    node_limit: Some(1),
+                    ..cfg(k)
+                },
+            );
+            let greedy = inc_greedy(
+                &p,
+                &GreedyConfig {
+                    k,
+                    tau: 1000.0,
+                    preference,
+                },
+            );
+            assert!(
+                cut.solution.utility >= greedy.utility - 1e-9,
+                "trial {trial}: cut search {} below greedy {}",
+                cut.solution.utility,
+                greedy.utility
+            );
+            assert_eq!(cut.solution.site_indices.len(), k, "trial {trial}");
+        }
     }
 
     #[test]

@@ -42,6 +42,7 @@
 //! | Flat CSR coverage arenas (query hot path layout) | [`arena`] |
 //! | Sharded indexes + two-round distributed greedy | [`shard`] |
 //! | Little-endian field codec under every byte format (RPCs, WAL, GPS records) | [`codec`] |
+//! | The one fan-out under every threaded build and the served publish | [`par`] |
 //!
 //! ## Serving architecture
 //!
@@ -124,7 +125,7 @@ pub mod index;
 pub mod jaccard;
 pub mod market;
 pub mod memory;
-mod par;
+pub mod par;
 pub mod preference;
 pub mod query;
 pub mod shard;

@@ -1,7 +1,10 @@
-//! The one fan-out under every threaded build: the GDSP ball sweep, the
-//! neighbour balls, the `T̂C` rows, the `SC` inversion and the shards of a
-//! sharded index all split a slice into contiguous chunks, one per worker,
-//! and put the results back together in item order. The caller's thread
+//! The one fan-out under every threaded build and the served publish: the
+//! GDSP ball sweep, the neighbour balls, the `T̂C` rows, the `SC`
+//! inversion and the shards of a sharded index all split a slice into
+//! contiguous chunks, one per worker, and put the results back together in
+//! item order; so does a publish, which applies a batch's shard slices and
+//! patches the carried row sets through it (`netclus-service`'s
+//! `ShardRouter::apply_updates` and `carry_rows`). The caller's thread
 //! runs the first chunk, so one worker is a plain call. Each call site
 //! keeps its own worker-count policy.
 
@@ -18,7 +21,7 @@
 /// # Panics
 /// If `states` is empty. A panic in any chunk is re-raised on the caller
 /// with its own payload once the other chunks have finished.
-pub(crate) fn chunked<T: Sync, S: Send, R: Send>(
+pub fn chunked<T: Sync, S: Send, R: Send>(
     items: &[T],
     states: &mut [S],
     work: impl Fn(&[T], &mut S, usize) -> R + Sync,

@@ -371,9 +371,10 @@ impl ProviderRows {
                 dropped[id.index()] = true;
             }
         }
+        // No shrink afterwards: the next batch's inserts would only grow
+        // the arrays back, copying the whole arena each time.
         self.tc
             .patch(&dropped, &inserts.finish(), row_key, trajs.id_bound());
-        self.tc.shrink_to_fit();
     }
 
     /// The threshold the rows were built at (the largest τ they serve).

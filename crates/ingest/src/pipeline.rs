@@ -90,7 +90,12 @@ pub struct IngestConfig {
     pub policy: BackpressurePolicy,
     /// Publish a batch once it holds this many ops…
     pub max_batch_ops: usize,
-    /// …or once the oldest pending op has waited this long.
+    /// …or once this long has passed since the publisher armed its
+    /// deadline, which it does the first time it finds a pending op after
+    /// its last publish returned. The publisher receives nothing while it
+    /// publishes, so an op matched during a publish waits out the rest of
+    /// that publish and then the whole delay: the delay bounds the linger
+    /// after the publisher sees an op, not an op's age.
     pub max_batch_delay: Duration,
     /// Stream-time TTL after which an ingested trajectory is retired
     /// (`None` = never).

@@ -23,8 +23,10 @@
 //! built τ)` entry is patched in place into the new epoch
 //! ([`ProviderRows::patch`], bit-identical to a rebuild) instead of being
 //! purged; a batch that applied a site op purges them, because a
-//! representative may have moved. The candidate memo is purged on every
-//! publish either way.
+//! representative may have moved. The entries are patched side by side,
+//! one run per core ([`netclus::par::chunked`]), so a publish that carries
+//! sixteen row sets on two cores pays about eight patches, not sixteen.
+//! The candidate memo is purged on every publish either way.
 //!
 //! **Candidate memo.** By the greedy prefix property (the site chosen at
 //! step `i` never depends on `k`), a memoized [`ShardRoundOne`] computed
@@ -42,8 +44,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use netclus::index::num_threads_default;
 use netclus::shard::ShardRoundOne;
-use netclus::{PreferenceFunction, ProviderRows, ProviderScratch};
+use netclus::{par, PreferenceFunction, ProviderRows, ProviderScratch};
 
 pub use netclus::quantize_tau;
 
@@ -127,10 +130,26 @@ pub fn rows_for(
 /// holds is copied first) and filed under `epoch` — and everything else
 /// below `epoch` is purged.
 ///
+/// The taken row sets are patched side by side, one contiguous run of
+/// them per worker through [`netclus::par::chunked`], on as many workers
+/// as the machine has logical CPUs (never more than there are row sets).
+/// Each patch reads only its own rows and its shard's snapshot, so the
+/// width changes no bit of the result.
+///
 /// Carried rows are the rows a build at `epoch` would make, so a reader
 /// of the new epoch finds them as a hit; a batch that applied a site op
 /// records no delta and its shard's rows are rebuilt on demand.
 pub fn carry_rows(providers: &ShardProviderCache, epoch: u64, shards: &[(u32, Arc<Snapshot>)]) {
+    carry_rows_on(providers, epoch, shards, num_threads_default());
+}
+
+/// [`carry_rows`] on at most `workers` workers.
+pub(crate) fn carry_rows_on(
+    providers: &ShardProviderCache,
+    epoch: u64,
+    shards: &[(u32, Arc<Snapshot>)],
+    workers: usize,
+) {
     let patchable = |shard: u32| {
         shards.iter().find_map(|(s, snap)| {
             let delta = snap.trajectory_delta()?;
@@ -139,11 +158,26 @@ pub fn carry_rows(providers: &ShardProviderCache, epoch: u64, shards: &[(u32, Ar
     };
     let taken = providers.take_where(|k| k.epoch + 1 == epoch && patchable(k.shard).is_some());
     providers.invalidate_before(epoch);
-    for (key, rows) in taken {
-        let (snap, delta) = patchable(key.shard).expect("taken only when patchable");
-        let instance = snap.index().instance(key.instance as usize);
-        let mut rows = Arc::unwrap_or_clone(rows);
-        rows.patch(instance, snap.trajs(), &delta.added, &delta.removed);
+    let (keys, mut rows): (Vec<ShardProviderKey>, Vec<ProviderRows>) = taken
+        .into_iter()
+        .map(|(key, rows)| (key, Arc::unwrap_or_clone(rows)))
+        .unzip();
+    // One `&mut` run of rows per worker, cut where `chunked` cuts `keys`;
+    // a worker past the last run gets an empty one and stays idle.
+    let workers = workers.clamp(1, keys.len().max(1));
+    let mut parts: Vec<&mut [ProviderRows]> = rows
+        .chunks_mut(keys.len().div_ceil(workers).max(1))
+        .collect();
+    parts.resize_with(workers, Default::default);
+    par::chunked(&keys, &mut parts, |keys, part, _| {
+        debug_assert_eq!(keys.len(), part.len(), "a run per chunk of keys");
+        for (key, rows) in keys.iter().zip(part.iter_mut()) {
+            let (snap, delta) = patchable(key.shard).expect("taken only when patchable");
+            let instance = snap.index().instance(key.instance as usize);
+            rows.patch(instance, snap.trajs(), &delta.added, &delta.removed);
+        }
+    });
+    for (key, rows) in keys.into_iter().zip(rows) {
         providers.upsert(ShardProviderKey { epoch, ..key }, Arc::new(rows), |_| true);
     }
 }

@@ -848,6 +848,8 @@ pub(crate) mod tests {
     use netclus_trajectory::{TrajId, Trajectory, TrajectorySet};
     use std::time::Instant;
 
+    mod fanout;
+
     /// Two far-separated 12-node lines; trajectories confined per region.
     pub(crate) fn fixture() -> (
         Arc<RoadNetwork>,

@@ -1,12 +1,22 @@
 //! The update path: [`ShardRouter::apply_updates`] is route → ship →
-//! reconcile, and [`ShardRouter::resync_replica`] catches a replica that
-//! missed a batch back up. Both hold the update lock's write side, so no
-//! query overlaps them.
+//! reconcile → carry, and [`ShardRouter::resync_replica`] catches a
+//! replica that missed a batch back up. Both hold the update lock's write
+//! side, so no query overlaps them.
+//!
+//! A publish costs its slowest shard, not the sum of its shards: the ship
+//! applies the shards' slices side by side and the carry patches the
+//! resident row sets side by side
+//! ([`carry_rows`](crate::provider_cache::carry_rows)), each through the
+//! workspace's one fan-out, [`netclus::par::chunked`], on the machine's
+//! logical CPUs. Route and reconcile stay on the caller: together they
+//! take a fraction of a millisecond.
 
 #![deny(clippy::too_many_lines)]
 
 use std::time::Instant;
 
+use netclus::index::num_threads_default;
+use netclus::par;
 use netclus_trajectory::TrajId;
 
 use super::*;
@@ -176,31 +186,52 @@ impl RouterInner {
     /// fails misses the batch and falls behind the lockstep epoch, which
     /// excludes it from primary selection until it resyncs
     /// ([`ShardRouter::resync_replica`] or `netclus-shardd --join`).
+    ///
+    /// Shards apply side by side, one contiguous run of them per worker
+    /// through [`netclus::par::chunked`], on as many workers as the
+    /// machine has logical CPUs (never more than there are shards); a
+    /// shard's replicas apply in replica order. Shards share no state, so
+    /// the acks, in shard order, and the epoch, the largest any replica
+    /// published, are what a one-by-one ship returns.
     fn ship(&self, routed: &[Vec<RoutedOp>], mut epoch: u64) -> (Vec<Vec<bool>>, u64) {
-        let mut acks: Vec<Vec<bool>> = Vec::with_capacity(routed.len());
-        for (set, ops) in self.shards.iter().zip(routed) {
-            let mut shard_acks: Option<Vec<bool>> = None;
-            for transport in &set.transports {
-                match transport.apply(ops) {
-                    Ok(outcome) => {
-                        epoch = epoch.max(outcome.epoch);
-                        if shard_acks.is_none() {
-                            let mut results = outcome.results;
-                            // Defensive against a short remote ack
-                            // vector: a missing ack reads as "not
-                            // applied".
-                            results.resize(ops.len(), false);
-                            shard_acks = Some(results);
-                        }
-                    }
-                    Err(_) => {
-                        self.faultc.shard_failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            acks.push(shard_acks.unwrap_or_else(|| vec![false; ops.len()]));
+        let workers = num_threads_default().clamp(1, self.shards.len().max(1));
+        let runs = par::chunked(&self.shards, &mut vec![(); workers], |sets, _, first| {
+            sets.iter()
+                .zip(&routed[first..])
+                .map(|(set, ops)| self.ship_to(set, ops))
+                .collect::<Vec<_>>()
+        });
+        let mut acks = Vec::with_capacity(routed.len());
+        for (shard_acks, published) in runs.into_iter().flatten() {
+            acks.push(shard_acks);
+            epoch = epoch.max(published);
         }
         (acks, epoch)
+    }
+
+    /// One shard's slice to each of its replicas in turn: the first
+    /// successful replica's acks and the largest epoch a replica
+    /// published (0 when none did).
+    fn ship_to(&self, set: &ReplicaSet, ops: &[RoutedOp]) -> (Vec<bool>, u64) {
+        let (mut shard_acks, mut epoch): (Option<Vec<bool>>, u64) = (None, 0);
+        for transport in &set.transports {
+            match transport.apply(ops) {
+                Ok(outcome) => {
+                    epoch = epoch.max(outcome.epoch);
+                    if shard_acks.is_none() {
+                        let mut results = outcome.results;
+                        // Defensive against a short remote ack vector: a
+                        // missing ack reads as "not applied".
+                        results.resize(ops.len(), false);
+                        shard_acks = Some(results);
+                    }
+                }
+                Err(_) => {
+                    self.faultc.shard_failures.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        (shard_acks.unwrap_or_else(|| vec![false; ops.len()]), epoch)
     }
 }
 

@@ -23,8 +23,10 @@
 //! rows held from the previous epoch, in place), and asserts both give
 //! the same FNV-1a digest after every batch.
 //!
-//! It then starts a [`ShardRouter`] over the same shards and times
-//! [`ShardRouter::apply_updates`] on 64-op batches of the same mix. After
+//! It then starts a [`ShardRouter`] over the same shards, makes every
+//! (shard, instance) row set resident with one query per τ band, and
+//! times [`ShardRouter::apply_updates`] on 64-op batches of the same mix:
+//! each publish ships the four slices and carries every row set. After
 //! the last batch, every shard's published index must build ceiling rows
 //! with the same FNV-1a digests as a fresh [`ShardedNetClusIndex::build`]
 //! over the same corpus — the probe cannot time a publish that drifts from
@@ -286,8 +288,28 @@ fn main() {
     // for the rebuild.
     let sites = scenario.sites.clone();
     let mut corpus = scenario.trajectories.clone();
+    let instances = sharded.shards()[0].index.instances().len();
     let router = ShardRouter::start(Arc::clone(&net), sharded, ShardRouterConfig::default())
         .expect("start router");
+    // One query per τ band makes every (shard, instance) row set resident,
+    // so each timed publish carries them all, patched, as a served
+    // router's does.
+    for p in 0..instances {
+        let tau = config.tau_min * (1.0 + config.gamma).powf(p as f64 + 0.5);
+        router
+            .query_blocking(TopsQuery::binary(5, tau))
+            .expect("warm-up query");
+    }
+    let resident = router
+        .metrics_report()
+        .shards
+        .expect("router report")
+        .providers;
+    assert_eq!(
+        resident.entries,
+        SHARDS * instances,
+        "a row set per (shard, instance)"
+    );
     let mut routed = Vec::with_capacity(SAMPLES);
     for _ in 0..SAMPLES {
         let mut batch: Vec<UpdateOp> = Vec::with_capacity(2 * HALF_BATCH);
@@ -307,9 +329,21 @@ fn main() {
         routed.push(t.elapsed());
         assert_eq!(receipt.applied, 2 * HALF_BATCH, "every routed op applies");
     }
+    let carried = router
+        .metrics_report()
+        .shards
+        .expect("router report")
+        .providers;
+    assert_eq!(
+        (carried.entries, carried.invalidated),
+        (resident.entries, 0),
+        "every publish carried every row set"
+    );
     println!(
-        "\nShardRouter::apply_updates, {} ops per batch: median {:.0} µs of {SAMPLES}",
+        "\nShardRouter::apply_updates, {} ops per batch, {} row sets carried: median {:.0} µs \
+         of {SAMPLES}",
         2 * HALF_BATCH,
+        resident.entries,
         median_us(routed)
     );
 
