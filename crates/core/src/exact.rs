@@ -14,6 +14,7 @@
 use std::time::Instant;
 
 use crate::coverage::CoverageProvider;
+use crate::greedy::{inc_greedy, GreedyConfig};
 use crate::preference::PreferenceFunction;
 use crate::solution::Solution;
 
@@ -28,8 +29,8 @@ pub struct ExactConfig {
     pub preference: PreferenceFunction,
     /// Abort after exploring this many search nodes (`None` = unbounded).
     /// On abort the best solution found so far is returned with
-    /// [`ExactResult::proved_optimal`] = false; the search starts from an
-    /// eager greedy's answer, so that is never below the greedy's.
+    /// [`ExactResult::proved_optimal`] = false; the search starts from
+    /// Inc-Greedy's answer, so that is never below the greedy's.
     pub node_limit: Option<u64>,
 }
 
@@ -79,9 +80,17 @@ pub fn exact_optimal<P: CoverageProvider>(provider: &P, cfg: &ExactConfig) -> Ex
         aborted: false,
         gain_scratch: Vec::with_capacity(n),
     };
-    // The greedy's answer is the incumbent, so a search cut off by the
+    // Inc-Greedy's answer is the incumbent, so a search cut off by the
     // node limit never reports less than the greedy does.
-    (search.best_utility, search.best_set) = search.greedy(k);
+    let greedy = inc_greedy(
+        provider,
+        &GreedyConfig {
+            k,
+            tau: cfg.tau,
+            preference: cfg.preference,
+        },
+    );
+    (search.best_utility, search.best_set) = (greedy.utility, greedy.site_indices);
     search.dfs(0, k, 0.0);
 
     let site_indices = search.best_set.clone();
@@ -176,38 +185,6 @@ impl Search<'_> {
                 return;
             }
         }
-    }
-
-    /// Eager greedy over the ψ rows from an empty selection, as
-    /// `(utility, sites)`: `k` times the site of largest marginal gain,
-    /// ties broken as Inc-Greedy breaks them (larger weight, then higher
-    /// index), so it picks the sites Inc-Greedy picks. Leaves every
-    /// utility at zero again.
-    fn greedy(&mut self, k: usize) -> (f64, Vec<usize>) {
-        let weights: Vec<f64> = self
-            .psi
-            .iter()
-            .map(|row| row.iter().map(|&(_, s)| s).sum())
-            .collect();
-        let (mut utility, mut picked) = (0.0, Vec::with_capacity(k));
-        for _ in 0..k {
-            let mut best: Option<(usize, f64)> = None;
-            for site in (0..self.psi.len()).filter(|i| !picked.contains(i)) {
-                let gain = self.marginal(site);
-                let better = best.is_none_or(|(top, top_gain)| {
-                    (gain, weights[site], site) > (top_gain, weights[top], top)
-                });
-                if better {
-                    best = Some((site, gain));
-                }
-            }
-            let Some((site, gain)) = best else { break };
-            utility += gain;
-            picked.push(site);
-            self.apply(site);
-        }
-        self.utilities.fill(0.0);
-        (utility, picked)
     }
 
     fn marginal(&self, site: usize) -> f64 {
@@ -309,7 +286,6 @@ pub fn exhaustive_optimal<P: CoverageProvider>(provider: &P, cfg: &ExactConfig) 
 mod tests {
     use super::*;
     use crate::coverage::ReferenceProvider;
-    use crate::greedy::{inc_greedy, GreedyConfig};
 
     /// Paper Example 1: optimal is {s1, s3} with utility 1.0 while greedy
     /// returns 0.9 (Table 3).

@@ -8,11 +8,18 @@
 //! runs the first chunk, so one worker is a plain call. Each call site
 //! keeps its own worker-count policy.
 
+/// The length of every chunk but the last when [`chunked`] splits `len`
+/// items over `workers` workers, so a caller can cut a parallel `&mut`
+/// slice into the same runs.
+pub fn chunk_len(len: usize, workers: usize) -> usize {
+    len.div_ceil(workers.max(1)).max(1)
+}
+
 /// Runs `work(chunk, &mut states[i], first)` over the chunks of `items`
 /// and returns the results in chunk order.
 ///
 /// `states.len()` is the worker count `w`: chunk `i` is
-/// `items.chunks(items.len().div_ceil(w))[i]` (so there are fewer chunks
+/// `items.chunks(chunk_len(items.len(), w))[i]` (so there are fewer chunks
 /// than states when items are few) and `first` is the index of its first
 /// item in `items`. The caller's thread runs chunk 0 and one scoped thread
 /// runs each other chunk; a single chunk spawns nothing. An empty `items`
@@ -27,7 +34,7 @@ pub fn chunked<T: Sync, S: Send, R: Send>(
     work: impl Fn(&[T], &mut S, usize) -> R + Sync,
 ) -> Vec<R> {
     let (head, rest) = states.split_first_mut().expect("a fan-out needs a worker");
-    let size = items.len().div_ceil(rest.len() + 1).max(1);
+    let size = chunk_len(items.len(), rest.len() + 1);
     let mut chunks = items.chunks(size);
     let first = chunks.next().unwrap_or_default();
     if items.len() <= size {
@@ -71,6 +78,7 @@ mod tests {
             for workers in 1..=8 {
                 let out = run(&items, workers);
                 let size = items.len().div_ceil(workers).max(1);
+                assert_eq!(size, chunk_len(items.len(), workers));
                 assert_eq!(out.len(), items.len().div_ceil(size).max(1));
                 assert_eq!(out[0].2, caller, "{len} items, {workers} workers");
                 let mut next = 0;

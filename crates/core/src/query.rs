@@ -371,8 +371,9 @@ impl ProviderRows {
                 dropped[id.index()] = true;
             }
         }
-        // No shrink afterwards: the next batch's inserts would only grow
-        // the arrays back, copying the whole arena each time.
+        // No shrink afterwards: the arena keeps its high-water capacity,
+        // so a later batch's inserts reuse the room earlier drops left and
+        // reallocate only past that mark (`heap_size_bytes` counts it).
         self.tc
             .patch(&dropped, &inserts.finish(), row_key, trajs.id_bound());
     }

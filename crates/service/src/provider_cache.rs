@@ -166,11 +166,11 @@ pub(crate) fn carry_rows_on(
     // a worker past the last run gets an empty one and stays idle.
     let workers = workers.clamp(1, keys.len().max(1));
     let mut parts: Vec<&mut [ProviderRows]> = rows
-        .chunks_mut(keys.len().div_ceil(workers).max(1))
+        .chunks_mut(par::chunk_len(keys.len(), workers))
         .collect();
     parts.resize_with(workers, Default::default);
     par::chunked(&keys, &mut parts, |keys, part, _| {
-        debug_assert_eq!(keys.len(), part.len(), "a run per chunk of keys");
+        assert_eq!(keys.len(), part.len(), "a run of rows per chunk of keys");
         for (key, rows) in keys.iter().zip(part.iter_mut()) {
             let (snap, delta) = patchable(key.shard).expect("taken only when patchable");
             let instance = snap.index().instance(key.instance as usize);
