@@ -90,7 +90,7 @@ fn cost_sweep(ctx: &mut Ctx) -> Vec<CostRow> {
         .collect()
 }
 
-pub fn run_fig7(ctx: &mut Ctx) {
+pub(crate) fn run_fig7(ctx: &mut Ctx) {
     // --- Fig 7a: TOPS-COST utility vs cost standard deviation. ------------
     let sweep = cost_sweep(ctx);
     let rows: Vec<Vec<String>> = sweep
@@ -150,7 +150,7 @@ pub fn run_fig7(ctx: &mut Ctx) {
     ctx.write_csv("fig7b_capacity_utility", &header, &rows);
 }
 
-pub fn run_fig8(ctx: &mut Ctx) {
+pub(crate) fn run_fig8(ctx: &mut Ctx) {
     let s = ctx.beijing();
     let m = s.trajectory_count();
     let threads = ctx.cfg.threads;
@@ -183,7 +183,7 @@ pub fn run_fig8(ctx: &mut Ctx) {
     ctx.write_csv("fig8_tops2", &header, &rows);
 }
 
-pub fn run_fig9(ctx: &mut Ctx) {
+pub(crate) fn run_fig9(ctx: &mut Ctx) {
     let sweep = cost_sweep(ctx);
     let rows: Vec<Vec<String>> = sweep
         .iter()

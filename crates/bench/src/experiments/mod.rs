@@ -6,8 +6,8 @@ pub mod fig10;
 pub mod fig11;
 pub mod fig12;
 pub mod fig4;
-pub mod fig56;
-pub mod fig789;
+pub(crate) mod fig56;
+pub(crate) mod fig789;
 pub mod table10;
 pub mod table11;
 pub mod table12;

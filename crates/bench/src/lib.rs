@@ -18,7 +18,7 @@
 //! `src/bin/netclus_benchmark/README.md`.
 
 pub mod experiments;
-pub mod runners;
+pub(crate) mod runners;
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -114,7 +114,7 @@ impl Ctx {
     }
 
     /// Writes a CSV file under the output directory.
-    pub fn write_csv(&self, id: &str, header: &[&str], rows: &[Vec<String>]) {
+    pub(crate) fn write_csv(&self, id: &str, header: &[&str], rows: &[Vec<String>]) {
         let path = self.cfg.out_dir.join(format!("{id}.csv"));
         let mut out = String::new();
         out.push_str(&header.join(","));
@@ -132,7 +132,7 @@ impl Ctx {
 }
 
 /// Prints an aligned table to stdout.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
+pub(crate) fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -169,12 +169,12 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 }
 
 /// Formats a duration as seconds with millisecond precision.
-pub fn fmt_secs(d: Duration) -> String {
+pub(crate) fn fmt_secs(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
 }
 
 /// Formats an optional value, with `"OOM"` for `None` (paper Table 9 style).
-pub fn fmt_or_oom<T: std::fmt::Display>(v: Option<T>) -> String {
+pub(crate) fn fmt_or_oom<T: std::fmt::Display>(v: Option<T>) -> String {
     match v {
         Some(v) => v.to_string(),
         None => "OOM".to_string(),

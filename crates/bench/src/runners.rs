@@ -24,24 +24,16 @@ use netclus_datagen::Scenario;
 
 /// Outcome of running one algorithm at one parameter point.
 #[derive(Clone, Debug)]
-pub struct AlgoRun {
-    /// Selected sites.
-    pub sites: Vec<netclus_roadnet::NodeId>,
+pub(crate) struct AlgoRun {
     /// Exact utility of the selected sites.
     pub utility: f64,
-    /// Exact covered-trajectory count.
-    pub covered: usize,
     /// Query-time cost: coverage/provider construction + selection.
     pub query_time: Duration,
-    /// Selection phase only (the greedy loop).
-    pub select_time: Duration,
-    /// Live heap bytes of the structures the algorithm queried.
-    pub memory: usize,
 }
 
 impl AlgoRun {
     /// Utility as a percentage of `m`.
-    pub fn utility_pct(&self, m: usize) -> f64 {
+    pub(crate) fn utility_pct(&self, m: usize) -> f64 {
         if m == 0 {
             0.0
         } else {
@@ -51,28 +43,28 @@ impl AlgoRun {
 }
 
 /// `None` = the algorithm exceeded the memory budget (reported as OOM).
-pub type MaybeRun = Option<AlgoRun>;
+pub(crate) type MaybeRun = Option<AlgoRun>;
 
-/// Exact re-evaluation shared by all runners.
+/// Exact utility re-evaluation shared by all runners.
 fn score(
     s: &Scenario,
     sites: &[netclus_roadnet::NodeId],
     tau: f64,
     pref: PreferenceFunction,
-) -> (f64, usize) {
-    let eval = evaluate_sites(
+) -> f64 {
+    evaluate_sites(
         &s.net,
         &s.trajectories,
         sites,
         tau,
         pref,
         DetourModel::RoundTrip,
-    );
-    (eval.utility, eval.covered)
+    )
+    .utility
 }
 
 /// Builds the exact coverage sets, honoring the memory budget.
-pub fn build_coverage(
+pub(crate) fn build_coverage(
     s: &Scenario,
     tau: f64,
     threads: usize,
@@ -97,7 +89,7 @@ pub fn build_coverage(
 /// INCG selection over a prebuilt coverage index. `build` is the coverage
 /// construction time to charge to the query (the paper charges it per
 /// query, since `TC`/`SC` depend on the query's τ).
-pub fn incgreedy_on(
+pub(crate) fn incgreedy_on(
     s: &Scenario,
     cov: &CoverageIndex,
     build: Duration,
@@ -115,19 +107,14 @@ pub fn incgreedy_on(
         &[],
         None,
     );
-    let (utility, covered) = score(s, &sol.sites, tau, pref);
     AlgoRun {
-        sites: sol.sites,
-        utility,
-        covered,
+        utility: score(s, &sol.sites, tau, pref),
         query_time: build + sol.elapsed,
-        select_time: sol.elapsed,
-        memory: cov.heap_size_bytes(),
     }
 }
 
 /// FMG selection over a prebuilt coverage index (binary ψ only).
-pub fn fm_greedy_on(
+pub(crate) fn fm_greedy_on(
     s: &Scenario,
     cov: &CoverageIndex,
     build: Duration,
@@ -143,21 +130,14 @@ pub fn fm_greedy_on(
             seed: 0xF14_5EED,
         },
     );
-    let (utility, covered) = score(s, &sol.sites, tau, PreferenceFunction::Binary);
-    // FM keeps the coverage sets plus one sketch per site.
-    let memory = cov.heap_size_bytes() + cov.site_count() * copies * 4;
     AlgoRun {
-        sites: sol.sites,
-        utility,
-        covered,
+        utility: score(s, &sol.sites, tau, PreferenceFunction::Binary),
         query_time: build + sol.elapsed,
-        select_time: sol.elapsed,
-        memory,
     }
 }
 
 /// INCG: exact coverage + Inc-Greedy (one-shot convenience).
-pub fn run_incgreedy(
+pub(crate) fn run_incgreedy(
     s: &Scenario,
     k: usize,
     tau: f64,
@@ -167,19 +147,6 @@ pub fn run_incgreedy(
 ) -> MaybeRun {
     let (cov, build) = build_coverage(s, tau, threads, memory_budget)?;
     Some(incgreedy_on(s, &cov, build, k, tau, pref))
-}
-
-/// FMG: exact coverage + FM-sketch greedy (one-shot convenience).
-pub fn run_fm_greedy(
-    s: &Scenario,
-    k: usize,
-    tau: f64,
-    copies: usize,
-    threads: usize,
-    memory_budget: usize,
-) -> MaybeRun {
-    let (cov, build) = build_coverage(s, tau, threads, memory_budget)?;
-    Some(fm_greedy_on(s, &cov, build, k, tau, copies))
 }
 
 /// Builds a NetClus index covering `[tau_min, tau_max)`.
@@ -205,7 +172,7 @@ pub fn build_index(
 }
 
 /// NETCLUS: query the prebuilt index with Inc-Greedy over representatives.
-pub fn run_netclus(
+pub(crate) fn run_netclus(
     s: &Scenario,
     index: &NetClusIndex,
     k: usize,
@@ -220,19 +187,14 @@ pub fn run_netclus(
             preference: pref,
         },
     );
-    let (utility, covered) = score(s, &answer.solution.sites, tau, pref);
     AlgoRun {
-        sites: answer.solution.sites,
-        utility,
-        covered,
+        utility: score(s, &answer.solution.sites, tau, pref),
         query_time: answer.solution.elapsed,
-        select_time: answer.solution.elapsed - answer.provider_build,
-        memory: index.heap_size_bytes(),
     }
 }
 
 /// FMNETCLUS: query the prebuilt index with the FM greedy (binary ψ).
-pub fn run_fm_netclus(
+pub(crate) fn run_fm_netclus(
     s: &Scenario,
     index: &NetClusIndex,
     k: usize,
@@ -248,16 +210,9 @@ pub fn run_fm_netclus(
             seed: 0xF14_5EED,
         },
     );
-    let (utility, covered) = score(s, &answer.solution.sites, tau, PreferenceFunction::Binary);
-    let p = index.instance_for(tau);
-    let memory = index.heap_size_bytes() + index.instance(p).cluster_count() * copies * 4;
     AlgoRun {
-        sites: answer.solution.sites,
-        utility,
-        covered,
+        utility: score(s, &answer.solution.sites, tau, PreferenceFunction::Binary),
         query_time: answer.solution.elapsed,
-        select_time: answer.solution.elapsed - answer.provider_build,
-        memory,
     }
 }
 
@@ -276,15 +231,14 @@ mod tests {
 
         let incg = run_incgreedy(&s, 5, 800.0, PreferenceFunction::Binary, threads, budget)
             .expect("within budget");
-        let fmg = run_fm_greedy(&s, 5, 800.0, 30, threads, budget).expect("within budget");
+        let (cov, build) = build_coverage(&s, 800.0, threads, budget).expect("within budget");
+        let fmg = fm_greedy_on(&s, &cov, build, 5, 800.0, 30);
         let nc = run_netclus(&s, &index, 5, 800.0, PreferenceFunction::Binary);
         let fnc = run_fm_netclus(&s, &index, 5, 800.0, 30);
 
         for run in [&incg, &fmg, &nc, &fnc] {
-            assert_eq!(run.sites.len(), 5);
             assert!(run.utility > 0.0);
             assert!(run.utility_pct(m) <= 100.0);
-            assert!(run.memory > 0);
         }
         // Quality ordering within tolerance: INCG is the strongest of the
         // four on expectation; nobody should beat it by much.

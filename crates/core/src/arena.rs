@@ -21,7 +21,7 @@
 //! row set ([`crate::coverage::Rows`]), each round-1 block (behind
 //! [`crate::shard::RowView`]) and the inverted `SC` rows (sharded parallel
 //! construction via [`PairArena::concat`], counting-sort inversion via
-//! [`PairArena::invert_threaded`]). The one edit is [`PairArena::patch`],
+//! `PairArena::invert_threaded`). The one edit is [`PairArena::patch`],
 //! which carries a cached `T̂C` row set across a trajectory-only publish
 //! in place.
 
@@ -40,12 +40,6 @@ pub struct PairSlice<'a> {
 }
 
 impl<'a> PairSlice<'a> {
-    /// The empty row.
-    pub const EMPTY: PairSlice<'static> = PairSlice {
-        ids: &[],
-        dists: &[],
-    };
-
     /// Number of pairs in the row.
     #[inline]
     pub fn len(&self) -> usize {
@@ -77,7 +71,7 @@ impl<'a> PairSlice<'a> {
     /// by distance — where a build at `tau` would end it. A row whose
     /// last pair is within `tau` is whole without a search.
     #[inline]
-    pub fn len_within(&self, tau: f64) -> usize {
+    pub(crate) fn len_within(&self, tau: f64) -> usize {
         match self.dists.last() {
             Some(&last) if last > tau => self.dists.partition_point(|&d| d <= tau),
             _ => self.len(),
@@ -117,7 +111,7 @@ impl PairArena {
     }
 
     /// Builds an arena from materialized rows (the reference layout).
-    pub fn from_rows(rows: &[Vec<(u32, f64)>]) -> Self {
+    pub(crate) fn from_rows(rows: &[Vec<(u32, f64)>]) -> Self {
         let mut b = PairArenaBuilder::with_capacity(rows.len(), rows.iter().map(Vec::len).sum());
         for row in rows {
             b.push_row(row.iter().copied());
@@ -146,11 +140,6 @@ impl PairArena {
             ids: &self.ids[lo..hi],
             dists: &self.dists[lo..hi],
         }
-    }
-
-    /// Number of non-empty rows.
-    pub fn nonempty_rows(&self) -> usize {
-        self.offsets.windows(2).filter(|w| w[0] != w[1]).count()
     }
 
     /// Concatenates shard arenas row-wise, in order — the deterministic
@@ -192,7 +181,7 @@ impl PairArena {
     /// of target ids — and therefore a contiguous output segment — and
     /// scans the source pairs once, so parallelism costs no
     /// synchronization on the output.
-    pub fn invert_threaded(&self, id_bound: usize, threads: usize) -> PairArena {
+    pub(crate) fn invert_threaded(&self, id_bound: usize, threads: usize) -> PairArena {
         // Pass 1: per-target counts → CSR offsets.
         let mut counts = vec![0u32; id_bound];
         for &id in &self.ids {
@@ -360,7 +349,7 @@ impl PairArena {
 
     /// Drops the capacity a growing build left beyond the pairs held, for
     /// arenas that are retained rather than consumed by one query.
-    pub fn shrink_to_fit(&mut self) {
+    pub(crate) fn shrink_to_fit(&mut self) {
         self.offsets.shrink_to_fit();
         self.ids.shrink_to_fit();
         self.dists.shrink_to_fit();
@@ -397,7 +386,7 @@ impl PairArenaBuilder {
     }
 
     /// Appends the next row from a borrowed row (two block copies).
-    pub fn push_slice(&mut self, row: PairSlice<'_>) {
+    pub(crate) fn push_slice(&mut self, row: PairSlice<'_>) {
         self.ids.extend_from_slice(row.ids);
         self.dists.extend_from_slice(row.dists);
         self.offsets.push(checked_offset(self.ids.len() as u64));
@@ -405,7 +394,7 @@ impl PairArenaBuilder {
 
     /// Appends the next row as an id run and a parallel distance run of
     /// the same length (two bulk extends, e.g. straight off a wire).
-    pub fn push_runs(
+    pub(crate) fn push_runs(
         &mut self,
         ids: impl IntoIterator<Item = u32>,
         dists: impl IntoIterator<Item = f64>,
@@ -472,7 +461,6 @@ mod tests {
         let arena = PairArena::from_rows(&rows);
         assert_eq!(arena.row_count(), 4);
         assert_eq!(arena.pair_count(), 6);
-        assert_eq!(arena.nonempty_rows(), 3);
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(arena.row(i).to_pairs(), *row);
         }
@@ -585,6 +573,5 @@ mod tests {
         assert!(arena.row(2).is_empty());
         let inv = arena.invert_threaded(2, 1);
         assert_eq!(inv.row_count(), 2);
-        assert_eq!(PairSlice::EMPTY.len(), 0);
     }
 }

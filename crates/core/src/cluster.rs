@@ -154,14 +154,6 @@ pub struct Cluster {
     pub neighbors: SharedSlice<(u32, f64)>,
 }
 
-impl Cluster {
-    /// Round-trip distance from member `v` to the center, if `v` belongs to
-    /// this cluster.
-    pub fn member_distance(&self, v: NodeId) -> Option<f64> {
-        self.nodes.iter().find(|&&(u, _)| u == v).map(|&(_, d)| d)
-    }
-}
-
 /// Build statistics of one instance (paper Table 11 row).
 #[derive(Clone, Debug, Default)]
 pub struct InstanceStats {
@@ -547,7 +539,7 @@ mod tests {
                 let want = traj
                     .nodes()
                     .iter()
-                    .filter_map(|&v| c.member_distance(v))
+                    .filter_map(|&v| c.nodes.iter().find(|&&(u, _)| u == v).map(|&(_, d)| d))
                     .fold(f64::INFINITY, f64::min);
                 assert_eq!(d, want, "cluster {ci} traj {tj:?}");
             }

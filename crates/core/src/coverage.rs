@@ -80,7 +80,7 @@ impl Rows {
     }
 
     /// Drops the capacity a growing build left, for rows that are kept.
-    pub fn shrink_to_fit(&mut self) {
+    pub(crate) fn shrink_to_fit(&mut self) {
         self.tc.shrink_to_fit();
         self.nodes.shrink_to_fit();
     }
@@ -257,11 +257,6 @@ impl CoverageIndex {
     /// Wall-clock time of the build.
     pub fn build_time(&self) -> Duration {
         self.build_time
-    }
-
-    /// Number of trajectories covered by at least one site.
-    pub fn coverable_trajectories(&self) -> usize {
-        self.sc.nonempty_rows()
     }
 
     /// Total `(site, trajectory)` coverage pairs — the `O(mn)` quantity that
@@ -466,16 +461,6 @@ mod tests {
             let tj = TrajId(j as u32);
             assert_eq!(reference.covering(tj), idx.covering(tj), "SC row {j}");
         }
-    }
-
-    #[test]
-    fn coverable_trajectories_counts_nonempty_sc() {
-        let (net, trajs) = fixture();
-        // Only site 0 as candidate; τ = 0 → covers only T0.
-        let idx = CoverageIndex::build(&net, &trajs, &[NodeId(0)], 0.0, DetourModel::RoundTrip, 1);
-        assert_eq!(idx.coverable_trajectories(), 1);
-        assert_eq!(idx.site_count(), 1);
-        assert_eq!(idx.site_node(0), NodeId(0));
     }
 
     #[test]

@@ -94,7 +94,7 @@ impl<'a> DetourEngine<'a> {
     /// (cleared first), so bulk builders like
     /// [`crate::coverage::CoverageIndex::build`] reuse one allocation
     /// across their hundreds of thousands of site queries.
-    pub fn site_coverage_into(
+    pub(crate) fn site_coverage_into(
         &mut self,
         trajs: &TrajectorySet,
         site: NodeId,

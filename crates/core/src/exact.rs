@@ -213,79 +213,79 @@ impl Search<'_> {
     }
 }
 
-/// Brute-force optimum by complete enumeration of `C(n, k)` subsets — the
-/// oracle used in tests to validate [`exact_optimal`]. Exponential; only
-/// call on tiny instances.
-pub fn exhaustive_optimal<P: CoverageProvider>(provider: &P, cfg: &ExactConfig) -> Solution {
-    let start = Instant::now();
-    let n = provider.site_count();
-    let k = cfg.k.min(n);
-    let m = provider.traj_id_bound();
-    let mut best_u = -1.0;
-    let mut best: Vec<usize> = Vec::new();
-    let mut combo: Vec<usize> = (0..k).collect();
-    loop {
-        // Evaluate.
-        let mut u = vec![0.0f64; m];
-        for &i in &combo {
-            for (tj, d) in provider.covered(i).iter() {
-                let s = cfg.preference.score(d, cfg.tau);
-                if s > u[tj as usize] {
-                    u[tj as usize] = s;
-                }
-            }
-        }
-        let total: f64 = u.iter().sum();
-        if total > best_u {
-            best_u = total;
-            best = combo.clone();
-        }
-        // Next combination.
-        if k == 0 {
-            break;
-        }
-        let mut i = k;
-        loop {
-            if i == 0 {
-                break;
-            }
-            i -= 1;
-            if combo[i] != i + n - k {
-                combo[i] += 1;
-                for j in i + 1..k {
-                    combo[j] = combo[j - 1] + 1;
-                }
-                break;
-            }
-            if i == 0 {
-                return Solution {
-                    sites: best.iter().map(|&i| provider.site_node(i)).collect(),
-                    site_indices: best,
-                    utility: best_u.max(0.0),
-                    gains: Vec::new(),
-                    covered: 0,
-                    elapsed: start.elapsed(),
-                };
-            }
-        }
-        if k == 0 {
-            break;
-        }
-    }
-    Solution {
-        sites: best.iter().map(|&i| provider.site_node(i)).collect(),
-        site_indices: best,
-        utility: best_u.max(0.0),
-        gains: Vec::new(),
-        covered: 0,
-        elapsed: start.elapsed(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coverage::ReferenceProvider;
+
+    /// Brute-force optimum by complete enumeration of `C(n, k)` subsets — the
+    /// oracle used in tests to validate [`exact_optimal`]. Exponential; only
+    /// call on tiny instances.
+    fn exhaustive_optimal<P: CoverageProvider>(provider: &P, cfg: &ExactConfig) -> Solution {
+        let start = Instant::now();
+        let n = provider.site_count();
+        let k = cfg.k.min(n);
+        let m = provider.traj_id_bound();
+        let mut best_u = -1.0;
+        let mut best: Vec<usize> = Vec::new();
+        let mut combo: Vec<usize> = (0..k).collect();
+        loop {
+            // Evaluate.
+            let mut u = vec![0.0f64; m];
+            for &i in &combo {
+                for (tj, d) in provider.covered(i).iter() {
+                    let s = cfg.preference.score(d, cfg.tau);
+                    if s > u[tj as usize] {
+                        u[tj as usize] = s;
+                    }
+                }
+            }
+            let total: f64 = u.iter().sum();
+            if total > best_u {
+                best_u = total;
+                best = combo.clone();
+            }
+            // Next combination.
+            if k == 0 {
+                break;
+            }
+            let mut i = k;
+            loop {
+                if i == 0 {
+                    break;
+                }
+                i -= 1;
+                if combo[i] != i + n - k {
+                    combo[i] += 1;
+                    for j in i + 1..k {
+                        combo[j] = combo[j - 1] + 1;
+                    }
+                    break;
+                }
+                if i == 0 {
+                    return Solution {
+                        sites: best.iter().map(|&i| provider.site_node(i)).collect(),
+                        site_indices: best,
+                        utility: best_u.max(0.0),
+                        gains: Vec::new(),
+                        covered: 0,
+                        elapsed: start.elapsed(),
+                    };
+                }
+            }
+            if k == 0 {
+                break;
+            }
+        }
+        Solution {
+            sites: best.iter().map(|&i| provider.site_node(i)).collect(),
+            site_indices: best,
+            utility: best_u.max(0.0),
+            gains: Vec::new(),
+            covered: 0,
+            elapsed: start.elapsed(),
+        }
+    }
 
     /// Paper Example 1: optimal is {s1, s3} with utility 1.0 while greedy
     /// returns 0.9 (Table 3).

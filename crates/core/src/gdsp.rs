@@ -81,16 +81,6 @@ impl GdspResult {
     pub fn cluster_count(&self) -> usize {
         self.clusters.len()
     }
-
-    /// Mean cluster size `N / η`.
-    pub fn mean_cluster_size(&self) -> f64 {
-        let n: usize = self.clusters.iter().map(|c| c.members.len()).sum();
-        if self.clusters.is_empty() {
-            0.0
-        } else {
-            n as f64 / self.clusters.len() as f64
-        }
-    }
 }
 
 /// Runs Greedy-GDSP over `net` with radius `cfg.radius`.

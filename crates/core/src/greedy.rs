@@ -31,7 +31,7 @@
 //! is a count: a trajectory is served or it is not, so a row's weight is
 //! the length of its within-τ prefix (rows ascend by distance; a
 //! [`ClusteredProvider`](crate::query::ClusteredProvider) view hands over
-//! exactly that prefix, a longer row is cut by [`PairSlice::len_within`]),
+//! exactly that prefix, a longer row is cut by `PairSlice::len_within`),
 //! its gain the number of unserved ids in it, coverage one flag per
 //! trajectory, and no distance is read once the weights are known. The count equals the
 //! scored sum bit for bit: every non-zero term of that sum is exactly `1.0`

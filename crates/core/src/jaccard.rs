@@ -117,7 +117,7 @@ pub fn jaccard_clustering<P: CoverageProvider>(
 
 /// `1 − |A ∩ B| / |A ∪ B|` over sorted, deduplicated id slices. Two empty
 /// sets have distance 0 (identical coverage).
-pub fn jaccard_distance(a: &[u32], b: &[u32]) -> f64 {
+pub(crate) fn jaccard_distance(a: &[u32], b: &[u32]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 0.0;
     }

@@ -36,8 +36,8 @@
 //! | TOPS-COST (Sec. 7.1) | [`cost`] |
 //! | TOPS-CAPACITY (Sec. 7.2) | [`capacity`] |
 //! | Existing services (Sec. 7.3) | [`greedy::inc_greedy_from`] |
-//! | TOPS4 market share (Sec. 7.4) | [`market`] |
-//! | Jaccard baseline (App. B.1) | [`jaccard`] |
+//! | TOPS4 market share (Sec. 7.4) | `market` |
+//! | Jaccard baseline (App. B.1) | `jaccard` |
 //! | Memory accounting (Tables 9, 12) | [`memory`] |
 //! | Flat CSR coverage arenas (query hot path layout) | [`arena`] |
 //! | Sharded indexes + two-round distributed greedy | [`shard`] |
@@ -122,8 +122,8 @@ pub mod fm_greedy;
 pub mod gdsp;
 pub mod greedy;
 pub mod index;
-pub mod jaccard;
-pub mod market;
+pub(crate) mod jaccard;
+pub(crate) mod market;
 pub mod memory;
 pub mod par;
 pub mod preference;

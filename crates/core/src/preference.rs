@@ -89,7 +89,7 @@ impl PreferenceFunction {
     /// `tau` for all variants except `MinInconvenience`, whose cutoff is its
     /// normalizer.
     #[inline]
-    pub fn effective_tau(&self, tau: f64) -> f64 {
+    pub(crate) fn effective_tau(&self, tau: f64) -> f64 {
         match *self {
             PreferenceFunction::MinInconvenience { normalizer_m } => normalizer_m,
             _ => tau,
@@ -100,19 +100,6 @@ impl PreferenceFunction {
     #[inline]
     pub fn is_binary(&self) -> bool {
         matches!(self, PreferenceFunction::Binary)
-    }
-
-    /// `f(τ)` — the worst preference of a covered trajectory; appears in
-    /// NetClus's approximation bound `f(τ)·k/η_p` (paper Th. 7).
-    pub fn score_at_threshold(&self, tau: f64) -> f64 {
-        match *self {
-            // The limit of score(d → τ) from below.
-            PreferenceFunction::Binary => 1.0,
-            _ => {
-                let t = self.effective_tau(tau);
-                self.score(t, tau).max(0.0)
-            }
-        }
     }
 
     /// Validates the parameters (finite, in-range); returns a description of
@@ -250,7 +237,6 @@ mod tests {
         assert!(p.is_binary());
         assert_eq!(p.score(TAU, TAU), 1.0);
         assert_eq!(p.score(TAU + 0.001, TAU), 0.0);
-        assert_eq!(p.score_at_threshold(TAU), 1.0);
     }
 
     #[test]
@@ -289,7 +275,7 @@ mod tests {
     #[test]
     fn exponential_decay_at_threshold() {
         let p = PreferenceFunction::ExponentialDecay { lambda: 1.5 };
-        assert!((p.score_at_threshold(TAU) - (-1.5f64).exp()).abs() < 1e-12);
+        assert!((p.score(TAU, TAU) - (-1.5f64).exp()).abs() < 1e-12);
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! * rows are totally ordered by `(d̂r, id)`, so the pairs with `d̂r ≤ τ`
 //!   are exactly a prefix, in the order a build at τ would sort them, and
 //!   the cut is inclusive
-//!   ([`PairSlice::len_within`](crate::arena::PairSlice::len_within)) like
+//!   (`PairSlice::len_within`) like
 //!   the kernel's filter;
 //! * the kernel's `break` on `base > τ` only skips neighbors whose every
 //!   estimate would fail the filter anyway (neighbors are sorted by center
@@ -566,7 +566,7 @@ impl NetClusIndex {
 
     /// [`NetClusIndex::build_provider`] with explicit thread count and
     /// reusable scratch (the zero-allocation serving path).
-    pub fn build_provider_with(
+    pub(crate) fn build_provider_with(
         &self,
         tau: f64,
         traj_id_bound: usize,

@@ -275,7 +275,7 @@ impl ShardedNetClusIndex {
     /// count (the answer is identical for every value): each worker runs
     /// round 1 over a contiguous chunk of shards with its own
     /// [`ProviderScratch`], the caller's thread the first chunk.
-    pub fn query_with(&self, q: &TopsQuery, threads: usize) -> ShardedAnswer {
+    pub(crate) fn query_with(&self, q: &TopsQuery, threads: usize) -> ShardedAnswer {
         let start = Instant::now();
         let bound = self.traj_id_bound;
         let workers = threads.max(1).min(self.shards.len().max(1));
@@ -284,10 +284,7 @@ impl ShardedNetClusIndex {
             par::chunked(&self.shards, &mut scratch, |chunk, ws, _| {
                 chunk
                     .iter()
-                    .map(|shard| ShardRoundOne {
-                        shard_hint: shard.id,
-                        ..local_candidates(&shard.index, q, bound, ws)
-                    })
+                    .map(|shard| local_candidates(&shard.index, q, bound, ws))
                     .collect::<Vec<_>>()
             })
             .into_iter()
@@ -296,18 +293,6 @@ impl ShardedNetClusIndex {
 
         let merge_start = Instant::now();
         let instance = rounds.first().map_or(0, |r| r.instance);
-        // Take the stats, then move the candidate rows out — coverage rows
-        // can be large, and the merge consumes them anyway.
-        let stats: Vec<ShardRoundStats> = rounds
-            .iter()
-            .map(|r| ShardRoundStats {
-                shard: r.shard_hint,
-                candidates: r.candidates.len(),
-                representatives: r.representatives,
-                local_utility: r.local_utility,
-                elapsed: r.elapsed,
-            })
-            .collect();
         let candidates: Vec<Candidate> = rounds.into_iter().flat_map(|r| r.candidates).collect();
         let (solution, candidate_count, _) = merge_candidates_timed(candidates, q, bound);
         let merge_time = merge_start.elapsed();
@@ -316,7 +301,6 @@ impl ShardedNetClusIndex {
             solution,
             instance,
             candidates: candidate_count,
-            rounds: stats,
             merge_time,
             total_time: start.elapsed(),
         }
@@ -369,7 +353,7 @@ impl RowView {
 
     /// The row as the borrowed slice pair the arenas speak.
     #[inline]
-    pub fn as_slice(&self) -> PairSlice<'_> {
+    pub(crate) fn as_slice(&self) -> PairSlice<'_> {
         self.block.row(self.row)
     }
 
@@ -607,21 +591,6 @@ const PAIR_BYTES: usize = 4 + 8;
 /// Encoded bytes of a round's scalar fields, after its candidates.
 const ROUND_TAIL_BYTES: usize = 6 * 8 + 4;
 
-/// Per-shard reporting row of a [`ShardedAnswer`].
-#[derive(Clone, Copy, Debug)]
-pub struct ShardRoundStats {
-    /// Shard id.
-    pub shard: u32,
-    /// Candidates the shard contributed.
-    pub candidates: usize,
-    /// Representatives processed in round 1.
-    pub representatives: usize,
-    /// Local greedy utility (under `d̂r`).
-    pub local_utility: f64,
-    /// Round-1 wall-clock time.
-    pub elapsed: Duration,
-}
-
 /// A two-round distributed greedy answer.
 #[derive(Clone, Debug)]
 pub struct ShardedAnswer {
@@ -632,8 +601,6 @@ pub struct ShardedAnswer {
     pub instance: usize,
     /// Size of the round-2 candidate union (≤ shards × k).
     pub candidates: usize,
-    /// Per-shard round-1 statistics, in shard order.
-    pub rounds: Vec<ShardRoundStats>,
     /// Round-2 merge + solve time.
     pub merge_time: Duration,
     /// End-to-end scatter-gather time.
@@ -764,22 +731,6 @@ pub fn merge_candidates_timed(
     (solution, n, MergeTiming { build_us, solve_us })
 }
 
-/// Outcome of a degraded round-2 merge over a shard *subset* (see
-/// [`merge_candidates_subset`]).
-#[derive(Clone, Debug)]
-pub struct SubsetMerge {
-    /// The round-2 solution over the surviving candidate union.
-    pub solution: Solution,
-    /// Size of the surviving candidate union.
-    pub candidates: usize,
-    /// Merge-view build / round-2 solve wall-clock split.
-    pub timing: MergeTiming,
-    /// Conservative lower bound on `solution.utility / U_full`, where
-    /// `U_full` is the utility the full fan-out would have achieved. See
-    /// [`degraded_utility_bound`] for the guarantee.
-    pub utility_bound: f64,
-}
-
 /// Conservative lower bound on the degraded-answer quality ratio.
 ///
 /// Let `A` be the surviving shards and `U_full` the round-2 utility over
@@ -809,35 +760,6 @@ pub fn degraded_utility_bound(achieved: f64, survivor_utility: f64, missing_mass
         1.0
     } else {
         (achieved / denom).clamp(0.0, 1.0)
-    }
-}
-
-/// Round 2 over a shard **subset**: the degraded sibling of
-/// [`merge_candidates_timed`], used when some shards failed or were
-/// skipped. The greedy over the surviving candidates is still a valid
-/// greedy (round 2 never assumes the union is complete); what is lost is
-/// coverage mass from the missing shards, which
-/// [`degraded_utility_bound`] bounds conservatively.
-///
-/// * `survivor_utility` — `Σ local_utility` over the surviving shards'
-///   round-1 answers (the candidates passed in).
-/// * `missing_mass` — an upper bound on the missing shards' achievable
-///   utility; with `ψ ∈ [0, 1]` the sum of their live trajectory counts
-///   (replicas included) is always safe.
-pub fn merge_candidates_subset(
-    candidates: Vec<Candidate>,
-    q: &TopsQuery,
-    traj_id_bound: usize,
-    survivor_utility: f64,
-    missing_mass: f64,
-) -> SubsetMerge {
-    let (solution, n, timing) = merge_candidates_timed(candidates, q, traj_id_bound);
-    let utility_bound = degraded_utility_bound(solution.utility, survivor_utility, missing_mass);
-    SubsetMerge {
-        solution,
-        candidates: n,
-        timing,
-        utility_bound,
     }
 }
 
@@ -1055,27 +977,21 @@ mod tests {
                     .filter(|(i, _)| *i != missing)
                     .flat_map(|(_, r)| r.candidates.clone())
                     .collect();
-                let m = merge_candidates_subset(
-                    candidates,
-                    &q,
-                    bound,
-                    survivor_utility,
-                    missing_mass as f64,
-                );
+                let (solution, _, _) = merge_candidates_timed(candidates, &q, bound);
+                let utility_bound =
+                    degraded_utility_bound(solution.utility, survivor_utility, missing_mass as f64);
                 let true_ratio = if u_full > 0.0 {
-                    m.solution.utility / u_full
+                    solution.utility / u_full
                 } else {
                     1.0
                 };
                 assert!(
-                    (0.0..=1.0).contains(&m.utility_bound),
-                    "k={k} τ={tau} missing={missing}: bound {} outside [0,1]",
-                    m.utility_bound
+                    (0.0..=1.0).contains(&utility_bound),
+                    "k={k} τ={tau} missing={missing}: bound {utility_bound} outside [0,1]"
                 );
                 assert!(
-                    m.utility_bound <= true_ratio + 1e-9,
-                    "k={k} τ={tau} missing={missing}: reported {} > true ratio {true_ratio}",
-                    m.utility_bound
+                    utility_bound <= true_ratio + 1e-9,
+                    "k={k} τ={tau} missing={missing}: reported {utility_bound} > true ratio {true_ratio}"
                 );
                 assert!(
                     true_ratio <= 1.0 + 1e-9,
@@ -1083,27 +999,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn subset_merge_with_all_survivors_matches_full_merge() {
-        let (net, trajs, sites, partition) = fixture();
-        let sharded = ShardedNetClusIndex::build(&net, &trajs, &sites, &partition, config());
-        let bound = sharded.traj_id_bound();
-        let q = TopsQuery::binary(3, 800.0);
-        let full = sharded.query(&q);
-        let mut scratch = ProviderScratch::default();
-        let rounds: Vec<ShardRoundOne> = sharded
-            .shards()
-            .iter()
-            .map(|s| local_candidates(&s.index, &q, bound, &mut scratch))
-            .collect();
-        let survivor_utility: f64 = rounds.iter().map(|r| r.local_utility).sum();
-        let candidates: Vec<Candidate> = rounds.into_iter().flat_map(|r| r.candidates).collect();
-        let m = merge_candidates_subset(candidates, &q, bound, survivor_utility, 0.0);
-        assert_eq!(m.solution.sites, full.solution.sites);
-        assert!((m.solution.utility - full.solution.utility).abs() < 1e-12);
-        assert!((0.0..=1.0).contains(&m.utility_bound));
     }
 
     #[test]
@@ -1129,7 +1024,6 @@ mod tests {
         let want = mono.query(&trajs, &q);
         let got = sharded.query(&q);
         assert_eq!(got.solution.sites, want.solution.sites);
-        assert_eq!(got.rounds.len(), 1);
         assert!(got.candidates <= 2);
     }
 

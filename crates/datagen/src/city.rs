@@ -11,7 +11,7 @@
 //!   streets (New York-like);
 //! * [`polycentric_city`] — several mesh sub-centers joined by arterials
 //!   (Bangalore-like);
-//! * [`ring_radial_city`] — a mesh overlaid with concentric ring roads and
+//! * `ring_radial_city` — a mesh overlaid with concentric ring roads and
 //!   radial avenues (Beijing-like).
 //!
 //! Each generator returns a [`City`]: the network plus suggested workload
@@ -287,7 +287,7 @@ pub fn polycentric_city<R: RngExt>(cfg: &PolycentricCityConfig, rng: &mut R) -> 
 
 /// Configuration for [`multi_region_city`].
 #[derive(Clone, Copy, Debug)]
-pub struct MultiRegionCityConfig {
+pub(crate) struct MultiRegionCityConfig {
     /// Number of city cores (≥ 2), laid out left to right.
     pub regions: usize,
     /// Rows/cols of each core's mesh.
@@ -322,7 +322,7 @@ impl Default for MultiRegionCityConfig {
 ///
 /// Hotspots: one per core (equal weight), so a hotspot-pair workload
 /// produces a natural mix of intra- and inter-core traffic.
-pub fn multi_region_city<R: RngExt>(cfg: &MultiRegionCityConfig, rng: &mut R) -> City {
+pub(crate) fn multi_region_city<R: RngExt>(cfg: &MultiRegionCityConfig, rng: &mut R) -> City {
     assert!(cfg.regions >= 2, "multi-region city needs ≥ 2 regions");
     let patch_cfg = GridCityConfig {
         rows: cfg.region_size,
@@ -386,7 +386,7 @@ pub fn multi_region_city<R: RngExt>(cfg: &MultiRegionCityConfig, rng: &mut R) ->
 
 /// Configuration for [`ring_radial_city`].
 #[derive(Clone, Copy, Debug)]
-pub struct RingRadialCityConfig {
+pub(crate) struct RingRadialCityConfig {
     /// Underlying mesh configuration.
     pub mesh: GridCityConfig,
     /// Number of concentric ring roads.
@@ -415,7 +415,7 @@ impl Default for RingRadialCityConfig {
 /// roads and radial avenues (direct long edges between mesh nodes near the
 /// ring/radial alignments). Hotspots: the center plus zones on the middle
 /// ring, mimicking Beijing's polycentric ring structure.
-pub fn ring_radial_city<R: RngExt>(cfg: &RingRadialCityConfig, rng: &mut R) -> City {
+pub(crate) fn ring_radial_city<R: RngExt>(cfg: &RingRadialCityConfig, rng: &mut R) -> City {
     let net = grid_patch(&cfg.mesh, Point::new(0.0, 0.0), rng);
     let bb = net.bounding_box();
     let center = Point::new((bb.min.x + bb.max.x) / 2.0, (bb.min.y + bb.max.y) / 2.0);
@@ -547,7 +547,7 @@ fn grid_patch<R: RngExt>(cfg: &GridCityConfig, origin: Point, rng: &mut R) -> Ro
 
 /// Extracts the induced subgraph on the largest strongly connected
 /// component, relabeling nodes densely.
-pub fn largest_scc_subgraph(net: &RoadNetwork) -> RoadNetwork {
+pub(crate) fn largest_scc_subgraph(net: &RoadNetwork) -> RoadNetwork {
     let scc = strongly_connected_components(net);
     let keep = scc.largest_component();
     if keep.len() == net.node_count() {

@@ -32,8 +32,7 @@ pub mod sites;
 pub mod workload;
 
 pub use city::{
-    grid_city, multi_region_city, polycentric_city, ring_radial_city, star_city, City,
-    GridCityConfig, Hotspot, MultiRegionCityConfig, PolycentricCityConfig, RingRadialCityConfig,
+    grid_city, polycentric_city, star_city, City, GridCityConfig, Hotspot, PolycentricCityConfig,
     StarCityConfig,
 };
 pub use gps_stream::{generate_gps_stream, GpsStreamConfig, GpsStreamEvent};
@@ -44,5 +43,5 @@ pub use scenario::{
     atlanta_like, bangalore_like, beijing_like, beijing_small, multi_region, new_york_like,
     Scenario, ScenarioConfig,
 };
-pub use sites::{assign_capacities_normal, assign_costs_normal, select_sites, SiteSelection};
-pub use workload::{gaussian, synthesize_gps, WorkloadConfig, WorkloadGenerator};
+pub use sites::{assign_capacities_normal, assign_costs_normal};
+pub use workload::{synthesize_gps, WorkloadConfig, WorkloadGenerator};

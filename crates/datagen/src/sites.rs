@@ -12,19 +12,17 @@ use crate::workload::gaussian;
 
 /// How to choose the candidate sites from the vertex set.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum SiteSelection {
+pub(crate) enum SiteSelection {
     /// Every vertex is a candidate (the paper's default: "the number of
     /// candidate sites is the same as the number of nodes", Sec. 8.1).
     AllNodes,
     /// A uniform random sample of exactly `n` vertices (without
     /// replacement).
     Random(usize),
-    /// A uniform random fraction `f ∈ (0, 1]` of the vertices.
-    RandomFraction(f64),
 }
 
 /// Selects candidate sites, sorted by node id (deterministic given the RNG).
-pub fn select_sites<R: RngExt>(
+pub(crate) fn select_sites<R: RngExt>(
     net: &RoadNetwork,
     selection: SiteSelection,
     rng: &mut R,
@@ -34,11 +32,6 @@ pub fn select_sites<R: RngExt>(
         SiteSelection::AllNodes => net.nodes().collect(),
         SiteSelection::Random(k) => {
             assert!(k >= 1 && k <= n, "cannot select {k} sites from {n} nodes");
-            sample_without_replacement(n, k, rng)
-        }
-        SiteSelection::RandomFraction(f) => {
-            assert!(f > 0.0 && f <= 1.0, "fraction must be in (0, 1], got {f}");
-            let k = ((n as f64 * f).round() as usize).clamp(1, n);
             sample_without_replacement(n, k, rng)
         }
     }
@@ -137,14 +130,6 @@ mod tests {
         }
         // Each node expected 40 times; all nodes must be selectable.
         assert!(hits.iter().all(|&h| h > 5), "biased sampling: {hits:?}");
-    }
-
-    #[test]
-    fn fraction_selection() {
-        let net = net(40);
-        let mut rng = StdRng::seed_from_u64(2);
-        let sites = select_sites(&net, SiteSelection::RandomFraction(0.25), &mut rng);
-        assert_eq!(sites.len(), 10);
     }
 
     #[test]

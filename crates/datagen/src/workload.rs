@@ -212,7 +212,7 @@ fn gaussian_pair<R: RngExt>(rng: &mut R) -> (f64, f64) {
 }
 
 /// Samples one standard-normal value.
-pub fn gaussian<R: RngExt>(rng: &mut R) -> f64 {
+pub(crate) fn gaussian<R: RngExt>(rng: &mut R) -> f64 {
     gaussian_pair(rng).0
 }
 

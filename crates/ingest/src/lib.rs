@@ -92,14 +92,13 @@ pub mod record;
 pub mod recovery;
 pub mod wal;
 
-pub use lifecycle::LifecycleManager;
 pub use netclus_service::framing::crc32;
 pub use pipeline::{IngestConfig, Ingestor, IntakeSummary, SubmitOutcome};
-pub use queue::{BackpressurePolicy, BoundedQueue, PushOutcome};
+pub use queue::BackpressurePolicy;
 pub use record::{RecordError, RecordReader, StreamRecord, MAX_RECORD_PAYLOAD};
 pub use recovery::{recover_store, RecoveryReport};
 pub use wal::{
-    decode_batch, encode_batch, read_wal, repair_tail, ReplayLog, TailRepair, WalBatch, WalConfig,
+    decode_batch, encode_batch, read_wal, AppendInfo, ReplayLog, TailRepair, WalBatch, WalConfig,
     WalError, WalWriter,
 };
 
@@ -109,7 +108,7 @@ pub use wal::{
 fn send_sync_audit() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<StreamRecord>();
-    assert_send_sync::<BoundedQueue<StreamRecord>>();
+    assert_send_sync::<queue::BoundedQueue<StreamRecord>>();
     assert_send_sync::<Ingestor>();
     assert_send_sync::<netclus_service::IngestMetrics>();
     fn assert_send<T: Send>() {}

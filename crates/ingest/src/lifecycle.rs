@@ -31,7 +31,7 @@ type Expiry = Reverse<(u64, u32)>;
 
 /// The lifecycle manager. Single-owner (lives on the publisher thread).
 #[derive(Debug)]
-pub struct LifecycleManager {
+pub(crate) struct LifecycleManager {
     next_id: u32,
     ttl_s: Option<f64>,
     /// Stream clock: max end-of-trace time observed.
@@ -65,7 +65,7 @@ impl LifecycleManager {
     /// retired by the first [`LifecycleManager::advance`] (their retire
     /// ops were lost with the crashed publisher's pending batch, exactly
     /// like any other un-appended work).
-    pub fn resume(
+    pub(crate) fn resume(
         next_id: u32,
         ttl_s: Option<f64>,
         watermark_s: f64,
@@ -117,16 +117,6 @@ impl LifecycleManager {
         }
         retired
     }
-
-    /// The id the next admitted trajectory will receive.
-    pub fn next_id(&self) -> u32 {
-        self.next_id
-    }
-
-    /// Trajectories admitted but not yet expired.
-    pub fn live_len(&self) -> usize {
-        self.expiries.len()
-    }
 }
 
 #[cfg(test)]
@@ -144,7 +134,7 @@ mod tests {
         let mut ops = Vec::new();
         assert_eq!(lm.admit(t(&[0, 1]), 10.0, &mut ops), TrajId(5));
         assert_eq!(lm.admit(t(&[1, 2]), 11.0, &mut ops), TrajId(6));
-        assert_eq!(lm.next_id(), 7);
+        assert_eq!(lm.next_id, 7);
         assert_eq!(ops.len(), 2, "no TTL → no retire ops");
     }
 
@@ -154,7 +144,7 @@ mod tests {
         let mut ops = Vec::new();
         lm.admit(t(&[0]), 0.0, &mut ops); // expires at 100
         lm.admit(t(&[1]), 50.0, &mut ops); // expires at 150
-        assert_eq!(lm.live_len(), 2);
+        assert_eq!(lm.expiries.len(), 2);
         assert_eq!(lm.advance(99.0, &mut ops), 0);
         assert_eq!(lm.advance(120.0, &mut ops), 1);
         assert!(matches!(
@@ -167,7 +157,7 @@ mod tests {
             ops.last(),
             Some(UpdateOp::RemoveTrajectory(TrajId(1)))
         ));
-        assert_eq!(lm.live_len(), 1);
+        assert_eq!(lm.expiries.len(), 1);
     }
 
     #[test]
@@ -192,8 +182,8 @@ mod tests {
         // Two live trajectories recovered from the WAL: id 3 ended at 0,
         // id 5 at 40; stream clock last seen at 50.
         let mut lm = LifecycleManager::resume(7, Some(100.0), 50.0, vec![(3, 0.0), (5, 40.0)]);
-        assert_eq!(lm.next_id(), 7);
-        assert_eq!(lm.live_len(), 2);
+        assert_eq!(lm.next_id, 7);
+        assert_eq!(lm.expiries.len(), 2);
         let mut ops = Vec::new();
         // The resumed clock must not regress: an out-of-order record
         // below 50 changes nothing.
@@ -210,6 +200,6 @@ mod tests {
             ops.last(),
             Some(UpdateOp::RemoveTrajectory(TrajId(5)))
         ));
-        assert_eq!(lm.live_len(), 1);
+        assert_eq!(lm.expiries.len(), 1);
     }
 }

@@ -88,7 +88,10 @@ pub struct IngestConfig {
     pub queue_capacity: usize,
     /// What a full intake queue does to new records.
     pub policy: BackpressurePolicy,
-    /// Publish a batch once it holds this many ops…
+    /// Publish a batch once it holds this many ops (a trigger, not a cap:
+    /// one record arriving can release every record held behind it in
+    /// intake order, and all of them join the pending batch before the
+    /// size check, so a batch can hold far more ops than this)…
     pub max_batch_ops: usize,
     /// …or once this long has passed since the publisher armed its
     /// deadline, which it does the first time it finds a pending op after

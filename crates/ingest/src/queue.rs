@@ -14,7 +14,7 @@
 //!
 //! `pop` also hands out a **ticket**: the number of items popped before
 //! this one, taken under the queue's lock. An item displaced by
-//! `DropOldest` or discarded by [`BoundedQueue::close_and_clear`] is never
+//! `DropOldest` or discarded by `BoundedQueue::close_and_clear` is never
 //! popped, so tickets are dense and follow push order — the ingest
 //! publisher releases match outcomes in ticket order, which makes publish
 //! order the intake order.
@@ -38,7 +38,7 @@ pub enum BackpressurePolicy {
 
 /// What happened to a pushed item.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PushOutcome {
+pub(crate) enum PushOutcome {
     /// Enqueued without displacing anything.
     Accepted,
     /// Enqueued, but the oldest queued item was evicted to make room.
@@ -59,7 +59,7 @@ struct Inner<T> {
 /// The bounded queue. `push` applies a [`BackpressurePolicy`]; `pop`
 /// blocks until an item arrives or the queue is closed and drained, and
 /// tickets what it returns.
-pub struct BoundedQueue<T> {
+pub(crate) struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     capacity: usize,
     not_empty: Condvar,
@@ -143,7 +143,7 @@ impl<T> BoundedQueue<T> {
 
     /// Closes the queue and discards everything still queued (crash
     /// simulation / fast abort). Returns the number of items discarded.
-    pub fn close_and_clear(&self) -> usize {
+    pub(crate) fn close_and_clear(&self) -> usize {
         let mut inner = self.inner.lock().expect("queue lock poisoned");
         inner.closed = true;
         let n = inner.items.len();
@@ -157,11 +157,6 @@ impl<T> BoundedQueue<T> {
     /// Items currently queued.
     pub fn len(&self) -> usize {
         self.inner.lock().expect("queue lock poisoned").items.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 

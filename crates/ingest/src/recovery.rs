@@ -40,7 +40,7 @@ pub struct RecoveryReport {
     /// crashed process never published it) — whether found during the
     /// scan or already truncated away by the pre-replay tail repair.
     pub truncated_tail: bool,
-    /// What the pre-replay [`repair_tail`] pass did to the directory.
+    /// What the pre-replay `repair_tail` pass did to the directory.
     pub tail_repair: TailRepair,
     /// Wall-clock replay time.
     pub replay_time: Duration,
@@ -52,7 +52,7 @@ pub struct RecoveryReport {
 /// recovered store. `metrics`, when given, records replay time and batch
 /// count for the ingest report.
 ///
-/// Before replaying, the log tail is repaired in place ([`repair_tail`]):
+/// Before replaying, the log tail is repaired in place (`repair_tail`):
 /// a torn frame left by a mid-append crash is truncated away so it can
 /// never end up mid-log — tolerated once, then fatal — on a later run.
 pub fn recover_store(

@@ -43,7 +43,7 @@
 //! [`WalConfig::segment_max_bytes`]; every new segment's header is fsynced
 //! before any frame lands in it, so a durable directory entry never names
 //! a headerless file. Writers always start a fresh segment on open, after
-//! [`repair_tail`] has truncated any torn tail a crashed run left behind —
+//! `repair_tail` has truncated any torn tail a crashed run left behind —
 //! a torn frame must never end up buried mid-log, where replay would have
 //! to treat it as corruption.
 //!
@@ -78,7 +78,7 @@ const SEGMENT_HEADER_BYTES: u64 = 16;
 
 /// Upper bound on one WAL frame's payload (16 MiB) — the workspace-wide
 /// frame ceiling from `netclus_service::wire`.
-pub const MAX_WAL_PAYLOAD: usize = netclus_service::wire::MAX_BATCH_FRAME;
+pub(crate) const MAX_WAL_PAYLOAD: usize = netclus_service::wire::MAX_BATCH_FRAME;
 
 /// WAL configuration.
 #[derive(Clone, Debug)]
@@ -327,7 +327,7 @@ impl WalWriter {
     /// Opens a writer on `cfg.dir`, starting a fresh segment after any
     /// existing ones (a torn tail from a crashed run is never appended to).
     ///
-    /// Any torn tail is first truncated via [`repair_tail`] — once the
+    /// Any torn tail is first truncated via `repair_tail` — once the
     /// fresh segment exists, the previous one is no longer last, where a
     /// torn frame would make every future [`read_wal`] fail as mid-log
     /// corruption.
@@ -404,7 +404,7 @@ impl WalWriter {
     /// would discard them. This is the crash-simulation path
     /// ([`crate::pipeline::Ingestor::abort`] uses it) — a normal drop
     /// flushes the buffer and would make "lost" frames durable after all.
-    pub fn simulate_crash(self) {
+    pub(crate) fn simulate_crash(self) {
         let (file, _discarded_buffer) = self.out.into_parts();
         drop(file);
     }
@@ -473,7 +473,7 @@ fn open_segment(dir: &Path, index: u64) -> io::Result<File> {
     Ok(f)
 }
 
-/// What [`repair_tail`] did to a log directory.
+/// What `repair_tail` did to a log directory.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TailRepair {
     /// Trailing segments removed because they were too short to hold a
@@ -498,7 +498,7 @@ impl TailRepair {
 /// wrong — is never repaired; [`read_wal`] must keep failing loudly on it.
 /// Called by [`WalWriter::open`] before a fresh segment is created and by
 /// [`crate::recovery::recover_store`] before replay.
-pub fn repair_tail(dir: &Path) -> Result<TailRepair, WalError> {
+pub(crate) fn repair_tail(dir: &Path) -> Result<TailRepair, WalError> {
     let mut repair = TailRepair::default();
     loop {
         let segments = list_segments(dir)?;

@@ -23,7 +23,7 @@ impl Csr {
     ///
     /// If `reverse` is true the edges are transposed first (producing an
     /// in-edge adjacency). Uses a counting sort, O(|V| + |E|).
-    pub fn from_edges(n_nodes: usize, edges: &[(u32, u32, f64)], reverse: bool) -> Csr {
+    pub(crate) fn from_edges(n_nodes: usize, edges: &[(u32, u32, f64)], reverse: bool) -> Csr {
         let mut offsets = vec![0u32; n_nodes + 1];
         for &(from, to, _) in edges {
             let src = if reverse { to } else { from };
@@ -64,7 +64,7 @@ impl Csr {
 
     /// Out-degree of `v` in this direction.
     #[inline]
-    pub fn degree(&self, v: NodeId) -> usize {
+    pub(crate) fn degree(&self, v: NodeId) -> usize {
         let i = v.index();
         (self.offsets[i + 1] - self.offsets[i]) as usize
     }

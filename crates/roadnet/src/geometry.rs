@@ -4,14 +4,7 @@
 //! **meters** (an azimuthal projection of the city region). Working in meters
 //! keeps every distance in the library — edge weights, coverage thresholds
 //! `τ`, cluster radii `R_p` — in one unit and avoids repeated geodesic math on
-//! hot paths. A helper is provided to project WGS-84 coordinates into this
-//! local frame for users starting from raw GPS data.
-
-/// One kilometer, in the library's canonical meter unit.
-pub const KM: f64 = 1000.0;
-
-/// Mean Earth radius in meters (IUGG), used by the equirectangular projection.
-pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
+//! hot paths.
 
 /// A point in the local planar frame, in meters.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
@@ -53,20 +46,6 @@ impl Point {
             y: self.y + (other.y - self.y) * t,
         }
     }
-}
-
-/// Projects a WGS-84 coordinate into the local planar frame anchored at
-/// `origin` (an equirectangular projection, accurate to well under 0.5% over
-/// city-scale extents of a few tens of kilometers).
-///
-/// `lat`/`lon` and the origin are in decimal degrees.
-pub fn project_wgs84(lat: f64, lon: f64, origin_lat: f64, origin_lon: f64) -> Point {
-    let lat_r = lat.to_radians();
-    let origin_lat_r = origin_lat.to_radians();
-    let mean_lat = 0.5 * (lat_r + origin_lat_r);
-    let x = (lon - origin_lon).to_radians() * mean_lat.cos() * EARTH_RADIUS_M;
-    let y = (lat - origin_lat).to_radians() * EARTH_RADIUS_M;
-    Point { x, y }
 }
 
 /// An axis-aligned bounding box in the local planar frame.
@@ -123,13 +102,6 @@ impl BoundingBox {
     pub fn contains(&self, p: &Point) -> bool {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
     }
-
-    /// Smallest distance from `p` to the box (zero when inside).
-    pub fn distance_to(&self, p: &Point) -> f64 {
-        let dx = (self.min.x - p.x).max(0.0).max(p.x - self.max.x);
-        let dy = (self.min.y - p.y).max(0.0).max(p.y - self.max.y);
-        (dx * dx + dy * dy).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -156,18 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn projection_is_locally_metric() {
-        // Beijing city center; one degree of latitude is ~111.2 km.
-        let origin = (39.9042, 116.4074);
-        let north = project_wgs84(39.9132, 116.4074, origin.0, origin.1);
-        assert!((north.y - 1000.0).abs() < 5.0, "got {}", north.y);
-        assert!(north.x.abs() < 1e-6);
-        // One degree of longitude at 39.9° N is ~85.3 km.
-        let east = project_wgs84(39.9042, 116.4191, origin.0, origin.1);
-        assert!((east.x - 1000.0).abs() < 10.0, "got {}", east.x);
-    }
-
-    #[test]
     fn bbox_basics() {
         let pts = [
             Point::new(1.0, 5.0),
@@ -190,13 +150,5 @@ mod tests {
         assert_eq!(bb.width(), 0.0);
         assert_eq!(bb.height(), 0.0);
         assert!(BoundingBox::around(&[]).is_empty());
-    }
-
-    #[test]
-    fn bbox_distance_to_point() {
-        let bb = BoundingBox::around(&[Point::new(0.0, 0.0), Point::new(10.0, 10.0)]);
-        assert_eq!(bb.distance_to(&Point::new(5.0, 5.0)), 0.0);
-        assert_eq!(bb.distance_to(&Point::new(13.0, 14.0)), 5.0);
-        assert_eq!(bb.distance_to(&Point::new(-3.0, 5.0)), 3.0);
     }
 }

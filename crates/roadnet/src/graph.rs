@@ -78,14 +78,6 @@ impl RoadNetworkBuilder {
         Ok((a, b))
     }
 
-    /// Adds a directed edge whose weight is the Euclidean distance between
-    /// the endpoint coordinates.
-    pub fn add_edge_euclidean(&mut self, from: NodeId, to: NodeId) -> Result<EdgeId, RoadNetError> {
-        let (pf, pt) = (self.point_of(from)?, self.point_of(to)?);
-        let w = pf.distance(&pt);
-        self.add_edge(from, to, w)
-    }
-
     /// Splits the directed edge `from -> to` at `fraction ∈ (0, 1)` of its
     /// length, inserting a new vertex `w` there. The original edge is removed
     /// and replaced by `from -> w` and `w -> to` (the paper's candidate-site
@@ -220,22 +212,10 @@ impl RoadNetwork {
         self.forward.neighbors(v)
     }
 
-    /// Incoming `(source, weight)` pairs of `v`.
-    #[inline]
-    pub fn in_edges(&self, v: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        self.backward.neighbors(v)
-    }
-
     /// Out-degree of `v`.
     #[inline]
     pub fn out_degree(&self, v: NodeId) -> usize {
         self.forward.degree(v)
-    }
-
-    /// In-degree of `v`.
-    #[inline]
-    pub fn in_degree(&self, v: NodeId) -> usize {
-        self.backward.degree(v)
     }
 
     /// Weight of edge `from -> to` if it exists (min over parallel edges).
@@ -259,13 +239,6 @@ impl RoadNetwork {
     /// Tight bounding box around all node coordinates.
     pub fn bounding_box(&self) -> BoundingBox {
         BoundingBox::around(&self.points)
-    }
-
-    /// Sum of all directed edge lengths, in meters.
-    pub fn total_edge_length(&self) -> f64 {
-        self.nodes()
-            .flat_map(|v| self.out_edges(v).map(|(_, w)| w))
-            .sum()
     }
 
     /// Approximate heap footprint in bytes (coordinates + both CSRs).
@@ -297,10 +270,8 @@ mod tests {
         assert_eq!(net.node_count(), 3);
         assert_eq!(net.edge_count(), 3);
         assert_eq!(net.out_degree(NodeId(0)), 1);
-        assert_eq!(net.in_degree(NodeId(0)), 1);
         assert_eq!(net.edge_weight(NodeId(0), NodeId(1)), Some(100.0));
         assert_eq!(net.edge_weight(NodeId(1), NodeId(0)), None);
-        assert_eq!(net.total_edge_length(), 370.0);
     }
 
     #[test]
@@ -347,16 +318,6 @@ mod tests {
         let net = b.build().unwrap();
         assert_eq!(net.edge_weight(n0, n1), Some(5.0));
         assert_eq!(net.edge_weight(n1, n0), Some(5.0));
-    }
-
-    #[test]
-    fn euclidean_edge_weight() {
-        let mut b = RoadNetworkBuilder::new();
-        let n0 = b.add_node(Point::new(0.0, 0.0));
-        let n1 = b.add_node(Point::new(3.0, 4.0));
-        b.add_edge_euclidean(n0, n1).unwrap();
-        let net = b.build().unwrap();
-        assert_eq!(net.edge_weight(n0, n1), Some(5.0));
     }
 
     #[test]

@@ -38,7 +38,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod csr;
+pub(crate) mod csr;
 pub mod dijkstra;
 pub mod error;
 pub mod geometry;
@@ -52,7 +52,7 @@ pub mod spatial;
 pub use csr::Csr;
 pub use dijkstra::DijkstraEngine;
 pub use error::RoadNetError;
-pub use geometry::{project_wgs84, BoundingBox, Point, EARTH_RADIUS_M, KM};
+pub use geometry::{BoundingBox, Point};
 pub use graph::{RoadNetwork, RoadNetworkBuilder};
 pub use ids::{EdgeId, NodeId};
 pub use partition::{PartitionStats, RegionPartition};

@@ -105,16 +105,6 @@ impl RegionPartition {
         counts
     }
 
-    /// Vertices assigned to `shard`, ascending.
-    pub fn nodes_in(&self, shard: u32) -> Vec<NodeId> {
-        self.shard_of
-            .iter()
-            .enumerate()
-            .filter(|&(_, &s)| s == shard)
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
-    }
-
     /// Cut statistics of this partition over `net` (which must be the
     /// network the assignment was built for).
     pub fn stats(&self, net: &RoadNetwork) -> PartitionStats {
@@ -284,21 +274,6 @@ mod tests {
         let a = RegionPartition::build(&net, 4);
         let b = RegionPartition::build(&net, 4);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn nodes_in_returns_each_node_once() {
-        let net = mesh(6, 6);
-        let p = RegionPartition::build(&net, 4);
-        let mut seen = vec![false; net.node_count()];
-        for s in 0..4 {
-            for v in p.nodes_in(s) {
-                assert!(!seen[v.index()], "{v:?} in two shards");
-                seen[v.index()] = true;
-                assert_eq!(p.shard_of(v), s);
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]

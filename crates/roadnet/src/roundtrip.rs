@@ -65,7 +65,7 @@ impl RoundTripEngine {
     }
 
     /// Round-trip distance if it is ≤ `limit`, else `None`.
-    pub fn round_trip_bounded(
+    pub(crate) fn round_trip_bounded(
         &mut self,
         net: &RoadNetwork,
         u: NodeId,
@@ -81,18 +81,6 @@ impl RoundTripEngine {
         let d_vu = self.bwd.distance(v)?;
         let rt = d_uv + d_vu;
         (rt <= limit).then_some(rt)
-    }
-
-    /// Access the forward engine state from the most recent
-    /// [`RoundTripEngine::ball`] call: `distance(v) = d(center, v)`.
-    pub fn forward_engine(&self) -> &DijkstraEngine {
-        &self.fwd
-    }
-
-    /// Access the backward engine state from the most recent
-    /// [`RoundTripEngine::ball`] call: `distance(v) = d(v, center)`.
-    pub fn backward_engine(&self) -> &DijkstraEngine {
-        &self.bwd
     }
 }
 

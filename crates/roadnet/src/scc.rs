@@ -18,13 +18,8 @@ pub struct SccDecomposition {
 }
 
 impl SccDecomposition {
-    /// Component id of `v`.
-    pub fn component_of(&self, v: NodeId) -> u32 {
-        self.comp[v.index()]
-    }
-
     /// Number of strongly connected components.
-    pub fn component_count(&self) -> usize {
+    pub(crate) fn component_count(&self) -> usize {
         self.count
     }
 
@@ -168,13 +163,11 @@ mod tests {
         let net = net_from_edges(5, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 3)]);
         let scc = strongly_connected_components(&net);
         assert_eq!(scc.component_count(), 2);
-        let c012 = scc.component_of(NodeId(0));
-        assert_eq!(scc.component_of(NodeId(1)), c012);
-        assert_eq!(scc.component_of(NodeId(2)), c012);
-        let c34 = scc.component_of(NodeId(3));
-        assert_eq!(scc.component_of(NodeId(4)), c34);
-        assert_ne!(c012, c34);
-        assert_eq!(scc.largest_component().len(), 3);
+        // Two components, so {3, 4} is the other one.
+        assert_eq!(
+            scc.largest_component(),
+            vec![NodeId(0), NodeId(1), NodeId(2)]
+        );
     }
 
     #[test]

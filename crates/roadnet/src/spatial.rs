@@ -137,11 +137,6 @@ impl GridIndex {
         out
     }
 
-    /// Number of grid cells.
-    pub fn cell_count(&self) -> usize {
-        self.nx * self.ny
-    }
-
     /// Approximate heap footprint in bytes.
     pub fn heap_size_bytes(&self) -> usize {
         self.cell_offsets.capacity() * 4 + self.node_ids.capacity() * 4
@@ -261,7 +256,6 @@ mod tests {
         b.add_edge(NodeId(0), NodeId(1), 7.0).unwrap();
         let net = b.build().unwrap();
         let idx = GridIndex::build(&net, 1000.0);
-        assert_eq!(idx.cell_count(), 1);
         let (v, d) = idx.nearest(&net, Point::new(0.0, 0.0)).unwrap();
         assert_eq!(v, NodeId(0));
         assert_eq!(d, 5.0);

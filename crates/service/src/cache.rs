@@ -10,7 +10,7 @@
 //! ([`EpochKeyed`]), an epoch advance makes older keys unreachable, and
 //! [`EpochLru::invalidate_before`] reclaims their space eagerly. A value
 //! that stays valid across an advance is moved, not purged:
-//! [`EpochLru::take_where`] hands it out and [`EpochLru::upsert`] files it
+//! `EpochLru::take_where` hands it out and [`EpochLru::upsert`] files it
 //! under the new epoch (the provider cache's carried rows).
 //!
 //! **The purge floor.** The highest epoch ever purged is remembered, and
@@ -19,13 +19,13 @@
 //! and the cache stays as it was — nothing could look the value up again,
 //! so holding it would only occupy capacity until the next publish.
 //!
-//! **Single flight.** [`EpochLru::get_or_build`] coalesces concurrent
+//! **Single flight.** `EpochLru::get_or_build` coalesces concurrent
 //! misses on one key onto one builder: the first thread to miss marks the
 //! slot *building* and runs the closure outside the lock; every other
 //! thread parks on a condvar and receives the finished `Arc` — N workers
 //! racing a cold dashboard burst burn one build, not N. Coalesced waits
 //! are counted separately from hits so saturation on cold keys is
-//! observable. A build that fails ([`EpochLru::get_or_try_build`]) or
+//! observable. A build that fails (`EpochLru::get_or_try_build`) or
 //! panics retains nothing and hands the key to the next waiter.
 //!
 //! One mutex guards the map and the counters: a lookup holds it for a
@@ -77,7 +77,7 @@ pub enum VariantKey {
 /// The hashable `(tag, parameter bits)` form of a [`PreferenceFunction`] —
 /// shared by the result-cache key and the round-1 candidate-memo key so
 /// every cache in the stack agrees on ψ identity.
-pub fn preference_key(preference: &PreferenceFunction) -> (u8, u64) {
+pub(crate) fn preference_key(preference: &PreferenceFunction) -> (u8, u64) {
     match *preference {
         PreferenceFunction::Binary => (0, 0),
         PreferenceFunction::LinearDecay => (1, 0),
@@ -127,7 +127,7 @@ impl EpochKeyed for QueryKey {
 
 /// How an [`EpochLru::get_or_build`] call was satisfied.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CacheOutcome {
+pub(crate) enum CacheOutcome {
     /// The value was resident.
     Hit,
     /// Another thread was already building it; this call waited.
@@ -141,7 +141,7 @@ pub enum CacheOutcome {
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that missed (under [`EpochLru::get_or_build`], each miss is
+    /// Lookups that missed (under `EpochLru::get_or_build`, each miss is
     /// one build).
     pub misses: u64,
     /// Lookups that waited on another thread's in-flight build instead of
@@ -254,7 +254,7 @@ impl<K: Copy + Eq + Hash + EpochKeyed, V> EpochLru<K, V> {
 
     /// Like [`EpochLru::get`], but a resident value `pred` rejects is a
     /// miss (and keeps its recency).
-    pub fn get_where(&self, key: &K, pred: impl Fn(&V) -> bool) -> Option<Arc<V>> {
+    pub(crate) fn get_where(&self, key: &K, pred: impl Fn(&V) -> bool) -> Option<Arc<V>> {
         let mut inner = self.lock();
         let hit = inner.touch(key, pred);
         match hit {
@@ -311,7 +311,11 @@ impl<K: Copy + Eq + Hash + EpochKeyed, V> EpochLru<K, V> {
     /// Panic-safe: if `build` unwinds, the in-flight marker is removed
     /// and every waiter is woken (the next caller becomes the builder) —
     /// a panicking build can wedge neither the key nor the waiters.
-    pub fn get_or_build<F: FnOnce() -> V>(&self, key: K, build: F) -> (Arc<V>, CacheOutcome) {
+    pub(crate) fn get_or_build<F: FnOnce() -> V>(
+        &self,
+        key: K,
+        build: F,
+    ) -> (Arc<V>, CacheOutcome) {
         let Ok(found) = self.get_or_try_build(key, || Ok::<V, Infallible>(build()));
         found
     }
@@ -320,7 +324,7 @@ impl<K: Copy + Eq + Hash + EpochKeyed, V> EpochLru<K, V> {
     /// takes the unwind path: nothing is retained, the error goes to this
     /// caller alone, and a waiter parked on the build becomes the next
     /// builder (the miss stays counted).
-    pub fn get_or_try_build<E>(
+    pub(crate) fn get_or_try_build<E>(
         &self,
         key: K,
         build: impl FnOnce() -> Result<V, E>,
@@ -389,7 +393,7 @@ impl<K: Copy + Eq + Hash + EpochKeyed, V> EpochLru<K, V> {
     /// for a caller that re-keys them ([`EpochLru::upsert`] under a later
     /// epoch). In-flight builds stay, and no counter moves: the values
     /// were neither looked up nor purged.
-    pub fn take_where(&self, pred: impl Fn(&K) -> bool) -> Vec<(K, Arc<V>)> {
+    pub(crate) fn take_where(&self, pred: impl Fn(&K) -> bool) -> Vec<(K, Arc<V>)> {
         let mut inner = self.lock();
         let keys: Vec<K> = inner
             .map

@@ -7,7 +7,7 @@
 //! 1. **Admission** — τ is quantized, the request validated and **one**
 //!    snapshot pinned; the answer is computed against that epoch alone.
 //! 2. **Result cache** — the key `(query, variant, epoch)` goes through
-//!    [`EpochLru::get_or_try_build`](crate::EpochLru::get_or_try_build):
+//!    `EpochLru::get_or_try_build`:
 //!    a hit answers at once, and a caller that finds the same key being
 //!    solved waits for that solve instead of repeating it
 //!    (`dedup_joined`). The epoch is part of the key, so a caller joins
@@ -16,7 +16,7 @@
 //! 3. **Solve** — the caller that builds takes one of
 //!    [`ServiceConfig::workers`] solve permits (each a reused
 //!    [`ProviderScratch`]), looks the instance's rows up through
-//!    [`rows_for`] (single flight per instance and epoch) and solves.
+//!    `rows_for` (single flight per instance and epoch) and solves.
 //!    With no permit free it waits, unless
 //!    [`ServiceConfig::queue_capacity`] callers already wait: then it is
 //!    refused with [`SubmitError::QueueFull`], so overload sheds instead

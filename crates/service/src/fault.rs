@@ -10,7 +10,7 @@
 //!   query-path sibling of `Ingestor::set_publish_stall`: zero-cost when
 //!   no plan is installed (one relaxed atomic load).
 //! * **Circuit breakers** — a per-shard closed → open → half-open state
-//!   machine ([`CircuitBreaker`]). Consecutive failures open the breaker;
+//!   machine (`CircuitBreaker`). Consecutive failures open the breaker;
 //!   open shards are skipped at scatter time; after a cooldown a single
 //!   probe query is admitted, and its outcome closes or re-opens the
 //!   breaker.
@@ -72,7 +72,7 @@ pub struct FaultRule {
     pub action: FaultAction,
     /// Probability in `[0, 1]` that the rule fires on a matching task
     /// (decided deterministically from the plan seed — see
-    /// [`FaultPlan::decide`]).
+    /// `FaultPlan::decide`).
     pub probability: f64,
     /// Optional half-open task-sequence window `[from, until)` on the
     /// shard's per-task counter. `None` means always. A bounded window is
@@ -151,7 +151,7 @@ impl FaultPlan {
     /// replica only selects which rules apply, so a shard-wide rule makes
     /// the same decision on every replica of the shard (replicas stay
     /// bit-identical even under shard-wide chaos).
-    pub fn decide(&self, shard: u32, replica: u32, seq: u64) -> Option<FaultAction> {
+    pub(crate) fn decide(&self, shard: u32, replica: u32, seq: u64) -> Option<FaultAction> {
         for (i, rule) in self.rules.iter().enumerate() {
             if rule.shard != shard {
                 continue;
@@ -306,7 +306,7 @@ impl Default for BreakerConfig {
     }
 }
 
-/// Breaker state, as reported by [`CircuitBreaker::snapshot`].
+/// Breaker state, as reported by `CircuitBreaker::snapshot`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BreakerState {
     /// Healthy — tasks flow.
@@ -345,7 +345,7 @@ pub struct BreakerSnapshot {
 
 /// What the breaker says about admitting one round-1 task.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BreakerAdmit {
+pub(crate) enum BreakerAdmit {
     /// Closed — scatter normally.
     Yes,
     /// Cooldown elapsed — scatter as the single half-open probe; report
@@ -365,7 +365,7 @@ enum BreakerPhase {
 /// single-probe admission. A task is counted exactly once: a half-open
 /// probe by the worker that ends it (its gather may be long gone — the
 /// probe rides beside a healthy sibling), every other task by its gather.
-pub struct CircuitBreaker {
+pub(crate) struct CircuitBreaker {
     cfg: BreakerConfig,
     phase: Mutex<BreakerPhase>,
     opens: AtomicU64,
@@ -405,7 +405,7 @@ impl CircuitBreaker {
 
     /// Records a task success. `probe` must be true iff [`Self::admit`]
     /// returned [`BreakerAdmit::Probe`] for this task.
-    pub fn record_success(&self, probe: bool) {
+    pub(crate) fn record_success(&self, probe: bool) {
         let mut phase = lock_recover(&self.phase);
         match *phase {
             BreakerPhase::HalfOpen if probe => {
@@ -421,7 +421,7 @@ impl CircuitBreaker {
 
     /// Records a task failure (or timeout). `probe` as in
     /// [`Self::record_success`].
-    pub fn record_failure(&self, now: Instant, probe: bool) {
+    pub(crate) fn record_failure(&self, now: Instant, probe: bool) {
         let mut phase = lock_recover(&self.phase);
         match *phase {
             BreakerPhase::HalfOpen if probe => {

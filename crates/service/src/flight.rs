@@ -168,12 +168,12 @@ impl FlightRecorder {
 
     /// Seconds since the recorder was created (the time axis of every
     /// retained tick).
-    pub fn now_secs(&self) -> f64 {
+    pub(crate) fn now_secs(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
     }
 
     /// Records one tick stamped with the current time.
-    pub fn record_now(&self, sample: &[(String, f64)]) {
+    pub(crate) fn record_now(&self, sample: &[(String, f64)]) {
         self.record_at(self.now_secs(), sample);
     }
 
@@ -301,7 +301,7 @@ impl FlightRecorder {
     /// that pair instead of dragging the whole window negative. `None`
     /// when the series is unknown or fewer than two points fall in the
     /// window.
-    pub fn window_increase(&self, series: &str, window_secs: f64) -> Option<(f64, f64)> {
+    pub(crate) fn window_increase(&self, series: &str, window_secs: f64) -> Option<(f64, f64)> {
         let points = self.history(series, Some(window_secs))?;
         if points.len() < 2 {
             return None;

@@ -10,7 +10,7 @@
 //!   [`TrajectorySet`](netclus_trajectory::TrajectorySet) and
 //!   [`NetClusIndex`](netclus::NetClusIndex) live behind an `Arc`-swapped
 //!   immutable [`Snapshot`]. Readers pin a snapshot with one atomic load
-//!   and never block; a writer applies an [`UpdateBatch`] to a private
+//!   and never block; a writer applies an `UpdateBatch` to a private
 //!   copy and publishes it atomically under the next epoch.
 //! * [`executor`] — the **monolithic service**: [`NetClusService::query`]
 //!   answers on the caller's thread against one pinned snapshot. Identical
@@ -151,42 +151,35 @@ pub mod telemetry;
 pub mod trace;
 pub mod wire;
 
-pub use cache::{
-    preference_key, CacheOutcome, CacheStats, EpochKeyed, EpochLru, QueryKey, ResultCache,
-};
+pub use cache::{CacheStats, EpochKeyed, EpochLru, QueryKey, ResultCache};
 pub use executor::{
     NetClusService, QueryVariant, ServiceAnswer, ServiceConfig, ServiceRequest, SubmitError,
 };
 pub use fault::{
-    BreakerConfig, BreakerSnapshot, BreakerState, CircuitBreaker, FaultAction, FaultPlan,
-    FaultRule, QueryError, ShardFailure,
+    BreakerConfig, BreakerSnapshot, BreakerState, FaultAction, FaultPlan, FaultRule, QueryError,
+    ShardFailure,
 };
 pub use flight::{flatten_json, FlightConfig, FlightRecorder, FlightSampler};
 pub use health::{HealthEvaluator, HealthReport, RuleOutcome, Severity, SloRule, Verdict};
 pub use metrics::{
     FaultReport, IngestMetrics, IngestReport, LatencyHistogram, LatencySummary, MetricsReport,
-    ProcessGauges, ServiceMetrics, ShardLaneReport, ShardReport,
+    ProcessGauges, ShardLaneReport, ShardReport,
 };
 pub use provider_cache::{
-    carry_rows, quantize_tau, ProviderCacheStats, RoundCacheStats, RoundKey, RoundOneCache,
-    ShardProviderCache, ShardProviderKey,
+    carry_rows, quantize_tau, RoundKey, RoundOneCache, ShardProviderCache, ShardProviderKey,
 };
 pub use shard_proto::ResyncSnapshot;
 pub use shard_router::{
     install_resync_snapshot, InProcessShard, QueryOptions, RemoteShard, RemoteShardConfig,
-    Round1Ctx, Round1Ok, ShardApplyOutcome, ShardHello, ShardRouter, ShardRouterConfig,
-    ShardTransport, ShardedServiceAnswer, TransportCounters, TransportSnapshot,
-    HEDGE_DELAY_FRACTION, ROUND1_BUDGET_FRACTION,
+    Round1Ctx, Round1Ok, ShardApplyOutcome, ShardRouter, ShardRouterConfig, ShardTransport,
+    ShardedServiceAnswer, TransportCounters,
 };
 pub use shard_server::{ShardServer, ShardServerConfig};
-pub use snapshot::{
-    RoutedOp, Snapshot, SnapshotStore, TrajectoryDelta, UpdateBatch, UpdateOp, UpdateReceipt,
-    UpdateSink,
-};
+pub use snapshot::{RoutedOp, Snapshot, SnapshotStore, UpdateOp, UpdateReceipt, UpdateSink};
 pub use telemetry::{TelemetryServer, TelemetrySource};
 pub use trace::{
-    LoadGauge, LoadGaugeSnapshot, Round1Source, SlowQueryRecord, SpanRecord, Stage, StageStats,
-    TraceConfig, TraceMeta, TraceSpans, Tracer,
+    Round1Source, SlowQueryRecord, SpanRecord, Stage, StageStats, TraceConfig, TraceMeta,
+    TraceSpans, Tracer,
 };
 
 /// Recovers a mutex guard even when a previous holder panicked: the
@@ -213,22 +206,22 @@ fn send_sync_audit() {
     assert_send_sync::<ResultCache>();
     assert_send_sync::<ShardProviderCache>();
     assert_send_sync::<ServiceAnswer>();
-    assert_send_sync::<ServiceMetrics>();
+    assert_send_sync::<metrics::ServiceMetrics>();
     assert_send_sync::<NetClusService>();
     assert_send_sync::<netclus::ShardedNetClusIndex>();
     assert_send_sync::<ShardRouter>();
     assert_send_sync::<ShardedServiceAnswer>();
     assert_send_sync::<Tracer>();
     assert_send_sync::<StageStats>();
-    assert_send_sync::<LoadGauge>();
+    assert_send_sync::<trace::LoadGauge>();
     assert_send_sync::<TelemetryServer>();
     assert_send_sync::<TelemetrySource>();
     assert_send_sync::<FlightRecorder>();
     assert_send_sync::<FlightSampler>();
     assert_send_sync::<HealthEvaluator>();
-    assert_send_sync::<HealthReport>();
+    assert_send_sync::<health::HealthReport>();
     assert_send_sync::<FaultPlan>();
-    assert_send_sync::<CircuitBreaker>();
+    assert_send_sync::<fault::CircuitBreaker>();
     assert_send_sync::<QueryError>();
     assert_send_sync::<FaultReport>();
     assert_send_sync::<RemoteShard>();

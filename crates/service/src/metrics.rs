@@ -129,7 +129,7 @@ pub struct LatencySummary {
 
 /// Shared counters updated by the executor's hot path.
 #[derive(Debug, Default)]
-pub struct ServiceMetrics {
+pub(crate) struct ServiceMetrics {
     /// Requests admitted: valid, and not refused for a full waiting room
     /// or shutdown.
     pub submitted: AtomicU64,
@@ -166,13 +166,13 @@ pub struct ServiceMetrics {
 
 impl ServiceMetrics {
     /// Bumps the queue-depth gauge, tracking the high-water mark.
-    pub fn queue_enter(&self) {
+    pub(crate) fn queue_enter(&self) {
         let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
         self.queue_depth_max.fetch_max(depth, Ordering::Relaxed);
     }
 
     /// Drops the queue-depth gauge by one.
-    pub fn queue_exit(&self) {
+    pub(crate) fn queue_exit(&self) {
         self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
@@ -236,7 +236,7 @@ pub struct ProcessGauges {
     pub rss_bytes: Option<u64>,
     /// Bytes resident in the published snapshot's index arenas, from the
     /// existing footprint accounting (`NetClusIndex::heap_size_bytes`);
-    /// filled in by the service/router on top of [`ServiceMetrics::report`]
+    /// filled in by the service/router on top of `ServiceMetrics::report`
     /// (`None` until something fills it).
     pub arena_resident_bytes: Option<u64>,
 }
@@ -768,7 +768,7 @@ impl IngestReport {
 
 /// Pairs a metrics struct with its start instant.
 #[derive(Debug)]
-pub struct MetricsClock {
+pub(crate) struct MetricsClock {
     /// The shared counters.
     pub metrics: ServiceMetrics,
     started: Instant,

@@ -1,6 +1,6 @@
 //! Round-1 instantiations of the stack's one cache mechanism
 //! ([`EpochLru`]): built [`ProviderRows`] per `(epoch, shard, instance,
-//! built τ)` ([`ShardProviderCache`], looked up through [`rows_for`] by
+//! built τ)` ([`ShardProviderCache`], looked up through `rows_for` by
 //! both serving cores — the monolithic executor is shard 0) and the
 //! round-1 **candidate memo** ([`RoundOneCache`]) keyed `(epoch, shard, τ,
 //! ψ)` that answers any `k' ≤ k` repeat by prefix slicing.
@@ -10,7 +10,7 @@
 //! epoch) and the threshold they were built at, **not** on `k` or ψ, and
 //! rows built at τ' answer every τ ≤ τ' by a per-row prefix
 //! ([`ProviderRows::view`]). So the key's τ is the **built τ**, not the
-//! query's: [`rows_for`] asks for rows at [`ProviderRows::built_tau_for`]
+//! query's: `rows_for` asks for rows at [`ProviderRows::built_tau_for`]
 //! — the top of the instance's τ band — and one entry per `(epoch, shard,
 //! instance)` serves every `k`, ψ and τ in the band. Only a τ above the
 //! band top (the clamped last instance) keys an entry of its own.
@@ -50,7 +50,7 @@ use netclus::{par, PreferenceFunction, ProviderRows, ProviderScratch};
 
 pub use netclus::quantize_tau;
 
-use crate::cache::{preference_key, CacheOutcome, CacheStats, EpochKeyed, EpochLru};
+use crate::cache::{preference_key, CacheOutcome, EpochKeyed, EpochLru};
 use crate::metrics::LatencyHistogram;
 use crate::snapshot::Snapshot;
 
@@ -91,15 +91,12 @@ impl EpochKeyed for ShardProviderKey {
 /// shard server shares between its workers.
 pub type ShardProviderCache = EpochLru<ShardProviderKey, ProviderRows>;
 
-/// Provider-cache counters (a miss is one build of an instance's rows).
-pub type ProviderCacheStats = CacheStats;
-
 /// The rows that answer `tau` on `snap`: instance `p` of the ladder, its
 /// rows built at the top of its τ band — resident, awaited from the
 /// worker already building them, or built here (one `build_hist` sample
 /// per build) — and which of the three it was. Any `k`, ψ and variant and
 /// any τ in the band shares the entry and cuts a prefix view of it.
-pub fn rows_for(
+pub(crate) fn rows_for(
     snap: &Snapshot,
     tau: f64,
     shard: u32,
@@ -125,7 +122,7 @@ pub fn rows_for(
 /// Moves the provider cache to `epoch` after a publish: each shard's rows
 /// at `epoch - 1` are carried across when `shards` lists that shard with
 /// its snapshot at `epoch` and the snapshot records a
-/// [`TrajectoryDelta`](crate::snapshot::TrajectoryDelta) — taken out,
+/// `TrajectoryDelta` — taken out,
 /// patched in place ([`ProviderRows::patch`]; an entry a reader still
 /// holds is copied first) and filed under `epoch` — and everything else
 /// below `epoch` is purged.
@@ -227,10 +224,6 @@ impl EpochKeyed for RoundKey {
 /// merge needs no shard re-contact), a larger `k'` re-runs and upgrades
 /// the entry.
 pub type RoundOneCache = EpochLru<RoundKey, ShardRoundOne>;
-
-/// Candidate-memo counters (a hit is a prefix slice; a miss is no entry,
-/// or a memoized `k` that was smaller).
-pub type RoundCacheStats = CacheStats;
 
 impl RoundOneCache {
     /// Answers a `k`-request from the memo if a round computed for some

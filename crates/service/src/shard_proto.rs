@@ -18,7 +18,7 @@
 //! | 4     | CRC-32 (IEEE) of the payload, `u32` LE    |
 //! | n     | payload: `tag: u8` + body, LE fixed-width |
 //!
-//! Requests are bounded at [`crate::wire::MAX_SHARD_REQUEST`] bytes and
+//! Requests are bounded at `crate::wire::MAX_SHARD_REQUEST` bytes and
 //! responses at [`crate::wire::MAX_SHARD_RESPONSE`]; a `Round1Ok`
 //! carries at most [`crate::wire::MAX_WIRE_CANDIDATES`] candidate rows
 //! (encoded by the bit-exact codec in [`netclus::shard`]). Floats cross
@@ -143,7 +143,7 @@ pub enum Request {
         k: u64,
         /// Query τ as IEEE-754 bits (already quantized by the router).
         tau_bits: u64,
-        /// ψ tag (see [`crate::cache::preference_key`]).
+        /// ψ tag (see `crate::cache::preference_key`).
         psi_tag: u8,
         /// ψ parameter bits.
         psi_param: u64,
@@ -235,7 +235,7 @@ pub enum Response {
     ShutdownAck,
     /// One chunk of the pinned resync blob. The transfer is complete when
     /// `offset + data.len() == total_len`; each chunk carries at most
-    /// [`MAX_RESYNC_CHUNK`] bytes so every frame stays under the shard
+    /// `MAX_RESYNC_CHUNK` bytes so every frame stays under the shard
     /// response cap.
     ResyncChunk {
         /// Epoch of the pinned snapshot being transferred.
@@ -388,7 +388,7 @@ pub fn round1_request(epoch_hint: u64, shard: u32, query: &TopsQuery) -> Request
 
 /// Reconstructs the ψ from its wire/cache-key form; `None` for unknown
 /// tags (a decoder rejects the request).
-pub fn preference_from_key(tag: u8, param: u64) -> Option<PreferenceFunction> {
+pub(crate) fn preference_from_key(tag: u8, param: u64) -> Option<PreferenceFunction> {
     Some(match tag {
         0 => PreferenceFunction::Binary,
         1 => PreferenceFunction::LinearDecay,

@@ -61,11 +61,11 @@
 //! (see [`crate::fault`] for the primitives):
 //!
 //! * **Deadlines** — [`QueryOptions::deadline`] budgets the fan-out:
-//!   round 1 gets [`ROUND1_BUDGET_FRACTION`] of it, round 2 the
+//!   round 1 gets `ROUND1_BUDGET_FRACTION` of it, round 2 the
 //!   remainder; a blown budget is a typed
 //!   [`QueryError::DeadlineExceeded`], never an unbounded wait.
 //! * **Circuit breakers** — one
-//!   [`CircuitBreaker`](crate::fault::CircuitBreaker) per replica:
+//!   `CircuitBreaker` per replica:
 //!   repeated failures open it, open replicas are skipped at scatter
 //!   time, and a half-open probe closes it once the replica recovers.
 //! * **Degraded answers** — when some-but-not-all shards fail, round 2
@@ -117,11 +117,11 @@ use crate::trace::{TraceConfig, Tracer};
 use crate::{jsonl, lock_recover};
 use scatter::{worker_entry, RouterQueue, StaleAnswers};
 
-pub(crate) use transport::resolve_round1;
 pub use transport::{
     install_resync_snapshot, InProcessShard, RemoteShard, RemoteShardConfig, Round1Ctx, Round1Ok,
-    ShardApplyOutcome, ShardHello, ShardTransport, TransportCounters, TransportSnapshot,
+    ShardApplyOutcome, ShardTransport, TransportCounters,
 };
+pub(crate) use transport::{resolve_round1, TransportSnapshot};
 
 /// Router configuration.
 #[derive(Clone, Copy, Debug)]
@@ -179,7 +179,7 @@ impl ShardRouterConfig {
 /// Fraction of a query's deadline budgeted to the round-1 scatter-gather;
 /// the remainder is reserved for the round-2 merge, so a slow shard
 /// cannot starve the merge of the surviving candidates.
-pub const ROUND1_BUDGET_FRACTION: f64 = 0.75;
+pub(crate) const ROUND1_BUDGET_FRACTION: f64 = 0.75;
 
 /// Fraction of the round-1 budget the gather waits before **hedging**: a
 /// shard that has not answered by then gets a second round-1 request on
@@ -187,13 +187,13 @@ pub const ROUND1_BUDGET_FRACTION: f64 = 0.75;
 /// Replicas pin the same lockstep epoch, so either answer is the answer;
 /// hedging trades one redundant RPC for tail latency only when round 1
 /// is already slower than the typical reply.
-pub const HEDGE_DELAY_FRACTION: f64 = 0.25;
+pub(crate) const HEDGE_DELAY_FRACTION: f64 = 0.25;
 
 /// Per-query execution options for [`ShardRouter::query`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct QueryOptions {
     /// Optional end-to-end deadline. Round 1 gets
-    /// [`ROUND1_BUDGET_FRACTION`] of it (shards that miss the budget are
+    /// `ROUND1_BUDGET_FRACTION` of it (shards that miss the budget are
     /// treated as failed and the answer degrades), round 2 the remainder;
     /// if nothing survives in budget the query fails with a typed
     /// [`QueryError::DeadlineExceeded`]. `None` (the default) waits
@@ -1592,10 +1592,10 @@ pub(crate) mod tests {
         router.set_fault_plan(fault_on(0, FaultAction::Error));
         assert!(!router.query_blocking(q).unwrap().degraded);
         assert_eq!(settled(&router, 0, 0).state, BreakerState::Open);
-        // Past the cooldown the replica answers again, but 30 ms late: its
+        // Past the cooldown the replica answers again, but 2 s late: its
         // probe loses to the sibling, so the gather is over before the
-        // probe's reply exists.
-        router.set_fault_plan(fault_on(0, FaultAction::Delay(Duration::from_millis(30))));
+        // probe's reply exists (`settled` waits up to 5 s for it).
+        router.set_fault_plan(fault_on(0, FaultAction::Delay(Duration::from_secs(2))));
         let (probed, probe) = query_until(&router, q, 0, 0, |b| b.probes >= 1);
         assert!(!probed.degraded);
         router.set_fault_plan(None);

@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::time::Instant;
 
-use netclus::shard::{merge_candidates_subset, merge_candidates_timed, MergeTiming};
+use netclus::shard::{degraded_utility_bound, merge_candidates_timed, MergeTiming};
 use netclus::{ProviderScratch, TopsQuery};
 
 use super::*;
@@ -323,9 +323,9 @@ impl<'a> Flight<'a> {
         }
         let missing: Vec<u32> = failures.iter().map(|&(shard, _)| shard).collect();
         let query = &self.query;
-        let (solution, candidates, timing, utility_bound) = if missing.is_empty() {
-            let (solution, n, timing) = merge_candidates_timed(candidates, query, bound);
-            (solution, n, timing, 1.0)
+        let (solution, candidates, timing) = merge_candidates_timed(candidates, query, bound);
+        let utility_bound = if missing.is_empty() {
+            1.0
         } else {
             // Upper-bound each missing shard's lost utility by its live
             // trajectory mass (every ψ score is in [0, 1]); the per-shard
@@ -335,9 +335,7 @@ impl<'a> Flight<'a> {
             let missing_mass = missing.iter().map(mass).sum::<usize>() as f64;
             let degraded = &self.inner.faultc.degraded_answers;
             degraded.fetch_add(1, Ordering::Relaxed);
-            let m =
-                merge_candidates_subset(candidates, query, bound, survivor_utility, missing_mass);
-            (m.solution, m.candidates, m.timing, m.utility_bound)
+            degraded_utility_bound(solution.utility, survivor_utility, missing_mass)
         };
         let answer = ShardedServiceAnswer {
             epoch: self.epoch,

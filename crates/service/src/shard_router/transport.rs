@@ -321,7 +321,7 @@ pub struct TransportCounters {
 
 impl TransportCounters {
     /// Point-in-time view.
-    pub fn snapshot(&self) -> TransportSnapshot {
+    pub(crate) fn snapshot(&self) -> TransportSnapshot {
         TransportSnapshot {
             requests: self.requests.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
@@ -333,7 +333,7 @@ impl TransportCounters {
 
 /// Point-in-time [`TransportCounters`] view.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct TransportSnapshot {
+pub(crate) struct TransportSnapshot {
     /// RPCs issued, including failed ones.
     pub requests: u64,
     /// RPCs that ended in a [`ShardFailure`].
@@ -375,7 +375,7 @@ impl Default for RemoteShardConfig {
 
 /// What the hello handshake learned about a shard server.
 #[derive(Clone, Copy, Debug)]
-pub struct ShardHello {
+pub(crate) struct ShardHello {
     /// Epoch the shard currently publishes.
     pub epoch: u64,
     /// The shard's trajectory-id bound (global ids assigned so far).
@@ -450,7 +450,7 @@ impl RemoteShard {
     /// Asks the server for its hello summary (connecting first if
     /// needed) — what [`ShardRouter::connect`](crate::ShardRouter::connect) seeds its global id space
     /// and replication gauges from.
-    pub fn hello(&self) -> Result<ShardHello, ShardFailure> {
+    pub(crate) fn hello(&self) -> Result<ShardHello, ShardFailure> {
         let req = Request::Hello {
             version: SHARD_PROTOCOL_VERSION,
             shard: self.shard,

@@ -16,7 +16,7 @@
 //! The listener is the accept loop the telemetry endpoint runs
 //! (`telemetry::AcceptLoop`): every connection is served on its own
 //! thread under read/write deadlines, request frames are bounded at
-//! [`crate::wire::MAX_SHARD_REQUEST`], and at most
+//! `crate::wire::MAX_SHARD_REQUEST`, and at most
 //! [`ShardServerConfig::max_connections`] connections are served at once
 //! — excess connections are dropped without a reply (the one place the
 //! two servers differ), so a router sees

@@ -4,7 +4,7 @@
 //! The paper's dynamic-update machinery (Sec. 6) mutates the index in
 //! place, which is fine for a single-threaded harness but unusable under
 //! concurrent queries. Here the index and corpus are immutable behind an
-//! [`Arc`]; a writer clones them, applies a whole [`UpdateBatch`] to the
+//! [`Arc`]; a writer clones them, applies a whole `UpdateBatch` to the
 //! private copy, and publishes the result as the next [`Snapshot`] with a
 //! single pointer swap. The clone copies no list: cluster geometry, every
 //! `T L(g)` list, every trajectory and every node bucket are shared
@@ -38,7 +38,7 @@ pub struct Snapshot {
 /// cache needs to carry rows across the publish
 /// ([`netclus::ProviderRows::patch`]).
 #[derive(Clone, Debug, Default)]
-pub struct TrajectoryDelta {
+pub(crate) struct TrajectoryDelta {
     /// Ids the batch added and did not remove again, in batch order.
     pub added: Vec<TrajId>,
     /// Ids the batch removed that were live before it, in batch order.
@@ -60,7 +60,7 @@ impl Snapshot {
     /// changes across epochs, so long-lived holders (e.g. the ingest
     /// pipeline's map-match workers) can keep this without pinning a whole
     /// snapshot — and with it an old trajectory corpus — alive.
-    pub fn net_shared(&self) -> Arc<netclus_roadnet::RoadNetwork> {
+    pub(crate) fn net_shared(&self) -> Arc<netclus_roadnet::RoadNetwork> {
         Arc::clone(&self.net)
     }
 
@@ -77,7 +77,7 @@ impl Snapshot {
     /// The trajectory adds and removes that turned the previous epoch's
     /// state into this one — `None` for epoch 0, an installed snapshot
     /// and a batch that applied a site op.
-    pub fn trajectory_delta(&self) -> Option<&TrajectoryDelta> {
+    pub(crate) fn trajectory_delta(&self) -> Option<&TrajectoryDelta> {
         self.delta.as_ref()
     }
 }
@@ -96,7 +96,7 @@ pub enum UpdateOp {
 }
 
 /// A batch of updates applied and published as one epoch.
-pub type UpdateBatch = Vec<UpdateOp>;
+pub(crate) type UpdateBatch = Vec<UpdateOp>;
 
 /// A shard-routed update operation: like [`UpdateOp`], but trajectory
 /// additions carry an explicit, router-assigned **global** id. A shard
@@ -211,7 +211,7 @@ impl SnapshotStore {
     /// protocol ships these acks back so a remote router can reconstruct
     /// exact receipts and replication bookkeeping without a second round
     /// trip.
-    pub fn apply_routed_results(&self, ops: &[RoutedOp]) -> (UpdateReceipt, Vec<bool>) {
+    pub(crate) fn apply_routed_results(&self, ops: &[RoutedOp]) -> (UpdateReceipt, Vec<bool>) {
         self.apply_with(ops.iter().map(|op| match op {
             RoutedOp::AddTrajectoryAt(id, t) => GenericOp::AddTrajectory(Some(*id), t),
             RoutedOp::RemoveTrajectory(id) => GenericOp::RemoveTrajectory(*id),

@@ -29,8 +29,8 @@
 //!
 //! The listener is hardened against slow or hostile clients: each
 //! connection is served on its own thread with a read/write deadline,
-//! request frames are bounded at [`MAX_TELEMETRY_COMMAND`] bytes, and at
-//! most [`MAX_TELEMETRY_CONNECTIONS`] connections are served at once
+//! request frames are bounded at `MAX_TELEMETRY_COMMAND` bytes, and at
+//! most `MAX_TELEMETRY_CONNECTIONS` connections are served at once
 //! (excess connections get a framed error and are dropped). A stalled
 //! client therefore occupies one slot for at most the read deadline and
 //! never wedges the accept loop, and a slot is released however its
@@ -54,15 +54,15 @@ use crate::{jsonl, lock_recover};
 
 /// Upper bound on a telemetry response frame (defined with every other
 /// wire limit in [`crate::wire`]).
-pub const MAX_TELEMETRY_FRAME: usize = crate::wire::MAX_TELEMETRY_FRAME;
+pub(crate) const MAX_TELEMETRY_FRAME: usize = crate::wire::MAX_TELEMETRY_FRAME;
 
 /// Upper bound on a request (command) frame — commands are a few words,
 /// so anything larger is a hostile or confused client (defined in
 /// [`crate::wire`]).
-pub const MAX_TELEMETRY_COMMAND: usize = crate::wire::MAX_COMMAND_FRAME;
+pub(crate) const MAX_TELEMETRY_COMMAND: usize = crate::wire::MAX_COMMAND_FRAME;
 
 /// Connections served concurrently before the listener starts shedding.
-pub const MAX_TELEMETRY_CONNECTIONS: usize = 8;
+pub(crate) const MAX_TELEMETRY_CONNECTIONS: usize = 8;
 
 type Render = Box<dyn Fn() -> String + Send + Sync>;
 
@@ -143,7 +143,7 @@ impl TelemetrySource {
 }
 
 /// A running telemetry endpoint: the crate's accept loop bounded by
-/// [`MAX_TELEMETRY_CONNECTIONS`], serving the commands above.
+/// `MAX_TELEMETRY_CONNECTIONS`, serving the commands above.
 #[derive(Debug)]
 pub struct TelemetryServer {
     accept: AcceptLoop,

@@ -10,7 +10,7 @@
 //!   Every traced request updates these, so per-stage p50/p99 are exact
 //!   over **all** traffic, not just the sampled tail.
 //! * [`TraceSpans`] — a fixed-size, stack-allocated span recorder
-//!   ([`MAX_SPANS`] entries, monotonic clock). Recording a span is two
+//!   (`MAX_SPANS` entries, monotonic clock). Recording a span is two
 //!   `Instant` reads and an array write; nothing is boxed, locked or
 //!   heap-allocated while the query runs.
 //! * [`Tracer`] — **tail-based sampling**: every query's span skeleton
@@ -21,7 +21,7 @@
 //!   ring — the **slow-query log** — as [`SlowQueryRecord`]s with full
 //!   stage attribution, serializable one JSON object per line.
 //!
-//! [`LoadGauge`] rides along: per-shard qps/cache-heat/cold-fraction
+//! `LoadGauge` rides along: per-shard qps/cache-heat/cold-fraction
 //! EWMAs in the shape the future gateway tier and shard rebalancer
 //! consume (broadcast through [`ShardLaneReport`]'s
 //! `shardN_qps_ewma`/`shardN_cache_heat`/`shardN_cold_fraction` fields).
@@ -72,11 +72,11 @@ pub enum Stage {
 }
 
 /// Number of [`Stage`] variants.
-pub const STAGE_COUNT: usize = 11;
+pub(crate) const STAGE_COUNT: usize = 11;
 
 impl Stage {
     /// Every stage, in declaration order.
-    pub const ALL: [Stage; STAGE_COUNT] = [
+    pub(crate) const ALL: [Stage; STAGE_COUNT] = [
         Stage::Admission,
         Stage::CacheProbe,
         Stage::ProviderGet,
@@ -133,7 +133,7 @@ impl StageStats {
     }
 
     /// Records one sample given in microseconds.
-    pub fn record_micros(&self, stage: Stage, micros: u64) {
+    pub(crate) fn record_micros(&self, stage: Stage, micros: u64) {
         self.hists[stage.index()].record(Duration::from_micros(micros));
     }
 
@@ -191,7 +191,7 @@ impl Round1Source {
     /// Whether the task ran without building or waiting on a provider
     /// (the hot-lane condition — a coalesced wait rides a build, so it
     /// counts cold, matching the router's lane accounting).
-    pub fn is_hot(self) -> bool {
+    pub(crate) fn is_hot(self) -> bool {
         matches!(self, Round1Source::Memo | Round1Source::ProviderHit)
     }
 
@@ -223,7 +223,7 @@ pub struct SpanRecord {
 /// Span capacity of one [`TraceSpans`] recorder. Sized for the deepest
 /// real trace (4 top-level stages + one child per shard + the merge
 /// split at 16 shards); spans beyond it are counted, not recorded.
-pub const MAX_SPANS: usize = 24;
+pub(crate) const MAX_SPANS: usize = 24;
 
 /// A fixed-size, stack-held span recorder for one request. Obtained from
 /// [`Tracer::begin`]; consumed by [`Tracer::finish`]. All recording is
@@ -583,7 +583,7 @@ impl Tracer {
 /// short mutexed update per round-1 task (out of the per-query fan-out's
 /// critical path); snapshots feed the metrics report.
 #[derive(Debug, Default)]
-pub struct LoadGauge {
+pub(crate) struct LoadGauge {
     state: Mutex<GaugeState>,
 }
 
@@ -637,7 +637,7 @@ impl LoadGauge {
 
 /// A point-in-time [`LoadGauge`] reading.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct LoadGaugeSnapshot {
+pub(crate) struct LoadGaugeSnapshot {
     /// Smoothed round-1 tasks per second on this shard.
     pub qps_ewma: f64,
     /// Smoothed fraction of tasks served from a cache (memo or provider

@@ -25,20 +25,20 @@ pub const MAX_BATCH_FRAME: usize = MAX_FRAME;
 
 /// Largest telemetry **response** frame (metrics history dumps, slow-query
 /// span logs).
-pub const MAX_TELEMETRY_FRAME: usize = 4 << 20;
+pub(crate) const MAX_TELEMETRY_FRAME: usize = 4 << 20;
 
 /// Largest command/control frame (telemetry commands, shard-protocol
 /// handshakes and heartbeats). Tiny by design: a peer that sends a large
 /// "command" is broken or hostile, and the endpoint drops it before
 /// buffering.
-pub const MAX_COMMAND_FRAME: usize = 1_024;
+pub(crate) const MAX_COMMAND_FRAME: usize = 1_024;
 
 /// Largest ingest GPS record payload.
 pub const MAX_RECORD_FRAME: usize = 1 << 20;
 
 /// Largest shard-protocol **request** frame (`ApplyBatch` with a full
 /// routed update batch is the biggest request).
-pub const MAX_SHARD_REQUEST: usize = 8 << 20;
+pub(crate) const MAX_SHARD_REQUEST: usize = 8 << 20;
 
 /// Largest shard-protocol **response** frame (a `Round1Response` carrying
 /// up to [`MAX_WIRE_CANDIDATES`] candidate rows with coverage).
@@ -49,12 +49,12 @@ pub const MAX_SHARD_RESPONSE: usize = 8 << 20;
 /// plus its fixed header — stays comfortably under
 /// [`MAX_SHARD_RESPONSE`]; a decoder seeing a larger chunk length
 /// rejects the frame instead of allocating.
-pub const MAX_RESYNC_CHUNK: usize = 1 << 20;
+pub(crate) const MAX_RESYNC_CHUNK: usize = 1 << 20;
 
 /// Largest complete corpus-snapshot blob a resync client will assemble.
 /// A server advertising a larger `total_len` is broken or hostile, and
 /// the client aborts the transfer instead of buffering without bound.
-pub const MAX_RESYNC_BLOB: usize = 256 << 20;
+pub(crate) const MAX_RESYNC_BLOB: usize = 256 << 20;
 
 /// Most candidate rows a single `Round1Response` may carry. Round 1
 /// returns at most `k` candidates per shard; `k` beyond this bound is a

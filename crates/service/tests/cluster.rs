@@ -318,8 +318,10 @@ fn socket_chaos_degrades_soundly_and_recovers() {
     // counter (hellos and applies do not consume it): query 0 loses
     // shards 1 (stall → io timeout), 2 (CRC-corrupted frame) and 3
     // (slammed connection); query 1 loses only shard 3 (typed injected
-    // error); query 2 is clean.
-    let stall = Duration::from_secs(2);
+    // error); query 2 is clean. The healthy shard has the whole read
+    // deadline (3 s) to answer; the stall outlasts it by 2 s.
+    let io_timeout = Duration::from_secs(3);
+    let stall = io_timeout + Duration::from_secs(2);
     let plan_for = |shard: u32| -> Option<FaultPlan> {
         match shard {
             1 => Some(FaultPlan::new(9).with_rule(FaultRule::outage(
@@ -363,7 +365,7 @@ fn socket_chaos_degrades_soundly_and_recovers() {
             ..ShardRouterConfig::uncached()
         },
         RemoteShardConfig {
-            io_timeout: Duration::from_millis(300),
+            io_timeout,
             ..Default::default()
         },
     )
@@ -406,9 +408,21 @@ fn socket_chaos_degrades_soundly_and_recovers() {
     assert_eq!(a.shards_missing, vec![1, 2, 3]);
     assert_sound_bound(&a, "three-fault scatter");
 
-    // Let the stalled server thread unwind and every reconnect backoff
-    // window pass before the next scatter.
-    std::thread::sleep(stall + Duration::from_millis(200));
+    // Let the stalled server thread unwind before the next scatter: it
+    // counts its round 1 as served once the stall is over.
+    let round1_served = |server: &ShardServer| {
+        let sample = netclus_service::flatten_json(&server.metrics_json());
+        sample
+            .into_iter()
+            .find(|(k, _)| k == "round1_served")
+            .map(|(_, v)| v)
+            .expect("round1_served in the shard metrics line")
+    };
+    let until = Instant::now() + stall + Duration::from_secs(10);
+    while round1_served(&servers[1]) < 1.0 {
+        assert!(Instant::now() < until, "stalled shard server never unwound");
+        std::thread::sleep(Duration::from_millis(10));
+    }
 
     // Query 1 — shards 1 and 2 reconnect clean; shard 3's second window
     // injects a typed error.

@@ -74,9 +74,12 @@ fn telemetry_serves_recorder_history_rates_and_health_transitions() {
             .expect("answer");
     }
 
+    // Full-resolution retention (capacity × tick ≈ 82 s) outlasts every
+    // wait below together (3 × 10 s), so the spike stays in the history
+    // however slowly the host runs the phases.
     let recorder = Arc::new(FlightRecorder::new(FlightConfig {
         tick: Duration::from_millis(20),
-        capacity: 512,
+        capacity: 4_096,
         downsample_every: 8,
         coarse_capacity: 64,
     }));

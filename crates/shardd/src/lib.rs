@@ -23,7 +23,7 @@ use netclus_roadnet::{RegionPartition, RoadNetwork};
 
 /// The index configuration every cluster process builds with; one
 /// definition so the router and the shard servers cannot drift.
-pub fn cluster_index_config() -> NetClusConfig {
+pub(crate) fn cluster_index_config() -> NetClusConfig {
     NetClusConfig {
         tau_min: 400.0,
         tau_max: 3_200.0,

@@ -17,11 +17,11 @@
 use crate::hash::{derive_seeds, hash_with_seed, rho};
 
 /// Magic constant φ from Flajolet & Martin's analysis.
-pub const FM_PHI: f64 = 0.77351;
+pub(crate) const FM_PHI: f64 = 0.77351;
 
 /// Word width of each sketch copy, in bits. 32 bits handle ≈ 4·10⁹ distinct
 /// items — far beyond any trajectory corpus (paper Sec. 3.5).
-pub const FM_BITS: u32 = 32;
+pub(crate) const FM_BITS: u32 = 32;
 
 /// Shared parameters of a family of FM sketches: the number of copies `f`
 /// and their hash seeds. All sketches that will ever be unioned together
@@ -98,12 +98,6 @@ impl FmSketchFamily {
             .sum();
         let mean_r = f64::from(sum) / self.seeds.len() as f64;
         ((2f64.powf(mean_r) - 2f64.powf(-1.75 * mean_r)) / FM_PHI).max(0.0)
-    }
-
-    /// Expected relative standard error of [`FmSketchFamily::estimate`],
-    /// `≈ 0.78 / √f` (Flajolet & Martin 1985, Theorem 2).
-    pub fn standard_error(&self) -> f64 {
-        0.78 / (self.seeds.len() as f64).sqrt()
     }
 }
 
@@ -197,16 +191,6 @@ mod tests {
             // 64 copies → stderr ≈ 9.75%; allow 4 sigma.
             assert!(rel < 0.4, "n={n}: estimate {est}, rel err {rel}");
         }
-    }
-
-    #[test]
-    fn more_copies_reduce_error() {
-        assert!(
-            FmSketchFamily::new(100, 0).standard_error()
-                < FmSketchFamily::new(10, 0).standard_error()
-        );
-        let se30 = FmSketchFamily::new(30, 0).standard_error();
-        assert!((se30 - 0.78 / 30f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]

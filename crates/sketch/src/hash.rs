@@ -8,7 +8,7 @@
 
 /// SplitMix64 finalization mix: bijective, full avalanche.
 #[inline]
-pub fn mix64(mut z: u64) -> u64 {
+pub(crate) fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -17,12 +17,12 @@ pub fn mix64(mut z: u64) -> u64 {
 
 /// Hashes `item` under the function identified by `seed`.
 #[inline]
-pub fn hash_with_seed(item: u64, seed: u64) -> u64 {
+pub(crate) fn hash_with_seed(item: u64, seed: u64) -> u64 {
     mix64(item ^ mix64(seed))
 }
 
 /// Generates `count` independent hash seeds from a master seed.
-pub fn derive_seeds(master_seed: u64, count: usize) -> Vec<u64> {
+pub(crate) fn derive_seeds(master_seed: u64, count: usize) -> Vec<u64> {
     let mut state = master_seed;
     (0..count)
         .map(|_| {
@@ -36,7 +36,7 @@ pub fn derive_seeds(master_seed: u64, count: usize) -> Vec<u64> {
 /// at `cap − 1` so it always addresses a valid bit of a `cap`-bit word.
 /// `ρ(h) = i` occurs with probability `2^-(i+1)` for uniform `h`.
 #[inline]
-pub fn rho(hash: u64, cap: u32) -> u32 {
+pub(crate) fn rho(hash: u64, cap: u32) -> u32 {
     hash.trailing_zeros().min(cap - 1)
 }
 

@@ -27,5 +27,4 @@
 pub mod fm;
 pub mod hash;
 
-pub use fm::{FmSketch, FmSketchFamily, FM_BITS, FM_PHI};
-pub use hash::{derive_seeds, hash_with_seed, mix64, rho};
+pub use fm::{FmSketch, FmSketchFamily};

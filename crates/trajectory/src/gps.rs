@@ -71,24 +71,6 @@ impl GpsTrace {
             .map(|w| w[0].pos.distance(&w[1].pos))
             .sum()
     }
-
-    /// Returns a downsampled copy keeping every `stride`-th fix (always
-    /// keeping the last). Models low-sampling-rate GPS.
-    ///
-    /// # Panics
-    /// Panics if `stride == 0`.
-    pub fn downsample(&self, stride: usize) -> GpsTrace {
-        assert!(stride > 0);
-        if self.points.len() <= 1 {
-            return self.clone();
-        }
-        let mut pts: Vec<GpsPoint> = self.points.iter().copied().step_by(stride).collect();
-        let last = *self.points.last().unwrap();
-        if pts.last() != Some(&last) {
-            pts.push(last);
-        }
-        GpsTrace { points: pts }
-    }
 }
 
 #[cfg(test)]
@@ -127,16 +109,5 @@ mod tests {
         assert!(tr.is_empty());
         assert_eq!(tr.duration(), 0.0);
         assert_eq!(tr.path_length(), 0.0);
-    }
-
-    #[test]
-    fn downsample_keeps_endpoints() {
-        let tr = trace();
-        let ds = tr.downsample(2);
-        assert_eq!(ds.len(), 2);
-        assert_eq!(ds.points()[0], tr.points()[0]);
-        assert_eq!(*ds.points().last().unwrap(), *tr.points().last().unwrap());
-        // stride 1 is identity
-        assert_eq!(tr.downsample(1), tr);
     }
 }

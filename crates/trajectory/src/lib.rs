@@ -11,7 +11,6 @@
 //! * [`GpsTrace`] — raw location/time fixes, the pipeline input.
 //! * [`MapMatcher`] — HMM/Viterbi map matching turning GPS traces into
 //!   trajectories (the first offline stage of paper Fig. 2).
-//! * [`stats`] — route-length classes (Fig. 12) and summary statistics.
 //!
 //! ```
 //! use netclus_roadnet::{NodeId, Point, RoadNetworkBuilder};
@@ -35,12 +34,10 @@ pub mod error;
 pub mod gps;
 pub mod mapmatch;
 pub mod set;
-pub mod stats;
 pub mod trajectory;
 
 pub use error::MapMatchError;
 pub use gps::{GpsPoint, GpsTrace};
 pub use mapmatch::MapMatcher;
 pub use set::TrajectorySet;
-pub use stats::{compute_stats, LengthClass, TrajectoryStats};
 pub use trajectory::{TrajId, Trajectory};

@@ -181,22 +181,6 @@ impl TrajectorySet {
         &self.node_index[v.index()]
     }
 
-    /// Extends the node-index to a larger network (after node insertions).
-    pub fn grow_network(&mut self, new_node_count: usize) {
-        if new_node_count > self.node_index.len() {
-            self.node_index.resize(new_node_count, Arc::default());
-        }
-    }
-
-    /// Mean node count over live trajectories; 0 when empty.
-    pub fn mean_length(&self) -> f64 {
-        if self.live == 0 {
-            return 0.0;
-        }
-        let total: usize = self.iter().map(|(_, t)| t.len()).sum();
-        total as f64 / self.live as f64
-    }
-
     /// Approximate heap footprint in bytes (trajectories + inverted index),
     /// counting each shared allocation in full: its two reference counts,
     /// the value and the value's own heap.
@@ -305,24 +289,6 @@ mod tests {
         let ids: Vec<TrajId> = set.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![b]);
         assert_eq!(set.id_bound(), 2);
-    }
-
-    #[test]
-    fn mean_length() {
-        let mut set = TrajectorySet::new(6);
-        assert_eq!(set.mean_length(), 0.0);
-        set.add(t(&[0, 1]));
-        set.add(t(&[0, 1, 2, 3]));
-        assert_eq!(set.mean_length(), 3.0);
-    }
-
-    #[test]
-    fn grow_network_extends_index() {
-        let mut set = TrajectorySet::new(2);
-        set.add(t(&[0, 1]));
-        set.grow_network(5);
-        let id = set.add(t(&[4]));
-        assert_eq!(set.trajectories_through(NodeId(4)), &[id]);
     }
 
     #[test]

@@ -30,7 +30,13 @@ use netclus_service::{IngestMetrics, SnapshotStore};
 use netclus_trajectory::TrajId;
 
 const TRIPS: usize = 200;
-const CRASH_AFTER_BATCHES: u64 = 8;
+/// The crash comes once this many update ops are durable and visible.
+/// Counted in ops, not batches: `max_batch_ops` triggers a publish but
+/// does not cap it, so 200 trips can arrive in as few as one batch.
+const CRASH_AFTER_OPS: u64 = TRIPS as u64 / 2;
+/// Cap on every wait below; a pipeline that stops making progress fails
+/// the example with its counters instead of hanging it.
+const WAIT_CAP: Duration = Duration::from_secs(30);
 
 fn main() {
     // Offline phase: base dataset and index — the "checkpoint" recovery
@@ -144,11 +150,17 @@ fn main() {
         assert_eq!(summary.malformed, 0);
         offset += frame_len;
         fed += 1;
-        if metrics.batches_published.load(Ordering::Relaxed) >= CRASH_AFTER_BATCHES {
+        if metrics.ops_published.load(Ordering::Relaxed) >= CRASH_AFTER_OPS {
             break;
         }
     }
-    while metrics.batches_published.load(Ordering::Relaxed) < CRASH_AFTER_BATCHES {
+    let waiting = Instant::now();
+    while metrics.ops_published.load(Ordering::Relaxed) < CRASH_AFTER_OPS {
+        assert!(
+            waiting.elapsed() < WAIT_CAP,
+            "fewer than {CRASH_AFTER_OPS} ops published after {fed} records and {WAIT_CAP:?}: {}",
+            metrics.report(feed.elapsed()).to_json_line()
+        );
         std::thread::sleep(Duration::from_millis(2));
     }
     println!(
