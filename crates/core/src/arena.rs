@@ -52,12 +52,6 @@ impl<'a> PairSlice<'a> {
         self.ids.is_empty()
     }
 
-    /// The `k`-th pair.
-    #[inline]
-    pub fn get(&self, k: usize) -> (u32, f64) {
-        (self.ids[k], self.dists[k])
-    }
-
     /// The first `len` pairs of the row.
     #[inline]
     pub fn prefix(self, len: usize) -> PairSlice<'a> {
@@ -465,7 +459,6 @@ mod tests {
             assert_eq!(arena.row(i).to_pairs(), *row);
         }
         assert!(arena.row(1).is_empty());
-        assert_eq!(arena.row(0).get(1), (0, 2.5));
         assert_eq!(arena.row(0).len(), 2);
     }
 

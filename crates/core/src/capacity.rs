@@ -105,6 +105,7 @@ pub fn tops_capacity<P: CoverageProvider>(
         utility: gains.iter().sum(),
         gains,
         covered,
+        steps: Vec::new(),
         elapsed: start.elapsed(),
     }
 }

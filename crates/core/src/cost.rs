@@ -137,6 +137,7 @@ pub fn tops_cost<P: CoverageProvider>(provider: &P, cfg: &CostConfig, costs: &[f
         utility,
         gains,
         covered,
+        steps: Vec::new(),
         elapsed: start.elapsed(),
     }
 }

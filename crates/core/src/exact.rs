@@ -117,6 +117,7 @@ pub fn exact_optimal<P: CoverageProvider>(provider: &P, cfg: &ExactConfig) -> Ex
             utility,
             gains: Vec::new(),
             covered,
+            steps: Vec::new(),
             elapsed: start.elapsed(),
         },
         proved_optimal: !search.aborted,
@@ -269,6 +270,7 @@ mod tests {
                         utility: best_u.max(0.0),
                         gains: Vec::new(),
                         covered: 0,
+                        steps: Vec::new(),
                         elapsed: start.elapsed(),
                     };
                 }
@@ -283,6 +285,7 @@ mod tests {
             utility: best_u.max(0.0),
             gains: Vec::new(),
             covered: 0,
+            steps: Vec::new(),
             elapsed: start.elapsed(),
         }
     }

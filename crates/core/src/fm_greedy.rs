@@ -100,8 +100,14 @@ pub fn fm_greedy_prebuilt<P: CoverageProvider>(
     let mut chosen = vec![false; n];
     let mut running = family.empty();
     let mut run_est = 0.0f64;
-    let mut selected = Vec::with_capacity(k);
-    let mut gains = Vec::with_capacity(k);
+    let mut selected = Vec::with_capacity(k.min(n));
+    let mut gains = Vec::with_capacity(k.min(n));
+    // The exact distinct coverage, recounted pick by pick: the utility
+    // and coverage of every step.
+    let mut covered_flags = vec![false; provider.traj_id_bound()];
+    let mut covered = 0usize;
+    let mut steps = Vec::with_capacity(k.min(n) + 1);
+    steps.push((0.0, covered));
 
     for _ in 0..k.min(n) {
         let mut best: Option<(usize, f64)> = None;
@@ -139,16 +145,13 @@ pub fn fm_greedy_prebuilt<P: CoverageProvider>(
         gains.push(gain);
         running.union_with(&sketches[s]);
         run_est = family.estimate(&running);
-    }
-
-    // Exact recount of the selected sites' distinct coverage.
-    let mut covered_flags = vec![false; provider.traj_id_bound()];
-    for &i in &selected {
-        for &t in provider.covered(i).ids {
-            covered_flags[t as usize] = true;
+        for &t in provider.covered(s).ids {
+            let flag = &mut covered_flags[t as usize];
+            covered += usize::from(!*flag);
+            *flag = true;
         }
+        steps.push((covered as f64, covered));
     }
-    let covered = covered_flags.iter().filter(|&&c| c).count();
 
     Solution {
         sites: selected.iter().map(|&i| provider.site_node(i)).collect(),
@@ -156,6 +159,7 @@ pub fn fm_greedy_prebuilt<P: CoverageProvider>(
         utility: covered as f64,
         gains,
         covered,
+        steps,
         elapsed: start.elapsed(),
     }
 }

@@ -141,6 +141,8 @@ struct GreedyState {
     gains: Vec<f64>,
     /// Trajectories with positive utility, seeds and `existing` included.
     covered: usize,
+    /// [`Solution::steps`]: recorded by [`celf`], empty from the reference.
+    steps: Vec<(f64, usize)>,
 }
 
 impl GreedyState {
@@ -152,6 +154,7 @@ impl GreedyState {
             utility: self.gains.iter().sum(),
             gains: self.gains,
             covered: self.covered,
+            steps: self.steps,
             elapsed: start.elapsed(),
         }
     }
@@ -189,10 +192,9 @@ fn positive(utilities: &[f64]) -> usize {
 trait Kernel {
     /// The marginal gain of site `i` over what is selected so far.
     fn gain(&self, i: usize) -> f64;
-    /// Folds site `i` into the solution.
-    fn select(&mut self, i: usize);
-    /// Trajectories with positive utility.
-    fn covered(&self) -> usize;
+    /// Folds site `i` into the solution and returns how many trajectories
+    /// it brought from no utility to a positive one.
+    fn select(&mut self, i: usize) -> usize;
 }
 
 /// The generic kernel: ψ scored per pair against an `f64` utility per
@@ -208,17 +210,17 @@ impl Kernel for Scored<'_> {
         gain_of(self.rows, self.cfg, i, &self.utilities)
     }
 
-    fn select(&mut self, i: usize) {
+    fn select(&mut self, i: usize) -> usize {
+        let mut newly = 0;
         for (tj, d) in self.rows.row(i).iter() {
             let score = self.cfg.preference.score(d, self.cfg.tau);
-            if score > self.utilities[tj as usize] {
-                self.utilities[tj as usize] = score;
+            let held = &mut self.utilities[tj as usize];
+            if score > *held {
+                newly += usize::from(*held <= 0.0 && score > 0.0);
+                *held = score;
             }
         }
-    }
-
-    fn covered(&self) -> usize {
-        positive(&self.utilities)
+        newly
     }
 }
 
@@ -281,14 +283,14 @@ impl Kernel for Counted<'_> {
         count_as_sum(row, unserved.count())
     }
 
-    fn select(&mut self, i: usize) {
+    fn select(&mut self, i: usize) -> usize {
+        let mut newly = 0;
         for &tj in self.row(i).1 {
-            self.served[tj as usize] = true;
+            let served = &mut self.served[tj as usize];
+            newly += usize::from(!*served);
+            *served = true;
         }
-    }
-
-    fn covered(&self) -> usize {
-        self.served.iter().filter(|&&s| s).count()
+        newly
     }
 }
 
@@ -304,7 +306,7 @@ fn celf_greedy(
     let start = Instant::now();
     let state = if cfg.preference.is_binary() && seed_utilities.is_none() {
         let (kernel, weights) = Counted::new(rows, cfg.tau);
-        celf(kernel, &weights, cfg.k, existing, false)
+        celf(kernel, &weights, cfg.k, existing, None)
     } else {
         let kernel = Scored {
             rows,
@@ -315,13 +317,18 @@ fn celf_greedy(
             },
         };
         let weights = site_weights(rows, cfg);
-        celf(kernel, &weights, cfg.k, existing, seed_utilities.is_some())
+        let seeded = seed_utilities.map(positive);
+        celf(kernel, &weights, cfg.k, existing, seeded)
     };
     state.solution(rows, start)
 }
 
 /// CELF evaluation of Inc-Greedy (module docs), one site per entry of
-/// `weights`; `seeded` says the kernel starts from non-zero utilities.
+/// `weights`; `seeded` says the kernel starts from seed utilities, under
+/// which that many trajectories are already covered.
+///
+/// Coverage is counted as sites are folded in, so each pick's step
+/// ([`Solution::steps`]) costs its row and no pass over the trajectories.
 ///
 /// The heap orders by `(gain, static weight w_i, index)`, where `w_i` is
 /// the weight Algorithm 1 breaks ties on — **not** the initial marginal,
@@ -331,7 +338,7 @@ fn celf<K: Kernel>(
     weights: &[f64],
     k: usize,
     existing: &[usize],
-    seeded: bool,
+    seeded: Option<usize>,
 ) -> GreedyState {
     #[derive(PartialEq)]
     struct Entry {
@@ -357,43 +364,53 @@ fn celf<K: Kernel>(
 
     let n = weights.len();
     let mut chosen = vec![false; n];
+    let mut covered = seeded.unwrap_or(0);
     for &e in existing {
         assert!(e < n, "existing site index {e} out of range");
         if !chosen[e] {
             chosen[e] = true;
-            kernel.select(e);
+            covered += kernel.select(e);
         }
     }
 
     // With no seed and no existing services every utility is zero, so the
     // initial gain is exactly the weight ((ψ − 0).max(0) ≡ ψ, summed in
     // the same row order) — skip the second full pass over the rows.
-    let warm = !seeded && existing.is_empty();
-    let mut heap: BinaryHeap<Entry> = (0..n)
-        .filter(|&i| !chosen[i])
-        .map(|i| Entry {
-            gain: if warm { weights[i] } else { kernel.gain(i) },
-            weight: weights[i],
-            idx: i,
-            round: 0,
-        })
-        .collect();
+    let warm = seeded.is_none() && existing.is_empty();
+    // Filled in place and heapified once, as `collect` would, but in one
+    // allocation rather than one per doubling.
+    let mut entries = Vec::with_capacity(n);
+    entries.extend((0..n).filter(|&i| !chosen[i]).map(|i| Entry {
+        gain: if warm { weights[i] } else { kernel.gain(i) },
+        weight: weights[i],
+        idx: i,
+        round: 0,
+    }));
+    let mut heap = BinaryHeap::from(entries);
 
     // Algorithm 1's selection budget (it subtracts the raw `existing`
     // length), so the solver and its reference stop after the same picks.
     let budget = k.min(n.saturating_sub(existing.len()));
     let mut selected = Vec::with_capacity(budget);
     let mut gains = Vec::with_capacity(budget);
+    // The running utility folds the gains as `Sum` does (from `-0.0`, in
+    // pick order), so each step's bits are those of a shorter run's sum.
+    let mut utility = -0.0;
+    let mut steps = Vec::with_capacity(budget + 1);
+    steps.push((utility, covered));
     let mut round = 0usize;
     while selected.len() < budget {
         let Some(top) = heap.pop() else { break };
         if top.round == round {
             // Fresh value: select it.
+            let gain = top.gain.max(0.0);
             selected.push(top.idx);
-            gains.push(top.gain.max(0.0));
+            gains.push(gain);
+            utility += gain;
             if top.gain > 0.0 {
-                kernel.select(top.idx);
+                covered += kernel.select(top.idx);
             }
+            steps.push((utility, covered));
             round += 1;
         } else {
             // Stale: refresh and push back.
@@ -408,7 +425,8 @@ fn celf<K: Kernel>(
     GreedyState {
         selected,
         gains,
-        covered: kernel.covered(),
+        covered,
+        steps,
     }
 }
 
@@ -477,6 +495,7 @@ fn eager_greedy<P: InvertedCoverage>(
         selected,
         gains,
         covered: positive(&utilities),
+        steps: Vec::new(),
     }
 }
 

@@ -111,6 +111,7 @@ pub fn tops_market_share<P: CoverageProvider>(
             utility: covered_count as f64,
             gains,
             covered: covered_count,
+            steps: Vec::new(),
             elapsed: start.elapsed(),
         },
     }

@@ -24,11 +24,50 @@ pub struct Solution {
     pub gains: Vec<f64>,
     /// Trajectories with positive utility under the solver's view.
     pub covered: usize,
+    /// `(utility, covered)` after each pick: `steps[i]` is what the run
+    /// reports after its first `i` picks (`steps[0]`: before any). Filled
+    /// by the solvers whose run for a smaller `k` is a prefix of this one
+    /// — Inc-Greedy and FM greedy — and empty from every other solver.
+    pub steps: Vec<(f64, usize)>,
     /// Wall-clock solver time (excluding any index/coverage construction).
     pub elapsed: Duration,
 }
 
 impl Solution {
+    /// The answer a run for `k` would give — the one place a prefix is
+    /// cut. Inc-Greedy and FM greedy never read `k` while choosing, so the
+    /// `k`-run is the first `k` picks of any longer run at the same query:
+    /// its sites, its gains, and the utility and coverage of
+    /// [`Solution::steps`] at that many picks, bit for bit. A `k` past this
+    /// run's picks returns the whole run (the solver ran out of sites).
+    ///
+    /// # Panics
+    /// Panics if the solver recorded no [`Solution::steps`].
+    pub fn prefix(&self, k: usize) -> Solution {
+        let (picks, utility, covered) = self.at(k);
+        Solution {
+            site_indices: self.site_indices[..picks].to_vec(),
+            sites: self.sites[..picks].to_vec(),
+            utility,
+            gains: self.gains[..picks].to_vec(),
+            covered,
+            steps: self.steps[..=picks].to_vec(),
+            elapsed: self.elapsed,
+        }
+    }
+
+    /// `(picks, utility, covered)` of the run for `k`: what
+    /// [`Solution::prefix`] cuts, for a caller that copies only the sites.
+    ///
+    /// # Panics
+    /// Panics if the solver recorded no [`Solution::steps`].
+    pub fn at(&self, k: usize) -> (usize, f64, usize) {
+        assert!(!self.steps.is_empty(), "this solver records no steps");
+        let picks = k.min(self.steps.len() - 1);
+        let (utility, covered) = self.steps[picks];
+        (picks, utility, covered)
+    }
+
     /// Utility as a percentage of the trajectory count — the paper's primary
     /// quality metric ("utilities are plotted as a percentage of the total
     /// number of trajectories", Sec. 8.3).

@@ -97,11 +97,6 @@ impl BoundingBox {
     pub fn height(&self) -> f64 {
         (self.max.y - self.min.y).max(0.0)
     }
-
-    /// True if `p` lies inside or on the boundary.
-    pub fn contains(&self, p: &Point) -> bool {
-        p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
-    }
 }
 
 #[cfg(test)]
@@ -139,8 +134,6 @@ mod tests {
         assert_eq!(bb.max, Point::new(4.0, 5.0));
         assert_eq!(bb.width(), 6.0);
         assert_eq!(bb.height(), 6.0);
-        assert!(bb.contains(&Point::new(0.0, 0.0)));
-        assert!(!bb.contains(&Point::new(10.0, 0.0)));
     }
 
     #[test]

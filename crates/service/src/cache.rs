@@ -1,9 +1,9 @@
 //! The one cache mechanism of the serving stack — [`EpochLru`], an
 //! epoch-keyed, single-flight LRU — and its first instantiation, the
-//! result cache keyed on `(k, τ, ψ, variant, epoch)`.
+//! result cache keyed on `(τ, ψ, variant, epoch)`.
 //!
 //! Everything the stack remembers is a pure function of a snapshot epoch
-//! and some query parameters: a finished answer ([`ResultCache`]), an
+//! and some query parameters: a finished answer (`ResultCache`), an
 //! instance's `T̂C` rows and a shard's round-1 candidates
 //! ([`crate::provider_cache`]), the last full answer per query shape (the
 //! router's stale fallback). So the key embeds the epoch
@@ -12,6 +12,16 @@
 //! that stays valid across an advance is moved, not purged:
 //! `EpochLru::take_where` hands it out and [`EpochLru::upsert`] files it
 //! under the new epoch (the provider cache's carried rows).
+//!
+//! **Prefix answers.** Inc-Greedy and FM greedy never read `k` while they
+//! choose, so the answer for `k` is the first `k` picks of any larger-`k`
+//! answer at the same `(τ, ψ, variant, epoch)`
+//! ([`netclus::Solution::prefix`]). A cache of such values (`Prefix`)
+//! keys them without `k`, keeps the largest-`k` value per key and answers
+//! every smaller `k` by cutting it; a larger `k` misses, and its value
+//! replaces the entry. The router's round-1 memo takes the rule through
+//! `EpochLru::get_prefix` / `EpochLru::offer`, the result cache through
+//! `EpochLru::hit_prefix` / `EpochLru::get_or_try_build_prefix`.
 //!
 //! **The purge floor.** The highest epoch ever purged is remembered, and
 //! no value keyed below it is retained afterwards: a solve that pinned
@@ -23,35 +33,41 @@
 //! misses on one key onto one builder: the first thread to miss marks the
 //! slot *building* and runs the closure outside the lock; every other
 //! thread parks on a condvar and receives the finished `Arc` — N workers
-//! racing a cold dashboard burst burn one build, not N. Coalesced waits
-//! are counted separately from hits so saturation on cold keys is
-//! observable. A build that fails (`EpochLru::get_or_try_build`) or
-//! panics retains nothing and hands the key to the next waiter.
+//! racing a cold dashboard burst burn one build, not N. Under the prefix
+//! rule a caller joins that build only when its `k` covers the caller's;
+//! a larger `k` builds beside it, and nobody joins that second build.
+//! Coalesced waits are counted separately from hits so saturation on cold
+//! keys is observable. A build that fails (`EpochLru::get_or_try_build`)
+//! or panics retains nothing and hands the key to the next waiter.
 //!
-//! One mutex guards the map and the counters: a lookup holds it for a
-//! hash probe and a pointer clone, orders of magnitude less than the
-//! solve or build it elides.
+//! One mutex guards an [`EpochLru`]'s map and counters: a lookup holds it
+//! for a hash probe and a pointer clone, orders of magnitude less than
+//! the solve or build it elides. The result cache, which every served
+//! request probes, spreads its keys over up to `RESULT_STRIPES` such
+//! caches by key hash, so concurrent hits on different shapes take
+//! different locks.
 
 #![deny(clippy::too_many_lines)]
 
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::hash::Hash;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
-use netclus::{PreferenceFunction, TopsQuery};
+use netclus::{PreferenceFunction, Solution, TopsQuery};
 
 use crate::executor::{QueryVariant, ServiceAnswer};
+use crate::metrics::Padded;
 
-/// The result-cache key: every field that determines a TOPS answer.
+/// The result-cache key: every field that determines a TOPS answer except
+/// `k`, which the prefix rule absorbs (module docs) — one key per query
+/// shape `(τ, ψ, variant)` and epoch, as the round-1 memo's key is.
 ///
 /// `τ` and the preference parameters are keyed by their IEEE-754 bit
 /// patterns, so keys are `Eq + Hash` without float comparisons; two queries
-/// hit the same entry exactly when their parameters are bitwise identical.
+/// share an entry exactly when their parameters are bitwise identical.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct QueryKey {
-    /// Number of sites requested.
-    pub k: usize,
     /// Coverage threshold `τ`, as bits.
     pub tau_bits: u64,
     /// Preference function discriminant.
@@ -88,11 +104,11 @@ pub(crate) fn preference_key(preference: &PreferenceFunction) -> (u8, u64) {
 }
 
 impl QueryKey {
-    /// Builds the key for `query` answered by `variant` against `epoch`.
+    /// Builds the key for `query` (any `k`) answered by `variant` against
+    /// `epoch`.
     pub fn new(query: &TopsQuery, variant: QueryVariant, epoch: u64) -> Self {
         let (pref_tag, pref_param_bits) = preference_key(&query.preference);
         QueryKey {
-            k: query.k,
             tau_bits: query.tau.to_bits(),
             pref_tag,
             pref_param_bits,
@@ -125,6 +141,22 @@ impl EpochKeyed for QueryKey {
     }
 }
 
+/// A cached value that answers every request up to its own size by a
+/// prefix of itself (module docs): a solve's answers, a round-1 run's
+/// candidates.
+pub trait Prefix {
+    /// What a request receives.
+    type Cut;
+    /// The largest request this value answers.
+    fn k(&self) -> usize;
+    /// The answer to a request for `k ≤ self.k()`.
+    fn cut(&self, k: usize) -> Self::Cut;
+    /// Takes over the answers `other` — a value this one replaces or
+    /// outlasts under the same key — has made and this one has not, so a
+    /// request keeps receiving one answer per `k` while the entry grows.
+    fn adopt(&self, _other: &Self) {}
+}
+
 /// How an [`EpochLru::get_or_build`] call was satisfied.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum CacheOutcome {
@@ -155,10 +187,34 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-/// A slot is either a finished value or a build in flight.
-enum Slot<V> {
-    Building,
-    Ready { value: Arc<V>, last_used: u64 },
+impl std::ops::Add for CacheStats {
+    type Output = CacheStats;
+
+    fn add(self, o: CacheStats) -> CacheStats {
+        CacheStats {
+            hits: self.hits + o.hits,
+            misses: self.misses + o.misses,
+            coalesced: self.coalesced + o.coalesced,
+            evictions: self.evictions + o.evictions,
+            invalidated: self.invalidated + o.invalidated,
+            entries: self.entries + o.entries,
+        }
+    }
+}
+
+/// What the cache holds under one key: a finished value, a build in
+/// flight, or both — a prefix cache serves its value while a build for a
+/// larger `k` runs.
+struct Slot<V> {
+    ready: Option<Ready<V>>,
+    /// The build callers join, marked with the largest request it answers
+    /// (a plain cache's callers all need 0).
+    building: Option<usize>,
+}
+
+struct Ready<V> {
+    value: Arc<V>,
+    last_used: u64,
 }
 
 struct Inner<K, V> {
@@ -175,46 +231,105 @@ struct Inner<K, V> {
 impl<K: Copy + Eq + Hash + EpochKeyed, V> Inner<K, V> {
     /// The finished value under `key` if `pred` accepts it, marked used
     /// now.
-    fn touch(&mut self, key: &K, pred: impl Fn(&V) -> bool) -> Option<Arc<V>> {
+    fn touch(&mut self, key: &K, pred: impl Fn(&V) -> bool) -> Option<&Arc<V>> {
         self.tick += 1;
-        match self.map.get_mut(key) {
-            Some(Slot::Ready { value, last_used }) if pred(value) => {
-                *last_used = self.tick;
-                Some(Arc::clone(value))
+        let tick = self.tick;
+        let slot = self.map.get_mut(key)?;
+        let ready = slot.ready.as_mut().filter(|ready| pred(&ready.value))?;
+        ready.last_used = tick;
+        Some(&ready.value)
+    }
+
+    /// Offers a finished value: a resident one is marked used and replaced
+    /// only if `replace_if` says so; an absent one is retained — unless the
+    /// key's epoch is already purged — evicting the least-recently-used
+    /// finished value when the cache is full. In-flight builds are neither
+    /// counted nor evicted. Returns whether a build is marked under `key`:
+    /// its waiters may now be answered.
+    fn put(&mut self, key: K, value: Arc<V>, replace_if: impl FnOnce(&V) -> bool) -> bool {
+        self.tick += 1;
+        let tick = self.tick;
+        let building = match self.map.get_mut(&key) {
+            Some(Slot {
+                ready: Some(ready),
+                building,
+            }) => {
+                ready.last_used = tick;
+                if replace_if(&ready.value) {
+                    ready.value = value;
+                }
+                return building.is_some();
             }
-            _ => None,
+            slot => slot.is_some_and(|slot| slot.building.is_some()),
+        };
+        if key.epoch() < self.floor {
+            return building;
+        }
+        if self.map.len() >= self.capacity {
+            self.evict_oldest();
+        }
+        let slot = self.map.entry(key).or_insert(Slot {
+            ready: None,
+            building: None,
+        });
+        slot.ready = Some(Ready {
+            value,
+            last_used: tick,
+        });
+        building
+    }
+
+    /// Drops the least-recently-used finished value if `capacity` are
+    /// resident.
+    fn evict_oldest(&mut self) {
+        // One O(capacity) pass counts the finished values and finds the
+        // oldest — fine at ≤ ~1 000 entries beside the solve or build
+        // every insert follows; revisit (a tick-ordered index) before
+        // raising capacities by orders of magnitude.
+        let mut ready = 0;
+        let finished = self
+            .map
+            .iter()
+            .filter_map(|(k, slot)| slot.ready.as_ref().map(|r| (k, r.last_used)));
+        let oldest = finished
+            .inspect(|_| ready += 1)
+            .min_by_key(|&(_, used)| used);
+        if let Some(victim) = oldest.filter(|_| ready >= self.capacity).map(|(k, _)| *k) {
+            self.take_ready(&victim);
+            self.stats.evictions += 1;
         }
     }
 
-    /// Retains `value` under a key that holds no finished value — unless
-    /// the key's epoch is already purged — evicting the least-recently-used
-    /// finished value when the cache is full. In-flight builds are neither
-    /// counted nor evicted.
-    fn store(&mut self, key: K, value: Arc<V>) {
-        if key.epoch() < self.floor {
+    /// Removes the finished value under `key`, and its slot unless a build
+    /// is marked there.
+    fn take_ready(&mut self, key: &K) -> Option<Arc<V>> {
+        let slot = self.map.get_mut(key)?;
+        let ready = slot.ready.take()?;
+        if slot.building.is_none() {
+            self.map.remove(key);
+        }
+        Some(ready.value)
+    }
+
+    /// Marks `key`'s build, which answers requests up to `need`, as the
+    /// one later callers join.
+    fn start_build(&mut self, key: K, need: usize) {
+        let slot = self.map.entry(key).or_insert(Slot {
+            ready: None,
+            building: None,
+        });
+        slot.building = Some(need);
+    }
+
+    /// Removes the mark of `key`'s build.
+    fn end_build(&mut self, key: &K) {
+        let Some(slot) = self.map.get_mut(key) else {
             return;
+        };
+        slot.building = None;
+        if slot.ready.is_none() {
+            self.map.remove(key);
         }
-        if self.map.len() >= self.capacity {
-            // One O(capacity) pass counts the finished values and finds the
-            // oldest — fine at ≤ ~1 000 entries beside the solve or build
-            // every insert follows; revisit (a tick-ordered index) before
-            // raising capacities by orders of magnitude.
-            let mut ready = 0;
-            let finished = self.map.iter().filter_map(|(k, slot)| match slot {
-                Slot::Ready { last_used, .. } => Some((k, *last_used)),
-                Slot::Building => None,
-            });
-            let oldest = finished
-                .inspect(|_| ready += 1)
-                .min_by_key(|&(_, used)| used);
-            if let Some(victim) = oldest.filter(|_| ready >= self.capacity).map(|(k, _)| *k) {
-                self.map.remove(&victim);
-                self.stats.evictions += 1;
-            }
-        }
-        self.tick += 1;
-        let last_used = self.tick;
-        self.map.insert(key, Slot::Ready { value, last_used });
     }
 }
 
@@ -227,9 +342,6 @@ pub struct EpochLru<K, V> {
     inner: Mutex<Inner<K, V>>,
     done: Condvar,
 }
-
-/// The executor's result cache.
-pub type ResultCache = EpochLru<QueryKey, ServiceAnswer>;
 
 impl<K: Copy + Eq + Hash + EpochKeyed, V> EpochLru<K, V> {
     /// A cache holding at most `capacity` finished values (clamped ≥ 1).
@@ -256,7 +368,7 @@ impl<K: Copy + Eq + Hash + EpochKeyed, V> EpochLru<K, V> {
     /// miss (and keeps its recency).
     pub(crate) fn get_where(&self, key: &K, pred: impl Fn(&V) -> bool) -> Option<Arc<V>> {
         let mut inner = self.lock();
-        let hit = inner.touch(key, pred);
+        let hit = inner.touch(key, pred).cloned();
         match hit {
             Some(_) => inner.stats.hits += 1,
             None => inner.stats.misses += 1,
@@ -268,7 +380,7 @@ impl<K: Copy + Eq + Hash + EpochKeyed, V> EpochLru<K, V> {
     /// — for internal re-probes of a request whose first lookup was
     /// already counted. Still bumps recency.
     pub fn peek(&self, key: &K) -> Option<Arc<V>> {
-        self.lock().touch(key, |_| true)
+        self.lock().touch(key, |_| true).cloned()
     }
 
     /// Offers a finished value: a resident one is marked used and replaced
@@ -276,27 +388,9 @@ impl<K: Copy + Eq + Hash + EpochKeyed, V> EpochLru<K, V> {
     /// absent one is retained under the purge-floor rule, evicting the
     /// least-recently-used entry if the cache is full.
     pub fn upsert(&self, key: K, value: Arc<V>, replace_if: impl FnOnce(&V) -> bool) {
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        match inner.map.get_mut(&key) {
-            Some(Slot::Ready {
-                value: held,
-                last_used,
-            }) => {
-                inner.tick += 1;
-                *last_used = inner.tick;
-                if replace_if(held) {
-                    *held = value;
-                }
-            }
-            slot => {
-                let racing_a_build = slot.is_some();
-                inner.store(key, value);
-                drop(guard);
-                if racing_a_build {
-                    self.done.notify_all();
-                }
-            }
+        let racing_a_build = self.lock().put(key, value, replace_if);
+        if racing_a_build {
+            self.done.notify_all();
         }
     }
 
@@ -329,48 +423,83 @@ impl<K: Copy + Eq + Hash + EpochKeyed, V> EpochLru<K, V> {
         key: K,
         build: impl FnOnce() -> Result<V, E>,
     ) -> Result<(Arc<V>, CacheOutcome), E> {
+        let rule = Rule {
+            need: 0,
+            covers: |_: &V| true,
+            replace_if: |_: &V, _: &V| true,
+            take: Arc::clone,
+        };
+        self.single_flight(key, rule, build)
+    }
+
+    /// The single-flight path under both rules: a resident value the rule
+    /// `covers` is a hit; a caller needing no more than the key's marked
+    /// build answers waits for it; any other caller builds — marked, when
+    /// no build is — and its value replaces a resident one
+    /// `replace_if(resident, built)` accepts. What
+    /// the caller receives is `take` of the value resident once it is
+    /// served — the built one only if it was not retained — taken under
+    /// the lock.
+    fn single_flight<E, R>(
+        &self,
+        key: K,
+        rule: Rule<impl Fn(&V) -> bool, impl FnOnce(&V, &V) -> bool, impl Fn(&Arc<V>) -> R>,
+        build: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(R, CacheOutcome), E> {
+        let Rule {
+            need,
+            covers,
+            replace_if,
+            take,
+        } = rule;
         let mut waited = false;
         let mut inner = self.lock();
-        loop {
-            if let Some(value) = inner.touch(&key, |_| true) {
+        let marked = loop {
+            if let Some(taken) = inner.touch(&key, &covers).map(&take) {
                 if waited {
-                    return Ok((value, CacheOutcome::Coalesced));
+                    return Ok((taken, CacheOutcome::Coalesced));
                 }
                 inner.stats.hits += 1;
-                return Ok((value, CacheOutcome::Hit));
+                return Ok((taken, CacheOutcome::Hit));
             }
-            if !inner.map.contains_key(&key) {
+            let building = inner.map.get(&key).and_then(|slot| slot.building);
+            if building.is_none_or(|cover| cover < need) {
                 inner.stats.misses += 1;
-                inner.map.insert(key, Slot::Building);
-                break;
+                if building.is_none() {
+                    inner.start_build(key, need);
+                }
+                break building.is_none();
             }
             if !waited {
                 waited = true;
                 inner.stats.coalesced += 1;
             }
             inner = self.done.wait(inner).expect("cache poisoned");
-        }
+        };
         drop(inner);
 
         // Unwind guard: the build runs outside the lock, so a panic or an
-        // `Err` would otherwise leave `Slot::Building` in the map forever —
+        // `Err` would otherwise leave its marker in the map forever —
         // every future caller of this key (and all current waiters) would
         // park on the condvar, and a parked query holds the router's
         // fan-out read lock, deadlocking updates too.
         let mut cleanup = BuildCleanup {
             cache: self,
             key,
-            armed: true,
+            armed: marked,
         };
         let value = Arc::new(build()?);
         cleanup.armed = false;
 
         let mut inner = self.lock();
-        inner.map.remove(&key);
-        inner.store(key, Arc::clone(&value));
+        if marked {
+            inner.end_build(&key);
+        }
+        inner.put(key, Arc::clone(&value), |held| replace_if(held, &value));
+        let taken = inner.touch(&key, &covers).map(&take);
         drop(inner);
         self.done.notify_all();
-        Ok((value, CacheOutcome::Miss))
+        Ok((taken.unwrap_or_else(|| take(&value)), CacheOutcome::Miss))
     }
 
     /// Purges every finished value built from an epoch older than `epoch`
@@ -380,11 +509,13 @@ impl<K: Copy + Eq + Hash + EpochKeyed, V> EpochLru<K, V> {
     pub fn invalidate_before(&self, epoch: u64) -> usize {
         let mut inner = self.lock();
         inner.floor = inner.floor.max(epoch);
-        let before = inner.map.len();
-        inner
-            .map
-            .retain(|k, slot| matches!(slot, Slot::Building) || k.epoch() >= epoch);
-        let removed = before - inner.map.len();
+        let mut removed = 0;
+        inner.map.retain(|k, slot| {
+            if k.epoch() < epoch && slot.ready.take().is_some() {
+                removed += 1;
+            }
+            slot.ready.is_some() || slot.building.is_some()
+        });
         inner.stats.invalidated += removed as u64;
         removed
     }
@@ -398,23 +529,19 @@ impl<K: Copy + Eq + Hash + EpochKeyed, V> EpochLru<K, V> {
         let keys: Vec<K> = inner
             .map
             .iter()
-            .filter(|(k, slot)| matches!(slot, Slot::Ready { .. }) && pred(k))
+            .filter(|(k, slot)| slot.ready.is_some() && pred(k))
             .map(|(k, _)| *k)
             .collect();
         keys.into_iter()
-            .filter_map(|k| match inner.map.remove(&k) {
-                Some(Slot::Ready { value, .. }) => Some((k, value)),
-                _ => None,
-            })
+            .filter_map(|k| inner.take_ready(&k).map(|value| (k, value)))
             .collect()
     }
 
     /// Current counters and occupancy (finished values only).
     pub fn stats(&self) -> CacheStats {
         let inner = self.lock();
-        let ready = |slot: &&Slot<V>| matches!(slot, Slot::Ready { .. });
         CacheStats {
-            entries: inner.map.values().filter(ready).count(),
+            entries: inner.map.values().filter(|s| s.ready.is_some()).count(),
             ..inner.stats
         }
     }
@@ -424,8 +551,78 @@ impl<K: Copy + Eq + Hash + EpochKeyed, V> EpochLru<K, V> {
     }
 }
 
-/// Removes the `Slot::Building` marker and wakes all waiters if the build
-/// closure fails or unwinds (disarmed on the normal completion path).
+/// The prefix rule (module docs): a value answers every request up to its
+/// own `k`, and a larger value replaces a smaller one.
+impl<K: Copy + Eq + Hash + EpochKeyed, V: Prefix> EpochLru<K, V> {
+    /// The answer for `k` if a value covering it is resident, counted as a
+    /// hit or a miss. The cut is taken outside the lock.
+    pub fn get_prefix(&self, key: &K, k: usize) -> Option<V::Cut> {
+        self.get_where(key, |held| held.k() >= k)
+            .map(|held| held.cut(k))
+    }
+
+    /// Retains `value` unless the resident value answers as much.
+    pub fn offer(&self, key: K, value: Arc<V>) {
+        let offered = Arc::clone(&value);
+        self.upsert(key, value, |held| replaces(held, &offered));
+    }
+
+    /// The answer for `k` if a value covering it is resident, counted as a
+    /// hit and cut under the lock (no reference count on the value moves).
+    /// A miss is not counted: it is left to the
+    /// [`EpochLru::get_or_try_build_prefix`] call that follows it.
+    pub(crate) fn hit_prefix(&self, key: &K, k: usize) -> Option<V::Cut> {
+        let mut inner = self.lock();
+        let cut = inner.touch(key, |held| held.k() >= k)?.cut(k);
+        inner.stats.hits += 1;
+        Some(cut)
+    }
+
+    /// [`EpochLru::get_or_try_build`] under the prefix rule: a resident
+    /// value answering `k` is a hit, a build in flight for at least `k`
+    /// is joined, and anything else builds for `k` — and the built value
+    /// replaces a resident one that answers less. The answer is cut under
+    /// the lock, so while the key lives every caller of one `k` receives
+    /// one answer.
+    pub(crate) fn get_or_try_build_prefix<E>(
+        &self,
+        key: K,
+        k: usize,
+        build: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(V::Cut, CacheOutcome), E> {
+        let rule = Rule {
+            need: k,
+            covers: |held: &V| held.k() >= k,
+            replace_if: replaces,
+            take: |value: &Arc<V>| value.cut(k),
+        };
+        self.single_flight(key, rule, build)
+    }
+}
+
+/// How [`EpochLru::single_flight`] treats a request (its docs).
+struct Rule<C, P, T> {
+    need: usize,
+    covers: C,
+    replace_if: P,
+    take: T,
+}
+
+/// Whether `offered` replaces `held` under the prefix rule: it answers
+/// more. The value kept takes over what the other made.
+fn replaces<V: Prefix>(held: &V, offered: &V) -> bool {
+    let larger = held.k() < offered.k();
+    if larger {
+        offered.adopt(held);
+    } else {
+        held.adopt(offered);
+    }
+    larger
+}
+
+/// Removes the mark of `key`'s build and wakes all waiters if the build
+/// closure fails or unwinds (disarmed on the normal completion path, and
+/// never armed for an unmarked build).
 struct BuildCleanup<'a, K: Copy + Eq + Hash + EpochKeyed, V> {
     cache: &'a EpochLru<K, V>,
     key: K,
@@ -443,11 +640,150 @@ impl<K: Copy + Eq + Hash + EpochKeyed, V> Drop for BuildCleanup<'_, K, V> {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
-        if matches!(inner.map.get(&self.key), Some(Slot::Building)) {
-            inner.map.remove(&self.key);
-        }
+        inner.end_build(&self.key);
         drop(inner);
         self.cache.done.notify_all();
+    }
+}
+
+/// The most [`EpochLru`]s the result cache spreads its keys over: two
+/// clients hitting different shapes meet in one about once in 64 hits.
+const RESULT_STRIPES: usize = 64;
+
+/// The fewest shapes a result-cache stripe holds: a smaller cache has
+/// fewer stripes, so LRU order is not cut finer than this.
+const SHAPES_PER_STRIPE: usize = 16;
+
+/// The executor's result cache: one [`ShapeAnswers`] per `(τ, ψ, variant,
+/// epoch)`, in up to `RESULT_STRIPES` [`EpochLru`]s chosen by a hash of
+/// the shape, so hits on different shapes take different locks. Each
+/// stripe holds an equal share of the capacity — at least
+/// `SHAPES_PER_STRIPE` — and LRU order is kept per stripe.
+pub(crate) struct ResultCache {
+    /// Padded: neighbouring stripes' locks would share a line otherwise.
+    stripes: Box<[Padded<EpochLru<QueryKey, ShapeAnswers>>]>,
+}
+
+impl ResultCache {
+    /// A cache of about `capacity` shapes.
+    pub(crate) fn new(capacity: usize) -> Self {
+        let stripes = (capacity / SHAPES_PER_STRIPE).clamp(1, RESULT_STRIPES);
+        let each = capacity.div_ceil(stripes);
+        ResultCache {
+            stripes: (0..stripes).map(|_| Padded(EpochLru::new(each))).collect(),
+        }
+    }
+
+    /// The stripe of `key`'s shape: the epoch is left out of the hash, so
+    /// a shape keeps its stripe across publishes.
+    fn stripe(&self, key: &QueryKey) -> &EpochLru<QueryKey, ShapeAnswers> {
+        let variant = match key.variant {
+            VariantKey::Greedy => 0,
+            VariantKey::Fm(copies, seed) => seed ^ (copies as u64).rotate_left(32) ^ 1,
+        };
+        let shape = key.tau_bits
+            ^ key.pref_param_bits.rotate_left(21)
+            ^ u64::from(key.pref_tag).rotate_left(42)
+            ^ variant.rotate_left(11);
+        // The product's top bits: a multiplication carries every bit of
+        // the shape into them (its low bits would keep only the shape's
+        // low bits, which are zero for a whole-metre τ).
+        let mixed = shape.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58;
+        &self.stripes[mixed as usize % self.stripes.len()].0
+    }
+
+    /// The answer for `k` if the shape's entry covers it (a counted hit);
+    /// `None` is not counted.
+    pub(crate) fn hit(&self, key: &QueryKey, k: usize) -> Option<Arc<ServiceAnswer>> {
+        self.stripe(key).hit_prefix(key, k)
+    }
+
+    /// [`EpochLru::get_or_try_build_prefix`] on the shape's stripe.
+    pub(crate) fn get_or_try_build<E>(
+        &self,
+        key: QueryKey,
+        k: usize,
+        build: impl FnOnce() -> Result<ShapeAnswers, E>,
+    ) -> Result<(Arc<ServiceAnswer>, CacheOutcome), E> {
+        self.stripe(&key).get_or_try_build_prefix(key, k, build)
+    }
+
+    /// [`EpochLru::invalidate_before`] on every stripe.
+    pub(crate) fn invalidate_before(&self, epoch: u64) -> usize {
+        self.stripes
+            .iter()
+            .map(|s| s.0.invalidate_before(epoch))
+            .sum()
+    }
+
+    /// The stripes' counters, summed.
+    pub(crate) fn stats(&self) -> CacheStats {
+        self.stripes
+            .iter()
+            .map(|s| s.0.stats())
+            .fold(CacheStats::default(), |a, b| a + b)
+    }
+}
+
+/// One solve's answers: the solve ran for `k` at one `(τ, ψ, variant,
+/// epoch)` and answers every `k' ≤ k` by its first `k'` picks, under
+/// [`Solution::prefix`]'s rule. Each `k'` answer is made on its first
+/// request and kept, so a repeat allocates nothing.
+pub(crate) struct ShapeAnswers {
+    k: usize,
+    solution: Solution,
+    /// The fields every `k'` shares (its sites are empty).
+    shared: ServiceAnswer,
+    /// `cuts[i]`: the answer after `i` picks.
+    cuts: Box<[OnceLock<Arc<ServiceAnswer>>]>,
+}
+
+impl ShapeAnswers {
+    /// The answers of `solution`, solved for `k`; `shared` holds the
+    /// fields that do not depend on `k`.
+    pub(crate) fn new(k: usize, solution: Solution, shared: ServiceAnswer) -> Self {
+        let cuts = solution.steps.iter().map(|_| OnceLock::new()).collect();
+        let answers = ShapeAnswers {
+            k,
+            solution,
+            shared,
+            cuts,
+        };
+        // The solve's own answer is made before the entry can be looked
+        // up, so every caller that joined the solve receives this one
+        // `Arc`, even once a larger solve has replaced the entry.
+        answers.cut(k);
+        answers
+    }
+}
+
+impl Prefix for ShapeAnswers {
+    type Cut = Arc<ServiceAnswer>;
+
+    fn k(&self) -> usize {
+        self.k
+    }
+
+    fn adopt(&self, other: &Self) {
+        for (mine, made) in self.cuts.iter().zip(&other.cuts) {
+            if let Some(answer) = made.get() {
+                // A racing first request may have made ours already.
+                let _ = mine.set(Arc::clone(answer));
+            }
+        }
+    }
+
+    fn cut(&self, k: usize) -> Arc<ServiceAnswer> {
+        let (picks, utility, covered) = self.solution.at(k);
+        let answer = self.cuts[picks].get_or_init(|| {
+            Arc::new(ServiceAnswer {
+                sites: self.solution.sites[..picks].to_vec(),
+                utility,
+                covered,
+                ..self.shared.clone()
+            })
+        });
+        Arc::clone(answer)
     }
 }
 
@@ -470,13 +806,17 @@ mod tests {
         })
     }
 
+    /// The result cache's key over plain answers: the mechanism's tests
+    /// need no solve behind a value.
+    type Answers = EpochLru<QueryKey, ServiceAnswer>;
+
     fn key(k: usize, tau: f64, epoch: u64) -> QueryKey {
         QueryKey::new(&TopsQuery::binary(k, tau), QueryVariant::Greedy, epoch)
     }
 
     #[test]
     fn hit_miss_and_counters() {
-        let cache = ResultCache::new(16);
+        let cache = Answers::new(16);
         assert!(cache.get(&key(1, 800.0, 0)).is_none());
         cache.upsert(key(1, 800.0, 0), answer(0), |_| true);
         assert!(cache.get(&key(1, 800.0, 0)).is_some());
@@ -489,7 +829,8 @@ mod tests {
     #[test]
     fn distinct_parameters_get_distinct_keys() {
         let base = key(3, 800.0, 0);
-        assert_ne!(base, key(4, 800.0, 0));
+        // k is not part of the key: every k of a shape shares one entry.
+        assert_eq!(base, key(4, 800.0, 0));
         assert_ne!(base, key(3, 800.5, 0));
         assert_ne!(base, key(3, 800.0, 1));
         assert_ne!(
@@ -513,20 +854,20 @@ mod tests {
 
     #[test]
     fn peek_finds_entries_without_counting() {
-        let cache = ResultCache::new(16);
+        let cache = Answers::new(16);
         cache.upsert(key(1, 800.0, 0), answer(0), |_| true);
         assert!(cache.peek(&key(1, 800.0, 0)).is_some());
-        assert!(cache.peek(&key(9, 800.0, 0)).is_none());
+        assert!(cache.peek(&key(1, 900.0, 0)).is_none());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (0, 0));
     }
 
     #[test]
     fn epoch_invalidation_purges_stale_entries() {
-        let cache = ResultCache::new(64);
+        let cache = Answers::new(64);
         for e in 0..4u64 {
             cache.upsert(key(1, 500.0, e), answer(e), |_| true);
-            cache.upsert(key(2, 500.0, e), answer(e), |_| true);
+            cache.upsert(key(1, 600.0, e), answer(e), |_| true);
         }
         let removed = cache.invalidate_before(2);
         assert_eq!(removed, 4);
@@ -535,10 +876,10 @@ mod tests {
         assert_eq!(cache.stats().invalidated, 4);
         // A worker that pinned epoch 1 finishes after the purge: its
         // answer went to its caller and must not occupy the cache.
-        cache.upsert(key(3, 500.0, 1), answer(1), |_| true);
-        assert!(cache.peek(&key(3, 500.0, 1)).is_none());
+        cache.upsert(key(1, 700.0, 1), answer(1), |_| true);
+        assert!(cache.peek(&key(1, 700.0, 1)).is_none());
         assert_eq!(cache.stats().entries, 4, "a purged epoch was retained");
-        cache.upsert(key(3, 500.0, 2), answer(2), |_| true);
+        cache.upsert(key(1, 700.0, 2), answer(2), |_| true);
         assert_eq!(cache.stats().entries, 5);
     }
 
@@ -547,12 +888,12 @@ mod tests {
     /// moves and the same `Arc` comes back.
     #[test]
     fn taken_values_move_to_a_later_epoch_past_the_purge() {
-        let cache = ResultCache::new(8);
-        for k in 1..=3 {
-            cache.upsert(key(k, 500.0, 4), answer(4), |_| true);
+        let cache = Answers::new(8);
+        for tau in [500.0, 600.0, 700.0] {
+            cache.upsert(key(1, tau, 4), answer(4), |_| true);
         }
         let before = cache.stats();
-        let taken = cache.take_where(|q| q.epoch == 4 && q.k != 3);
+        let taken = cache.take_where(|q| q.epoch == 4 && q.tau_bits != 700f64.to_bits());
         assert_eq!(taken.len(), 2);
         assert_eq!(cache.stats().entries, 1);
         assert_eq!(cache.invalidate_before(5), 1, "the untaken entry is purged");
@@ -571,10 +912,10 @@ mod tests {
     /// purge and is never refused by the floor.
     #[test]
     fn a_key_at_the_last_epoch_is_never_purged_or_refused() {
-        let cache = ResultCache::new(4);
+        let cache = Answers::new(4);
         cache.upsert(key(1, 500.0, u64::MAX), answer(0), |_| true);
         assert_eq!(cache.invalidate_before(u64::MAX), 0);
-        cache.upsert(key(2, 500.0, u64::MAX), answer(0), |_| true);
+        cache.upsert(key(1, 600.0, u64::MAX), answer(0), |_| true);
         assert_eq!(cache.stats().entries, 2);
     }
 
@@ -674,9 +1015,9 @@ mod tests {
             let mut ready: Vec<_> = inner
                 .map
                 .iter()
-                .filter_map(|(k, slot)| match slot {
-                    Slot::Ready { value, last_used } => Some((*last_used, *k, **value)),
-                    Slot::Building => None,
+                .filter_map(|(k, slot)| {
+                    let ready = slot.ready.as_ref()?;
+                    Some((ready.last_used, *k, *ready.value))
                 })
                 .collect();
             ready.sort_unstable_by_key(|&(used, ..)| used);

@@ -4,16 +4,27 @@
 //!
 //! Life of a request ([`NetClusService::query`]):
 //!
-//! 1. **Admission** — τ is quantized, the request validated and **one**
-//!    snapshot pinned; the answer is computed against that epoch alone.
-//! 2. **Result cache** — the key `(query, variant, epoch)` goes through
-//!    `EpochLru::get_or_try_build`:
-//!    a hit answers at once, and a caller that finds the same key being
-//!    solved waits for that solve instead of repeating it
-//!    (`dedup_joined`). The epoch is part of the key, so a caller joins
-//!    only a build at the epoch it pinned: dedup never serves an answer
-//!    older than the caller's snapshot.
-//! 3. **Solve** — the caller that builds takes one of
+//! 1. **Admission** — τ is quantized and the request validated.
+//! 2. **Result cache** — the key is the query's shape `(τ, ψ, variant)`
+//!    at the live epoch; `k` is not in it. An entry holds one solve for
+//!    the largest `k` asked at that shape, and every `k' ≤ k` is answered
+//!    from it by prefix, bit for bit what a `k'`-solve returns (the
+//!    [cache module](crate::cache)'s prefix rule). A hit touches no
+//!    shared lock but the one stripe of the result cache its shape hashes
+//!    to: shutdown and the live epoch are atomics, no snapshot is pinned,
+//!    and its counters, latency and admission-stage histograms are
+//!    per-thread stripes ([`crate::metrics`]). A first request for some
+//!    `k' <` the entry's `k` makes that answer once (two allocations);
+//!    every later one is a pointer clone.
+//! 3. **Miss** — **one** snapshot is pinned, and the answer is computed
+//!    against that epoch alone: the key at the pinned epoch goes through
+//!    `EpochLru::get_or_try_build_prefix`, and a caller that finds the
+//!    shape being solved for at least its `k` waits for that solve
+//!    instead of repeating it (`dedup_joined`); a larger `k` solves beside
+//!    it. The epoch is part of the key, so a caller joins only a build at
+//!    the epoch it pinned: dedup never serves an answer older than the
+//!    caller's snapshot.
+//! 4. **Solve** — the caller that builds takes one of
 //!    [`ServiceConfig::workers`] solve permits (each a reused
 //!    [`ProviderScratch`]), looks the instance's rows up through
 //!    `rows_for` (single flight per instance and epoch) and solves.
@@ -41,7 +52,7 @@
 
 #![deny(clippy::too_many_lines)]
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -49,7 +60,7 @@ use netclus::{FmGreedyConfig, ProviderScratch, TopsQuery};
 use netclus_roadnet::NodeId;
 use netclus_trajectory::TrajectorySet;
 
-use crate::cache::{CacheOutcome, QueryKey, ResultCache};
+use crate::cache::{CacheOutcome, QueryKey, ResultCache, ShapeAnswers};
 use crate::fault::QueryError;
 use crate::lock_recover;
 use crate::metrics::{MetricsClock, MetricsReport};
@@ -170,7 +181,8 @@ pub struct ServiceConfig {
     /// Callers that may wait for a solve permit; the next one is refused
     /// with [`SubmitError::QueueFull`].
     pub queue_capacity: usize,
-    /// Result-cache capacity in answers.
+    /// Result-cache capacity in query shapes `(τ, ψ, variant)`: each entry
+    /// holds one solve and answers every `k` up to the largest asked.
     pub cache_capacity: usize,
     /// Provider-cache capacity in entries (one instance's built rows
     /// each, kept across every query of the epoch whose τ falls in that
@@ -193,12 +205,11 @@ impl Default for ServiceConfig {
     }
 }
 
-/// The solve permits: the scratches of the solves not running, the
-/// callers waiting for one, and whether admission has stopped.
+/// The solve permits: the scratches of the solves not running and the
+/// callers waiting for one.
 struct Permits {
     scratches: Vec<ProviderScratch>,
     waiting: usize,
-    shutdown: bool,
 }
 
 /// A held solve permit. Dropping it — after an unwinding solve too —
@@ -226,6 +237,9 @@ pub struct NetClusService {
     providers: ShardProviderCache,
     clock: MetricsClock,
     permits: Mutex<Permits>,
+    /// Admission has stopped. Set under `permits`, so a caller waiting
+    /// for a permit cannot miss it; read without it by every request.
+    shutdown: AtomicBool,
     /// Signalled when a permit is returned or admission stops.
     freed: Condvar,
     /// Query-path tracer: per-stage histograms + tail-sampled slow log.
@@ -252,8 +266,8 @@ impl NetClusService {
             permits: Mutex::new(Permits {
                 scratches: scratches.collect(),
                 waiting: 0,
-                shutdown: false,
             }),
+            shutdown: AtomicBool::new(false),
             freed: Condvar::new(),
             tracer: Tracer::new(cfg.trace),
         })
@@ -279,24 +293,36 @@ impl NetClusService {
         let metrics = &self.clock.metrics;
         // Uniform post-shutdown contract: cached and uncached requests
         // are rejected alike.
-        if lock_recover(&self.permits).shutdown {
+        if self.shutdown.load(Ordering::Acquire) {
             metrics.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::ShuttingDown.into());
         }
-        let mut spans = self.tracer.begin();
-        let start = spans.started();
+        let start = Instant::now();
+        let k = request.query.k;
+        let key = QueryKey::new(&request.query, request.variant, self.store.epoch());
+        if let Some(answer) = self.cache.hit(&key, k) {
+            // A hit is all admission: one clock read times both.
+            let took = start.elapsed();
+            self.tracer.stages().record(Stage::Admission, took);
+            metrics.submitted.add(1);
+            metrics.cache_served.add(1);
+            metrics.completed.add(1);
+            metrics.latency.record(took);
+            return Ok(answer);
+        }
+        let mut spans = self.tracer.begin_at(start);
         let expiry = request.deadline.map(|d| start + d);
         let snap = self.store.load();
-        let key = QueryKey::new(&request.query, request.variant, snap.epoch());
+        let key = key.at_epoch(snap.epoch());
         let pinned = spans.stage(Stage::Admission, start);
-        let built = self.cache.get_or_try_build(key, || {
+        let built = self.cache.get_or_try_build(key, k, || {
             self.solve(&snap, &request, expiry, &mut spans, pinned)
         });
-        let counter = match built {
-            Err(QueryError::Submit(_)) => &metrics.rejected,
-            _ => &metrics.submitted,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        if let Err(QueryError::Submit(_)) = built {
+            metrics.rejected.fetch_add(1, Ordering::Relaxed);
+        } else {
+            metrics.submitted.add(1);
+        }
         let (answer, outcome) = built?;
         // A solve's trace fed the stage histograms already.
         if outcome != CacheOutcome::Miss {
@@ -305,12 +331,12 @@ impl NetClusService {
                 .record(Stage::Admission, pinned - start);
         }
         if outcome == CacheOutcome::Hit {
-            metrics.cache_served.fetch_add(1, Ordering::Relaxed);
+            metrics.cache_served.add(1);
         } else if expiry.is_some_and(|at| Instant::now() >= at) {
             let deadline = request.deadline.unwrap_or_default();
             return Err(QueryError::DeadlineExceeded { deadline });
         }
-        metrics.completed.fetch_add(1, Ordering::Relaxed);
+        metrics.completed.add(1);
         metrics.latency.record(start.elapsed());
         Ok(answer)
     }
@@ -333,7 +359,8 @@ impl NetClusService {
     }
 
     /// The building caller's half of a query: a permit, the rows, the
-    /// solve, the trace.
+    /// solve, the trace. The solve's answers serve its `k` and every
+    /// smaller one.
     fn solve(
         &self,
         snap: &Snapshot,
@@ -341,7 +368,7 @@ impl NetClusService {
         expiry: Option<Instant>,
         spans: &mut TraceSpans,
         pinned: Instant,
-    ) -> Result<ServiceAnswer, QueryError> {
+    ) -> Result<ShapeAnswers, QueryError> {
         let mut permit = self.permit(expiry, request.deadline)?;
         let metrics = &self.clock.metrics;
         metrics.batches.fetch_add(1, Ordering::Relaxed);
@@ -377,28 +404,30 @@ impl NetClusService {
         };
         drop(permit);
         cursor = spans.stage(Stage::Solve, cursor);
-        let answer = ServiceAnswer {
+        // What every k' shares; the sites, utility and coverage are cut
+        // from the solution per k'.
+        let shared = ServiceAnswer {
             epoch: snap.epoch(),
             corpus_len: snap.trajs().len(),
             site_count: snap.index().site_count(),
-            sites: raw.solution.sites,
-            utility: raw.solution.utility,
-            covered: raw.solution.covered,
+            sites: Vec::new(),
+            utility: 0.0,
+            covered: 0,
             instance: raw.instance,
             representatives: raw.representatives,
             compute_time: computing.elapsed(),
         };
         spans.stage(Stage::Reply, cursor);
         let meta = TraceMeta {
-            epoch: answer.epoch,
+            epoch: shared.epoch,
             k: query.k,
             tau: query.tau,
             hot: outcome == CacheOutcome::Hit,
             psi: psi_name(&query.preference),
-            instance: answer.instance,
+            instance: shared.instance,
         };
         self.tracer.finish(spans, meta);
-        Ok(answer)
+        Ok(ShapeAnswers::new(query.k, raw.solution, shared))
     }
 
     /// Takes a solve permit, waiting while every one is in use — unless
@@ -413,7 +442,7 @@ impl NetClusService {
         let mut permits = lock_recover(&self.permits);
         let mut waited = false;
         let taken = loop {
-            if permits.shutdown {
+            if self.shutdown.load(Ordering::Acquire) {
                 break Err(SubmitError::ShuttingDown.into());
             }
             let now = Instant::now();
@@ -516,7 +545,7 @@ impl NetClusService {
     /// Idempotent.
     pub fn shutdown(&self) {
         let mut permits = lock_recover(&self.permits);
-        permits.shutdown = true;
+        self.shutdown.store(true, Ordering::Release);
         self.freed.notify_all();
         while permits.scratches.len() < self.cfg.workers.max(1) {
             permits = self
@@ -681,6 +710,93 @@ mod tests {
         let cache = report.cache;
         assert_eq!((cache.hits, cache.misses, cache.entries), (1, 1, 1));
         assert_eq!(report.latency.count, 2);
+        svc.shutdown();
+    }
+
+    /// One k = 20 solve per ψ answers every k' ≤ 20 at its τ without
+    /// another solve, each equal bit for bit to a k'-solve of the bare
+    /// index.
+    #[test]
+    fn one_solve_answers_every_smaller_k() {
+        let svc = service(1);
+        let snap = svc.snapshot();
+        for preference in [
+            PreferenceFunction::Binary,
+            PreferenceFunction::LinearDecay,
+            PreferenceFunction::ConvexProbability { alpha: 2.0 },
+        ] {
+            let at = |k| TopsQuery {
+                k,
+                tau: 800.0,
+                preference,
+            };
+            svc.query(ServiceRequest::greedy(at(20))).unwrap();
+            let solves = svc.metrics_report().batches;
+            for k in 1..=20 {
+                let served = svc.query(ServiceRequest::greedy(at(k))).unwrap();
+                let bare = snap.index().query(snap.trajs(), &at(k)).solution;
+                assert_eq!(served.sites, bare.sites, "{preference:?} k={k}");
+                let utility = (served.utility.to_bits(), served.covered);
+                assert_eq!(utility, (bare.utility.to_bits(), bare.covered));
+            }
+            assert_eq!(svc.metrics_report().batches, solves, "{preference:?}");
+        }
+        let report = svc.metrics_report();
+        assert_eq!((report.cache.misses, report.cache.hits), (3, 60));
+        assert_eq!(report.cache.entries, 3);
+        svc.shutdown();
+    }
+
+    /// A larger k than the resident solve's misses, solves once and
+    /// replaces the entry, which then answers every k up to it.
+    #[test]
+    fn a_larger_k_solves_once_and_upgrades_the_entry() {
+        let svc = service(1);
+        let q = |k| ServiceRequest::greedy(TopsQuery::binary(k, 800.0));
+        let two = svc.query(q(2)).unwrap();
+        let five = svc.query(q(5)).unwrap();
+        assert_eq!(two.sites[..], five.sites[..2]);
+        let report = svc.metrics_report();
+        let cache = report.cache;
+        assert_eq!((report.batches, cache.misses, cache.entries), (2, 2, 1));
+        for k in [1, 3, 5] {
+            let served = svc.query(q(k)).unwrap();
+            assert_eq!(served.sites[..], five.sites[..k]);
+        }
+        let report = svc.metrics_report();
+        assert_eq!((report.batches, report.cache.hits), (2, 3));
+        svc.shutdown();
+    }
+
+    /// A caller joins an in-flight solve only when that solve's k covers
+    /// its own: a larger k solves beside a held smaller one, and a still
+    /// smaller k joins the held one.
+    #[test]
+    fn a_larger_k_does_not_join_a_smaller_build() {
+        let svc = &service(2);
+        let q = |k| ServiceRequest::greedy(TopsQuery::binary(k, 800.0));
+        std::thread::scope(|scope| {
+            let release = hold_rows(scope, svc, 800.0);
+            let small = scope.spawn(move || svc.query(q(2)));
+            until(|| svc.providers.stats().coalesced == 1);
+            let large = scope.spawn(move || svc.query(q(4)));
+            until(|| svc.providers.stats().coalesced == 2);
+            let cache = svc.cache.stats();
+            assert_eq!(
+                (cache.misses, cache.coalesced),
+                (2, 0),
+                "k = 4 joined k = 2"
+            );
+            let smaller = scope.spawn(move || svc.query(q(1)));
+            until(|| svc.cache.stats().coalesced == 1);
+            drop(release);
+            let large = large.join().unwrap().unwrap();
+            assert_eq!(small.join().unwrap().unwrap().sites[..], large.sites[..2]);
+            assert_eq!(smaller.join().unwrap().unwrap().sites[..], large.sites[..1]);
+        });
+        let report = svc.metrics_report();
+        assert_eq!((report.batches, report.dedup_joined), (2, 1));
+        assert_eq!((report.cache.misses, report.cache.entries), (2, 1));
         svc.shutdown();
     }
 

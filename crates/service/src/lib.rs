@@ -13,9 +13,11 @@
 //!   and never block; a writer applies an `UpdateBatch` to a private
 //!   copy and publishes it atomically under the next epoch.
 //! * [`executor`] — the **monolithic service**: [`NetClusService::query`]
-//!   answers on the caller's thread against one pinned snapshot. Identical
-//!   queries at one epoch are solved once (the result cache's single
-//!   flight), and at most `workers` solves run at once, each with a
+//!   answers on the caller's thread; a result-cache hit takes no shared
+//!   lock and pins no snapshot, a miss solves against one pinned
+//!   snapshot. A query shape at one epoch is solved once for every `k` up
+//!   to the one solved (the result cache's single flight and prefix
+//!   rule), and at most `workers` solves run at once, each with a
 //!   reused scratch; callers beyond them wait in a bounded waiting room,
 //!   and overload past it is shed with `QueueFull`.
 //! * [`cache`] — the stack's **one cache mechanism**, [`EpochLru`]: an
@@ -23,8 +25,9 @@
 //!   coalesce onto one builder), one purge on epoch advance and one purge
 //!   floor (a value that arrives after its epoch was purged is handed to
 //!   its caller and not retained). Its first instantiation is the
-//!   **result cache** keyed on `(k, τ, ψ, variant, epoch)`; its
-//!   hit/miss/coalesced/eviction/invalidation counters
+//!   **result cache** keyed on `(τ, ψ, variant, epoch)`, which answers
+//!   every `k` up to the largest solved by prefix, like the round-1 memo
+//!   below; its hit/miss/coalesced/eviction/invalidation counters
 //!   ([`CacheStats`]) feed the metrics report.
 //! * [`provider_cache`] — the round-1 instantiations: built
 //!   [`ProviderRows`](netclus::ProviderRows) keyed
@@ -151,7 +154,7 @@ pub mod telemetry;
 pub mod trace;
 pub mod wire;
 
-pub use cache::{CacheStats, EpochKeyed, EpochLru, QueryKey, ResultCache};
+pub use cache::{CacheStats, EpochKeyed, EpochLru, QueryKey};
 pub use executor::{
     NetClusService, QueryVariant, ServiceAnswer, ServiceConfig, ServiceRequest, SubmitError,
 };
@@ -203,7 +206,7 @@ fn send_sync_audit() {
     assert_send_sync::<Snapshot>();
     assert_send_sync::<SnapshotStore>();
     assert_send_sync::<UpdateOp>();
-    assert_send_sync::<ResultCache>();
+    assert_send_sync::<cache::ResultCache>();
     assert_send_sync::<ShardProviderCache>();
     assert_send_sync::<ServiceAnswer>();
     assert_send_sync::<metrics::ServiceMetrics>();

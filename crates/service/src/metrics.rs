@@ -2,13 +2,17 @@
 //! statistics — exposed as a serializable [`MetricsReport`].
 //!
 //! Everything is lock-free atomics so the hot path pays a handful of
-//! relaxed increments per request. The report serializes to single-line
+//! relaxed increments per request. What every request bumps — the
+//! admitted / answered / cache-served counters and the latency histogram
+//! — is kept in per-thread `Stripes`, so two threads answering at once
+//! never write the same cache line; a report sums the stripes. The report
+//! serializes to single-line
 //! JSON (through the crate's one writer, `jsonl` — the workspace is
 //! dependency-free) so harness runs can be grepped and tracked over time.
 
 #![deny(clippy::too_many_lines)]
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::cache::CacheStats;
@@ -18,11 +22,11 @@ use crate::jsonl;
 /// `floor(log2(micros)) == i`; bucket 0 also holds sub-microsecond ones).
 const BUCKETS: usize = 40;
 
-/// A log₂-bucketed latency histogram over microseconds.
+/// A log₂-bucketed latency histogram over microseconds; the sample count
+/// is the buckets' sum.
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum_micros: AtomicU64,
     max_micros: AtomicU64,
 }
@@ -31,7 +35,6 @@ impl Default for LatencyHistogram {
     fn default() -> Self {
         LatencyHistogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum_micros: AtomicU64::new(0),
             max_micros: AtomicU64::new(0),
         }
@@ -48,14 +51,20 @@ impl LatencyHistogram {
             (63 - micros.leading_zeros() as usize).min(BUCKETS - 1)
         };
         self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_micros.fetch_add(micros, Ordering::Relaxed);
-        self.max_micros.fetch_max(micros, Ordering::Relaxed);
+        // A sub-microsecond sample (a cache hit) adds nothing to the sum,
+        // and most samples do not raise the maximum: both skip their
+        // read-modify-write then.
+        if micros > 0 {
+            self.sum_micros.fetch_add(micros, Ordering::Relaxed);
+        }
+        if micros > self.max_micros.load(Ordering::Relaxed) {
+            self.max_micros.fetch_max(micros, Ordering::Relaxed);
+        }
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Summarizes the histogram (mean, interpolated p50/p95/p99, max).
@@ -68,14 +77,23 @@ impl LatencyHistogram {
     /// Interpolated values stay monotone across buckets (a bucket's upper
     /// bound never exceeds the next bucket's lower bound).
     pub fn summary(&self) -> LatencySummary {
-        let count = self.count.load(Ordering::Relaxed);
-        let sum = self.sum_micros.load(Ordering::Relaxed);
-        let max = self.max_micros.load(Ordering::Relaxed);
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
+        Self::summary_of(std::iter::once(self))
+    }
+
+    /// [`LatencyHistogram::summary`] of the samples of every histogram in
+    /// `parts` together, as one histogram holding them all would give.
+    pub(crate) fn summary_of<'a>(parts: impl Iterator<Item = &'a Self>) -> LatencySummary {
+        let (mut count, mut sum, mut max) = (0u64, 0u64, 0u64);
+        let mut counts = [0u64; BUCKETS];
+        for part in parts {
+            sum += part.sum_micros.load(Ordering::Relaxed);
+            max = max.max(part.max_micros.load(Ordering::Relaxed));
+            for (total, bucket) in counts.iter_mut().zip(&part.buckets) {
+                let n = bucket.load(Ordering::Relaxed);
+                *total += n;
+                count += n;
+            }
+        }
         let percentile = |q: f64| -> u64 {
             if count == 0 {
                 return 0;
@@ -105,8 +123,79 @@ impl LatencyHistogram {
             p50_micros: percentile(0.50),
             p95_micros: percentile(0.95),
             p99_micros: percentile(0.99),
-            max_micros: self.max_micros.load(Ordering::Relaxed),
+            max_micros: max,
         }
+    }
+}
+
+/// How many [`Stripes`] a striped value has: threads past this many share
+/// stripes again, round robin.
+const STRIPES: usize = 16;
+
+/// One `T` per thread slot, each on cache lines of its own: a thread
+/// updates only its slot, so threads recording at once never contend on a
+/// line, and a reader combines the slots. Slots are handed to threads
+/// round robin on their first use of any striped value.
+#[derive(Debug)]
+pub(crate) struct Stripes<T> {
+    slots: Box<[Padded<T>]>,
+}
+
+/// A `T` on cache lines of its own. Two lines: the adjacent-line
+/// prefetcher pairs lines, so one line of padding still lets neighbours
+/// false-share.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub(crate) struct Padded<T>(pub(crate) T);
+
+impl<T: Default> Default for Stripes<T> {
+    fn default() -> Self {
+        Stripes {
+            slots: (0..STRIPES).map(|_| Padded::default()).collect(),
+        }
+    }
+}
+
+impl<T> Stripes<T> {
+    /// This thread's slot.
+    #[inline]
+    pub(crate) fn local(&self) -> &T {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        thread_local! {
+            static SLOT: usize = NEXT.fetch_add(1, Ordering::Relaxed);
+        }
+        &self.slots[SLOT.with(|slot| *slot) % STRIPES].0
+    }
+
+    /// Every slot.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().map(|padded| &padded.0)
+    }
+}
+
+impl Stripes<AtomicU64> {
+    /// Adds `n` to this thread's count.
+    #[inline]
+    pub(crate) fn add(&self, n: u64) {
+        self.local().fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The count over every thread.
+    pub(crate) fn sum(&self) -> u64 {
+        self.iter().map(|n| n.load(Ordering::Relaxed)).sum()
+    }
+}
+
+impl Stripes<LatencyHistogram> {
+    /// Records one sample in this thread's histogram.
+    #[inline]
+    pub(crate) fn record(&self, latency: Duration) {
+        self.local().record(latency);
+    }
+
+    /// The summary of every thread's samples together.
+    pub(crate) fn summary(&self) -> LatencySummary {
+        LatencyHistogram::summary_of(self.iter())
     }
 }
 
@@ -132,14 +221,14 @@ pub struct LatencySummary {
 pub(crate) struct ServiceMetrics {
     /// Requests admitted: valid, and not refused for a full waiting room
     /// or shutdown.
-    pub submitted: AtomicU64,
+    pub submitted: Stripes<AtomicU64>,
     /// Requests refused: the waiting room was full or the service was
     /// shutting down.
     pub rejected: AtomicU64,
     /// Requests answered.
-    pub completed: AtomicU64,
+    pub completed: Stripes<AtomicU64>,
     /// Requests answered from the result cache.
-    pub cache_served: AtomicU64,
+    pub cache_served: Stripes<AtomicU64>,
     /// Solves run (the service solves one request at a time, so
     /// `batched_requests` moves with it).
     pub batches: AtomicU64,
@@ -155,7 +244,7 @@ pub(crate) struct ServiceMetrics {
     /// Individual update operations applied.
     pub updates_applied: AtomicU64,
     /// End-to-end request latency (submit → answer delivered).
-    pub latency: LatencyHistogram,
+    pub latency: Stripes<LatencyHistogram>,
     /// Update-path latency (copy-on-write apply → epoch published), so
     /// ingest batches are observable alongside query latency.
     pub update_latency: LatencyHistogram,
@@ -187,13 +276,13 @@ impl ServiceMetrics {
         cache: CacheStats,
         providers: CacheStats,
     ) -> MetricsReport {
-        let completed = self.completed.load(Ordering::Relaxed);
+        let completed = self.completed.sum();
         let secs = elapsed.as_secs_f64();
         MetricsReport {
             uptime: elapsed,
             workers,
             epoch,
-            submitted: self.submitted.load(Ordering::Relaxed),
+            submitted: self.submitted.sum(),
             rejected: self.rejected.load(Ordering::Relaxed),
             completed,
             throughput_qps: if secs > 0.0 {
@@ -201,7 +290,7 @@ impl ServiceMetrics {
             } else {
                 0.0
             },
-            cache_served: self.cache_served.load(Ordering::Relaxed),
+            cache_served: self.cache_served.sum(),
             dedup_joined: cache.coalesced,
             batches: self.batches.load(Ordering::Relaxed),
             batched_requests: self.batched_requests.load(Ordering::Relaxed),
@@ -856,8 +945,8 @@ mod tests {
     #[test]
     fn json_line_is_single_line_and_balanced() {
         let clock = MetricsClock::default();
-        clock.metrics.submitted.fetch_add(3, Ordering::Relaxed);
-        clock.metrics.completed.fetch_add(3, Ordering::Relaxed);
+        clock.metrics.submitted.add(3);
+        clock.metrics.completed.add(3);
         clock.metrics.latency.record(Duration::from_micros(250));
         let report = clock.metrics.report(
             Duration::from_secs(2),

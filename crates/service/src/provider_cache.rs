@@ -50,7 +50,7 @@ use netclus::{par, PreferenceFunction, ProviderRows, ProviderScratch};
 
 pub use netclus::quantize_tau;
 
-use crate::cache::{preference_key, CacheOutcome, EpochKeyed, EpochLru};
+use crate::cache::{preference_key, CacheOutcome, EpochKeyed, EpochLru, Prefix};
 use crate::metrics::LatencyHistogram;
 use crate::snapshot::Snapshot;
 
@@ -219,29 +219,25 @@ impl EpochKeyed for RoundKey {
 }
 
 /// LRU memo of round-1 answers, keyed `(epoch, shard, τ, ψ)` and holding
-/// the **largest-`k`** round seen per key: any `k' ≤` that answers by
-/// [`ShardRoundOne::prefix`] (candidates with their coverage rows, so the
-/// merge needs no shard re-contact), a larger `k'` re-runs and upgrades
-/// the entry.
+/// the **largest-`k`** round seen per key under the cache's prefix rule
+/// (`EpochLru::get_prefix` / `EpochLru::offer`): any `k' ≤` that answers
+/// by [`ShardRoundOne::prefix`] (candidates with their coverage rows, so
+/// the merge needs no shard re-contact), a larger `k'` re-runs and
+/// upgrades the entry.
 pub type RoundOneCache = EpochLru<RoundKey, ShardRoundOne>;
 
-impl RoundOneCache {
-    /// Answers a `k`-request from the memo if a round computed for some
-    /// `k_cached ≥ k` is resident: the returned round is its `k`-prefix.
-    ///
-    /// A hit copies no pair: the prefix's rows are views into the
-    /// memoised round's block ([`netclus::shard::RowView`]), so what a hit
-    /// costs is `k` reference-count bumps, taken outside the memo lock.
-    pub fn lookup(&self, key: &RoundKey, k: usize) -> Option<ShardRoundOne> {
-        self.get_where(key, |held| held.k >= k)
-            .map(|held| held.prefix(k))
+/// A hit copies no pair: the prefix's rows are views into the memoised
+/// round's block ([`netclus::shard::RowView`]), so what a hit costs is `k`
+/// reference-count bumps, taken outside the memo lock.
+impl Prefix for ShardRoundOne {
+    type Cut = ShardRoundOne;
+
+    fn k(&self) -> usize {
+        self.k
     }
 
-    /// Memoizes `round` under `key`, keeping whichever of the resident and
-    /// offered rounds was computed for the larger `k`.
-    pub fn insert(&self, key: RoundKey, round: ShardRoundOne) {
-        let k = round.k;
-        self.upsert(key, Arc::new(round), |held| held.k < k);
+    fn cut(&self, k: usize) -> ShardRoundOne {
+        self.prefix(k)
     }
 }
 
@@ -483,22 +479,22 @@ mod tests {
     fn round_memo_prefix_hits_and_upgrades() {
         let memo = RoundOneCache::new(4);
         let key = RoundKey::new(0, 0, 800.0, &PreferenceFunction::Binary);
-        assert!(memo.lookup(&key, 1).is_none());
-        memo.insert(key, round(3, &[5.0, 3.0, 1.0]));
+        assert!(memo.get_prefix(&key, 1).is_none());
+        memo.offer(key, Arc::new(round(3, &[5.0, 3.0, 1.0])));
         // Any k' ≤ 3 is a prefix hit with the sliced utility.
-        let two = memo.lookup(&key, 2).expect("prefix hit");
+        let two = memo.get_prefix(&key, 2).expect("prefix hit");
         assert_eq!(two.k, 2);
         assert_eq!(two.candidates.len(), 2);
         assert_eq!(two.local_utility, 8.0);
-        let three = memo.lookup(&key, 3).expect("exact hit");
+        let three = memo.get_prefix(&key, 3).expect("exact hit");
         assert_eq!(three.candidates.len(), 3);
         // k' = 4 exceeds the memoized run: miss, then upgrade.
-        assert!(memo.lookup(&key, 4).is_none());
-        memo.insert(key, round(4, &[5.0, 3.0, 1.0, 0.5]));
-        assert_eq!(memo.lookup(&key, 4).unwrap().candidates.len(), 4);
+        assert!(memo.get_prefix(&key, 4).is_none());
+        memo.offer(key, Arc::new(round(4, &[5.0, 3.0, 1.0, 0.5])));
+        assert_eq!(memo.get_prefix(&key, 4).unwrap().candidates.len(), 4);
         // A smaller re-insert must not downgrade the entry.
-        memo.insert(key, round(1, &[5.0]));
-        assert_eq!(memo.lookup(&key, 4).unwrap().candidates.len(), 4);
+        memo.offer(key, Arc::new(round(1, &[5.0])));
+        assert_eq!(memo.get_prefix(&key, 4).unwrap().candidates.len(), 4);
         let s = memo.stats();
         assert_eq!(s.entries, 1);
         assert_eq!(s.misses, 2);
@@ -512,9 +508,9 @@ mod tests {
         let memo = RoundOneCache::new(4);
         let key = RoundKey::new(0, 0, 800.0, &PreferenceFunction::Binary);
         let memoised = round(3, &[5.0, 3.0, 1.0]);
-        memo.insert(key, memoised.clone());
+        memo.offer(key, Arc::new(memoised.clone()));
         for k in [1, 2, 3] {
-            let hit = memo.lookup(&key, k).expect("prefix hit");
+            let hit = memo.get_prefix(&key, k).expect("prefix hit");
             assert_eq!(hit.candidates[..], memoised.candidates[..k]);
             for (got, held) in hit.candidates.iter().zip(&memoised.candidates) {
                 assert!(got.row.shares_block_with(&held.row), "k={k}: row copied");
@@ -532,20 +528,20 @@ mod tests {
         let other_shard = RoundKey::new(1, 1, 800.0, &PreferenceFunction::Binary);
         assert_ne!(binary, linear);
         assert_ne!(binary, other_shard);
-        memo.insert(binary, round(2, &[2.0, 1.0]));
-        memo.insert(other_shard, round(2, &[4.0, 1.0]));
-        assert!(memo.lookup(&linear, 1).is_none());
-        assert_eq!(memo.lookup(&binary, 1).unwrap().local_utility, 2.0);
+        memo.offer(binary, Arc::new(round(2, &[2.0, 1.0])));
+        memo.offer(other_shard, Arc::new(round(2, &[4.0, 1.0])));
+        assert!(memo.get_prefix(&linear, 1).is_none());
+        assert_eq!(memo.get_prefix(&binary, 1).unwrap().local_utility, 2.0);
         // Epoch advance purges both epoch-1 entries.
         assert_eq!(memo.invalidate_before(2), 2);
-        assert!(memo.lookup(&binary, 1).is_none());
+        assert!(memo.get_prefix(&binary, 1).is_none());
         assert_eq!(memo.stats().invalidated, 2);
         // A round resolved on epoch 1 that lands after the purge went to
         // its caller and must not occupy the memo.
-        memo.insert(binary, round(2, &[2.0, 1.0]));
+        memo.offer(binary, Arc::new(round(2, &[2.0, 1.0])));
         assert_eq!(memo.stats().entries, 0, "a purged epoch was memoized");
         let live = RoundKey::new(2, 0, 800.0, &PreferenceFunction::Binary);
-        memo.insert(live, round(2, &[2.0, 1.0]));
+        memo.offer(live, Arc::new(round(2, &[2.0, 1.0])));
         assert_eq!(memo.stats().entries, 1);
     }
 }

@@ -24,7 +24,7 @@ use netclus::shard::{degraded_utility_bound, merge_candidates_timed, MergeTiming
 use netclus::{ProviderScratch, TopsQuery};
 
 use super::*;
-use crate::cache::{EpochLru, QueryKey};
+use crate::cache::{EpochKeyed, EpochLru, QueryKey};
 use crate::executor::{validate_query, QueryVariant, SubmitError};
 use crate::fault::{FaultAction, QueryError, ShardFailure};
 use crate::provider_cache::quantize_tau;
@@ -59,13 +59,30 @@ pub(crate) struct RouterQueue {
 }
 
 /// The stale-answer fallback: the last full (non-degraded) answer per
-/// query shape, served when every shard fails. Its key is the result
-/// cache's, pinned at the epoch no purge reaches — serving across epochs
-/// is the point.
-pub(crate) type StaleAnswers = EpochLru<QueryKey, ShardedServiceAnswer>;
+/// query, served when every shard fails.
+pub(crate) type StaleAnswers = EpochLru<StaleKey, ShardedServiceAnswer>;
 
-fn stale_key(q: &TopsQuery) -> QueryKey {
-    QueryKey::new(q, QueryVariant::Greedy, u64::MAX)
+/// The stale fallback's key: the result cache's shape key pinned at the
+/// epoch no purge reaches — serving across epochs is the point — and `k`,
+/// which the shape key leaves out: a two-round answer for a smaller `k`
+/// merges other round-1 candidates, so it is no prefix of a larger one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct StaleKey {
+    shape: QueryKey,
+    k: usize,
+}
+
+impl EpochKeyed for StaleKey {
+    fn epoch(&self) -> u64 {
+        self.shape.epoch
+    }
+}
+
+fn stale_key(q: &TopsQuery) -> StaleKey {
+    StaleKey {
+        shape: QueryKey::new(q, QueryVariant::Greedy, u64::MAX),
+        k: q.k,
+    }
 }
 
 /// One query on its way through the driver.
@@ -141,7 +158,7 @@ impl ShardRouter {
             metrics.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::ShuttingDown.into());
         }
-        metrics.submitted.fetch_add(1, Ordering::Relaxed);
+        metrics.submitted.add(1);
         let start = Instant::now();
         // Span recorder: stack-held, zero-allocation; `finish` discards it
         // unless the query lands in the sampled tail.
@@ -382,7 +399,7 @@ impl<'a> Flight<'a> {
         if let Some(prev) = stale.and_then(|stale| stale.peek(&key)) {
             inner.faultc.stale_answers.fetch_add(1, Ordering::Relaxed);
             let metrics = &inner.clock.metrics;
-            metrics.completed.fetch_add(1, Ordering::Relaxed);
+            metrics.completed.add(1);
             metrics.latency.record(self.start.elapsed());
             let mut answer = (*prev).clone();
             answer.stale = true;
@@ -419,7 +436,7 @@ impl<'a> Flight<'a> {
         inner.merge_latency.record(merge_start.elapsed());
         inner.fanout_queries.fetch_add(1, Ordering::Relaxed);
         let metrics = &inner.clock.metrics;
-        metrics.completed.fetch_add(1, Ordering::Relaxed);
+        metrics.completed.add(1);
         let total = self.start.elapsed();
         metrics.latency.record(total);
         // Hot/cold lanes: a fan-out that never built a provider is warm

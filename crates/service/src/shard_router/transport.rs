@@ -267,7 +267,7 @@ pub(crate) fn resolve_round1(
     });
     let memoized = memo
         .as_ref()
-        .and_then(|(rounds, key)| rounds.lookup(key, query.k));
+        .and_then(|(rounds, key)| rounds.get_prefix(key, query.k));
     let (round, source) = match memoized {
         Some(round) => (round, Round1Source::Memo),
         None => {
@@ -296,7 +296,7 @@ pub(crate) fn resolve_round1(
                 ),
             };
             if let Some((rounds, key)) = memo {
-                rounds.insert(key, round.clone());
+                rounds.offer(key, Arc::new(round.clone()));
             }
             (round, source)
         }

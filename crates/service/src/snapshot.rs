@@ -16,6 +16,7 @@
 //! A replaced epoch is freed by whoever drops its last pin, never under
 //! the store's lock.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use netclus::NetClusIndex;
@@ -131,10 +132,14 @@ pub struct UpdateReceipt {
 
 /// The `Arc`-swapped store. `load` is wait-free for practical purposes (a
 /// read-lock held only for one `Arc` clone); writers serialize among
-/// themselves and never block readers while rebuilding.
+/// themselves and never block readers while rebuilding. The published
+/// epoch is also kept in an atomic, so [`SnapshotStore::epoch`] takes no
+/// lock and touches no reference count.
 #[derive(Debug)]
 pub struct SnapshotStore {
     current: RwLock<Arc<Snapshot>>,
+    /// `current`'s epoch, stored while the write lock is held.
+    live_epoch: AtomicU64,
     /// Serializes writers so batches publish in a total epoch order.
     writer: Mutex<()>,
 }
@@ -166,6 +171,7 @@ impl SnapshotStore {
         };
         SnapshotStore {
             current: RwLock::new(Arc::new(snapshot)),
+            live_epoch: AtomicU64::new(0),
             writer: Mutex::new(()),
         }
     }
@@ -176,9 +182,10 @@ impl SnapshotStore {
         Arc::clone(&self.current.read().expect("snapshot lock poisoned"))
     }
 
-    /// The currently published epoch.
+    /// The currently published epoch: a snapshot loaded after this call
+    /// is at this epoch or a later one.
     pub fn epoch(&self) -> u64 {
-        self.current.read().expect("snapshot lock poisoned").epoch
+        self.live_epoch.load(Ordering::Acquire)
     }
 
     /// Applies `batch` to a private copy of the current state and publishes
@@ -243,10 +250,11 @@ impl SnapshotStore {
     /// dropped after the lock is released, so freeing an unpinned epoch
     /// never stalls a [`SnapshotStore::load`].
     fn publish(&self, next: Snapshot) {
-        let old = std::mem::replace(
-            &mut *self.current.write().expect("snapshot lock poisoned"),
-            Arc::new(next),
-        );
+        let epoch = next.epoch;
+        let mut current = self.current.write().expect("snapshot lock poisoned");
+        let old = std::mem::replace(&mut *current, Arc::new(next));
+        self.live_epoch.store(epoch, Ordering::Release);
+        drop(current);
         drop(old);
     }
 

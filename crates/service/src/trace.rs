@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 use netclus::PreferenceFunction;
 
 use crate::jsonl;
-use crate::metrics::{LatencyHistogram, LatencySummary};
+use crate::metrics::{LatencyHistogram, LatencySummary, Stripes};
 
 /// Named stages of the query and ingest pipelines.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -112,34 +112,28 @@ impl Stage {
     }
 }
 
-/// One lock-free latency histogram per [`Stage`].
-#[derive(Debug)]
+/// One lock-free latency histogram per [`Stage`], striped per thread
+/// (`metrics::Stripes`): a served request records its stages without writing a
+/// line another thread writes.
+#[derive(Debug, Default)]
 pub struct StageStats {
-    hists: [LatencyHistogram; STAGE_COUNT],
-}
-
-impl Default for StageStats {
-    fn default() -> Self {
-        StageStats {
-            hists: std::array::from_fn(|_| LatencyHistogram::default()),
-        }
-    }
+    hists: Stripes<[LatencyHistogram; STAGE_COUNT]>,
 }
 
 impl StageStats {
     /// Records one sample for `stage`.
     pub fn record(&self, stage: Stage, latency: Duration) {
-        self.hists[stage.index()].record(latency);
+        self.hists.local()[stage.index()].record(latency);
     }
 
     /// Records one sample given in microseconds.
     pub(crate) fn record_micros(&self, stage: Stage, micros: u64) {
-        self.hists[stage.index()].record(Duration::from_micros(micros));
+        self.record(stage, Duration::from_micros(micros));
     }
 
-    /// Point-in-time summary of one stage.
+    /// Point-in-time summary of one stage, over every thread's samples.
     pub fn summary(&self, stage: Stage) -> LatencySummary {
-        self.hists[stage.index()].summary()
+        LatencyHistogram::summary_of(self.hists.iter().map(|hists| &hists[stage.index()]))
     }
 
     /// Single-line JSON: `stage_<name>_{count,mean_us,p50_us,p99_us}` for
@@ -237,9 +231,9 @@ pub struct TraceSpans {
 }
 
 impl TraceSpans {
-    fn new() -> Self {
+    fn new(started: Instant) -> Self {
         TraceSpans {
-            started: Instant::now(),
+            started,
             spans: [SpanRecord::default(); MAX_SPANS],
             len: 0,
             truncated: 0,
@@ -481,7 +475,12 @@ impl Tracer {
 
     /// Starts a span recorder (stamps the trace start).
     pub fn begin(&self) -> TraceSpans {
-        TraceSpans::new()
+        TraceSpans::new(Instant::now())
+    }
+
+    /// Starts a span recorder for a request that arrived at `started`.
+    pub(crate) fn begin_at(&self, started: Instant) -> TraceSpans {
+        TraceSpans::new(started)
     }
 
     /// The always-on per-stage histograms.

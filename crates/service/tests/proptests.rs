@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use netclus::{PreferenceFunction, TopsQuery};
-use netclus_service::{QueryKey, QueryVariant, ResultCache, ServiceAnswer};
+use netclus_service::{EpochLru, QueryKey, QueryVariant, ServiceAnswer};
 use proptest::prelude::*;
 
 /// A strategy over full query parameter tuples:
@@ -61,8 +61,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Key equality is exactly parameter equality: identical parameters
-    /// produce identical keys, and any single-field perturbation changes
-    /// the key.
+    /// produce identical keys, and any single-field perturbation but `k`
+    /// changes the key (every `k` of a shape shares one entry).
     #[test]
     fn key_equality_matches_parameter_equality(p in params()) {
         let (q, v, e) = build(&p);
@@ -70,10 +70,10 @@ proptest! {
         // Reflexive: rebuilding from the same parameters gives the same key.
         prop_assert_eq!(key, QueryKey::new(&q, v, e));
 
-        // Perturb k.
+        // Perturb k: the same shape, the same key.
         let mut q2 = q;
         q2.k += 1;
-        prop_assert!(QueryKey::new(&q2, v, e) != key);
+        prop_assert_eq!(QueryKey::new(&q2, v, e), key);
         // Perturb τ by one ULP-scale step.
         let mut q3 = q;
         q3.tau += 0.25;
@@ -105,7 +105,7 @@ proptest! {
         let (qb, vb, eb) = build(&b);
         let ka = QueryKey::new(&qa, va, ea);
         let kb = QueryKey::new(&qb, vb, eb);
-        let cache = ResultCache::new(1_024);
+        let cache = EpochLru::<QueryKey, ServiceAnswer>::new(1_024);
         cache.upsert(ka, dummy_answer(ea), |_| true);
         prop_assert!(cache.get(&ka).is_some());
         prop_assert_eq!(cache.get(&kb).is_some(), ka == kb);
@@ -118,7 +118,7 @@ proptest! {
         entries in prop::collection::vec(params(), 1..40),
         cutoff in 0u64..7,
     ) {
-        let cache = ResultCache::new(4_096);
+        let cache = EpochLru::<QueryKey, ServiceAnswer>::new(4_096);
         let keys: Vec<QueryKey> = entries
             .iter()
             .map(|p| {

@@ -2,6 +2,9 @@
 //! global allocator:
 //!
 //! * a result-cache hit allocates nothing;
+//! * a first request for a smaller `k` than the cached solve's makes its
+//!   answer — the sites' prefix and the `Arc` around it, two allocations —
+//!   and a repeat of it allocates nothing;
 //! * a cold query over resident rows — a τ the result cache has not seen,
 //!   in a band whose rows the provider cache holds — allocates at most a
 //!   fixed number of times, for binary and LinearDecay ψ alike.
@@ -19,12 +22,17 @@ use netclus_service::{NetClusService, ServiceConfig, ServiceRequest, TraceConfig
 
 /// Most allocations one cold query over resident rows may make, binary
 /// and LinearDecay ψ alike (≈ 150 kB in the finest band). A query allocates
-/// its answer and result-cache entry, the view's per-row cuts, and the
-/// solver's weights, per-trajectory state, heap (grown by doubling) and
-/// selection: 18 in the finest band here. The result cache's hash table
-/// grows on some inserts, and where depends on where its removed slots
-/// landed, so a query makes at most one allocation more.
+/// its result-cache entry, its per-`k` answer slots and its answer, the
+/// view's per-row cuts, and the solver's weights, per-trajectory state,
+/// heap (filled in one allocation) and selection with its per-pick steps:
+/// 13–14 here. The result cache's hash table grows on some inserts, and
+/// where depends on where its removed slots landed, so a query makes an
+/// allocation more now and then.
 const COLD_QUERY_ALLOCATIONS: usize = 19;
+
+/// Most allocations a first request for a smaller `k` may make: its
+/// answer's `Arc` and its sites.
+const PREFIX_HIT_ALLOCATIONS: usize = 2;
 
 thread_local! {
     /// `(allocations, bytes)` requested on this thread while counting.
@@ -102,15 +110,12 @@ fn served_queries_stay_within_their_allocation_budget() {
         },
     )
     .expect("start service");
-    let ask = |tau: f64, preference: PreferenceFunction| {
+    let ask_k = |k: usize, tau: f64, preference: PreferenceFunction| {
         service
-            .query(ServiceRequest::greedy(TopsQuery {
-                k: 10,
-                tau,
-                preference,
-            }))
+            .query(ServiceRequest::greedy(TopsQuery { k, tau, preference }))
             .expect("service answered");
     };
+    let ask = |tau: f64, preference: PreferenceFunction| ask_k(10, tau, preference);
 
     for (psi, preference) in [
         ("binary", PreferenceFunction::Binary),
@@ -131,10 +136,22 @@ fn served_queries_stay_within_their_allocation_budget() {
                     (0, 0),
                     "{psi} τ={cold}: a result-cache hit allocated"
                 );
+                let (first, _) = allocations(|| ask_k(5, cold, preference));
+                assert!(
+                    first <= PREFIX_HIT_ALLOCATIONS,
+                    "{psi} τ={cold}: a first k = 5 hit allocated {first} times \
+                     (budget {PREFIX_HIT_ALLOCATIONS})"
+                );
+                let (again, again_bytes) = allocations(|| ask_k(5, cold, preference));
+                assert_eq!(
+                    (again, again_bytes),
+                    (0, 0),
+                    "{psi} τ={cold}: a repeated k = 5 hit allocated"
+                );
             }
             let after = service.metrics_report();
             assert_eq!(after.cache.misses - before.cache.misses, 8, "{psi} τ={tau}");
-            assert_eq!(after.cache.hits - before.cache.hits, 8, "{psi} τ={tau}");
+            assert_eq!(after.cache.hits - before.cache.hits, 24, "{psi} τ={tau}");
             assert_eq!(
                 after.providers.misses, before.providers.misses,
                 "{psi} τ={tau}: the band's rows were rebuilt"

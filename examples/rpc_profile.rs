@@ -152,7 +152,7 @@ fn timed_server_turn(
     stages: &mut ReplyStages,
 ) -> ShardRoundOne {
     let t = Instant::now();
-    let round = memo.lookup(key, k).expect("memo is warm");
+    let round = memo.get_prefix(key, k).expect("memo is warm");
     stages.memo.push(micros(t.elapsed()));
 
     let response = Response::Round1Ok {
@@ -273,7 +273,8 @@ fn main() {
                 let request = round1_request(0, shard.id, &q);
                 timed_round1(&mut streams[s], &request, &mut payload, &mut warmup);
                 let key = RoundKey::new(0, shard.id, q.tau, &q.preference);
-                memos[s].insert(key, local_candidates(&shard.index, &q, bound, &mut scratch));
+                let round = local_candidates(&shard.index, &q, bound, &mut scratch);
+                memos[s].offer(key, Arc::new(round));
             }
         }
     }
