@@ -18,8 +18,9 @@
 //!   intake order whatever the worker count;
 //! * [`lifecycle`] — **id prediction and stream-time TTL expiry**, turning
 //!   matched trajectories into insert+retire
-//!   [`UpdateOp`](netclus_service::UpdateOp) batches sized by op count or
-//!   deadline;
+//!   [`UpdateOp`](netclus_service::UpdateOp) batches, published on op
+//!   count, on a deadline, or once an [`Ingestor::ingest_reader`]
+//!   delivery has matched;
 //! * [`wal`] — the **write-ahead log**: append-only CRC-checked segments
 //!   with rotation and fsync batching, written *before* each batch is
 //!   published via [`SnapshotStore::apply`](netclus_service::SnapshotStore);

@@ -11,12 +11,12 @@
 //!               ▼    ▼    ▼
 //!        match workers (Viterbi map matching, parallel)
 //!               │    │    │
-//!               └────┼────┘  mpsc of (ticket, outcome)
-//!                    ▼
+//!               └────┼────┘  mpsc of (ticket, outcome), and of each
+//!                    ▼           ingest_reader delivery's end
 //!            publisher thread
 //!              release in ticket order
 //!              lifecycle (id prediction, stream-time TTL)
-//!              batch by op count or deadline
+//!              batch by op count, deadline, or a delivery's end
 //!              WAL append (+ fsync batching)   ←— durable *before* …
 //!              SnapshotStore::apply            ←— … it is visible
 //! ```
@@ -31,6 +31,19 @@
 //! is published every earlier seq of that source has been published, has
 //! failed or was displaced, and no persisted mark covers a record still
 //! being matched.
+//!
+//! **A delivery's end is a flush point.** When [`Ingestor::ingest_reader`]
+//! reaches the end of its reader it sends the publisher the intake's
+//! ticket bound at that moment (tickets handed out plus records still
+//! queued). Once every ticket below it has resolved, every record the
+//! delivery admitted is matched or failed, and the publisher publishes
+//! the pending batch at once instead of waiting out
+//! [`IngestConfig::max_batch_delay`]. Two deliveries keep the larger
+//! point, so an earlier one is published no later than the delay would
+//! publish it. A record displaced under `DropOldest` never takes a
+//! ticket, so a displacement makes the point cover at most one later
+//! record. [`Ingestor::submit`] has no end: a stream fed through it
+//! batches on op count and delay alone.
 //!
 //! The publisher must be the **only writer** of its [`UpdateSink`]:
 //! id prediction and the WAL's gapless epoch chain both depend on it (the
@@ -98,7 +111,11 @@ pub struct IngestConfig {
     /// its last publish returned. The publisher receives nothing while it
     /// publishes, so an op matched during a publish waits out the rest of
     /// that publish and then the whole delay: the delay bounds the linger
-    /// after the publisher sees an op, not an op's age.
+    /// after the publisher sees an op, not an op's age. The end of an
+    /// [`Ingestor::ingest_reader`] delivery cuts the linger short: once
+    /// every record it admitted has matched or failed, the batch
+    /// publishes without waiting for the deadline. Records fed through
+    /// [`Ingestor::submit`] always wait for size or deadline.
     pub max_batch_delay: Duration,
     /// Stream-time TTL after which an ingested trajectory is retired
     /// (`None` = never).
@@ -170,9 +187,15 @@ struct Matched {
     admitted_at: Instant,
 }
 
-/// What a match worker sends the publisher: the record's pop ticket and
-/// its matched trajectory, or `None` when matching failed.
-type Outcome = (u64, Option<Matched>);
+/// What the publisher receives.
+enum Event {
+    /// A match worker's outcome: the record's pop ticket and its matched
+    /// trajectory, or `None` when matching failed.
+    Outcome(u64, Option<Matched>),
+    /// An `ingest_reader` delivery ended: every record it admitted holds,
+    /// or will hold, a ticket below this bound, unless it is displaced.
+    Delivered(u64),
+}
 
 /// Pipeline soft state folded back out of the WAL on start: what a
 /// restarted ingestor needs so dedup and TTL expiry survive a crash.
@@ -248,6 +271,10 @@ pub struct Ingestor {
     /// stops publishing, so admitted records age without becoming
     /// visible (see [`Ingestor::set_publish_stall`]).
     stall: Arc<AtomicBool>,
+    /// Carries each delivery's flush point to the publisher, waking it.
+    /// Dropped in `stop` before the join: the publisher ends once this
+    /// and every match worker's sender are gone.
+    wake: Option<Sender<Event>>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -311,7 +338,7 @@ impl Ingestor {
         let intake = Arc::new(BoundedQueue::new(cfg.queue_capacity));
         let abort = Arc::new(AtomicBool::new(false));
         let stall = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = channel::<Outcome>();
+        let (tx, rx) = channel::<Event>();
 
         let mut handles = Vec::with_capacity(cfg.match_workers + 1);
         for i in 0..cfg.match_workers.max(1) {
@@ -331,7 +358,7 @@ impl Ingestor {
                     .expect("spawn match worker"),
             );
         }
-        drop(tx); // publisher ends when every worker is gone
+        let wake = Some(tx); // publisher ends when this and every worker are gone
 
         {
             let abort = Arc::clone(&abort);
@@ -370,6 +397,7 @@ impl Ingestor {
             metrics,
             abort,
             stall,
+            wake,
             handles,
         })
     }
@@ -432,6 +460,12 @@ impl Ingestor {
     /// Decodes framed records from `r` and submits each, returning the
     /// intake tally. Undecodable frames are counted and skipped (the
     /// framing resyncs); a truncated or failing stream ends the read.
+    ///
+    /// The end of `r` ends a delivery: its records publish as soon as
+    /// every one of them has matched or failed, without waiting out
+    /// [`IngestConfig::max_batch_delay`]. Each call is one delivery, so a
+    /// stream fed one frame per call never waits out the delay; feed such
+    /// a stream through [`Ingestor::submit`] to batch it.
     pub fn ingest_reader<R: Read>(&self, r: R) -> IntakeSummary {
         let mut summary = IntakeSummary::default();
         let mut reader = RecordReader::new(r);
@@ -457,6 +491,12 @@ impl Ingestor {
                         .records_malformed
                         .fetch_add(1, Ordering::Relaxed);
                 }
+            }
+        }
+        if summary.accepted > 0 {
+            if let Some(wake) = &self.wake {
+                // A gone publisher has nothing left to flush.
+                let _ = wake.send(Event::Delivered(self.intake.ticket_bound()));
             }
         }
         summary
@@ -490,6 +530,7 @@ impl Ingestor {
     }
 
     fn stop(&mut self, graceful: bool) {
+        self.wake = None;
         if graceful {
             self.intake.close();
         } else {
@@ -520,7 +561,7 @@ fn match_loop(
     net: &netclus_roadnet::RoadNetwork,
     grid: &GridIndex,
     matcher: &MapMatcher,
-    tx: &Sender<Outcome>,
+    tx: &Sender<Event>,
 ) {
     while !abort.load(Ordering::Acquire) {
         let Some((ticket, admitted)) = intake.pop() else {
@@ -551,7 +592,7 @@ fn match_loop(
                 None
             }
         };
-        if tx.send((ticket, matched)).is_err() {
+        if tx.send(Event::Outcome(ticket, matched)).is_err() {
             return; // publisher is gone
         }
     }
@@ -622,7 +663,7 @@ impl InOrder {
 /// writer of `sink`.
 #[allow(clippy::too_many_arguments)]
 fn publish_loop(
-    rx: Receiver<Outcome>,
+    rx: Receiver<Event>,
     sink: Arc<dyn UpdateSink>,
     mut wal: WalWriter,
     mut lifecycle: LifecycleManager,
@@ -647,6 +688,8 @@ fn publish_loop(
     let mut batch = PendingBatch::default();
     let mut in_order = InOrder::default();
     let mut deadline: Option<Instant> = None;
+    // The largest delivery end received, and the last one honoured.
+    let (mut flush_to, mut flushed) = (0u64, 0u64);
     loop {
         if abort.load(Ordering::Acquire) {
             // Crash simulation: pending (un-appended) ops are lost, and
@@ -659,9 +702,10 @@ fn publish_loop(
             .unwrap_or(POLL)
             .min(POLL);
         match rx.recv_timeout(timeout) {
-            Ok((ticket, outcome)) => in_order.resolve(ticket, outcome, |matched| {
+            Ok(Event::Outcome(ticket, outcome)) => in_order.resolve(ticket, outcome, |matched| {
                 batch.admit(matched, &mut lifecycle, metrics)
             }),
+            Ok(Event::Delivered(bound)) => flush_to = flush_to.max(bound),
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => {
                 // Every worker exited. On an abort that can race the
@@ -701,21 +745,23 @@ fn publish_loop(
         let lag_us = oldest.map_or(0, |t| t.elapsed().as_micros() as u64);
         metrics.visibility_lag_us.store(lag_us, Ordering::Relaxed);
         // Batch-boundary decisions are shared by the arrival and poll
-        // paths: publish on size, or arm/fire the delay deadline. An
-        // injected stall skips all of them — batching continues, nothing
-        // becomes visible, and the gauge above keeps climbing.
+        // paths: publish on size, on a delivery's end once every ticket
+        // below it has resolved, or on the delay deadline (armed here).
+        // An injected stall skips all of them — batching continues,
+        // nothing becomes visible, and the gauge above keeps climbing.
         if stall.load(Ordering::Acquire) {
             continue;
         }
-        if batch.ops.len() >= max_batch_ops {
-            if !publish(&*sink, &mut wal, &mut batch, metrics) {
-                fail(metrics);
-                return;
-            }
+        let delivered = flush_to > flushed && in_order.next >= flush_to;
+        if delivered {
+            flushed = flush_to;
+        }
+        if batch.ops.is_empty() {
             deadline = None;
-        } else if batch.ops.is_empty() {
-            deadline = None;
-        } else if deadline.is_some_and(|d| Instant::now() >= d) {
+        } else if delivered
+            || batch.ops.len() >= max_batch_ops
+            || deadline.is_some_and(|d| Instant::now() >= d)
+        {
             if !publish(&*sink, &mut wal, &mut batch, metrics) {
                 fail(metrics);
                 return;

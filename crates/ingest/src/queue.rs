@@ -158,6 +158,15 @@ impl<T> BoundedQueue<T> {
     pub fn len(&self) -> usize {
         self.inner.lock().expect("queue lock poisoned").items.len()
     }
+
+    /// The ticket bound of everything pushed so far: tickets handed out
+    /// plus items still queued, read under one lock. Every item pushed
+    /// before this call is popped with a lower ticket, or never popped
+    /// (displaced or cleared).
+    pub(crate) fn ticket_bound(&self) -> u64 {
+        let inner = self.inner.lock().expect("queue lock poisoned");
+        inner.popped + inner.items.len() as u64
+    }
 }
 
 #[cfg(test)]
@@ -213,6 +222,24 @@ mod tests {
         q.push('f', BackpressurePolicy::Block);
         assert_eq!(q.close_and_clear(), 1); // 'f' is never popped
         assert_eq!(q.pop(), None);
+    }
+
+    /// The bound counts popped and queued items, never displaced ones: a
+    /// pushed item's ticket, when it gets one, is below the bound read
+    /// after its push.
+    #[test]
+    fn ticket_bound_covers_every_pushed_item() {
+        let q = BoundedQueue::new(2);
+        assert_eq!(q.ticket_bound(), 0);
+        q.push('a', BackpressurePolicy::DropOldest);
+        q.push('b', BackpressurePolicy::DropOldest);
+        assert_eq!(q.ticket_bound(), 2);
+        q.push('c', BackpressurePolicy::DropOldest); // displaces 'a'
+        assert_eq!(q.ticket_bound(), 2);
+        assert_eq!(q.pop(), Some((0, 'b')));
+        assert_eq!(q.ticket_bound(), 2);
+        assert_eq!(q.pop(), Some((1, 'c')));
+        assert_eq!(q.ticket_bound(), 2);
     }
 
     #[test]

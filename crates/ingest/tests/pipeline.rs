@@ -1152,3 +1152,224 @@ fn crashed_pipeline_wal_replays_into_a_replicated_router() {
     replayed.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Cap on the polled waits of the flush tests below: a delivery that
+/// stays invisible fails with its message instead of hanging the suite.
+const FLUSH_CAP: Duration = Duration::from_secs(30);
+
+/// Polls `done` every 2 ms until it holds, failing after [`FLUSH_CAP`].
+fn wait_for(what: &str, done: impl Fn() -> bool) {
+    let start = std::time::Instant::now();
+    while !done() {
+        assert!(start.elapsed() < FLUSH_CAP, "{what} after {FLUSH_CAP:?}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// A pipeline whose batches publish on a delivery's end or on shutdown
+/// only: the linger is an hour and no batch of these fixtures reaches the
+/// op trigger.
+fn lingering(dir: &std::path::Path, match_workers: usize) -> IngestConfig {
+    IngestConfig {
+        match_workers,
+        max_batch_ops: 10_000,
+        max_batch_delay: Duration::from_secs(3_600),
+        ..IngestConfig::new(dir)
+    }
+}
+
+/// `records` as one framed byte stream.
+fn framed<'a>(records: impl IntoIterator<Item = &'a StreamRecord>) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for r in records {
+        r.write_to(&mut bytes).unwrap();
+    }
+    bytes
+}
+
+/// Records matched or failed so far.
+fn resolved(metrics: &IngestMetrics) -> u64 {
+    metrics.records_matched.load(Ordering::Relaxed) + metrics.match_failed.load(Ordering::Relaxed)
+}
+
+/// The end of an `ingest_reader` delivery publishes it: with an hour's
+/// linger and an op trigger the delivery never reaches, every matched
+/// record still becomes visible, in one batch, before `finish`.
+#[test]
+fn a_delivery_is_visible_once_matched_without_the_linger() {
+    let f = fixture(41, 20);
+    let store = base_store(&f);
+    let dir = wal_dir("flush-delivery");
+    let metrics = Arc::new(IngestMetrics::default());
+    let ingestor = Ingestor::start_with_sink(
+        store.clone(),
+        Arc::clone(&f.grid),
+        lingering(&dir, 2),
+        Arc::clone(&metrics),
+    )
+    .unwrap();
+    let summary = ingestor.ingest_reader(&framed(&f.records)[..]);
+    assert_eq!(summary.accepted, 20);
+    wait_for("the delivery is not visible", || store.epoch() >= 1);
+    let matched = metrics.records_matched.load(Ordering::Relaxed);
+    assert_eq!(resolved(&metrics), 20);
+    assert!(matched > 0);
+    assert_eq!(store.epoch(), 1, "one delivery, one batch");
+    assert_eq!(store.load().trajs().len() as u64, matched);
+    ingestor.finish();
+    assert_eq!(store.epoch(), 1, "nothing was left pending");
+    assert_eq!(metrics.freshness.summary().count, matched);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `submit` has no end: the same records, every one resolved, stay
+/// invisible under the linger until `finish` publishes them.
+#[test]
+fn a_submit_stream_still_waits_out_the_linger() {
+    let f = fixture(41, 20);
+    let store = base_store(&f);
+    let dir = wal_dir("flush-submit");
+    let metrics = Arc::new(IngestMetrics::default());
+    let ingestor = Ingestor::start_with_sink(
+        store.clone(),
+        Arc::clone(&f.grid),
+        lingering(&dir, 2),
+        Arc::clone(&metrics),
+    )
+    .unwrap();
+    for r in &f.records {
+        assert_eq!(ingestor.submit(r.clone()), SubmitOutcome::Accepted);
+    }
+    wait_for("the records are not all resolved", || {
+        resolved(&metrics) == 20
+    });
+    let matched = metrics.records_matched.load(Ordering::Relaxed);
+    assert!(matched > 0);
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(
+        store.epoch(),
+        0,
+        "a submit stream published before its linger"
+    );
+    ingestor.finish();
+    assert_eq!(store.epoch(), 1);
+    assert_eq!(store.load().trajs().len() as u64, matched);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Two deliveries on two threads into a pipeline with 3 match workers,
+/// the first record of each made slow to match: both publish without
+/// the linger, and each delivery's records reach the WAL in its own
+/// order. Each delivery is one source, so neither dedups the other, and
+/// each record's stream times are shifted 10⁶ s apart, so its end time,
+/// logged with its add, tells it apart.
+#[test]
+fn concurrent_deliveries_publish_in_intake_order_without_the_linger() {
+    let mut f = fixture(42, 24);
+    for (i, r) in f.records.iter_mut().enumerate() {
+        (r.source, r.seq) = ((i / 12) as u32, (i % 12) as u64);
+        r.trace = offset_trace(&r.trace, i as f64 * 1e6);
+    }
+    f.records[0].trace = densify(&f.records[0].trace, 400);
+    f.records[12].trace = densify(&f.records[12].trace, 400);
+    let (first, second) = f.records.split_at(12);
+    let dir = wal_dir("flush-concurrent");
+    let store = base_store(&f);
+    let metrics = Arc::new(IngestMetrics::default());
+    let ingestor = Ingestor::start_with_sink(
+        store.clone(),
+        Arc::clone(&f.grid),
+        lingering(&dir, 3),
+        Arc::clone(&metrics),
+    )
+    .unwrap();
+    let (bytes_a, bytes_b) = (framed(first), framed(second));
+    std::thread::scope(|scope| {
+        let a = scope.spawn(|| ingestor.ingest_reader(&bytes_a[..]));
+        let b = scope.spawn(|| ingestor.ingest_reader(&bytes_b[..]));
+        assert_eq!(a.join().unwrap().accepted, 12);
+        assert_eq!(b.join().unwrap().accepted, 12);
+    });
+    wait_for("the two deliveries are not visible", || {
+        resolved(&metrics) == 24
+            && store.load().trajs().len() as u64 == metrics.records_matched.load(Ordering::Relaxed)
+    });
+    let matched = metrics.records_matched.load(Ordering::Relaxed);
+    ingestor.finish();
+
+    let end_time = |r: &StreamRecord| r.trace.points().last().unwrap().t.to_bits();
+    let position: std::collections::HashMap<u64, (usize, usize)> = [first, second]
+        .iter()
+        .enumerate()
+        .flat_map(|(d, records)| {
+            records
+                .iter()
+                .enumerate()
+                .map(move |(i, r)| (end_time(r), (d, i)))
+        })
+        .collect();
+    assert_eq!(position.len(), 24, "end times tell the records apart");
+    let log = netclus_ingest::read_wal(&dir).unwrap();
+    let mut published: [Vec<usize>; 2] = Default::default();
+    for t in log.batches.iter().flat_map(|b| &b.add_times) {
+        let (d, i) = position[&t.to_bits()];
+        published[d].push(i);
+    }
+    assert_eq!((published[0].len() + published[1].len()) as u64, matched);
+    for (d, order) in published.iter().enumerate() {
+        assert!(
+            order.windows(2).all(|w| w[0] < w[1]),
+            "delivery {d} published out of its order: {order:?}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A crash after a flushed delivery: the delivery is durable, records
+/// submitted after it are still lingering and die with the process, and
+/// recovery lands on the exact pre-crash epoch, corpus and answers.
+#[test]
+fn abort_after_a_flushed_delivery_recovers_the_exact_state() {
+    let f = fixture(43, 24);
+    let store = base_store(&f);
+    let dir = wal_dir("flush-crash");
+    let metrics = Arc::new(IngestMetrics::default());
+    let ingestor = Ingestor::start_with_sink(
+        store.clone(),
+        Arc::clone(&f.grid),
+        IngestConfig {
+            ttl_s: Some(600.0),
+            ..lingering(&dir, 2)
+        },
+        Arc::clone(&metrics),
+    )
+    .unwrap();
+    let (delivered, submitted) = f.records.split_at(16);
+    assert_eq!(ingestor.ingest_reader(&framed(delivered)[..]).accepted, 16);
+    wait_for("the delivery is not visible", || store.epoch() >= 1);
+    for r in submitted {
+        ingestor.submit(r.clone());
+    }
+    wait_for("the submitted records are not all resolved", || {
+        resolved(&metrics) == 24
+    });
+    ingestor.abort();
+
+    let pre_epoch = store.epoch();
+    let pre_corpus = corpus_of(&store);
+    assert_eq!(pre_epoch, 1, "the submitted records were still lingering");
+    assert!(!pre_corpus.is_empty());
+    let (recovered, report) = recover_store(
+        f.net.clone(),
+        TrajectorySet::for_network(&f.net),
+        f.index.clone(),
+        &dir,
+        None,
+    )
+    .unwrap();
+    assert_eq!(report.epoch, pre_epoch);
+    assert!(!report.truncated_tail);
+    assert_eq!(corpus_of(&recovered), pre_corpus);
+    assert_eq!(query_panel(&recovered), query_panel(&store));
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -26,9 +26,9 @@ use netclus_service::{NetClusService, ServiceConfig, ServiceRequest, TraceConfig
 /// view's per-row cuts, and the solver's weights, per-trajectory state,
 /// heap (filled in one allocation) and selection with its per-pick steps:
 /// 13–14 here. The result cache's hash table grows on some inserts, and
-/// where depends on where its removed slots landed, so a query makes an
-/// allocation more now and then.
-const COLD_QUERY_ALLOCATIONS: usize = 19;
+/// where depends on where its removed slots landed, so a query makes one
+/// allocation more now and then: 14 plus that one.
+const COLD_QUERY_ALLOCATIONS: usize = 15;
 
 /// Most allocations a first request for a smaller `k` may make: its
 /// answer's `Arc` and its sites.

@@ -5,7 +5,10 @@
 //! Demonstrates the full `netclus-ingest` subsystem:
 //!
 //! * framed GPS records with per-source sequence numbers, decoded from a
-//!   byte stream exactly as they would arrive over a socket;
+//!   byte stream exactly as they would arrive over a socket, fed one
+//!   frame per `ingest_reader` call (each call is one delivery, and a
+//!   delivery publishes once it is matched, so no frame here waits out
+//!   the batch linger);
 //! * parallel map matching with bounded, backpressured intake;
 //! * TTL lifecycle turning matched trips into insert+retire batches;
 //! * the CRC-checked WAL written before every published epoch;
@@ -140,7 +143,8 @@ fn main() {
     let mut offset = 0usize;
     while offset < wire.len() {
         // Hand the pipeline one frame's worth of bytes at a time so the
-        // crash lands genuinely mid-stream.
+        // crash lands genuinely mid-stream. Each call ends a delivery, so
+        // each record publishes once it has matched, not on the linger.
         let header = wire[offset..offset + HEADER_BYTES].try_into().unwrap();
         let frame_len = HEADER_BYTES
             + FrameHeader::decode(header, MAX_RECORD_PAYLOAD)

@@ -113,15 +113,15 @@ fn main() {
                 if stop.load(Ordering::Acquire) {
                     break;
                 }
-                let mut wire = Vec::new();
-                StreamRecord {
+                // `submit`, not a one-frame `ingest_reader` call: a
+                // reader's end publishes what it delivered, so one frame
+                // per call would publish each record once it matched, and
+                // this 2 ms stream should batch on the linger instead.
+                ingestor.submit(StreamRecord {
                     source: e.source,
                     seq: e.seq,
                     trace: e.trace.clone(),
-                }
-                .write_to(&mut wire)
-                .unwrap();
-                ingestor.ingest_reader(&wire[..]);
+                });
                 std::thread::sleep(Duration::from_millis(2));
             }
         })
