@@ -599,31 +599,6 @@ impl NetClusIndex {
         }
     }
 
-    /// Answers a binary TOPS query over an already-built provider with the
-    /// FM-sketch greedy (see [`NetClusIndex::query_on`] for the timing
-    /// contract).
-    pub fn query_fm_on(
-        &self,
-        provider: &ClusteredProvider,
-        instance: usize,
-        q: &TopsQuery,
-        fm: &FmGreedyConfig,
-    ) -> NetClusAnswer {
-        assert!(
-            q.preference.is_binary(),
-            "FM-NetClus requires the binary preference (paper Sec. 5.1)"
-        );
-        let mut cfg = fm.clone();
-        cfg.k = q.k;
-        let solution = fm_greedy(provider, &cfg);
-        NetClusAnswer {
-            representatives: provider.site_count(),
-            instance,
-            provider_build: provider.build_time(),
-            solution,
-        }
-    }
-
     /// Answers a TOPS query with Inc-Greedy over cluster representatives
     /// (the paper's NETCLUS algorithm).
     pub fn query(&self, trajs: &TrajectorySet, q: &TopsQuery) -> NetClusAnswer {
@@ -672,7 +647,8 @@ impl NetClusIndex {
     }
 
     /// Answers a binary TOPS query with the FM-sketch greedy over cluster
-    /// representatives (the paper's FM-NETCLUS).
+    /// representatives (the paper's FM-NETCLUS): `fm`'s sketch copies and
+    /// seed, `q.k` sites.
     pub fn query_fm(
         &self,
         trajs: &TrajectorySet,
@@ -684,9 +660,19 @@ impl NetClusIndex {
             "FM-NetClus requires the binary preference (paper Sec. 5.1)"
         );
         let (p, provider) = self.build_provider(q.tau, trajs.id_bound());
-        let mut answer = self.query_fm_on(&provider, p, q, fm);
-        answer.solution.elapsed += provider.build_time();
-        answer
+        let cfg = FmGreedyConfig {
+            k: q.k,
+            copies: fm.copies,
+            seed: fm.seed,
+        };
+        let mut solution = fm_greedy(&provider, &cfg);
+        solution.elapsed += provider.build_time();
+        NetClusAnswer {
+            representatives: provider.site_count(),
+            instance: p,
+            provider_build: provider.build_time(),
+            solution,
+        }
     }
 }
 

@@ -36,9 +36,7 @@ pub use city::{
     StarCityConfig,
 };
 pub use gps_stream::{generate_gps_stream, GpsStreamConfig, GpsStreamEvent};
-pub use queries::{
-    generate_query_workload, ArrivalProcess, QueryKind, QueryWorkloadConfig, TimedQuery,
-};
+pub use queries::{generate_query_workload, ArrivalProcess, QueryWorkloadConfig, TimedQuery};
 pub use scenario::{
     atlanta_like, bangalore_like, beijing_like, beijing_small, multi_region, new_york_like,
     Scenario, ScenarioConfig,

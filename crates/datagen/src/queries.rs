@@ -39,19 +39,6 @@ pub enum ArrivalProcess {
     },
 }
 
-/// One solver-variant choice in the generated mix (kept service-agnostic:
-/// the driver maps it onto its own request type).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum QueryKind {
-    /// Inc-Greedy over the index.
-    Greedy,
-    /// FM-sketch greedy with `copies` sketch copies.
-    Fm {
-        /// Sketch copies `f`.
-        copies: usize,
-    },
-}
-
 /// One request in the stream.
 #[derive(Clone, Copy, Debug)]
 pub struct TimedQuery {
@@ -60,8 +47,6 @@ pub struct TimedQuery {
     pub at: Duration,
     /// The TOPS query.
     pub query: TopsQuery,
-    /// Solver variant.
-    pub kind: QueryKind,
 }
 
 /// Query-mix and arrival configuration.
@@ -80,10 +65,6 @@ pub struct QueryWorkloadConfig {
     pub tau_step: f64,
     /// Fraction of queries using a graded (linear-decay) preference.
     pub graded_fraction: f64,
-    /// Fraction of *binary* queries answered by the FM variant.
-    pub fm_fraction: f64,
-    /// FM sketch copies for FM queries.
-    pub fm_copies: usize,
     /// Fraction of requests that repeat an earlier request verbatim
     /// (dashboard skew; drives cache hits).
     pub repeat_fraction: f64,
@@ -100,8 +81,6 @@ impl Default for QueryWorkloadConfig {
             tau_max: 3_200.0,
             tau_step: 200.0,
             graded_fraction: 0.2,
-            fm_fraction: 0.3,
-            fm_copies: 30,
             repeat_fraction: 0.4,
             arrival: ArrivalProcess::Open {
                 rate_per_sec: 500.0,
@@ -135,9 +114,8 @@ pub fn generate_query_workload<R: RngExt>(
             }
             ArrivalProcess::Closed { .. } => Duration::ZERO,
         };
-        let (query, kind) = if !out.is_empty() && rng.random::<f64>() < cfg.repeat_fraction {
-            let earlier = out[rng.random_range(0..out.len())];
-            (earlier.query, earlier.kind)
+        let query = if !out.is_empty() && rng.random::<f64>() < cfg.repeat_fraction {
+            out[rng.random_range(0..out.len())].query
         } else {
             let k = cfg.k_choices[rng.random_range(0..cfg.k_choices.len())];
             let tau = cfg.tau_min + cfg.tau_step * rng.random_range(0..steps) as f64;
@@ -146,16 +124,9 @@ pub fn generate_query_workload<R: RngExt>(
             } else {
                 PreferenceFunction::Binary
             };
-            let kind = if preference.is_binary() && rng.random::<f64>() < cfg.fm_fraction {
-                QueryKind::Fm {
-                    copies: cfg.fm_copies,
-                }
-            } else {
-                QueryKind::Greedy
-            };
-            (TopsQuery { k, tau, preference }, kind)
+            TopsQuery { k, tau, preference }
         };
-        out.push(TimedQuery { at, query, kind });
+        out.push(TimedQuery { at, query });
     }
     out
 }
@@ -181,7 +152,6 @@ mod tests {
             assert_eq!(x.at, y.at);
             assert_eq!(x.query.k, y.query.k);
             assert_eq!(x.query.tau, y.query.tau);
-            assert_eq!(x.kind, y.kind);
         }
     }
 
@@ -207,22 +177,17 @@ mod tests {
     fn parameters_come_from_the_configured_lattice() {
         let cfg = QueryWorkloadConfig::default();
         let qs = generate(&cfg, 5);
-        let mut fm = 0usize;
         let mut graded = 0usize;
         for q in &qs {
             assert!(cfg.k_choices.contains(&q.query.k));
             assert!(q.query.tau >= cfg.tau_min && q.query.tau <= cfg.tau_max);
             let offset = (q.query.tau - cfg.tau_min) / cfg.tau_step;
             assert!((offset - offset.round()).abs() < 1e-9, "off-lattice τ");
-            if matches!(q.kind, QueryKind::Fm { .. }) {
-                fm += 1;
-                assert!(q.query.preference.is_binary());
-            }
             if q.query.preference == PreferenceFunction::LinearDecay {
                 graded += 1;
             }
         }
-        assert!(fm > 0 && graded > 0);
+        assert!(graded > 0);
     }
 
     #[test]
@@ -240,7 +205,6 @@ mod tests {
                 q.query.k,
                 q.query.tau.to_bits(),
                 q.query.preference.is_binary(),
-                q.kind,
             );
             if !seen.insert(key) {
                 dups += 1;

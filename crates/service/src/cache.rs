@@ -1,6 +1,6 @@
 //! The one cache mechanism of the serving stack — [`EpochLru`], an
 //! epoch-keyed, single-flight LRU — and its first instantiation, the
-//! result cache keyed on `(τ, ψ, variant, epoch)`.
+//! result cache keyed on `(τ, ψ, epoch)`.
 //!
 //! Everything the stack remembers is a pure function of a snapshot epoch
 //! and some query parameters: a finished answer (`ResultCache`), an
@@ -13,15 +13,15 @@
 //! `EpochLru::take_where` hands it out and [`EpochLru::upsert`] files it
 //! under the new epoch (the provider cache's carried rows).
 //!
-//! **Prefix answers.** Inc-Greedy and FM greedy never read `k` while they
-//! choose, so the answer for `k` is the first `k` picks of any larger-`k`
-//! answer at the same `(τ, ψ, variant, epoch)`
-//! ([`netclus::Solution::prefix`]). A cache of such values (`Prefix`)
-//! keys them without `k`, keeps the largest-`k` value per key and answers
-//! every smaller `k` by cutting it; a larger `k` misses, and its value
-//! replaces the entry. The router's round-1 memo takes the rule through
-//! `EpochLru::get_prefix` / `EpochLru::offer`, the result cache through
-//! `EpochLru::hit_prefix` / `EpochLru::get_or_try_build_prefix`.
+//! **Prefix answers.** Inc-Greedy never reads `k` while it chooses, so
+//! the answer for `k` is the first `k` picks of any larger-`k` answer at
+//! the same `(τ, ψ, epoch)` ([`netclus::Solution::prefix`]). A cache of
+//! such values (`Prefix`) keys them without `k`, keeps the largest-`k`
+//! value per key and answers every smaller `k` by cutting it; a larger
+//! `k` misses, and its value replaces the entry. The router's round-1
+//! memo takes the rule through `EpochLru::get_prefix` /
+//! `EpochLru::offer`, the result cache through `EpochLru::hit_prefix` /
+//! `EpochLru::get_or_try_build_prefix`.
 //!
 //! **The purge floor.** The highest epoch ever purged is remembered, and
 //! no value keyed below it is retained afterwards: a solve that pinned
@@ -43,9 +43,9 @@
 //! One mutex guards an [`EpochLru`]'s map and counters: a lookup holds it
 //! for a hash probe and a pointer clone, orders of magnitude less than
 //! the solve or build it elides. The result cache, which every served
-//! request probes, spreads its keys over up to `RESULT_STRIPES` such
-//! caches by key hash, so concurrent hits on different shapes take
-//! different locks.
+//! request probes, spreads its keys over `RESULT_STRIPES` such caches
+//! by key hash, so concurrent hits on different shapes take different
+//! locks.
 
 #![deny(clippy::too_many_lines)]
 
@@ -56,12 +56,12 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 use netclus::{PreferenceFunction, Solution, TopsQuery};
 
-use crate::executor::{QueryVariant, ServiceAnswer};
+use crate::executor::ServiceAnswer;
 use crate::metrics::Padded;
 
 /// The result-cache key: every field that determines a TOPS answer except
 /// `k`, which the prefix rule absorbs (module docs) — one key per query
-/// shape `(τ, ψ, variant)` and epoch, as the round-1 memo's key is.
+/// shape `(τ, ψ)` and epoch, as the round-1 memo's key is.
 ///
 /// `τ` and the preference parameters are keyed by their IEEE-754 bit
 /// patterns, so keys are `Eq + Hash` without float comparisons; two queries
@@ -75,19 +75,8 @@ pub struct QueryKey {
     /// Preference function parameter (λ, α or the normalizer), as bits;
     /// zero for parameterless variants.
     pub pref_param_bits: u64,
-    /// Algorithm variant (Inc-Greedy or FM, with the FM parameters).
-    pub variant: VariantKey,
     /// Epoch of the snapshot the answer must come from.
     pub epoch: u64,
-}
-
-/// The hashable form of [`QueryVariant`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum VariantKey {
-    /// Inc-Greedy over cluster representatives.
-    Greedy,
-    /// FM-sketch greedy with `(copies, seed)`.
-    Fm(usize, u64),
 }
 
 /// The hashable `(tag, parameter bits)` form of a [`PreferenceFunction`] —
@@ -104,18 +93,13 @@ pub(crate) fn preference_key(preference: &PreferenceFunction) -> (u8, u64) {
 }
 
 impl QueryKey {
-    /// Builds the key for `query` (any `k`) answered by `variant` against
-    /// `epoch`.
-    pub fn new(query: &TopsQuery, variant: QueryVariant, epoch: u64) -> Self {
+    /// Builds the key for `query` (any `k`) answered against `epoch`.
+    pub fn new(query: &TopsQuery, epoch: u64) -> Self {
         let (pref_tag, pref_param_bits) = preference_key(&query.preference);
         QueryKey {
             tau_bits: query.tau.to_bits(),
             pref_tag,
             pref_param_bits,
-            variant: match variant {
-                QueryVariant::Greedy => VariantKey::Greedy,
-                QueryVariant::Fm { copies, seed } => VariantKey::Fm(copies, seed),
-            },
             epoch,
         }
     }
@@ -646,45 +630,39 @@ impl<K: Copy + Eq + Hash + EpochKeyed, V> Drop for BuildCleanup<'_, K, V> {
     }
 }
 
-/// The most [`EpochLru`]s the result cache spreads its keys over: two
-/// clients hitting different shapes meet in one about once in 64 hits.
+/// The [`EpochLru`]s the result cache spreads its keys over: two clients
+/// hitting different shapes meet in one about once in 64 hits.
 const RESULT_STRIPES: usize = 64;
 
-/// The fewest shapes a result-cache stripe holds: a smaller cache has
-/// fewer stripes, so LRU order is not cut finer than this.
+/// The shapes one result-cache stripe holds: 1 024 in all, each entry one
+/// solve that answers every `k` up to the largest asked.
 const SHAPES_PER_STRIPE: usize = 16;
 
-/// The executor's result cache: one [`ShapeAnswers`] per `(τ, ψ, variant,
-/// epoch)`, in up to `RESULT_STRIPES` [`EpochLru`]s chosen by a hash of
-/// the shape, so hits on different shapes take different locks. Each
-/// stripe holds an equal share of the capacity — at least
-/// `SHAPES_PER_STRIPE` — and LRU order is kept per stripe.
+/// The executor's result cache: one [`ShapeAnswers`] per `(τ, ψ, epoch)`,
+/// in `RESULT_STRIPES` [`EpochLru`]s chosen by a hash of the shape, so
+/// hits on different shapes take different locks. LRU order is kept per
+/// stripe.
 pub(crate) struct ResultCache {
     /// Padded: neighbouring stripes' locks would share a line otherwise.
     stripes: Box<[Padded<EpochLru<QueryKey, ShapeAnswers>>]>,
 }
 
 impl ResultCache {
-    /// A cache of about `capacity` shapes.
-    pub(crate) fn new(capacity: usize) -> Self {
-        let stripes = (capacity / SHAPES_PER_STRIPE).clamp(1, RESULT_STRIPES);
-        let each = capacity.div_ceil(stripes);
+    /// An empty cache of `RESULT_STRIPES` × `SHAPES_PER_STRIPE` shapes.
+    pub(crate) fn new() -> Self {
         ResultCache {
-            stripes: (0..stripes).map(|_| Padded(EpochLru::new(each))).collect(),
+            stripes: (0..RESULT_STRIPES)
+                .map(|_| Padded(EpochLru::new(SHAPES_PER_STRIPE)))
+                .collect(),
         }
     }
 
     /// The stripe of `key`'s shape: the epoch is left out of the hash, so
     /// a shape keeps its stripe across publishes.
     fn stripe(&self, key: &QueryKey) -> &EpochLru<QueryKey, ShapeAnswers> {
-        let variant = match key.variant {
-            VariantKey::Greedy => 0,
-            VariantKey::Fm(copies, seed) => seed ^ (copies as u64).rotate_left(32) ^ 1,
-        };
         let shape = key.tau_bits
             ^ key.pref_param_bits.rotate_left(21)
-            ^ u64::from(key.pref_tag).rotate_left(42)
-            ^ variant.rotate_left(11);
+            ^ u64::from(key.pref_tag).rotate_left(42);
         // The product's top bits: a multiplication carries every bit of
         // the shape into them (its low bits would keep only the shape's
         // low bits, which are zero for a whole-metre τ).
@@ -725,8 +703,8 @@ impl ResultCache {
     }
 }
 
-/// One solve's answers: the solve ran for `k` at one `(τ, ψ, variant,
-/// epoch)` and answers every `k' ≤ k` by its first `k'` picks, under
+/// One solve's answers: the solve ran for `k` at one `(τ, ψ, epoch)` and
+/// answers every `k' ≤ k` by its first `k'` picks, under
 /// [`Solution::prefix`]'s rule. Each `k'` answer is made on its first
 /// request and kept, so a repeat allocates nothing.
 pub(crate) struct ShapeAnswers {
@@ -811,7 +789,7 @@ mod tests {
     type Answers = EpochLru<QueryKey, ServiceAnswer>;
 
     fn key(k: usize, tau: f64, epoch: u64) -> QueryKey {
-        QueryKey::new(&TopsQuery::binary(k, tau), QueryVariant::Greedy, epoch)
+        QueryKey::new(&TopsQuery::binary(k, tau), epoch)
     }
 
     #[test]
@@ -833,23 +811,45 @@ mod tests {
         assert_eq!(base, key(4, 800.0, 0));
         assert_ne!(base, key(3, 800.5, 0));
         assert_ne!(base, key(3, 800.0, 1));
-        assert_ne!(
-            base,
-            QueryKey::new(
-                &TopsQuery::binary(3, 800.0),
-                QueryVariant::Fm {
-                    copies: 30,
-                    seed: 1
-                },
-                0
-            )
-        );
         let graded = TopsQuery {
             k: 3,
             tau: 800.0,
             preference: PreferenceFunction::LinearDecay,
         };
-        assert_ne!(base, QueryKey::new(&graded, QueryVariant::Greedy, 0));
+        assert_ne!(base, QueryKey::new(&graded, 0));
+    }
+
+    /// The benchmark's 72 hot shapes — τ = 450 + 115·t m for t < 24, under
+    /// three ψ — spread over the result cache's 64 stripes. A hash that
+    /// kept the product's low bits put them in one stripe (a whole-metre
+    /// τ has zero low bits).
+    #[test]
+    fn hot_shapes_spread_over_the_stripes() {
+        let cache = ResultCache::new();
+        let mut load: HashMap<*const EpochLru<QueryKey, ShapeAnswers>, usize> = HashMap::new();
+        for preference in [
+            PreferenceFunction::Binary,
+            PreferenceFunction::LinearDecay,
+            PreferenceFunction::ConvexProbability { alpha: 2.0 },
+        ] {
+            for t in 0..24 {
+                let tau = crate::provider_cache::quantize_tau(450.0 + 115.0 * f64::from(t));
+                let shape = TopsQuery {
+                    preference,
+                    ..TopsQuery::binary(1, tau)
+                };
+                let key = QueryKey::new(&shape, 0);
+                *load
+                    .entry(std::ptr::from_ref(cache.stripe(&key)))
+                    .or_default() += 1;
+            }
+        }
+        let fullest = load.values().max().copied();
+        assert!(
+            load.len() >= 40,
+            "{} stripes, fullest {fullest:?}",
+            load.len()
+        );
     }
 
     #[test]

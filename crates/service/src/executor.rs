@@ -5,8 +5,8 @@
 //! Life of a request ([`NetClusService::query`]):
 //!
 //! 1. **Admission** — τ is quantized and the request validated.
-//! 2. **Result cache** — the key is the query's shape `(τ, ψ, variant)`
-//!    at the live epoch; `k` is not in it. An entry holds one solve for
+//! 2. **Result cache** — the key is the query's shape `(τ, ψ)` at the
+//!    live epoch; `k` is not in it. An entry holds one solve for
 //!    the largest `k` asked at that shape, and every `k' ≤ k` is answered
 //!    from it by prefix, bit for bit what a `k'`-solve returns (the
 //!    [cache module](crate::cache)'s prefix rule). A hit touches no
@@ -56,7 +56,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use netclus::{FmGreedyConfig, ProviderScratch, TopsQuery};
+use netclus::{ProviderScratch, TopsQuery};
 use netclus_roadnet::NodeId;
 use netclus_trajectory::TrajectorySet;
 
@@ -68,27 +68,12 @@ use crate::provider_cache::{carry_rows, quantize_tau, rows_for, ShardProviderCac
 use crate::snapshot::{Snapshot, SnapshotStore, UpdateBatch, UpdateReceipt};
 use crate::trace::{psi_name, Stage, TraceConfig, TraceMeta, TraceSpans, Tracer};
 
-/// Which solver answers the query.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueryVariant {
-    /// Inc-Greedy over cluster representatives (the paper's NETCLUS).
-    Greedy,
-    /// FM-sketch greedy over representatives (FM-NETCLUS; binary ψ only).
-    Fm {
-        /// Sketch copies `f`.
-        copies: usize,
-        /// Sketch family seed.
-        seed: u64,
-    },
-}
-
-/// A TOPS request: the query plus the solver variant.
+/// A TOPS request, answered by Inc-Greedy over cluster representatives
+/// (the paper's NETCLUS).
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceRequest {
     /// The TOPS query `(k, τ, ψ)`.
     pub query: TopsQuery,
-    /// The solver variant.
-    pub variant: QueryVariant,
     /// Optional end-to-end deadline, measured from admission; what it
     /// bounds is stated in the [module docs](self). A blown budget is the
     /// typed [`QueryError::DeadlineExceeded`].
@@ -100,16 +85,6 @@ impl ServiceRequest {
     pub fn greedy(query: TopsQuery) -> Self {
         ServiceRequest {
             query,
-            variant: QueryVariant::Greedy,
-            deadline: None,
-        }
-    }
-
-    /// An FM-sketch request (requires a binary preference).
-    pub fn fm(query: TopsQuery, copies: usize, seed: u64) -> Self {
-        ServiceRequest {
-            query,
-            variant: QueryVariant::Fm { copies, seed },
             deadline: None,
         }
     }
@@ -181,9 +156,6 @@ pub struct ServiceConfig {
     /// Callers that may wait for a solve permit; the next one is refused
     /// with [`SubmitError::QueueFull`].
     pub queue_capacity: usize,
-    /// Result-cache capacity in query shapes `(τ, ψ, variant)`: each entry
-    /// holds one solve and answers every `k` up to the largest asked.
-    pub cache_capacity: usize,
     /// Provider-cache capacity in entries (one instance's built rows
     /// each, kept across every query of the epoch whose τ falls in that
     /// instance's band).
@@ -198,7 +170,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 4,
             queue_capacity: 1_024,
-            cache_capacity: 1_024,
             provider_cache_capacity: 32,
             trace: TraceConfig::default(),
         }
@@ -260,7 +231,7 @@ impl NetClusService {
         Ok(NetClusService {
             cfg,
             store: SnapshotStore::new(net, trajs, index),
-            cache: ResultCache::new(cfg.cache_capacity),
+            cache: ResultCache::new(),
             providers: ShardProviderCache::new(cfg.provider_cache_capacity),
             clock: MetricsClock::default(),
             permits: Mutex::new(Permits {
@@ -289,7 +260,7 @@ impl NetClusService {
         // Quantize before validating so a τ that rounds to zero is
         // rejected rather than served with a silently different meaning.
         request.query.tau = quantize_tau(request.query.tau);
-        validate(&request)?;
+        validate_query(&request.query)?;
         let metrics = &self.clock.metrics;
         // Uniform post-shutdown contract: cached and uncached requests
         // are rejected alike.
@@ -299,7 +270,7 @@ impl NetClusService {
         }
         let start = Instant::now();
         let k = request.query.k;
-        let key = QueryKey::new(&request.query, request.variant, self.store.epoch());
+        let key = QueryKey::new(&request.query, self.store.epoch());
         if let Some(answer) = self.cache.hit(&key, k) {
             // A hit is all admission: one clock read times both.
             let took = start.elapsed();
@@ -376,7 +347,7 @@ impl NetClusService {
         let query = &request.query;
         let computing = spans.stage(Stage::CacheProbe, pinned);
         // Rows at the top of the instance's τ band, single flight per
-        // (epoch, instance): any k/ψ/variant and any τ in the band skips
+        // (epoch, instance): any k/ψ and any τ in the band skips
         // the build and cuts a prefix view.
         let (p, rows, outcome) = rows_for(
             snap,
@@ -394,14 +365,7 @@ impl NetClusService {
             CacheOutcome::Coalesced => "coalesced",
             CacheOutcome::Miss => "built",
         });
-        let raw = match request.variant {
-            QueryVariant::Greedy => snap.index().query_on(&provider, p, query),
-            QueryVariant::Fm { copies, seed } => {
-                let k = query.k;
-                let fm = FmGreedyConfig { k, copies, seed };
-                snap.index().query_fm_on(&provider, p, query, &fm)
-            }
-        };
+        let raw = snap.index().query_on(&provider, p, query);
         drop(permit);
         cursor = spans.stage(Stage::Solve, cursor);
         // What every k' shares; the sites, utility and coverage are cut
@@ -556,8 +520,8 @@ impl NetClusService {
     }
 }
 
-/// Validates the solver-independent part of a TOPS query; shared between
-/// the executor and the shard router so both admission paths agree.
+/// Validates a TOPS query; shared between the executor and the shard
+/// router so both admission paths agree.
 pub(crate) fn validate_query(q: &TopsQuery) -> Result<(), SubmitError> {
     if q.k == 0 {
         return Err(SubmitError::Invalid("k must be at least 1".into()));
@@ -567,22 +531,6 @@ pub(crate) fn validate_query(q: &TopsQuery) -> Result<(), SubmitError> {
     }
     if let Err(why) = q.preference.validate() {
         return Err(SubmitError::Invalid(why));
-    }
-    Ok(())
-}
-
-fn validate(request: &ServiceRequest) -> Result<(), SubmitError> {
-    let q = &request.query;
-    validate_query(q)?;
-    if matches!(request.variant, QueryVariant::Fm { .. }) && !q.preference.is_binary() {
-        return Err(SubmitError::Invalid(
-            "FM-NetClus requires the binary preference".into(),
-        ));
-    }
-    if let QueryVariant::Fm { copies, .. } = request.variant {
-        if copies == 0 {
-            return Err(SubmitError::Invalid("FM needs at least one copy".into()));
-        }
     }
     Ok(())
 }
@@ -681,13 +629,11 @@ mod tests {
     }
 
     #[test]
-    fn serves_matching_answers_for_both_variants() {
+    fn serves_an_answer_from_the_published_snapshot() {
         let svc = service(2);
         let q = TopsQuery::binary(2, 800.0);
         let greedy = svc.query_blocking(ServiceRequest::greedy(q)).unwrap();
-        let fm = svc.query_blocking(ServiceRequest::fm(q, 50, 3)).unwrap();
         assert_eq!(greedy.sites.len(), 2);
-        assert_eq!(fm.sites.len(), 2);
         assert_eq!(greedy.epoch, 0);
         assert_eq!(greedy.corpus_len, 10);
         svc.shutdown();
@@ -829,7 +775,7 @@ mod tests {
     }
 
     #[test]
-    fn provider_cache_shared_across_k_and_variants() {
+    fn provider_cache_shared_across_k() {
         // Room for one instance's rows: every assertion below is about one
         // band at a time, and the second band must evict the first.
         let svc = service_with(ServiceConfig {
@@ -841,16 +787,14 @@ mod tests {
             svc.query_blocking(ServiceRequest::greedy(TopsQuery::binary(k, 800.0)))
                 .unwrap();
         }
-        // FM at the same τ reuses the same rows.
-        svc.query_blocking(ServiceRequest::fm(TopsQuery::binary(2, 800.0), 30, 1))
-            .unwrap();
         let report = svc.metrics_report();
         assert_eq!(
             report.providers.misses, 1,
             "τ=800 must build exactly once: {:?}",
             report.providers
         );
-        assert!(report.providers.hits >= 4);
+        // k = 2, 3, 4 each outgrow the resident answer and solve again.
+        assert!(report.providers.hits >= 3);
         assert!(report.provider_hit_rate() > 0.5);
         assert_eq!(report.provider_build.count, 1);
         // Admission-time quantization: a bitwise-noisy τ still hits.
@@ -992,15 +936,6 @@ mod tests {
         // τ below the millimeter quantum rounds to 0 and must be rejected,
         // not served with a silently different threshold.
         assert!(invalid(ServiceRequest::greedy(TopsQuery::binary(1, 1e-4))));
-        assert!(invalid(ServiceRequest::fm(
-            TopsQuery {
-                k: 1,
-                tau: 800.0,
-                preference: PreferenceFunction::LinearDecay,
-            },
-            30,
-            1
-        )));
         svc.shutdown();
     }
 

@@ -25,7 +25,7 @@
 //!   coalesce onto one builder), one purge on epoch advance and one purge
 //!   floor (a value that arrives after its epoch was purged is handed to
 //!   its caller and not retained). Its first instantiation is the
-//!   **result cache** keyed on `(τ, ψ, variant, epoch)`, which answers
+//!   **result cache** keyed on `(τ, ψ, epoch)`, which answers
 //!   every `k` up to the largest solved by prefix, like the round-1 memo
 //!   below; its hit/miss/coalesced/eviction/invalidation counters
 //!   ([`CacheStats`]) feed the metrics report.
@@ -155,9 +155,7 @@ pub mod trace;
 pub mod wire;
 
 pub use cache::{CacheStats, EpochKeyed, EpochLru, QueryKey};
-pub use executor::{
-    NetClusService, QueryVariant, ServiceAnswer, ServiceConfig, ServiceRequest, SubmitError,
-};
+pub use executor::{NetClusService, ServiceAnswer, ServiceConfig, ServiceRequest, SubmitError};
 pub use fault::{
     BreakerConfig, BreakerSnapshot, BreakerState, FaultAction, FaultPlan, FaultRule, QueryError,
     ShardFailure,

@@ -94,8 +94,8 @@ pub type ShardProviderCache = EpochLru<ShardProviderKey, ProviderRows>;
 /// The rows that answer `tau` on `snap`: instance `p` of the ladder, its
 /// rows built at the top of its τ band — resident, awaited from the
 /// worker already building them, or built here (one `build_hist` sample
-/// per build) — and which of the three it was. Any `k`, ψ and variant and
-/// any τ in the band shares the entry and cuts a prefix view of it.
+/// per build) — and which of the three it was. Any `k` and ψ and any τ
+/// in the band share the entry and cut a prefix view of it.
 pub(crate) fn rows_for(
     snap: &Snapshot,
     tau: f64,

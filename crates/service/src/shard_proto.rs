@@ -147,8 +147,8 @@ pub enum Request {
         psi_tag: u8,
         /// ψ parameter bits.
         psi_param: u64,
-        /// Query-variant selector; 0 = greedy (the only variant today,
-        /// reserved for the FM-sketch path).
+        /// Solver selector; 0 = Inc-Greedy, the only solver served (any
+        /// other value is a bad request).
         variant: u8,
     },
     /// Epoch-lockstep routed update batch.

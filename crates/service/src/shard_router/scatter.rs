@@ -25,7 +25,7 @@ use netclus::{ProviderScratch, TopsQuery};
 
 use super::*;
 use crate::cache::{EpochKeyed, EpochLru, QueryKey};
-use crate::executor::{validate_query, QueryVariant, SubmitError};
+use crate::executor::{validate_query, SubmitError};
 use crate::fault::{FaultAction, QueryError, ShardFailure};
 use crate::provider_cache::quantize_tau;
 use crate::replica_set::{Attempt, Gather, Reporter};
@@ -80,7 +80,7 @@ impl EpochKeyed for StaleKey {
 
 fn stale_key(q: &TopsQuery) -> StaleKey {
     StaleKey {
-        shape: QueryKey::new(q, QueryVariant::Greedy, u64::MAX),
+        shape: QueryKey::new(q, u64::MAX),
         k: q.k,
     }
 }

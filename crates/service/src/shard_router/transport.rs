@@ -344,34 +344,32 @@ pub(crate) struct TransportSnapshot {
     pub rpc: LatencySummary,
 }
 
-/// Tuning for one [`RemoteShard`] connection. All timeouts must be
-/// nonzero.
+/// Tuning for one [`RemoteShard`] connection.
 #[derive(Clone, Copy, Debug)]
 pub struct RemoteShardConfig {
-    /// TCP connect timeout per attempt.
-    pub connect_timeout: Duration,
     /// Per-RPC read/write timeout (clamped further by the query
-    /// deadline).
+    /// deadline); must be nonzero.
     pub io_timeout: Duration,
-    /// First reconnect backoff after a failed attempt; doubles per
-    /// consecutive failure. While the backoff window is open, RPCs
-    /// fast-fail [`ShardFailure::Unreachable`] without touching the
-    /// socket.
-    pub backoff: Duration,
-    /// Backoff ceiling.
-    pub backoff_max: Duration,
 }
 
 impl Default for RemoteShardConfig {
     fn default() -> Self {
         RemoteShardConfig {
-            connect_timeout: Duration::from_secs(1),
             io_timeout: Duration::from_secs(5),
-            backoff: Duration::from_millis(50),
-            backoff_max: Duration::from_secs(2),
         }
     }
 }
+
+/// TCP connect timeout per attempt.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// First reconnect backoff after a failed attempt; doubles per
+/// consecutive failure. While the backoff window is open, RPCs fast-fail
+/// [`ShardFailure::Unreachable`] without touching the socket.
+const BACKOFF: Duration = Duration::from_millis(50);
+
+/// Reconnect backoff ceiling.
+const BACKOFF_MAX: Duration = Duration::from_secs(2);
 
 /// What the hello handshake learned about a shard server.
 #[derive(Clone, Copy, Debug)]
@@ -433,7 +431,7 @@ impl RemoteShard {
             conn: Mutex::new(ConnState {
                 link: None,
                 next_attempt: None,
-                backoff: cfg.backoff,
+                backoff: BACKOFF,
             }),
             cfg,
             last_epoch: AtomicU64::new(0),
@@ -533,7 +531,7 @@ impl RemoteShard {
             }
         }
         let attempt = (|| {
-            let stream = TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout)
+            let stream = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT)
                 .map_err(|_| ShardFailure::Unreachable)?;
             let _ = stream.set_nodelay(true);
             let _ = stream.set_read_timeout(Some(self.cfg.io_timeout));
@@ -568,7 +566,7 @@ impl RemoteShard {
             Ok(link) => {
                 conn.link = Some(link);
                 conn.next_attempt = None;
-                conn.backoff = self.cfg.backoff;
+                conn.backoff = BACKOFF;
                 self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
@@ -584,7 +582,7 @@ impl RemoteShard {
                 let roll = crate::fault::splitmix64(seed);
                 let factor = 0.75 + 0.5 * (roll as f64 / (u64::MAX as f64 + 1.0));
                 conn.next_attempt = Some(now + conn.backoff.mul_f64(factor));
-                conn.backoff = (conn.backoff * 2).min(self.cfg.backoff_max);
+                conn.backoff = (conn.backoff * 2).min(BACKOFF_MAX);
                 Err(failure)
             }
         }

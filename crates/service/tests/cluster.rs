@@ -364,10 +364,7 @@ fn socket_chaos_degrades_soundly_and_recovers() {
             },
             ..ShardRouterConfig::uncached()
         },
-        RemoteShardConfig {
-            io_timeout,
-            ..Default::default()
-        },
+        RemoteShardConfig { io_timeout },
     )
     .expect("connect remote router");
 

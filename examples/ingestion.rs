@@ -142,9 +142,12 @@ fn main() {
     let mut fed = 0usize;
     let mut offset = 0usize;
     while offset < wire.len() {
-        // Hand the pipeline one frame's worth of bytes at a time so the
-        // crash lands genuinely mid-stream. Each call ends a delivery, so
-        // each record publishes once it has matched, not on the linger.
+        // Hand the pipeline one frame's worth of bytes at a time. Each
+        // call ends a delivery, so each record publishes once it has
+        // matched, not on the linger. A call returns once its record is
+        // queued, so the whole feed usually ends before `CRASH_AFTER_OPS`
+        // ops are published: the crash comes after the last record is
+        // fed, while records are still queued and unpublished.
         let header = wire[offset..offset + HEADER_BYTES].try_into().unwrap();
         let frame_len = HEADER_BYTES
             + FrameHeader::decode(header, MAX_RECORD_PAYLOAD)

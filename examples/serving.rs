@@ -22,8 +22,8 @@ use std::time::{Duration, Instant};
 
 use netclus::prelude::*;
 use netclus_datagen::{
-    beijing_small, generate_query_workload, ArrivalProcess, QueryKind, QueryWorkloadConfig,
-    WorkloadConfig, WorkloadGenerator,
+    beijing_small, generate_query_workload, ArrivalProcess, QueryWorkloadConfig, WorkloadConfig,
+    WorkloadGenerator,
 };
 use netclus_service::{
     telemetry, NetClusService, QueryError, ServiceConfig, ServiceRequest, SubmitError,
@@ -174,10 +174,7 @@ fn main() {
                         if let Some(wait) = tq.at.checked_sub(t0.elapsed()) {
                             std::thread::sleep(wait);
                         }
-                        let request = match tq.kind {
-                            QueryKind::Greedy => ServiceRequest::greedy(tq.query),
-                            QueryKind::Fm { copies } => ServiceRequest::fm(tq.query, copies, 0xF1),
-                        };
+                        let request = ServiceRequest::greedy(tq.query);
                         let service = &service;
                         fired.push(arrivals.spawn(move || service.query(request)));
                     }

@@ -66,7 +66,6 @@ fn build_service() -> NetClusService {
         ServiceConfig {
             workers: 4,
             queue_capacity: 256,
-            cache_capacity: 512,
             ..Default::default()
         },
     )
@@ -144,11 +143,7 @@ fn concurrent_queries_see_exactly_one_published_epoch() {
                 while !writer_done.load(Ordering::Acquire) || answers.len() < 50 {
                     let k = [1usize, 2, 3][rng.random_range(0usize..3)];
                     let tau = [400.0f64, 600.0, 900.0][rng.random_range(0usize..3)];
-                    let req = if rng.random::<f64>() < 0.25 {
-                        ServiceRequest::fm(TopsQuery::binary(k, tau), 20, 7)
-                    } else {
-                        ServiceRequest::greedy(TopsQuery::binary(k, tau))
-                    };
+                    let req = ServiceRequest::greedy(TopsQuery::binary(k, tau));
                     if let Some(answer) = service.query_blocking(req) {
                         answered.fetch_max(answer.epoch, Ordering::Release);
                         answers.push(answer);
