@@ -26,7 +26,8 @@
 //! **bit-identical** top-k results.
 //!
 //! A `Round1Ok` body is `epoch: u64 | bound: u64 | source: u8` and then
-//! the round ([`ShardRoundOne::encode_into`], protocol version 2):
+//! the round ([`ShardRoundOne::encode_into`], the row layout since
+//! protocol version 2):
 //!
 //! | bytes        | field |
 //! |--------------|--------------------------------------------------|
@@ -52,13 +53,16 @@
 //! `crates/service/tests/cluster.rs`: any truncation/corruption of a
 //! valid frame decodes to a typed error).
 //!
-//! The message set mirrors the scatter/update/observe seams of the
-//! router: `Round1` (the scatter RPC), `Apply` (epoch-lockstep routed
-//! updates with per-op acks), `Report`/`Heartbeat` (for dashboards and
-//! the future gateway tier), and a versioned `Hello` handshake that
-//! fails fast on protocol skew.
+//! The message set is what the router and `netclus-shardd` send: a
+//! versioned `Hello` handshake that fails fast on protocol skew, `Round1`
+//! (the scatter RPC: shard, `k`, τ and ψ), `Apply` (epoch-lockstep routed
+//! updates with per-op acks), `Resync` (chunked replica catch-up) and
+//! `Shutdown` (graceful stop). Every field a reply carries has a reader
+//! on the client side. A shard's metrics are not on this wire: they are
+//! [`crate::ShardServer::metrics_json`] in process and the telemetry port
+//! `netclus-shardd --telemetry` announces.
 
-use netclus::codec::{put_f64, put_trajectory, put_u32, put_u64, EMPTY_TRAJECTORY};
+use netclus::codec::{put_trajectory, put_u32, put_u64, EMPTY_TRAJECTORY};
 use netclus::preference::PreferenceFunction;
 use netclus::shard::{ShardCodecError, ShardRoundOne, WireReader};
 use netclus::TopsQuery;
@@ -77,8 +81,12 @@ use crate::wire::{MAX_RESYNC_CHUNK, MAX_SHARD_REQUEST, MAX_WIRE_CANDIDATES};
 ///
 /// Version 2 changed the layout of a coverage row inside `Round1Ok` from
 /// interleaved `(id, detour)` pairs to an id run followed by a detour run
-/// (see [`ShardRoundOne::encode_into`]); nothing else moved.
-pub const SHARD_PROTOCOL_VERSION: u32 = 2;
+/// (see [`ShardRoundOne::encode_into`]). Version 3 removed what no peer
+/// read: the `Report`/`Heartbeat` requests and their replies (tags 3 and
+/// 4 are unassigned and decode to [`WireError::BadTag`]), `Round1`'s
+/// epoch hint and solver selector, and `ApplyAck`'s live count — a
+/// `Round1` payload is 30 bytes instead of 39.
+pub const SHARD_PROTOCOL_VERSION: u32 = 3;
 
 /// Typed decode failure of a shard-protocol payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -123,7 +131,8 @@ impl From<ShardCodecError> for WireError {
 /// A request frame, router → shard server.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
-    /// Versioned handshake; first frame on every connection.
+    /// Versioned handshake. The transport opens every connection with
+    /// it; the server answers any request kind on any connection.
     Hello {
         /// Sender's [`SHARD_PROTOCOL_VERSION`].
         version: u32,
@@ -132,10 +141,6 @@ pub enum Request {
     },
     /// The scatter RPC: one shard's round-1 local greedy.
     Round1 {
-        /// The epoch the router last observed (informational; the reply
-        /// carries the server's authoritative epoch and the gather
-        /// asserts lockstep across shards).
-        epoch_hint: u64,
         /// Shard id (must match the server's; a mismatch is a routing
         /// bug answered with [`RespError::BadRequest`]).
         shard: u32,
@@ -147,19 +152,12 @@ pub enum Request {
         psi_tag: u8,
         /// ψ parameter bits.
         psi_param: u64,
-        /// Solver selector; 0 = Inc-Greedy, the only solver served (any
-        /// other value is a bad request).
-        variant: u8,
     },
     /// Epoch-lockstep routed update batch.
     Apply {
         /// Routed ops in batch order.
         ops: Vec<RoutedOp>,
     },
-    /// Full metrics report (JSON line), for dashboards.
-    Report,
-    /// Cheap liveness + load probe, for the future gateway tier.
-    Heartbeat,
     /// One chunk of a corpus-snapshot transfer (replica catch-up). The
     /// first request (`offset == 0`) pins the server's current snapshot
     /// for this connection; subsequent offsets read the pinned blob, so
@@ -209,27 +207,8 @@ pub enum Response {
     ApplyAck {
         /// The epoch the batch published.
         epoch: u64,
-        /// Live trajectories after the batch.
-        live_trajs: u64,
         /// Per-op outcome in batch order (`true` = applied).
         results: Vec<bool>,
-    },
-    /// The metrics report JSON line.
-    ReportJson {
-        /// Single-line JSON (same shape as the telemetry `metrics`
-        /// command).
-        json: String,
-    },
-    /// Liveness + load summary.
-    HeartbeatAck {
-        /// Current snapshot epoch.
-        epoch: u64,
-        /// Recent queries/s (EWMA) on this shard.
-        load_qps: f64,
-        /// Fraction of recent round-1 answers served from cache.
-        cache_heat: f64,
-        /// Live trajectories.
-        live_trajs: u64,
     },
     /// Shutdown acknowledged; the server exits after this frame.
     ShutdownAck,
@@ -351,16 +330,14 @@ pub enum RespError {
 const REQ_HELLO: u8 = 0;
 const REQ_ROUND1: u8 = 1;
 const REQ_APPLY: u8 = 2;
-const REQ_REPORT: u8 = 3;
-const REQ_HEARTBEAT: u8 = 4;
+// Tags 3 and 4 (`Report`/`Heartbeat` up to version 2) stay unassigned, so
+// a stray frame of either kind fails closed as `BadTag`.
 const REQ_SHUTDOWN: u8 = 5;
 const REQ_RESYNC: u8 = 6;
 
 const RESP_HELLO: u8 = 0;
 const RESP_ROUND1: u8 = 1;
 const RESP_APPLY: u8 = 2;
-const RESP_REPORT: u8 = 3;
-const RESP_HEARTBEAT: u8 = 4;
 const RESP_SHUTDOWN: u8 = 5;
 const RESP_RESYNC: u8 = 6;
 const RESP_ERROR: u8 = 0xFF;
@@ -373,16 +350,14 @@ const OP_REMOVE_SITE: u8 = 3;
 /// Builds the `Round1` request for `query` against `shard` — the ψ goes
 /// over the wire in its cache-key form, so every layer (result cache,
 /// memo, protocol) agrees on ψ identity.
-pub fn round1_request(epoch_hint: u64, shard: u32, query: &TopsQuery) -> Request {
+pub fn round1_request(shard: u32, query: &TopsQuery) -> Request {
     let (psi_tag, psi_param) = preference_key(&query.preference);
     Request::Round1 {
-        epoch_hint,
         shard,
         k: query.k as u64,
         tau_bits: query.tau.to_bits(),
         psi_tag,
         psi_param,
-        variant: 0,
     }
 }
 
@@ -478,22 +453,18 @@ impl Request {
                 put_u32(buf, *shard);
             }
             Request::Round1 {
-                epoch_hint,
                 shard,
                 k,
                 tau_bits,
                 psi_tag,
                 psi_param,
-                variant,
             } => {
                 buf.push(REQ_ROUND1);
-                put_u64(buf, *epoch_hint);
                 put_u32(buf, *shard);
                 put_u64(buf, *k);
                 put_u64(buf, *tau_bits);
                 buf.push(*psi_tag);
                 put_u64(buf, *psi_param);
-                buf.push(*variant);
             }
             Request::Apply { ops } => {
                 buf.push(REQ_APPLY);
@@ -502,8 +473,6 @@ impl Request {
                     encode_op(buf, op);
                 }
             }
-            Request::Report => buf.push(REQ_REPORT),
-            Request::Heartbeat => buf.push(REQ_HEARTBEAT),
             Request::Shutdown => buf.push(REQ_SHUTDOWN),
             Request::Resync { shard, offset } => {
                 buf.push(REQ_RESYNC);
@@ -527,13 +496,11 @@ impl Request {
                 shard: r.u32()?,
             },
             REQ_ROUND1 => Request::Round1 {
-                epoch_hint: r.u64()?,
                 shard: r.u32()?,
                 k: r.u64()?,
                 tau_bits: r.u64()?,
                 psi_tag: r.u8()?,
                 psi_param: r.u64()?,
-                variant: r.u8()?,
             },
             REQ_APPLY => {
                 // Each op is ≥ 5 encoded bytes.
@@ -544,8 +511,6 @@ impl Request {
                 }
                 Request::Apply { ops }
             }
-            REQ_REPORT => Request::Report,
-            REQ_HEARTBEAT => Request::Heartbeat,
             REQ_SHUTDOWN => Request::Shutdown,
             REQ_RESYNC => Request::Resync {
                 shard: r.u32()?,
@@ -598,33 +563,11 @@ impl Response {
                 buf.push(source_tag(*source));
                 round.encode_into(buf);
             }
-            Response::ApplyAck {
-                epoch,
-                live_trajs,
-                results,
-            } => {
+            Response::ApplyAck { epoch, results } => {
                 buf.push(RESP_APPLY);
                 put_u64(buf, *epoch);
-                put_u64(buf, *live_trajs);
                 put_u32(buf, results.len() as u32);
                 buf.extend(results.iter().map(|&b| b as u8));
-            }
-            Response::ReportJson { json } => {
-                buf.push(RESP_REPORT);
-                put_u32(buf, json.len() as u32);
-                buf.extend_from_slice(json.as_bytes());
-            }
-            Response::HeartbeatAck {
-                epoch,
-                load_qps,
-                cache_heat,
-                live_trajs,
-            } => {
-                buf.push(RESP_HEARTBEAT);
-                put_u64(buf, *epoch);
-                put_f64(buf, *load_qps);
-                put_f64(buf, *cache_heat);
-                put_u64(buf, *live_trajs);
             }
             Response::ShutdownAck => buf.push(RESP_SHUTDOWN),
             Response::ResyncChunk {
@@ -677,28 +620,10 @@ impl Response {
             }
             RESP_APPLY => {
                 let epoch = r.u64()?;
-                let live_trajs = r.u64()?;
                 let n = r.count(1, "apply results")?;
                 let results = r.bytes(n)?.iter().map(|&b| b != 0).collect();
-                Response::ApplyAck {
-                    epoch,
-                    live_trajs,
-                    results,
-                }
+                Response::ApplyAck { epoch, results }
             }
-            RESP_REPORT => {
-                let n = r.count(1, "report json")?;
-                let json = std::str::from_utf8(r.bytes(n)?)
-                    .map_err(|_| WireError::BadValue("report not utf-8"))?
-                    .to_string();
-                Response::ReportJson { json }
-            }
-            RESP_HEARTBEAT => Response::HeartbeatAck {
-                epoch: r.u64()?,
-                load_qps: r.f64()?,
-                cache_heat: r.f64()?,
-                live_trajs: r.u64()?,
-            },
             RESP_SHUTDOWN => Response::ShutdownAck,
             RESP_RESYNC => {
                 let epoch = r.u64()?;
@@ -759,7 +684,7 @@ mod tests {
                 version: SHARD_PROTOCOL_VERSION,
                 shard: 2,
             },
-            round1_request(7, 1, &TopsQuery::binary(4, 1_200.0)),
+            round1_request(1, &TopsQuery::binary(4, 1_200.0)),
             Request::Apply {
                 ops: vec![
                     RoutedOp::AddTrajectoryAt(
@@ -771,8 +696,6 @@ mod tests {
                     RoutedOp::RemoveSite(NodeId(6)),
                 ],
             },
-            Request::Report,
-            Request::Heartbeat,
             Request::Shutdown,
             Request::Resync {
                 shard: 1,
@@ -811,17 +734,7 @@ mod tests {
             },
             Response::ApplyAck {
                 epoch: 6,
-                live_trajs: 81,
                 results: vec![true, false, true],
-            },
-            Response::ReportJson {
-                json: "{\"epoch\":6}".to_string(),
-            },
-            Response::HeartbeatAck {
-                epoch: 6,
-                load_qps: 123.5,
-                cache_heat: 0.75,
-                live_trajs: 81,
             },
             Response::ShutdownAck,
             Response::ResyncChunk {
@@ -869,7 +782,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut buf = Request::Heartbeat.encode();
+        let mut buf = Request::Shutdown.encode();
         buf.push(0);
         assert_eq!(Request::decode(&buf), Err(WireError::TrailingBytes));
         let mut buf = Response::ShutdownAck.encode();
@@ -893,9 +806,12 @@ mod tests {
             Request::decode(&buf),
             Err(WireError::BadValue("empty trajectory"))
         );
-        // Unknown tags fail typed.
-        assert_eq!(Request::decode(&[200]), Err(WireError::BadTag(200)));
-        assert_eq!(Response::decode(&[200]), Err(WireError::BadTag(200)));
+        // Unknown tags fail typed, the retired `Report` (3) and
+        // `Heartbeat` (4) among them.
+        for tag in [3, 4, 200] {
+            assert_eq!(Request::decode(&[tag]), Err(WireError::BadTag(tag)));
+            assert_eq!(Response::decode(&[tag]), Err(WireError::BadTag(tag)));
+        }
         assert_eq!(
             Request::decode(&[]),
             Err(WireError::Truncated("truncated payload"))

@@ -595,7 +595,7 @@ impl ShardTransport for RemoteShard {
     }
 
     fn round1(&self, query: &TopsQuery, ctx: &mut Round1Ctx<'_>) -> Result<Round1Ok, ShardFailure> {
-        let req = round1_request(self.epoch(), ctx.shard, query);
+        let req = round1_request(ctx.shard, query);
         match self.call(&req, ctx.deadline)? {
             Response::Round1Ok {
                 epoch,
@@ -615,7 +615,7 @@ impl ShardTransport for RemoteShard {
     fn apply(&self, ops: &[RoutedOp]) -> Result<ShardApplyOutcome, ShardFailure> {
         let req = Request::Apply { ops: ops.to_vec() };
         match self.call(&req, None)? {
-            Response::ApplyAck { epoch, results, .. } => Ok(ShardApplyOutcome { epoch, results }),
+            Response::ApplyAck { epoch, results } => Ok(ShardApplyOutcome { epoch, results }),
             _ => Err(ShardFailure::CorruptReply),
         }
     }
@@ -723,8 +723,7 @@ fn response_epoch(resp: &Response) -> Option<u64> {
     match resp {
         Response::HelloAck { epoch, .. }
         | Response::Round1Ok { epoch, .. }
-        | Response::ApplyAck { epoch, .. }
-        | Response::HeartbeatAck { epoch, .. } => Some(*epoch),
+        | Response::ApplyAck { epoch, .. } => Some(*epoch),
         _ => None,
     }
 }

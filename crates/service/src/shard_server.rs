@@ -7,7 +7,7 @@
 //! cache with single-flight builds and the candidate memo — remote
 //! routers cannot share the router-process caches, so the server keeps
 //! the equivalent pair and invalidates them on every epoch advance), a
-//! load gauge feeding `Heartbeat` answers, and an optional
+//! load gauge feeding its metrics line, and an optional
 //! [`FaultPlan`] whose socket-level actions let the chaos suite script
 //! real-connection failures (drop the connection mid-request, stall
 //! past the client's read deadline, corrupt a response frame so its CRC
@@ -15,11 +15,11 @@
 //!
 //! The listener is the accept loop the telemetry endpoint runs
 //! (`telemetry::AcceptLoop`): every connection is served on its own
-//! thread under read/write deadlines, request frames are bounded at
-//! `crate::wire::MAX_SHARD_REQUEST`, and at most
-//! [`ShardServerConfig::max_connections`] connections are served at once
-//! — excess connections are dropped without a reply (the one place the
-//! two servers differ), so a router sees
+//! thread under read/write deadlines (`IO_TIMEOUT`, 5 s), request frames
+//! are bounded at `crate::wire::MAX_SHARD_REQUEST`, and at most
+//! `MAX_CONNECTIONS` (8) connections are served at once — excess
+//! connections are dropped without a reply (the one place the two
+//! servers differ), so a router sees
 //! [`crate::fault::ShardFailure::Dropped`] and its breaker/degraded
 //! machinery takes over instead of queueing behind a wedged server. A
 //! connection's slot is released however its worker ends, and shutdown
@@ -55,6 +55,15 @@ use crate::telemetry::{AcceptLoop, TelemetrySource};
 use crate::trace::LoadGauge;
 use crate::wire::{MAX_RESYNC_CHUNK, MAX_SHARD_REQUEST, MAX_WIRE_CANDIDATES};
 
+/// Per-connection read/write deadline; a client that stalls longer is
+/// dropped.
+const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Connections served concurrently before the accept loop sheds new ones
+/// (dropped without a reply — the router classifies that as
+/// [`crate::fault::ShardFailure::Dropped`]).
+const MAX_CONNECTIONS: usize = 8;
+
 /// Shard-server tuning.
 #[derive(Clone, Debug)]
 pub struct ShardServerConfig {
@@ -63,13 +72,6 @@ pub struct ShardServerConfig {
     pub provider_cache_capacity: usize,
     /// Round-1 candidate-memo capacity; **0 disables**.
     pub round_memo_capacity: usize,
-    /// Per-connection read/write deadline; a client that stalls longer
-    /// is dropped.
-    pub io_timeout: Duration,
-    /// Connections served concurrently before the accept loop sheds new
-    /// ones (dropped without a reply — the router classifies that as
-    /// [`crate::fault::ShardFailure::Dropped`]).
-    pub max_connections: usize,
     /// Scripted fault injection on the round-1 request path (see
     /// [`FaultPlan`]); `None` serves faithfully.
     pub fault_plan: Option<FaultPlan>,
@@ -80,8 +82,6 @@ impl Default for ShardServerConfig {
         ShardServerConfig {
             provider_cache_capacity: 32,
             round_memo_capacity: 128,
-            io_timeout: Duration::from_secs(5),
-            max_connections: 8,
             fault_plan: None,
         }
     }
@@ -112,8 +112,8 @@ struct ServerShared {
 }
 
 impl ServerShared {
-    /// The single-line JSON the `Report` RPC and the telemetry `metrics`
-    /// command serve.
+    /// The single-line JSON [`ShardServer::metrics_json`] and the
+    /// telemetry `metrics` command serve.
     fn metrics_json(&self) -> String {
         let snap = self.store.load();
         let gauge = self.gauge.snapshot();
@@ -211,7 +211,7 @@ impl ShardServer {
         let accept = AcceptLoop::start(
             TcpListener::bind(addr)?,
             &format!("netclus-shardd-{shard}"),
-            cfg.max_connections.max(1),
+            MAX_CONNECTIONS,
             stopping,
             // Shed by dropping: the router sees the close as `Dropped` and
             // falls back on its breaker.
@@ -219,7 +219,7 @@ impl ShardServer {
             move |stream| {
                 // A misbehaving client (or an injected fault) only ever
                 // costs its own connection.
-                let _ = serve_connection(stream, &conn_shared, cfg.io_timeout);
+                let _ = serve_connection(stream, &conn_shared);
             },
         )?;
         Ok(ShardServer { shared, accept })
@@ -240,7 +240,8 @@ impl ShardServer {
         self.shared.store.epoch()
     }
 
-    /// The shard-server metrics line (same payload as the `Report` RPC).
+    /// The shard-server metrics line (the payload the telemetry `metrics`
+    /// command serves, see [`ShardServer::telemetry_source`]).
     pub fn metrics_json(&self) -> String {
         self.shared.metrics_json()
     }
@@ -291,14 +292,10 @@ enum Delivery {
 /// Serves one connection: a loop of framed request → framed response.
 /// Any io or protocol error just drops the connection — the router maps
 /// that onto its failure taxonomy and the server keeps serving others.
-fn serve_connection(
-    stream: TcpStream,
-    shared: &ServerShared,
-    io_timeout: Duration,
-) -> io::Result<()> {
+fn serve_connection(stream: TcpStream, shared: &ServerShared) -> io::Result<()> {
     let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(Some(io_timeout))?;
-    stream.set_write_timeout(Some(io_timeout))?;
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     // One buffer each way for the life of the connection: a request is
@@ -386,16 +383,14 @@ fn handle_request(
             })
         }
         Request::Round1 {
-            epoch_hint: _,
             shard,
             k,
             tau_bits,
             psi_tag,
             psi_param,
-            variant,
         } => {
             let mut answer = || {
-                let query = round1_query(shared, shard, k, tau_bits, psi_tag, psi_param, variant)?;
+                let query = round1_query(shared, shard, k, tau_bits, psi_tag, psi_param)?;
                 Some(round1_response(shared, &query, scratch))
             };
             // The scripted fault hook sits where the in-process worker's
@@ -468,7 +463,6 @@ fn handle_request(
             shared.apply_batches.fetch_add(1, Ordering::Relaxed);
             Delivery::Send(Response::ApplyAck {
                 epoch: receipt.epoch,
-                live_trajs: snap.trajs().len() as u64,
                 results,
             })
         }
@@ -498,19 +492,6 @@ fn handle_request(
                 data: blob[offset..end].to_vec(),
             })
         }
-        Request::Report => Delivery::Send(Response::ReportJson {
-            json: shared.metrics_json(),
-        }),
-        Request::Heartbeat => {
-            let snap = shared.store.load();
-            let gauge = shared.gauge.snapshot();
-            Delivery::Send(Response::HeartbeatAck {
-                epoch: snap.epoch(),
-                load_qps: gauge.qps_ewma,
-                cache_heat: gauge.cache_heat,
-                live_trajs: snap.trajs().len() as u64,
-            })
-        }
         Request::Shutdown => Delivery::Send(Response::ShutdownAck),
     }
 }
@@ -525,9 +506,8 @@ fn round1_query(
     tau_bits: u64,
     psi_tag: u8,
     psi_param: u64,
-    variant: u8,
 ) -> Option<TopsQuery> {
-    if shard != shared.shard || variant != 0 {
+    if shard != shared.shard {
         return None;
     }
     let tau = f64::from_bits(tau_bits);
@@ -587,6 +567,21 @@ mod tests {
     use std::io::BufWriter;
     use std::sync::Arc;
 
+    /// A raw client connection: frames go out on the writer, replies are
+    /// read from the reader.
+    type Conn = (BufWriter<TcpStream>, BufReader<TcpStream>);
+
+    fn connect(addr: SocketAddr) -> Conn {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        (
+            BufWriter::new(stream.try_clone().unwrap()),
+            BufReader::new(stream),
+        )
+    }
+
     fn line_store() -> SnapshotStore {
         let mut b = RoadNetworkBuilder::new();
         let nodes: Vec<_> = (0..8)
@@ -623,7 +618,7 @@ mod tests {
     }
 
     #[test]
-    fn hello_round1_apply_heartbeat_over_a_real_socket() {
+    fn hello_round1_apply_over_a_real_socket() {
         let mut srv = server(ShardServerConfig::default());
         let shard = remote(&srv);
         let hello = shard.hello().expect("hello");
@@ -737,83 +732,71 @@ mod tests {
     #[test]
     fn hostile_round1_fields_get_bad_request_not_panic() {
         let mut srv = server(ShardServerConfig::default());
-        let stream = TcpStream::connect(srv.addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        let mut writer = BufWriter::new(stream.try_clone().unwrap());
-        let mut reader = BufReader::new(stream);
-        let mut rpc = |req: &Request| -> Response {
-            write_frame(&mut writer, &req.encode()).unwrap();
+        let rpc = |(writer, reader): &mut Conn, payload: &[u8]| {
+            write_frame(writer, payload).unwrap();
             writer.flush().unwrap();
-            let frame = read_frame(&mut reader, crate::wire::MAX_SHARD_RESPONSE)
+            let frame = read_frame(reader, crate::wire::MAX_SHARD_RESPONSE)
                 .unwrap()
                 .unwrap();
             Response::decode(&frame).unwrap()
         };
+        let hello = |version| Request::Hello { version, shard: 0 }.encode();
+        let mut conn = connect(srv.addr());
         // NaN τ, k = 0, unknown ψ, wrong shard — all typed refusals.
+        let round1 = |shard, k, tau: f64, psi_tag| Request::Round1 {
+            shard,
+            k,
+            tau_bits: tau.to_bits(),
+            psi_tag,
+            psi_param: 0,
+        };
         let bads = [
-            Request::Round1 {
-                epoch_hint: 0,
-                shard: 0,
-                k: 1,
-                tau_bits: f64::NAN.to_bits(),
-                psi_tag: 0,
-                psi_param: 0,
-                variant: 0,
-            },
-            Request::Round1 {
-                epoch_hint: 0,
-                shard: 0,
-                k: 0,
-                tau_bits: 900f64.to_bits(),
-                psi_tag: 0,
-                psi_param: 0,
-                variant: 0,
-            },
-            Request::Round1 {
-                epoch_hint: 0,
-                shard: 0,
-                k: 1,
-                tau_bits: 900f64.to_bits(),
-                psi_tag: 9,
-                psi_param: 0,
-                variant: 0,
-            },
-            Request::Round1 {
-                epoch_hint: 0,
-                shard: 3,
-                k: 1,
-                tau_bits: 900f64.to_bits(),
-                psi_tag: 0,
-                psi_param: 0,
-                variant: 0,
-            },
+            round1(0, 1, f64::NAN, 0),
+            round1(0, 0, 900.0, 0),
+            round1(0, 1, 900.0, 9),
+            round1(3, 1, 900.0, 0),
         ];
         for bad in &bads {
-            assert_eq!(rpc(bad), Response::Error(RespError::BadRequest), "{bad:?}");
+            assert_eq!(
+                rpc(&mut conn, &bad.encode()),
+                Response::Error(RespError::BadRequest),
+                "{bad:?}"
+            );
         }
         // The connection is still serviceable afterwards.
         assert!(matches!(
-            rpc(&Request::Heartbeat),
-            Response::HeartbeatAck { .. }
+            rpc(&mut conn, &hello(SHARD_PROTOCOL_VERSION)),
+            Response::HelloAck { .. }
         ));
-        // A peer still speaking protocol 1 (interleaved rows) is told so
-        // and hung up on: no v1 reader is ever handed a v2 reply.
-        let v1 = Request::Hello {
-            version: 1,
-            shard: 0,
-        };
-        assert_eq!(rpc(&v1), Response::Error(RespError::VersionSkew));
-        write_frame(&mut writer, &Request::Heartbeat.encode()).unwrap();
-        let _ = writer.flush();
-        assert!(
-            !matches!(
-                read_frame(&mut reader, crate::wire::MAX_SHARD_RESPONSE),
-                Ok(Some(_))
-            ),
-            "the server kept serving after a version skew"
-        );
+        // Refused, then hung up on: a peer still speaking protocol 1
+        // (interleaved rows) or 2 (the retired kinds and fields), so no
+        // older reader is ever handed a reply in this version's layout,
+        // and the undecodable tags of the retired `Report` (3) and
+        // `Heartbeat` (4) requests.
+        let closing = [
+            (hello(1), RespError::VersionSkew),
+            (hello(SHARD_PROTOCOL_VERSION - 1), RespError::VersionSkew),
+            (vec![3], RespError::BadRequest),
+            (vec![4], RespError::BadRequest),
+        ];
+        for (payload, refusal) in closing {
+            let mut conn = connect(srv.addr());
+            assert_eq!(
+                rpc(&mut conn, &payload),
+                Response::Error(refusal),
+                "{payload:?}"
+            );
+            let (writer, reader) = &mut conn;
+            write_frame(writer, &hello(SHARD_PROTOCOL_VERSION)).unwrap();
+            let _ = writer.flush();
+            assert!(
+                !matches!(
+                    read_frame(reader, crate::wire::MAX_SHARD_RESPONSE),
+                    Ok(Some(_))
+                ),
+                "the server kept serving after refusing {payload:?}"
+            );
+        }
         srv.shutdown();
     }
 
@@ -918,7 +901,7 @@ mod tests {
     }
 
     #[test]
-    fn report_and_telemetry_serve_the_metrics_line() {
+    fn metrics_json_and_telemetry_serve_the_metrics_line() {
         let mut srv = server(ShardServerConfig::default());
         let line = srv.metrics_json();
         assert!(line.contains("\"shard\":0"));
@@ -939,31 +922,22 @@ mod tests {
 
     #[test]
     fn a_connection_past_the_cap_is_closed_without_a_reply() {
-        let srv = server(ShardServerConfig {
-            max_connections: 1,
-            ..Default::default()
-        });
-        let connect = || {
-            let stream = TcpStream::connect(srv.addr()).unwrap();
-            stream
-                .set_read_timeout(Some(Duration::from_secs(5)))
-                .unwrap();
-            (
-                BufWriter::new(stream.try_clone().unwrap()),
-                BufReader::new(stream),
-            )
-        };
-        let heartbeat = |(writer, reader): &mut (BufWriter<TcpStream>, BufReader<TcpStream>)| {
-            write_frame(writer, &Request::Heartbeat.encode())?;
+        let srv = server(ShardServerConfig::default());
+        let hello = |(writer, reader): &mut Conn| {
+            let req = Request::Hello {
+                version: SHARD_PROTOCOL_VERSION,
+                shard: 0,
+            };
+            write_frame(writer, &req.encode())?;
             writer.flush()?;
             read_frame(reader, crate::wire::MAX_SHARD_RESPONSE)
         };
-        // Accepts are in order: the held connection takes the one slot
-        // before the second one is seen.
-        let mut held = connect();
-        let mut second = connect();
+        // Accepts are in order: the held connections take every slot
+        // before the next one is seen.
+        let mut held: Vec<_> = (0..MAX_CONNECTIONS).map(|_| connect(srv.addr())).collect();
+        let mut excess = connect(srv.addr());
         let started = std::time::Instant::now();
-        let shed = heartbeat(&mut second);
+        let shed = hello(&mut excess);
         assert!(
             !matches!(shed, Ok(Some(_))),
             "the excess connection was served"
@@ -972,26 +946,21 @@ mod tests {
             started.elapsed() < Duration::from_secs(2),
             "the excess connection was left open, not closed"
         );
-        let frame = heartbeat(&mut held)
-            .unwrap()
-            .expect("the held connection is served");
-        assert!(matches!(
-            Response::decode(&frame).unwrap(),
-            Response::HeartbeatAck { .. }
-        ));
+        for conn in &mut held {
+            let frame = hello(conn).unwrap().expect("a held connection is served");
+            assert!(matches!(
+                Response::decode(&frame).unwrap(),
+                Response::HelloAck { .. }
+            ));
+        }
     }
 
     #[test]
     fn shutdown_rpc_stops_the_accept_loop() {
         let srv = server(ShardServerConfig::default());
-        let stream = TcpStream::connect(srv.addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        let mut writer = BufWriter::new(stream.try_clone().unwrap());
+        let (mut writer, mut reader) = connect(srv.addr());
         write_frame(&mut writer, &Request::Shutdown.encode()).unwrap();
         writer.flush().unwrap();
-        let mut reader = BufReader::new(stream);
         let frame = read_frame(&mut reader, crate::wire::MAX_SHARD_RESPONSE)
             .unwrap()
             .unwrap();

@@ -27,20 +27,19 @@ pub const MAX_BATCH_FRAME: usize = MAX_FRAME;
 /// span logs).
 pub(crate) const MAX_TELEMETRY_FRAME: usize = 4 << 20;
 
-/// Largest command/control frame (telemetry commands, shard-protocol
-/// handshakes and heartbeats). Tiny by design: a peer that sends a large
-/// "command" is broken or hostile, and the endpoint drops it before
-/// buffering.
+/// Largest telemetry **command** frame (`metrics`, `stages`, ...). Tiny
+/// by design: a peer that sends a large "command" is broken or hostile,
+/// and the endpoint drops it before buffering.
 pub(crate) const MAX_COMMAND_FRAME: usize = 1_024;
 
 /// Largest ingest GPS record payload.
 pub const MAX_RECORD_FRAME: usize = 1 << 20;
 
-/// Largest shard-protocol **request** frame (`ApplyBatch` with a full
-/// routed update batch is the biggest request).
+/// Largest shard-protocol **request** frame (`Apply` with a full routed
+/// update batch is the biggest request).
 pub(crate) const MAX_SHARD_REQUEST: usize = 8 << 20;
 
-/// Largest shard-protocol **response** frame (a `Round1Response` carrying
+/// Largest shard-protocol **response** frame (a `Round1Ok` carrying
 /// up to [`MAX_WIRE_CANDIDATES`] candidate rows with coverage).
 pub const MAX_SHARD_RESPONSE: usize = 8 << 20;
 
@@ -56,7 +55,7 @@ pub(crate) const MAX_RESYNC_CHUNK: usize = 1 << 20;
 /// the client aborts the transfer instead of buffering without bound.
 pub(crate) const MAX_RESYNC_BLOB: usize = 256 << 20;
 
-/// Most candidate rows a single `Round1Response` may carry. Round 1
+/// Most candidate rows a single `Round1Ok` may carry. Round 1
 /// returns at most `k` candidates per shard; `k` beyond this bound is a
 /// malformed request, and a decoder seeing a larger count rejects the
 /// frame instead of allocating.

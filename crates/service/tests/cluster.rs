@@ -560,7 +560,7 @@ fn sample_frames() -> Vec<(bool, Vec<u8>)> {
             version: SHARD_PROTOCOL_VERSION,
             shard: 2,
         },
-        round1_request(7, 1, &TopsQuery::binary(4, 1_200.0)),
+        round1_request(1, &TopsQuery::binary(4, 1_200.0)),
         Request::Apply {
             ops: vec![
                 RoutedOp::AddTrajectoryAt(
@@ -570,7 +570,7 @@ fn sample_frames() -> Vec<(bool, Vec<u8>)> {
                 RoutedOp::RemoveTrajectory(TrajId(4)),
             ],
         },
-        Request::Heartbeat,
+        Request::Shutdown,
     ];
     let responses = [
         Response::HelloAck {
@@ -595,11 +595,12 @@ fn sample_frames() -> Vec<(bool, Vec<u8>)> {
         },
         Response::ApplyAck {
             epoch: 6,
-            live_trajs: 81,
             results: vec![true, false, true],
         },
-        Response::ReportJson {
-            json: "{\"epoch\":6}".to_string(),
+        Response::ResyncChunk {
+            epoch: 6,
+            total_len: 10,
+            data: vec![1, 2, 3, 4],
         },
         Response::Error(RespError::Injected),
     ];

@@ -340,7 +340,7 @@ fn main() {
         resynced, lockstep,
         "rejoined replica caught up to the live epoch"
     );
-    let probe = round1_request(lockstep, 0, &TopsQuery::binary(3, 1_000.0));
+    let probe = round1_request(0, &TopsQuery::binary(3, 1_000.0));
     // The encoded replies carry timing diagnostics (elapsed, cache lane);
     // the answer payload — epoch, id bound, candidates with their coverage
     // rows — must be bit-exact between the survivor and the rejoiner.

@@ -270,7 +270,7 @@ fn main() {
                 preference: *psi,
             };
             for (s, shard) in sharded.shards().iter().enumerate() {
-                let request = round1_request(0, shard.id, &q);
+                let request = round1_request(shard.id, &q);
                 timed_round1(&mut streams[s], &request, &mut payload, &mut warmup);
                 let key = RoundKey::new(0, shard.id, q.tau, &q.preference);
                 let round = local_candidates(&shard.index, &q, bound, &mut scratch);
@@ -325,7 +325,7 @@ fn main() {
                         &mut sink,
                         &mut stages,
                     );
-                    let request = round1_request(0, shard.id, &q);
+                    let request = round1_request(shard.id, &q);
                     match timed_round1(&mut streams[s], &request, &mut payload, &mut stages) {
                         Response::Round1Ok {
                             epoch,
