@@ -7,10 +7,17 @@
 //! pruning unaffordable sites; finally, compare against the single best
 //! affordable site and return the better of the two — this safeguard turns
 //! an arbitrarily-bad ratio into the `(1 − 1/e)/2` guarantee.
+//!
+//! The ratio pass runs on the CELF machine of [`crate::greedy`]: a site's
+//! gain only falls and its cost is fixed, so a stale gain per cost bounds
+//! the fresh one, and a site the budget left cannot pay for never fits
+//! again, so it is dropped for good. Ties go to the larger gain, then the
+//! higher index; the safeguard's to the lower index.
 
 use std::time::Instant;
 
 use crate::coverage::CoverageProvider;
+use crate::greedy::{celf, site_weights, GreedyConfig, GreedyState, Kernel, Rule, Scored};
 use crate::preference::PreferenceFunction;
 use crate::solution::Solution;
 
@@ -23,6 +30,34 @@ pub struct CostConfig {
     pub tau: f64,
     /// Preference function `ψ`.
     pub preference: PreferenceFunction,
+}
+
+/// The ratio pass's rule: key `(gain / cost, gain)`, over the sites the
+/// budget left can pay for.
+struct Budget<'a> {
+    costs: &'a [f64],
+    budget: f64,
+    /// The picks' costs, summed in pick order.
+    spent: f64,
+}
+
+impl Rule for Budget<'_> {
+    fn key(&self, i: usize, gain: f64, _weight: f64) -> (f64, f64) {
+        (gain / self.costs[i], gain)
+    }
+
+    fn gain_in(key: (f64, f64)) -> f64 {
+        key.1
+    }
+
+    fn admits(&self, i: usize) -> bool {
+        self.costs[i] <= self.budget - self.spent
+    }
+
+    fn take(&mut self, i: usize, _gain: f64, _covered: usize) -> bool {
+        self.spent += self.costs[i];
+        true
+    }
 }
 
 /// Solves TOPS-COST over `provider` with per-site `costs` (parallel to the
@@ -42,103 +77,38 @@ pub fn tops_cost<P: CoverageProvider>(provider: &P, cfg: &CostConfig, costs: &[f
         "costs must be positive and finite"
     );
     let start = Instant::now();
-    let n = provider.site_count();
-    let m = provider.traj_id_bound();
-
-    // Ratio-greedy pass.
-    let mut utilities = vec![0.0f64; m];
-    let mut active: Vec<bool> = costs.iter().map(|&c| c <= cfg.budget).collect();
-    let mut spent = 0.0f64;
-    let mut selected: Vec<usize> = Vec::new();
-    let mut gains: Vec<f64> = Vec::new();
-
-    loop {
-        let remaining = cfg.budget - spent;
-        let mut best: Option<(usize, f64, f64)> = None; // (idx, gain, ratio)
-        for i in 0..n {
-            if !active[i] || selected.contains(&i) {
-                continue;
-            }
-            if costs[i] > remaining {
-                // Paper/KMN: prune sites that no longer fit the budget.
-                active[i] = false;
-                continue;
-            }
-            let gain: f64 = provider
-                .covered(i)
-                .iter()
-                .map(|(tj, d)| (cfg.preference.score(d, cfg.tau) - utilities[tj as usize]).max(0.0))
-                .sum();
-            let ratio = gain / costs[i];
-            let better = match best {
-                None => true,
-                Some((bi, bg, br)) => {
-                    ratio > br || (ratio == br && (gain > bg || (gain == bg && i > bi)))
-                }
-            };
-            if better {
-                best = Some((i, gain, ratio));
-            }
-        }
-        let Some((s, gain, _)) = best else { break };
-        selected.push(s);
-        gains.push(gain);
-        spent += costs[s];
-        for (tj, d) in provider.covered(s).iter() {
-            let score = cfg.preference.score(d, cfg.tau);
-            if score > utilities[tj as usize] {
-                utilities[tj as usize] = score;
-            }
-        }
-    }
-    let ratio_utility: f64 = gains.iter().sum();
-
-    // Safeguard: the best single affordable site.
-    let mut best_single: Option<(usize, f64)> = None;
-    for (i, &cost) in costs.iter().enumerate() {
-        if cost > cfg.budget {
-            continue;
-        }
-        let w: f64 = provider
-            .covered(i)
-            .dists
-            .iter()
-            .map(|&d| cfg.preference.score(d, cfg.tau))
-            .sum();
-        if best_single.is_none_or(|(_, bw)| w > bw) {
-            best_single = Some((i, w));
-        }
-    }
-
-    let (site_indices, utility, gains) = match best_single {
-        Some((i, w)) if w > ratio_utility => (vec![i], w, vec![w]),
-        _ => (selected, ratio_utility, gains),
+    let (rows, n, budget) = (provider.rows(), costs.len(), cfg.budget);
+    let query = GreedyConfig {
+        k: n,
+        tau: cfg.tau,
+        preference: cfg.preference,
     };
-
-    let covered = {
-        let mut u = vec![0.0f64; m];
-        for &i in &site_indices {
-            for (tj, d) in provider.covered(i).iter() {
-                let s = cfg.preference.score(d, cfg.tau);
-                if s > u[tj as usize] {
-                    u[tj as usize] = s;
-                }
-            }
-        }
-        u.iter().filter(|&&x| x > 0.0).count()
+    let weights = site_weights(rows, &query);
+    let kernel = Scored::new(rows, &query, None);
+    let rule = Budget {
+        costs,
+        budget,
+        spent: 0.0,
     };
+    let ratio = celf(kernel, rule, &weights, n, &[], None);
 
-    Solution {
-        sites: site_indices
-            .iter()
-            .map(|&i| provider.site_node(i))
-            .collect(),
-        site_indices,
-        utility,
-        gains,
-        covered,
-        steps: Vec::new(),
-        elapsed: start.elapsed(),
+    // Safeguard: the best single affordable site, the lowest index on a tie
+    // (`max_by` keeps the last of equals, and the scan runs backwards).
+    let affordable = (0..n).rev().filter(|&i| costs[i] <= budget);
+    let single = affordable.max_by(|&a, &b| weights[a].total_cmp(&weights[b]));
+    match single {
+        Some(i) if weights[i] > ratio.steps[ratio.steps.len() - 1].0 => {
+            let covered = Scored::new(rows, &query, None).select(i);
+            let steps = vec![(0.0, 0), (weights[i], covered)];
+            GreedyState {
+                selected: vec![i],
+                gains: vec![weights[i]],
+                covered,
+                steps,
+            }
+            .solution(rows, start)
+        }
+        _ => ratio.solution(rows, start),
     }
 }
 
@@ -146,6 +116,131 @@ pub fn tops_cost<P: CoverageProvider>(provider: &P, cfg: &CostConfig, costs: &[f
 mod tests {
     use super::*;
     use crate::coverage::ReferenceProvider;
+    use crate::greedy::{assert_identical, sum, twin_rows, TWIN_TAU};
+    use proptest::prelude::*;
+
+    /// The eager loop [`tops_cost`] ran before CELF: every round scores
+    /// every affordable site, prunes the rest, and takes the best gain per
+    /// cost, then the larger gain, then the higher index.
+    fn eager_twin<P: CoverageProvider>(provider: &P, cfg: &CostConfig, costs: &[f64]) -> Solution {
+        let start = Instant::now();
+        let n = provider.site_count();
+        let m = provider.traj_id_bound();
+
+        // Ratio-greedy pass.
+        let mut utilities = vec![0.0f64; m];
+        let mut active: Vec<bool> = costs.iter().map(|&c| c <= cfg.budget).collect();
+        let mut spent = 0.0f64;
+        let mut selected: Vec<usize> = Vec::new();
+        let mut gains: Vec<f64> = Vec::new();
+
+        loop {
+            let remaining = cfg.budget - spent;
+            let mut best: Option<(usize, f64, f64)> = None; // (idx, gain, ratio)
+            for i in 0..n {
+                if !active[i] || selected.contains(&i) {
+                    continue;
+                }
+                if costs[i] > remaining {
+                    // Paper/KMN: prune sites that no longer fit the budget.
+                    active[i] = false;
+                    continue;
+                }
+                let gain = sum(provider.covered(i).iter().map(|(tj, d)| {
+                    (cfg.preference.score(d, cfg.tau) - utilities[tj as usize]).max(0.0)
+                }));
+                let ratio = gain / costs[i];
+                let better = match best {
+                    None => true,
+                    Some((bi, bg, br)) => {
+                        ratio > br || (ratio == br && (gain > bg || (gain == bg && i > bi)))
+                    }
+                };
+                if better {
+                    best = Some((i, gain, ratio));
+                }
+            }
+            let Some((s, gain, _)) = best else { break };
+            selected.push(s);
+            gains.push(gain);
+            spent += costs[s];
+            for (tj, d) in provider.covered(s).iter() {
+                let score = cfg.preference.score(d, cfg.tau);
+                if score > utilities[tj as usize] {
+                    utilities[tj as usize] = score;
+                }
+            }
+        }
+        let ratio_utility = sum(gains.iter().copied());
+
+        // Safeguard: the best single affordable site.
+        let mut best_single: Option<(usize, f64)> = None;
+        for (i, &cost) in costs.iter().enumerate() {
+            if cost > cfg.budget {
+                continue;
+            }
+            let w = sum(provider
+                .covered(i)
+                .dists
+                .iter()
+                .map(|&d| cfg.preference.score(d, cfg.tau)));
+            if best_single.is_none_or(|(_, bw)| w > bw) {
+                best_single = Some((i, w));
+            }
+        }
+
+        let (site_indices, utility, gains) = match best_single {
+            Some((i, w)) if w > ratio_utility => (vec![i], w, vec![w]),
+            _ => (selected, ratio_utility, gains),
+        };
+
+        let covered = {
+            let mut u = vec![0.0f64; m];
+            for &i in &site_indices {
+                for (tj, d) in provider.covered(i).iter() {
+                    let s = cfg.preference.score(d, cfg.tau);
+                    if s > u[tj as usize] {
+                        u[tj as usize] = s;
+                    }
+                }
+            }
+            u.iter().filter(|&&x| x > 0.0).count()
+        };
+
+        Solution {
+            sites: site_indices
+                .iter()
+                .map(|&i| provider.site_node(i))
+                .collect(),
+            site_indices,
+            utility,
+            gains,
+            covered,
+            steps: Vec::new(),
+            elapsed: start.elapsed(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// CELF's ratio pass and safeguard ≡ the eager twin, over costs in
+        /// halves (equal costs and equal gains per cost are common) and
+        /// budgets from nothing to most of the total.
+        #[test]
+        fn celf_equals_eager_twin(
+            p in twin_rows(),
+            halves in prop::collection::vec(1u32..=6, 12),
+            budget_halves in 0u32..=32,
+        ) {
+            let costs: Vec<f64> = (0..p.site_count()).map(|i| f64::from(halves[i]) / 2.0).collect();
+            for preference in [PreferenceFunction::Binary, PreferenceFunction::LinearDecay] {
+                let cfg = CostConfig { budget: f64::from(budget_halves) / 2.0, tau: TWIN_TAU, preference };
+                let what = format!("{preference:?} budget {} costs {costs:?}", cfg.budget);
+                assert_identical(&tops_cost(&p, &cfg, &costs), &eager_twin(&p, &cfg, &costs), &what);
+            }
+        }
+    }
 
     fn cfg(budget: f64) -> CostConfig {
         CostConfig {

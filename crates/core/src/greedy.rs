@@ -1,61 +1,36 @@
 //! Inc-Greedy: the `(1 − 1/e)`-approximate greedy for TOPS (paper Sec. 3.3,
-//! Algorithm 1).
+//! Algorithm 1), and the CELF machine every greedy of this crate runs on.
 //!
 //! The utility `U(Q) = Σ_j max_{s∈Q} ψ(T_j, s)` is monotone submodular
 //! (paper Th. 2), so iteratively adding the site of maximal marginal gain
 //! achieves `max{1 − 1/e, k/n}` of the optimum (Th. 3), breaking ties by
 //! max gain → max weight `w_i = Σ_j ψ(T_j, s_i)` → highest index.
 //!
-//! **One solver serves every path.** [`inc_greedy`], [`inc_greedy_from`]
-//! and [`inc_greedy_seeded`] run the CELF evaluation of that greedy: each
-//! unselected site sits in a max-heap keyed by `(gain, w_i, index)` with the
-//! gain it had when last evaluated, and only the top of the heap is
-//! re-evaluated until a freshly evaluated entry stays on top. A stale entry
-//! is a valid upper bound on the site's current gain because trajectory
-//! utilities only grow as sites are added, so `Σ_j max(0, ψ_ji − U_j)` only
-//! shrinks (submodularity, Th. 2); a fresh entry that still beats every
-//! bound below it is therefore the true argmax, and a stale entry that ties
-//! it on gain but wins on weight or index is popped first, refreshed, and —
-//! its gain being unchanged on a genuine tie — selected first, exactly as
-//! the paper's argmax would. Gains are always recomputed from the `TC` row
-//! and the current utilities, in row order, so an answer's `gains` and
-//! `utility` bits depend only on the rows and the selection sequence —
-//! which is what makes "sharded ≡ monolithic" hold bit-for-bit for every ψ
-//! (`crates/core/tests/shard_proptests.rs`). The solver reads `TC` rows
-//! ([`RowsView::row`]) and nothing else.
+//! **One solver serves every path.** [`inc_greedy`] and its siblings run
+//! the CELF evaluation of that greedy: each unselected site sits in a
+//! max-heap keyed by `(gain, w_i, index)` with its gain when last
+//! evaluated, and only the top is re-evaluated until a fresh entry stays on
+//! top. Utilities only grow, so `Σ_j max(0, ψ_ji − U_j)` only shrinks
+//! (Th. 2) and a stale entry bounds its site's gain: a fresh top is the
+//! paper's argmax, ties included. Gains are recomputed from the `TC` row in
+//! row order and summed from `+0.0`, so an answer's bits depend only on the
+//! rows and the picks, which makes "sharded ≡ monolithic" hold bit for bit.
+//! TOPS-COST, TOPS-CAPACITY and TOPS4 ([`crate::cost`], [`crate::capacity`],
+//! `market`) run on the same machine, each from its own entry with its own
+//! kernel or rule: how it ranks, drops and stops.
 //!
-//! **One solver, two inner loops, chosen once per solve.** What CELF does
-//! with a row — weigh it, re-evaluate its gain, fold it in — sits behind a
-//! private kernel. Graded ψ and every seeded run score each pair against an
-//! `f64` utility per trajectory, as above. Binary ψ without seed utilities
-//! is a count: a trajectory is served or it is not, so a row's weight is
-//! the length of its within-τ prefix (rows ascend by distance; a
-//! [`ClusteredProvider`](crate::query::ClusteredProvider) view hands over
-//! exactly that prefix, a longer row is cut by `PairSlice::len_within`),
-//! its gain the number of unserved ids in it, coverage one flag per
-//! trajectory, and no distance is read once the weights are known. The count equals the
-//! scored sum bit for bit: every non-zero term of that sum is exactly `1.0`
-//! and adding ones is exact below 2⁵³. `existing` sites take the same path.
+//! **Two served kernels, chosen once per solve.** Graded ψ and every seeded
+//! run score each pair against an `f64` utility per trajectory. Binary ψ
+//! without seeds counts: a row weighs its within-τ length and gains its
+//! unserved ids, one flag per trajectory, bit for bit the scored sum. Both
+//! read a [`RowsView`], not a [`CoverageProvider`], so exact TOPS,
+//! TOPS-Cluster and the sharded round-2 merge run one compiled copy.
 //!
 //! **The paper's Algorithm 1 is the reference.** [`algorithm1_greedy`]
 //! keeps the pseudo-code as printed — a marginal-utility array decremented
-//! through the inverted `SC` lists after every pick (with `α_ji` recomputed
-//! from `ψ_ji` and `U_j` instead of materialized) — as the oracle that
-//! `crates/core/tests/lazy_greedy_proptests.rs` pins the solver to, site
-//! for site, and as the INCG baseline of the paper-figure experiments. It
-//! is the only reader of `SC`, hence its [`InvertedCoverage`] bound, and
-//! nothing on a served path calls it.
-//!
-//! **One machine-code copy.** The solver is written against the one rows
-//! type every provider hands out, a [`RowsView`], not against
-//! [`CoverageProvider`]: exact TOPS (over [`CoverageIndex`]), TOPS-Cluster
-//! (over cluster representatives, paper Sec. 5.1) and the sharded round-2
-//! merge all run the same compiled kernel. [`inc_greedy`] and its siblings
-//! stay generic over the provider only as one-line shims that take its
-//! view; Algorithm 1 stays generic over [`InvertedCoverage`], since it
-//! also walks `SC`.
-//!
-//! [`CoverageIndex`]: crate::coverage::CoverageIndex
+//! through the inverted `SC` lists after every pick — as the oracle that
+//! `crates/core/tests/lazy_greedy_proptests.rs` pins the solver to, and as
+//! the INCG baseline of the paper-figure experiments.
 
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -119,318 +94,11 @@ pub fn algorithm1_greedy<P: InvertedCoverage>(
     existing: &[usize],
     seed_utilities: Option<&[f64]>,
 ) -> Solution {
-    check_inputs(provider.rows(), cfg, seed_utilities);
-    let start = Instant::now();
-    eager_greedy(provider, cfg, existing, seed_utilities).solution(provider.rows(), start)
-}
-
-fn check_inputs(rows: RowsView<'_>, cfg: &GreedyConfig, seed_utilities: Option<&[f64]>) {
-    assert!(cfg.preference.validate().is_ok(), "invalid preference");
-    if let Some(seed) = seed_utilities {
-        assert_eq!(
-            seed.len(),
-            rows.traj_id_bound(),
-            "one seed utility per trajectory id required"
-        );
-    }
-}
-
-struct GreedyState {
-    selected: Vec<usize>,
-    gains: Vec<f64>,
-    /// Trajectories with positive utility, seeds and `existing` included.
-    covered: usize,
-    /// [`Solution::steps`]: recorded by [`celf`], empty from the reference.
-    steps: Vec<(f64, usize)>,
-}
-
-impl GreedyState {
-    /// The selection as a [`Solution`] over `rows`, timed from `start`.
-    fn solution(self, rows: RowsView<'_>, start: Instant) -> Solution {
-        Solution {
-            sites: self.selected.iter().map(|&i| rows.site_node(i)).collect(),
-            site_indices: self.selected,
-            utility: sum(self.gains.iter().copied()),
-            gains: self.gains,
-            covered: self.covered,
-            steps: self.steps,
-            elapsed: start.elapsed(),
-        }
-    }
-}
-
-/// `terms` added in order from `+0.0`. Every gain sum starts here, not at
-/// `Sum`'s `-0.0`, so an empty row and a row wholly past τ both weigh and
-/// gain `+0.0`, and the heap's `total_cmp` ranks them as Algorithm 1's
-/// `==` does.
-fn sum(terms: impl Iterator<Item = f64>) -> f64 {
-    terms.fold(0.0, |total, t| total + t)
-}
-
-/// Site weights `w_i = Σ_j ψ(T_j, s_i)`: the static tie-breaking key and,
-/// while every utility is zero, the marginal gains. Summed over the
-/// distance array of each row alone, in row order.
-fn site_weights(rows: RowsView<'_>, cfg: &GreedyConfig) -> Vec<f64> {
-    (0..rows.site_count())
-        .map(|i| sum(rows.row(i).dists.iter().map(|&d| cfg.preference.score(d, cfg.tau))))
-        .collect()
-}
-
-/// Marginal gain of site `i` under `utilities`: `Σ_j max(0, ψ_ji − U_j)`
-/// over its row, in row order.
-fn gain_of(rows: RowsView<'_>, cfg: &GreedyConfig, i: usize, utilities: &[f64]) -> f64 {
-    sum(rows
-        .row(i)
-        .iter()
-        .map(|(tj, d)| (cfg.preference.score(d, cfg.tau) - utilities[tj as usize]).max(0.0)))
-}
-
-fn positive(utilities: &[f64]) -> usize {
-    utilities.iter().filter(|&&u| u > 0.0).count()
-}
-
-/// The inner loops of one solve: what [`celf`] does with a `TC` row.
-trait Kernel {
-    /// The marginal gain of site `i` over what is selected so far.
-    fn gain(&self, i: usize) -> f64;
-    /// Folds site `i` into the solution and returns how many trajectories
-    /// it brought from no utility to a positive one.
-    fn select(&mut self, i: usize) -> usize;
-}
-
-/// The generic kernel: ψ scored per pair against an `f64` utility per
-/// trajectory. Serves every graded ψ and every seeded run.
-struct Scored<'a> {
-    rows: RowsView<'a>,
-    cfg: &'a GreedyConfig,
-    utilities: Vec<f64>,
-}
-
-impl Kernel for Scored<'_> {
-    fn gain(&self, i: usize) -> f64 {
-        gain_of(self.rows, self.cfg, i, &self.utilities)
-    }
-
-    fn select(&mut self, i: usize) -> usize {
-        let mut newly = 0;
-        for (tj, d) in self.rows.row(i).iter() {
-            let score = self.cfg.preference.score(d, self.cfg.tau);
-            let held = &mut self.utilities[tj as usize];
-            if score > *held {
-                newly += usize::from(*held <= 0.0 && score > 0.0);
-                *held = score;
-            }
-        }
-        newly
-    }
-}
-
-/// The counting kernel for binary ψ without seed utilities (module docs):
-/// one served flag per trajectory, and no distance read after the weights.
-struct Counted<'a> {
-    rows: RowsView<'a>,
-    /// τ if some row runs past it; `None` when every row is whole.
-    cut_at: Option<f64>,
-    served: Vec<bool>,
-}
-
-impl<'a> Counted<'a> {
-    /// The kernel and the site weights: each row's within-τ length.
-    fn new(rows: RowsView<'a>, tau: f64) -> (Self, Vec<f64>) {
-        let mut cut_at = None;
-        let weights = (0..rows.site_count())
-            .map(|i| {
-                let row = rows.row(i);
-                let len = row.len_within(tau);
-                if len < row.len() {
-                    cut_at = Some(tau);
-                }
-                len as f64
-            })
-            .collect();
-        let kernel = Counted {
-            rows,
-            cut_at,
-            served: vec![false; rows.traj_id_bound()],
-        };
-        (kernel, weights)
-    }
-
-    /// Row `i`'s within-τ ids.
-    fn ids(&self, i: usize) -> &'a [u32] {
-        let row = self.rows.row(i);
-        self.cut_at
-            .map_or(row.ids, |tau| &row.ids[..row.len_within(tau)])
-    }
-}
-
-impl Kernel for Counted<'_> {
-    fn gain(&self, i: usize) -> f64 {
-        let unserved = self.ids(i).iter().filter(|&&tj| !self.served[tj as usize]);
-        unserved.count() as f64
-    }
-
-    fn select(&mut self, i: usize) -> usize {
-        let mut newly = 0;
-        for &tj in self.ids(i) {
-            let served = &mut self.served[tj as usize];
-            newly += usize::from(!*served);
-            *served = true;
-        }
-        newly
-    }
-}
-
-/// The served solver, one compiled copy under every provider: picks the
-/// kernel for this solve, runs [`celf`] on it, and reports the selection.
-fn celf_greedy(
-    rows: RowsView<'_>,
-    cfg: &GreedyConfig,
-    existing: &[usize],
-    seed_utilities: Option<&[f64]>,
-) -> Solution {
+    let rows = provider.rows();
     check_inputs(rows, cfg, seed_utilities);
     let start = Instant::now();
-    let state = if cfg.preference.is_binary() && seed_utilities.is_none() {
-        let (kernel, weights) = Counted::new(rows, cfg.tau);
-        celf(kernel, &weights, cfg.k, existing, None)
-    } else {
-        let kernel = Scored {
-            rows,
-            cfg,
-            utilities: match seed_utilities {
-                Some(seed) => seed.to_vec(),
-                None => vec![0.0f64; rows.traj_id_bound()],
-            },
-        };
-        let weights = site_weights(rows, cfg);
-        let seeded = seed_utilities.map(positive);
-        celf(kernel, &weights, cfg.k, existing, seeded)
-    };
-    state.solution(rows, start)
-}
-
-/// CELF evaluation of Inc-Greedy (module docs), one site per entry of
-/// `weights`; `seeded` says the kernel starts from seed utilities, under
-/// which that many trajectories are already covered.
-///
-/// Coverage is counted as sites are folded in, so each pick's step
-/// ([`Solution::steps`]) costs its row and no pass over the trajectories.
-///
-/// The heap orders by `(gain, static weight w_i, index)`, where `w_i` is
-/// the weight Algorithm 1 breaks ties on — **not** the initial marginal,
-/// which differs from `w_i` under seed utilities or existing services.
-fn celf<K: Kernel>(
-    mut kernel: K,
-    weights: &[f64],
-    k: usize,
-    existing: &[usize],
-    seeded: Option<usize>,
-) -> GreedyState {
-    #[derive(PartialEq)]
-    struct Entry {
-        gain: f64,
-        weight: f64,
-        idx: usize,
-        round: usize,
-    }
-    impl Eq for Entry {}
-    impl Ord for Entry {
-        fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-            self.gain
-                .total_cmp(&o.gain)
-                .then(self.weight.total_cmp(&o.weight))
-                .then(self.idx.cmp(&o.idx))
-        }
-    }
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(o))
-        }
-    }
-
-    let n = weights.len();
-    let mut chosen = vec![false; n];
-    let mut covered = seeded.unwrap_or(0);
-    for &e in existing {
-        assert!(e < n, "existing site index {e} out of range");
-        if !chosen[e] {
-            chosen[e] = true;
-            covered += kernel.select(e);
-        }
-    }
-
-    // With no seed and no existing services every utility is zero, so the
-    // initial gain is exactly the weight ((ψ − 0).max(0) ≡ ψ, summed in
-    // the same row order) — skip the second full pass over the rows.
-    let warm = seeded.is_none() && existing.is_empty();
-    // Filled in place and heapified once, as `collect` would, but in one
-    // allocation rather than one per doubling.
-    let mut entries = Vec::with_capacity(n);
-    entries.extend((0..n).filter(|&i| !chosen[i]).map(|i| Entry {
-        gain: if warm { weights[i] } else { kernel.gain(i) },
-        weight: weights[i],
-        idx: i,
-        round: 0,
-    }));
-    let mut heap = BinaryHeap::from(entries);
-
-    // Algorithm 1's selection budget (it subtracts the raw `existing`
-    // length), so the solver and its reference stop after the same picks.
-    let budget = k.min(n.saturating_sub(existing.len()));
-    let mut selected = Vec::with_capacity(budget);
-    let mut gains = Vec::with_capacity(budget);
-    // The running utility folds the gains as [`sum`] does, in pick order,
-    // so each step's bits are those of a shorter run's sum.
-    let mut utility = 0.0;
-    let mut steps = Vec::with_capacity(budget + 1);
-    steps.push((utility, covered));
-    let mut round = 0usize;
-    while selected.len() < budget {
-        let Some(top) = heap.pop() else { break };
-        if top.round == round {
-            // Fresh value: select it.
-            let gain = top.gain.max(0.0);
-            selected.push(top.idx);
-            gains.push(gain);
-            utility += gain;
-            if top.gain > 0.0 {
-                covered += kernel.select(top.idx);
-            }
-            steps.push((utility, covered));
-            round += 1;
-        } else {
-            // Stale: refresh and push back.
-            heap.push(Entry {
-                gain: kernel.gain(top.idx),
-                round,
-                ..top
-            });
-        }
-    }
-
-    GreedyState {
-        selected,
-        gains,
-        covered,
-        steps,
-    }
-}
-
-/// The reference: the paper's Algorithm 1, eager marginal-utility
-/// maintenance through `SC`.
-fn eager_greedy<P: InvertedCoverage>(
-    provider: &P,
-    cfg: &GreedyConfig,
-    existing: &[usize],
-    seed_utilities: Option<&[f64]>,
-) -> GreedyState {
     let n = provider.site_count();
-    let mut utilities = match seed_utilities {
-        Some(seed) => seed.to_vec(),
-        None => vec![0.0f64; provider.traj_id_bound()],
-    };
-    let rows = provider.rows();
+    let mut utilities = start_utilities(rows, seed_utilities);
     let weights = site_weights(rows, cfg);
     let mut marginal = match seed_utilities {
         None => weights.clone(),
@@ -450,8 +118,7 @@ fn eager_greedy<P: InvertedCoverage>(
     let mut selected = Vec::with_capacity(cfg.k);
     let mut gains = Vec::with_capacity(cfg.k);
     for _ in 0..cfg.k.min(n.saturating_sub(existing.len())) {
-        // Paper tie-breaking: max marginal gain, then max weight, then
-        // highest index.
+        // Paper tie-break: max marginal gain → max weight → highest index.
         let mut best: Option<usize> = None;
         for i in 0..n {
             if chosen[i] {
@@ -483,6 +150,335 @@ fn eager_greedy<P: InvertedCoverage>(
         gains,
         covered: positive(&utilities),
         steps: Vec::new(),
+    }
+    .solution(rows, start)
+}
+
+fn check_inputs(rows: RowsView<'_>, cfg: &GreedyConfig, seed_utilities: Option<&[f64]>) {
+    assert!(cfg.preference.validate().is_ok(), "invalid preference");
+    if let Some(seed) = seed_utilities {
+        assert_eq!(
+            seed.len(),
+            rows.traj_id_bound(),
+            "one seed utility per trajectory id required"
+        );
+    }
+}
+
+pub(crate) struct GreedyState {
+    pub(crate) selected: Vec<usize>,
+    pub(crate) gains: Vec<f64>,
+    /// Trajectories with positive utility, seeds and `existing` included.
+    pub(crate) covered: usize,
+    /// [`Solution::steps`]: recorded by [`celf`], empty from Algorithm 1.
+    pub(crate) steps: Vec<(f64, usize)>,
+}
+
+impl GreedyState {
+    /// The selection as a [`Solution`] over `rows`, timed from `start`.
+    pub(crate) fn solution(self, rows: RowsView<'_>, start: Instant) -> Solution {
+        Solution {
+            sites: self.selected.iter().map(|&i| rows.site_node(i)).collect(),
+            site_indices: self.selected,
+            utility: sum(self.gains.iter().copied()),
+            gains: self.gains,
+            covered: self.covered,
+            steps: self.steps,
+            elapsed: start.elapsed(),
+        }
+    }
+}
+
+/// `terms` added in order from `+0.0`. Every gain sum starts here, not at
+/// `Sum`'s negative zero, so an empty row and a row wholly past τ both
+/// gain `+0.0`, and the heap's `total_cmp` ranks them as Algorithm 1's
+/// `==` does.
+pub(crate) fn sum(terms: impl Iterator<Item = f64>) -> f64 {
+    terms.fold(0.0, |total, t| total + t)
+}
+
+/// Site weights `w_i = Σ_j ψ(T_j, s_i)`: the static tie-breaking key and,
+/// while every utility is zero, the marginal gains. Summed over the
+/// distance array of each row alone, in row order.
+pub(crate) fn site_weights(rows: RowsView<'_>, cfg: &GreedyConfig) -> Vec<f64> {
+    let psi = |&d: &f64| cfg.preference.score(d, cfg.tau);
+    (0..rows.site_count())
+        .map(|i| sum(rows.row(i).dists.iter().map(psi)))
+        .collect()
+}
+
+/// Marginal gain of site `i` under `utilities`: `Σ_j max(0, ψ_ji − U_j)`
+/// over its row, in row order.
+pub(crate) fn gain_of(rows: RowsView<'_>, cfg: &GreedyConfig, i: usize, utilities: &[f64]) -> f64 {
+    sum(rows
+        .row(i)
+        .iter()
+        .map(|(tj, d)| (cfg.preference.score(d, cfg.tau) - utilities[tj as usize]).max(0.0)))
+}
+
+/// Per-trajectory utilities before any pick: the seeds, or zeros.
+fn start_utilities(rows: RowsView<'_>, seed: Option<&[f64]>) -> Vec<f64> {
+    seed.map_or_else(|| vec![0.0; rows.traj_id_bound()], <[f64]>::to_vec)
+}
+
+fn positive(utilities: &[f64]) -> usize {
+    utilities.iter().filter(|&&u| u > 0.0).count()
+}
+
+/// What [`celf`] does with a `TC` row: the inner loops of one solve.
+pub(crate) trait Kernel {
+    /// Site `i`'s marginal gain over the picks so far. It only falls as
+    /// sites are picked, so a stale heap entry is a bound.
+    fn gain(&mut self, i: usize) -> f64;
+    /// Folds site `i` in and returns how many trajectories it brought from
+    /// no utility to a positive one.
+    fn select(&mut self, i: usize) -> usize;
+}
+
+/// How [`celf`] ranks, drops and stops. Every default is Inc-Greedy's.
+pub(crate) trait Rule {
+    /// Site `i`'s heap key at `gain`, ranked before the higher index; it
+    /// only falls with the gain. Inc-Greedy's is `(gain, w_i)`.
+    fn key(&self, _i: usize, gain: f64, weight: f64) -> (f64, f64) {
+        (gain, weight)
+    }
+    /// The gain a [`Rule::key`] was made from.
+    fn gain_in(key: (f64, f64)) -> f64 {
+        key.0
+    }
+    /// Whether site `i` may still be picked; `false` drops it for good.
+    fn admits(&self, _i: usize) -> bool {
+        true
+    }
+    /// Site `i`, fresh on top at `gain` with `covered` trajectories
+    /// covered, is next: `false` ends the run instead.
+    fn take(&mut self, _i: usize, _gain: f64, _covered: usize) -> bool {
+        true
+    }
+}
+
+/// Inc-Greedy's rule: max gain → max weight → highest index, `k` picks.
+pub(crate) struct IncGreedy;
+
+impl Rule for IncGreedy {}
+
+/// The generic kernel: ψ scored per pair against an `f64` utility per
+/// trajectory. Serves every graded ψ and every seeded run.
+pub(crate) struct Scored<'a> {
+    rows: RowsView<'a>,
+    cfg: &'a GreedyConfig,
+    utilities: Vec<f64>,
+}
+
+impl<'a> Scored<'a> {
+    /// The kernel from the `seed` utilities, or from zero utilities.
+    pub(crate) fn new(rows: RowsView<'a>, cfg: &'a GreedyConfig, seed: Option<&[f64]>) -> Self {
+        let utilities = start_utilities(rows, seed);
+        Scored {
+            rows,
+            cfg,
+            utilities,
+        }
+    }
+}
+
+impl Kernel for Scored<'_> {
+    fn gain(&mut self, i: usize) -> f64 {
+        gain_of(self.rows, self.cfg, i, &self.utilities)
+    }
+
+    fn select(&mut self, i: usize) -> usize {
+        let mut newly = 0;
+        for (tj, d) in self.rows.row(i).iter() {
+            let score = self.cfg.preference.score(d, self.cfg.tau);
+            let held = &mut self.utilities[tj as usize];
+            if score > *held {
+                newly += usize::from(*held <= 0.0 && score > 0.0);
+                *held = score;
+            }
+        }
+        newly
+    }
+}
+
+/// The counting kernel for binary ψ without seed utilities (module docs):
+/// one served flag per trajectory, and no distance read after the weights.
+pub(crate) struct Counted<'a> {
+    rows: RowsView<'a>,
+    /// τ if some row runs past it; `None` when every row is whole.
+    cut_at: Option<f64>,
+    served: Vec<bool>,
+}
+
+impl<'a> Counted<'a> {
+    /// The kernel and the site weights: each row's within-τ length.
+    pub(crate) fn new(rows: RowsView<'a>, tau: f64) -> (Self, Vec<f64>) {
+        let mut cut_at = None;
+        let weights = (0..rows.site_count())
+            .map(|i| {
+                let row = rows.row(i);
+                let len = row.len_within(tau);
+                if len < row.len() {
+                    cut_at = Some(tau);
+                }
+                len as f64
+            })
+            .collect();
+        let kernel = Counted {
+            rows,
+            cut_at,
+            served: vec![false; rows.traj_id_bound()],
+        };
+        (kernel, weights)
+    }
+
+    /// Row `i`'s within-τ ids.
+    fn ids(&self, i: usize) -> &'a [u32] {
+        let row = self.rows.row(i);
+        self.cut_at
+            .map_or(row.ids, |tau| &row.ids[..row.len_within(tau)])
+    }
+}
+
+impl Kernel for Counted<'_> {
+    fn gain(&mut self, i: usize) -> f64 {
+        let unserved = self.ids(i).iter().filter(|&&tj| !self.served[tj as usize]);
+        unserved.count() as f64
+    }
+
+    fn select(&mut self, i: usize) -> usize {
+        let mut newly = 0;
+        for &tj in self.ids(i) {
+            let served = &mut self.served[tj as usize];
+            newly += usize::from(!*served);
+            *served = true;
+        }
+        newly
+    }
+}
+
+/// The served solver, one compiled copy under every provider: picks the
+/// kernel for this solve and runs [`celf`] on it.
+fn celf_greedy(
+    rows: RowsView<'_>,
+    cfg: &GreedyConfig,
+    existing: &[usize],
+    seed_utilities: Option<&[f64]>,
+) -> Solution {
+    check_inputs(rows, cfg, seed_utilities);
+    let start = Instant::now();
+    let state = if cfg.preference.is_binary() && seed_utilities.is_none() {
+        let (kernel, weights) = Counted::new(rows, cfg.tau);
+        celf(kernel, IncGreedy, &weights, cfg.k, existing, None)
+    } else {
+        let kernel = Scored::new(rows, cfg, seed_utilities);
+        let weights = site_weights(rows, cfg);
+        let seeded = seed_utilities.map(positive);
+        celf(kernel, IncGreedy, &weights, cfg.k, existing, seeded)
+    };
+    state.solution(rows, start)
+}
+
+/// CELF (module docs) over one site per entry of `weights`: Inc-Greedy's
+/// tie-break `w_i` — **not** the initial marginal, which differs under seed
+/// utilities or existing services — and, with neither, every initial gain.
+/// `seeded` counts the trajectories the kernel's seeds already cover. Each
+/// pick's [`Solution::steps`] entry costs its row, no trajectory pass.
+pub(crate) fn celf<K: Kernel, R: Rule>(
+    mut kernel: K,
+    mut rule: R,
+    weights: &[f64],
+    k: usize,
+    existing: &[usize],
+    seeded: Option<usize>,
+) -> GreedyState {
+    #[derive(PartialEq)]
+    struct Entry {
+        key: (f64, f64),
+        idx: usize,
+        round: usize,
+    }
+    impl Eq for Entry {}
+    impl Ord for Entry {
+        fn cmp(&self, o: &Self) -> std::cmp::Ordering {
+            let (a, b) = (self.key, o.key);
+            a.0.total_cmp(&b.0)
+                .then(a.1.total_cmp(&b.1))
+                .then(self.idx.cmp(&o.idx))
+        }
+    }
+    impl PartialOrd for Entry {
+        fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(o))
+        }
+    }
+
+    let n = weights.len();
+    let mut chosen = vec![false; n];
+    let mut covered = seeded.unwrap_or(0);
+    for &e in existing {
+        assert!(e < n, "existing site index {e} out of range");
+        if !chosen[e] {
+            chosen[e] = true;
+            covered += kernel.select(e);
+        }
+    }
+
+    // With no seed and no existing services every utility is zero, so each
+    // initial gain is its weight bit for bit: skip a second pass over rows.
+    let warm = seeded.is_none() && existing.is_empty();
+    // One allocation, heapified once (`collect` would grow by doubling).
+    let mut entries = Vec::with_capacity(n);
+    entries.extend((0..n).filter(|&i| !chosen[i]).map(|idx| {
+        let gain = if warm { weights[idx] } else { kernel.gain(idx) };
+        let key = rule.key(idx, gain, weights[idx]);
+        Entry { key, idx, round: 0 }
+    }));
+    let mut heap = BinaryHeap::from(entries);
+
+    // Algorithm 1's selection budget (it subtracts the raw `existing`
+    // length), so the solver and its reference stop after the same picks.
+    let budget = k.min(n.saturating_sub(existing.len()));
+    let mut selected = Vec::with_capacity(budget);
+    let mut gains = Vec::with_capacity(budget);
+    // The running utility folds the gains as [`sum`] does, in pick order,
+    // so each step's bits are those of a shorter run's sum.
+    let mut utility = 0.0;
+    let mut steps = Vec::with_capacity(budget + 1);
+    steps.push((utility, covered));
+    let mut round = 0usize;
+    while selected.len() < budget {
+        let Some(top) = heap.pop() else { break };
+        if !rule.admits(top.idx) {
+            continue;
+        }
+        if top.round == round {
+            // Fresh value: select it.
+            let gain = R::gain_in(top.key);
+            if !rule.take(top.idx, gain, covered) {
+                break;
+            }
+            selected.push(top.idx);
+            gains.push(gain);
+            utility += gain;
+            if gain > 0.0 {
+                covered += kernel.select(top.idx);
+            }
+            steps.push((utility, covered));
+            round += 1;
+        } else {
+            // Stale: refresh and push back.
+            let gain = kernel.gain(top.idx);
+            let key = rule.key(top.idx, gain, weights[top.idx]);
+            heap.push(Entry { key, round, ..top });
+        }
+    }
+
+    GreedyState {
+        selected,
+        gains,
+        covered,
+        steps,
     }
 }
 
@@ -516,6 +512,56 @@ fn apply_selection<P: InvertedCoverage>(
         }
         utilities[tj as usize] = score;
     }
+}
+
+/// Bitwise equality of two runs: sites in order, gains, utility and
+/// coverage count.
+#[cfg(test)]
+pub(crate) fn assert_identical(a: &Solution, b: &Solution, what: &str) {
+    assert_eq!(a.site_indices, b.site_indices, "{what}: sites");
+    let bits = |s: &Solution| s.gains.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(a), bits(b), "{what}: gains");
+    assert_eq!(a.utility.to_bits(), b.utility.to_bits(), "{what}: utility");
+    assert_eq!(a.covered, b.covered, "{what}: covered");
+}
+
+/// τ of [`twin_rows`].
+#[cfg(test)]
+pub(crate) const TWIN_TAU: f64 = 128.0;
+
+/// Random rows for the variants' CELF-against-eager-twin properties: up
+/// to 24 trajectories and 12 sites, whole-metre detours against
+/// [`TWIN_TAU`] (so binary and linear-decay gains tie often), some rows
+/// empty and about a quarter wholly past τ.
+#[cfg(test)]
+pub(crate) fn twin_rows(
+) -> impl proptest::strategy::Strategy<Value = crate::coverage::ReferenceProvider> {
+    use proptest::prelude::*;
+    (1usize..24, 1usize..12)
+        .prop_flat_map(|(m, n)| {
+            let row = (
+                prop::collection::vec((0..m as u32, 0u32..=128), 0..m.min(10)),
+                0u8..4,
+            );
+            (Just(m), prop::collection::vec(row, n))
+        })
+        .prop_map(|(m, raw)| {
+            let rows = raw
+                .into_iter()
+                .map(|(mut row, lane)| {
+                    row.sort_unstable();
+                    row.dedup_by_key(|&mut (tj, _)| tj);
+                    let past = if lane == 0 { 129 } else { 0 };
+                    let mut row: Vec<(u32, f64)> = row
+                        .into_iter()
+                        .map(|(tj, d)| (tj, f64::from(d + past)))
+                        .collect();
+                    row.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                    row
+                })
+                .collect();
+            crate::coverage::ReferenceProvider::new(m, rows)
+        })
 }
 
 #[cfg(test)]
@@ -727,16 +773,6 @@ mod tests {
         assert_eq!(sol.utility, 0.0);
     }
 
-    /// Bitwise equality of two runs: sites in order, gains, utility and
-    /// coverage count.
-    fn assert_identical(a: &Solution, b: &Solution, what: &str) {
-        assert_eq!(a.site_indices, b.site_indices, "{what}: sites");
-        let bits = |s: &Solution| s.gains.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(a), bits(b), "{what}: gains");
-        assert_eq!(a.utility.to_bits(), b.utility.to_bits(), "{what}: utility");
-        assert_eq!(a.covered, b.covered, "{what}: covered");
-    }
-
     /// Rows that run past τ = 100 (the `partition_point` cut, inclusive at
     /// τ), an empty row, a row wholly past τ, and three sites of weight 2.
     fn rows_past_tau() -> ReferenceProvider {
@@ -882,7 +918,10 @@ mod tests {
             for (a, b) in lazy.gains.iter().zip(&eager.gains) {
                 assert!((a - b).abs() < 1e-9, "{what}: gains {a} vs {b}");
             }
-            assert!((lazy.utility - eager.utility).abs() < 1e-9, "{what}: utility");
+            assert!(
+                (lazy.utility - eager.utility).abs() < 1e-9,
+                "{what}: utility"
+            );
         }
     }
 }

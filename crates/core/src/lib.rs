@@ -33,10 +33,10 @@
 //! | Multi-resolution index (Sec. 4.4) | [`index`] |
 //! | Online TOPS-Cluster query (Sec. 5) | [`query`] |
 //! | Dynamic updates (Sec. 6) | [`update`] |
-//! | TOPS-COST (Sec. 7.1) | [`cost`] |
-//! | TOPS-CAPACITY (Sec. 7.2) | [`capacity`] |
+//! | TOPS-COST (Sec. 7.1), on the CELF machine of [`greedy`] | [`cost`] |
+//! | TOPS-CAPACITY (Sec. 7.2), on the CELF machine | [`capacity`] |
 //! | Existing services (Sec. 7.3) | [`greedy::inc_greedy_from`] |
-//! | TOPS4 market share (Sec. 7.4) | `market` |
+//! | TOPS4 market share (Sec. 7.4), on the CELF machine | `market` |
 //! | Jaccard baseline (App. B.1) | `jaccard` |
 //! | Memory accounting (Tables 9, 12) | [`memory`] |
 //! | Flat CSR coverage arenas (query hot path layout) | [`arena`] |
@@ -55,7 +55,7 @@
 //! |-----------------|----------------|
 //! | Epoch-based snapshots (`Arc`-swapped `NetClusIndex` + corpus; readers never block) | `netclus_service::snapshot` |
 //! | Caller-runs query service: `workers` solve permits, a bounded waiting room, dedup by the result cache's single flight | `netclus_service::executor` |
-//! | `EpochLru`, the one LRU under the result cache keyed `(k, τ, ψ, variant, epoch)`, the provider cache, the round-1 memo and the stale fallback | `netclus_service::cache` |
+//! | `EpochLru`, the one LRU under the result cache keyed `(τ, ψ, epoch)` (a smaller `k` is a prefix of the cached solve), the provider cache, the round-1 memo and the stale fallback | `netclus_service::cache` |
 //! | Round-1 caches: single-flight provider cache (rows per `(epoch[, shard], instance, built τ)`, any τ in the band by prefix view) + candidate memo (prefix-sliced by `k`) | `netclus_service::provider_cache` |
 //! | Latency/throughput/queue/cache + ingest metrics | `netclus_service::metrics` |
 //! | Framed GPS record wire format (CRC-32, per-source seq) | `netclus_ingest::record` |

@@ -26,8 +26,10 @@ pub struct Solution {
     pub covered: usize,
     /// `(utility, covered)` after each pick: `steps[i]` is what the run
     /// reports after its first `i` picks (`steps[0]`: before any). Filled
-    /// by the solvers whose run for a smaller `k` is a prefix of this one
-    /// — Inc-Greedy and FM greedy — and empty from every other solver.
+    /// by FM greedy and by every solver on the CELF machine — Inc-Greedy,
+    /// TOPS-COST, TOPS-CAPACITY and TOPS4 — and empty from the others
+    /// (Algorithm 1, the exact solver). Only Inc-Greedy's and FM greedy's
+    /// are cut by [`Solution::prefix`], which the serving layer relies on.
     pub steps: Vec<(f64, usize)>,
     /// Wall-clock solver time (excluding any index/coverage construction).
     pub elapsed: Duration,
