@@ -69,9 +69,10 @@ pub fn tops_market_share<P: CoverageProvider>(
     let mut coverable = vec![false; rows.traj_id_bound()];
     let ids = (0..rows.site_count()).flat_map(|i| rows.row(i).ids);
     ids.for_each(|&t| coverable[t as usize] = true);
-    let universe = match cfg.of_total {
-        true => coverable.len(),
-        false => coverable.iter().filter(|&&c| c).count(),
+    let universe = if cfg.of_total {
+        coverable.len()
+    } else {
+        coverable.iter().filter(|&&c| c).count()
     };
     let target = (cfg.beta * universe as f64).ceil() as usize;
     let (kernel, weights) = Counted::new(rows, f64::INFINITY);
