@@ -529,8 +529,8 @@ pub(crate) fn assert_identical(a: &Solution, b: &Solution, what: &str) {
 #[cfg(test)]
 pub(crate) const TWIN_TAU: f64 = 128.0;
 
-/// Random rows for the variants' CELF-against-eager-twin properties: up
-/// to 24 trajectories and 12 sites, whole-metre detours against
+/// Random rows for the variants' CELF-against-eager-twin properties: 1–23
+/// trajectories and 1–11 sites, whole-metre detours against
 /// [`TWIN_TAU`] (so binary and linear-decay gains tie often), some rows
 /// empty and about a quarter wholly past τ.
 #[cfg(test)]
