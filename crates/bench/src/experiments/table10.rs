@@ -58,7 +58,7 @@ pub fn run(ctx: &mut Ctx) {
         let added = add.len();
         let t = Instant::now();
         for v in add {
-            index.add_site(&s.trajectories, v);
+            index.add_site(v);
         }
         let site_time = t.elapsed();
 

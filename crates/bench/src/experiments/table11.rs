@@ -26,7 +26,6 @@ pub fn run(ctx: &mut Ctx) {
             tau_min: 400.0,
             tau_max: 8_000.0,
             threads,
-            ..Default::default()
         },
     );
 

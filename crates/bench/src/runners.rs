@@ -166,7 +166,6 @@ pub fn build_index(
             tau_min,
             tau_max,
             threads,
-            ..Default::default()
         },
     )
 }

@@ -5,7 +5,8 @@
 //! phase needs —
 //!
 //! 1. cluster center `c_i`,
-//! 2. cluster representative `r_i` (a candidate site; Sec. 4.2),
+//! 2. cluster representative `r_i`: the member candidate site nearest
+//!    `c_i`, the rule the paper adopts (Sec. 4.2),
 //! 3. the trajectory list `T L(g_i)` with round-trip distances to `c_i`,
 //! 4. the neighbor list `CL(g_i)`: clusters whose centers are within
 //!    round-trip `4R_p(1 + γ)` (the exact bound Sec. 5.1 requires),
@@ -116,20 +117,6 @@ impl<T: fmt::Debug> fmt::Debug for SharedSlice<T> {
     }
 }
 
-/// How to pick the cluster representative among the cluster's candidate
-/// sites (paper Sec. 4.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum RepresentativeStrategy {
-    /// The candidate site closest (round-trip) to the cluster center — the
-    /// option the paper adopts ("the second alternative is marginally
-    /// better").
-    #[default]
-    ClosestToCenter,
-    /// The candidate site traversed by the most trajectories (the paper's
-    /// first alternative; kept for the ablation benchmark).
-    MostFrequented,
-}
-
 /// One cluster of an index instance.
 #[derive(Clone, Debug)]
 pub struct Cluster {
@@ -191,8 +178,7 @@ impl ClusterInstance {
     /// Builds an instance from a GDSP clustering.
     ///
     /// `is_site[v]` flags candidate sites; `gamma` fixes the neighbor
-    /// threshold; `strategy` picks representatives.
-    #[allow(clippy::too_many_arguments)]
+    /// threshold.
     pub fn build(
         net: &RoadNetwork,
         trajs: &TrajectorySet,
@@ -200,7 +186,6 @@ impl ClusterInstance {
         gdsp: &GdspResult,
         radius: f64,
         gamma: f64,
-        strategy: RepresentativeStrategy,
         threads: usize,
     ) -> ClusterInstance {
         assert!(gamma > 0.0, "γ must be positive, got {gamma}");
@@ -221,7 +206,7 @@ impl ClusterInstance {
                     traj_list: SharedSlice::default(),
                     neighbors: SharedSlice::default(),
                 };
-                choose_representative(&mut c, trajs, is_site, strategy);
+                choose_representative(&mut c, is_site);
                 c
             })
             .collect();
@@ -359,48 +344,14 @@ pub(crate) fn map_trajectory(
     out
 }
 
-/// Picks the cluster representative per the chosen strategy.
-pub(crate) fn choose_representative(
-    cluster: &mut Cluster,
-    trajs: &TrajectorySet,
-    is_site: &[bool],
-    strategy: RepresentativeStrategy,
-) {
-    cluster.representative = None;
-    cluster.rep_distance = 0.0;
-    match strategy {
-        RepresentativeStrategy::ClosestToCenter => {
-            // Members are sorted ascending by distance: first site wins.
-            for &(v, d) in &cluster.nodes {
-                if is_site[v.index()] {
-                    cluster.representative = Some(v);
-                    cluster.rep_distance = d;
-                    break;
-                }
-            }
-        }
-        RepresentativeStrategy::MostFrequented => {
-            let mut best: Option<(usize, f64, NodeId)> = None;
-            for &(v, d) in &cluster.nodes {
-                if !is_site[v.index()] {
-                    continue;
-                }
-                let count = trajs.trajectories_through(v).len();
-                let better = match best {
-                    None => true,
-                    // More trajectories; ties → closer to center.
-                    Some((bc, bd, _)) => count > bc || (count == bc && d < bd),
-                };
-                if better {
-                    best = Some((count, d, v));
-                }
-            }
-            if let Some((_, d, v)) = best {
-                cluster.representative = Some(v);
-                cluster.rep_distance = d;
-            }
-        }
-    }
+/// Elects the member site closest to the center (members ascend by
+/// distance), the representative rule the paper adopts (Sec. 4.2: "the
+/// second alternative is marginally better"); none if no member is a site.
+/// It reads sites alone, so only a site update moves a representative.
+pub(crate) fn choose_representative(cluster: &mut Cluster, is_site: &[bool]) {
+    let rep = cluster.nodes.iter().find(|&&(v, _)| is_site[v.index()]);
+    cluster.representative = rep.map(|&(v, _)| v);
+    cluster.rep_distance = rep.map_or(0.0, |&(_, d)| d);
 }
 
 /// Round-trip balls from every center, filtered to other centers, in
@@ -436,7 +387,7 @@ fn compute_neighbors(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gdsp::{greedy_gdsp, GdspConfig, GdspMode};
+    use crate::gdsp::{greedy_gdsp, GdspConfig};
     use netclus_roadnet::{Point, RoadNetworkBuilder};
 
     /// Two-way line with 100 m edges and trajectories along it.
@@ -461,28 +412,16 @@ mod tests {
         (net, trajs)
     }
 
-    fn build_instance(
-        net: &RoadNetwork,
-        trajs: &TrajectorySet,
-        radius: f64,
-        strategy: RepresentativeStrategy,
-    ) -> ClusterInstance {
+    fn build_instance(net: &RoadNetwork, trajs: &TrajectorySet, radius: f64) -> ClusterInstance {
         let is_site = vec![true; net.node_count()];
-        let gdsp = greedy_gdsp(
-            net,
-            &GdspConfig {
-                radius,
-                mode: GdspMode::Exact,
-                threads: 1,
-            },
-        );
-        ClusterInstance::build(net, trajs, &is_site, &gdsp, radius, 0.75, strategy, 1)
+        let gdsp = greedy_gdsp(net, &GdspConfig { radius, threads: 1 });
+        ClusterInstance::build(net, trajs, &is_site, &gdsp, radius, 0.75, 1)
     }
 
     #[test]
     fn instance_invariants() {
         let (net, trajs) = fixture();
-        let inst = build_instance(&net, &trajs, 200.0, RepresentativeStrategy::default());
+        let inst = build_instance(&net, &trajs, 200.0);
         // Every node mapped; every cluster has a representative (all nodes
         // are sites).
         assert!(inst
@@ -508,7 +447,7 @@ mod tests {
     #[test]
     fn trajectory_lists_partition_trajectories() {
         let (net, trajs) = fixture();
-        let inst = build_instance(&net, &trajs, 200.0, RepresentativeStrategy::default());
+        let inst = build_instance(&net, &trajs, 200.0);
         // Each trajectory appears in TL(g) for exactly the clusters in its
         // CC list, with matching distances.
         let mut total_cc = 0;
@@ -532,7 +471,7 @@ mod tests {
     #[test]
     fn traj_distance_is_min_over_member_nodes() {
         let (net, trajs) = fixture();
-        let inst = build_instance(&net, &trajs, 200.0, RepresentativeStrategy::default());
+        let inst = build_instance(&net, &trajs, 200.0);
         for (tj, traj) in trajs.iter() {
             for (ci, d) in map_trajectory(traj, &inst.node_cluster, &inst.node_center_dist) {
                 let c = &inst.clusters[ci as usize];
@@ -555,20 +494,10 @@ mod tests {
             &net,
             &GdspConfig {
                 radius: 100.0,
-                mode: GdspMode::Exact,
                 threads: 1,
             },
         );
-        let inst = ClusterInstance::build(
-            &net,
-            &trajs,
-            &is_site,
-            &gdsp,
-            100.0,
-            0.75,
-            RepresentativeStrategy::ClosestToCenter,
-            1,
-        );
+        let inst = ClusterInstance::build(&net, &trajs, &is_site, &gdsp, 100.0, 0.75, 1);
         let with_rep = inst
             .clusters
             .iter()
@@ -584,23 +513,6 @@ mod tests {
     }
 
     #[test]
-    fn most_frequented_picks_busy_site() {
-        let (net, trajs) = fixture();
-        // Nodes 2..5 carry two trajectories each in the fixture.
-        let inst = build_instance(&net, &trajs, 600.0, RepresentativeStrategy::MostFrequented);
-        // Find the cluster containing node 3 (on two trajectories).
-        let ci = inst.node_cluster[3] as usize;
-        let rep = inst.clusters[ci].representative.unwrap();
-        let rep_count = trajs.trajectories_through(rep).len();
-        for &(v, _) in &inst.clusters[ci].nodes {
-            assert!(
-                trajs.trajectories_through(v).len() <= rep_count,
-                "rep {rep:?} not the most frequented (node {v:?} busier)"
-            );
-        }
-    }
-
-    #[test]
     fn parallel_neighbors_match_sequential() {
         let (net, trajs) = fixture();
         let is_site = vec![true; net.node_count()];
@@ -608,30 +520,11 @@ mod tests {
             &net,
             &GdspConfig {
                 radius: 150.0,
-                mode: GdspMode::Exact,
                 threads: 1,
             },
         );
-        let seq = ClusterInstance::build(
-            &net,
-            &trajs,
-            &is_site,
-            &gdsp,
-            150.0,
-            0.75,
-            RepresentativeStrategy::ClosestToCenter,
-            1,
-        );
-        let par = ClusterInstance::build(
-            &net,
-            &trajs,
-            &is_site,
-            &gdsp,
-            150.0,
-            0.75,
-            RepresentativeStrategy::ClosestToCenter,
-            4,
-        );
+        let seq = ClusterInstance::build(&net, &trajs, &is_site, &gdsp, 150.0, 0.75, 1);
+        let par = ClusterInstance::build(&net, &trajs, &is_site, &gdsp, 150.0, 0.75, 4);
         for (a, b) in seq.clusters.iter().zip(par.clusters.iter()) {
             assert_eq!(a.neighbors, b.neighbors);
         }
@@ -670,7 +563,7 @@ mod tests {
     #[test]
     fn heap_size_is_the_exact_sum_of_the_parts() {
         let (net, trajs) = fixture();
-        let inst = build_instance(&net, &trajs, 200.0, RepresentativeStrategy::default());
+        let inst = build_instance(&net, &trajs, 200.0);
         let (n, eta) = (net.node_count(), inst.cluster_count());
         let header = 2 * std::mem::size_of::<usize>();
         let pair = std::mem::size_of::<(u32, f64)>();
@@ -697,8 +590,8 @@ mod tests {
     #[test]
     fn heap_size_positive_and_grows_with_data() {
         let (net, trajs) = fixture();
-        let small = build_instance(&net, &trajs, 600.0, RepresentativeStrategy::default());
-        let large = build_instance(&net, &trajs, 100.0, RepresentativeStrategy::default());
+        let small = build_instance(&net, &trajs, 600.0);
+        let large = build_instance(&net, &trajs, 100.0);
         assert!(small.heap_size_bytes() > 0);
         // More clusters → more per-cluster overhead.
         assert!(large.heap_size_bytes() >= small.heap_size_bytes());

@@ -17,7 +17,9 @@
 //! rows and the picks, which makes "sharded ≡ monolithic" hold bit for bit.
 //! TOPS-COST, TOPS-CAPACITY and TOPS4 ([`crate::cost`], [`crate::capacity`],
 //! `market`) run on the same machine, each from its own entry with its own
-//! kernel or rule: how it ranks, drops and stops.
+//! kernel or rule: how it ranks, drops and stops. So does the offline
+//! phase: Greedy-GDSP ([`crate::gdsp`]) picks its cluster centers with a
+//! kernel over dominance balls and a rule that drops covered vertices.
 //!
 //! **Two served kernels, chosen once per solve.** Graded ψ and every seeded
 //! run score each pair against an `f64` utility per trajectory. Binary ψ

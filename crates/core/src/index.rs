@@ -16,8 +16,8 @@ use std::time::{Duration, Instant};
 use netclus_roadnet::{DijkstraEngine, NodeId, RoadNetwork};
 use netclus_trajectory::TrajectorySet;
 
-use crate::cluster::{ClusterInstance, RepresentativeStrategy};
-use crate::gdsp::{greedy_gdsp, GdspConfig, GdspMode, GdspResult};
+use crate::cluster::ClusterInstance;
+use crate::gdsp::{greedy_gdsp, GdspConfig, GdspResult};
 
 /// Configuration of a NetClus index build.
 #[derive(Clone, Copy, Debug)]
@@ -30,10 +30,6 @@ pub struct NetClusConfig {
     pub tau_min: f64,
     /// Largest supported coverage threshold (exclusive ladder end).
     pub tau_max: f64,
-    /// Clustering gain oracle (exact lazy-greedy or FM sketches).
-    pub mode: GdspMode,
-    /// Representative selection strategy (paper Sec. 4.2).
-    pub representative: RepresentativeStrategy,
     /// Worker threads for the offline phase.
     pub threads: usize,
 }
@@ -44,8 +40,6 @@ impl Default for NetClusConfig {
             gamma: 0.75,
             tau_min: 400.0,
             tau_max: 8_000.0,
-            mode: GdspMode::Exact,
-            representative: RepresentativeStrategy::ClosestToCenter,
             threads: num_threads_default(),
         }
     }
@@ -78,8 +72,8 @@ impl NetClusConfig {
 /// The corpus-independent half of a NetClus index build: the Greedy-GDSP
 /// clustering of the road network at every resolution of the ladder.
 ///
-/// Clustering depends only on the network and the `(γ, τ_min, τ_max,
-/// mode)` parameters — not on trajectories or candidate sites — so a
+/// Clustering depends only on the network and the `(γ, τ_min, τ_max)`
+/// parameters — not on trajectories or candidate sites — so a
 /// sharded deployment computes it **once** and shares it across every
 /// per-shard [`NetClusIndex::build_clustered`] call. Shard indexes built
 /// from the same clustering agree on cluster identities (cluster `i` of
@@ -104,7 +98,6 @@ impl NetworkClustering {
                     net,
                     &GdspConfig {
                         radius: config.radius(p),
-                        mode: config.mode,
                         threads: config.threads,
                     },
                 )
@@ -199,7 +192,6 @@ impl NetClusIndex {
                     clustering.gdsp(p),
                     config.radius(p),
                     config.gamma,
-                    config.representative,
                     config.threads,
                 )
             })
@@ -353,8 +345,6 @@ mod tests {
             gamma: 0.75,
             tau_min: 200.0,
             tau_max: 3_000.0,
-            mode: GdspMode::Exact,
-            representative: RepresentativeStrategy::ClosestToCenter,
             threads: 1,
         }
     }

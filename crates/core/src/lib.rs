@@ -136,7 +136,6 @@ pub mod update;
 pub mod prelude {
     pub use crate::arena::{PairArena, PairSlice};
     pub use crate::capacity::{tops_capacity, CapacityConfig};
-    pub use crate::cluster::RepresentativeStrategy;
     pub use crate::cost::{tops_cost, CostConfig};
     pub use crate::coverage::{
         CoverageIndex, CoverageProvider, InvertedCoverage, ReferenceProvider, Rows, RowsView,
@@ -146,7 +145,7 @@ pub mod prelude {
     pub use crate::fm_greedy::{
         build_site_sketches, fm_greedy, fm_greedy_prebuilt, FmGreedyConfig,
     };
-    pub use crate::gdsp::{greedy_gdsp, GdspConfig, GdspMode};
+    pub use crate::gdsp::{greedy_gdsp, GdspConfig};
     pub use crate::greedy::{
         algorithm1_greedy, inc_greedy, inc_greedy_from, inc_greedy_seeded, GreedyConfig,
     };

@@ -300,7 +300,9 @@ impl ProviderRows {
     /// `instance`, bit for bit. `instance` and `trajs` are the post-batch
     /// index instance and corpus; `added` are the ids the batch added and
     /// did not remove again, `removed` the ids it removed. Each is listed
-    /// once. Representatives are untouched: only a site op moves them.
+    /// once. Representatives are untouched: a representative is the
+    /// member site nearest its cluster's center, a function of the sites
+    /// alone, so only a site op moves one.
     ///
     /// Only the batch's trajectories are mapped and estimated (module
     /// docs, "Carrying rows across a publish"):
@@ -720,7 +722,6 @@ mod tests {
                 tau_min: 200.0,
                 tau_max: 4_000.0,
                 threads: 1,
-                ..Default::default()
             },
         )
     }

@@ -5,7 +5,7 @@
 //! paper. Every operation is applied to **all** index instances:
 //!
 //! * **Site added** — flag the node, and re-elect the representative of its
-//!   cluster if the new site wins under the configured strategy.
+//!   cluster: the new site wins if it is the member site nearest the center.
 //! * **Site removed** — unflag; if it was a cluster representative, elect a
 //!   replacement among the remaining member sites.
 //! * **Trajectory added** — map the node sequence to its compressed cluster
@@ -13,6 +13,9 @@
 //! * **Trajectory removed** — map it again (the node → cluster maps never
 //!   change, so this is the `CC` its addition used) and drop it from the
 //!   `T L(g)` of every cluster in it.
+//!
+//! A representative is the member site nearest its cluster's center, a
+//! function of the sites alone, so only a site update moves one.
 //!
 //! An edited `T L(g)` is a new list; every list an update does not touch
 //! stays shared with the clones of the index it was cloned from, so a
@@ -24,7 +27,9 @@
 //! updated index is observationally identical to a fresh rebuild.
 
 use netclus_roadnet::NodeId;
-use netclus_trajectory::{TrajId, Trajectory, TrajectorySet};
+#[cfg(doc)]
+use netclus_trajectory::TrajectorySet;
+use netclus_trajectory::{TrajId, Trajectory};
 
 use crate::cluster::choose_representative;
 use crate::index::NetClusIndex;
@@ -32,11 +37,7 @@ use crate::index::NetClusIndex;
 impl NetClusIndex {
     /// Registers `v` (an existing network vertex) as a candidate site.
     /// Returns false if it was already a site.
-    ///
-    /// `trajs` is consulted only for the
-    /// [`MostFrequented`](crate::cluster::RepresentativeStrategy::MostFrequented)
-    /// representative strategy.
-    pub fn add_site(&mut self, trajs: &TrajectorySet, v: NodeId) -> bool {
+    pub fn add_site(&mut self, v: NodeId) -> bool {
         assert!(
             v.index() < self.is_site.len(),
             "site {v:?} beyond network size; extend the network offline (Sec. 2 augmentation)"
@@ -45,28 +46,26 @@ impl NetClusIndex {
             return false;
         }
         self.is_site[v.index()] = true;
-        let strategy = self.config.representative;
         for inst in &mut self.instances {
             let ci = inst.node_cluster[v.index()] as usize;
-            choose_representative(&mut inst.clusters[ci], trajs, &self.is_site, strategy);
+            choose_representative(&mut inst.clusters[ci], &self.is_site);
         }
         true
     }
 
     /// Removes `v` from the candidate sites. Returns false if it was not a
     /// site.
-    pub fn remove_site(&mut self, trajs: &TrajectorySet, v: NodeId) -> bool {
+    pub fn remove_site(&mut self, v: NodeId) -> bool {
         assert!(v.index() < self.is_site.len(), "unknown node {v:?}");
         if !self.is_site[v.index()] {
             return false;
         }
         self.is_site[v.index()] = false;
-        let strategy = self.config.representative;
         for inst in &mut self.instances {
             let ci = inst.node_cluster[v.index()] as usize;
             let cluster = &mut inst.clusters[ci];
             if cluster.representative == Some(v) {
-                choose_representative(cluster, trajs, &self.is_site, strategy);
+                choose_representative(cluster, &self.is_site);
             }
         }
         true
@@ -106,6 +105,7 @@ mod tests {
     use crate::index::{NetClusConfig, NetClusIndex};
     use crate::query::TopsQuery;
     use netclus_roadnet::{Point, RoadNetwork, RoadNetworkBuilder};
+    use netclus_trajectory::TrajectorySet;
 
     fn fixture() -> (RoadNetwork, TrajectorySet) {
         let mut b = RoadNetworkBuilder::new();
@@ -190,8 +190,8 @@ mod tests {
         let (net, trajs) = fixture();
         let initial = vec![NodeId(3)];
         let mut idx = NetClusIndex::build(&net, &trajs, &initial, config());
-        assert!(idx.add_site(&trajs, NodeId(8)));
-        assert!(!idx.add_site(&trajs, NodeId(8)), "double add must be no-op");
+        assert!(idx.add_site(NodeId(8)));
+        assert!(!idx.add_site(NodeId(8)), "double add must be no-op");
         let rebuilt = NetClusIndex::build(&net, &trajs, &[NodeId(3), NodeId(8)], config());
         assert_equivalent(&idx, &rebuilt);
         assert_eq!(idx.site_count(), 2);
@@ -202,8 +202,8 @@ mod tests {
         let (net, trajs) = fixture();
         let sites = vec![NodeId(3), NodeId(4)];
         let mut idx = NetClusIndex::build(&net, &trajs, &sites, config());
-        assert!(idx.remove_site(&trajs, NodeId(3)));
-        assert!(!idx.remove_site(&trajs, NodeId(3)));
+        assert!(idx.remove_site(NodeId(3)));
+        assert!(!idx.remove_site(NodeId(3)));
         let rebuilt = NetClusIndex::build(&net, &trajs, &[NodeId(4)], config());
         assert_equivalent(&idx, &rebuilt);
     }
@@ -213,7 +213,7 @@ mod tests {
         let (net, trajs) = fixture();
         let sites = vec![NodeId(5)];
         let mut idx = NetClusIndex::build(&net, &trajs, &sites, config());
-        idx.remove_site(&trajs, NodeId(5));
+        idx.remove_site(NodeId(5));
         assert_eq!(idx.site_count(), 0);
         for inst in idx.instances() {
             assert!(inst.clusters.iter().all(|c| c.representative.is_none()));
@@ -266,6 +266,6 @@ mod tests {
         let (net, trajs) = fixture();
         let sites: Vec<NodeId> = net.nodes().collect();
         let mut idx = NetClusIndex::build(&net, &trajs, &sites, config());
-        idx.add_site(&trajs, NodeId(99));
+        idx.add_site(NodeId(99));
     }
 }

@@ -484,7 +484,7 @@ proptest! {
     fn gdsp_invariants(inst in instance_strategy(), r1 in 50.0f64..400.0, factor in 1.5f64..4.0) {
         let (net, _) = build(&inst);
         let run = |radius: f64| greedy_gdsp(&net, &GdspConfig {
-            radius, mode: GdspMode::Exact, threads: 1,
+            radius, threads: 1,
         });
         let small = run(r1);
         let large = run(r1 * factor);
@@ -712,19 +712,17 @@ proptest! {
     }
 
     /// `NetClusIndex::build` at 1, 2, 4 and 8 threads builds the same
-    /// instances: the ball sweep (exact sizes or FM sketches), the
-    /// neighbour balls and the cluster enrichment do not depend on how
-    /// their items are split across workers.
+    /// instances: the ball-size sweep, the neighbour balls and the cluster
+    /// enrichment do not depend on how their items are split across
+    /// workers.
     #[test]
     fn index_build_thread_count_does_not_change_any_instance(
         inst in instance_strategy(),
-        fm in any::<bool>(),
     ) {
         let (net, trajs) = build(&inst);
         let sites: Vec<NodeId> = net.nodes().collect();
-        let mode = if fm { GdspMode::Fm { copies: 8, seed: 7 } } else { GdspMode::Exact };
         let config = |threads| NetClusConfig {
-            tau_min: 400.0, tau_max: 4_000.0, mode, threads, ..Default::default()
+            tau_min: 400.0, tau_max: 4_000.0, threads, ..Default::default()
         };
         let one = NetClusIndex::build(&net, &trajs, &sites, config(1));
         for threads in [2usize, 4, 8] {
@@ -816,11 +814,11 @@ proptest! {
                     }
                 }
                 2 => {
-                    prop_assert!(index.remove_site(&trajs, site));
+                    prop_assert!(index.remove_site(site));
                     sites.retain(|&v| v != site);
                 }
                 _ => {
-                    prop_assert!(index.add_site(&trajs, site));
+                    prop_assert!(index.add_site(site));
                     sites.push(site);
                 }
             }

@@ -87,13 +87,13 @@ fn apply(
         }
         2 => {
             let v = NodeId(a % NODES);
-            if index.add_site(trajs, v) {
+            if index.add_site(v) {
                 sites[v.index()] = true;
             }
         }
         _ => {
             let v = NodeId(a % NODES);
-            if index.remove_site(trajs, v) {
+            if index.remove_site(v) {
                 sites[v.index()] = false;
             }
         }

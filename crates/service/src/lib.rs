@@ -9,9 +9,11 @@
 //! * [`snapshot`] — an **epoch-based snapshot store**. The road network,
 //!   [`TrajectorySet`](netclus_trajectory::TrajectorySet) and
 //!   [`NetClusIndex`](netclus::NetClusIndex) live behind an `Arc`-swapped
-//!   immutable [`Snapshot`]. Readers pin a snapshot with one atomic load
-//!   and never block; a writer applies an `UpdateBatch` to a private
-//!   copy and publishes it atomically under the next epoch.
+//!   immutable [`Snapshot`]. Readers pin a snapshot by cloning its `Arc`
+//!   under a read lock held for that clone alone, so a publish delays a
+//!   reader by at most one pointer swap; a writer applies an
+//!   `UpdateBatch` to a private copy and publishes it under the next
+//!   epoch.
 //! * [`executor`] — the **monolithic service**: [`NetClusService::query`]
 //!   answers on the caller's thread; a result-cache hit takes no shared
 //!   lock and pins no snapshot, a miss solves against one pinned

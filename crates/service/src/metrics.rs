@@ -410,8 +410,9 @@ pub struct ShardReport {
     pub transport_errors: u64,
     /// Successful (re)connect handshakes across all remote lanes.
     pub transport_reconnects: u64,
-    /// Round-trip latency of completed transport RPCs (counts summed
-    /// across lanes; percentiles are the worst lane's — conservative).
+    /// Round-trip latency of completed transport RPCs across all lanes:
+    /// their histograms merged exactly, so the percentiles are those of
+    /// every lane's samples together.
     pub transport_rpc: LatencySummary,
 }
 

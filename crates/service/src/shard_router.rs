@@ -314,7 +314,7 @@ struct RouterInner {
 
 impl RouterInner {
     /// Every replica's transport, shard by shard.
-    fn replicas(&self) -> impl Iterator<Item = &dyn ShardTransport> {
+    fn replicas(&self) -> impl Iterator<Item = &dyn ShardTransport> + Clone {
         let sets = self.shards.iter();
         sets.flat_map(|set| set.transports.iter().map(|t| &**t))
     }
@@ -325,31 +325,11 @@ impl RouterInner {
         lags.max().unwrap_or(0)
     }
 
-    /// Transport RPC rollup across remote replicas: counts sum; the
-    /// latency percentiles take the worst replica (conservative — exact
-    /// cross-lane percentiles would need histogram merging) while the
-    /// mean is count-weighted.
+    /// Transport RPC rollup across remote replicas: counts sum, and the
+    /// latency percentiles and mean are those of one histogram holding
+    /// every replica's samples (`TransportCounters::rollup`).
     fn transport_rollup(&self) -> TransportSnapshot {
-        let mut all = TransportSnapshot::default();
-        let mut mean_acc = 0.0f64;
-        for snap in self
-            .replicas()
-            .filter_map(|t| Some(t.counters()?.snapshot()))
-        {
-            all.requests += snap.requests;
-            all.errors += snap.errors;
-            all.reconnects += snap.reconnects;
-            mean_acc += snap.rpc.mean_micros as f64 * snap.rpc.count as f64;
-            all.rpc.count += snap.rpc.count;
-            all.rpc.p50_micros = all.rpc.p50_micros.max(snap.rpc.p50_micros);
-            all.rpc.p95_micros = all.rpc.p95_micros.max(snap.rpc.p95_micros);
-            all.rpc.p99_micros = all.rpc.p99_micros.max(snap.rpc.p99_micros);
-            all.rpc.max_micros = all.rpc.max_micros.max(snap.rpc.max_micros);
-        }
-        if all.rpc.count > 0 {
-            all.rpc.mean_micros = (mean_acc / all.rpc.count as f64) as u64;
-        }
-        all
+        TransportCounters::rollup(self.replicas().filter_map(ShardTransport::counters))
     }
 }
 

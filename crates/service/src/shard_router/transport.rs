@@ -320,13 +320,21 @@ pub struct TransportCounters {
 }
 
 impl TransportCounters {
-    /// Point-in-time view.
-    pub(crate) fn snapshot(&self) -> TransportSnapshot {
+    /// Point-in-time view of every transport in `parts` together: counts
+    /// sum, and the latency summary is that of one histogram holding every
+    /// part's samples.
+    pub(crate) fn rollup<'a>(parts: impl Iterator<Item = &'a Self> + Clone) -> TransportSnapshot {
+        let total = |field: fn(&Self) -> &AtomicU64| -> u64 {
+            parts
+                .clone()
+                .map(|c| field(c).load(Ordering::Relaxed))
+                .sum()
+        };
         TransportSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            reconnects: self.reconnects.load(Ordering::Relaxed),
-            rpc: self.rpc_latency.summary(),
+            requests: total(|c| &c.requests),
+            errors: total(|c| &c.errors),
+            reconnects: total(|c| &c.reconnects),
+            rpc: LatencyHistogram::summary_of(parts.map(|c| &c.rpc_latency)),
         }
     }
 }
@@ -734,6 +742,47 @@ mod tests {
     use crate::fault::FaultPlan;
     use crate::shard_router::tests::fixture;
     use netclus::NetClusConfig;
+
+    /// Two replicas with disjoint samples: the rollup sums their counts,
+    /// and its summary is that of one histogram holding both sets of
+    /// samples — not the worse replica's percentiles.
+    #[test]
+    fn rollup_merges_replica_histograms_exactly() {
+        let (fast, slow, all) = (
+            TransportCounters::default(),
+            TransportCounters::default(),
+            LatencyHistogram::default(),
+        );
+        let samples = [(&fast, 10u64, 5u64), (&slow, 1_000, 4)];
+        for &(replica, micros, n) in &samples {
+            replica.requests.fetch_add(n + 1, Ordering::Relaxed);
+            replica.errors.fetch_add(1, Ordering::Relaxed);
+            replica.reconnects.fetch_add(2, Ordering::Relaxed);
+            for _ in 0..n {
+                replica.rpc_latency.record(Duration::from_micros(micros));
+                all.record(Duration::from_micros(micros));
+            }
+        }
+        let merged = TransportCounters::rollup([&fast, &slow].into_iter());
+        assert_eq!(
+            (merged.requests, merged.errors, merged.reconnects),
+            (11, 2, 4)
+        );
+        let fields = |s: LatencySummary| {
+            (
+                s.count,
+                s.mean_micros,
+                s.p50_micros,
+                s.p95_micros,
+                s.p99_micros,
+                s.max_micros,
+            )
+        };
+        assert_eq!(fields(merged.rpc), fields(all.summary()));
+        let worst_p50 = fast.rpc_latency.summary().p50_micros;
+        let worst_p50 = worst_p50.max(slow.rpc_latency.summary().p50_micros);
+        assert_ne!(merged.rpc.p50_micros, worst_p50);
+    }
 
     /// The io timeout is set on the socket only when it changes. A
     /// deadline-less call leaves `cfg.io_timeout` in place; the deadline

@@ -558,7 +558,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultRule;
     use crate::framing::{read_frame, write_frame};
-    use crate::shard_router::{RemoteShardConfig, ShardTransport};
+    use crate::shard_router::{RemoteShardConfig, ShardTransport, TransportCounters};
     use crate::snapshot::RoutedOp;
     use crate::ShardFailure;
     use netclus::prelude::*;
@@ -891,7 +891,8 @@ mod tests {
         // The script is exhausted: service recovers over a fresh
         // connection (the transport reconnects transparently).
         assert!(run(&mut scratch).is_ok());
-        let snap = shard.counters().expect("remote counters").snapshot();
+        let counters = shard.counters().expect("remote counters");
+        let snap = TransportCounters::rollup(std::iter::once(counters));
         assert_eq!(snap.errors, 3);
         assert!(snap.reconnects >= 2, "faults force reconnects");
         // Four RPCs went out; only the one that completed has a latency.

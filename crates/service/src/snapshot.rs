@@ -316,11 +316,9 @@ impl SnapshotStore {
                     }
                     None => false,
                 },
-                GenericOp::AddSite(v) => {
-                    v.index() < base.net.node_count() && index.add_site(&trajs, v)
-                }
+                GenericOp::AddSite(v) => v.index() < base.net.node_count() && index.add_site(v),
                 GenericOp::RemoveSite(v) => {
-                    v.index() < base.net.node_count() && index.remove_site(&trajs, v)
+                    v.index() < base.net.node_count() && index.remove_site(v)
                 }
             };
             if ok && site_op {

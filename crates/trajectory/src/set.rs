@@ -1,9 +1,12 @@
 //! Trajectory collections with a node → trajectories inverted index.
 //!
-//! Both Inc-Greedy's coverage computation and the NetClus cluster trajectory
-//! lists `T L(g)` need to answer "which trajectories pass through node `v`"
-//! in O(answer). [`TrajectorySet`] maintains that inverted index and supports
-//! the dynamic trajectory additions/removals of paper Sec. 6.
+//! Inc-Greedy's exact coverage needs "which trajectories pass through node
+//! `v`" in O(answer): the core crate's `DetourEngine` reads it at every node
+//! of a site's detour ball to build the site's `TC` row. [`TrajectorySet`]
+//! maintains that inverted index and supports the dynamic trajectory
+//! additions/removals of paper Sec. 6. The NetClus cluster lists `T L(g)`
+//! do not read it: the core crate's `map_trajectory` builds them from each
+//! trajectory's own node sequence.
 
 use std::sync::Arc;
 

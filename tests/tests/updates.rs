@@ -95,12 +95,12 @@ fn site_churn_matches_rebuild_through_queries() {
     let mut index = NetClusIndex::build(&net, &trajs, &initial, config());
     let mut current: Vec<NodeId> = initial.clone();
     for &v in all_sites.iter().skip(1).step_by(7) {
-        if index.add_site(&trajs, v) {
+        if index.add_site(v) {
             current.push(v);
         }
     }
     for &v in initial.iter().step_by(5) {
-        if index.remove_site(&trajs, v) {
+        if index.remove_site(v) {
             current.retain(|&s| s != v);
         }
     }
@@ -132,8 +132,8 @@ fn interleaved_updates_stay_consistent() {
             }
             _ => {
                 let v = sites[step * 3 % sites.len()];
-                index.remove_site(&trajs, v);
-                index.add_site(&trajs, v);
+                index.remove_site(v);
+                index.add_site(v);
             }
         }
     }
